@@ -4,21 +4,23 @@
 // dropping is weaker than in-process dropping), and compaction claws the
 // difference back after the fact.
 //
-// Two classic passes are combined, both riding on the word-level bit
-// parallelism of the fault simulator (64 pattern pairs per simulation):
+// Two classic passes are combined, both word-level bit parallel:
 //
 //   - Compatible-pair merging: two pairs whose three-valued vectors never
 //     demand opposite values at the same position are merged into one pair
 //     carrying the union of their requirements.  This needs the don't-care
 //     information the generator normally discards when it fills a pattern,
 //     so merging works on the X-preserving (unfilled) forms and the merged
-//     pairs are re-filled afterwards by a pluggable Filler.
+//     pairs are re-filled afterwards by a pluggable Filler.  The forms are
+//     compared as bit planes of 64 inputs per word in the paper's Table 1
+//     encoding, where a merge is an OR and a conflict the (1,1) code.
 //
 //   - Reverse-order fault simulation: the pairs are re-simulated against
-//     the fault list in reverse generation order and a pair is kept only if
-//     it detects a fault no later-kept pair detects.  Later patterns were
-//     generated for the harder faults, so scanning backwards retires the
-//     early patterns whose faults are covered incidentally.
+//     the fault list, 64 pairs per simulation, in reverse generation order
+//     and a pair is kept only if it detects a fault no later-kept pair
+//     detects.  Later patterns were generated for the harder faults, so
+//     scanning backwards retires the early patterns whose faults are
+//     covered incidentally.
 //
 // Compaction is coverage-exact by construction: the compacted set detects
 // exactly the same faults of the given fault list as the input set.  A
@@ -150,9 +152,10 @@ func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust 
 	if fill == nil {
 		fill = ZeroFill()
 	}
+	sim := faultsim.New(c)
 	cur := set
 	for round := 0; round < maxCompactionRounds; round++ {
-		out, roundStats, err := compactOnce(c, cur, faults, robust, level, fill)
+		out, roundStats, err := compactOnce(sim, cur, faults, robust, level, fill)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -170,13 +173,14 @@ func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust 
 	return cur, st, nil
 }
 
-// compactOnce runs one merge + reverse-order pass over the set.
-func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
+// compactOnce runs one merge + reverse-order pass over the set, simulating
+// with sim.
+func compactOnce(sim *faultsim.Simulator, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
 	var st Stats
 
 	// Detection bitsets of the input pairs: baseline is the detected-fault
 	// set the compacted output must reproduce exactly.
-	origDet, err := detections(c, set.Pairs, faults, robust)
+	origDet, err := detections(sim, set.Pairs, faults, robust)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -187,7 +191,7 @@ func compactOnce(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, rob
 
 	var pool []entry
 	if level == Full {
-		pool, err = mergedPool(c, set, faults, robust, fill, origDet, baseline, &st)
+		pool, err = mergedPool(sim, set, faults, robust, fill, origDet, baseline, &st)
 		if err != nil {
 			return nil, Stats{}, err
 		}
@@ -244,7 +248,7 @@ func poolEntry(set *pattern.Set, i int, det bitset) entry {
 // baseline (changing coverage) is rejected in favour of its members.
 // Singleton buckets keep their original filled pair (and its detections)
 // bit for bit.
-func mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, fill Filler, origDet []bitset, baseline bitset, st *Stats) ([]entry, error) {
+func mergedPool(sim *faultsim.Simulator, set *pattern.Set, faults []paths.Fault, robust bool, fill Filler, origDet []bitset, baseline bitset, st *Stats) ([]entry, error) {
 	buckets := greedyMerge(set)
 
 	// Re-fill and re-simulate the true merges in one parallel-pattern run.
@@ -256,7 +260,7 @@ func mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robu
 			mergedIdx = append(mergedIdx, bi)
 		}
 	}
-	mergedDet, err := detections(c, mergedPairs, faults, robust)
+	mergedDet, err := detections(sim, mergedPairs, faults, robust)
 	if err != nil {
 		return nil, err
 	}
@@ -307,9 +311,9 @@ func mergedPool(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robu
 	return pool, nil
 }
 
-// detections fault-simulates the pairs (in batches of faultsim.BatchSize)
-// and returns, per pair, the bitset of faults it detects.
-func detections(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust bool) ([]bitset, error) {
+// detections fault-simulates the pairs with sim (in batches of
+// faultsim.BatchSize) and returns, per pair, the bitset of faults it detects.
+func detections(sim *faultsim.Simulator, pairs []pattern.Pair, faults []paths.Fault, robust bool) ([]bitset, error) {
 	det := make([]bitset, len(pairs))
 	for i := range det {
 		det[i] = newBitset(len(faults))
@@ -317,7 +321,6 @@ func detections(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, 
 	if len(pairs) == 0 || len(faults) == 0 {
 		return det, nil
 	}
-	sim := faultsim.New(c)
 	for base := 0; base < len(pairs); base += faultsim.BatchSize {
 		end := base + faultsim.BatchSize
 		if end > len(pairs) {

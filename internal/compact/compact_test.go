@@ -3,6 +3,7 @@ package compact_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -273,5 +274,36 @@ func TestStatsHelpers(t *testing.T) {
 	}
 	if (compact.Stats{}).Reduction() != 0 {
 		t.Error("zero stats Reduction should be 0")
+	}
+}
+
+// s38584Unfilled caches the X-preserving test set BenchmarkGreedyMerge
+// merges: the s38584 stand-in, 1024 sampled faults, nonrobust, as in the
+// large-nonrobust benchmark workload.
+var s38584Unfilled = sync.OnceValues(func() (*pattern.Set, error) {
+	c, err := bench.Get("s38584")
+	if err != nil {
+		return nil, err
+	}
+	opts := core.DefaultOptions(sensitize.Nonrobust)
+	opts.EmitUnfilled = true
+	g := core.New(c, opts)
+	g.Run(context.Background(), paths.SampleFaults(c, 1024, 1995))
+	return g.TestSet(), nil
+})
+
+// buckets keeps BenchmarkGreedyMerge's result alive.
+var buckets int
+
+// BenchmarkGreedyMerge measures the merge pass of full compaction, which
+// runs serially after generation, on the s38584 nonrobust unfilled set.
+func BenchmarkGreedyMerge(b *testing.B) {
+	set, err := s38584Unfilled()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buckets = len(compact.GreedyMerge(set))
 	}
 }

@@ -151,9 +151,13 @@ type Options struct {
 	// is retained as the oracle the incremental engine is validated against
 	// (see equiv tests); production runs leave it off.
 	FullSweepImplic bool
-	// VerifyTests re-simulates every generated pattern and downgrades the
-	// fault to Aborted if the pattern does not actually detect it.  Enabled
-	// by default; it is cheap and guards against generator bugs.
+	// VerifyTests fault-simulates every generated pattern against its fault
+	// before recording it, guarding against generator bugs.  A pattern that
+	// fails the check is discarded and the fault stays pending: FPTPG hands
+	// it to APTPG, and APTPG marks the pattern's bit level dead and searches
+	// on.  The check is one simulator Load and one Detects, which evaluates
+	// only the fanin cone of the path and its side inputs: about 3 % of the
+	// gates on the s38584 stand-in, 16 % on c7552.  Enabled by default.
 	VerifyTests bool
 	// FillValue is used for primary inputs the test does not constrain.
 	FillValue logic.Value3

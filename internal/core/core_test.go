@@ -517,3 +517,33 @@ func TestSyntheticCircuitATPG(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVerify measures the check every emitted test passes before it
+// is recorded (verifyPattern: one Load and one Detects) on the s38584
+// stand-in, in the nonrobust mode of its benchmark workload.  The pair is
+// one the generator emitted for the fault, so the check walks the whole
+// path: a random pair fails the launch check at the path input and
+// measures nothing.
+func BenchmarkVerify(b *testing.B) {
+	c, err := bench.Get("s38584")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := New(c, DefaultOptions(sensitize.Nonrobust))
+	var tested *FaultResult
+	for _, r := range g.Run(context.Background(), paths.SampleFaults(c, 8, 1995)) {
+		if r.Status == Tested {
+			tested = &r
+			break
+		}
+	}
+	if tested == nil {
+		b.Fatal("no fault of the sample was tested")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !g.verifyPattern(tested.Fault, tested.Test) {
+			b.Fatal("the emitted pair does not verify")
+		}
+	}
+}

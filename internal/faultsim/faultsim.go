@@ -5,13 +5,16 @@
 // parallel-pattern fault simulators the paper builds on.  Each primary input
 // is driven with the seven-valued value describing its behaviour across the
 // two vectors (stable, rising, falling, or final-only when the first vector
-// leaves it unspecified), the circuit is evaluated once, and every fault's
-// detection condition is then checked along its path with word-wide mask
-// operations.
+// leaves it unspecified), and every fault's detection condition is checked
+// along its path with word-wide mask operations.  Simulation is demand
+// driven: a net is evaluated only when a detection check reads it, at most
+// once per batch, so a check costs the fanin cone of its path and side
+// inputs rather than the whole circuit.
 package faultsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/circuit"
@@ -23,71 +26,107 @@ import (
 // Simulator evaluates batches of up to 64 test pairs against path delay
 // faults.  A Simulator is bound to one circuit and reused across batches.
 type Simulator struct {
-	c    *circuit.Circuit
-	vals []logic.Word7
-	n    int // number of pairs in the current batch
+	c *circuit.Circuit
+	// pairs is the loaded batch.  Only the pair headers are copied: the
+	// vectors are read when an input net is first evaluated, so they must not
+	// change until the next Load.
+	pairs []pattern.Pair
+	// inputPos maps a primary input net to its position in the pairs.
+	inputPos []int32
 
-	// faninBuf is the gate-evaluation scratch, hoisted here so Load does not
-	// allocate per call.
+	// vals[net] holds the net's value for the loaded batch when bit net of
+	// done is set; Load clears done, which invalidates every value at once.
+	vals []logic.Word7
+	done []uint64
+
+	// faninBuf is the evaluation stack of fanin values: a gate pushes its
+	// fanins' values, evaluates them and pops them again, so nested cone
+	// evaluations share one buffer and do not allocate.
 	faninBuf []logic.Word7
 }
 
-// New returns a simulator for the circuit.
-func New(c *circuit.Circuit) *Simulator {
-	return &Simulator{
-		c:        c,
-		vals:     make([]logic.Word7, c.NumNets()),
-		faninBuf: make([]logic.Word7, 0, 8),
-	}
-}
+// New returns a simulator for the circuit.  The per-net state is allocated
+// by the first Load, so a simulator that is never loaded (that of a
+// generator whose workers do the generating) costs nothing.
+func New(c *circuit.Circuit) *Simulator { return &Simulator{c: c} }
 
 // BatchSize is the maximum number of test pairs per batch.
 const BatchSize = logic.WordWidth
 
-// Load simulates a batch of up to BatchSize test pairs and returns the
+// inputPosKey keys the input position map in the circuit's memo.
+type inputPosKey struct{}
+
+// inputPositions returns the map from primary input net to input position,
+// computed once per circuit.
+func inputPositions(c *circuit.Circuit) []int32 {
+	return c.Memo(inputPosKey{}, func() any {
+		pos := make([]int32, c.NumNets())
+		for i, in := range c.Inputs() {
+			pos[in] = int32(i)
+		}
+		return pos
+	}).([]int32)
+}
+
+// Load makes a batch of up to BatchSize test pairs current and returns the
 // number of pairs loaded.  Pairs beyond BatchSize are ignored (call Load
 // again with the remainder).  Each pair must have one value per primary
-// input of the circuit.
+// input of the circuit; on an error the batch is empty.  Load evaluates
+// nothing: Detects evaluates the nets it reads.  The pairs' vectors must not
+// be modified until the next Load.
 func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
-	n := len(pairs)
-	if n > BatchSize {
-		n = BatchSize
+	if s.vals == nil {
+		s.inputPos = inputPositions(s.c)
+		s.vals = make([]logic.Word7, s.c.NumNets())
+		s.done = make([]uint64, (s.c.NumNets()+63)/64)
 	}
-	inputs := s.c.Inputs()
-	// Only the input nets accumulate batch values (MergeAt below); every
-	// other net is overwritten by the evaluation sweep, so clearing the
-	// inputs is enough to erase the previous batch.
-	for _, in := range inputs {
-		s.vals[in] = logic.Word7{}
-	}
+	clear(s.done)
+	s.pairs = s.pairs[:0]
+	n := min(len(pairs), BatchSize)
+	inputs := len(s.c.Inputs())
 	for j := 0; j < n; j++ {
-		if pairs[j].Len() != len(inputs) {
-			return 0, fmt.Errorf("faultsim: pair %d has %d values for %d inputs", j, pairs[j].Len(), len(inputs))
-		}
-		for i, in := range inputs {
-			s.vals[in].MergeAt(j, pairs[j].Value7(i))
+		if len(pairs[j].V1) != inputs || len(pairs[j].V2) != inputs {
+			return 0, fmt.Errorf("faultsim: pair %d has %d/%d values for %d inputs", j, len(pairs[j].V1), len(pairs[j].V2), inputs)
 		}
 	}
-	for _, id := range s.c.TopoOrder() {
-		g := s.c.Gate(id)
-		if g.Kind == logic.Input {
-			continue
-		}
-		s.faninBuf = s.faninBuf[:0]
-		for _, f := range g.Fanin {
-			s.faninBuf = append(s.faninBuf, s.vals[f])
-		}
-		s.vals[id] = logic.EvalGate7(g.Kind, s.faninBuf)
-	}
-	s.n = n
+	s.pairs = append(s.pairs, pairs[:n]...)
 	return n, nil
 }
 
-// Value returns the simulated value word of a net for the current batch.
-func (s *Simulator) Value(net circuit.NetID) logic.Word7 { return s.vals[net] }
-
 // BatchMask returns the mask of bit levels occupied by the current batch.
-func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(s.n) }
+func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(len(s.pairs)) }
+
+// value returns the value word of net for the current batch, evaluating the
+// net's fanin cone down to the nets already evaluated for this batch.
+//
+//atpgvet:noalloc
+func (s *Simulator) value(net circuit.NetID) logic.Word7 {
+	word, bit := net/64, uint64(1)<<uint(net%64)
+	if s.done[word]&bit != 0 {
+		return s.vals[net]
+	}
+	var v logic.Word7
+	g := s.c.Gate(net)
+	if g.Kind == logic.Input {
+		pos := int(s.inputPos[net])
+		for j := range s.pairs {
+			v.MergeAt(j, s.pairs[j].Value7(pos))
+		}
+	} else {
+		base := len(s.faninBuf)
+		for _, f := range g.Fanin {
+			// Evaluate before appending: the nested evaluation may
+			// reallocate faninBuf.
+			fv := s.value(f)
+			s.faninBuf = append(s.faninBuf, fv)
+		}
+		v = logic.EvalGate7(g.Kind, s.faninBuf[base:])
+		s.faninBuf = s.faninBuf[:base]
+	}
+	s.vals[net] = v
+	s.done[word] |= bit
+	return v
+}
 
 // Detects returns the mask of test pairs of the current batch that detect
 // the fault, robustly when robust is true and nonrobustly otherwise.
@@ -99,24 +138,30 @@ func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(s.n) }
 // off-path inputs must additionally be stable at the non-controlling value
 // whenever the on-path input of their gate changes towards the controlling
 // value, and the simulated on-path signals must carry the expected
-// transitions.
+// transitions (paths.Fault.Transitions).  The check stops at the first net
+// that leaves no detecting pair, so only the nets read up to there are
+// evaluated.
+//
+//atpgvet:noalloc
 func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
-	mask := s.BatchMask()
 	nets := f.Path.Nets
-	trans := f.Transitions(s.c)
+	t := f.Transition
 
-	// The launch transition must be present at the path input.
-	mask &= s.transitionMask(nets[0], trans[0])
-	if mask == 0 {
+	if len(s.pairs) == 0 {
 		return 0
 	}
-
+	// The launch transition must be present at the path input.
+	mask := s.BatchMask() & s.transitionMask(nets[0], t)
 	for i := 1; i < len(nets) && mask != 0; i++ {
 		g := s.c.Gate(nets[i])
 		onPath := nets[i-1]
+		in := t // the transition on the gate's on-path input
+		if g.Kind.Inverting() {
+			t = t.Invert()
+		}
 		if robust {
 			// The transition must propagate along the path.
-			mask &= s.transitionMask(nets[i], trans[i])
+			mask &= s.transitionMask(nets[i], t)
 			if mask == 0 {
 				return 0
 			}
@@ -130,7 +175,7 @@ func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 				seenOnPath = true
 				continue
 			}
-			mask &= s.sideInputMask(g.Kind, fanin, trans[i-1], robust)
+			mask &= s.sideInputMask(g.Kind, fanin, in, robust)
 			if mask == 0 {
 				return 0
 			}
@@ -142,7 +187,7 @@ func (s *Simulator) Detects(f paths.Fault, robust bool) uint64 {
 // transitionMask returns the pairs on which net carries exactly the given
 // transition.
 func (s *Simulator) transitionMask(net circuit.NetID, t paths.Transition) uint64 {
-	v := s.vals[net]
+	v := s.value(net)
 	if t == paths.Rising {
 		return v.One & v.Instable
 	}
@@ -152,9 +197,9 @@ func (s *Simulator) transitionMask(net circuit.NetID, t paths.Transition) uint64
 // sideInputMask returns the pairs on which the off-path input satisfies the
 // propagation condition of the gate kind for the given on-path transition.
 func (s *Simulator) sideInputMask(kind logic.Kind, side circuit.NetID, onPath paths.Transition, robust bool) uint64 {
-	v := s.vals[side]
 	switch kind {
 	case logic.And, logic.Nand, logic.Or, logic.Nor:
+		v := s.value(side)
 		ctrl, _ := kind.Controlling()
 		nonCtrlPlane := v.One
 		if nc, _ := kind.NonControlling(); nc == logic.Zero3 {
@@ -168,7 +213,7 @@ func (s *Simulator) sideInputMask(kind logic.Kind, side circuit.NetID, onPath pa
 		return nonCtrlPlane
 	case logic.Xor, logic.Xnor:
 		// No controlling value: the side input must not change.
-		return v.Stable
+		return s.value(side).Stable
 	}
 	// BUF/NOT have no side inputs; anything else cannot be on a path.
 	return s.BatchMask()
@@ -210,7 +255,7 @@ func Run(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust 
 			}
 			if mask := sim.Detects(faults[fi], robust); mask != 0 {
 				res.Detected[fi] = true
-				res.DetectedBy[fi] = base + lowestBit(mask)
+				res.DetectedBy[fi] = base + bits.TrailingZeros64(mask)
 				res.NumDetected++
 			}
 		}
@@ -293,13 +338,4 @@ func EstimateCoverage(c *circuit.Circuit, pairs []pattern.Pair, sampleSize int, 
 	}
 	cov, err := Coverage(c, pairs, faults, robust)
 	return cov, len(faults), err
-}
-
-func lowestBit(mask uint64) int {
-	for i := 0; i < 64; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -268,6 +269,9 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := sim.Load([]pattern.Pair{bad}); err == nil {
 		t.Error("loading a pair with the wrong arity should fail")
 	}
+	if sim.BatchMask() != 0 {
+		t.Errorf("batch mask after a failed Load = %b, want an empty batch", sim.BatchMask())
+	}
 	// More than BatchSize pairs: only the first BatchSize are loaded.
 	many := make([]pattern.Pair, BatchSize+10)
 	for i := range many {
@@ -282,12 +286,22 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkFaultSimC880Class simulates one 64-pair batch against 500
+// faults of the c880 stand-in, robustly.  It must not allocate.
 func BenchmarkFaultSimC880Class(b *testing.B) {
 	p, _ := bench.ProfileByName("c880")
 	c := bench.MustSynthesize(p)
 	faults := paths.SampleFaults(c, 500, 3)
 	pairs := randomPairs(c, 64, 17)
 	sim := New(c)
+	// An untimed iteration allocates the simulator's per-net state and grows
+	// its evaluation stack.
+	if _, err := sim.Load(pairs); err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range faults {
+		sim.Detects(f, true)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Load(pairs); err != nil {
@@ -333,5 +347,131 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	bad := []pattern.Pair{pattern.NewPair(1)}
 	if _, err := RunParallel(c, bad, faults, false, 4); err == nil {
 		t.Error("RunParallel with malformed pairs: expected an error")
+	}
+}
+
+// sweep is the reference evaluation the demand-driven simulator replaces:
+// every net of the circuit for the batch, in topological order.
+func sweep(c *circuit.Circuit, pairs []pattern.Pair) []logic.Word7 {
+	vals := make([]logic.Word7, c.NumNets())
+	for i, in := range c.Inputs() {
+		for j, p := range pairs {
+			vals[in].MergeAt(j, p.Value7(i))
+		}
+	}
+	for _, id := range c.TopoOrder() {
+		g := c.Gate(id)
+		if g.Kind == logic.Input {
+			continue
+		}
+		in := make([]logic.Word7, len(g.Fanin))
+		for k, f := range g.Fanin {
+			in[k] = vals[f]
+		}
+		vals[id] = logic.EvalGate7(g.Kind, in)
+	}
+	return vals
+}
+
+// randomBatch draws n pairs whose values are 0, 1 or X, so inputs carry
+// stable values, transitions, final-only values and X.
+func randomBatch(c *circuit.Circuit, n int, rng *rand.Rand) []pattern.Pair {
+	vals := []logic.Value3{logic.Zero3, logic.One3, logic.X3}
+	pairs := make([]pattern.Pair, n)
+	for j := range pairs {
+		p := pattern.NewPair(len(c.Inputs()))
+		for i := range p.V1 {
+			p.V1[i], p.V2[i] = vals[rng.Intn(3)], vals[rng.Intn(3)]
+		}
+		pairs[j] = p
+	}
+	return pairs
+}
+
+// checkValues evaluates nets on demand in the given order and then compares
+// every net of the circuit with the reference sweep of the batch.
+func checkValues(t *testing.T, sim *Simulator, pairs []pattern.Pair, order []int, what string) {
+	t.Helper()
+	for _, net := range order {
+		sim.value(circuit.NetID(net))
+	}
+	want := sweep(sim.c, pairs)
+	for net := range want {
+		if got := sim.value(circuit.NetID(net)); got != want[net] {
+			t.Fatalf("%s: %s: net %s = %v, reference sweep gives %v",
+				sim.c.Name, what, sim.c.NetName(circuit.NetID(net)), got, want[net])
+		}
+	}
+}
+
+// TestDemandValuesMatchSweep checks every net's demand-driven value against
+// the reference sweep, on a fresh simulator and after further Loads whose
+// stale values must all be ignored.
+func TestDemandValuesMatchSweep(t *testing.T) {
+	for _, name := range []string{"c17", "adder8", "c880", "c7552", "s38584"} {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(c.NumNets())))
+		sim := New(c)
+		n := c.NumNets()
+
+		first := randomBatch(c, BatchSize, rng)
+		if _, err := sim.Load(first); err != nil {
+			t.Fatal(err)
+		}
+		checkValues(t, sim, first, rng.Perm(n), "first batch")
+
+		// Every net now holds a value of the first batch.  The second batch
+		// is smaller, and its cones are entered from the outputs first.
+		second := randomBatch(c, 37, rng)
+		if _, err := sim.Load(second); err != nil {
+			t.Fatal(err)
+		}
+		order := make([]int, 0, len(c.Outputs()))
+		for _, out := range c.Outputs() {
+			order = append(order, int(out))
+		}
+		checkValues(t, sim, second, order, "second batch")
+
+		third := randomBatch(c, 5, rng)
+		if _, err := sim.Load(third); err != nil {
+			t.Fatal(err)
+		}
+		checkValues(t, sim, third, rng.Perm(n)[:n/3], "third batch")
+	}
+}
+
+// TestXorSideInputParity pins the XOR rule of the robust check on a
+// hand-built circuit, y = NAND(XOR(a, b, c), c), path a - x - y, rising at
+// a.  The check expects the transition polarity of paths.Fault.Transitions
+// (an XOR passes the transition uninverted) and stable XOR side inputs, at
+// any values.  With b and c stable 1 the side inputs' parity is even, the
+// transition arrives uninverted and the pair detects the fault robustly.
+// With only c at 1 the parity is odd and the pair does not.
+//
+// The generator's sensitization demands stable 0 on XOR side inputs
+// (sensitize.SideInputValue), so for this path it requires c stable 0 for
+// the XOR and final 1 for the NAND: it proves the fault redundant although
+// the first pair below detects it.
+func TestXorSideInputParity(t *testing.T) {
+	b := circuit.NewBuilder("xor-parity")
+	a, s1, s2 := b.Input("a"), b.Input("b"), b.Input("c")
+	x := b.Gate("x", logic.Xor, a, s1, s2)
+	b.Output(b.Gate("y", logic.Nand, x, s2))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault := paths.Fault{Path: pathByNames(t, c, "a", "x", "y"), Transition: paths.Rising}
+	even := pairFor(c, map[string][2]logic.Value3{"a": v(lo, hi), "b": v(hi, hi), "c": v(hi, hi)})
+	odd := pairFor(c, map[string][2]logic.Value3{"a": v(lo, hi), "b": v(lo, lo), "c": v(hi, hi)})
+	sim := New(c)
+	if _, err := sim.Load([]pattern.Pair{even, odd}); err != nil {
+		t.Fatal(err)
+	}
+	if mask := sim.Detects(fault, true); mask != 0b01 {
+		t.Errorf("robust detection mask = %02b, want 01 (even side-input parity only)", mask)
 	}
 }
