@@ -102,9 +102,8 @@ func BenchmarkTable8RobustComparison(b *testing.B) {
 
 // BenchmarkRun measures the multi-core scheduler-driven engine on the
 // largest builtin circuit (the c7552-class profile): the same 128-fault
-// robust run sharded across 1, 2, 4 and 8 workers (static dispatch), plus
-// the work-stealing variant at 4 workers.  On a multi-core machine the
-// wall-clock time should drop roughly with the worker count until the
+// robust run sharded across 1, 2, 4 and 8 workers.  On a multi-core machine
+// the wall-clock time should drop roughly with the worker count until the
 // scheduler runs out of units; on a single core the worker counts tie,
 // which is the overhead check.
 func BenchmarkRun(b *testing.B) {
@@ -113,52 +112,24 @@ func BenchmarkRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := atpg.SampleFaults(c, 128, 1995)
-	run := func(b *testing.B, opts ...atpg.Option) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			e, err := atpg.New(c, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Run(context.Background(), faults); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			run(b, atpg.WithWorkers(workers))
+			for i := 0; i < b.N; i++ {
+				e, err := atpg.New(c, atpg.WithWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Run(context.Background(), faults); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
-	b.Run("schedule=steal", func(b *testing.B) {
-		run(b, atpg.WithWorkers(4), atpg.WithSchedule(atpg.ScheduleSteal))
-	})
-	// Testability-guided routing with the auto-derived escalation width.
-	// The reported skiprate metric — the fraction of faults the hardness
-	// prediction routed past the cheap first pass — is gated by CI through
-	// tools/benchcmp -min-metric: a refactor that silently stops predicting
-	// anything hard turns guidance into dead weight and fails the gate.
-	b.Run("guided", func(b *testing.B) {
-		skip := 0.0
-		for i := 0; i < b.N; i++ {
-			e, err := atpg.New(c, atpg.WithWorkers(4), atpg.WithGuidedEscalation(true))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Run(context.Background(), faults); err != nil {
-				b.Fatal(err)
-			}
-			skip = e.Stats().SkipRate()
-		}
-		b.ReportMetric(skip, "skiprate")
-	})
 }
 
 // BenchmarkGrouping measures the width economics on the c7552 easy-fault
 // reference sample (the run behind the README Performance table): fixed
-// full-width groups, the fault-serial L=1 baseline, and two-pass adaptive
-// escalation (L=1 first pass, survivors regrouped wide), with and without
-// testability guidance.
+// full-width groups against the fault-serial L=1 baseline.
 func BenchmarkGrouping(b *testing.B) {
 	c, err := atpg.Builtin("c7552")
 	if err != nil {
@@ -171,10 +142,6 @@ func BenchmarkGrouping(b *testing.B) {
 	}{
 		{"fixed=64", nil},
 		{"serial=1", []atpg.Option{atpg.WithWordWidth(1), atpg.WithInterleavedSim(1)}},
-		{"adaptive=8", []atpg.Option{atpg.WithEscalation(8)}},
-		{"adaptive=64", []atpg.Option{atpg.WithEscalation(atpg.DefaultWordWidth)}},
-		{"guided=auto", []atpg.Option{atpg.WithGuidedEscalation(true)}},
-		{"guided=64", []atpg.Option{atpg.WithEscalation(atpg.DefaultWordWidth), atpg.WithGuidedEscalation(true)}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

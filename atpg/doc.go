@@ -57,35 +57,27 @@
 //   - [WithProgress] registers a callback invoked as each fault settles;
 //     it observes the same stream [Engine.Stream] yields.
 //
-// # Beyond the paper: scheduling, work-stealing, adaptive grouping
+// # Beyond the paper: scheduling and work-stealing
 //
 // The paper's parallelism lives inside one machine word; [WithWorkers]
 // multiplies it by core-level parallelism.  All fault dispatch goes
 // through one scheduling layer: the fault list is cut into work units
 // (word-parallel fault groups) that n worker goroutines claim from
 // per-worker queues, each worker running an independent generator over
-// the shared immutable circuit.  [WithSchedule] selects the dispatch
-// policy — [ScheduleStatic] pre-assigns contiguous runs of units, the
-// classic shard split, while [ScheduleSteal] additionally lets an idle
-// worker steal queued units from the most loaded peer, so clustered hard
-// faults do not serialize on one worker.  The workers cooperate: patterns
-// emitted by one are fault-simulated against the others' pending faults,
-// so the interleaved-simulation dropping of the paper keeps working
-// across workers.  Results merge into the same deterministic,
-// input-ordered slice [Engine.Run] always returns — the merged test set
-// is reassembled in canonical fault order, so with the interleaved
-// simulation disabled it is identical for every worker count and dispatch
-// policy (with it enabled, which covered fault contributes a pattern still
-// depends on cross-worker drop timing) — and the test set, statistics and
-// learned redundant subpaths accumulate in the engine exactly as in a
-// sequential run.
-//
-// [WithEscalation] enables two-pass adaptive fault grouping: every fault
-// first runs fault-serial (width 1) under a cheap backtrack budget
-// ([WithFirstPassBudget]), and only the survivors are regrouped into wide
-// word-parallel groups under the full budget — word-level sharing is
-// spent where the search is expensive enough to pay for it.  See
-// docs/ARCHITECTURE.md ("Scheduling") for the design.
+// the shared immutable circuit.  Every worker starts on one contiguous
+// run of units, the classic shard split, and an idle worker steals queued
+// units from the most loaded peer, so clustered hard faults do not
+// serialize on one worker.  The workers cooperate: patterns emitted by
+// one are fault-simulated against the others' pending faults, so the
+// interleaved-simulation dropping of the paper keeps working across
+// workers.  Results merge into the same deterministic, input-ordered
+// slice [Engine.Run] always returns — the merged test set is reassembled
+// in canonical fault order, so with the interleaved simulation disabled
+// it is identical for every worker count and steal interleaving (with it
+// enabled, which covered fault contributes a pattern still depends on
+// cross-worker drop timing) — and the test set, statistics and learned
+// redundant subpaths accumulate in the engine exactly as in a sequential
+// run.  See docs/ARCHITECTURE.md ("Scheduling") for the design.
 //
 // Generation honors context cancellation and deadlines: a canceled run
 // returns early with an error matching [ErrCanceled], and every fault that

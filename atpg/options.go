@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/logic"
-	"repro/internal/sched"
 	"repro/internal/sensitize"
 )
 
@@ -44,30 +43,6 @@ const MaxWordWidth = logic.MaxWordWidth
 // hard fault populations but cost proportionally more per implication; see
 // the README performance notes before raising it.
 const DefaultWordWidth = logic.WordWidth
-
-// Schedule selects how a multi-worker engine dispatches fault groups to its
-// workers (see [WithSchedule]).
-type Schedule = sched.Policy
-
-// The dispatch policies.
-const (
-	// ScheduleStatic hands every worker one contiguous run of fault groups
-	// up front: the classic shard split, with no rebalancing.
-	ScheduleStatic = sched.Static
-	// ScheduleSteal starts from the same contiguous split but lets a worker
-	// whose queue runs dry steal queued groups from the most loaded peer,
-	// so clustered hard faults do not serialize on one worker.
-	ScheduleSteal = sched.Steal
-)
-
-// ParseSchedule parses "static" or "steal".
-func ParseSchedule(s string) (Schedule, error) {
-	p, err := sched.ParsePolicy(s)
-	if err != nil {
-		return p, fmt.Errorf("atpg: unknown schedule %q (want static or steal)", s)
-	}
-	return p, nil
-}
 
 // Option configures an [Engine] at construction time.
 type Option func(*engineConfig) error
@@ -164,10 +139,11 @@ func WithInterleavedSim(interval int) Option {
 // WithWorkers sets the number of worker goroutines the engine shards the
 // fault list across, stacking core-level parallelism on top of the paper's
 // word-level bit parallelism: each worker owns an independent generator over
-// the shared immutable circuit and processes one contiguous shard of the
-// fault slice.  When the interleaved simulation is on, workers exchange
-// their patterns so one shard's tests still drop detected faults on the
-// others.  n = 0 selects runtime.GOMAXPROCS(0), one worker per available
+// the shared immutable circuit, starts on one contiguous shard of the fault
+// slice and, once its own shard is drained, steals queued fault groups from
+// the most loaded peer.  When the interleaved simulation is on, workers
+// exchange their patterns so one shard's tests still drop detected faults on
+// the others.  n = 0 selects runtime.GOMAXPROCS(0), one worker per available
 // core; negative counts fail construction.  The default is 1, the
 // sequential generator of the paper.
 //
@@ -186,84 +162,6 @@ func WithWorkers(n int) Option {
 			n = runtime.GOMAXPROCS(0)
 		}
 		c.workers = n
-		return nil
-	}
-}
-
-// WithSchedule selects the dispatch policy of a multi-worker engine: how
-// the internal scheduler hands work units (word-parallel fault groups) to
-// the workers.  [ScheduleStatic] (the default) pre-assigns contiguous runs
-// of groups; [ScheduleSteal] additionally lets idle workers steal queued
-// groups from the most loaded peer, which evens out fault lists whose hard
-// faults cluster.  The policy never changes what a run achieves: results
-// stay input-ordered, the merged test set is reassembled in canonical fault
-// order, and the covered/redundant/aborted classification of every fault is
-// policy-independent.  With the interleaved simulation disabled
-// (WithInterleavedSim(0)) the guarantee is exact — identical per-fault
-// statuses and an identical test set under both policies and any worker
-// count; with it enabled (the default), which of the two covered labels a
-// fault gets (Tested versus DetectedBySim) and hence the exact pattern set
-// still depend on cross-worker pattern arrival order, as with
-// [WithWorkers].  The work distribution itself is visible in the
-// Stats.Sched counters.  With one worker the policies coincide.
-func WithSchedule(p Schedule) Option {
-	return func(c *engineConfig) error {
-		if p != ScheduleStatic && p != ScheduleSteal {
-			return fmt.Errorf("atpg: unknown schedule %d", p)
-		}
-		c.opts.Schedule = p
-		return nil
-	}
-}
-
-// WithEscalation enables two-pass adaptive fault grouping with the given
-// escalation width.  Every fault first runs fault-serial (a width-1 group)
-// under a cheap backtrack budget (see [WithFirstPassBudget]); only the
-// faults that survive this first pass are regrouped into width-wide
-// word-parallel groups and re-run under the engine's full backtrack limit.
-// Word-level sharing — the paper's central mechanism — is thus spent only on
-// the faults whose search is expensive enough to pay for it.  (Since the
-// implication closure stops deriving on conflicted bit levels, the single
-// fixed-width pass is at least as fast on the c7552 reference sample; see the
-// README Performance notes.)  width 0 (the default) disables escalation and
-// keeps the single fixed-width pass; widths outside 0..MaxWordWidth fail
-// construction with ErrBadWidth.
-func WithEscalation(width int) Option {
-	return func(c *engineConfig) error {
-		if width < 0 || width > MaxWordWidth {
-			return fmt.Errorf("%w: escalation width %d (want 0..%d)", ErrBadWidth, width, MaxWordWidth)
-		}
-		c.opts.EscalationWidth = width
-		return nil
-	}
-}
-
-// WithGuidedEscalation turns testability-guided search on or off (default:
-// off).  The engine scores every target fault with SCOAP-style
-// controllability/observability measures computed once per circuit; faults
-// above the hardness threshold skip the cheap first pass of adaptive
-// grouping and go straight to the wide escalation pass, work units are
-// ordered hardest first with cost-weighted scheduler splits, and — when
-// [WithEscalation] was not used — the escalation width is derived from the
-// score distribution of the run's faults.  Guidance only routes and orders
-// work, so which faults end up covered does not depend on it; the
-// first-pass skip rate is reported by [Stats.SkipRate].
-func WithGuidedEscalation(on bool) Option {
-	return func(c *engineConfig) error {
-		c.opts.GuidedEscalation = on
-		return nil
-	}
-}
-
-// WithFirstPassBudget sets the backtrack budget of the cheap fault-serial
-// first pass of adaptive grouping (default: 1).  It only takes effect
-// together with [WithEscalation] or [WithGuidedEscalation].
-func WithFirstPassBudget(n int) Option {
-	return func(c *engineConfig) error {
-		if n < 1 {
-			return fmt.Errorf("atpg: first-pass budget must be at least 1, got %d", n)
-		}
-		c.opts.FirstPassBacktracks = n
 		return nil
 	}
 }

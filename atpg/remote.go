@@ -71,17 +71,13 @@ func WithRemote(addr string) Option {
 func remoteWireOptions(opts core.Options) service.JobOptions {
 	sim := opts.FaultSimInterval
 	return service.JobOptions{
-		Mode:            opts.Mode.String(),
-		WordWidth:       opts.WordWidth,
-		Backtracks:      opts.MaxBacktracks,
-		NoFPTPG:         !opts.UseFPTPG,
-		NoAPTPG:         !opts.UseAPTPG,
-		SimInterval:     &sim,
-		Schedule:        opts.Schedule.String(),
-		Escalate:        opts.EscalationWidth,
-		FirstPassBudget: opts.FirstPassBacktracks,
-		Guided:          opts.GuidedEscalation,
-		Compact:         opts.Compaction.String(),
+		Mode:        opts.Mode.String(),
+		WordWidth:   opts.WordWidth,
+		Backtracks:  opts.MaxBacktracks,
+		NoFPTPG:     !opts.UseFPTPG,
+		NoAPTPG:     !opts.UseAPTPG,
+		SimInterval: &sim,
+		Compact:     opts.Compaction.String(),
 	}
 }
 

@@ -47,14 +47,13 @@ func startService(t *testing.T, n int) string {
 	return srv.URL
 }
 
-// remoteOptions is the shared option set of the equivalence tests: work
-// stealing and escalation exercise the full scheduling surface, simulation
-// off arms the exact determinism contract, compaction exercises the merge
-// pipeline end to end.
+// remoteOptions is the shared option set of the equivalence tests: a narrow
+// word cuts the faults into many units to lease, simulation off arms the
+// exact determinism contract, compaction exercises the merge pipeline end
+// to end.
 func remoteOptions(extra ...atpg.Option) []atpg.Option {
 	return append([]atpg.Option{
-		atpg.WithSchedule(atpg.ScheduleSteal),
-		atpg.WithEscalation(8),
+		atpg.WithWordWidth(8),
 		atpg.WithInterleavedSim(0),
 		atpg.WithCompaction(atpg.CompactReverse),
 	}, extra...)

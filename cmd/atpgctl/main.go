@@ -37,9 +37,6 @@ func main() {
 		numFaults   = flag.Int("faults", 256, "number of target faults (0 = all structural faults; beware of path explosion)")
 		seed        = flag.Int64("seed", 1995, "seed for fault sampling")
 		width       = flag.Int("width", 0, fmt.Sprintf("word width L (1..%d, 0 = default %d)", logic.MaxWordWidth, logic.WordWidth))
-		schedule    = flag.String("schedule", "", "dispatch policy on each worker: static or steal")
-		escalate    = flag.Int("escalate", 0, "adaptive grouping escalation width W (0 = off)")
-		guided      = flag.Bool("guided", false, "testability-guided search")
 		backtracks  = flag.Int("backtracks", 64, "backtrack limit per fault (matches cmd/tip's default)")
 		noFPTPG     = flag.Bool("no-fptpg", false, "disable fault-parallel generation")
 		noAPTPG     = flag.Bool("no-aptpg", false, "disable alternative-parallel generation")
@@ -72,9 +69,6 @@ func main() {
 		Backtracks: *backtracks,
 		NoFPTPG:    *noFPTPG,
 		NoAPTPG:    *noAPTPG,
-		Schedule:   *schedule,
-		Escalate:   *escalate,
-		Guided:     *guided,
 		Compact:    *compactStr,
 		XFill:      *xfill,
 		XFillSeed:  *xfillSeed,

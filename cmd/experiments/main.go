@@ -28,15 +28,12 @@ func main() {
 		all       = flag.Bool("all", false, "reproduce every table")
 		summary   = flag.Bool("summary", false, "print the speed-up summary over Tables 5 and 6")
 		ablations = flag.Bool("ablations", false, "run the ablation studies")
-		grouping  = flag.Bool("grouping", false, "run the grouping ablation: the Tables 5/6 comparison with fault-serial, fixed-wide, adaptive and testability-guided grouping under the incremental and full-sweep engines")
+		grouping  = flag.Bool("grouping", false, "run the grouping ablation: the Tables 5/6 comparison of fault-serial and fixed-wide grouping under the incremental and full-sweep engines")
 		quick     = flag.Bool("quick", false, "use scaled-down circuits and fewer faults")
 		scale     = flag.Float64("scale", 0, "override the circuit scale factor (1.0 = published size)")
 		faults    = flag.Int("faults", 0, "override the number of faults sampled per circuit")
 		seed      = flag.Int64("seed", 1995, "fault sampling seed")
 		workers   = flag.Int("workers", 1, "worker goroutines per generator run (0 = one per core)")
-		schedule  = flag.String("schedule", "static", "multi-worker dispatch policy: static or steal")
-		escalate  = flag.Int("escalate", 0, "adaptive grouping escalation width W (0 = off)")
-		guided    = flag.Bool("guided", false, "testability-guided search: predicted-hard faults skip the first pass, hardest-first unit ordering, auto width when -escalate is 0")
 		compactS  = flag.String("compact", "none", "static test-set compaction per run: none, reverse or full")
 		xfill     = flag.String("xfill", "zero", "don't-care fill for merged pairs: zero, one or random")
 		xfillSeed = flag.Int64("xfill-seed", 1995, "seed for -xfill random")
@@ -51,11 +48,6 @@ func main() {
 		os.Exit(1)
 	}
 	fill, err := atpg.ParseXFill(*xfill, *xfillSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	dispatch, err := atpg.ParseSchedule(*schedule)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -79,9 +71,6 @@ func main() {
 		}
 		cfg.Compact = compactLevel
 		cfg.XFill = fill
-		cfg.Schedule = dispatch
-		cfg.Escalate = *escalate
-		cfg.Guided = *guided
 		return cfg
 	}
 
@@ -140,7 +129,7 @@ func main() {
 		}
 		if *grouping {
 			fmt.Print(atpg.FormatGroupingTable(
-				"Grouping ablation: fault-serial vs fixed-wide vs adaptive vs guided, per implication engine (Tables 5/6 re-measured)",
+				"Grouping ablation: fault-serial vs fixed-wide, per implication engine (Tables 5/6 re-measured)",
 				atpg.RunGroupingAblation(baseCfg(atpg.Robust))))
 			fmt.Println()
 		}

@@ -28,9 +28,6 @@ func main() {
 		seed        = flag.Int64("seed", 1995, "seed for fault sampling")
 		width       = flag.Int("width", atpg.DefaultWordWidth, fmt.Sprintf("word width L (1..%d); 1 is the single-bit baseline, widths above 64 use multi-word planes", atpg.MaxWordWidth))
 		workers     = flag.Int("workers", 1, "worker goroutines to shard the fault list across (0 = one per core)")
-		schedule    = flag.String("schedule", "static", "multi-worker dispatch policy: static (contiguous pre-split) or steal (work-stealing)")
-		escalate    = flag.Int("escalate", 0, "adaptive grouping escalation width W: run every fault fault-serial first, escalate survivors into W-wide groups (0 = off)")
-		guided      = flag.Bool("guided", false, "testability-guided search: predicted-hard faults skip the first pass, hardest-first unit ordering, auto-tuned escalation width when -escalate is 0")
 		backtracks  = flag.Int("backtracks", 64, "backtrack limit per fault")
 		noFPTPG     = flag.Bool("no-fptpg", false, "disable fault-parallel generation")
 		noAPTPG     = flag.Bool("no-aptpg", false, "disable alternative-parallel generation")
@@ -62,10 +59,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	sched, err := atpg.ParseSchedule(*schedule)
-	if err != nil {
-		fail(err)
-	}
 
 	fmt.Printf("circuit: %s\n", c)
 	fmt.Printf("structural paths: %s, path delay faults: %s\n",
@@ -83,9 +76,6 @@ func main() {
 		atpg.WithMode(m),
 		atpg.WithWordWidth(*width),
 		atpg.WithWorkers(*workers),
-		atpg.WithSchedule(sched),
-		atpg.WithEscalation(*escalate),
-		atpg.WithGuidedEscalation(*guided),
 		atpg.WithBacktrackLimit(*backtracks),
 		atpg.WithFaultParallel(!*noFPTPG),
 		atpg.WithAlternativeParallel(!*noAPTPG),
@@ -97,21 +87,13 @@ func main() {
 	}
 	e, err := atpg.New(c, engineOpts...)
 	if errors.Is(err, atpg.ErrBadWidth) {
-		fail(fmt.Errorf("invalid width: %v (valid: -width 1..%d, -escalate 0..%d)",
-			err, atpg.MaxWordWidth, atpg.MaxWordWidth))
+		fail(fmt.Errorf("invalid width: %v (valid: -width 1..%d)", err, atpg.MaxWordWidth))
 	}
 	if err != nil {
 		fail(err)
 	}
 	if e.Workers() != 1 {
-		fmt.Printf("workers: %d (schedule %s)\n", e.Workers(), sched)
-	}
-	switch {
-	case *guided:
-		fmt.Printf("testability-guided adaptive grouping, escalation width %s\n",
-			widthLabel(*escalate))
-	case *escalate > 0:
-		fmt.Printf("adaptive grouping: fault-serial first pass, escalation width %d\n", *escalate)
+		fmt.Printf("workers: %d\n", e.Workers())
 	}
 
 	var results []atpg.Result
@@ -132,14 +114,6 @@ func main() {
 	st := e.Stats()
 	fmt.Printf("result: %s\n", st)
 	fmt.Printf("sensitization time: %s, generation time: %s\n", st.SensitizeTime, st.GenerateTime)
-	if *escalate > 0 || *guided {
-		fmt.Printf("escalation: %d faults settled fault-serial, %d escalated to width %s\n",
-			st.FirstPassSettled, st.Escalated, widthLabel(*escalate))
-	}
-	if *guided {
-		fmt.Printf("guided routing: %d/%d faults predicted hard, first-pass skip rate %.1f%%\n",
-			st.PredictedHard, st.Faults, 100*st.SkipRate())
-	}
 	if e.Workers() != 1 {
 		fmt.Printf("scheduling: %s\n", st.Sched)
 	}
@@ -171,15 +145,6 @@ func main() {
 		}
 		fmt.Printf("wrote %d fault statuses to %s\n", len(results), *statuses)
 	}
-}
-
-// widthLabel names an escalation width: the explicit value, or "auto" when
-// guided escalation derives it from the score distribution.
-func widthLabel(escalate int) string {
-	if escalate > 0 {
-		return fmt.Sprintf("%d", escalate)
-	}
-	return "auto"
 }
 
 func fail(err error) {

@@ -43,10 +43,10 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	g.newPatterns = 0
 
 	// Remap the run's pattern indices onto the compacted set.  One more
-	// parallel-pattern pass; detection of every covered fault is guaranteed,
-	// so a miss (only possible with VerifyTests off and a pattern that never
-	// detected its fault) or a simulation error must not leave an index
-	// pointing into the replaced window — those fail safe to -1.  Indices
+	// parallel-pattern pass; detection of every covered fault is guaranteed
+	// (every recorded pattern was verified against its fault), so a miss — a
+	// generator bug — or a simulation error must not leave an index pointing
+	// into the replaced window: those fail safe to -1.  Indices
 	// below base (an earlier run's pattern, untouched by this compaction)
 	// stay valid and are kept.
 	sim, simErr := faultsim.Run(g.c, compacted.Pairs, faults, robust)

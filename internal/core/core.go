@@ -116,20 +116,9 @@ type Options struct {
 	// UseAPTPG enables the alternative-parallel second phase.  With both
 	// phases disabled every fault is aborted, so at least one should be on.
 	UseAPTPG bool
-	// MaxEnumInputs caps the number of primary inputs enumerated in parallel
-	// by APTPG.  Zero or negative means log2(WordWidth) clamped to the
-	// machine word's log2(64) = 6, the paper's limit: alternative enumeration
-	// beyond one machine word pays the multi-word plane cost on every
-	// implication of a single-fault search, which measures as a loss, so
-	// widths above 64 keep their width for the fault-parallel phase but
-	// enumerate alternatives one word at a time unless this cap is raised
-	// explicitly.
-	MaxEnumInputs int
 	// MaxBacktracks bounds the conventional backtracks per fault in APTPG
 	// before the fault is aborted.
 	MaxBacktracks int
-	// MaxFPTPGIterations bounds the decision rounds per FPTPG group.
-	MaxFPTPGIterations int
 	// FaultSimInterval runs parallel-pattern fault simulation over the
 	// pending faults after every FaultSimInterval generated patterns and
 	// drops the detected ones; 0 disables it.  The paper simulates after
@@ -151,16 +140,6 @@ type Options struct {
 	// is retained as the oracle the incremental engine is validated against
 	// (see equiv tests); production runs leave it off.
 	FullSweepImplic bool
-	// VerifyTests fault-simulates every generated pattern against its fault
-	// before recording it, guarding against generator bugs.  A pattern that
-	// fails the check is discarded and the fault stays pending: FPTPG hands
-	// it to APTPG, and APTPG marks the pattern's bit level dead and searches
-	// on.  The check is one simulator Load and one Detects, which evaluates
-	// only the fanin cone of the path and its side inputs: about 3 % of the
-	// gates on the s38584 stand-in, 16 % on c7552.  Enabled by default.
-	VerifyTests bool
-	// FillValue is used for primary inputs the test does not constrain.
-	FillValue logic.Value3
 	// Compaction selects the static compaction pass applied to a run's
 	// freshly generated patterns after the (sharded) merge: compatible-pair
 	// merging and/or reverse-order fault simulation (see internal/compact).
@@ -174,33 +153,6 @@ type Options struct {
 	// compaction needs it, so normalize turns it on when Compaction is
 	// compact.Full.
 	EmitUnfilled bool
-	// Schedule selects the fault-dispatch policy of a run: sched.Static
-	// hands every worker one contiguous run of work units up front (the
-	// classic shard split, now expressed inside the scheduler), sched.Steal
-	// starts from the same split but lets idle workers steal queued units
-	// from the most loaded peer.  With one worker the policies coincide.
-	Schedule sched.Policy
-	// EscalationWidth, when positive, enables two-pass adaptive grouping:
-	// every fault first runs fault-serial (a width-1 group) under the cheap
-	// FirstPassBacktracks budget, and only the survivors are regrouped into
-	// width-EscalationWidth word-parallel groups and re-run under the full
-	// MaxBacktracks budget.  Word-level sharing is thus spent only on the
-	// faults whose search is expensive enough to pay for it.  Zero (the
-	// default) keeps the single fixed-width pass.
-	EscalationWidth int
-	// FirstPassBacktracks is the APTPG backtrack budget of the cheap first
-	// pass of adaptive grouping; 0 selects 1.  It is ignored while both
-	// EscalationWidth and GuidedEscalation are off.
-	FirstPassBacktracks int
-	// GuidedEscalation turns on testability-guided search: every target
-	// fault is scored with the circuit's SCOAP-style measures
-	// (internal/testability), faults above the hardness threshold skip the
-	// cheap first pass and go straight to the wide escalation pass, and work
-	// units are ordered hardest first with cost-weighted scheduler splits.
-	// With EscalationWidth 0 the escalation width is derived from the score
-	// distribution (testability.AutoWidth).  Guidance reorders and routes
-	// work; the per-fault search itself is unchanged.
-	GuidedEscalation bool
 }
 
 // DefaultOptions returns the configuration used by the experiments: robust
@@ -208,18 +160,14 @@ type Options struct {
 // simulation after every L patterns and moderate abort limits.
 func DefaultOptions(mode sensitize.Mode) Options {
 	return Options{
-		Mode:               mode,
-		WordWidth:          logic.WordWidth,
-		UseFPTPG:           true,
-		UseAPTPG:           true,
-		MaxEnumInputs:      0,
-		MaxBacktracks:      8,
-		MaxFPTPGIterations: 128,
-		FaultSimInterval:   logic.WordWidth,
-		SubpathPruning:     true,
-		MaxImplySweeps:     3,
-		VerifyTests:        true,
-		FillValue:          logic.Zero3,
+		Mode:             mode,
+		WordWidth:        logic.WordWidth,
+		UseFPTPG:         true,
+		UseAPTPG:         true,
+		MaxBacktracks:    8,
+		FaultSimInterval: logic.WordWidth,
+		SubpathPruning:   true,
+		MaxImplySweeps:   3,
 	}
 }
 
@@ -241,20 +189,8 @@ func (o Options) normalize() Options {
 	if o.WordWidth > logic.MaxWordWidth {
 		o.WordWidth = logic.MaxWordWidth
 	}
-	if o.MaxEnumInputs <= 0 {
-		o.MaxEnumInputs = log2(o.WordWidth)
-		if o.MaxEnumInputs > log2(logic.WordWidth) {
-			o.MaxEnumInputs = log2(logic.WordWidth)
-		}
-	}
 	if o.MaxBacktracks <= 0 {
 		o.MaxBacktracks = 8
-	}
-	if o.MaxFPTPGIterations <= 0 {
-		o.MaxFPTPGIterations = 128
-	}
-	if !o.FillValue.IsAssigned() {
-		o.FillValue = logic.Zero3
 	}
 	if o.Compaction == compact.Full {
 		o.EmitUnfilled = true
@@ -262,48 +198,23 @@ func (o Options) normalize() Options {
 	if o.Compaction != compact.None && o.CompactionXFill == nil {
 		o.CompactionXFill = compact.ZeroFill()
 	}
-	if o.EscalationWidth < 0 {
-		o.EscalationWidth = 0
-	}
-	if o.EscalationWidth > logic.MaxWordWidth {
-		o.EscalationWidth = logic.MaxWordWidth
-	}
-	if (o.EscalationWidth > 0 || o.GuidedEscalation) && o.FirstPassBacktracks <= 0 {
-		o.FirstPassBacktracks = 1
-	}
 	return o
 }
 
-// PassSpec describes one generation pass of the scheduler-driven pipeline:
-// the word-parallel group width, the APTPG backtrack budget, and whether
-// faults that exhaust the budget are final (Aborted) or left Pending for the
-// escalation pass.  It is exported so the distributed service
-// (internal/service) can ship the exact pass parameters to remote workers;
-// local runs never need to construct one.
-type PassSpec struct {
-	Width  int
-	Budget int
-	Final  bool
-}
+// maxFPTPGIterations bounds the decision rounds per FPTPG group.
+const maxFPTPGIterations = 128
 
-// passes returns the pass sequence the options select: one full-width pass,
-// or — with adaptive grouping or guided escalation — a cheap fault-serial
-// pass followed by a wide escalation pass for its survivors.  Guided runs
-// without an explicit EscalationWidth get a placeholder escalation width
-// here; runPasses replaces it with the auto-tuned width once the score
-// distribution of the actual target faults is known.
-func (o Options) passes() []PassSpec {
-	if o.EscalationWidth > 0 || o.GuidedEscalation {
-		w := o.EscalationWidth
-		if w == 0 {
-			w = o.WordWidth
-		}
-		return []PassSpec{
-			{Width: 1, Budget: o.FirstPassBacktracks, Final: false},
-			{Width: w, Budget: o.MaxBacktracks, Final: true},
-		}
+// fillValue is the value of the primary inputs a test does not constrain.
+const fillValue = logic.Zero3
+
+// cut groups the n target faults of a run into the work units of its pass:
+// runs of WordWidth fault indices, in input order.
+func (o Options) cut(n int) []sched.Unit {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	return []PassSpec{{Width: o.WordWidth, Budget: o.MaxBacktracks, Final: true}}
+	return sched.Group(idx, o.WordWidth)
 }
 
 func log2(n int) int {
@@ -350,19 +261,6 @@ type Stats struct {
 	Backtracks   int
 	Implications int
 
-	// FirstPassSettled and Escalated summarize adaptive grouping
-	// (Options.EscalationWidth): faults settled by the cheap fault-serial
-	// first pass, and faults entering the wide escalation pass (first-pass
-	// survivors plus, under guided escalation, the predicted-hard faults
-	// that skipped the first pass).  Both stay zero while escalation is off.
-	FirstPassSettled int
-	Escalated        int
-
-	// PredictedHard counts the faults guided escalation routed straight to
-	// the wide pass (testability score above the hardness threshold).  It
-	// stays zero while Options.GuidedEscalation is off.
-	PredictedHard int
-
 	// Sched summarizes the dispatch layer of the run(s): passes, work
 	// units, steals and the idle-unit skew counter (see sched.Stats).
 	Sched sched.Stats
@@ -399,24 +297,12 @@ func (s *Stats) Add(o Stats) {
 	s.Backtracks += o.Backtracks
 	s.Implications += o.Implications
 
-	s.FirstPassSettled += o.FirstPassSettled
-	s.Escalated += o.Escalated
-	s.PredictedHard += o.PredictedHard
 	s.Sched.Add(o.Sched)
 
 	s.Compaction.Add(o.Compaction)
 
 	s.SensitizeTime += o.SensitizeTime
 	s.GenerateTime += o.GenerateTime
-}
-
-// SkipRate returns the fraction of the run's target faults that guided
-// escalation routed straight to the wide pass; 0 while guidance is off.
-func (s Stats) SkipRate() float64 {
-	if s.Faults == 0 {
-		return 0
-	}
-	return float64(s.PredictedHard) / float64(s.Faults)
 }
 
 // Efficiency returns the paper's efficiency metric

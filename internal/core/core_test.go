@@ -446,23 +446,22 @@ func TestStatusAndOptionHelpers(t *testing.T) {
 		t.Error("Phase.String wrong")
 	}
 	o := Options{Mode: sensitize.Robust, WordWidth: 200, MaxBacktracks: -1}.normalize()
-	if o.WordWidth != 200 || o.MaxBacktracks <= 0 || o.MaxEnumInputs != 6 {
+	if o.WordWidth != 200 || o.MaxBacktracks <= 0 {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{Mode: sensitize.Robust, WordWidth: 4 * logic.MaxWordWidth}.normalize()
-	if o.WordWidth != logic.MaxWordWidth || o.MaxEnumInputs != 6 {
-		t.Errorf("normalize gave %+v", o)
-	}
-	o = Options{Mode: sensitize.Robust, EscalationWidth: 4 * logic.MaxWordWidth}.normalize()
-	if o.EscalationWidth != logic.MaxWordWidth {
+	if o.WordWidth != logic.MaxWordWidth {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{WordWidth: 0}.normalize()
-	if o.WordWidth != 1 || o.MaxEnumInputs != 0 {
+	if o.WordWidth != 1 {
 		t.Errorf("normalize gave %+v", o)
 	}
 	if log2(64) != 6 || log2(1) != 0 || log2(32) != 5 {
 		t.Error("log2 wrong")
+	}
+	if enumInputs(1) != 0 || enumInputs(32) != 5 || enumInputs(200) != 6 || enumInputs(logic.MaxWordWidth) != 6 {
+		t.Error("enumInputs wrong")
 	}
 	s := Stats{Faults: 200, Aborted: 2, Tested: 150, DetectedBySim: 40}
 	if s.Efficiency() != 99 {

@@ -107,27 +107,17 @@ func newRecs(faults []paths.Fault) ([]FaultResult, []*rec) {
 // New creates a generator for the circuit with the given options.
 func New(c *circuit.Circuit, opts Options) *Generator {
 	opts = opts.normalize()
-	// The implication state's word capacity must cover the widest pass the
-	// run can take: the escalation width when configured, the full engine
-	// maximum when guided escalation derives the width at run time.
-	capW := opts.WordWidth
-	if opts.EscalationWidth > capW {
-		capW = opts.EscalationWidth
-	}
-	if opts.GuidedEscalation && opts.EscalationWidth == 0 {
-		capW = logic.MaxWordWidth
-	}
 	g := &Generator{
 		c:                 c,
 		opts:              opts,
-		st:                implic.NewStateWidth(c, capW),
+		st:                implic.NewStateWidth(c, opts.WordWidth),
 		pruneSt:           implic.NewStateWidth(c, 1),
 		tm:                testability.For(c),
 		sim:               faultsim.New(c),
 		testSet:           pattern.NewSet(c),
 		redundantPrefixes: make(map[string]bool),
 	}
-	if capW > logic.WordWidth {
+	if opts.WordWidth > logic.WordWidth {
 		g.aptpgSt = implic.NewState(c)
 	}
 	if opts.MaxImplySweeps > 0 {
@@ -193,10 +183,8 @@ func (g *Generator) Stats() Stats { return g.stats }
 // from a completed one inspect ctx.Err (or context.Cause) after Run returns.
 //
 // Internally the run is scheduler-driven: the fault list is cut into work
-// units (word-parallel groups) that a single consumer drains in input order,
-// in one pass or — with Options.EscalationWidth — in the two passes of
-// adaptive grouping.  The multi-worker variant of the same pipeline is
-// RunSharded.
+// units (word-parallel groups) that a single consumer drains in input order.
+// The multi-worker variant of the same pipeline is RunSharded.
 func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -208,12 +196,12 @@ func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult
 	g.stats.Faults += len(faults)
 	g.runBase = g.testSet.Len()
 
-	g.runPasses(recs, func(units []sched.Unit, ps PassSpec) {
-		sc := sched.New(g.opts.Schedule, 1)
-		sc.Load(units)
-		g.consume(ctx, sc, 0, recs, ps)
+	if len(recs) > 0 {
+		sc := sched.New(1)
+		sc.Load(g.opts.cut(len(recs)))
+		g.consume(ctx, sc, 0, recs)
 		g.stats.Sched.Add(sc.Stats())
-	})
+	}
 	g.finish(ctx, recs)
 	g.reconcileDrops(results)
 
@@ -236,7 +224,7 @@ func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult
 // that accumulated before it was claimed.
 //
 //atpgvet:ctxloop
-func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec, ps PassSpec) {
+func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec) {
 	exclusive := sc.Workers() == 1
 	scope := recs
 	if !exclusive {
@@ -257,7 +245,7 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 			g.claimSweep(unit)
 			scope = append(scope, unit...)
 		}
-		g.processUnit(ctx, unit, ps)
+		g.processUnit(ctx, unit)
 		if ctx.Err() == nil {
 			g.maybeSimulate(scope)
 		}
@@ -267,9 +255,8 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 // processUnit runs one work unit: subpath pruning, one fault-parallel FPTPG
 // group per width-window of the unit's still-pending faults, and the
 // alternative-parallel search for the faults FPTPG hands over.  Faults that
-// exhaust the pass budget are Aborted on a final pass and left Pending for
-// escalation otherwise.
-func (g *Generator) processUnit(ctx context.Context, unit []*rec, ps PassSpec) {
+// exhaust MaxBacktracks are Aborted.
+func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 	var group []*rec
 	for _, r := range unit {
 		if ctx.Err() != nil {
@@ -283,8 +270,8 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec, ps PassSpec) {
 		}
 		group = append(group, r)
 	}
-	for start := 0; start < len(group); start += ps.Width {
-		end := start + ps.Width
+	for start := 0; start < len(group); start += g.opts.WordWidth {
+		end := start + g.opts.WordWidth
 		if end > len(group) {
 			end = len(group)
 		}
@@ -296,22 +283,17 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec, ps PassSpec) {
 		} else {
 			hard = batch
 		}
-		switch {
-		case g.opts.UseAPTPG:
-			for _, r := range hard {
-				if ctx.Err() != nil {
-					return
-				}
-				if r.res.Status != Pending {
-					continue
-				}
-				g.runAPTPG(ctx, r, ps)
+		for _, r := range hard {
+			if ctx.Err() != nil {
+				return
 			}
-		case ps.Final:
-			for _, r := range hard {
-				if r.res.Status == Pending && ctx.Err() == nil {
-					g.markAborted(r, PhaseFPTPG)
-				}
+			if r.res.Status != Pending {
+				continue
+			}
+			if g.opts.UseAPTPG {
+				g.runAPTPG(ctx, r)
+			} else {
+				g.markAborted(r, PhaseFPTPG)
 			}
 		}
 	}
@@ -442,7 +424,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 		alive = alive.AndNot(newConf)
 	}
 
-	for iter := 0; !alive.IsZero() && iter < g.opts.MaxFPTPGIterations; iter++ {
+	for iter := 0; !alive.IsZero() && iter < maxFPTPGIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -609,23 +591,20 @@ type decision struct {
 	flipped    bool
 }
 
-// runAPTPG handles one hard fault: the fault is flattened onto the pass's
-// bit levels, up to log2(width) backtrace-selected inputs are enumerated in
-// parallel (one value combination per bit level) and any further decisions
-// are made conventionally with chronological backtracking on all levels at
-// once.  The pass spec bounds the search: ps.Budget backtracks, after which
-// the fault is Aborted (final pass) or left Pending for escalation.
-func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
+// runAPTPG handles one hard fault: the fault is flattened onto the run's
+// WordWidth bit levels, up to log2(width) backtrace-selected inputs are
+// enumerated in parallel (one value combination per bit level) and any
+// further decisions are made conventionally with chronological backtracking
+// on all levels at once.  MaxBacktracks bounds the search, after which the
+// fault is Aborted.
+func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	g.stats.APTPGFaults++
 	if !g.sensitizeRec(r) {
 		g.markAborted(r, PhaseAPTPG)
 		return
 	}
-	width := ps.Width
-	maxEnum := log2(width)
-	if maxEnum > g.opts.MaxEnumInputs {
-		maxEnum = g.opts.MaxEnumInputs
-	}
+	width := g.opts.WordWidth
+	maxEnum := enumInputs(width)
 	// The enumeration distinguishes at most 2^maxEnum value combinations;
 	// bit levels beyond that replay duplicates of the first 2^maxEnum (see
 	// enumWord), so the active mask is narrowed to the alternatives the
@@ -698,7 +677,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
 		deadMask = logic.Mask{}
 	}
 
-	maxSteps := 64 * (ps.Budget + 4) * (len(g.c.Inputs()) + 4)
+	maxSteps := 64 * (g.opts.MaxBacktracks + 4) * (len(g.c.Inputs()) + 4)
 	for step := 0; step < maxSteps; step++ {
 		// The step loop can run long on hard faults; poll the context every
 		// few steps so cancellation stays responsive without a per-step lock.
@@ -723,8 +702,8 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
 			backtracks++
 			r.res.Backtracks++
 			g.stats.Backtracks++
-			if backtracks > ps.Budget {
-				g.abortOrEscalate(r, ps)
+			if backtracks > g.opts.MaxBacktracks {
+				g.markAborted(r, PhaseAPTPG)
 				return
 			}
 			flipped := false
@@ -755,9 +734,9 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
 				// The whole search space has been explored.  A completed
 				// search without dead levels is a redundancy proof (valid at
 				// any width); a search that had to skip levels stays
-				// inconclusive and escalates on a non-final pass.
+				// inconclusive.
 				if sawStuck {
-					g.abortOrEscalate(r, ps)
+					g.markAborted(r, PhaseAPTPG)
 				} else {
 					g.markRedundant(r, PhaseAPTPG)
 				}
@@ -813,16 +792,17 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec, ps PassSpec) {
 		}
 		g.implyCounted()
 	}
-	g.abortOrEscalate(r, ps)
+	g.markAborted(r, PhaseAPTPG)
 }
 
-// abortOrEscalate gives up on a fault whose pass budget is exhausted: on a
-// final pass it is Aborted, on the cheap first pass of adaptive grouping it
-// stays Pending and the orchestrator escalates it into a wide group.
-func (g *Generator) abortOrEscalate(r *rec, ps PassSpec) {
-	if ps.Final {
-		g.markAborted(r, PhaseAPTPG)
-	}
+// enumInputs is the number of primary inputs APTPG enumerates in parallel
+// at the given width: log2(width), capped at the machine word's log2(64) = 6,
+// the paper's limit.  Alternative enumeration beyond one machine word pays
+// the multi-word plane cost on every implication of a single-fault search,
+// which measures as a loss, so widths above 64 keep their width for the
+// fault-parallel phase but enumerate alternatives one word at a time.
+func enumInputs(width int) int {
+	return min(log2(width), log2(logic.WordWidth))
 }
 
 // enumWord builds the per-level assignment word of the idx-th enumerated
@@ -850,7 +830,7 @@ func (g *Generator) enumWord(idx, width int) logic.Word7V {
 // assignments of the given bit level.  It returns both the filled test and
 // its X-preserving (pre-fill) form: inputs the justification never
 // constrained stay X in the raw pair, which is what static compaction
-// merges on.  Applying FillX(FillValue) to the raw pair reproduces the
+// merges on.  Applying FillX(fillValue) to the raw pair reproduces the
 // filled pair exactly.
 func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair) {
 	inputs := g.c.Inputs()
@@ -882,7 +862,7 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 			}
 		}
 	}
-	return raw.FillX(g.opts.FillValue), raw
+	return raw.FillX(fillValue), raw
 }
 
 // emitTest extracts, verifies and records a test for the fault from the
@@ -890,7 +870,7 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 // verification rejects the pattern.
 func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	p, raw := g.extractPattern(r, level)
-	if g.opts.VerifyTests && !g.verifyPattern(r.fault, p) {
+	if !g.verifyPattern(r.fault, p) {
 		return false
 	}
 	idx := g.testSet.Len()
@@ -914,7 +894,10 @@ func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 }
 
 // verifyPattern checks with the fault simulator that the pattern actually
-// detects the fault in the selected test class.
+// detects the fault in the selected test class, guarding against generator
+// bugs.  The check is one simulator Load and one Detects, which evaluates
+// only the fanin cone of the path and its side inputs: about 3 % of the
+// gates on the s38584 stand-in, 16 % on c7552.
 func (g *Generator) verifyPattern(f paths.Fault, p pattern.Pair) bool {
 	if _, err := g.sim.Load([]pattern.Pair{p}); err != nil {
 		return false

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/sensitize"
-	"repro/internal/testability"
 )
 
 // RunSharded generates tests for the faults like Generator.Run, but spreads
@@ -19,25 +17,21 @@ import (
 // parallelism by core-level parallelism.  Each worker is a Fork of master —
 // an independent generator over the shared immutable circuit — consuming
 // work units (word-parallel fault groups) from a shared scheduler
-// (internal/sched).  Under Options.Schedule == sched.Static every worker
-// drains one contiguous pre-assigned run of units, reproducing the classic
-// contiguous shard split; under sched.Steal an idle worker steals queued
-// units from the most loaded peer, so clustered hard faults no longer
-// serialize on one worker.  With Options.EscalationWidth the scheduler runs
-// the two passes of adaptive grouping: a cheap fault-serial pass over every
-// fault, then wide word-parallel groups for the survivors.  When the
-// interleaved fault simulation is enabled, workers exchange their verified
-// patterns through a shared buffer, so a pattern emitted by one worker still
-// drops detected faults on the others.
+// (internal/sched).  Every worker starts on one contiguous run of units, the
+// classic shard split, and an idle worker steals queued units from the most
+// loaded peer, so clustered hard faults do not serialize on one worker.
+// When the interleaved fault simulation is enabled, workers exchange their
+// verified patterns through a shared buffer, so a pattern emitted by one
+// worker still drops detected faults on the others.
 //
 // The merged result slice is deterministic and input-ordered: result i
 // belongs to faults[i].  Pattern indices refer to the merged test set, which
 // is reassembled in canonical fault order — the pattern of a Tested fault
 // appears at the position its fault's input index dictates, regardless of
 // which worker generated it or in which order — so the merged set does not
-// depend on the dispatch policy or the steal interleaving.  Faults dropped
-// by a foreign worker's pattern get the index of the first pattern of the
-// merged set that detects them.  master's OnSettle callback is invoked as
+// depend on the steal interleaving.  Faults dropped by a foreign worker's
+// pattern get the index of the first pattern of the merged set that detects
+// them.  master's OnSettle callback is invoked as
 // faults settle, serialized by a mutex but in a nondeterministic
 // interleaving across workers; its OnPattern and ImportPatterns hooks are
 // not used.  Statistics are summed over the workers, so the time fields
@@ -97,24 +91,22 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	results, recs := newRecs(faults)
 	master.stats.Faults += len(faults)
 
-	master.runPasses(recs, func(units []sched.Unit, ps PassSpec) {
-		sc := sched.New(master.opts.Schedule, workers)
-		sc.Load(units)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				g := gens[w]
-				start := time.Now()
-				sensAtStart := g.stats.SensitizeTime
-				g.consume(ctx, sc, w, recs, ps)
-				g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
-			}(w)
-		}
-		wg.Wait()
-		master.stats.Sched.Add(sc.Stats())
-	})
+	sc := sched.New(workers)
+	sc.Load(master.opts.cut(len(recs)))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			g := gens[w]
+			start := time.Now()
+			sensAtStart := g.stats.SensitizeTime
+			g.consume(ctx, sc, w, recs)
+			g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
+		}(w)
+	}
+	wg.Wait()
+	master.stats.Sched.Add(sc.Stats())
 
 	master.finish(ctx, recs)
 	mergeResults(master, gens, recs, results)
@@ -127,122 +119,6 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 		master.compactRun(faults, results, base)
 	}
 	return results
-}
-
-// runPasses executes the pass sequence the options select — one fixed-width
-// pass, or the cheap fault-serial pass plus the wide escalation pass of
-// adaptive grouping — over the records.  For each pass it groups the
-// still-pending faults into work units and hands them to drain together with
-// the pass spec; drain owns the dispatch (a local scheduler, or the lease
-// queue of a distributed run) and must not return before every unit of the
-// pass has been fully processed.  Escalation counters accumulate into the
-// master's stats.
-//
-// With Options.GuidedEscalation the passes are testability-guided: every
-// fault is scored up front (testability.FaultScore on the circuit's cached
-// measures), predicted-hard faults skip the cheap first pass and enter the
-// wide pass directly, each pass processes its faults hardest first in
-// cost-weighted units, and — when no explicit EscalationWidth is set — the
-// escalation width is derived from the size of the predicted-hard tail.
-// Guidance only routes and orders work: which searches run, under which
-// budgets and at which widths is decided by the same pass specs, so its
-// effect is wall-clock, not coverage (see docs/ARCHITECTURE.md).
-func (g *Generator) runPasses(recs []*rec, drain func(units []sched.Unit, ps PassSpec)) {
-	opts := g.opts
-	passes := opts.passes()
-
-	// Guided routing: score the targets once and flag the hard tail.
-	var hard []bool
-	var scores []int
-	if opts.GuidedEscalation && len(passes) > 1 {
-		hard, scores = g.predictHard(recs)
-		nHard := 0
-		for _, h := range hard {
-			if h {
-				nHard++
-			}
-		}
-		g.stats.PredictedHard += nHard
-		if opts.EscalationWidth == 0 {
-			passes[len(passes)-1].Width = testability.AutoWidth(nHard)
-		}
-	}
-
-	var firstPass []int
-	for pi := range passes {
-		ps := passes[pi]
-		idx := make([]int, 0, len(recs))
-		for i, r := range recs {
-			if r.res.Status != Pending {
-				continue
-			}
-			if !ps.Final && hard != nil && hard[i] {
-				continue // predicted hard: no cheap pass, escalate directly
-			}
-			idx = append(idx, i)
-		}
-		if pi == 0 && len(passes) > 1 {
-			firstPass = idx
-		}
-		if pi > 0 {
-			settled := 0
-			for _, i := range firstPass {
-				if recs[i].res.Status != Pending {
-					settled++
-				}
-			}
-			g.stats.FirstPassSettled += settled
-			g.stats.Escalated += len(idx)
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		if scores != nil {
-			sortHardestFirst(idx, scores)
-		}
-		units := sched.Group(idx, ps.Width)
-		if scores != nil {
-			for ui := range units {
-				cost := 0
-				for _, fi := range units[ui].Faults {
-					// The +1 keeps zero-score faults from producing weightless
-					// units the balancing split cannot account.
-					cost += 1 + scores[fi]
-				}
-				units[ui].Cost = cost
-			}
-		}
-		drain(units, ps)
-	}
-}
-
-// predictHard scores every target fault with the circuit's cached
-// testability measures and flags the ones above the hardness threshold
-// (twice the median score of this fault population).
-func (g *Generator) predictHard(recs []*rec) (hard []bool, scores []int) {
-	scores = make([]int, len(recs))
-	for i, r := range recs {
-		scores[i] = g.tm.FaultScore(g.c, r.fault, g.opts.Mode)
-	}
-	thr := testability.HardThreshold(scores)
-	hard = make([]bool, len(recs))
-	for i, s := range scores {
-		hard[i] = s > thr
-	}
-	return hard, scores
-}
-
-// sortHardestFirst orders the fault indices by descending score, ties by
-// ascending input index: hard faults start (and finish) first, so the
-// stealing scheduler rebalances a genuine tail instead of discovering the
-// hard cluster last, and the order is a pure function of the scores.
-func sortHardestFirst(idx []int, scores []int) {
-	sort.Slice(idx, func(a, b int) bool {
-		if scores[idx[a]] != scores[idx[b]] {
-			return scores[idx[a]] > scores[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
 }
 
 // mergeResults reassembles the workers' output on the master, in canonical
@@ -351,7 +227,7 @@ func (g *Generator) reconcileDrops(results []FaultResult) {
 // exchange is the cross-worker pattern buffer: every worker publishes its
 // verified patterns and periodically fetches the patterns the other workers
 // published since its last fetch, so DetectedBySim drops happen across
-// workers regardless of the dispatch policy.
+// workers whichever worker claims which unit.
 type exchange struct {
 	mu      sync.Mutex
 	entries []exchangeEntry

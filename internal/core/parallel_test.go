@@ -13,7 +13,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/paths"
 	"repro/internal/pattern"
-	"repro/internal/sched"
 	"repro/internal/sensitize"
 )
 
@@ -40,12 +39,12 @@ func classOf(s Status) string {
 }
 
 // TestShardedMatchesSequential checks the cornerstone of the scheduler-driven
-// engine on several circuits and modes: any worker count, under either
-// dispatch policy, must classify every fault the same as the sequential
-// generator.  With the interleaved simulation disabled every fault's search
-// is independent, so the statuses must match exactly; with it enabled,
-// Tested and DetectedBySim may swap (coverage class equality), but
-// redundancy proofs and the merged coverage must not move.
+// engine on several circuits and modes: any worker count must classify
+// every fault the same as the sequential generator.  With the interleaved
+// simulation disabled every fault's search is independent, so the statuses
+// must match exactly; with it enabled, Tested and DetectedBySim may swap
+// (coverage class equality), but redundancy proofs and the merged coverage
+// must not move.
 func TestShardedMatchesSequential(t *testing.T) {
 	for _, name := range []string{"c17", "paper", "redundant", "adder8", "cmp8"} {
 		c, err := bench.Get(name)
@@ -55,40 +54,37 @@ func TestShardedMatchesSequential(t *testing.T) {
 		faults := paths.EnumerateFaults(c, 0)
 		for _, mode := range []sensitize.Mode{sensitize.Robust, sensitize.Nonrobust} {
 			for _, simInterval := range []int{0, 4} {
-				for _, schedule := range []sched.Policy{sched.Static, sched.Steal} {
-					opts := DefaultOptions(mode)
-					opts.FaultSimInterval = simInterval
-					opts.Schedule = schedule
-					seq := New(c, opts)
-					want := seq.Run(context.Background(), faults)
-					for _, workers := range []int{2, 3, 8} {
-						g := New(c, opts)
-						got := RunSharded(context.Background(), g, faults, workers)
-						if len(got) != len(want) {
-							t.Fatalf("%s: %d sharded results for %d faults", name, len(got), len(faults))
+				opts := DefaultOptions(mode)
+				opts.FaultSimInterval = simInterval
+				seq := New(c, opts)
+				want := seq.Run(context.Background(), faults)
+				for _, workers := range []int{2, 3, 8} {
+					g := New(c, opts)
+					got := RunSharded(context.Background(), g, faults, workers)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d sharded results for %d faults", name, len(got), len(faults))
+					}
+					for i := range got {
+						if got[i].Fault.Key() != want[i].Fault.Key() {
+							t.Fatalf("%s workers=%d: result %d is for fault %s, want %s (merge order broken)",
+								name, workers, i, got[i].Fault.Key(), want[i].Fault.Key())
 						}
-						for i := range got {
-							if got[i].Fault.Key() != want[i].Fault.Key() {
-								t.Fatalf("%s workers=%d %v: result %d is for fault %s, want %s (merge order broken)",
-									name, workers, schedule, i, got[i].Fault.Key(), want[i].Fault.Key())
+						if simInterval == 0 {
+							if got[i].Status != want[i].Status {
+								t.Errorf("%s workers=%d mode=%v: fault %s is %v, sequential says %v",
+									name, workers, mode, got[i].Fault.Key(), got[i].Status, want[i].Status)
 							}
-							if simInterval == 0 {
-								if got[i].Status != want[i].Status {
-									t.Errorf("%s workers=%d mode=%v %v: fault %s is %v, sequential says %v",
-										name, workers, mode, schedule, got[i].Fault.Key(), got[i].Status, want[i].Status)
-								}
-							} else if classOf(got[i].Status) != classOf(want[i].Status) {
-								t.Errorf("%s workers=%d mode=%v sim=%d %v: fault %s is %v, sequential says %v",
-									name, workers, mode, simInterval, schedule, got[i].Fault.Key(), got[i].Status, want[i].Status)
-							}
+						} else if classOf(got[i].Status) != classOf(want[i].Status) {
+							t.Errorf("%s workers=%d mode=%v sim=%d: fault %s is %v, sequential says %v",
+								name, workers, mode, simInterval, got[i].Fault.Key(), got[i].Status, want[i].Status)
 						}
-						gs, ss := g.Stats(), seq.Stats()
-						if gs.Faults != ss.Faults || gs.Redundant != ss.Redundant ||
-							gs.Tested+gs.DetectedBySim != ss.Tested+ss.DetectedBySim ||
-							gs.Aborted != ss.Aborted {
-							t.Errorf("%s workers=%d %v: sharded stats %v disagree with sequential %v",
-								name, workers, schedule, gs, ss)
-						}
+					}
+					gs, ss := g.Stats(), seq.Stats()
+					if gs.Faults != ss.Faults || gs.Redundant != ss.Redundant ||
+						gs.Tested+gs.DetectedBySim != ss.Tested+ss.DetectedBySim ||
+						gs.Aborted != ss.Aborted {
+						t.Errorf("%s workers=%d: sharded stats %v disagree with sequential %v",
+							name, workers, gs, ss)
 					}
 				}
 			}
@@ -98,41 +94,37 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 // TestShardedPatternIndices checks that every merged result's PatternIndex
 // points at a pattern of the merged test set that actually detects the
-// fault, for tested and simulation-dropped faults alike, under both
-// dispatch policies.
+// fault, for tested and simulation-dropped faults alike.
 func TestShardedPatternIndices(t *testing.T) {
 	c, err := bench.Get("adder8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := paths.EnumerateFaults(c, 0)
-	for _, schedule := range []sched.Policy{sched.Static, sched.Steal} {
-		opts := DefaultOptions(sensitize.Robust)
-		opts.FaultSimInterval = 2 // aggressive dropping to exercise the exchange
-		opts.Schedule = schedule
-		g := New(c, opts)
-		results := RunSharded(context.Background(), g, faults, 4)
-		set := g.TestSet()
-		if set.Len() == 0 {
-			t.Fatal("no patterns generated")
+	opts := DefaultOptions(sensitize.Robust)
+	opts.FaultSimInterval = 2 // aggressive dropping to exercise the exchange
+	g := New(c, opts)
+	results := RunSharded(context.Background(), g, faults, 4)
+	set := g.TestSet()
+	if set.Len() == 0 {
+		t.Fatal("no patterns generated")
+	}
+	sim := New(c, opts).sim
+	for _, r := range results {
+		if !r.Status.Detected() {
+			continue
 		}
-		sim := New(c, opts).sim
-		for _, r := range results {
-			if !r.Status.Detected() {
-				continue
-			}
-			if r.PatternIndex < 0 || r.PatternIndex >= set.Len() {
-				t.Errorf("%v: fault %s (%v) has pattern index %d outside the merged set (len %d)",
-					schedule, r.Fault.Key(), r.Status, r.PatternIndex, set.Len())
-				continue
-			}
-			if _, err := sim.Load([]pattern.Pair{set.Pairs[r.PatternIndex]}); err != nil {
-				t.Fatal(err)
-			}
-			if sim.Detects(r.Fault, true) == 0 {
-				t.Errorf("%v: pattern %d does not detect fault %s it is recorded for",
-					schedule, r.PatternIndex, r.Fault.Key())
-			}
+		if r.PatternIndex < 0 || r.PatternIndex >= set.Len() {
+			t.Errorf("fault %s (%v) has pattern index %d outside the merged set (len %d)",
+				r.Fault.Key(), r.Status, r.PatternIndex, set.Len())
+			continue
+		}
+		if _, err := sim.Load([]pattern.Pair{set.Pairs[r.PatternIndex]}); err != nil {
+			t.Fatal(err)
+		}
+		if sim.Detects(r.Fault, true) == 0 {
+			t.Errorf("pattern %d does not detect fault %s it is recorded for",
+				r.PatternIndex, r.Fault.Key())
 		}
 	}
 }
@@ -176,96 +168,42 @@ func sortedPatterns(set *pattern.Set) []string {
 }
 
 // TestSchedulerDeterminism is the determinism matrix of the dispatch layer:
-// with the interleaved simulation off, every combination of workers in
-// {1,2,4,8}, schedule in {static, steal}, escalation on/off and guidance
-// on/off must produce identical per-fault classifications and an identical
-// pattern multiset — the outcome may not depend on how work was spread over
-// cores.  On top of the per-configuration matrix, prediction must not touch
-// outcomes: the guided adaptive run must reproduce the unguided adaptive
-// run's per-fault statuses exactly (hence coverage and aborts bit-identical)
-// and generate the same number of patterns.  The patterns themselves may
-// differ: a predicted-hard fault that would have settled in the width-1
-// first pass takes its (equally valid) pattern from the width-W APTPG run
-// instead, and APTPG enumerates alternatives across bit levels, so its
-// pattern choice is width-dependent by design.  Pattern *multiset* equality
-// is therefore guaranteed per configuration (the matrix above), not across
-// the prediction dimension.
+// with the interleaved simulation off, every worker count in {1,2,4,8} must
+// produce the sequential run's per-fault classifications and pattern
+// multiset — the outcome may not depend on how work was spread over cores
+// or which units were stolen.
 func TestSchedulerDeterminism(t *testing.T) {
 	c, err := bench.Get("adder8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := paths.EnumerateFaults(c, 0)
-	type config struct {
-		escalate int
-		guided   bool
-	}
-	statuses := make(map[config][]Status)
-	patterns := make(map[config][]string)
-	predicted := make(map[config]int)
-	for _, cfg := range []config{{0, false}, {8, false}, {0, true}, {8, true}} {
-		base := DefaultOptions(sensitize.Robust)
-		base.FaultSimInterval = 0
-		base.EscalationWidth = cfg.escalate
-		base.GuidedEscalation = cfg.guided
+	opts := DefaultOptions(sensitize.Robust)
+	opts.FaultSimInterval = 0
 
-		ref := New(c, base)
-		want := ref.Run(context.Background(), faults)
-		wantPatterns := sortedPatterns(ref.TestSet())
-		statuses[cfg] = make([]Status, len(want))
-		for i := range want {
-			statuses[cfg][i] = want[i].Status
-		}
-		patterns[cfg] = wantPatterns
-		predicted[cfg] = ref.Stats().PredictedHard
-
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, schedule := range []sched.Policy{sched.Static, sched.Steal} {
-				opts := base
-				opts.Schedule = schedule
-				g := New(c, opts)
-				got := RunSharded(context.Background(), g, faults, workers)
-				tag := fmt.Sprintf("workers=%d schedule=%v escalate=%d guided=%v",
-					workers, schedule, cfg.escalate, cfg.guided)
-				for i := range got {
-					if got[i].Status != want[i].Status {
-						t.Errorf("%s: fault %s is %v, reference says %v",
-							tag, got[i].Fault.Key(), got[i].Status, want[i].Status)
-					}
-				}
-				gotPatterns := sortedPatterns(g.TestSet())
-				if len(gotPatterns) != len(wantPatterns) {
-					t.Fatalf("%s: %d patterns, reference has %d", tag, len(gotPatterns), len(wantPatterns))
-				}
-				for i := range gotPatterns {
-					if gotPatterns[i] != wantPatterns[i] {
-						t.Fatalf("%s: pattern multiset differs from the reference at %d:\n  %s\n  %s",
-							tag, i, gotPatterns[i], wantPatterns[i])
-					}
-				}
+	ref := New(c, opts)
+	want := ref.Run(context.Background(), faults)
+	wantPatterns := sortedPatterns(ref.TestSet())
+	for _, workers := range []int{1, 2, 4, 8} {
+		g := New(c, opts)
+		got := RunSharded(context.Background(), g, faults, workers)
+		tag := fmt.Sprintf("workers=%d", workers)
+		for i := range got {
+			if got[i].Status != want[i].Status {
+				t.Errorf("%s: fault %s is %v, reference says %v",
+					tag, got[i].Fault.Key(), got[i].Status, want[i].Status)
 			}
 		}
-	}
-
-	// The guided dimension must actually be exercised, not vacuously equal.
-	guidedAdaptive := config{8, true}
-	if predicted[guidedAdaptive] == 0 {
-		t.Fatal("guided adaptive run predicted no hard faults; the matrix does not exercise guidance")
-	}
-	t.Logf("guided adaptive: %d/%d faults predicted hard", predicted[guidedAdaptive], len(faults))
-
-	// Prediction invariance: guided adaptive classifies every fault exactly
-	// as unguided adaptive and emits one pattern per tested fault.
-	unguided := config{8, false}
-	for i, s := range statuses[guidedAdaptive] {
-		if s != statuses[unguided][i] {
-			t.Errorf("prediction changed fault %s: guided %v, unguided %v",
-				faults[i].Key(), s, statuses[unguided][i])
+		gotPatterns := sortedPatterns(g.TestSet())
+		if len(gotPatterns) != len(wantPatterns) {
+			t.Fatalf("%s: %d patterns, reference has %d", tag, len(gotPatterns), len(wantPatterns))
 		}
-	}
-	if len(patterns[guidedAdaptive]) != len(patterns[unguided]) {
-		t.Fatalf("prediction changed the pattern count: guided %d, unguided %d",
-			len(patterns[guidedAdaptive]), len(patterns[unguided]))
+		for i := range gotPatterns {
+			if gotPatterns[i] != wantPatterns[i] {
+				t.Fatalf("%s: pattern multiset differs from the reference at %d:\n  %s\n  %s",
+					tag, i, gotPatterns[i], wantPatterns[i])
+			}
+		}
 	}
 }
 
@@ -321,55 +259,39 @@ func TestWidthDeterminism(t *testing.T) {
 // TestSchedulerCompactedCoverage completes the determinism matrix on the
 // compaction layer: with full compaction and the interleaved simulation on,
 // the post-compaction coverage over the complete fault list must be
-// bit-identical for every workers x schedule x escalation combination.
+// bit-identical for every worker count.
 func TestSchedulerCompactedCoverage(t *testing.T) {
 	c, err := bench.Get("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := paths.SampleFaults(c, 96, 11)
-
-	for _, cfg := range []struct {
-		escalate int
-		guided   bool
-	}{{0, false}, {16, false}, {16, true}} {
-		// The coverage baseline is per grouping setting: adaptive grouping
-		// legitimately generates different patterns than the fixed-width run
-		// (and guided routing different ones than unguided, since APTPG
-		// pattern choice is width-dependent), but within one setting the
-		// dispatch dimensions must not matter.
-		var want []bool
-		for _, workers := range []int{1, 4} {
-			for _, schedule := range []sched.Policy{sched.Static, sched.Steal} {
-				opts := DefaultOptions(sensitize.Robust)
-				opts.Compaction = compact.Full
-				opts.Schedule = schedule
-				opts.EscalationWidth = cfg.escalate
-				opts.GuidedEscalation = cfg.guided
-				g := New(c, opts)
-				RunSharded(context.Background(), g, faults, workers)
-				detected := detectedVector(t, c, g.TestSet().Pairs, faults)
-				if want == nil {
-					want = detected
-					continue
-				}
-				for f := range want {
-					if want[f] != detected[f] {
-						t.Fatalf("workers=%d schedule=%v escalate=%d guided=%v: post-compaction coverage differs at fault %d",
-							workers, schedule, cfg.escalate, cfg.guided, f)
-					}
-				}
+	opts := DefaultOptions(sensitize.Robust)
+	opts.Compaction = compact.Full
+	var want []bool
+	for _, workers := range []int{1, 4} {
+		g := New(c, opts)
+		RunSharded(context.Background(), g, faults, workers)
+		detected := detectedVector(t, c, g.TestSet().Pairs, faults)
+		if want == nil {
+			want = detected
+			continue
+		}
+		for f := range want {
+			if want[f] != detected[f] {
+				t.Fatalf("workers=%d: post-compaction coverage differs at fault %d", workers, f)
 			}
 		}
 	}
 }
 
-// TestWorkStealingBeatsStaticOnSkew is the shard-skew regression test: a
-// fault ordering whose hard faults are clustered at the front must leave the
-// static contiguous split with idle workers (queued units they are barred
-// from taking), while the work-stealing policy rebalances them — asserted
-// through the scheduler's steal/idle counters rather than wall clock.
-func TestWorkStealingBeatsStaticOnSkew(t *testing.T) {
+// TestWorkStealingBalancesSkew is the shard-skew regression test: a fault
+// ordering whose hard faults are clustered at the front hands the whole
+// cluster to the first worker's contiguous run, and work stealing must
+// rebalance it — asserted through the scheduler's steal/idle counters rather
+// than wall clock: the other workers steal, and no worker goes idle while
+// queued units remain.
+func TestWorkStealingBalancesSkew(t *testing.T) {
 	c := bench.MustSynthesize(bench.Profile{
 		Name: "skew", Inputs: 14, Outputs: 6, Gates: 170, Depth: 13, Seed: 71,
 		InputFaninBias: 0.35, WideFaninFraction: 0.25, InverterFraction: 0.45,
@@ -401,7 +323,7 @@ func TestWorkStealingBeatsStaticOnSkew(t *testing.T) {
 	t.Logf("hard fault cost %d (%v), easy fault cost %d", hardCost, res[hard].Status, easyCost)
 
 	// Cluster 48 instances of the hard fault at the front, then 144 easy
-	// ones: the static contiguous split gives the whole cluster to the first
+	// ones: the contiguous split gives the whole cluster to the first
 	// worker.
 	var faults []paths.Fault
 	for i := 0; i < 48; i++ {
@@ -411,123 +333,22 @@ func TestWorkStealingBeatsStaticOnSkew(t *testing.T) {
 		faults = append(faults, sample[easy])
 	}
 
-	stats := make(map[sched.Policy]sched.Stats)
-	for _, schedule := range []sched.Policy{sched.Static, sched.Steal} {
-		o := opts
-		o.Schedule = schedule
-		g := New(c, o)
-		RunSharded(context.Background(), g, faults, 4)
-		stats[schedule] = g.Stats().Sched
-		t.Logf("%v: %v", schedule, g.Stats().Sched)
+	g := New(c, opts)
+	RunSharded(context.Background(), g, faults, 4)
+	st := g.Stats().Sched
+	t.Logf("%v", st)
+	if st.Steals == 0 {
+		t.Error("no steals on a skewed ordering")
 	}
-
-	if s := stats[sched.Steal]; s.Steals == 0 {
-		t.Error("work-stealing run recorded no steals on a skewed ordering")
-	}
-	if s := stats[sched.Steal]; s.IdleUnits != 0 {
-		t.Errorf("work-stealing run left %d queued units behind idle workers, want 0", s.IdleUnits)
-	}
-	if s := stats[sched.Static]; s.IdleUnits == 0 {
-		t.Error("static run shows no idle skew; the regression scenario is not exercising the imbalance")
-	}
-	if stats[sched.Steal].IdleUnits >= stats[sched.Static].IdleUnits {
-		t.Errorf("stealing did not beat static on idle units: steal=%d static=%d",
-			stats[sched.Steal].IdleUnits, stats[sched.Static].IdleUnits)
+	if st.IdleUnits != 0 {
+		t.Errorf("%d queued units left behind idle workers, want 0", st.IdleUnits)
 	}
 }
 
-// TestEscalationAdaptiveGrouping pins the semantics of two-pass adaptive
-// grouping: the cheap fault-serial pass settles the easy faults, only the
-// survivors are escalated, and — since the escalation pass re-runs survivors
-// at full width and budget — coverage never drops and aborts never grow
-// relative to the fixed-width run.
-func TestEscalationAdaptiveGrouping(t *testing.T) {
-	for _, name := range []string{"c432", "cmp8"} {
-		c, err := bench.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		faults := paths.SampleFaults(c, 96, 5)
-		fixed := DefaultOptions(sensitize.Robust)
-		fixed.FaultSimInterval = 0
-		gf := New(c, fixed)
-		gf.Run(context.Background(), faults)
-
-		adaptive := fixed
-		adaptive.EscalationWidth = 32
-		ga := New(c, adaptive)
-		ga.Run(context.Background(), faults)
-
-		sf, sa := gf.Stats(), ga.Stats()
-		if sa.FirstPassSettled+sa.Escalated != sa.Faults {
-			t.Errorf("%s: first-pass %d + escalated %d != faults %d",
-				name, sa.FirstPassSettled, sa.Escalated, sa.Faults)
-		}
-		if sa.Escalated > 0 && sa.Sched.Passes != 2 {
-			t.Errorf("%s: expected 2 scheduler passes with survivors, got %d", name, sa.Sched.Passes)
-		}
-		coverageF := sf.Tested + sf.DetectedBySim
-		coverageA := sa.Tested + sa.DetectedBySim
-		if coverageA < coverageF {
-			t.Errorf("%s: adaptive grouping lost coverage: %d < %d", name, coverageA, coverageF)
-		}
-		if sa.Aborted > sf.Aborted {
-			t.Errorf("%s: adaptive grouping aborted more faults (%d) than fixed width (%d)",
-				name, sa.Aborted, sf.Aborted)
-		}
-		t.Logf("%s: first-pass settled %d/%d, escalated %d, sched %v",
-			name, sa.FirstPassSettled, sa.Faults, sa.Escalated, sa.Sched)
-
-		// The guided variant routes predicted-hard faults straight to the
-		// wide pass.  The accounting invariant is unchanged (skipped faults
-		// are escalated without a first-pass attempt), predictions are
-		// reported, and the acceptance bar of every routing heuristic holds:
-		// coverage never drops and aborts never grow relative to unguided
-		// adaptive grouping.
-		guided := adaptive
-		guided.GuidedEscalation = true
-		gg := New(c, guided)
-		gg.Run(context.Background(), faults)
-		sg := gg.Stats()
-		if sg.FirstPassSettled+sg.Escalated != sg.Faults {
-			t.Errorf("%s guided: first-pass %d + escalated %d != faults %d",
-				name, sg.FirstPassSettled, sg.Escalated, sg.Faults)
-		}
-		// c432's reconvergent control logic has a genuine hard tail; cmp8's
-		// score population is uniform (every path crosses the same XNOR/AND
-		// reduction), and a uniform population must predict *nothing* hard —
-		// the threshold policy's graceful degradation to unguided behavior.
-		if name == "c432" && sg.PredictedHard == 0 {
-			t.Errorf("%s guided: no fault predicted hard; the scenario does not exercise routing", name)
-		}
-		if name == "cmp8" && sg.PredictedHard != 0 {
-			t.Errorf("%s guided: %d faults predicted hard on a uniform score population, want 0",
-				name, sg.PredictedHard)
-		}
-		if sg.Escalated < sg.PredictedHard {
-			t.Errorf("%s guided: escalated %d below the %d predicted-hard faults routed to the wide pass",
-				name, sg.Escalated, sg.PredictedHard)
-		}
-		if want := float64(sg.PredictedHard) / float64(sg.Faults); sg.SkipRate() != want {
-			t.Errorf("%s guided: SkipRate() = %v, want %v", name, sg.SkipRate(), want)
-		}
-		coverageG := sg.Tested + sg.DetectedBySim
-		if coverageG < coverageA {
-			t.Errorf("%s: guided routing lost coverage: %d < %d", name, coverageG, coverageA)
-		}
-		if sg.Aborted > sa.Aborted {
-			t.Errorf("%s: guided routing aborted more faults (%d) than unguided adaptive (%d)",
-				name, sg.Aborted, sa.Aborted)
-		}
-		t.Logf("%s guided: predicted hard %d/%d (skip rate %.1f%%), first-pass settled %d, escalated %d",
-			name, sg.PredictedHard, sg.Faults, 100*sg.SkipRate(), sg.FirstPassSettled, sg.Escalated)
-	}
-}
-
-// TestCancellationDrainsQueue cancels a multi-worker steal-scheduled
-// escalating run mid-flight: RunSharded must return promptly with every
-// fault settled (canceled ones Aborted with the cause), and the scheduler
-// queues must not wedge any worker.
+// TestCancellationDrainsQueue cancels a 4-worker run mid-flight:
+// RunSharded must return promptly with every fault settled (canceled ones
+// Aborted with the cause), and the scheduler queues must not wedge any
+// worker.
 func TestCancellationDrainsQueue(t *testing.T) {
 	c, err := bench.Get("c432")
 	if err != nil {
@@ -535,8 +356,6 @@ func TestCancellationDrainsQueue(t *testing.T) {
 	}
 	faults := paths.SampleFaults(c, 256, 9)
 	opts := DefaultOptions(sensitize.Robust)
-	opts.Schedule = sched.Steal
-	opts.EscalationWidth = 16
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -12,14 +12,14 @@ import (
 
 // This file is the core's half of the distributed engine (internal/service):
 // the worker side processes single work units shipped over the wire
-// (ProcessRemoteUnit), the coordinator side drives the same pass pipeline as
+// (ProcessRemoteUnit), the coordinator side drives the same pass as
 // Run/RunSharded but hands the units to a dispatch callback instead of local
 // goroutines (RemoteRun), and the client side folds a finished remote run
 // back into a local generator (ImportRemoteRun).
 //
 // The determinism contract is the one RunSharded already guarantees: a unit's
 // outcome under FaultSimInterval == 0 is a pure function of (circuit,
-// options, pass spec, unit faults) — the search never looks at any other
+// options, unit faults) — the search never looks at any other
 // fault's state — and the merged test set is reassembled in canonical fault
 // input order.  Because unit outcomes are pure, processing a unit more than
 // once (a lease requeued after a worker died, with the original worker's
@@ -41,8 +41,7 @@ type RemoteOutcome struct {
 	Phase  Phase
 
 	// Decisions and Backtracks are the search effort the worker spent on the
-	// fault in this unit alone; across the passes of an escalating run they
-	// accumulate on the coordinator's per-fault result.
+	// fault.
 	Decisions  int
 	Backtracks int
 
@@ -55,15 +54,14 @@ type RemoteOutcome struct {
 }
 
 // ProcessRemoteUnit is the worker side of a distributed run: it processes one
-// work unit — the exact sched.Group cut the coordinator's pass pipeline
-// produced — under the given pass spec and returns one outcome per fault, in
+// work unit — the exact sched.Group cut the coordinator's pass produced —
+// under the generator's own options and returns one outcome per fault, in
 // unit order.  foreign carries the verified patterns published by the other
 // workers of the job since this worker's previous fetch; as in a local
 // sharded run they are swept against the unit's faults at claim time (and
 // kept for later units), so a fault another worker's pattern already detects
-// is dropped without a search.  Pending outcomes (a non-final pass whose
-// budget ran out) are legal: the coordinator escalates those faults into the
-// next pass.
+// is dropped without a search.  Faults left Pending by a canceled ctx come
+// back Pending; callers drop such a unit rather than report it.
 //
 // The generator must be dedicated to one job (same circuit and options as
 // the coordinator's master, fresh test set): its test set accumulates the
@@ -71,7 +69,7 @@ type RemoteOutcome struct {
 // other workers (TestSet), and its statistics accumulate the search effort,
 // which the caller reports to the coordinator as periodic deltas
 // (Stats.EffortDelta / RemoteRun.AddEffort).
-func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault, spec PassSpec, foreign []pattern.Pair) []RemoteOutcome {
+func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault, foreign []pattern.Pair) []RemoteOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,7 +81,7 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 		g.foreign = append(g.foreign, foreign...)
 	}
 	g.claimSweep(recs)
-	g.processUnit(ctx, recs, spec)
+	g.processUnit(ctx, recs)
 
 	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
 
@@ -110,15 +108,15 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 // as Run/RunSharded — pass cutting, canonical merge, drop reconciliation,
 // static compaction — with the unit processing replaced by a dispatch
 // callback.  The caller (internal/service) owns the transport: it leases the
-// units of each pass to workers, feeds their reported outcomes to Apply, and
+// units of the pass to workers, feeds their reported outcomes to Apply, and
 // returns from dispatch once every unit of the pass has been applied.
 //
 // Apply and AddEffort are safe for concurrent use with each other, but the
-// caller must not let them race the pass transition: every Apply for a pass
-// must complete (happen before) dispatch returning for that pass — the
-// service coordinator serializes completions under its per-job mutex and
-// acquires that mutex once more after the pass's lease queue drains, which
-// is exactly that barrier.
+// caller must not let them race the end of the pass: every Apply must
+// complete (happen before) dispatch returning — the service coordinator
+// serializes completions under its per-job mutex and acquires that mutex
+// once more after the pass's lease queue drains, which is exactly that
+// barrier.
 type RemoteRun struct {
 	master  *Generator
 	faults  []paths.Fault
@@ -153,9 +151,9 @@ func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 // first-write-wins per fault — a duplicate report for an already settled
 // fault (the at-least-once case: lease requeue plus a late original result)
 // is a no-op, which keeps every classification the first reported one.
-// Pending outcomes only accumulate the search effort; the fault stays
-// pending for the escalation pass.  The master's OnSettle fires for every
-// newly settled fault; the indices of those faults are returned.
+// A Pending outcome only accumulates the search effort; Run's finish sweeps
+// the fault up.  The master's OnSettle fires for every newly settled fault;
+// the indices of those faults are returned.
 func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -173,7 +171,7 @@ func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 		r.res.Decisions += o.Decisions
 		r.res.Backtracks += o.Backtracks
 		if o.Status == Pending {
-			continue // non-final pass, budget exhausted: escalates
+			continue
 		}
 		r.res.Status = o.Status
 		r.res.Phase = o.Phase
@@ -217,27 +215,23 @@ func (rr *RemoteRun) AddEffort(d Stats) {
 	s.GenerateTime += d.GenerateTime
 }
 
-// Run drives the distributed run: it cuts the passes into work units exactly
-// like a local run (guided routing, hardest-first ordering and cost
-// weighting included) and hands each pass's units to dispatch, which must
-// not return before every unit of the pass has been processed and applied
-// (see the synchronization contract on RemoteRun).  After the passes it
-// finishes exactly like RunSharded: pending faults are swept up (carrying
+// Run drives the distributed run: it cuts the pass into work units exactly
+// like a local run and hands them to dispatch, which must not return before
+// every unit of the pass has been processed and applied (see the
+// synchronization contract on RemoteRun).  After the pass it finishes
+// exactly like RunSharded: pending faults are swept up (carrying
 // the cancellation cause when ctx ended the run), the test set is merged in
 // canonical fault order, simulation drops are reconciled against the merged
 // set, and the run's patterns are statically compacted.  The results are
 // input-ordered: result i belongs to fault i.
-func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit, spec PassSpec)) []FaultResult {
+func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit)) []FaultResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	m := rr.master
-	m.runPasses(rr.recs, func(units []sched.Unit, ps PassSpec) {
-		if ctx.Err() != nil {
-			return // canceled: skip dispatch, finish marks the rest
-		}
-		dispatch(units, ps)
-	})
+	if len(rr.recs) > 0 && ctx.Err() == nil {
+		dispatch(m.opts.cut(len(rr.recs)))
+	}
 	m.finish(ctx, rr.recs)
 	rr.mergeOutcomes()
 	m.reconcileDrops(rr.results)

@@ -26,7 +26,7 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 	}
 	x := newExchange(workers)
 	published := make([]int, workers) // per-worker test-set length already published
-	return rr.Run(ctx, func(units []sched.Unit, spec PassSpec) {
+	return rr.Run(ctx, func(units []sched.Unit) {
 		ch := make(chan sched.Unit)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -40,7 +40,7 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 						ufaults[i] = faults[fi]
 					}
 					prev := g.Stats()
-					outs := g.ProcessRemoteUnit(ctx, ufaults, spec, x.fetch(w))
+					outs := g.ProcessRemoteUnit(ctx, ufaults, x.fetch(w))
 					for _, p := range g.TestSet().Pairs[published[w]:] {
 						x.publish(w, p)
 					}
@@ -78,9 +78,8 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 		}
 		for _, simInterval := range []int{0, 8} {
 			opts := DefaultOptions(sensitize.Robust)
+			opts.WordWidth = 8 // many units to dispatch
 			opts.FaultSimInterval = simInterval
-			opts.Schedule = sched.Steal
-			opts.EscalationWidth = 8
 			opts.Compaction = compact.Reverse
 
 			local := New(c, opts)
@@ -149,14 +148,14 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 
 	master := New(c, opts)
 	rr := NewRemoteRun(master, faults)
-	results := rr.Run(context.Background(), func(units []sched.Unit, spec PassSpec) {
+	results := rr.Run(context.Background(), func(units []sched.Unit) {
 		wk := master.Fork()
 		for _, u := range units {
 			ufaults := make([]paths.Fault, len(u.Faults))
 			for i, fi := range u.Faults {
 				ufaults[i] = faults[fi]
 			}
-			outs := wk.ProcessRemoteUnit(context.Background(), ufaults, spec, nil)
+			outs := wk.ProcessRemoteUnit(context.Background(), ufaults, nil)
 			if settled := rr.Apply(u.Faults, outs); len(settled) == 0 {
 				t.Errorf("unit %v settled no faults", u.Faults)
 			}
@@ -201,7 +200,7 @@ func TestRemoteRunCanceled(t *testing.T) {
 	master := New(c, opts)
 	rr := NewRemoteRun(master, faults)
 	applied := 0
-	results := rr.Run(ctx, func(units []sched.Unit, spec PassSpec) {
+	results := rr.Run(ctx, func(units []sched.Unit) {
 		wk := master.Fork()
 		for i, u := range units {
 			if i == 2 {
@@ -212,7 +211,7 @@ func TestRemoteRunCanceled(t *testing.T) {
 			for j, fi := range u.Faults {
 				ufaults[j] = faults[fi]
 			}
-			rr.Apply(u.Faults, wk.ProcessRemoteUnit(ctx, ufaults, spec, nil))
+			rr.Apply(u.Faults, wk.ProcessRemoteUnit(ctx, ufaults, nil))
 			applied += len(u.Faults)
 		}
 	})

@@ -10,40 +10,24 @@ import (
 )
 
 // GroupingRow is one circuit x engine cell of the grouping ablation: the
-// Tables 5/6 width-economics comparison re-run with three grouping
-// strategies plus testability-guided routing — fault-serial (L=1, the
-// single-bit baseline), fixed full-width word-parallel groups, two-pass
-// adaptive grouping (fault-serial first, wide groups for the survivors
-// only), and guided adaptive grouping (predicted-hard faults skip the first
-// pass entirely) — under either the event-driven incremental implication
-// engine or the retained full-sweep oracle.
+// Tables 5/6 width-economics comparison — fault-serial (L=1, the single-bit
+// baseline) against fixed full-width word-parallel groups — under either the
+// event-driven incremental implication engine or the retained full-sweep
+// oracle.
 //
 // The paper's Tables 5 and 6 show fixed wide grouping beating L=1 by about
-// five times on the full-sweep cost model.  The incremental engine inverted
-// that on easy-fault samples (single-fault implications became nearly free),
-// which is exactly what this ablation makes visible: under "full-sweep" the
-// wide columns win, under "incremental" adaptive grouping recovers the win
-// by paying the word-sharing overhead only on the hard faults.
+// five times on the full-sweep cost model.  The incremental engine makes
+// single-fault implications much cheaper, so the ablation shows how much of
+// that win survives under each engine.
 type GroupingRow struct {
 	Circuit string
 	Engine  string // "incremental" or "full-sweep"
 
-	SingleTime   time.Duration // L=1 fault-serial generation time (t_single)
-	WideTime     time.Duration // fixed L=WordWidth groups (t_parallel)
-	AdaptiveTime time.Duration // two-pass adaptive grouping
-	GuidedTime   time.Duration // testability-guided adaptive grouping
+	SingleTime time.Duration // L=1 fault-serial generation time (t_single)
+	WideTime   time.Duration // fixed L=WordWidth groups (t_parallel)
 
-	AbortedSingle   int
-	AbortedWide     int
-	AbortedAdaptive int
-	AbortedGuided   int
-
-	// Escalated is the number of faults the adaptive run escalated into
-	// wide groups (the rest settled in the cheap first pass); Skipped is
-	// the number of faults the guided run predicted hard and routed
-	// straight to the wide pass, never paying the first pass at all.
-	Escalated int
-	Skipped   int
+	AbortedSingle int
+	AbortedWide   int
 
 	Err error
 }
@@ -58,7 +42,7 @@ var groupingEngines = []struct {
 }
 
 // RunGroupingAblation re-runs the Tables 5/6 comparison over the
-// ISCAS89-class circuits with the three grouping strategies under both
+// ISCAS89-class circuits with both grouping strategies under both
 // implication engines.  The generation times exclude sensitization (which is
 // identical across the strategies), matching the t_single/t_parallel columns
 // of the paper.
@@ -104,25 +88,8 @@ func (cfg Config) runGroupingRow(p bench.Profile, engine string, fullSweep bool)
 	var g *core.Generator
 	row.SingleTime, g = timeRun(cfg.singleBitOptions())
 	row.AbortedSingle = gs(g)
-
-	wide := cfg.generatorOptions()
-	wide.EscalationWidth = 0
-	row.WideTime, g = timeRun(wide)
+	row.WideTime, g = timeRun(cfg.generatorOptions())
 	row.AbortedWide = gs(g)
-
-	adaptive := cfg.generatorOptions()
-	adaptive.EscalationWidth = adaptive.WordWidth
-	adaptive.GuidedEscalation = false
-	row.AdaptiveTime, g = timeRun(adaptive)
-	row.AbortedAdaptive = gs(g)
-	row.Escalated = g.Stats().Escalated
-
-	guided := cfg.generatorOptions()
-	guided.EscalationWidth = guided.WordWidth
-	guided.GuidedEscalation = true
-	row.GuidedTime, g = timeRun(guided)
-	row.AbortedGuided = gs(g)
-	row.Skipped = g.Stats().PredictedHard
 	return row
 }
 
@@ -131,19 +98,17 @@ func (cfg Config) runGroupingRow(p bench.Profile, engine string, fullSweep bool)
 func FormatGroupingTable(title string, rows []GroupingRow) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", title)
-	fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s %12s %10s %8s %18s\n",
-		"Circuit", "engine", "t_single", "t_wide", "t_adaptive", "t_guided", "escalated", "skipped", "aborted s/w/a/g")
+	fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s\n",
+		"Circuit", "engine", "t_single", "t_wide", "aborted s/w")
 	for _, r := range rows {
 		if r.Err != nil {
 			fmt.Fprintf(&sb, "%-10s %-12s error: %v\n", r.Circuit, r.Engine, r.Err)
 			continue
 		}
-		fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s %12s %10d %8d %18s\n",
+		fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s\n",
 			r.Circuit, r.Engine,
 			r.SingleTime.Round(time.Microsecond), r.WideTime.Round(time.Microsecond),
-			r.AdaptiveTime.Round(time.Microsecond), r.GuidedTime.Round(time.Microsecond),
-			r.Escalated, r.Skipped,
-			fmt.Sprintf("%d/%d/%d/%d", r.AbortedSingle, r.AbortedWide, r.AbortedAdaptive, r.AbortedGuided))
+			fmt.Sprintf("%d/%d", r.AbortedSingle, r.AbortedWide))
 	}
 	return sb.String()
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/paths"
-	"repro/internal/sched"
 	"repro/internal/sensitize"
 )
 
@@ -52,18 +51,6 @@ type Config struct {
 	// (core-level parallelism on top of the word-level bit parallelism).
 	// 0 or 1 runs the sequential generator of the paper.
 	Workers int
-	// Schedule selects the dispatch policy of the sharded runs: static
-	// contiguous pre-assignment or work-stealing (see internal/sched).
-	Schedule sched.Policy
-	// Escalate, when positive, enables two-pass adaptive fault grouping
-	// with the given escalation width: a cheap fault-serial first pass,
-	// then wide word-parallel groups for the survivors only.
-	Escalate int
-	// Guided enables testability-guided search (core.Options.
-	// GuidedEscalation): predicted-hard faults skip the cheap first pass,
-	// work is ordered hardest first, and — when Escalate is 0 — the
-	// escalation width is derived from the score distribution.
-	Guided bool
 	// Compact selects the static test-set compaction applied after every
 	// generator run (compact.None disables it, the default).
 	Compact compact.Level
@@ -143,9 +130,6 @@ func (cfg Config) generatorOptions() core.Options {
 	}
 	o.Compaction = cfg.Compact
 	o.CompactionXFill = cfg.XFill
-	o.Schedule = cfg.Schedule
-	o.EscalationWidth = cfg.Escalate
-	o.GuidedEscalation = cfg.Guided
 	return o
 }
 
@@ -155,8 +139,6 @@ func (cfg Config) singleBitOptions() core.Options {
 	o := cfg.generatorOptions()
 	o.WordWidth = 1
 	o.FaultSimInterval = 1
-	o.EscalationWidth = 0 // escalating into wide groups would defeat the baseline
-	o.GuidedEscalation = false
 	return o
 }
 
@@ -170,8 +152,6 @@ func (cfg Config) structuralBaselineOptions() core.Options {
 	o.UseFPTPG = false
 	o.FaultSimInterval = 0
 	o.SubpathPruning = false
-	o.EscalationWidth = 0
-	o.GuidedEscalation = false
 	return o
 }
 

@@ -81,8 +81,8 @@ func NewLeaseQueue(units []Unit) *LeaseQueue {
 // Lease hands out up to max units to the worker, each under a lease that
 // expires at now+ttl.  Expired leases are requeued first, so a died worker's
 // units are re-dispatched by the next Lease call even without an Expire
-// ticker.  Units are handed out in FIFO order — the pass pipeline's
-// hardest-first ordering crosses the wire intact.  An empty result means
+// ticker.  Units are handed out in FIFO order, the input order the pass cut
+// them in.  An empty result means
 // nothing is pending right now (everything is completed or leased out);
 // the caller should back off and retry, or Wait.
 func (q *LeaseQueue) Lease(worker string, max int, ttl time.Duration, now time.Time) []LeasedUnit {

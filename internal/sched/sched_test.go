@@ -49,7 +49,7 @@ func TestLoadBalancesFaultCount(t *testing.T) {
 		{4, 4, []int{1, 1, 1, 1}},
 		{7, 2, []int{4, 3}},
 	} {
-		s := New(Static, tc.workers)
+		s := New(tc.workers)
 		s.Load(Group(seq(tc.n), 1))
 		for w := 0; w < tc.workers; w++ {
 			if got := len(s.queues[w]); got != tc.wantSizes[w] {
@@ -57,14 +57,15 @@ func TestLoadBalancesFaultCount(t *testing.T) {
 					tc.n, tc.workers, w, got, tc.wantSizes[w])
 			}
 		}
-		// Contiguity and completeness: draining worker queues in worker order
-		// yields 0..n-1.
+		// Contiguity, completeness and head-first order: taking exactly each
+		// worker's own share through Next, in worker order, yields 0..n-1.
+		// No steal can happen while a worker's own queue is non-empty.
 		next := 0
 		for w := 0; w < tc.workers; w++ {
-			for {
+			for i := 0; i < tc.wantSizes[w]; i++ {
 				u, ok := s.Next(w)
 				if !ok {
-					break
+					t.Fatalf("n=%d workers=%d: worker %d ran out after %d units", tc.n, tc.workers, w, i)
 				}
 				for _, f := range u.Faults {
 					if f != next {
@@ -77,59 +78,43 @@ func TestLoadBalancesFaultCount(t *testing.T) {
 		if next != tc.n {
 			t.Fatalf("n=%d workers=%d: drained %d faults", tc.n, tc.workers, next)
 		}
-	}
-}
-
-// TestStaticNeverSteals pins the static policy: a worker with an empty queue
-// goes idle even while other queues still hold units, and the idle counter
-// records the units it left behind.
-func TestStaticNeverSteals(t *testing.T) {
-	s := New(Static, 2)
-	s.Load(Group(seq(8), 1))
-	// Worker 1 drains only its own 4 units, then must go idle although
-	// worker 0 still holds 4.
-	for i := 0; i < 4; i++ {
-		if _, ok := s.Next(1); !ok {
-			t.Fatalf("worker 1 ran out after %d units", i)
+		if st := s.Stats(); st.Steals != 0 {
+			t.Errorf("n=%d workers=%d: %d steals while draining own queues", tc.n, tc.workers, st.Steals)
 		}
 	}
-	if _, ok := s.Next(1); ok {
-		t.Fatal("static worker 1 got a unit from worker 0's queue")
-	}
-	st := s.Stats()
-	if st.Steals != 0 {
-		t.Errorf("static run recorded %d steals", st.Steals)
-	}
-	if st.IdleUnits != 4 {
-		t.Errorf("idle units = %d, want 4 (worker 0's untouched queue)", st.IdleUnits)
-	}
 }
 
-// TestStealRebalances pins the steal policy: an idle worker takes units from
+// TestStealRebalances pins work stealing: an idle worker takes units from
 // the tail of the most loaded peer, and nobody goes idle while queued work
 // remains anywhere.
 func TestStealRebalances(t *testing.T) {
-	s := New(Steal, 2)
+	s := New(2)
 	s.Load(Group(seq(8), 1))
-	// Worker 1 drains its own 4 units, then steals worker 0's entire queue
-	// from the tail.
-	got := 0
+	// Worker 1 drains its own 4 units head-first, then steals worker 0's
+	// entire queue from the tail.
+	want := []int{4, 5, 6, 7, 3, 2, 1, 0}
+	var got []int
 	for {
 		u, ok := s.Next(1)
 		if !ok {
 			break
 		}
-		got += len(u.Faults)
+		got = append(got, u.Faults...)
 	}
-	if got != 8 {
-		t.Fatalf("worker 1 processed %d faults, want all 8", got)
+	if len(got) != len(want) {
+		t.Fatalf("worker 1 processed faults %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("worker 1 processed faults %v, want %v", got, want)
+		}
 	}
 	st := s.Stats()
 	if st.Steals != 4 {
 		t.Errorf("steals = %d, want 4", st.Steals)
 	}
 	if st.IdleUnits != 0 {
-		t.Errorf("idle units = %d, want 0 under steal", st.IdleUnits)
+		t.Errorf("idle units = %d, want 0", st.IdleUnits)
 	}
 	// Worker 0 finds its queue emptied.
 	if _, ok := s.Next(0); ok {
@@ -138,191 +123,47 @@ func TestStealRebalances(t *testing.T) {
 }
 
 // TestConcurrentDrainIsComplete hammers Next from several goroutines: every
-// unit must be dispatched exactly once under both policies.
+// unit must be dispatched exactly once.
 func TestConcurrentDrainIsComplete(t *testing.T) {
-	for _, policy := range []Policy{Static, Steal} {
-		const workers, n = 4, 1000
-		s := New(policy, workers)
-		s.Load(Group(seq(n), 3))
+	const workers, n = 4, 1000
+	s := New(workers)
+	s.Load(Group(seq(n), 3))
 
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					u, ok := s.Next(w)
-					if !ok {
-						return
-					}
-					mu.Lock()
-					for _, f := range u.Faults {
-						seen[f]++
-					}
-					mu.Unlock()
+	var mu sync.Mutex
+	seen := make(map[int]int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				u, ok := s.Next(w)
+				if !ok {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if len(seen) != n {
-			t.Fatalf("%v: dispatched %d distinct faults, want %d", policy, len(seen), n)
-		}
-		for f, c := range seen {
-			if c != 1 {
-				t.Fatalf("%v: fault %d dispatched %d times", policy, f, c)
+				mu.Lock()
+				for _, f := range u.Faults {
+					seen[f]++
+				}
+				mu.Unlock()
 			}
-		}
-		if st := s.Stats(); st.Units != (n+2)/3 {
-			t.Errorf("%v: units stat = %d, want %d", policy, st.Units, (n+2)/3)
-		}
+		}(w)
 	}
-}
-
-// TestLoadBalancesCost checks the cost-weighted split: when units carry a
-// predicted Cost, Load balances the contiguous runs by summed cost instead
-// of fault count, so one expensive unit is a whole shard of its own.
-func TestLoadBalancesCost(t *testing.T) {
-	units := Group(seq(4), 1)
-	units[0].Cost = 3
-	units[1].Cost = 1
-	units[2].Cost = 1
-	units[3].Cost = 1
-	s := New(Static, 2)
-	s.Load(units)
-	if got := len(s.queues[0]); got != 1 {
-		t.Errorf("worker 0 got %d units, want 1 (the cost-3 unit alone)", got)
+	wg.Wait()
+	if len(seen) != n {
+		t.Fatalf("dispatched %d distinct faults, want %d", len(seen), n)
 	}
-	if got := len(s.queues[1]); got != 3 {
-		t.Errorf("worker 1 got %d units, want 3", got)
-	}
-}
-
-// simulateDrain drains a loaded scheduler with a deterministic discrete-event
-// simulation: every worker owns a clock, the free worker with the lowest
-// clock (lowest index on ties) takes its next unit and advances by the
-// unit's true processing cost.  It returns the number of faults processed
-// and the makespan (the last worker's finish time).
-func simulateDrain(s *Scheduler, workers int, trueCost func(Unit) int) (drained, makespan int) {
-	clocks := make([]int, workers)
-	active := make([]bool, workers)
-	for w := range active {
-		active[w] = true
-	}
-	for {
-		w := -1
-		for i := 0; i < workers; i++ {
-			if active[i] && (w < 0 || clocks[i] < clocks[w]) {
-				w = i
-			}
-		}
-		if w < 0 {
-			break
-		}
-		u, ok := s.Next(w)
-		if !ok {
-			active[w] = false
-			continue
-		}
-		drained += len(u.Faults)
-		clocks[w] += trueCost(u)
-	}
-	for _, c := range clocks {
-		if c > makespan {
-			makespan = c
+	for f, c := range seen {
+		if c != 1 {
+			t.Fatalf("fault %d dispatched %d times", f, c)
 		}
 	}
-	return drained, makespan
-}
-
-// TestCostWeightedHardestFirstReducesIdleOnSkew is the sched-level mirror of
-// the engine's TestWorkStealingBeatsStaticOnSkew, driven by counters instead
-// of wall clock: a skewed workload whose hard faults cluster at the tail of
-// the insertion order.  The unguided load (insertion order, count-balanced)
-// hands one static worker the whole hard cluster; the guided load — the same
-// units ordered hardest first and balanced by predicted Cost, exactly what
-// the guided engine feeds the scheduler — must strictly reduce both the
-// queued units left behind idle workers and the simulated makespan, without
-// any stealing.
-func TestCostWeightedHardestFirstReducesIdleOnSkew(t *testing.T) {
-	const (
-		workers  = 4
-		nHard    = 8
-		nEasy    = 24
-		hardCost = 16
-		easyCost = 1
-	)
-	// Fault indices >= nEasy are the hard cluster, sitting at the tail of
-	// the insertion order.
-	trueCost := func(u Unit) int {
-		c := 0
-		for _, f := range u.Faults {
-			if f >= nEasy {
-				c += hardCost
-			} else {
-				c += easyCost
-			}
-		}
-		return c
+	st := s.Stats()
+	if st.Units != (n+2)/3 {
+		t.Errorf("units stat = %d, want %d", st.Units, (n+2)/3)
 	}
-	run := func(units []Unit) (Stats, int) {
-		s := New(Static, workers)
-		s.Load(units)
-		drained, makespan := simulateDrain(s, workers, trueCost)
-		if drained != nHard+nEasy {
-			t.Fatalf("drained %d faults, want %d", drained, nHard+nEasy)
-		}
-		return s.Stats(), makespan
-	}
-
-	baseline, baseSpan := run(Group(seq(nHard+nEasy), 1))
-
-	// Hardest first with the true cost as the prediction.
-	ordered := make([]int, 0, nHard+nEasy)
-	for f := nEasy; f < nEasy+nHard; f++ {
-		ordered = append(ordered, f)
-	}
-	for f := 0; f < nEasy; f++ {
-		ordered = append(ordered, f)
-	}
-	units := Group(ordered, 1)
-	for i := range units {
-		units[i].Cost = trueCost(units[i])
-	}
-	guided, guidedSpan := run(units)
-
-	t.Logf("baseline: %v makespan=%d; guided: %v makespan=%d", baseline, baseSpan, guided, guidedSpan)
-	if baseline.IdleUnits == 0 {
-		t.Fatal("insertion-order load shows no idle skew; the scenario is not exercising the imbalance")
-	}
-	if guided.IdleUnits >= baseline.IdleUnits {
-		t.Errorf("cost-weighted hardest-first did not reduce idle units: guided=%d baseline=%d",
-			guided.IdleUnits, baseline.IdleUnits)
-	}
-	if guidedSpan >= baseSpan {
-		t.Errorf("cost-weighted hardest-first did not reduce the makespan: guided=%d baseline=%d",
-			guidedSpan, baseSpan)
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Policy
-		ok   bool
-	}{
-		{"static", Static, true},
-		{"steal", Steal, true},
-		{"wild", Static, false},
-	} {
-		got, err := ParsePolicy(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if Static.String() != "static" || Steal.String() != "steal" {
-		t.Error("Policy.String spelling changed")
+	if st.IdleUnits != 0 {
+		t.Errorf("idle units = %d, want 0", st.IdleUnits)
 	}
 }
 

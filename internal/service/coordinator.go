@@ -164,7 +164,6 @@ type job struct {
 // passState is the leasable surface of the pass currently being dispatched.
 type passState struct {
 	seq   int
-	spec  core.PassSpec
 	q     *sched.LeaseQueue
 	units []sched.Unit
 }
@@ -331,7 +330,8 @@ func (co *Coordinator) runJob(j *job) {
 	j.rr = rr
 	j.mu.Unlock()
 
-	results := rr.Run(j.ctx, func(units []sched.Unit, spec core.PassSpec) {
+	spec := passSpec(master.Options())
+	results := rr.Run(j.ctx, func(units []sched.Unit) {
 		co.runPass(j, units, spec)
 	})
 
@@ -373,12 +373,13 @@ func (j *job) setState(s string) {
 // runPass dispatches one pass's units through the lease queue and blocks
 // until every unit has completed (or the job is canceled).  It is the
 // dispatch callback of core.RemoteRun.Run, so returning is the pass barrier.
-func (co *Coordinator) runPass(j *job, units []sched.Unit, spec core.PassSpec) {
+// spec is recorded in the ledger with the pass's unit cut.
+func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 	q := sched.NewLeaseQueue(units)
 	j.mu.Lock()
 	j.passSeq++
 	seq := j.passSeq
-	j.pass = &passState{seq: seq, spec: spec, q: q, units: units}
+	j.pass = &passState{seq: seq, q: q, units: units}
 	j.replayPassLocked(seq, spec, units, q)
 	j.mu.Unlock()
 
@@ -422,7 +423,7 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec core.PassSpec) {
 // ledger: matching units are completed and applied without dispatching any
 // work, so no patterns are re-generated for units merged before the restart.
 // Caller holds j.mu.
-func (j *job) replayPassLocked(seq int, spec core.PassSpec, units []sched.Unit, q *sched.LeaseQueue) {
+func (j *job) replayPassLocked(seq int, spec WireSpec, units []sched.Unit, q *sched.LeaseQueue) {
 	cut := make([][]int, len(units))
 	for i, u := range units {
 		cut[i] = u.Faults
@@ -461,11 +462,11 @@ func (j *job) replayPassLocked(seq int, spec core.PassSpec, units []sched.Unit, 
 		// an unchanged binary.
 		j.replay = nil
 	}
-	j.ledger.RecordPass(seq, EncodeSpec(spec), cut)
+	j.ledger.RecordPass(seq, spec, cut)
 }
 
-func passMatches(lp LedgerPass, spec core.PassSpec, cut [][]int) bool {
-	if DecodeSpec(lp.Spec) != spec || len(lp.Units) != len(cut) {
+func passMatches(lp LedgerPass, spec WireSpec, cut [][]int) bool {
+	if lp.Spec != spec || len(lp.Units) != len(cut) {
 		return false
 	}
 	for i, u := range lp.Units {
@@ -588,7 +589,12 @@ func (co *Coordinator) resumeJob(lj *LedgerJob) error {
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are rejected, not ignored: a client sending an option
+	// this coordinator does not know would otherwise get a different run
+	// than it asked for.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
 		return
 	}
@@ -836,7 +842,6 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resp := LeaseResponse{
 			JobID: j.id,
 			Pass:  j.pass.seq,
-			Spec:  EncodeSpec(j.pass.spec),
 			TTLMS: co.cfg.LeaseTTL.Milliseconds(),
 			SimOn: j.coreOpts.FaultSimInterval > 0,
 		}

@@ -380,6 +380,10 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 		if line == "" {
 			continue
 		}
+		// Unknown fields are ignored on purpose, unlike on submit: a ledger
+		// that records options or spec fields this coordinator no longer
+		// knows still loads, and replay reuses only the units of a pass
+		// whose recorded cut matches the one the job computes now.
 		var rec ledgerRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			continue // torn tail from a crash mid-append: ignore

@@ -2,7 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,7 +60,6 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 				t.Fatal(err)
 			}
 		}
-		spec := DecodeSpec(lease.Spec)
 		post := PostResults{Worker: worker, Pass: lease.Pass}
 		for _, u := range lease.Units {
 			ufaults := make([]paths.Fault, len(u.Faults))
@@ -64,7 +67,7 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 				ufaults[i] = faults[fi]
 			}
 			prev := gen.Stats()
-			outs := gen.ProcessRemoteUnit(ctx, ufaults, spec, nil)
+			outs := gen.ProcessRemoteUnit(ctx, ufaults, nil)
 			post.Effort = gen.Stats().EffortDelta(prev)
 			wire := make([]WireOutcome, len(outs))
 			for i, o := range outs {
@@ -90,9 +93,8 @@ func TestServiceLedgerResume(t *testing.T) {
 	dir := t.TempDir()
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	// Escalation's width-1 first pass makes the accounting exact: pass 1 is
-	// one unit per fault.
-	opts := JobOptions{SimInterval: intp(0), Escalate: 8, Compact: "reverse"}
+	// Width 1 makes the accounting exact: the pass is one unit per fault.
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 	ctx := context.Background()
 
@@ -137,7 +139,7 @@ func TestServiceLedgerResume(t *testing.T) {
 	if st.Replayed != preCrash {
 		t.Fatalf("replayed %d units from the ledger, want %d", st.Replayed, preCrash)
 	}
-	// No re-generated patterns for merged units: pass 1 has exactly one
+	// No re-generated patterns for merged units: the pass has exactly one
 	// unit per fault, and worker B processed only the remainder.
 	if got, want := len(processed[1]), len(faults)-preCrash; got != want {
 		t.Fatalf("worker processed %d pass-1 units after resume, want %d (replayed units re-dispatched)", got, want)
@@ -193,5 +195,132 @@ func TestServiceLedgerTerminalNotResumed(t *testing.T) {
 	defer srvB.Close()
 	if _, err := NewClient(srvB.URL).Status(ctx, sub.JobID); err == nil {
 		t.Fatal("terminal job resurrected after restart")
+	}
+}
+
+// TestServiceLedgerResumeLegacySpec resumes ledgers written before the
+// escalation options were removed, whose pass specs carry a "final" flag and
+// whose job options may carry "escalate".  Replay must reuse a recorded pass
+// only when its cut is still the one the job computes:
+//
+//   - a non-escalating job's final pass is the job's pass today, so its
+//     recorded units replay and only the rest are dispatched;
+//   - an escalating job's first pass (width 1, budget 1, not final) cuts
+//     the same units as the job's width-1 pass today but under another
+//     budget, so the replay is discarded and every unit is dispatched
+//     afresh.
+//
+// Both must finish identical to a fresh local run of the options the
+// coordinator still knows.
+func TestServiceLedgerResumeLegacySpec(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	const recorded = 12
+	for _, tc := range []struct {
+		name     string
+		options  string // the job's options as the old coordinator recorded them
+		spec     string // the old pass-1 spec, one fault per unit
+		run      JobOptions
+		replayed int
+		units    int // units dispatched after the resume
+	}{
+		{"final", `{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8,"final":true}`,
+			JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, recorded, len(faults) - recorded},
+		{"escalate", `{"word_width":1,"sim_interval":0,"escalate":8,"compact":"reverse"}`, `{"width":1,"budget":1,"final":false}`,
+			JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, 0, len(faults)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLegacyLedger(t, dir, "j1", c, text, faults, tc.options, tc.spec, recorded)
+			localResults, localTests, _ := localRun(t, c, tc.run, faults)
+			ctx := context.Background()
+
+			co, err := NewCoordinator(Config{LedgerDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer co.Close()
+			srv := httptest.NewServer(co)
+			defer srv.Close()
+			cl := NewClient(srv.URL)
+
+			processed := driveWorker(t, cl, "w", "j1", c, 1<<30)
+			st, err := cl.Wait(ctx, "j1", 10*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != stateDone {
+				t.Fatalf("resumed job finished in state %q", st.State)
+			}
+			if st.Replayed != tc.replayed {
+				t.Errorf("replayed %d units, want %d", st.Replayed, tc.replayed)
+			}
+			if got := len(processed[1]); got != tc.units {
+				t.Errorf("dispatched %d units after the resume, want %d", got, tc.units)
+			}
+			resp, err := cl.Results(ctx, "j1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range resp.Results {
+				if want := localResults[i].Status.String(); r.Status != want {
+					t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+				}
+			}
+			if resp.Tests != localTests {
+				t.Fatal("merged test set differs from a fresh local run")
+			}
+		})
+	}
+}
+
+// writeLegacyLedger writes an unfinished job's ledger the way an older
+// coordinator did: the job record with the given raw options, a pass-1
+// record with the given raw spec cutting the faults into one unit each, and
+// the first n units' outcomes, computed under that spec.
+func writeLegacyLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, faults []paths.Fault, options, spec string, n int) {
+	t.Helper()
+	var ws WireSpec
+	if err := json.Unmarshal([]byte(spec), &ws); err != nil {
+		t.Fatal(err)
+	}
+	var jo JobOptions
+	if err := json.Unmarshal([]byte(options), &jo); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := jo.ToCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.WordWidth, opts.MaxBacktracks = ws.Width, ws.Budget
+	gen := core.New(c, opts)
+
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	units := make([][]int, len(faults))
+	for f := range units {
+		units[f] = []int{f}
+	}
+	lines := []string{
+		`{"t":"job","id":` + marshal(id) + `,"name":"c432","hash":` + marshal(HashBench(text)) +
+			`,"bench":` + marshal(text) + `,"options":` + options + `,"faults":` + marshal(EncodeFaults(c, faults)) + `}`,
+		`{"t":"pass","seq":1,"spec":` + spec + `,"units":` + marshal(units) + `}`,
+	}
+	for u := 0; u < n; u++ {
+		outs := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
+		wire := make([]WireOutcome, len(outs))
+		for i, o := range outs {
+			wire[i] = EncodeOutcome(o)
+		}
+		lines = append(lines, `{"t":"unit","pass":1,"unit":`+marshal(u)+`,"worker":"old","unit_faults":`+
+			marshal(units[u])+`,"outcomes":`+marshal(wire)+`}`)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+".jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

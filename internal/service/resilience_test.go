@@ -27,7 +27,7 @@ import (
 func TestServiceChaosEndToEnd(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	opts := JobOptions{Schedule: "steal", Escalate: 8, SimInterval: intp(0), Compact: "reverse"}
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 
 	coChaos := chaos.New(chaos.Config{Seed: 11, StormAfter: 5, StormSkew: time.Minute, Tear: 0.25})
@@ -132,7 +132,7 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	dir := t.TempDir()
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	opts := JobOptions{SimInterval: intp(0), Escalate: 8, Compact: "reverse"}
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 	ctx := context.Background()
 

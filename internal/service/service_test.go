@@ -3,7 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,8 +91,8 @@ func classOf(status string) string {
 func intp(v int) *int { return &v }
 
 // TestServiceMatchesLocal is the service's half of the determinism
-// contract: a distributed run over real HTTP with two workers, work
-// stealing and escalation on must be bit-identical in statuses — and
+// contract: a distributed run over real HTTP with two workers and a narrow
+// word (many units to lease) must be bit-identical in statuses — and
 // byte-identical in the merged, compacted test set — to a single-process
 // run with the same options while the interleaved simulation is off.  With
 // the simulation on, Tested and DetectedBySim may swap between workers, but
@@ -112,8 +115,7 @@ func TestServiceMatchesLocal(t *testing.T) {
 			c, text := benchText(t, circuitName)
 			faults := paths.SampleFaults(c, 128, 1995)
 			opts := JobOptions{
-				Schedule:    "steal",
-				Escalate:    8,
+				WordWidth:   8,
 				SimInterval: tc.sim,
 				Compact:     "reverse",
 			}
@@ -194,7 +196,7 @@ func TestServiceMatchesLocal(t *testing.T) {
 func TestServiceRequeue(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	opts := JobOptions{Schedule: "steal", SimInterval: intp(0), Compact: "reverse"}
+	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 
 	co, err := NewCoordinator(Config{
@@ -321,7 +323,7 @@ func TestServiceCancel(t *testing.T) {
 // TestServiceMultiTenant runs two jobs on different circuits through one
 // worker pool concurrently; each must match its own single-process run.
 func TestServiceMultiTenant(t *testing.T) {
-	opts := JobOptions{Schedule: "steal", SimInterval: intp(0), Compact: "reverse"}
+	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
 	type tenant struct {
 		name    string
 		c       *circuit.Circuit
@@ -424,5 +426,47 @@ func TestServiceEvents(t *testing.T) {
 	}
 	if seen != len(faults) {
 		t.Fatalf("event stream delivered %d settles for %d faults", seen, len(faults))
+	}
+}
+
+// TestServiceSubmitRejectsUnknownOption checks that a job option the
+// coordinator does not know is reported, not silently dropped: a client
+// still sending a removed option such as "escalate" would otherwise get a
+// run other than the one it asked for.
+func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
+	c, text := benchText(t, "c17")
+	faults, err := json.Marshal(EncodeFaults(c, paths.SampleFaults(c, 4, 1995)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCoordinator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	bench, err := json.Marshal(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(options string) *httptest.ResponseRecorder {
+		body := `{"circuit_bench":` + string(bench) + `,"options":` + options + `,"faults":` + string(faults) + `}`
+		rec := httptest.NewRecorder()
+		co.ServeHTTP(rec, httptest.NewRequest("POST", API+"/jobs", strings.NewReader(body)))
+		return rec
+	}
+
+	rec := submit(`{"escalate":8}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("submit with an unknown option: HTTP %d, want 400", rec.Code)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != "bad-request" || !strings.Contains(e.Error, `"escalate"`) {
+		t.Errorf("error = %+v, want code bad-request naming the field \"escalate\"", e)
+	}
+	if rec := submit(`{"word_width":8}`); rec.Code >= 300 {
+		t.Errorf("submit with known options: HTTP %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/paths"
 	"repro/internal/pattern"
-	"repro/internal/sched"
 	"repro/internal/sensitize"
 )
 
@@ -97,19 +96,15 @@ func DecodeFaults(c *circuit.Circuit, wfs []WireFault) ([]paths.Fault, error) {
 // phases on, simulation after every L patterns), so an empty object is a
 // valid configuration; the No* spellings keep "enabled" the zero value.
 type JobOptions struct {
-	Mode            string `json:"mode,omitempty"`         // "robust" (default) or "nonrobust"
-	WordWidth       int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth; 0 = 64
-	Backtracks      int    `json:"backtracks,omitempty"`   // APTPG backtrack limit; 0 = default
-	NoFPTPG         bool   `json:"no_fptpg,omitempty"`     // disable the fault-parallel phase
-	NoAPTPG         bool   `json:"no_aptpg,omitempty"`     // disable the alternative-parallel phase
-	SimInterval     *int   `json:"sim_interval,omitempty"` // nil = word width; 0 disables
-	Schedule        string `json:"schedule,omitempty"`     // "static" (default) or "steal"
-	Escalate        int    `json:"escalate,omitempty"`     // escalation width; 0 = off
-	FirstPassBudget int    `json:"first_pass_budget,omitempty"`
-	Guided          bool   `json:"guided,omitempty"`
-	Compact         string `json:"compact,omitempty"`    // "none" (default), "reverse" or "full"
-	XFill           string `json:"xfill,omitempty"`      // "zero" (default), "one" or "random"
-	XFillSeed       int64  `json:"xfill_seed,omitempty"` // seed of the random X-fill
+	Mode        string `json:"mode,omitempty"`         // "robust" (default) or "nonrobust"
+	WordWidth   int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth; 0 = 64
+	Backtracks  int    `json:"backtracks,omitempty"`   // APTPG backtrack limit; 0 = default
+	NoFPTPG     bool   `json:"no_fptpg,omitempty"`     // disable the fault-parallel phase
+	NoAPTPG     bool   `json:"no_aptpg,omitempty"`     // disable the alternative-parallel phase
+	SimInterval *int   `json:"sim_interval,omitempty"` // nil = word width; 0 disables
+	Compact     string `json:"compact,omitempty"`      // "none" (default), "reverse" or "full"
+	XFill       string `json:"xfill,omitempty"`        // "zero" (default), "one" or "random"
+	XFillSeed   int64  `json:"xfill_seed,omitempty"`   // seed of the random X-fill
 }
 
 // ToCore resolves the wire options into normalized core options.
@@ -148,26 +143,6 @@ func (o JobOptions) ToCore() (core.Options, error) {
 	} else {
 		opts.FaultSimInterval = opts.WordWidth
 	}
-	if o.Schedule != "" {
-		p, err := sched.ParsePolicy(o.Schedule)
-		if err != nil {
-			return core.Options{}, err
-		}
-		opts.Schedule = p
-	}
-	if o.Escalate != 0 {
-		if o.Escalate < 0 || o.Escalate > logic.MaxWordWidth {
-			return core.Options{}, fmt.Errorf("service: escalation width %d out of range 0..%d", o.Escalate, logic.MaxWordWidth)
-		}
-		opts.EscalationWidth = o.Escalate
-	}
-	if o.FirstPassBudget != 0 {
-		if o.FirstPassBudget < 1 {
-			return core.Options{}, fmt.Errorf("service: first-pass budget %d out of range", o.FirstPassBudget)
-		}
-		opts.FirstPassBacktracks = o.FirstPassBudget
-	}
-	opts.GuidedEscalation = o.Guided
 	if o.Compact != "" {
 		lvl, err := compact.ParseLevel(o.Compact)
 		if err != nil {
@@ -275,19 +250,18 @@ func DecodeOutcomes(ws []WireOutcome) ([]core.RemoteOutcome, error) {
 	return out, nil
 }
 
-// WireSpec is a core.PassSpec in wire form.
+// WireSpec is the pass parameters a job ledger records with each pass: the
+// word-parallel group width and the APTPG backtrack budget.  Resume compares
+// it with the live pass to spot ledgers recorded under other parameters.
 type WireSpec struct {
-	Width  int  `json:"width"`
-	Budget int  `json:"budget"`
-	Final  bool `json:"final"`
+	Width  int `json:"width"`
+	Budget int `json:"budget"`
 }
 
-// EncodeSpec and DecodeSpec convert pass specs.
-func EncodeSpec(ps core.PassSpec) WireSpec {
-	return WireSpec{Width: ps.Width, Budget: ps.Budget, Final: ps.Final}
-}
-func DecodeSpec(ws WireSpec) core.PassSpec {
-	return core.PassSpec{Width: ws.Width, Budget: ws.Budget, Final: ws.Final}
+// passSpec returns the pass parameters of a generator with the given
+// (normalized) options.
+func passSpec(o core.Options) WireSpec {
+	return WireSpec{Width: o.WordWidth, Budget: o.MaxBacktracks}
 }
 
 // WireUnit is one leased work unit: its stable ID within the pass and the
@@ -431,7 +405,6 @@ type (
 	LeaseResponse struct {
 		JobID string     `json:"job_id"`
 		Pass  int        `json:"pass"`
-		Spec  WireSpec   `json:"spec"`
 		Units []WireUnit `json:"units"`
 		TTLMS int64      `json:"ttl_ms"`
 		SimOn bool       `json:"sim_on"`

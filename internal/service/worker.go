@@ -225,7 +225,6 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 	if err != nil {
 		return
 	}
-	spec := DecodeSpec(lease.Spec)
 
 	// Pull the exchange delta so the claim sweep can drop faults other
 	// workers already covered.  Foreign patterns accumulate inside the
@@ -255,7 +254,7 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 			}
 			ufaults[i] = wj.faults[fi]
 		}
-		outs := wj.gen.ProcessRemoteUnit(wj.ctx, ufaults, spec, foreign)
+		outs := wj.gen.ProcessRemoteUnit(wj.ctx, ufaults, foreign)
 		wk.units.Add(1)
 		foreign = nil
 		wire := make([]WireOutcome, len(outs))

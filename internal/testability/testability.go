@@ -5,15 +5,12 @@
 //
 // The measures are pure structural estimates — integers that grow with the
 // expected search effort — and are used to *order* work, never to decide
-// outcomes: backtrace input selection, objective selection, hardest-first
-// unit ordering and guided escalation routing all consume them as
-// priorities, so a wrong estimate costs time, not coverage (see
+// outcomes: backtrace input selection and objective selection consume them
+// as priorities, so a wrong estimate costs time, not coverage (see
 // docs/ARCHITECTURE.md, "Testability-guided search").
 package testability
 
 import (
-	"sort"
-
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/paths"
@@ -50,8 +47,8 @@ func Analyze(c *circuit.Circuit) *Measures {
 type memoKey struct{}
 
 // For returns the measures of the circuit, computing them on first use and
-// caching them on the circuit itself: every generator fork, backtrace and
-// scheduler consumer of the same compiled circuit shares one analysis.
+// caching them on the circuit itself: every generator fork and backtrace of
+// the same compiled circuit shares one analysis.
 func For(c *circuit.Circuit) *Measures {
 	return c.Memo(memoKey{}, func() any { return Analyze(c) }).(*Measures)
 }
@@ -224,8 +221,8 @@ func (m *Measures) Cost(net circuit.NetID, v logic.Value3) int {
 // fault.  Scores saturate at MaxMeasure.
 //
 // The score is a pure function of the circuit structure and the fault, so
-// equal inputs always produce equal scores — the guided heuristics built on
-// it stay deterministic.
+// equal inputs always produce equal scores and a ranking built on them is
+// deterministic.
 func (m *Measures) FaultScore(c *circuit.Circuit, f paths.Fault, mode sensitize.Mode) int {
 	nets := f.Path.Nets
 	if len(nets) == 0 {
@@ -255,32 +252,4 @@ func (m *Measures) FaultScore(c *circuit.Circuit, f paths.Fault, mode sensitize.
 		}
 	}
 	return score
-}
-
-// HardThreshold returns the hardness cutoff of a score population: twice the
-// upper median.  Scores strictly above the cutoff are predicted hard.  The
-// factor keeps the predicted-hard set a genuine tail — a uniform population
-// (every score equal) predicts nothing hard, so guidance degrades to the
-// unguided behavior instead of escalating everything.
-func HardThreshold(scores []int) int {
-	if len(scores) == 0 {
-		return MaxMeasure
-	}
-	s := make([]int, len(scores))
-	copy(s, scores)
-	sort.Ints(s)
-	return sat(2 * s[len(s)/2])
-}
-
-// AutoWidth derives an escalation width from the predicted-hard fault count:
-// the smallest power of two covering the hard tail, clamped to [4,
-// logic.MaxWordWidth].  A handful of hard faults shares one narrow word; a
-// long tail gets multi-word plane vectors up to the widest supported level
-// count.
-func AutoWidth(nHard int) int {
-	w := 4
-	for w < nHard && w < logic.MaxWordWidth {
-		w *= 2
-	}
-	return w
 }

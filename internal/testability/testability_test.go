@@ -346,83 +346,3 @@ func TestFaultScore(t *testing.T) {
 		t.Errorf("empty path score = %d, want 0", got)
 	}
 }
-
-// TestHardThreshold checks the cutoff policy: twice the upper median, so a
-// uniform population predicts nothing hard and an empty one predicts
-// everything easy.
-func TestHardThreshold(t *testing.T) {
-	if got := HardThreshold(nil); got != MaxMeasure {
-		t.Errorf("empty threshold = %d, want MaxMeasure", got)
-	}
-	uniform := []int{7, 7, 7, 7, 7}
-	if got := HardThreshold(uniform); got != 14 {
-		t.Errorf("uniform threshold = %d, want 14", got)
-	}
-	for _, s := range uniform {
-		if s > HardThreshold(uniform) {
-			t.Error("uniform population predicted a hard fault")
-		}
-	}
-	skewed := []int{1, 1, 1, 2, 100}
-	thr := HardThreshold(skewed)
-	if thr != 2 {
-		t.Errorf("skewed threshold = %d, want 2 (twice the upper median 1)", thr)
-	}
-	hard := 0
-	for _, s := range skewed {
-		if s > thr {
-			hard++
-		}
-	}
-	if hard != 1 {
-		t.Errorf("skewed population predicted %d hard faults, want 1 (the tail)", hard)
-	}
-	// The input slice must not be reordered.
-	if skewed[4] != 100 {
-		t.Error("HardThreshold mutated its input")
-	}
-	if got := HardThreshold([]int{MaxMeasure, MaxMeasure}); got != MaxMeasure {
-		t.Errorf("saturated threshold = %d, want MaxMeasure", got)
-	}
-}
-
-// TestAutoWidth checks the escalation width derivation: the smallest power
-// of two covering the hard tail, clamped to [4, MaxWordWidth].
-func TestAutoWidth(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{0, 4}, {1, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
-		{33, 64}, {64, 64}, {65, 128}, {128, 128}, {129, 256},
-		{400, 512}, {1000, logic.MaxWordWidth},
-	} {
-		if got := AutoWidth(tc.n); got != tc.want {
-			t.Errorf("AutoWidth(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestAutoWidthProperties checks the invariants every derived width must
-// satisfy regardless of the hard-fault count: a power of two, at least 4,
-// at most logic.MaxWordWidth, monotone in the count, and minimal (covering
-// the count whenever any legal width could).
-func TestAutoWidthProperties(t *testing.T) {
-	prev := 0
-	for n := -3; n <= 2*logic.MaxWordWidth; n++ {
-		w := AutoWidth(n)
-		if w < 4 || w > logic.MaxWordWidth {
-			t.Fatalf("AutoWidth(%d) = %d outside [4, %d]", n, w, logic.MaxWordWidth)
-		}
-		if w&(w-1) != 0 {
-			t.Fatalf("AutoWidth(%d) = %d is not a power of two", n, w)
-		}
-		if w < prev {
-			t.Fatalf("AutoWidth(%d) = %d < AutoWidth(%d) = %d, not monotone", n, w, n-1, prev)
-		}
-		if w < n && w < logic.MaxWordWidth {
-			t.Fatalf("AutoWidth(%d) = %d does not cover the tail despite room to grow", n, w)
-		}
-		if w > 4 && w/2 >= n {
-			t.Fatalf("AutoWidth(%d) = %d is not minimal (width %d already covers)", n, w, w/2)
-		}
-		prev = w
-	}
-}

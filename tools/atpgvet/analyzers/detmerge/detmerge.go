@@ -1,7 +1,7 @@
 // Package detmerge checks that the deterministic merge path stays
 // deterministic.  The sharded engine's guarantee — the merged test set and
 // result classifications are a pure function of the fault list, independent
-// of worker count, dispatch policy and steal interleaving — dies silently
+// of worker count and steal interleaving — dies silently
 // if any function on the merge path iterates a map (random order) or sorts
 // with sort.Slice (unstable) without a total comparator.
 //
