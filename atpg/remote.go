@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pattern"
-	"repro/internal/retry"
 	"repro/internal/service"
 )
 
@@ -123,7 +122,7 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 	if e.progress != nil {
 		jobErr = e.followEvents(ctx, cl, sub.JobID, func(Result) bool { return true })
 	} else {
-		_, jobErr = cl.Wait(ctx, sub.JobID, 0)
+		_, jobErr = cl.Wait(ctx, sub.JobID)
 	}
 	if jobErr != nil {
 		if ctx.Err() != nil {
@@ -149,50 +148,28 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 	return results, nil
 }
 
-// followEvents long-polls the job's settle events, feeding each decoded
-// result to the engine's progress callback and to yield.  It returns when
-// the stream reports done, yield stops it, or ctx ends.
-//
-// A transient failure of the feed — coordinator restart, dropped connection,
-// severed response — does not fail the job: the loop backs off and
-// reconnects, resuming from the last seen event sequence, so no settle event
-// is delivered twice and none is lost.  Only terminal errors (the job is
-// unknown, the request is malformed) or the caller's context ending stop it.
+// followEvents feeds the job's settle events, decoded, to the engine's
+// progress callback and to yield.  It returns when the feed reports done,
+// yield stops it, or ctx ends.  The feed reconnects through transient
+// failures (see service.Client.Follow), so no event is delivered twice and
+// none is lost.
 func (e *Engine) followEvents(ctx context.Context, cl *service.Client, jobID string, yield func(Result) bool) error {
-	from := 0
-	reconnect := retry.Policy{Initial: 200 * time.Millisecond, Max: 5 * time.Second, Attempts: -1}.Backoff()
-	for {
-		ev, err := cl.Events(ctx, jobID, from, 2000)
+	for w, err := range cl.Follow(ctx, jobID) {
 		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if retry.Classify(err) == retry.Transient && reconnect.Sleep(ctx, err) {
-				continue // same cursor: resume exactly where the feed broke
-			}
 			return err
 		}
-		reconnect.Reset()
-		for _, w := range ev.Events {
-			r, err := service.DecodeResult(e.circuit.c, w)
-			if err != nil {
-				return fmt.Errorf("atpg: remote event: %w", err)
-			}
-			if e.progress != nil {
-				e.progress(r)
-			}
-			if !yield(r) {
-				return nil
-			}
+		r, err := service.DecodeResult(e.circuit.c, w)
+		if err != nil {
+			return fmt.Errorf("atpg: remote event: %w", err)
 		}
-		from = ev.Next
-		if ev.Done {
+		if e.progress != nil {
+			e.progress(r)
+		}
+		if !yield(r) {
 			return nil
 		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 	}
+	return nil
 }
 
 // streamRemote is Stream against a coordinator: results arrive from the

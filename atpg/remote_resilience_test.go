@@ -118,8 +118,6 @@ func startProxiedService(t *testing.T, proxy *faultingProxy, n int) string {
 		wk := service.NewWorker(service.WorkerConfig{
 			Coordinator: srv.URL,
 			ID:          "w" + string(rune('1'+i)),
-			Poll:        10 * time.Millisecond,
-			JobPoll:     50 * time.Millisecond,
 		})
 		wg.Add(1)
 		go func() {
@@ -137,7 +135,7 @@ func startProxiedService(t *testing.T, proxy *faultingProxy, n int) string {
 }
 
 // TestRemoteEventsReconnect severs six consecutive event long-polls — enough
-// to exhaust the client's per-call retry budget and force followEvents'
+// to exhaust the client's per-call retry budget and force Client.Follow's
 // reconnect layer — and demands the run still complete on the SAME job: one
 // submission, every fault settling exactly once through the progress
 // callback, statuses bit-identical to a local run.

@@ -14,8 +14,9 @@ import (
 )
 
 // startService spins up a coordinator behind a real HTTP listener plus n
-// service workers polling it, and returns the base URL.  Cleanup stops the
-// workers before the server so their final polls cannot race a dead socket.
+// service workers leasing from it, and returns the base URL.  Cleanup stops
+// the workers before the server so their final leases cannot race a dead
+// socket.
 func startService(t *testing.T, n int) string {
 	t.Helper()
 	co, err := service.NewCoordinator(service.Config{})
@@ -29,8 +30,6 @@ func startService(t *testing.T, n int) string {
 		wk := service.NewWorker(service.WorkerConfig{
 			Coordinator: srv.URL,
 			ID:          "w" + string(rune('1'+i)),
-			Poll:        10 * time.Millisecond,
-			JobPoll:     50 * time.Millisecond,
 		})
 		wg.Add(1)
 		go func() {

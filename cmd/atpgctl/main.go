@@ -94,10 +94,14 @@ func main() {
 	}()
 
 	if *verbose {
-		if err := follow(ctx, cl, sub.JobID); err != nil {
-			fail(err)
+		// One line per fault as it settles, in tip -v's format.
+		for w, err := range cl.Follow(ctx, sub.JobID) {
+			if err != nil {
+				fail(err)
+			}
+			fmt.Printf("  %-60s %-12s %s\n", w.Describe, w.Status, w.Phase)
 		}
-	} else if _, err := cl.Wait(ctx, sub.JobID, 0); err != nil {
+	} else if _, err := cl.Wait(ctx, sub.JobID); err != nil {
 		fail(err)
 	}
 
@@ -164,28 +168,6 @@ func loadCircuit(name, file string) (*circuit.Circuit, string, error) {
 		return c, string(text), nil
 	}
 	return nil, "", fmt.Errorf("set -circuit or -bench")
-}
-
-// follow streams the job's settle events, printing one line per fault in
-// the same format as tip -v.
-func follow(ctx context.Context, cl *service.Client, jobID string) error {
-	from := 0
-	for {
-		ev, err := cl.Events(ctx, jobID, from, 2000)
-		if err != nil {
-			return err
-		}
-		for _, w := range ev.Events {
-			fmt.Printf("  %-60s %-12s %s\n", w.Describe, w.Status, w.Phase)
-		}
-		from = ev.Next
-		if ev.Done {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
 }
 
 func fail(err error) {

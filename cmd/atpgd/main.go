@@ -10,12 +10,16 @@
 // -ledger it journals every job to a JSON-lines file and resumes
 // interrupted jobs on restart.
 //
-// A worker polls the coordinator for leases, runs each unit through the
+// A worker leases units from the coordinator — each lease request waits on
+// the coordinator until a unit is leasable — runs them through the
 // bit-parallel generator and streams results back.  Killing a worker is
 // safe at any point: its outstanding leases expire and are requeued.
 //
-// Both roles shut down cleanly on SIGINT/SIGTERM; a worker prints its loop
-// counters (leases, units, idle polls, lease errors) on the way out.
+// Both roles shut down cleanly on SIGINT/SIGTERM.  A coordinator answers
+// every waiting and every new request 503 shutting-down, so it exits at
+// once even with workers attached, and with -ledger the next start resumes
+// its jobs.  A worker prints its loop counters (leases, units, empty lease
+// waits, lease errors) on the way out.
 //
 // Both roles accept -chaos, a comma-separated fault-injection spec (e.g.
 // -chaos "seed=7,drop=0.1,sever=0.05,storm-after=200") for resilience
@@ -56,7 +60,6 @@ func main() {
 		coordinator = flag.String("coordinator", "http://127.0.0.1:9090", "coordinator base URL (worker role)")
 		id          = flag.String("id", "", "worker ID; must be unique per fleet (default: host/pid derived)")
 		maxUnits    = flag.Int("max-units", 4, "units requested per lease (worker role)")
-		poll        = flag.Duration("poll", 100*time.Millisecond, "lease poll interval when idle (worker role)")
 
 		// Shared.
 		chaosSpec = flag.String("chaos", "", "fault-injection spec, e.g. seed=7,drop=0.1,sever=0.05,tear=0.1,storm-after=200 (empty = off)")
@@ -96,17 +99,16 @@ func main() {
 			host, _ := os.Hostname()
 			wid = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		fmt.Printf("atpgd: worker %s polling %s\n", wid, *coordinator)
+		fmt.Printf("atpgd: worker %s leasing from %s\n", wid, *coordinator)
 		wk := service.NewWorker(service.WorkerConfig{
 			Coordinator: *coordinator,
 			ID:          wid,
 			MaxUnits:    *maxUnits,
-			Poll:        *poll,
 			Transport:   inj.Transport(nil),
 		})
 		err = wk.Run(ctx)
 		cnt := wk.Counters()
-		fmt.Printf("atpgd: worker %s: %d leases, %d units, %d idle polls, %d lease errors\n",
+		fmt.Printf("atpgd: worker %s: %d leases, %d units, %d empty lease waits, %d lease errors\n",
 			wid, cnt.Leases, cnt.Units, cnt.IdlePolls, cnt.LeaseErrors)
 	default:
 		err = fmt.Errorf("unknown role %q (want coordinator or worker)", *role)
@@ -119,13 +121,16 @@ func main() {
 
 // runCoordinator serves the coordinator until ctx is canceled, then shuts
 // the HTTP server down and closes the coordinator — which, with a ledger,
-// leaves running jobs resumable by the next start.
+// leaves running jobs resumable by the next start.  The coordinator's own
+// shutdown starts with the server's, so waiting requests end at once
+// instead of holding Shutdown up.
 func runCoordinator(ctx context.Context, cfg service.Config, listen string) error {
 	co, err := service.NewCoordinator(cfg)
 	if err != nil {
 		return err
 	}
 	srv := &http.Server{Addr: listen, Handler: co}
+	srv.RegisterOnShutdown(co.BeginShutdown)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	if cfg.LedgerDir != "" {

@@ -9,7 +9,7 @@
 //   - retry.Do wraps one operation: it retries transient failures under the
 //     policy's budget and stops immediately on terminal ones.
 //   - Policy.Backoff hands loops that own their own retry structure (the
-//     worker lease loop, the facade's reconnecting long-polls) a jittered
+//     worker lease loop, the client's reconnecting long-polls) a jittered
 //     delay sequence without the Do wrapper.
 //
 // Classification is deliberately conservative about what is terminal:

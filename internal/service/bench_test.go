@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // BenchmarkServiceCache measures the compiled-circuit cache on the
@@ -33,7 +32,7 @@ func BenchmarkServiceCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := cl.Wait(ctx, sub.JobID, time.Millisecond); err != nil {
+			if _, err := cl.Wait(ctx, sub.JobID); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -26,17 +28,22 @@ var ErrUnknownCircuit = errors.New("service: circuit not cached on coordinator")
 // these replace.
 const (
 	// opTimeout bounds one attempt of a short control-plane call
-	// (status, cancel, lease, spec, patterns, posting results).
+	// (cancel, spec, patterns, posting results).
 	opTimeout = 15 * time.Second
 	// submitTimeout bounds one submit attempt, which may carry the full
 	// bench text and pay for parse + levelization on the coordinator.
 	submitTimeout = 60 * time.Second
 	// fetchTimeout bounds one bulk download attempt (results, bench text).
 	fetchTimeout = 60 * time.Second
-	// eventsMargin rides on top of the server's long-poll wait window: the
-	// attempt deadline is the requested wait plus this slack, so a long
-	// poll is never cut short by the client while the server still holds it.
-	eventsMargin = 15 * time.Second
+	// longPollMargin rides on top of a long-poll's wait window (status,
+	// lease, events): the attempt deadline is the requested wait plus this
+	// slack, so a long poll is never cut short by the client while the
+	// server still holds it.  With no wait it is the opTimeout of a plain
+	// call.
+	longPollMargin = 15 * time.Second
+	// longPollWait is the window Wait, Follow and the worker's lease loop
+	// ask the coordinator to hold a request open, inside its 30 s cap.
+	longPollWait = 25 * time.Second
 )
 
 // APIError is a non-2xx coordinator response.  It exposes its status code
@@ -228,20 +235,75 @@ func (cl *Client) SubmitBench(ctx context.Context, name, bench string, opts JobO
 
 // Status fetches a job's lifecycle state and dispatch counters.
 func (cl *Client) Status(ctx context.Context, jobID string) (JobStatus, error) {
+	return cl.statusWait(ctx, jobID, "", 0)
+}
+
+// statusWait fetches a job's status once it is no longer in state seen,
+// letting the coordinator hold the request for up to wait.
+func (cl *Client) statusWait(ctx context.Context, jobID, seen string, wait time.Duration) (JobStatus, error) {
 	var st JobStatus
-	_, err := cl.call(ctx, cl.wide, opTimeout, http.MethodGet, "/jobs/"+jobID, nil, &st)
+	path := "/jobs/" + jobID
+	if wait > 0 {
+		path += fmt.Sprintf("?state=%s&wait_ms=%d", url.QueryEscape(seen), wait.Milliseconds())
+	}
+	_, err := cl.call(ctx, cl.wide, wait+longPollMargin, http.MethodGet, path, nil, &st)
 	return st, err
 }
 
 // Events long-polls the job's settle-event stream from the given cursor.
 // The attempt deadline tracks the requested wait window, so the caller's
 // context — not a fixed client timeout — decides how long to keep polling.
-func (cl *Client) Events(ctx context.Context, jobID string, from, waitMS int) (EventsResponse, error) {
+func (cl *Client) Events(ctx context.Context, jobID string, from int, wait time.Duration) (EventsResponse, error) {
 	var resp EventsResponse
-	path := fmt.Sprintf("/jobs/%s/events?from=%d&wait_ms=%d", jobID, from, waitMS)
-	timeout := time.Duration(waitMS)*time.Millisecond + eventsMargin
-	_, err := cl.call(ctx, cl.wide, timeout, http.MethodGet, path, nil, &resp)
+	path := fmt.Sprintf("/jobs/%s/events?from=%d&wait_ms=%d", jobID, from, wait.Milliseconds())
+	_, err := cl.call(ctx, cl.wide, wait+longPollMargin, http.MethodGet, path, nil, &resp)
 	return resp, err
+}
+
+// Follow yields the job's settle events in order, from the first, until the
+// feed reports done; breaking out of the loop stops it.  A transient
+// failure of the feed — a coordinator restart, a dropped connection, a
+// severed response — does not end it: Follow backs off and resumes from the
+// last event it yielded, so no event arrives twice and none is lost.  A
+// terminal error (the job is unknown) or the end of ctx is yielded once,
+// with a zero event, and ends the stream.
+func (cl *Client) Follow(ctx context.Context, jobID string) iter.Seq2[WireResult, error] {
+	return func(yield func(WireResult, error) bool) {
+		bo := cl.reconnect()
+		from := 0
+		for {
+			ev, err := cl.Events(ctx, jobID, from, longPollWait)
+			if err != nil {
+				if ctx.Err() == nil && retry.Classify(err) == retry.Transient && bo.Sleep(ctx, err) {
+					continue // same cursor: resume exactly where the feed broke
+				}
+				if ctx.Err() != nil {
+					err = ctx.Err()
+				}
+				yield(WireResult{}, err)
+				return
+			}
+			bo.Reset()
+			for _, w := range ev.Events {
+				if !yield(w, nil) {
+					return
+				}
+			}
+			from = ev.Next
+			if ev.Done {
+				return
+			}
+		}
+	}
+}
+
+// reconnect is the backoff of the loops that outlive any one call (Wait,
+// Follow): the wide policy without an attempt budget, so the context, not
+// a count, ends them.
+func (cl *Client) reconnect() *retry.Backoff {
+	p := cl.wide
+	p.Attempts = -1
+	return p.Backoff()
 }
 
 // Results fetches a finished job's full outcome.  Because the coordinator
@@ -261,37 +323,27 @@ func (cl *Client) Cancel(ctx context.Context, jobID string) (JobStatus, error) {
 	return st, err
 }
 
-// Wait polls until the job reaches a terminal state.  Transient poll
-// failures — a restarting coordinator, a severed connection — back off with
-// jitter and resume; only a terminal error (the job is unknown, the caller's
-// context ended) surfaces.  The context owns the overall deadline.
-func (cl *Client) Wait(ctx context.Context, jobID string, poll time.Duration) (JobStatus, error) {
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	reconnect := cl.wide
-	reconnect.Attempts = -1 // the context, not an attempt budget, ends the wait
-	bo := reconnect.Backoff()
+// Wait blocks until the job reaches a terminal state.  Each request parks
+// on the coordinator until the job's state changes, so the end of the job
+// is noticed at once.  Transient failures — a restarting coordinator, a
+// severed connection — back off with jitter and resume; only a terminal
+// error (the job is unknown, the caller's context ended) surfaces.  The
+// context owns the overall deadline.
+func (cl *Client) Wait(ctx context.Context, jobID string) (JobStatus, error) {
+	bo := cl.reconnect()
+	var st JobStatus
 	for {
-		st, err := cl.Status(ctx, jobID)
+		next, err := cl.statusWait(ctx, jobID, st.State, longPollWait)
 		if err != nil {
-			if ctx.Err() != nil || retry.Classify(err) == retry.Terminal {
-				return st, err
-			}
-			if !bo.Sleep(ctx, err) {
+			if ctx.Err() != nil || retry.Classify(err) == retry.Terminal || !bo.Sleep(ctx, err) {
 				return st, err
 			}
 			continue
 		}
 		bo.Reset()
-		switch st.State {
-		case stateDone, stateCanceled, stateFailed:
+		st = next
+		if terminal(st.State) {
 			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(poll):
 		}
 	}
 }
@@ -332,12 +384,15 @@ func (cl *Client) CircuitBench(ctx context.Context, hash string) (string, error)
 	return text, err
 }
 
-// Lease asks the coordinator for up to maxUnits work units.  ok is false
-// when nothing is leasable right now (HTTP 204).  Retrying a lost lease is
-// safe: if the grant never arrived, its TTL expires and the units requeue.
-func (cl *Client) Lease(ctx context.Context, worker string, maxUnits int) (LeaseResponse, bool, error) {
+// Lease asks the coordinator for up to maxUnits work units, letting it hold
+// the request for up to wait until one is leasable (0 answers at once).  ok
+// is false when nothing was leasable within the wait (HTTP 204).  Retrying
+// a lost lease is safe: if the grant never arrived, its TTL expires and the
+// units requeue.
+func (cl *Client) Lease(ctx context.Context, worker string, maxUnits int, wait time.Duration) (LeaseResponse, bool, error) {
 	var resp LeaseResponse
-	code, err := cl.call(ctx, cl.wide, opTimeout, http.MethodPost, "/lease", LeaseRequest{Worker: worker, MaxUnits: maxUnits}, &resp)
+	req := LeaseRequest{Worker: worker, MaxUnits: maxUnits, WaitMS: int(wait.Milliseconds())}
+	code, err := cl.call(ctx, cl.wide, wait+longPollMargin, http.MethodPost, "/lease", req, &resp)
 	if err != nil {
 		return resp, false, err
 	}

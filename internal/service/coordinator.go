@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -119,6 +120,13 @@ type Coordinator struct {
 	sem  chan struct{} // bounds concurrently generating jobs
 	wg   sync.WaitGroup
 
+	// work fires whenever units may have become leasable: a pass starts or
+	// the expiry sweep requeues units.  Parked leases wait on it.
+	work broadcast
+	// drain is closed when shutdown begins (BeginShutdown).
+	drain     chan struct{}
+	drainOnce sync.Once
+
 	mu     sync.Mutex
 	jobs   map[string]*job
 	order  []string // submission order; leases scan oldest-first
@@ -146,6 +154,7 @@ type job struct {
 
 	mu         sync.Mutex
 	state      string
+	stateSig   broadcast // fires on every state change
 	rr         *core.RemoteRun
 	pass       *passState // current pass, nil between passes
 	passSeq    int
@@ -158,7 +167,7 @@ type job struct {
 	evMu   sync.Mutex
 	events []WireResult
 	evDone bool
-	evCh   chan struct{} // closed+replaced on every append (broadcast)
+	evSig  broadcast // fires on every append and when the feed closes
 }
 
 // passState is the leasable surface of the pass currently being dispatched.
@@ -222,6 +231,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ctx:    ctx,
 		stop:   stop,
 		sem:    make(chan struct{}, cfg.MaxActive),
+		drain:  make(chan struct{}),
 		jobs:   make(map[string]*job),
 		nextID: 1,
 	}
@@ -235,10 +245,12 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
-// Close stops the coordinator: running jobs are canceled with the shutdown
-// cause, which records no terminal ledger state — a coordinator restarted on
-// the same ledger directory resumes them where they left off.
+// Close stops the coordinator: it begins the shutdown (see BeginShutdown),
+// then cancels running jobs with the shutdown cause, which records no
+// terminal ledger state — a coordinator restarted on the same ledger
+// directory resumes them where they left off.
 func (co *Coordinator) Close() {
+	co.BeginShutdown()
 	co.stop(errShutdown)
 	co.wg.Wait()
 }
@@ -251,6 +263,10 @@ func (co *Coordinator) Cache() *Cache { return co.cache }
 func (co *Coordinator) now() time.Time { return co.cfg.Clock() }
 
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if co.draining() {
+		writeShutdown(w)
+		return
+	}
 	co.mux.ServeHTTP(w, r)
 }
 
@@ -293,7 +309,6 @@ func (co *Coordinator) addJob(j *job) {
 	j.ctx, j.cancel = jctx, cancel
 	j.state = stateQueued
 	j.exch = newRing(co.cfg.ExchangeCap)
-	j.evCh = make(chan struct{})
 	co.mu.Lock()
 	co.jobs[j.id] = j
 	co.order = append(co.order, j.id)
@@ -358,6 +373,7 @@ func (j *job) finalize(results []WireResult, tests string, stats core.Stats) {
 	j.mu.Lock()
 	j.results, j.testsText, j.stats, j.state = results, tests, stats, state
 	j.mu.Unlock()
+	j.stateSig.fire()
 	if persist {
 		j.ledger.RecordState(state)
 	}
@@ -368,6 +384,11 @@ func (j *job) setState(s string) {
 	j.mu.Lock()
 	j.state = s
 	j.mu.Unlock()
+	j.stateSig.fire()
+}
+
+func terminal(state string) bool {
+	return state == stateDone || state == stateCanceled || state == stateFailed
 }
 
 // runPass dispatches one pass's units through the lease queue and blocks
@@ -382,9 +403,10 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 	j.pass = &passState{seq: seq, q: q, units: units}
 	j.replayPassLocked(seq, spec, units, q)
 	j.mu.Unlock()
+	co.work.fire()
 
 	// Requeue sweep: units whose lease expired (worker died or stalled)
-	// become leasable again without waiting for the next Lease call.
+	// become leasable again, and parked leases wake to take them.
 	tctx, stopTick := context.WithCancel(j.ctx)
 	var tick sync.WaitGroup
 	tick.Add(1)
@@ -395,7 +417,9 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 		for {
 			select {
 			case <-t.C:
-				q.Expire(co.now())
+				if q.Expire(co.now()) > 0 {
+					co.work.fire()
+				}
 			case <-tctx.Done():
 				return
 			}
@@ -487,17 +511,15 @@ func passMatches(lp LedgerPass, spec WireSpec, cut [][]int) bool {
 func (j *job) appendEvent(ev WireResult) {
 	j.evMu.Lock()
 	j.events = append(j.events, ev)
-	close(j.evCh)
-	j.evCh = make(chan struct{})
 	j.evMu.Unlock()
+	j.evSig.fire()
 }
 
 func (j *job) closeEvents() {
 	j.evMu.Lock()
 	j.evDone = true
-	close(j.evCh)
-	j.evCh = make(chan struct{})
 	j.evMu.Unlock()
+	j.evSig.fire()
 }
 
 func (j *job) settled() int {
@@ -689,13 +711,24 @@ func (co *Coordinator) statusOf(j *job) JobStatus {
 	return st
 }
 
+// handleStatus answers a job's status.  A request naming the state its
+// caller last saw (?state=running&wait_ms=…) parks until the job leaves
+// that state; it returns at once if the state already differs or is
+// terminal.
 func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := co.job(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, "unknown-job", "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, co.statusOf(j))
+	seen := r.URL.Query().Get("state")
+	var st JobStatus
+	if co.park(w, r, &j.stateSig, waitQuery(r), func() bool {
+		st = co.statusOf(j)
+		return st.State != seen || terminal(st.State)
+	}) {
+		co.reply(w, st)
+	}
 }
 
 func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -705,7 +738,7 @@ func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.cancel(errClientCancel)
-	writeJSON(w, http.StatusOK, co.statusOf(j))
+	co.reply(w, co.statusOf(j))
 }
 
 func (co *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
@@ -747,7 +780,7 @@ func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := ResultsResponse{JobID: j.id, State: j.state, Results: j.results, Tests: j.testsText, Stats: j.stats}
 	j.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	co.reply(w, resp)
 }
 
 func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -757,40 +790,20 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
-	if from < 0 {
-		from = 0
-	}
-	waitMS, _ := strconv.Atoi(r.URL.Query().Get("wait_ms"))
-	if waitMS > 30000 {
-		waitMS = 30000
-	}
-	deadline := time.Now().Add(time.Duration(waitMS) * time.Millisecond)
-	for {
+	from = max(from, 0)
+	var resp EventsResponse
+	if co.park(w, r, &j.evSig, waitQuery(r), func() bool {
 		j.evMu.Lock()
-		if from < len(j.events) || j.evDone || !time.Now().Before(deadline) {
-			if from > len(j.events) {
-				from = len(j.events)
-			}
-			resp := EventsResponse{
-				Events: append([]WireResult(nil), j.events[from:]...),
-				Next:   len(j.events),
-				Done:   j.evDone,
-			}
-			j.evMu.Unlock()
-			writeJSON(w, http.StatusOK, resp)
-			return
+		defer j.evMu.Unlock()
+		from = min(from, len(j.events))
+		resp = EventsResponse{
+			Events: append([]WireResult(nil), j.events[from:]...),
+			Next:   len(j.events),
+			Done:   j.evDone,
 		}
-		ch := j.evCh
-		j.evMu.Unlock()
-		wait := time.NewTimer(time.Until(deadline))
-		select {
-		case <-ch:
-		case <-wait.C:
-		case <-r.Context().Done():
-			wait.Stop()
-			return
-		}
-		wait.Stop()
+		return len(resp.Events) > 0 || resp.Done
+	}) {
+		co.reply(w, resp)
 	}
 }
 
@@ -806,10 +819,18 @@ func (co *Coordinator) handlePatterns(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLease hands out units of the oldest running job that has pending
-// work.  204 means nothing is leasable right now; the worker backs off.
+// work.  A request with a wait window parks until a unit is leasable; 204
+// means nothing was leasable within it.
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	// Read the body to its end: net/http notices that a parked client hung
+	// up only once the request body is consumed.
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+		return
+	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
 		return
 	}
@@ -821,10 +842,29 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = co.cfg.UnitsPerLease
 	}
+	var (
+		resp    LeaseResponse
+		granted bool
+	)
+	if !co.park(w, r, &co.work, waitMS(req.WaitMS), func() bool {
+		resp, granted = co.lease(req.Worker, max)
+		return granted
+	}) {
+		return
+	}
+	if !granted {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// lease takes up to max units for worker from the oldest running job with
+// pending work.
+func (co *Coordinator) lease(worker string, max int) (LeaseResponse, bool) {
 	co.mu.Lock()
-	order := append([]string(nil), co.order...)
-	jobs := make([]*job, 0, len(order))
-	for _, id := range order {
+	jobs := make([]*job, 0, len(co.order))
+	for _, id := range co.order {
 		jobs = append(jobs, co.jobs[id])
 	}
 	co.mu.Unlock()
@@ -834,7 +874,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			j.mu.Unlock()
 			continue
 		}
-		leased := j.pass.q.Lease(req.Worker, max, co.cfg.LeaseTTL, co.now())
+		leased := j.pass.q.Lease(worker, max, co.cfg.LeaseTTL, co.now())
 		if len(leased) == 0 {
 			j.mu.Unlock()
 			continue
@@ -849,10 +889,9 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			resp.Units = append(resp.Units, WireUnit{ID: lu.ID, Faults: lu.Unit.Faults})
 		}
 		j.mu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, true
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return LeaseResponse{}, false
 }
 
 // handlePostResults folds a worker's batch into the run.  Completion and

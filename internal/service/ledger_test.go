@@ -30,7 +30,7 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 	processed := make(map[int][]int)
 	done := 0
 	for done < n {
-		lease, ok, err := cl.Lease(ctx, worker, 1)
+		lease, ok, err := cl.Lease(ctx, worker, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestServiceLedgerResume(t *testing.T) {
 		t.Fatalf("resumed coordinator does not know job %s: %v", sub.JobID, err)
 	}
 	processed := driveWorker(t, clB, "wB", sub.JobID, c, 1<<30)
-	st, err := clB.Wait(ctx, sub.JobID, 10*time.Millisecond)
+	st, err := clB.Wait(ctx, sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestServiceLedgerTerminalNotResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveWorker(t, clA, "wA", sub.JobID, c, 1<<30)
-	if st, err := clA.Wait(ctx, sub.JobID, 10*time.Millisecond); err != nil || st.State != stateDone {
+	if st, err := clA.Wait(ctx, sub.JobID); err != nil || st.State != stateDone {
 		t.Fatalf("job did not finish cleanly: %v %+v", err, st)
 	}
 	srvA.Close()
@@ -245,7 +245,7 @@ func TestServiceLedgerResumeLegacySpec(t *testing.T) {
 			cl := NewClient(srv.URL)
 
 			processed := driveWorker(t, cl, "w", "j1", c, 1<<30)
-			st, err := cl.Wait(ctx, "j1", 10*time.Millisecond)
+			st, err := cl.Wait(ctx, "j1")
 			if err != nil {
 				t.Fatal(err)
 			}

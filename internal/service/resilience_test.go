@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,8 +58,6 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 		wk := NewWorker(WorkerConfig{
 			Coordinator: srv.URL,
 			ID:          "w" + string(rune('1'+i)),
-			Poll:        10 * time.Millisecond,
-			JobPoll:     50 * time.Millisecond,
 			Transport:   wkChaos.Transport(nil),
 		})
 		workers[i] = wk
@@ -76,7 +77,7 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Wait(context.Background(), sub.JobID, 20*time.Millisecond)
+	st, err := cl.Wait(context.Background(), sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	defer srvB.Close()
 	clB := NewClient(srvB.URL)
 	processed := driveWorker(t, clB, "wB", sub.JobID, c, 1<<30)
-	st, err := clB.Wait(ctx, sub.JobID, 10*time.Millisecond)
+	st, err := clB.Wait(ctx, sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,75 +357,83 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 	}
 }
 
-// TestWorkerBackoffCounters: a worker facing a dead coordinator must ramp
-// its error backoff beyond the poll period (and count the failures); an idle
-// worker must sleep a jittered poll within [Poll/2, 3*Poll/2).
+// TestWorkerBackoffCounters: a worker facing a dead coordinator counts its
+// failed lease round trips and backs off from the error floor up to the cap;
+// an idle worker on an empty coordinator parks its lease for the whole wait
+// window, so over a time T it sends at most ⌈T/window⌉+1 lease requests and
+// counts no lease error — not even for the call its own shutdown cuts short.
 func TestWorkerBackoffCounters(t *testing.T) {
-	const poll = 10 * time.Millisecond
-
 	// Dead coordinator: the URL refuses connections immediately.
 	dead := httptest.NewServer(nil)
 	deadURL := dead.URL
 	dead.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	wk := NewWorker(WorkerConfig{Coordinator: deadURL, ID: "dead", Poll: poll})
+	wk := NewWorker(WorkerConfig{Coordinator: deadURL, ID: "dead"})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		_ = wk.Run(ctx)
 	}()
 	deadline := time.Now().Add(15 * time.Second)
+	sawFirst := false
 	for {
 		cnt := wk.Counters()
+		if cnt.LeaseErrors == 1 && !sawFirst {
+			sawFirst = true
+			if cnt.Backoff != errBackoffFloor {
+				t.Errorf("first error backoff %v, want the %v floor", cnt.Backoff, errBackoffFloor)
+			}
+		}
 		if cnt.LeaseErrors >= 2 {
-			if cnt.Backoff < poll {
-				t.Errorf("error backoff %v below the poll period %v", cnt.Backoff, poll)
+			if cnt.Backoff < errBackoffFloor || cnt.Backoff > errBackoffCap {
+				t.Errorf("error backoff %v outside [%v, %v]", cnt.Backoff, errBackoffFloor, errBackoffCap)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("worker never counted 2 lease errors against a dead coordinator: %+v", cnt)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !sawFirst {
+		t.Error("never observed the first lease error alone")
 	}
 	cancel()
 	<-done
 
-	// Idle coordinator: jittered poll, no errors.
+	// Idle coordinator: count the lease requests that reach it.
 	co, err := NewCoordinator(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	srv := httptest.NewServer(co)
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == API+"/lease" {
+			requests.Add(1)
+		}
+		co.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
-	wk = NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "idle", Poll: poll})
+	wk = NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "idle"})
 	done = make(chan struct{})
 	go func() {
 		defer close(done)
 		_ = wk.Run(ctx)
 	}()
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		cnt := wk.Counters()
-		if cnt.IdlePolls >= 5 {
-			if cnt.Backoff < poll/2 || cnt.Backoff >= poll*3/2 {
-				t.Errorf("idle backoff %v outside the jitter window [%v, %v)", cnt.Backoff, poll/2, poll*3/2)
-			}
-			if cnt.LeaseErrors != 0 {
-				t.Errorf("idle worker counted %d lease errors", cnt.LeaseErrors)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never counted 5 idle polls: %+v", cnt)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	const idle = time.Second
+	time.Sleep(idle)
 	cancel()
 	<-done
+	limit := int64(math.Ceil(float64(idle)/float64(longPollWait))) + 1
+	if n := requests.Load(); n < 1 || n > limit {
+		t.Errorf("idle worker sent %d lease requests in %v, want 1..%d", n, idle, limit)
+	}
+	if cnt := wk.Counters(); cnt.LeaseErrors != 0 || cnt.Backoff != 0 {
+		t.Errorf("idle worker counted %d lease errors, backoff %v", cnt.LeaseErrors, cnt.Backoff)
+	}
 }
 
 // replayCut is the accounting replay derives from a loaded ledger, applying

@@ -62,8 +62,6 @@ func startWorkers(t *testing.T, url string, n int) (stop func()) {
 		wk := NewWorker(WorkerConfig{
 			Coordinator: url,
 			ID:          "w" + string(rune('1'+i)),
-			Poll:        10 * time.Millisecond,
-			JobPoll:     50 * time.Millisecond,
 		})
 		wg.Add(1)
 		go func() {
@@ -140,7 +138,7 @@ func TestServiceMatchesLocal(t *testing.T) {
 			if sub.Faults != len(faults) {
 				t.Fatalf("submit accepted %d faults, want %d", sub.Faults, len(faults))
 			}
-			st, err := cl.Wait(ctx, sub.JobID, 20*time.Millisecond)
+			st, err := cl.Wait(ctx, sub.JobID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,26 +214,19 @@ func TestServiceRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ghost leases a batch and never reports back.
-	var ghost LeaseResponse
-	for i := 0; i < 100; i++ {
-		lease, ok, err := cl.Lease(ctx, "ghost", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			ghost = lease
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The ghost leases a batch (parking until the pass starts) and never
+	// reports back.
+	ghost, ok, err := cl.Lease(ctx, "ghost", 2, longPollWait)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ghost.Units) == 0 {
+	if !ok || len(ghost.Units) == 0 {
 		t.Fatal("ghost never got a lease")
 	}
 
 	stop := startWorkers(t, srv.URL, 1)
 	defer stop()
-	st, err := cl.Wait(ctx, sub.JobID, 20*time.Millisecond)
+	st, err := cl.Wait(ctx, sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +290,7 @@ func TestServiceCancel(t *testing.T) {
 	if _, err := cl.Cancel(ctx, sub.JobID); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Wait(ctx, sub.JobID, 10*time.Millisecond)
+	st, err := cl.Wait(ctx, sub.JobID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +351,7 @@ func TestServiceMultiTenant(t *testing.T) {
 		tn.jobID = sub.JobID
 	}
 	for _, tn := range tenants {
-		st, err := cl.Wait(ctx, tn.jobID, 20*time.Millisecond)
+		st, err := cl.Wait(ctx, tn.jobID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +397,7 @@ func TestServiceEvents(t *testing.T) {
 	seen := 0
 	from := 0
 	for {
-		ev, err := cl.Events(ctx, sub.JobID, from, 2000)
+		ev, err := cl.Events(ctx, sub.JobID, from, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -393,10 +393,14 @@ type (
 		Replayed int `json:"replayed,omitempty"`
 	}
 
-	// LeaseRequest asks for up to MaxUnits units of any running job.
+	// LeaseRequest asks for up to MaxUnits units of any running job.  With
+	// WaitMS set, the coordinator holds the request until a unit is
+	// leasable or that many milliseconds pass (capped at 30 s); without it,
+	// an empty queue answers 204 at once.
 	LeaseRequest struct {
 		Worker   string `json:"worker"`
 		MaxUnits int    `json:"max_units,omitempty"`
+		WaitMS   int    `json:"wait_ms,omitempty"`
 	}
 
 	// LeaseResponse hands out a batch of whole units of one job's current

@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"errors"
 	"hash/fnv"
-	"math/rand"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -26,24 +24,21 @@ type WorkerConfig struct {
 	// MaxUnits is the lease batch size: leasing several units per round
 	// trip amortizes the wire latency over more generation work.  Default 4.
 	MaxUnits int
-	// Poll is the idle backoff when nothing is leasable.  Default 100ms.
-	// The actual sleep is jittered in [Poll/2, 3*Poll/2) — a fleet of idle
-	// workers spreads out instead of leasing in lockstep — and coordinator
-	// errors back off exponentially from Poll instead of hammering a
-	// restarting coordinator on a flat period.
-	Poll time.Duration
-	// JobPoll is the period of the per-job status watch that propagates
-	// coordinator-side cancellation into running generation.  Default 500ms.
-	JobPoll time.Duration
 	// CacheSize bounds the worker's own compiled-circuit cache.  Default 64.
 	CacheSize int
 	// Transport overrides the HTTP transport of the worker's client — the
 	// chaos injector enters here.  nil uses the default transport.
 	Transport http.RoundTripper
-	// Seed pins the jitter sequence; 0 derives a stable per-ID seed, so a
-	// named worker's idle schedule is reproducible but fleet-unique.
-	Seed int64
 }
+
+// The error backoff of the lease loop: after a failed lease round trip the
+// worker sleeps a decorrelated-jitter delay from errBackoffFloor up to
+// errBackoffCap — generous enough to ride out a coordinator restart, short
+// enough to rejoin promptly.
+const (
+	errBackoffFloor = 100 * time.Millisecond
+	errBackoffCap   = 2 * time.Second
+)
 
 // WorkerCounters exposes the loop's behavior: tests and operators read them
 // to verify backoff actually engaged instead of inferring it from logs.
@@ -52,12 +47,14 @@ type WorkerCounters struct {
 	Leases int64
 	// Units counts work units processed (whether or not the post landed).
 	Units int64
-	// IdlePolls counts empty (204) lease responses.
+	// IdlePolls counts lease waits that ended empty: the coordinator held
+	// the request for its whole window without a unit to grant.
 	IdlePolls int64
 	// LeaseErrors counts failed lease round trips (after client retries).
+	// A call cut short by the worker's own context is not one.
 	LeaseErrors int64
-	// Backoff is the effective backoff: the duration of the most recent
-	// idle or error sleep.
+	// Backoff is the most recent error backoff sleep; 0 once a lease round
+	// trip succeeds again.
 	Backoff time.Duration
 }
 
@@ -67,12 +64,6 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	}
 	if cfg.MaxUnits <= 0 {
 		cfg.MaxUnits = 4
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 100 * time.Millisecond
-	}
-	if cfg.JobPoll <= 0 {
-		cfg.JobPoll = 500 * time.Millisecond
 	}
 	return cfg
 }
@@ -92,7 +83,6 @@ type Worker struct {
 	backoffNS                             atomic.Int64
 
 	mu   sync.Mutex
-	rng  *rand.Rand // jitter source; guarded by mu
 	jobs map[string]*workerJob
 }
 
@@ -117,17 +107,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Transport != nil {
 		opts = append(opts, WithTransport(cfg.Transport))
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(cfg.ID))
-		seed = int64(h.Sum64())
-	}
 	return &Worker{
 		cfg:   cfg,
 		cl:    NewClient(cfg.Coordinator, opts...),
 		cache: NewCache(cfg.CacheSize),
-		rng:   rand.New(rand.NewSource(seed)),
 		jobs:  make(map[string]*workerJob),
 	}
 }
@@ -143,40 +126,40 @@ func (wk *Worker) Counters() WorkerCounters {
 	}
 }
 
-// idleJitter draws the next idle sleep from [Poll/2, 3*Poll/2).
-func (wk *Worker) idleJitter() time.Duration {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	return wk.cfg.Poll/2 + time.Duration(wk.rng.Int63n(int64(wk.cfg.Poll)))
-}
-
-// Run leases and processes units until the context ends.  Transient
-// coordinator errors (it may be restarting) back off with decorrelated
-// jitter — from Poll up to errorBackoffCap — instead of hammering a
-// recovering coordinator on a flat period; idle polls sleep a jittered
-// Poll so a fleet of idle workers does not lease in lockstep.
+// Run leases and processes units until the context ends.  Each lease
+// request parks on the coordinator until a unit is leasable or the wait
+// window ends, so an idle worker sends one request per window and picks up
+// a new pass the moment it starts.  A failed round trip (the coordinator
+// may be restarting) backs off with decorrelated jitter between
+// errBackoffFloor and errBackoffCap instead of hammering it; the jitter
+// seed derives from the worker ID, so a named worker's schedule replays.
 //
 //atpgvet:ctxloop
 func (wk *Worker) Run(ctx context.Context) error {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(wk.cfg.ID))
 	errBackoff := retry.Policy{
-		Initial:  wk.cfg.Poll,
-		Max:      errorBackoffCap(wk.cfg.Poll),
+		Initial:  errBackoffFloor,
+		Max:      errBackoffCap,
 		Attempts: -1, // the context ends the loop, not an attempt budget
-		Seed:     wk.rng.Int63(),
+		Seed:     int64(h.Sum64()),
 	}.Backoff()
 	for ctx.Err() == nil {
-		lease, ok, err := wk.cl.Lease(ctx, wk.cfg.ID, wk.cfg.MaxUnits)
+		lease, ok, err := wk.cl.Lease(ctx, wk.cfg.ID, wk.cfg.MaxUnits, longPollWait)
 		switch {
+		case ctx.Err() != nil:
+			// The worker's own context ended the call: not a lease error.
 		case err != nil:
+			// Backoff before the count, so a reader that sees the error
+			// also sees its delay.
+			d, _ := errBackoff.Next() // no attempt budget: always ok
+			wk.backoffNS.Store(int64(d))
 			wk.leaseErrors.Add(1)
-			wk.backoffNS.Store(int64(nextDelay(errBackoff)))
-			wk.sleep(ctx, time.Duration(wk.backoffNS.Load()))
+			wk.sleep(ctx, d)
 		case !ok:
 			wk.idlePolls.Add(1)
 			errBackoff.Reset()
-			d := wk.idleJitter()
-			wk.backoffNS.Store(int64(d))
-			wk.sleep(ctx, d)
+			wk.backoffNS.Store(0)
 		default:
 			wk.leases.Add(1)
 			errBackoff.Reset()
@@ -186,26 +169,6 @@ func (wk *Worker) Run(ctx context.Context) error {
 	}
 	wk.dropAll()
 	return ctx.Err()
-}
-
-// errorBackoffCap bounds the error backoff: generous enough to ride out a
-// coordinator restart, short enough to rejoin promptly.
-func errorBackoffCap(poll time.Duration) time.Duration {
-	limit := 20 * poll
-	if limit < 2*time.Second {
-		limit = 2 * time.Second
-	}
-	if limit > 10*time.Second {
-		limit = 10 * time.Second
-	}
-	return limit
-}
-
-// nextDelay reads the backoff's next delay; the unlimited attempt budget
-// means ok can only be false on a time budget, which the policy does not set.
-func nextDelay(b *retry.Backoff) time.Duration {
-	d, _ := b.Next()
-	return d
 }
 
 func (wk *Worker) sleep(ctx context.Context, d time.Duration) {
@@ -340,33 +303,15 @@ func (wk *Worker) jobState(ctx context.Context, lease LeaseResponse) (*workerJob
 	return wj, nil
 }
 
-// watch propagates coordinator-side job termination into the worker: once
-// the job is done, canceled or gone, its context is canceled so in-flight
-// generation stops at the next check point.
+// watch propagates coordinator-side job termination into the worker: it
+// waits on the job's state, and once the job is done, canceled or gone,
+// cancels the job context so in-flight generation stops at the next check
+// point.
 func (wk *Worker) watch(wj *workerJob) {
-	t := time.NewTicker(wk.cfg.JobPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-wj.ctx.Done():
-			return
-		case <-t.C:
-			st, err := wk.cl.Status(wj.ctx, wj.id)
-			if err != nil {
-				var apiErr *APIError
-				if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-					wk.dropJob(wj.id)
-					return
-				}
-				continue // transient; the coordinator may be restarting
-			}
-			switch st.State {
-			case stateDone, stateCanceled, stateFailed:
-				wk.dropJob(wj.id)
-				return
-			}
-		}
+	if _, err := wk.cl.Wait(wj.ctx, wj.id); err != nil && wj.ctx.Err() != nil {
+		return // dropped already, or the worker is stopping
 	}
+	wk.dropJob(wj.id)
 }
 
 // dropJob cancels and forgets the worker's state for a job.
