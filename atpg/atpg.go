@@ -185,6 +185,9 @@ func (e *Engine) Run(ctx context.Context, faults []Fault) ([]Result, error) {
 		return results, fmt.Errorf("%w after %d of %d faults: %w",
 			ErrCanceled, settledCount(results), len(faults), context.Cause(ctx))
 	}
+	if err := e.gen.Err(); err != nil {
+		return results, fmt.Errorf("atpg: %w", err)
+	}
 	return results, nil
 }
 

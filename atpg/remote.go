@@ -107,6 +107,12 @@ func (e *Engine) importRemote(resp service.ResultsResponse) ([]Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atpg: remote test set: %w", err)
 	}
+	inputs := len(e.circuit.c.Inputs())
+	for i, p := range set.Pairs {
+		if p.Len() != inputs {
+			return nil, fmt.Errorf("atpg: remote test set: pattern %d has %d values for %d inputs", i, p.Len(), inputs)
+		}
+	}
 	return e.gen.ImportRemoteRun(results, set, resp.Stats), nil
 }
 

@@ -234,3 +234,26 @@ func TestRemoteCancelDeleteTimesOut(t *testing.T) {
 		t.Fatalf("Run took %v to return after cancel; cancelTimeout did not bound the DELETE", elapsed)
 	}
 }
+
+// TestRemoteImportRejectsWrongWidth feeds the import of a finished job a
+// test set whose pattern has one value more than the circuit has inputs:
+// the import must refuse it instead of appending a pattern no later
+// simulation of the engine's set could load.
+func TestRemoteImportRejectsWrongWidth(t *testing.T) {
+	c, err := Builtin("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(c.c.Inputs()) + 1
+	tests := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n) + "\n"
+	if _, err := e.importRemote(service.ResultsResponse{State: "done", Tests: tests}); err == nil {
+		t.Fatal("importing a wrong-width test set succeeded")
+	}
+	if e.Tests().Len() != 0 {
+		t.Fatalf("the refused import left %d patterns in the engine's set", e.Tests().Len())
+	}
+}

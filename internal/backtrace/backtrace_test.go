@@ -1,6 +1,7 @@
 package backtrace
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -93,7 +94,7 @@ func TestBacktraceRepeatedJustification(t *testing.T) {
 				if st.JustifiedMask().Bit(0) {
 					break
 				}
-				unj := st.Unjustified(0)
+				unj := unjustifiedAt(st, 0)
 				if len(unj) == 0 {
 					break
 				}
@@ -170,4 +171,19 @@ func TestBacktraceFailsWhenEverythingAssigned(t *testing.T) {
 	if _, ok := Backtrace(st, cc, c.NetByName("22"), logic.Final0, 0); ok {
 		t.Error("backtrace with all inputs assigned should fail")
 	}
+}
+
+// unjustifiedAt returns the nets st.UnjustifiedWord reports uncovered at the
+// given bit level, in topological order (the scan returns bucket order).
+func unjustifiedAt(st *implic.State, level int) []circuit.NetID {
+	nets, miss := st.UnjustifiedWord(level / logic.WordWidth)
+	var out []circuit.NetID
+	for i, n := range nets {
+		if miss[i]>>uint(level%logic.WordWidth)&1 != 0 {
+			out = append(out, n)
+		}
+	}
+	c := st.Circuit()
+	slices.SortFunc(out, func(a, b circuit.NetID) int { return c.OrderPos(a) - c.OrderPos(b) })
+	return out
 }

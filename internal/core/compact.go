@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/compact"
 	"repro/internal/faultsim"
 	"repro/internal/paths"
@@ -29,6 +31,7 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	sub := g.testSet.Slice(base)
 	compacted, st, err := compact.Compact(g.c, sub, faults, robust, g.opts.Compaction, g.opts.CompactionXFill)
 	if err != nil {
+		g.fail(fmt.Errorf("core: compacting the run's patterns: %w", err))
 		return
 	}
 	g.stats.Compaction.Add(st)
@@ -50,6 +53,9 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	// below base (an earlier run's pattern, untouched by this compaction)
 	// stay valid and are kept.
 	sim, simErr := faultsim.Run(g.c, compacted.Pairs, faults, robust)
+	if simErr != nil {
+		g.fail(fmt.Errorf("core: remapping pattern indices after compaction: %w", simErr))
+	}
 	for i := range results {
 		if !results[i].Status.Detected() {
 			continue

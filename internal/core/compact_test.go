@@ -176,3 +176,38 @@ func TestC7552ShardedCompactionReduction(t *testing.T) {
 			reduction*100, set.Len(), compacted.Len())
 	}
 }
+
+// TestFinishingErrorsAreReported plants a pattern of the wrong width in the
+// test set, which no path into the set lets through, and checks that the
+// drop reconciliation and the compaction report the simulation failure
+// through Err instead of returning without a trace.
+func TestFinishingErrorsAreReported(t *testing.T) {
+	c := bench.C17()
+	faults := paths.EnumerateFaults(c, 0)
+	wide := pattern.NewPair(len(c.Inputs()) + 1)
+
+	opts := DefaultOptions(sensitize.Robust)
+	g := New(c, opts)
+	results := g.Run(context.Background(), faults)
+	if err := g.Err(); err != nil {
+		t.Fatalf("clean run: Err = %v", err)
+	}
+	g.testSet.Add(wide, "wrong width")
+	results[0].Status, results[0].PatternIndex = DetectedBySim, -1
+	g.reconcileDrops(results)
+	if g.Err() == nil {
+		t.Error("reconcileDrops over a wrong-width pattern: Err = nil")
+	}
+
+	opts.Compaction = compact.Reverse
+	g = New(c, opts)
+	results = g.Run(context.Background(), faults)
+	if g.testSet.Len() < 2 {
+		t.Fatalf("c17 run emitted %d patterns, want at least 2", g.testSet.Len())
+	}
+	g.testSet.Add(wide, "wrong width")
+	g.compactRun(faults, results, 0)
+	if g.Err() == nil {
+		t.Error("compactRun over a wrong-width pattern: Err = nil")
+	}
+}

@@ -546,3 +546,44 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObjectives measures the objective selection of one FPTPG decision
+// round on a 64-fault c7552 group: ordering every alive level's unjustified
+// requirements and backtracing one objective per level, as runGroup does
+// before it assigns the inputs.  The state is the group's first round, right
+// after the launch implication.
+func BenchmarkObjectives(b *testing.B) {
+	c, err := bench.Get("c7552")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := New(c, DefaultOptions(sensitize.Robust))
+	faults := paths.SampleFaults(c, logic.WordWidth, 1995)
+	g.st.Reset(logic.LevelsMask(len(faults)))
+	for i, f := range faults {
+		r := &rec{fault: f}
+		if !g.sensitizeRec(r) {
+			b.Fatal("cannot sensitize a sampled fault")
+		}
+		bit := logic.BitMask(i)
+		for _, a := range r.cond.Assignments {
+			g.st.AddRequirement(a.Net, a.Value, bit)
+		}
+		g.st.AssignPI(f.Path.Input(), g.launchValue(f.Transition), bit)
+	}
+	conflict := g.st.Imply()
+	g.st.ForwardSim()
+	alive := g.st.Active().AndNot(conflict).AndNot(g.st.JustifiedMask())
+	if alive.IsZero() {
+		b.Fatal("no level of the group needs a decision")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.orderObjectives(alive)
+		for lvl := 0; lvl < len(faults); lvl++ {
+			if alive.Bit(lvl) {
+				g.findObjective(lvl)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/backtrace"
@@ -34,8 +35,10 @@ type Generator struct {
 	tm      *testability.Measures
 	sim     *faultsim.Simulator
 
-	// objBuf is the scratch buffer of orderObjectives, reused across calls.
-	objBuf []circuit.NetID
+	// objKeys holds each bit level's objective order (see orderObjectives);
+	// objs is the scratch result of findObjectives.
+	objKeys [][]uint64
+	objs    []backtrace.Objective
 
 	testSet *pattern.Set
 	stats   Stats
@@ -80,6 +83,9 @@ type Generator struct {
 	// sharded run, so faults claimed later are still checked against every
 	// foreign pattern that arrived before them.
 	foreign []pattern.Pair
+
+	// err is the first error a run's finishing passes hit (see Err).
+	err error
 }
 
 // rec is the per-fault working record.
@@ -116,6 +122,7 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 		sim:               faultsim.New(c),
 		testSet:           pattern.NewSet(c),
 		redundantPrefixes: make(map[string]bool),
+		objKeys:           make([][]uint64, opts.WordWidth),
 	}
 	if opts.WordWidth > logic.WordWidth {
 		g.aptpgSt = implic.NewState(c)
@@ -174,6 +181,22 @@ func (g *Generator) TestSet() *pattern.Set { return g.testSet }
 
 // Stats returns the accumulated statistics.
 func (g *Generator) Stats() Stats { return g.stats }
+
+// Err returns the first error the finishing passes of a run hit, or nil:
+// the drop reconciliation or the compaction failing to simulate the test
+// set.  Every pattern reaches the set from the generator's own verified
+// search or through a width check (remote outcomes, imported sets), so a
+// non-nil Err is a bug; it is reported rather than leaving classifications
+// unreconciled or the set uncompacted without a trace.  The error sticks:
+// the generator's test set and results are suspect from then on.
+func (g *Generator) Err() error { return g.err }
+
+// fail records err as the generator's error unless one is recorded already.
+func (g *Generator) fail(err error) {
+	if g.err == nil {
+		g.err = err
+	}
+}
 
 // Run generates tests for the given target faults and returns one result per
 // fault, in the same order.  The context bounds the run: when it is canceled
@@ -448,7 +471,10 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			break
 		}
 
-		// One backtrace-guided input assignment per still-alive level.
+		// One backtrace-guided input assignment per still-alive level.  The
+		// assignments only write the input plane and the simulation is not
+		// rerun before the next round, so one ordering serves every level.
+		g.orderObjectives(alive)
 		progress := false
 		for i, r := range batch {
 			if !alive.Bit(i) {
@@ -511,41 +537,52 @@ func (g *Generator) objectiveCost(net circuit.NetID, level int) int {
 	return g.tm.Cost(net, want)
 }
 
-// orderObjectives returns the unjustified nets of the bit level ordered
-// cheapest requirement first (by the controllability of the required value)
-// instead of the plain topological order of Unjustified: justifying the easy
-// requirements first lets their implications constrain the state before the
-// expensive ones are attacked, which measurably lowers the abort count on
-// the ISCAS circuits (hardest-first raised it).  Ties keep the topological
-// order, making the selection deterministic and identical for both
-// implication engines.  The returned slice is a generator-owned scratch
-// buffer, valid until the next call.
-func (g *Generator) orderObjectives(level int) []circuit.NetID {
-	nets := g.st.Unjustified(level)
-	g.objBuf = append(g.objBuf[:0], nets...)
-	buf := g.objBuf
-	// Insertion sort by ascending cost: the buffer is small (the open
-	// requirements of one level) and already deterministically ordered, and
-	// sorting in place keeps the hot path allocation-free.
-	for i := 1; i < len(buf); i++ {
-		net, cost := buf[i], g.objectiveCost(buf[i], level)
-		j := i
-		for j > 0 && g.objectiveCost(buf[j-1], level) > cost {
-			buf[j] = buf[j-1]
-			j--
+// orderObjectives orders the unjustified requirements of every level in
+// levels cheapest first (by objectiveCost), ties in topological order:
+// justifying the easy requirements first lets their implications constrain
+// the state before the expensive ones are attacked, which measurably lowers
+// the abort count on the ISCAS circuits (hardest-first raised it).  One
+// UnjustifiedWord scan per plane word serves all its levels.  Each
+// (net, level) requirement becomes the key cost<<32 | OrderPos(net) in
+// objKeys[level] — costs saturate at testability.MaxMeasure = 2^28, so the
+// key fits — and each level's keys are sorted once.  The order is valid
+// until the next ForwardSim; input assignments in between do not change it.
+func (g *Generator) orderObjectives(levels logic.Mask) {
+	for w, lw := range levels {
+		if lw == 0 {
+			continue
 		}
-		buf[j] = net
+		nets, miss := g.st.UnjustifiedWord(w)
+		for m := lw; m != 0; m &= m - 1 {
+			lvl := w*logic.WordWidth + bits.TrailingZeros64(m)
+			g.objKeys[lvl] = g.objKeys[lvl][:0]
+		}
+		for i, net := range nets {
+			pos := uint64(g.c.OrderPos(net))
+			for m := miss[i] & lw; m != 0; m &= m - 1 {
+				lvl := w*logic.WordWidth + bits.TrailingZeros64(m)
+				g.objKeys[lvl] = append(g.objKeys[lvl], uint64(g.objectiveCost(net, lvl))<<32|pos)
+			}
+		}
+		for m := lw; m != 0; m &= m - 1 {
+			slices.Sort(g.objKeys[w*logic.WordWidth+bits.TrailingZeros64(m)])
+		}
 	}
-	return buf
+}
+
+// objectiveNet returns the net of an orderObjectives key.
+func (g *Generator) objectiveNet(key uint64) circuit.NetID {
+	return g.c.TopoOrder()[uint32(key)]
 }
 
 // findObjective returns a primary input assignment helping to justify some
 // requirement that is still unjustified at the given bit level, preferring
-// the cheapest requirement (see orderObjectives).
+// the cheapest requirement.  orderObjectives must have ordered the level
+// since the last ForwardSim.
 func (g *Generator) findObjective(level int) (backtrace.Objective, bool) {
-	for _, net := range g.orderObjectives(level) {
-		want := g.st.ReqGet(net, level)
-		if obj, ok := backtrace.Backtrace(g.st, g.tm, net, want, level); ok {
+	for _, key := range g.objKeys[level] {
+		net := g.objectiveNet(key)
+		if obj, ok := backtrace.Backtrace(g.st, g.tm, net, g.st.ReqGet(net, level), level); ok {
 			return obj, true
 		}
 	}
@@ -555,22 +592,30 @@ func (g *Generator) findObjective(level int) (backtrace.Objective, bool) {
 // findObjectives collects up to max distinct primary input objectives from
 // the unjustified requirements of the given bit level, in the same
 // cheapest-first order as findObjective; APTPG enumerates all their value
-// combinations at once.
+// combinations at once.  The returned slice is a generator-owned scratch
+// buffer, valid until the next call.
+//
+//atpgvet:scratch
 func (g *Generator) findObjectives(level, max int) []backtrace.Objective {
-	var objs []backtrace.Objective
-	seen := make(map[circuit.NetID]bool)
-	for _, net := range g.orderObjectives(level) {
+	objs := g.objs[:0]
+keys:
+	for _, key := range g.objKeys[level] {
 		if len(objs) >= max {
 			break
 		}
-		want := g.st.ReqGet(net, level)
-		obj, ok := backtrace.Backtrace(g.st, g.tm, net, want, level)
-		if !ok || seen[obj.Input] {
+		net := g.objectiveNet(key)
+		obj, ok := backtrace.Backtrace(g.st, g.tm, net, g.st.ReqGet(net, level), level)
+		if !ok {
 			continue
 		}
-		seen[obj.Input] = true
+		for _, o := range objs {
+			if o.Input == obj.Input {
+				continue keys
+			}
+		}
 		objs = append(objs, obj)
 	}
+	g.objs = objs
 	return objs
 }
 
@@ -758,6 +803,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		// in Section 3.2 of the paper.  Beyond the budget, decisions are
 		// conventional: one input, one value on all levels.
 		lvl := aliveMask.TrailingZeros()
+		g.orderObjectives(logic.BitMask(lvl))
 		if enumCount < maxEnum {
 			objs := g.findObjectives(lvl, maxEnum-enumCount)
 			if len(objs) == 0 {
@@ -1028,44 +1074,62 @@ func (g *Generator) pruneIfKnownRedundant(r *rec) bool {
 // records it so later faults sharing the prefix are pruned, exactly as in
 // the Figure 1 discussion of the paper ("all paths containing this subpath
 // are proved to be redundant, too").
+//
+// The candidate lengths are tested bit-parallel on the one-word prune state:
+// bit level k carries the conditions of one candidate length (the
+// assignments with Pos below it) plus the launch, so one implication tests up
+// to 64 lengths.  Requirements grow with the length, so the conflicting
+// levels are a suffix of the candidates and the lowest one is the shortest
+// conflicting prefix.  A path of at most 65 nets is settled in one round,
+// level k carrying length k+2; a longer one spreads 64 lengths over the open
+// range and narrows the range 64 times per round.
 func (g *Generator) recordRedundantPrefix(r *rec) {
 	if !r.sensOK {
 		return
 	}
 	nets := r.fault.Path.Nets
-	// Binary search for the smallest conflicting prefix length: requirements
-	// grow with the prefix, so conflicts are monotone in the length.
+	launch := g.launchValue(r.fault.Transition)
+	var lengths [logic.WordWidth]int
+	// Once a round has found a conflict, hi is the shortest conflicting
+	// length seen and the shortest of all lies in [lo, hi]; every round
+	// tests hi again, so a round without a conflict is the first one.
 	lo, hi := 2, len(nets)
-	if !g.prefixConflicts(r, hi) {
-		return // the conflict needs the whole path plus implications elsewhere
+	if hi < lo {
+		return
 	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.prefixConflicts(r, mid) {
-			hi = mid
-		} else {
-			lo = mid + 1
+	for {
+		n := hi - lo + 1
+		levels := min(n, logic.WordWidth)
+		for k := 0; k < levels; k++ {
+			lengths[k] = lo + (k+1)*n/levels - 1
+		}
+		all := logic.LevelsMask(levels)
+		g.pruneSt.Reset(all)
+		for _, a := range r.cond.Assignments {
+			// The assignment belongs to every candidate longer than its
+			// position: the levels from the first such length upwards.
+			k, _ := slices.BinarySearch(lengths[:levels], int(a.Pos)+1)
+			if k < levels {
+				g.pruneSt.AddRequirement(a.Net, a.Value, all.AndNot(logic.LevelsMask(k)))
+			}
+		}
+		g.pruneSt.AssignPI(r.fault.Path.Input(), launch, all)
+		conf := g.pruneSt.Imply()
+		if conf.IsZero() {
+			return // the conflict needs the whole path plus implications elsewhere
+		}
+		k := conf.TrailingZeros()
+		if k > 0 {
+			lo = lengths[k-1] + 1
+		}
+		hi = lengths[k]
+		if lo == hi {
+			break
 		}
 	}
 	key := prefixKeyBuilder(r.fault.Transition)
-	for i := 0; i < lo; i++ {
+	for i := 0; i < hi; i++ {
 		key.add(nets[i])
 	}
 	g.redundantPrefixes[key.String()] = true
-}
-
-// prefixConflicts reports whether the sensitization requirements of the
-// first n nets of the fault's path are contradictory on their own.
-func (g *Generator) prefixConflicts(r *rec, n int) bool {
-	conds, err := sensitize.SensitizeSubpath(g.c, r.fault, g.opts.Mode, n)
-	if err != nil {
-		return false
-	}
-	one := logic.LevelsMask(1)
-	g.pruneSt.Reset(one)
-	for _, a := range conds.Assignments {
-		g.pruneSt.AddRequirement(a.Net, a.Value, one)
-	}
-	g.pruneSt.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), one)
-	return g.pruneSt.Imply().Bit(0)
 }

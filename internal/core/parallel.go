@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -206,6 +207,7 @@ func (g *Generator) reconcileDrops(results []FaultResult) {
 	sim, err := faultsim.Run(g.c, g.testSet.Pairs, checked,
 		g.opts.Mode == sensitize.Robust)
 	if err != nil {
+		g.fail(fmt.Errorf("core: reconciling simulation drops: %w", err))
 		return
 	}
 	for i, j := range idx {

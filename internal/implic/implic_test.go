@@ -338,9 +338,12 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	if !st.JustifiedMask().IsZero() {
 		t.Error("nothing should be justified before any input assignment")
 	}
-	unj := st.Unjustified(0)
-	if len(unj) != 1 || unj[0] != n16 {
-		t.Errorf("Unjustified(0) = %v, want [16]", unj)
+	if unj := unjustifiedAt(st, 0); len(unj) != 1 || unj[0] != n16 {
+		t.Errorf("unjustified nets at level 0 = %v, want [16]", unj)
+	}
+	// One scan reports both levels: 16's miss word covers levels 0 and 1.
+	if nets, miss := st.UnjustifiedWord(0); len(nets) != 1 || nets[0] != n16 || miss[0] != 0b11 {
+		t.Errorf("UnjustifiedWord(0) = %v %v, want [16] [0b11]", nets, miss)
 	}
 	// Setting input 2 = 0 makes 16 = NAND(2,11) = 1: level 0 justified.
 	st.AssignPI(c.NetByName("2"), logic.Stable0, logic.BitMask(0))
@@ -360,8 +363,8 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	if !st.JustifiedMask().Bit(1) {
 		t.Error("level 1 should be justified after assigning 2=1, 3=0")
 	}
-	if len(st.Unjustified(1)) != 0 {
-		t.Errorf("Unjustified(1) = %v, want empty", st.Unjustified(1))
+	if unj := unjustifiedAt(st, 1); len(unj) != 0 {
+		t.Errorf("unjustified nets at level 1 = %v, want empty", unj)
 	}
 }
 

@@ -69,7 +69,6 @@ package implic
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -169,14 +168,16 @@ type State struct {
 
 	// reqNetsW buckets the nets carrying a requirement by the plane word
 	// their requirement bits live in (a net appears in every word bucket it
-	// has bits in, usually exactly one), so the per-level and per-word scans
-	// of Unjustified and JustifiedMask stay proportional to the word's own
+	// has bits in, usually exactly one), so the per-word scans of
+	// UnjustifiedWord and JustifiedMask stay proportional to the word's own
 	// requirement set rather than the whole group's — the scans cost the
 	// same per fault at L=512 as at L=64.  Buckets are insertion-ordered and
 	// truncated by length on Undo, so no scan of the whole circuit is ever
 	// needed.
-	reqNetsW  [logic.MaxK][]circuit.NetID
-	unjustBuf []circuit.NetID
+	reqNetsW [logic.MaxK][]circuit.NetID
+	// unjustNets/unjustMiss are the scratch results of UnjustifiedWord.
+	unjustNets []circuit.NetID
+	unjustMiss []uint64
 
 	// Levelized event queues: one bucket per topological level, with a
 	// per-net queued flag and a pending count per direction.
@@ -814,13 +815,8 @@ func (s *State) setSim(net circuit.NetID, r *logic.Word7V) {
 func (s *State) JustifiedMask() logic.Mask {
 	mask := s.active.AndNot(s.conflict)
 	for w := 0; w < s.ka; w++ {
-		a := s.active[w]
 		for _, id := range s.reqNetsW[w] {
-			o := s.off(id) + w
-			mask[w] &^= (s.req.zero[o] & a &^ s.sim.zero[o]) |
-				(s.req.one[o] & a &^ s.sim.one[o]) |
-				(s.req.stable[o] & a &^ s.sim.stable[o]) |
-				(s.req.instable[o] & a &^ s.sim.instable[o])
+			mask[w] &^= s.missWord(id, w)
 			if mask[w] == 0 {
 				break
 			}
@@ -829,37 +825,37 @@ func (s *State) JustifiedMask() logic.Mask {
 	return mask
 }
 
-// Unjustified returns the nets whose requirement is not yet covered by the
-// forward simulation at the given bit level, in topological order (nets
-// closest to the primary inputs first).  ForwardSim must be up to date.
+// missWord returns the active levels of plane word w on which net's
+// requirement is not covered by the forward simulation.
+func (s *State) missWord(id circuit.NetID, w int) uint64 {
+	o := s.off(id) + w
+	return ((s.req.zero[o] &^ s.sim.zero[o]) |
+		(s.req.one[o] &^ s.sim.one[o]) |
+		(s.req.stable[o] &^ s.sim.stable[o]) |
+		(s.req.instable[o] &^ s.sim.instable[o])) & s.active[w]
+}
+
+// UnjustifiedWord scans the requirement bucket of plane word w once and
+// returns the nets whose requirement is not covered by the forward
+// simulation on some active level of the word, each with its miss word: bit
+// b of miss[i] is set when the requirement of nets[i] at bit level 64*w+b is
+// uncovered.  One scan thus serves every level of the word.  The nets come
+// in bucket (insertion) order, not topological order.  ForwardSim must be up
+// to date.
 //
-// The returned slice is a scratch buffer owned by the State: it is
-// overwritten by the next Unjustified call and must not be retained across
-// calls (or across goroutines sharing the State).
-func (s *State) Unjustified(level int) []circuit.NetID {
-	lw := level >> 6
-	bit := uint64(1) << uint(level&63)
-	out := s.unjustBuf[:0]
-	// The word bucket must stay in insertion order (the trail truncates it
-	// by length on Undo), so only the filtered output is sorted.
-	for _, id := range s.reqNetsW[lw] {
-		o := s.off(id) + lw
-		rz, ro := s.req.zero[o]&bit, s.req.one[o]&bit
-		rs, ri := s.req.stable[o]&bit, s.req.instable[o]&bit
-		if rz|ro|rs|ri == 0 {
-			continue
-		}
-		miss := (rz &^ s.sim.zero[o]) | (ro &^ s.sim.one[o]) |
-			(rs &^ s.sim.stable[o]) | (ri &^ s.sim.instable[o])
-		if miss != 0 {
-			out = append(out, id)
+// Both returned slices are scratch buffers owned by the State: they are
+// overwritten by the next UnjustifiedWord call and must not be retained
+// across calls (or across goroutines sharing the State).
+func (s *State) UnjustifiedWord(w int) (nets []circuit.NetID, miss []uint64) {
+	nets, miss = s.unjustNets[:0], s.unjustMiss[:0]
+	for _, id := range s.reqNetsW[w] {
+		if m := s.missWord(id, w); m != 0 {
+			nets = append(nets, id)
+			miss = append(miss, m)
 		}
 	}
-	slices.SortFunc(out, func(a, b circuit.NetID) int {
-		return s.c.OrderPos(a) - s.c.OrderPos(b)
-	})
-	s.unjustBuf = out
-	return out
+	s.unjustNets, s.unjustMiss = nets, miss
+	return nets, miss
 }
 
 // SimValue returns the forward-simulation vector of a net.

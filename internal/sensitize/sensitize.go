@@ -51,6 +51,11 @@ type Assignment struct {
 	// OnPath marks requirements on the target path itself (as opposed to
 	// off-path side inputs).
 	OnPath bool
+	// Pos is the path position the requirement belongs to: i for the i-th
+	// on-path net and for the side inputs of the gate driving it.  The
+	// conditions of the path prefix of length n are exactly the assignments
+	// with Pos < n.
+	Pos int32
 }
 
 // Conditions is the full set of requirements for one fault.
@@ -66,48 +71,39 @@ type Conditions struct {
 // an on-path signal and a side input demanding an incompatible value) are
 // not resolved here; they are merged and detected by the implication engine,
 // which is what identifies such faults as redundant.
+//
+// Every assignment carries its path position (Assignment.Pos), so the
+// conditions of any path prefix are a filter of the full conditions: subpath
+// redundancy identification tests prefixes without sensitizing them again.
 func Sensitize(c *circuit.Circuit, f paths.Fault, mode Mode) (Conditions, error) {
 	if err := f.Path.Validate(c); err != nil {
 		return Conditions{}, fmt.Errorf("sensitize: %w", err)
 	}
-	return sensitizePrefix(c, f, mode, f.Path.Len())
-}
-
-// SensitizeSubpath computes the sensitization conditions of only the first
-// length nets of the fault's path (the launch transition plus the on-path
-// and off-path conditions of the corresponding gates).  It is used for
-// subpath redundancy identification: if these conditions alone are
-// contradictory, every fault whose path starts with the same prefix and
-// launch transition is redundant.
-func SensitizeSubpath(c *circuit.Circuit, f paths.Fault, mode Mode, length int) (Conditions, error) {
-	if length < 1 || length > f.Path.Len() {
-		return Conditions{}, fmt.Errorf("sensitize: prefix length %d out of range for a path of %d nets", length, f.Path.Len())
-	}
-	if err := f.Path.Validate(c); err != nil {
-		return Conditions{}, fmt.Errorf("sensitize: %w", err)
-	}
-	return sensitizePrefix(c, f, mode, length)
-}
-
-func sensitizePrefix(c *circuit.Circuit, f paths.Fault, mode Mode, length int) (Conditions, error) {
 	trans := f.Transitions(c)
-	cond := Conditions{Fault: f, Mode: mode}
+	// One requirement per on-path net plus one per side input.
+	size := f.Path.Len()
+	for _, net := range f.Path.Nets[1:] {
+		if fanin := len(c.Gate(net).Fanin); fanin > 1 {
+			size += fanin - 1
+		}
+	}
+	cond := Conditions{Fault: f, Mode: mode, Assignments: make([]Assignment, 0, size)}
 
 	// On-path requirements.
-	for i, net := range f.Path.Nets[:length] {
+	for i, net := range f.Path.Nets {
 		var v logic.Value7
 		if mode == Robust {
 			v = trans[i].Value7()
 		} else {
 			v = logic.Value7From3(trans[i].FinalValue3())
 		}
-		cond.Assignments = append(cond.Assignments, Assignment{Net: net, Value: v, OnPath: true})
+		cond.Assignments = append(cond.Assignments, Assignment{Net: net, Value: v, OnPath: true, Pos: int32(i)})
 	}
 
 	// Off-path requirements: for every gate on the path (all path nets except
 	// the primary input), every fanin that is not the on-path predecessor is
 	// a side input.
-	for i := 1; i < length; i++ {
+	for i := 1; i < f.Path.Len(); i++ {
 		gateNet := f.Path.Nets[i]
 		onPathIn := f.Path.Nets[i-1]
 		g := c.Gate(gateNet)
@@ -126,7 +122,7 @@ func sensitizePrefix(c *circuit.Circuit, f paths.Fault, mode Mode, length int) (
 				seenOnPath = true
 				continue
 			}
-			cond.Assignments = append(cond.Assignments, Assignment{Net: fanin, Value: side})
+			cond.Assignments = append(cond.Assignments, Assignment{Net: fanin, Value: side, Pos: int32(i)})
 		}
 	}
 	return cond, nil

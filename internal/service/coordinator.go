@@ -18,6 +18,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/paths"
+	"repro/internal/pattern"
 	"repro/internal/sched"
 )
 
@@ -163,6 +164,7 @@ type job struct {
 	results    []WireResult
 	testsText  string
 	stats      core.Stats
+	err        string // why a failed job failed
 
 	evMu   sync.Mutex
 	events []WireResult
@@ -330,7 +332,7 @@ func (co *Coordinator) runJob(j *job) {
 	case co.sem <- struct{}{}:
 		defer func() { <-co.sem }()
 	case <-j.ctx.Done():
-		j.finalize(nil, "", core.Stats{})
+		j.finalize(nil, "", core.Stats{}, nil)
 		return
 	}
 	j.setState(stateRunning)
@@ -356,22 +358,30 @@ func (co *Coordinator) runJob(j *job) {
 	for i, r := range results {
 		wire[i] = EncodeResult(j.c, r, r.PatternIndex)
 	}
-	j.finalize(wire, buf.String(), master.Stats())
+	j.finalize(wire, buf.String(), master.Stats(), master.Err())
 }
 
-func (j *job) finalize(results []WireResult, tests string, stats core.Stats) {
+// finalize lands the job in its terminal state: canceled when its context
+// ended, failed when the run reported an error (the master generator's
+// finishing passes could not simulate the merged set — a bug, which must not
+// pass for a done job), done otherwise.
+func (j *job) finalize(results []WireResult, tests string, stats core.Stats, runErr error) {
 	state := stateDone
 	persist := true
-	if j.ctx.Err() != nil {
+	var reason string
+	switch {
+	case j.ctx.Err() != nil:
 		state = stateCanceled
 		if errors.Is(context.Cause(j.ctx), errShutdown) {
 			// Shutdown is not a verdict on the job: leave the ledger without
 			// a terminal state so a restart resumes it.
 			persist = false
 		}
+	case runErr != nil:
+		state, reason = stateFailed, runErr.Error()
 	}
 	j.mu.Lock()
-	j.results, j.testsText, j.stats, j.state = results, tests, stats, state
+	j.results, j.testsText, j.stats, j.state, j.err = results, tests, stats, state, reason
 	j.mu.Unlock()
 	j.stateSig.fire()
 	if persist {
@@ -694,6 +704,7 @@ func (co *Coordinator) statusOf(j *job) JobStatus {
 		JobID:    j.id,
 		Name:     j.name,
 		State:    j.state,
+		Error:    j.err,
 		Faults:   len(j.faults),
 		CacheHit: j.cacheHit,
 		Replayed: j.replayed,
@@ -773,9 +784,12 @@ func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	}
 	j.mu.Lock()
 	if j.state != stateDone && j.state != stateCanceled {
-		state := j.state
+		msg := "job is " + j.state
+		if j.err != "" {
+			msg += ": " + j.err
+		}
 		j.mu.Unlock()
-		writeErr(w, http.StatusConflict, "not-done", "job is "+state)
+		writeErr(w, http.StatusConflict, "not-done", msg)
 		return
 	}
 	resp := ResultsResponse{JobID: j.id, State: j.state, Results: j.results, Tests: j.testsText, Stats: j.stats}
@@ -894,6 +908,24 @@ func (co *Coordinator) lease(worker string, max int) (LeaseResponse, bool) {
 	return LeaseResponse{}, false
 }
 
+// checkWidths rejects a Tested outcome whose pattern does not have one value
+// per primary input of the job's circuit: the merge would absorb it into the
+// test set, where every later simulation of the set fails.
+func checkWidths(outs []core.RemoteOutcome, inputs int) error {
+	for i, o := range outs {
+		if o.Status != core.Tested {
+			continue
+		}
+		if n := o.Test.Len(); n != inputs {
+			return fmt.Errorf("outcome %d: test pattern has %d values for %d inputs", i, n, inputs)
+		}
+		if n := o.Raw.Len(); n != 0 && n != inputs {
+			return fmt.Errorf("outcome %d: raw pattern has %d values for %d inputs", i, n, inputs)
+		}
+	}
+	return nil
+}
+
 // handlePostResults folds a worker's batch into the run.  Completion and
 // Apply happen under j.mu — that, plus runPass re-acquiring j.mu after the
 // queue drains, is the happens-before barrier core.RemoteRun requires.
@@ -924,6 +956,7 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 	}
 	// Validate everything before completing anything, so a malformed batch
 	// is rejected whole and the worker's retry is not a duplicate.
+	inputs := len(j.c.Inputs())
 	decoded := make([][]core.RemoteOutcome, len(req.Units))
 	for i, ur := range req.Units {
 		if ur.ID < 0 || ur.ID >= len(ps.units) {
@@ -937,12 +970,26 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 			return
 		}
 		outs, err := DecodeOutcomes(ur.Outcomes)
+		if err == nil {
+			err = checkWidths(outs, inputs)
+		}
 		if err != nil {
 			j.mu.Unlock()
-			writeErr(w, http.StatusBadRequest, "bad-unit", err.Error())
+			writeErr(w, http.StatusBadRequest, "bad-unit", fmt.Sprintf("unit %d: %v", ur.ID, err))
 			return
 		}
 		decoded[i] = outs
+	}
+	for i, wp := range req.Patterns {
+		p, err := pattern.ParsePair(wp.Test)
+		if err == nil && p.Len() != inputs {
+			err = fmt.Errorf("%d values for %d inputs", p.Len(), inputs)
+		}
+		if err != nil {
+			j.mu.Unlock()
+			writeErr(w, http.StatusBadRequest, "bad-request", fmt.Sprintf("exchange pattern %d: %v", i, err))
+			return
+		}
 	}
 	j.exch.publish(req.Patterns)
 	j.rr.AddEffort(req.Effort)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -264,6 +265,98 @@ func TestServiceRequeue(t *testing.T) {
 	}
 	if !lateResp.Stale {
 		t.Fatal("late ghost report not flagged stale")
+	}
+}
+
+// TestServiceRejectsWrongWidthPattern posts a batch whose Tested outcomes
+// carry patterns one value wider than the circuit has inputs, then the same
+// units with a wrong-width pattern for the cross-worker exchange.  Each
+// batch must be refused whole with 400 before anything is applied or
+// journaled — the merge would otherwise absorb patterns no simulation of
+// the test set can load — and the job must still end byte-identical to a
+// local run once the refused units' leases expire and a real worker
+// processes them.
+func TestServiceRejectsWrongWidthPattern(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
+	localResults, localTests, _ := localRun(t, c, opts, faults)
+
+	co, err := NewCoordinator(Config{
+		LeaseTTL:       300 * time.Millisecond,
+		ExpireInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	ctx := context.Background()
+
+	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, ok, err := cl.Lease(ctx, "wide", 2, longPollWait)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok || len(lease.Units) == 0 {
+		t.Fatal("no lease for the wrong-width worker")
+	}
+	n := len(c.Inputs()) + 1
+	wide := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n)
+	post := PostResults{Worker: "wide", Pass: lease.Pass}
+	for _, u := range lease.Units {
+		outs := make([]WireOutcome, len(u.Faults))
+		for i := range outs {
+			outs[i] = WireOutcome{Status: "tested", Phase: "fptpg", Test: wide}
+		}
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+	}
+	_, err = cl.PostUnitResults(ctx, sub.JobID, post)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad-unit" {
+		t.Fatalf("posting wrong-width patterns: err = %v, want 400 bad-unit", err)
+	}
+	// The same units reported without patterns, but with a wrong-width
+	// pattern for the cross-worker exchange, are refused as well.
+	post.Patterns = []WirePattern{{Worker: "wide", Test: wide}}
+	for _, u := range post.Units {
+		for i := range u.Outcomes {
+			u.Outcomes[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
+		}
+	}
+	_, err = cl.PostUnitResults(ctx, sub.JobID, post)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("posting a wrong-width exchange pattern: err = %v, want 400", err)
+	}
+	if st, err := cl.Status(ctx, sub.JobID); err != nil || st.Settled != 0 {
+		t.Fatalf("after the refused batches: settled %d (err %v), want 0", st.Settled, err)
+	}
+
+	stop := startWorkers(t, srv.URL, 1)
+	defer stop()
+	st, err := cl.Wait(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" {
+		t.Fatalf("job finished in state %q", st.State)
+	}
+	resp, err := cl.Results(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if want := localResults[i].Status.String(); r.Status != want {
+			t.Fatalf("fault %d: status %s, local %s", i, r.Status, want)
+		}
+	}
+	if resp.Tests != localTests {
+		t.Fatal("merged test set differs from local run after the refused batch")
 	}
 }
 

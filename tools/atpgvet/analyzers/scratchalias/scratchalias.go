@@ -1,11 +1,13 @@
 // Package scratchalias checks the aliasing contract of State-owned scratch
-// slices.  implic.State.Unjustified returns a buffer owned by the State: it
-// is overwritten by the next Unjustified call and invalidated by mutating
-// calls on the same State, so callers may only iterate it locally.  The same
-// contract applies to any same-package method annotated //atpgvet:scratch.
+// slices.  implic.State.UnjustifiedWord returns two buffers owned by the
+// State, the unjustified nets and their miss words: both are overwritten by
+// the next UnjustifiedWord call and invalidated by mutating calls on the same
+// State, so callers may only iterate them locally.  The same contract
+// applies to every result of any same-package method annotated
+// //atpgvet:scratch.
 //
 // Reported misuses:
-//   - storing the result in a struct field, a package-level variable, or
+//   - storing a result in a struct field, a package-level variable, or
 //     returning it (the alias outlives the call site);
 //   - growing it with append (reallocates or clobbers the State's buffer);
 //   - using it after a subsequent mutating call on the same receiver
@@ -26,9 +28,9 @@ var Analyzer = &analysis.Analyzer{
 	Name: "scratchalias",
 	Doc: `check that State-owned scratch slices are not retained or grown
 
-The result of implic.State.Unjustified (and of methods annotated
-//atpgvet:scratch) aliases a buffer owned by the receiver.  It must be
-consumed before the receiver is mutated again, must not be stored in
+Both results of implic.State.UnjustifiedWord (and every result of methods
+annotated //atpgvet:scratch) alias buffers owned by the receiver.  They must
+be consumed before the receiver is mutated again, must not be stored in
 longer-lived locations, and must not be grown with append.`,
 	Run: run,
 }
@@ -40,7 +42,7 @@ var mutators = map[string]bool{
 	"Assign": true, "Undo": true, "Reset": true, "Imply": true,
 	"ForwardSim": true, "AddRequirement": true, "AssignPI": true,
 	"AssignPIWord": true, "ClearPI": true, "MarkConflict": true,
-	"Unjustified": true,
+	"UnjustifiedWord": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -55,7 +57,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 // scratchMethods collects the same-package methods annotated
 // //atpgvet:scratch, so packages can extend the contract beyond the
-// built-in implic.State.Unjustified.
+// built-in implic.State.UnjustifiedWord.
 func scratchMethods(pass *analysis.Pass) map[*types.Func]bool {
 	out := make(map[*types.Func]bool)
 	for _, f := range pass.Files {
@@ -72,10 +74,10 @@ func scratchMethods(pass *analysis.Pass) map[*types.Func]bool {
 	return out
 }
 
-// isScratchCall reports whether the call returns a State-owned scratch slice
+// isScratchCall reports whether the call returns State-owned scratch slices
 // and returns the receiver expression.
 func isScratchCall(pass *analysis.Pass, scratch map[*types.Func]bool, call *ast.CallExpr) (ast.Expr, bool) {
-	if recv, ok := astcheck.IsMethodOn(pass.TypesInfo, call, "implic", "State", "Unjustified"); ok {
+	if recv, ok := astcheck.IsMethodOn(pass.TypesInfo, call, "implic", "State", "UnjustifiedWord"); ok {
 		return recv, true
 	}
 	if fn := astcheck.Callee(pass.TypesInfo, call); fn != nil && scratch[fn] {
@@ -89,8 +91,8 @@ func isScratchCall(pass *analysis.Pass, scratch map[*types.Func]bool, call *ast.
 func checkScope(pass *analysis.Pass, scope *astcheck.FuncScope, scratch map[*types.Func]bool) {
 	info := pass.TypesInfo
 
-	// Pass 1: find scratch bindings (x := recv.Unjustified(...)) and direct
-	// stores of scratch results into non-local locations.
+	// Pass 1: find scratch bindings (nets, miss := recv.UnjustifiedWord(...))
+	// and direct stores of scratch results into non-local locations.
 	type binding struct {
 		obj  types.Object // the local variable holding the alias
 		recv string       // receiver expression, canonicalized
@@ -99,6 +101,9 @@ func checkScope(pass *analysis.Pass, scope *astcheck.FuncScope, scratch map[*typ
 	var bindings []binding
 	addBinding := func(lhs ast.Expr, recv ast.Expr, pos token.Pos) {
 		if id, ok := lhs.(*ast.Ident); ok {
+			if id.Name == "_" {
+				return
+			}
 			if obj := info.Defs[id]; obj != nil {
 				bindings = append(bindings, binding{obj: obj, recv: types.ExprString(recv), pos: pos})
 				return
@@ -110,11 +115,22 @@ func checkScope(pass *analysis.Pass, scope *astcheck.FuncScope, scratch map[*typ
 				}
 			}
 		}
-		pass.Reportf(pos, "scratch slice stored in a non-local location; it aliases a State-owned buffer that the next call overwrites")
+		pass.Reportf(lhs.Pos(), "scratch slice stored in a non-local location; it aliases a State-owned buffer that the next call overwrites")
 	}
 	astcheck.WalkShallow(scope.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
+				// One call, several results: every result is scratch.
+				if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
+					if recv, ok := isScratchCall(pass, scratch, call); ok {
+						for _, lhs := range n.Lhs {
+							addBinding(lhs, recv, call.Pos())
+						}
+					}
+				}
+				return true
+			}
 			if len(n.Lhs) != len(n.Rhs) {
 				return true
 			}
@@ -149,25 +165,35 @@ func checkScope(pass *analysis.Pass, scope *astcheck.FuncScope, scratch map[*typ
 		checkBinding(pass, scope, b.obj, b.recv, b.pos)
 	}
 
-	// Pass 3: mutating the receiver while ranging over its scratch result.
+	// Pass 3: mutating the receiver while ranging over its scratch result,
+	// called in the range clause or bound before it.
 	astcheck.WalkShallow(scope.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		call, ok := ast.Unparen(rng.X).(*ast.CallExpr)
-		if !ok {
+		var recvStr string
+		switch x := ast.Unparen(rng.X).(type) {
+		case *ast.CallExpr:
+			recv, ok := isScratchCall(pass, scratch, x)
+			if !ok {
+				return true
+			}
+			recvStr = types.ExprString(recv)
+		case *ast.Ident:
+			for _, b := range bindings {
+				if info.Uses[x] == b.obj {
+					recvStr = b.recv
+				}
+			}
+		}
+		if recvStr == "" {
 			return true
 		}
-		recv, ok := isScratchCall(pass, scratch, call)
-		if !ok {
-			return true
-		}
-		recvStr := types.ExprString(recv)
 		astcheck.WalkShallow(rng.Body, func(m ast.Node) bool {
 			if mc, ok := m.(*ast.CallExpr); ok {
 				if name, ok := mutatorCallOn(pass, mc, recvStr); ok {
-					pass.Reportf(mc.Pos(), "%s.%s() inside a range over %s.Unjustified(...) mutates the scratch slice being iterated", recvStr, name, recvStr)
+					pass.Reportf(mc.Pos(), "%s.%s() inside a range over a scratch result of %s mutates the scratch slice being iterated", recvStr, name, recvStr)
 				}
 			}
 			return true

@@ -4,10 +4,13 @@
 package implic
 
 // State mimics repro/internal/implic.State's scratch-slice interface.
-type State struct{ buf []int }
+type State struct {
+	nets []int
+	miss []uint64
+}
 
-// Unjustified returns a State-owned scratch slice.
-func (s *State) Unjustified(level int) []int { return s.buf }
+// UnjustifiedWord returns two State-owned scratch slices.
+func (s *State) UnjustifiedWord(w int) ([]int, []uint64) { return s.nets, s.miss }
 
 // Assign is a mutating call.
 func (s *State) Assign() {}
