@@ -180,7 +180,10 @@ func TestC7552ShardedCompactionReduction(t *testing.T) {
 // TestFinishingErrorsAreReported plants a pattern of the wrong width in the
 // test set, which no path into the set lets through, and checks that the
 // drop reconciliation and the compaction report the simulation failure
-// through Err instead of returning without a trace.
+// through Err instead of returning without a trace.  The test verification
+// and, fed the same pattern through ImportPatterns, the interleaved
+// simulation's dropping must report it the same way, and a sharded run's
+// master takes over a worker's error.
 func TestFinishingErrorsAreReported(t *testing.T) {
 	c := bench.C17()
 	faults := paths.EnumerateFaults(c, 0)
@@ -209,5 +212,23 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 	g.compactRun(faults, results, 0)
 	if g.Err() == nil {
 		t.Error("compactRun over a wrong-width pattern: Err = nil")
+	}
+
+	g = New(c, DefaultOptions(sensitize.Robust))
+	if g.verifyPattern(faults[0], wide) || g.Err() == nil {
+		t.Errorf("verifying a wrong-width test: Err = %v, want the load failure", g.Err())
+	}
+
+	g = New(c, DefaultOptions(sensitize.Robust))
+	g.ImportPatterns = func() []pattern.Pair { return []pattern.Pair{wide} }
+	g.Run(context.Background(), faults)
+	if g.Err() == nil {
+		t.Error("dropping with a wrong-width imported pattern: Err = nil")
+	}
+	worker := g
+	g = New(c, DefaultOptions(sensitize.Robust))
+	g.absorbState(worker)
+	if g.Err() != worker.Err() {
+		t.Errorf("after absorbing a failed worker: Err = %v, want %v", g.Err(), worker.Err())
 	}
 }

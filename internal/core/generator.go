@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"slices"
 	"time"
@@ -158,12 +159,15 @@ func (g *Generator) Fork() *Generator {
 }
 
 // absorbState merges a finished worker's non-pattern state back into g: its
-// statistics are added and the redundant subpaths it learned are kept for
-// later runs.  Patterns are merged separately, in canonical fault order, by
-// the sharded orchestrator (see mergeResults).  The worker must not be used
-// afterwards.
+// statistics are added, its error is kept unless g has one, and the
+// redundant subpaths it learned are kept for later runs.  Patterns are
+// merged separately, in canonical fault order, by the sharded orchestrator
+// (see mergeResults).  The worker must not be used afterwards.
 func (g *Generator) absorbState(w *Generator) {
 	g.stats.Add(w.stats)
+	if w.err != nil {
+		g.fail(w.err)
+	}
 	//atpgvet:ignore detmerge -- order-independent map-to-map copy; the set union is the same whatever the iteration order
 	for k := range w.redundantPrefixes {
 		g.redundantPrefixes[k] = true
@@ -182,13 +186,16 @@ func (g *Generator) TestSet() *pattern.Set { return g.testSet }
 // Stats returns the accumulated statistics.
 func (g *Generator) Stats() Stats { return g.stats }
 
-// Err returns the first error the finishing passes of a run hit, or nil:
-// the drop reconciliation or the compaction failing to simulate the test
-// set.  Every pattern reaches the set from the generator's own verified
+// Err returns the first error a run hit while simulating patterns, or nil:
+// the test verification, the interleaved simulation's dropping, the drop
+// reconciliation or the compaction failing to load a pattern into the
+// simulator.  Every pattern reaches the simulator from the generator's own
 // search or through a width check (remote outcomes, imported sets), so a
-// non-nil Err is a bug; it is reported rather than leaving classifications
-// unreconciled or the set uncompacted without a trace.  The error sticks:
-// the generator's test set and results are suspect from then on.
+// non-nil Err is a bug; it is reported rather than leaving tests unverified,
+// faults undropped, classifications unreconciled or the set uncompacted
+// without a trace.  The error sticks: the generator's test set and results
+// are suspect from then on.  A sharded run reports the errors of its workers
+// too.
 func (g *Generator) Err() error { return g.err }
 
 // fail records err as the generator's error unless one is recorded already.
@@ -943,9 +950,11 @@ func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 // detects the fault in the selected test class, guarding against generator
 // bugs.  The check is one simulator Load and one Detects, which evaluates
 // only the fanin cone of the path and its side inputs: about 3 % of the
-// gates on the s38584 stand-in, 16 % on c7552.
+// gates on the s38584 stand-in, 16 % on c7552.  A pattern the simulator
+// cannot load is rejected and the failure recorded in Err.
 func (g *Generator) verifyPattern(f paths.Fault, p pattern.Pair) bool {
 	if _, err := g.sim.Load([]pattern.Pair{p}); err != nil {
+		g.fail(fmt.Errorf("core: verifying a generated test: %w", err))
 		return false
 	}
 	return g.sim.Detects(f, g.opts.Mode == sensitize.Robust) != 0
@@ -1016,7 +1025,8 @@ func (g *Generator) maybeSimulate(recs []*rec) {
 // and settles the detected ones as DetectedBySim.  base is the test-set
 // index of pairs[0]; a negative base marks foreign patterns that have no
 // index in this generator's test set (PatternIndex stays -1 and is
-// reconciled against the merged set by the sharded orchestrator).
+// reconciled against the merged set by the sharded orchestrator).  A batch
+// the simulator cannot load stops the dropping and is recorded in Err.
 func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
 	robust := g.opts.Mode == sensitize.Robust
 	for start := 0; start < len(pairs); start += faultsim.BatchSize {
@@ -1025,6 +1035,7 @@ func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
 			end = len(pairs)
 		}
 		if _, err := g.sim.Load(pairs[start:end]); err != nil {
+			g.fail(fmt.Errorf("core: simulating patterns for dropping: %w", err))
 			return
 		}
 		for _, r := range recs {

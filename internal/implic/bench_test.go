@@ -92,6 +92,58 @@ func BenchmarkImply(b *testing.B) {
 	}
 }
 
+// BenchmarkImplyOneFault measures the state APTPG searches in: one c7552
+// fault's sensitization conditions and launch on all 64 levels.  Its
+// requirement cone is one fault's, about a quarter of the circuit, where the
+// 64 faults of BenchmarkImply cover most of c880 between them.  Each
+// iteration is a framed decision on a primary input of that cone, implied,
+// simulated and undone.
+func BenchmarkImplyOneFault(b *testing.B) {
+	p, ok := bench.ProfileByName("c7552")
+	if !ok {
+		b.Fatal("unknown profile c7552")
+	}
+	c := bench.MustSynthesize(p)
+	st := NewState(c)
+	st.MaxSweeps = 3 // the generator's default bound
+	all := logic.LevelsMask(logic.WordWidth)
+	// The first sampled fault whose conditions do not conflict outright:
+	// APTPG searches only those.
+	for _, f := range paths.SampleFaults(c, 64, 1) {
+		cond, err := sensitize.Sensitize(c, f, sensitize.Robust)
+		if err != nil {
+			continue
+		}
+		st.Reset(all)
+		for _, a := range cond.Assignments {
+			st.AddRequirement(a.Net, a.Value, all)
+		}
+		st.AssignPI(f.Path.Input(), f.Transition.Value7(), all)
+		if st.Imply().IsZero() {
+			break
+		}
+	}
+	if !st.ConflictMask().IsZero() {
+		b.Fatal("every sampled fault conflicts outright")
+	}
+	st.ForwardSim()
+	var inputs []circuit.NetID
+	cone := reqCone(st)
+	for _, in := range c.Inputs() {
+		if cone[in] && st.PIValue(in).IsZero() {
+			inputs = append(inputs, in)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		decisionStep(st, inputs, i, true) // warm up trail/queue capacities
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decisionStep(st, inputs, i, true)
+	}
+}
+
 // BenchmarkImplyDead is BenchmarkImply with every other bit level dead: a
 // contradictory requirement (stable 0 and stable 1) on the net with the
 // largest fanout conflicts the odd levels before the first decision.  Dead

@@ -75,9 +75,32 @@ func oracleFor(st *State) *State {
 	return o
 }
 
+// reqCone returns the requirement cone of st, computed from scratch: the
+// transitive fanin of every net carrying a requirement.  The incremental
+// engine keeps Val and Sim exact on these nets only (see growCone).
+func reqCone(st *State) []bool {
+	c := st.Circuit()
+	cone := make([]bool, c.NumNets())
+	order := c.TopoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		if !cone[id] && st.Requirement(id).IsZero() {
+			continue
+		}
+		cone[id] = true
+		for _, f := range c.Gate(id).Fanin {
+			cone[f] = true
+		}
+	}
+	return cone
+}
+
 // assertMatchesOracle implies and simulates a fresh oracle over st's
-// current requirements and assignments and compares the results.  st must
-// have called Imply and ForwardSim after its last assignment change.
+// current requirements and assignments and compares the results: the
+// conflict masks, JustifiedMask and UnjustifiedWord on every level, and Val
+// and Sim on every net of the requirement cone, which st must have marked
+// exactly.  st must have called Imply and ForwardSim after its last
+// assignment change.
 func assertMatchesOracle(t *testing.T, st *State, tag string) {
 	t.Helper()
 	o := oracleFor(st)
@@ -88,9 +111,16 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 		t.Fatalf("%s: conflict mask %v, oracle %v", tag, conf, oConf)
 	}
 	c := st.Circuit()
+	cone := reqCone(st)
 	keep := conf.Not()
 	for n := 0; n < c.NumNets(); n++ {
 		id := circuit.NetID(n)
+		if st.inCone[id] != cone[id] {
+			t.Fatalf("%s: net %s marked in the cone = %v, in the requirement cone = %v", tag, c.NetName(id), st.inCone[id], cone[id])
+		}
+		if !cone[id] {
+			continue
+		}
 		if got, want := st.ImpliedValue(id).SelectLevels(keep), o.ImpliedValue(id).SelectLevels(keep); got != want {
 			t.Fatalf("%s: Val[%s] conflict-free levels differ:\n  incremental %v\n  oracle      %v\n  actv=%v\n  conf=%v",
 				tag, c.NetName(id), got.StringN(st.Width()), want.StringN(st.Width()), st.Active(), conf)
@@ -103,28 +133,43 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 	if got, want := st.JustifiedMask(), o.JustifiedMask(); got != want {
 		t.Fatalf("%s: JustifiedMask %v, oracle %v", tag, got, want)
 	}
-	for lvl := 0; lvl < 3; lvl++ {
-		got, want := unjustifiedAt(st, lvl), unjustifiedAt(o, lvl)
+	for w := 0; w < logic.KForWidth(st.Width()); w++ {
+		got, want := unjustifiedWord(st, w), unjustifiedWord(o, w)
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: unjustified nets at level %d = %v, oracle %v", tag, lvl, got, want)
+			t.Fatalf("%s: UnjustifiedWord(%d) = %v, oracle %v", tag, w, got, want)
 		}
 	}
 }
 
-// unjustifiedAt returns the nets UnjustifiedWord reports uncovered at the
-// given bit level, in topological order: the scan returns bucket order, and
-// the buckets of an incremental state and its oracle fill in different
-// orders.
-func unjustifiedAt(st *State, level int) []circuit.NetID {
-	nets, miss := st.UnjustifiedWord(level / logic.WordWidth)
-	var out []circuit.NetID
+// unjustifiedMiss is one net of an UnjustifiedWord scan with its miss word.
+type unjustifiedMiss struct {
+	net  circuit.NetID
+	miss uint64
+}
+
+// unjustifiedWord returns the UnjustifiedWord scan of plane word w in
+// topological order: the scan returns bucket order, and the buckets of an
+// incremental state and its oracle fill in different orders.
+func unjustifiedWord(st *State, w int) []unjustifiedMiss {
+	nets, miss := st.UnjustifiedWord(w)
+	out := make([]unjustifiedMiss, len(nets))
 	for i, n := range nets {
-		if miss[i]>>uint(level%logic.WordWidth)&1 != 0 {
-			out = append(out, n)
-		}
+		out[i] = unjustifiedMiss{n, miss[i]}
 	}
 	c := st.Circuit()
-	slices.SortFunc(out, func(a, b circuit.NetID) int { return c.OrderPos(a) - c.OrderPos(b) })
+	slices.SortFunc(out, func(a, b unjustifiedMiss) int { return c.OrderPos(a.net) - c.OrderPos(b.net) })
+	return out
+}
+
+// unjustifiedAt returns the nets UnjustifiedWord reports uncovered at the
+// given bit level, in topological order.
+func unjustifiedAt(st *State, level int) []circuit.NetID {
+	var out []circuit.NetID
+	for _, u := range unjustifiedWord(st, level/logic.WordWidth) {
+		if u.miss>>uint(level%logic.WordWidth)&1 != 0 {
+			out = append(out, u.net)
+		}
+	}
 	return out
 }
 
@@ -375,6 +420,78 @@ func TestClearPIResync(t *testing.T) {
 				st.ForwardSim()
 				assertMatchesOracle(t, st, "post-clear")
 			}
+		})
+	}
+}
+
+// TestConeGrowthAcrossFrames pins the two frame hazards of the requirement
+// cone.  In both, gate 10 = NAND(1, 3) of c17 is skipped by a closure while
+// it lies outside the cone, so its Val and Sim stay X.  A requirement on
+// 22 = NAND(10, 16) then pulls it into the cone inside a frame, where it is
+// computed, and Undo rolls the computed values back to X:
+//
+//   - a: the requirement is added before Assign and its cone first grows
+//     inside the frame.  After Undo the growth must be pending again, so the
+//     next closure marks the cone and recomputes gate 10.
+//   - b: the requirement is added inside the frame, undone, and added again
+//     outside it.  Its cone must be marked anew, so gate 10 is recomputed
+//     rather than left at the rolled-back X.
+//
+// An Undo that kept the cone marked would leave gate 10 at X in both.
+func TestConeGrowthAcrossFrames(t *testing.T) {
+	c := bench.C17()
+	n10, n22 := c.NetByName("10"), c.NetByName("22")
+	for _, width := range equivWidths {
+		all := logic.LevelsMask(width)
+		closure := func(st *State) {
+			st.Imply()
+			st.ForwardSim()
+		}
+		// skipped returns a state whose last closure skipped gate 10.
+		skipped := func(t *testing.T) *State {
+			st := NewStateWidth(c, width)
+			st.Reset(all)
+			st.AssignPI(c.NetByName("1"), logic.Stable1, all)
+			st.AssignPI(c.NetByName("3"), logic.Stable1, all)
+			closure(st)
+			if st.ValGet(n10, 0) != logic.X7 || st.SimGet(n10, 0) != logic.X7 {
+				t.Fatal("gate 10 lies outside the requirement cone but was evaluated")
+			}
+			return st
+		}
+		// computedInFrame runs the closure inside the open frame, checks
+		// that it computed gate 10, then undoes the frame.
+		computedInFrame := func(t *testing.T, st *State) {
+			closure(st)
+			if st.ValGet(n10, 0) != logic.Stable0 || st.SimGet(n10, 0) != logic.Stable0 {
+				t.Fatal("gate 10 joined the cone inside the frame but was not computed")
+			}
+			st.Undo()
+			if st.ValGet(n10, 0) != logic.X7 || st.SimGet(n10, 0) != logic.X7 {
+				t.Fatal("Undo did not roll gate 10 back to X")
+			}
+		}
+		recomputed := func(t *testing.T, st *State) {
+			closure(st)
+			if v, s := st.ValGet(n10, 0), st.SimGet(n10, 0); v != logic.Stable0 || s != logic.Stable0 {
+				t.Fatalf("after Undo gate 10 has Val %v and Sim %v, want 0s for both", v, s)
+			}
+			assertMatchesOracle(t, st, c.Name)
+		}
+		t.Run(fmt.Sprintf("a/w%d", width), func(t *testing.T) {
+			st := skipped(t)
+			st.AddRequirement(n22, logic.Final1, all)
+			st.Assign()
+			computedInFrame(t, st)
+			recomputed(t, st)
+		})
+		t.Run(fmt.Sprintf("b/w%d", width), func(t *testing.T) {
+			st := skipped(t)
+			st.Assign()
+			st.AddRequirement(n22, logic.Final1, all)
+			computedInFrame(t, st)
+			st.AddRequirement(n22, logic.Final1, all)
+			recomputed(t, st)
 		})
 	}
 }

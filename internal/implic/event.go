@@ -18,9 +18,10 @@ import (
 // until both queues drain or MaxSweeps rounds have run, mirroring the sweep
 // bound of the full implementation.
 
-// pushFwd schedules a gate for forward re-evaluation.
+// pushFwd schedules a gate for forward re-evaluation.  Like pushBwd and
+// pushSim, it drops gates outside the requirement cone (see growCone).
 func (s *State) pushFwd(net circuit.NetID) {
-	if s.fwdQ[net] {
+	if s.fwdQ[net] || !s.inCone[net] {
 		return
 	}
 	g := s.c.Gate(net)
@@ -34,7 +35,7 @@ func (s *State) pushFwd(net circuit.NetID) {
 
 // pushBwd schedules a gate for backward re-implication.
 func (s *State) pushBwd(net circuit.NetID) {
-	if s.bwdQ[net] {
+	if s.bwdQ[net] || !s.inCone[net] {
 		return
 	}
 	g := s.c.Gate(net)
@@ -48,7 +49,7 @@ func (s *State) pushBwd(net circuit.NetID) {
 
 // pushSim schedules a gate for forward-simulation re-evaluation.
 func (s *State) pushSim(net circuit.NetID) {
-	if s.simQ[net] {
+	if s.simQ[net] || !s.inCone[net] {
 		return
 	}
 	g := s.c.Gate(net)
@@ -58,6 +59,52 @@ func (s *State) pushSim(net circuit.NetID) {
 	s.simQ[net] = true
 	s.simB[g.Level] = append(s.simB[g.Level], net)
 	s.simN++
+}
+
+// growCone marks the fanin cones of the requirement nets added since the
+// last call, breadth-first over coneNets itself.  Nothing outside the cone is
+// ever read: JustifiedMask and UnjustifiedWord read requirement nets, the
+// backtrace descends their fanins and pattern extraction reads the PI plane.
+// Nor does the outside feed the cone: no net there carries a requirement, so
+// its values are derived forward from the inputs, and the backward
+// implications of forward-derived values add nothing to the closure or its
+// conflicts.  So the push functions drop events outside the cone, and Val
+// and Sim are exact on the cone only.
+//
+// Dropped events leave a gate outside the cone stale, so a gate that joins
+// the cone after propagation has run in this epoch is queued in all three
+// directions.  On a fresh epoch nothing has been dropped yet and nothing is
+// queued: the seeding that follows reaches the whole cone.
+func (s *State) growCone() {
+	if s.coneDone == len(s.coneRoots) {
+		return
+	}
+	start := len(s.coneNets)
+	for _, r := range s.coneRoots[s.coneDone:] {
+		s.markCone(r)
+	}
+	s.coneDone = len(s.coneRoots)
+	for i := start; i < len(s.coneNets); i++ {
+		for _, f := range s.c.Gate(s.coneNets[i]).Fanin {
+			s.markCone(f)
+		}
+	}
+	if !s.constsSeeded && !s.simConstsSeeded {
+		return // neither Imply nor ForwardSim has run in this epoch
+	}
+	for _, n := range s.coneNets[start:] {
+		s.pushFwd(n)
+		s.pushBwd(n)
+		s.pushSim(n)
+	}
+}
+
+// markCone adds net to the requirement cone.
+func (s *State) markCone(net circuit.NetID) {
+	if !s.inCone[net] {
+		s.inCone[net] = true
+		s.coneNets = append(s.coneNets, net)
+	}
 }
 
 // clearQueue empties every bucket and resets the queued flags.

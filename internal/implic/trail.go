@@ -28,6 +28,9 @@ type frame struct {
 	trailLen        int
 	trailWLen       int
 	reqNetsWLen     [logic.MaxK]int32
+	coneLen         int32
+	coneRootsLen    int32
+	coneDone        int32
 	conflict        logic.Mask
 	valConflict     logic.Mask
 	constsSeeded    bool
@@ -108,6 +111,7 @@ func (s *State) Assign() {
 	for w := 0; w < s.ka; w++ {
 		f.reqNetsWLen[w] = int32(len(s.reqNetsW[w]))
 	}
+	f.coneLen, f.coneRootsLen, f.coneDone = int32(len(s.coneNets)), int32(len(s.coneRoots)), int32(s.coneDone)
 	s.frames = append(s.frames, f)
 }
 
@@ -115,10 +119,10 @@ func (s *State) Assign() {
 func (s *State) Depth() int { return len(s.frames) }
 
 // Undo restores the state at the matching Assign: all plane windows, the
-// conflict masks and the requirement bookkeeping.  Nets whose restored
-// Req/PI may disagree with what the closure or the simulation absorbed are
-// re-queued, so the next Imply/ForwardSim reconciles them.  Undo without an
-// open frame is a no-op.
+// conflict masks, the requirement bookkeeping and the requirement cone.
+// Nets whose restored Req/PI may disagree with what the closure or the
+// simulation absorbed are re-queued, so the next Imply/ForwardSim reconciles
+// them.  Undo without an open frame is a no-op.
 //
 //atpgvet:noalloc
 func (s *State) Undo() {
@@ -157,6 +161,15 @@ func (s *State) Undo() {
 	for w := 0; w < ka; w++ {
 		s.reqNetsW[w] = s.reqNetsW[w][:f.reqNetsWLen[w]]
 	}
+	// The cone is trailed like the requirement buckets: growth consumed
+	// inside the frame is pending again, and its nets are unmarked, because
+	// the plane restores above took back the values computed for them.
+	for _, n := range s.coneNets[f.coneLen:] {
+		s.inCone[n] = false
+	}
+	s.coneNets = s.coneNets[:f.coneLen]
+	s.coneRoots = s.coneRoots[:f.coneRootsLen]
+	s.coneDone = int(f.coneDone)
 	s.conflict = f.conflict
 	s.valConflict = f.valConflict
 	s.constsSeeded = f.constsSeeded

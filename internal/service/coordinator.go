@@ -295,6 +295,32 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Code: code, Error: msg})
 }
 
+// Request body limits, one per route that reads a body.  Each leaves wide
+// headroom over what a job sends: a 3,000-fault c880 job submits 330 KB and
+// posts about 42 KB of unit results at a time, and a lease request is a
+// worker id and two numbers.  The largest legitimate bodies are a submit
+// carrying the s38584 stand-in's bench text and a few hundred thousand
+// faults, and a results post of four 512-fault units of that circuit, whose
+// tested outcomes carry about 6 KB of patterns each (about 20 MB).
+const (
+	maxSubmitBody  = 64 << 20
+	maxLeaseBody   = 64 << 10
+	maxResultsBody = 64 << 20
+)
+
+// writeBodyErr answers a request whose body could not be read or decoded:
+// 413 too-large when the body exceeds the route's limit, 400 bad-request
+// otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "too-large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+}
+
 // ---- job lifecycle ----
 
 func (co *Coordinator) newJobID() string {
@@ -624,10 +650,10 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Unknown fields are rejected, not ignored: a client sending an option
 	// this coordinator does not know would otherwise get a different run
 	// than it asked for.
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	coreOpts, err := req.Options.ToCore()
@@ -838,9 +864,9 @@ func (co *Coordinator) handlePatterns(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	// Read the body to its end: net/http notices that a parked client hung
 	// up only once the request body is consumed.
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLeaseBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+		writeBodyErr(w, err)
 		return
 	}
 	var req LeaseRequest
@@ -936,8 +962,8 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req PostResults
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultsBody)).Decode(&req); err != nil {
+		writeBodyErr(w, err)
 		return
 	}
 

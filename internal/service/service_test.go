@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -357,6 +360,155 @@ func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 	}
 	if resp.Tests != localTests {
 		t.Fatal("merged test set differs from local run after the refused batch")
+	}
+}
+
+// spaces yields n ASCII spaces: JSON whitespace that pads a request body
+// without changing what it decodes to.
+type spaces struct{ n int }
+
+func (s *spaces) Read(b []byte) (int, error) {
+	if s.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(b), s.n)
+	for i := range b[:k] {
+		b[i] = ' '
+	}
+	s.n -= k
+	return k, nil
+}
+
+// servePadded serves a POST whose body is v's JSON encoding padded with
+// whitespace before its closing brace to exactly size bytes.  The request
+// stays valid, so only its size can get it refused.
+func servePadded(t *testing.T, co *Coordinator, path string, v any, size int) *httptest.ResponseRecorder {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := io.MultiReader(bytes.NewReader(b[:len(b)-1]), &spaces{size - len(b)}, strings.NewReader("}"))
+	rec := httptest.NewRecorder()
+	co.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, API+path, body))
+	return rec
+}
+
+// assertTooLarge checks a 413 too-large answer.
+func assertTooLarge(t *testing.T, rec *httptest.ResponseRecorder, route string) {
+	t.Helper()
+	var e ErrorResponse
+	if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != "too-large" {
+		t.Fatalf("%s one byte over its limit: %d %s, want 413 too-large", route, rec.Code, rec.Body)
+	}
+}
+
+// ledgerSizes maps every file of a ledger directory to its size.
+func ledgerSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64)
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fi.Size()
+	}
+	return out
+}
+
+// TestServiceRefusesOversizeBodies posts a valid request padded to one byte
+// over its route's limit to each route that reads a body: the submit, a
+// lease and a unit-results post.  Each gets 413 too-large, and nothing is
+// applied or journaled: no job, no lease, no settled fault, no ledger byte.
+// The job then ends byte-identical to a local run.
+func TestServiceRefusesOversizeBodies(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
+	localResults, localTests, _ := localRun(t, c, opts, faults)
+
+	dir := t.TempDir()
+	co, err := NewCoordinator(Config{
+		LedgerDir:      dir,
+		LeaseTTL:       300 * time.Millisecond,
+		ExpireInterval: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	ctx := context.Background()
+
+	submit := SubmitRequest{Name: "c432", CircuitBench: text, Options: opts, Faults: EncodeFaults(c, faults)}
+	assertTooLarge(t, servePadded(t, co, "/jobs", submit, maxSubmitBody+1), "POST /jobs")
+	if n := len(ledgerSizes(t, dir)); n != 0 {
+		t.Fatalf("the refused submit left %d ledger files", n)
+	}
+	// A lease request at its limit is read; with nothing leasable it gets
+	// its 204 at once.
+	lease := LeaseRequest{Worker: "big", MaxUnits: 2}
+	if rec := servePadded(t, co, "/lease", lease, maxLeaseBody); rec.Code != http.StatusNoContent {
+		t.Fatalf("POST /lease at its limit: %d %s, want 204", rec.Code, rec.Body)
+	}
+
+	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTooLarge(t, servePadded(t, co, "/lease", lease, maxLeaseBody+1), "POST /lease")
+	if st, err := cl.Status(ctx, sub.JobID); err != nil || st.Leases != 0 {
+		t.Fatalf("after the refused lease: %d leases (err %v), want 0", st.Leases, err)
+	}
+
+	granted, ok, err := cl.Lease(ctx, "big", 2, longPollWait)
+	if err != nil || !ok || len(granted.Units) == 0 {
+		t.Fatalf("no lease for the oversize worker (ok %v, err %v)", ok, err)
+	}
+	post := PostResults{Worker: "big", Pass: granted.Pass}
+	for _, u := range granted.Units {
+		outs := make([]WireOutcome, len(u.Faults))
+		for i := range outs {
+			outs[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
+		}
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+	}
+	journaled := ledgerSizes(t, dir)
+	assertTooLarge(t, servePadded(t, co, "/jobs/"+sub.JobID+"/results", post, maxResultsBody+1), "POST /jobs/{id}/results")
+	if st, err := cl.Status(ctx, sub.JobID); err != nil || st.Settled != 0 {
+		t.Fatalf("after the refused results: settled %d (err %v), want 0", st.Settled, err)
+	}
+	if got := ledgerSizes(t, dir); !maps.Equal(got, journaled) {
+		t.Fatalf("the refused results were journaled: ledger %v, before %v", got, journaled)
+	}
+
+	stop := startWorkers(t, srv.URL, 1)
+	defer stop()
+	st, err := cl.Wait(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" {
+		t.Fatalf("job finished in state %q", st.State)
+	}
+	resp, err := cl.Results(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if want := localResults[i].Status.String(); r.Status != want {
+			t.Fatalf("fault %d: status %s, local %s", i, r.Status, want)
+		}
+	}
+	if resp.Tests != localTests {
+		t.Fatal("merged test set differs from local run after the refused bodies")
 	}
 }
 
