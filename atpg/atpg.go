@@ -178,7 +178,9 @@ func (e *Engine) Run(ctx context.Context, faults []Fault) ([]Result, error) {
 	if e.remote != "" {
 		return e.runRemote(ctx, faults)
 	}
-	e.gen.OnSettle = e.progress
+	if e.progress != nil {
+		e.gen.OnSettle = func(_ int, r Result) { e.progress(r) }
+	}
 	defer func() { e.gen.OnSettle = nil }()
 	results := core.RunSharded(ctx, e.gen, faults, e.workers)
 	if ctx.Err() != nil {
@@ -227,7 +229,7 @@ func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 
 		if e.workers <= 1 || len(faults) <= 1 {
 			stopped := false
-			e.gen.OnSettle = func(r Result) {
+			e.gen.OnSettle = func(_ int, r Result) {
 				if e.progress != nil {
 					e.progress(r)
 				}
@@ -253,7 +255,7 @@ func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 		// completion so the engine's accumulated state is final (and the
 		// master generator idle) by the time the stream returns.
 		ch := make(chan Result, len(faults))
-		e.gen.OnSettle = func(r Result) {
+		e.gen.OnSettle = func(_ int, r Result) {
 			if e.progress != nil {
 				e.progress(r)
 			}

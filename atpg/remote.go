@@ -91,17 +91,13 @@ func (e *Engine) submitRemote(ctx context.Context, cl *service.Client, faults []
 }
 
 // importRemote folds a finished job's outcome into the engine: results are
-// rebased onto the local test set and the coordinator's statistics are
-// accumulated, so Tests, Stats and Coverage read exactly as after a local
-// run.
-func (e *Engine) importRemote(resp service.ResultsResponse) ([]Result, error) {
-	results := make([]core.FaultResult, len(resp.Results))
-	for i, w := range resp.Results {
-		r, err := service.DecodeResult(e.circuit.c, w)
-		if err != nil {
-			return nil, fmt.Errorf("atpg: remote result %d: %w", i, err)
-		}
-		results[i] = r
+// matched to the submitted faults by index, rebased onto the local test set,
+// and the coordinator's statistics are accumulated, so Tests, Stats and
+// Coverage read exactly as after a local run.
+func (e *Engine) importRemote(faults []Fault, resp service.ResultsResponse) ([]Result, error) {
+	results, err := service.DecodeResults(faults, resp.Results)
+	if err != nil {
+		return nil, fmt.Errorf("atpg: remote results: %w", err)
 	}
 	set, err := pattern.Read(strings.NewReader(resp.Tests))
 	if err != nil {
@@ -126,7 +122,7 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 	}
 	var jobErr error
 	if e.progress != nil {
-		jobErr = e.followEvents(ctx, cl, sub.JobID, func(Result) bool { return true })
+		jobErr = e.followEvents(ctx, cl, sub.JobID, faults, func(Result) bool { return true })
 	} else {
 		_, jobErr = cl.Wait(ctx, sub.JobID)
 	}
@@ -143,7 +139,7 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 	if err != nil {
 		return nil, err
 	}
-	results, err := e.importRemote(resp)
+	results, err := e.importRemote(faults, resp)
 	if err != nil {
 		return nil, err
 	}
@@ -154,17 +150,17 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 	return results, nil
 }
 
-// followEvents feeds the job's settle events, decoded, to the engine's
-// progress callback and to yield.  It returns when the feed reports done,
-// yield stops it, or ctx ends.  The feed reconnects through transient
-// failures (see service.Client.Follow), so no event is delivered twice and
-// none is lost.
-func (e *Engine) followEvents(ctx context.Context, cl *service.Client, jobID string, yield func(Result) bool) error {
+// followEvents feeds the job's settle events, decoded against the submitted
+// faults, to the engine's progress callback and to yield.  It returns when
+// the feed reports done, yield stops it, or ctx ends.  The feed reconnects
+// through transient failures (see service.Client.Follow), so no event is
+// delivered twice and none is lost.
+func (e *Engine) followEvents(ctx context.Context, cl *service.Client, jobID string, faults []Fault, yield func(Result) bool) error {
 	for w, err := range cl.Follow(ctx, jobID) {
 		if err != nil {
 			return err
 		}
-		r, err := service.DecodeResult(e.circuit.c, w)
+		r, err := service.DecodeResult(faults, w)
 		if err != nil {
 			return fmt.Errorf("atpg: remote event: %w", err)
 		}
@@ -191,7 +187,7 @@ func (e *Engine) streamRemote(ctx context.Context, faults []Fault) func(yield fu
 			return
 		}
 		stopped := false
-		err = e.followEvents(ctx, cl, sub.JobID, func(r Result) bool {
+		err = e.followEvents(ctx, cl, sub.JobID, faults, func(r Result) bool {
 			if !yield(r) {
 				stopped = true
 				return false
@@ -203,7 +199,7 @@ func (e *Engine) streamRemote(ctx context.Context, faults []Fault) func(yield fu
 			return
 		}
 		if resp, err := cl.Results(context.WithoutCancel(ctx), sub.JobID); err == nil {
-			_, _ = e.importRemote(resp)
+			_, _ = e.importRemote(faults, resp)
 		}
 	}
 }

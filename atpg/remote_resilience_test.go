@@ -250,10 +250,85 @@ func TestRemoteImportRejectsWrongWidth(t *testing.T) {
 	}
 	n := len(c.c.Inputs()) + 1
 	tests := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n) + "\n"
-	if _, err := e.importRemote(service.ResultsResponse{State: "done", Tests: tests}); err == nil {
+	if _, err := e.importRemote(nil, service.ResultsResponse{State: "done", Tests: tests}); err == nil {
 		t.Fatal("importing a wrong-width test set succeeded")
 	}
 	if e.Tests().Len() != 0 {
 		t.Fatalf("the refused import left %d patterns in the engine's set", e.Tests().Len())
+	}
+}
+
+// TestRemoteImportRejectsMisindexedResults: results name their fault by its
+// index in the submitted list, so the import refuses a response with one
+// result too few and one whose result sits at the wrong position, and
+// leaves the engine's set untouched.
+func TestRemoteImportRejectsMisindexedResults(t *testing.T) {
+	c, err := Builtin("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := SampleFaults(c, 3, 1)
+	aborted := func(i int) service.WireResult {
+		return service.WireResult{Index: i, Status: "aborted", Phase: "none", PatternIndex: -1}
+	}
+	tests := strings.Repeat("0", len(c.c.Inputs())) + " -> " + strings.Repeat("1", len(c.c.Inputs())) + "\n"
+	for name, results := range map[string][]service.WireResult{
+		"short":        {aborted(0), aborted(1)},
+		"long":         {aborted(0), aborted(1), aborted(2), aborted(2)},
+		"misplaced":    {aborted(0), aborted(2), aborted(1)},
+		"out of range": {aborted(0), aborted(1), aborted(3)},
+	} {
+		resp := service.ResultsResponse{State: "done", Results: results, Tests: tests}
+		if _, err := e.importRemote(faults, resp); err == nil {
+			t.Errorf("%s: importing misindexed results succeeded", name)
+		}
+		if e.Tests().Len() != 0 {
+			t.Fatalf("%s: the refused import left %d patterns in the engine's set", name, e.Tests().Len())
+		}
+	}
+	ok := service.ResultsResponse{State: "done", Results: []service.WireResult{aborted(0), aborted(1), aborted(2)}, Tests: tests}
+	results, err := e.importRemote(faults, ok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if c.Describe(r.Fault) != c.Describe(faults[i]) {
+			t.Errorf("result %d is for %s, want %s", i, c.Describe(r.Fault), c.Describe(faults[i]))
+		}
+	}
+}
+
+// TestRemoteEventOutOfRange: a settle event whose index lies outside the
+// submitted list ends the event feed with an error instead of reaching the
+// progress callback.
+func TestRemoteEventOutOfRange(t *testing.T) {
+	c, err := Builtin("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := SampleFaults(c, 2, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"events":[{"index":0,"status":"aborted","pattern_index":-1},{"index":2,"status":"aborted","pattern_index":-1}],"next":2,"done":true}`))
+	}))
+	defer srv.Close()
+	delivered := 0
+	err = e.followEvents(context.Background(), service.NewClient(srv.URL), "j1", faults, func(Result) bool {
+		delivered++
+		return true
+	})
+	if err == nil {
+		t.Fatal("an event with an out-of-range index was accepted")
+	}
+	if delivered != 1 {
+		t.Fatalf("%d events reached the consumer, want only the first (in range)", delivered)
 	}
 }

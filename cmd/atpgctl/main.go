@@ -94,12 +94,17 @@ func main() {
 	}()
 
 	if *verbose {
-		// One line per fault as it settles, in tip -v's format.
+		// One line per fault as it settles, in tip -v's format.  Events name
+		// their fault by its index in the submitted list.
 		for w, err := range cl.Follow(ctx, sub.JobID) {
 			if err != nil {
 				fail(err)
 			}
-			fmt.Printf("  %-60s %-12s %s\n", w.Describe, w.Status, w.Phase)
+			r, err := service.DecodeResult(faults, w)
+			if err != nil {
+				fail(err)
+			}
+			fmt.Printf("  %-60s %-12s %s\n", r.Fault.Describe(c), w.Status, w.Phase)
 		}
 	} else if _, err := cl.Wait(ctx, sub.JobID); err != nil {
 		fail(err)
@@ -128,14 +133,18 @@ func main() {
 		fmt.Printf("wrote test set to %s\n", *out)
 	}
 	if *statuses != "" {
+		results, err := service.DecodeResults(faults, resp.Results)
+		if err != nil {
+			fail(err)
+		}
 		var sb strings.Builder
-		for _, r := range resp.Results {
-			fmt.Fprintf(&sb, "%s\t%s\n", r.Describe, r.Status)
+		for _, r := range results {
+			fmt.Fprintf(&sb, "%s\t%s\n", r.Fault.Describe(c), r.Status)
 		}
 		if err := os.WriteFile(*statuses, []byte(sb.String()), 0o644); err != nil {
 			fail(err)
 		}
-		fmt.Printf("wrote %d fault statuses to %s\n", len(resp.Results), *statuses)
+		fmt.Printf("wrote %d fault statuses to %s\n", len(results), *statuses)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode"
 
 	"repro/internal/logic"
 )
@@ -52,7 +53,8 @@ func parseErrf(file string, line int, format string, args ...any) error {
 // the DFF data input becomes a pseudo primary output, so the returned circuit
 // is purely combinational, exactly as in the paper's experimental setup.
 // Gates with a single fanin declared as AND/OR (NAND/NOR) are converted to
-// BUF (NOT).
+// BUF (NOT).  A net name may not contain whitespace: the service's wire
+// form of a fault and the tools' status files split on it.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	type rawGate struct {
 		out    string
@@ -80,12 +82,18 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 		switch {
 		case hasPrefixFold(line, "INPUT"):
 			arg, err := parseParenArg(line, "INPUT")
+			if err == nil {
+				err = checkNetName(arg)
+			}
 			if err != nil {
 				return nil, &ParseError{File: name, Line: lineNo, Err: err}
 			}
 			inputs = append(inputs, arg)
 		case hasPrefixFold(line, "OUTPUT"):
 			arg, err := parseParenArg(line, "OUTPUT")
+			if err == nil {
+				err = checkNetName(arg)
+			}
 			if err != nil {
 				return nil, &ParseError{File: name, Line: lineNo, Err: err}
 			}
@@ -106,6 +114,14 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			args := splitArgs(rhs[open+1 : close])
 			if out == "" {
 				return nil, parseErrf(name, lineNo, "gate with empty output name")
+			}
+			if err := checkNetName(out); err != nil {
+				return nil, &ParseError{File: name, Line: lineNo, Err: err}
+			}
+			for _, a := range args {
+				if err := checkNetName(a); err != nil {
+					return nil, &ParseError{File: name, Line: lineNo, Err: err}
+				}
 			}
 			if seenOuts[out] {
 				return nil, parseErrf(name, lineNo, "net %q driven twice", out)
@@ -338,6 +354,14 @@ func parseParenArg(line, keyword string) (string, error) {
 		return "", fmt.Errorf("empty net name in %s statement %q", keyword, line)
 	}
 	return arg, nil
+}
+
+// checkNetName refuses a net name that contains whitespace.
+func checkNetName(n string) error {
+	if strings.IndexFunc(n, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("net name %q contains whitespace", n)
+	}
+	return nil
 }
 
 func splitArgs(s string) []string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
@@ -28,12 +29,44 @@ func TestParseBuilderErrorsAreParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesWhitespaceNames: a net name with whitespace is refused
+// with a *ParseError naming its line, wherever the name appears, while every
+// built-in circuit (names N…, pi… and g…) still parses from its bench text.
+func TestParseRefusesWhitespaceNames(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"INPUT(a b)\nOUTPUT(z)\nz = NOT(a b)\n", 1},
+		{"INPUT(a)\nOUTPUT(z z)\nz = NOT(a)\n", 2},
+		{"INPUT(a)\nOUTPUT(z)\nz y = NOT(a)\n", 3},
+		{"INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b c)\n", 4},
+		{"INPUT(a\tb)\n", 1},
+		{"INPUT(a\u00a0b)\n", 1},
+	} {
+		_, err := circuit.ParseBenchString("t.bench", tc.src)
+		var pe *circuit.ParseError
+		if !errors.As(err, &pe) || pe.Line != tc.line || !strings.Contains(err.Error(), "whitespace") {
+			t.Errorf("ParseBenchString(%q) = %v, want a *ParseError on line %d about whitespace", tc.src, err, tc.line)
+		}
+	}
+	for _, name := range bench.Names() {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := circuit.ParseBenchString(name, circuit.BenchString(c)); err != nil {
+			t.Errorf("built-in %s no longer parses: %v", name, err)
+		}
+	}
+}
+
 // FuzzParse feeds the .bench parser arbitrary input.  The repository ships
 // no .bench files — circuits are generated — so the seed corpus is the
 // serialized form of every generator in internal/bench plus a handful of
 // malformed shapes.  Invariants: the parser never panics, every error is a
-// *ParseError carrying the source name, and parsing is a fixpoint under
-// WriteBench serialization.
+// *ParseError carrying the source name, no parsed net name contains
+// whitespace, and parsing is a fixpoint under WriteBench serialization.
 func FuzzParse(f *testing.F) {
 	seeds := []*circuit.Circuit{
 		bench.C17(),
@@ -55,6 +88,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("OUTPUT(q)\nq = NAND(a b)\n")
 	f.Add("INPUT(a)\nOUTPUT(a)\na = NOT(a)\n")
 	f.Add("INPUT(\nOUTPUT)\n= ()\n")
+	f.Add("INPUT(a b)\nOUTPUT(z)\nz = NOT(a b)\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := circuit.ParseBenchString("fuzz.bench", src)
@@ -73,6 +107,11 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("ParseError message %q does not lead with the source name", pe.Error())
 			}
 			return
+		}
+		for id := 0; id < c.NumNets(); id++ {
+			if n := c.NetName(circuit.NetID(id)); strings.IndexFunc(n, unicode.IsSpace) >= 0 {
+				t.Fatalf("parsed net name %q contains whitespace", n)
+			}
 		}
 		// A circuit the parser accepts must serialize to a form it accepts
 		// again, and serialization must be a fixpoint of the round trip

@@ -46,9 +46,10 @@ type Generator struct {
 
 	// OnSettle, when non-nil, is invoked once for every fault whose
 	// classification becomes final, in the order the faults settle (which is
-	// generally not the order they were passed in).  It must be set before
-	// Run and must not call back into the generator.
-	OnSettle func(FaultResult)
+	// generally not the order they were passed in), with the fault's position
+	// i in the run's fault list.  It must be set before Run and must not call
+	// back into the generator.
+	OnSettle func(i int, r FaultResult)
 
 	// OnPattern, when non-nil, is invoked for every verified test pattern as
 	// it is added to the test set.  The sharded engine (RunSharded) uses it
@@ -98,6 +99,8 @@ type rec struct {
 	// worker is the index of the worker that claimed the fault; the merge
 	// uses it to locate the worker-local test set a PatternIndex refers to.
 	worker int
+	// idx is the fault's position in the run's fault list.
+	idx int
 }
 
 // newRecs builds the result slots and working records for a fault list.
@@ -106,7 +109,7 @@ func newRecs(faults []paths.Fault) ([]FaultResult, []*rec) {
 	recs := make([]*rec, len(faults))
 	for i := range faults {
 		results[i] = FaultResult{Fault: faults[i], Status: Pending, PatternIndex: -1}
-		recs[i] = &rec{fault: faults[i], res: &results[i]}
+		recs[i] = &rec{fault: faults[i], res: &results[i], idx: i}
 	}
 	return results, recs
 }
@@ -987,7 +990,7 @@ func (g *Generator) markCanceled(r *rec, cause error) {
 // settle reports a freshly finalized fault to the OnSettle callback.
 func (g *Generator) settle(r *rec) {
 	if g.OnSettle != nil {
-		g.OnSettle(*r.res)
+		g.OnSettle(r.idx, *r.res)
 	}
 }
 

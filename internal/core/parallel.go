@@ -75,10 +75,10 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	for w := 0; w < workers; w++ {
 		g := master.Fork()
 		if settle != nil {
-			g.OnSettle = func(r FaultResult) {
+			g.OnSettle = func(i int, r FaultResult) {
 				settleMu.Lock()
 				defer settleMu.Unlock()
-				settle(r)
+				settle(i, r)
 			}
 		}
 		if x != nil {

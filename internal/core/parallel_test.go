@@ -130,7 +130,8 @@ func TestShardedPatternIndices(t *testing.T) {
 }
 
 // TestShardedSettleCallback checks that the serialized OnSettle callback
-// fires exactly once per fault across all workers.
+// fires exactly once per fault across all workers, with the fault's position
+// in the input list.
 func TestShardedSettleCallback(t *testing.T) {
 	c, err := bench.Get("cmp8")
 	if err != nil {
@@ -140,10 +141,13 @@ func TestShardedSettleCallback(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[string]int)
 	g := New(c, DefaultOptions(sensitize.Nonrobust))
-	g.OnSettle = func(r FaultResult) {
+	g.OnSettle = func(i int, r FaultResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		seen[r.Fault.Key()]++
+		if k := faults[i].Key(); k != r.Fault.Key() {
+			t.Errorf("OnSettle reported %s at index %d, which holds %s", r.Fault.Key(), i, k)
+		}
 	}
 	RunSharded(context.Background(), g, faults, 4)
 	if len(seen) != len(faults) {
@@ -362,7 +366,7 @@ func TestCancellationDrainsQueue(t *testing.T) {
 	settled := 0
 	g := New(c, opts)
 	var mu sync.Mutex
-	g.OnSettle = func(FaultResult) {
+	g.OnSettle = func(int, FaultResult) {
 		mu.Lock()
 		defer mu.Unlock()
 		settled++

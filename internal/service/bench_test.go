@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/paths"
 )
 
 // BenchmarkServiceCache measures the compiled-circuit cache on the
@@ -43,4 +48,68 @@ func BenchmarkServiceCache(b *testing.B) {
 		co.Close()
 	}
 	b.ReportMetric(float64(hits)/float64(hits+misses), "hitrate")
+}
+
+// BenchmarkWireJob measures the JSON wire of one 3,000-fault c880 job, the
+// bench's service-loopback job: each iteration encodes and decodes the
+// submit body (client to coordinator), the spec (coordinator to a worker)
+// and the final results (coordinator to client), with the same calls the
+// client, coordinator and worker make.  The run that produces the results
+// happens once, outside the timer.  KB/job is the three bodies' size.
+func BenchmarkWireJob(b *testing.B) {
+	c, text := benchText(b, "c880")
+	faults := paths.SampleFaults(c, 3000, 1995)
+	opts := JobOptions{SimInterval: new(int), Compact: "reverse"}
+	coreOpts, err := opts.ToCore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	master := core.New(c, coreOpts)
+	results := core.RunSharded(context.Background(), master, faults, 2)
+	var tests bytes.Buffer
+	if err := master.TestSet().Write(&tests); err != nil {
+		b.Fatal(err)
+	}
+	hash := HashBench(text)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var size int
+	for i := 0; i < b.N; i++ {
+		size = 0
+		roundTrip := func(in, out any) {
+			body, err := json.Marshal(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			size += len(body)
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(out); err != nil {
+				b.Fatal(err)
+			}
+		}
+
+		var sub SubmitRequest
+		roundTrip(SubmitRequest{CircuitHash: hash, Options: opts, Faults: EncodeFaults(c, faults)}, &sub)
+		if _, err := DecodeFaults(c, sub.Faults); err != nil {
+			b.Fatal(err)
+		}
+
+		var spec JobSpec
+		roundTrip(JobSpec{JobID: "j1", CircuitHash: hash, Options: sub.Options, Faults: sub.Faults}, &spec)
+		if _, err := DecodeFaults(c, spec.Faults); err != nil {
+			b.Fatal(err)
+		}
+
+		wire := make([]WireResult, len(results))
+		for k, r := range results {
+			wire[k] = EncodeResult(k, r, r.PatternIndex)
+		}
+		var resp ResultsResponse
+		roundTrip(ResultsResponse{JobID: "j1", State: stateDone, Results: wire, Tests: tests.String(), Stats: master.Stats()}, &resp)
+		if _, err := DecodeResults(faults, resp.Results); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(size)/1024, "KB/job")
 }

@@ -296,7 +296,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 }
 
 // Request body limits, one per route that reads a body.  Each leaves wide
-// headroom over what a job sends: a 3,000-fault c880 job submits 330 KB and
+// headroom over what a job sends: a 3,000-fault c880 job submits 191 KB and
 // posts about 42 KB of unit results at a time, and a lease request is a
 // worker id and two numbers.  The largest legitimate bodies are a submit
 // carrying the s38584 stand-in's bench text and a few hundred thousand
@@ -358,15 +358,23 @@ func (co *Coordinator) runJob(j *job) {
 	case co.sem <- struct{}{}:
 		defer func() { <-co.sem }()
 	case <-j.ctx.Done():
-		j.finalize(nil, "", core.Stats{}, nil)
+		// Canceled while queued: every fault is aborted with the cause, as
+		// in a local run canceled before it started, so the results still
+		// hold one entry per fault.
+		wire := make([]WireResult, len(j.faults))
+		r := core.FaultResult{Status: core.Aborted, PatternIndex: -1, Err: context.Cause(j.ctx)}
+		for i := range wire {
+			wire[i] = EncodeResult(i, r, -1)
+		}
+		j.finalize(wire, "", core.Stats{}, nil)
 		return
 	}
 	j.setState(stateRunning)
 
 	master := core.New(j.c, j.coreOpts)
-	master.OnSettle = func(r core.FaultResult) {
+	master.OnSettle = func(i int, r core.FaultResult) {
 		// Merge indices do not exist yet when a fault settles: events carry -1.
-		j.appendEvent(EncodeResult(j.c, r, -1))
+		j.appendEvent(EncodeResult(i, r, -1))
 	}
 	rr := core.NewRemoteRun(master, j.faults)
 	j.mu.Lock()
@@ -382,7 +390,7 @@ func (co *Coordinator) runJob(j *job) {
 	_ = master.TestSet().Write(&buf)
 	wire := make([]WireResult, len(results))
 	for i, r := range results {
-		wire[i] = EncodeResult(j.c, r, r.PatternIndex)
+		wire[i] = EncodeResult(i, r, r.PatternIndex)
 	}
 	j.finalize(wire, buf.String(), master.Stats(), master.Err())
 }
@@ -411,7 +419,7 @@ func (j *job) finalize(results []WireResult, tests string, stats core.Stats, run
 	j.mu.Unlock()
 	j.stateSig.fire()
 	if persist {
-		j.ledger.RecordState(state)
+		j.ledger.RecordState(state, reason)
 	}
 	j.closeEvents()
 }
@@ -584,10 +592,15 @@ func (co *Coordinator) resume() error {
 		if lj.State != "" {
 			continue // terminal: nothing to resume
 		}
-		if err := co.resumeJob(lj); err != nil {
-			// Poison the ledger so the next restart does not retry forever.
+		err := lj.Err
+		if err == nil {
+			err = co.resumeJob(lj)
+		}
+		if err != nil {
+			// Record the job failed, with the reason, so the ledger reports
+			// it and the next restart does not retry it.
 			if led, lerr := OpenLedger(co.cfg.LedgerDir, lj.ID); lerr == nil {
-				led.RecordState(stateFailed)
+				led.RecordState(stateFailed, err.Error())
 				led.Close()
 			}
 		}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,9 +30,12 @@ import (
 // Records are appended, never rewritten in place; a torn final line (crash
 // mid-write) is ignored on load, and reopening a file with a torn tail
 // writes a newline first so the next record cannot concatenate onto the
-// debris.  Worker effort deltas are not ledgered — they are informational,
-// and the search effort of pre-crash units is simply absent from a resumed
-// job's statistics.
+// debris.  Such sealed debris is a strict prefix of a record, and the loader
+// skips it too.  Any other line that does not decode (a record this
+// coordinator cannot read) is reported: resume records the job failed, with
+// the decode error, instead of forgetting it.  Worker effort deltas are not
+// ledgered — they are informational, and the search effort of pre-crash
+// units is simply absent from a resumed job's statistics.
 //
 // Because the journal is append-only it would grow without bound on a
 // long-lived coordinator; Compact (run on resume and when a job's journal
@@ -66,6 +71,7 @@ type ledgerRecord struct {
 
 	// T == "state"
 	State string `json:"state,omitempty"`
+	Error string `json:"error,omitempty"` // why a failed job failed
 }
 
 // Ledger appends the records of one job.  All methods are safe for
@@ -184,9 +190,10 @@ func (l *Ledger) RecordUnit(pass, unit int, worker string, faults []int, outcome
 	l.append(ledgerRecord{T: "unit", Pass: pass, Unit: unit, Worker: worker, UnitFaults: faults, Outcomes: outcomes})
 }
 
-// RecordState records a terminal state ("done", "canceled" or "failed").
-func (l *Ledger) RecordState(state string) {
-	l.append(ledgerRecord{T: "state", State: state})
+// RecordState records a terminal state ("done", "canceled" or "failed")
+// and, for a failed job, the reason.
+func (l *Ledger) RecordState(state, reason string) {
+	l.append(ledgerRecord{T: "state", State: state, Error: reason})
 }
 
 // Compact snapshots the journal's replayable content and truncates the file
@@ -241,8 +248,10 @@ func compactLedgerFile(path string, before int64) (int64, error) {
 	if err != nil {
 		return before, err
 	}
-	if lj == nil {
-		return before, nil // no job record: nothing safe to rewrite
+	if lj == nil || lj.Err != nil {
+		// No job record, or a line that does not decode: nothing safe to
+		// rewrite.
+		return before, nil
 	}
 	snap := renderCompact(lj)
 	if int64(len(snap)) >= before {
@@ -269,7 +278,7 @@ func renderCompact(lj *LedgerJob) []byte {
 	enc := json.NewEncoder(&buf)
 	if lj.State != "" {
 		_ = enc.Encode(ledgerRecord{T: "job", ID: lj.ID, Name: lj.Name})
-		_ = enc.Encode(ledgerRecord{T: "state", State: lj.State})
+		_ = enc.Encode(ledgerRecord{T: "state", State: lj.State, Error: lj.Reason})
 		return buf.Bytes()
 	}
 	opts := lj.Options
@@ -320,8 +329,13 @@ type LedgerJob struct {
 	Options JobOptions
 	Faults  []WireFault
 	// State is the last terminal state recorded, or "" for a job the
-	// coordinator should resume.
-	State string
+	// coordinator should resume; Reason is the error recorded with it.
+	State  string
+	Reason string
+	// Err is the first complete line that does not decode.  The ledger is
+	// not replayable: resume records the job failed with this error.  When
+	// the job record itself is that line, ID comes from the file name.
+	Err error
 	// Passes and Units hold the recorded pass cuts and unit completions,
 	// keyed by pass sequence number.
 	Passes map[int]LedgerPass
@@ -345,8 +359,8 @@ type LedgerUnit struct {
 }
 
 // LoadLedgers reads every job ledger under dir, sorted by file name for a
-// deterministic resume order.  Unparseable lines (a torn tail after a
-// crash) are skipped; files without a job record are ignored.
+// deterministic resume order.  Torn lines (see loadLedgerFile) are skipped;
+// files without a job record are ignored unless a line failed to decode.
 func LoadLedgers(dir string) ([]*LedgerJob, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil {
@@ -366,18 +380,31 @@ func LoadLedgers(dir string) ([]*LedgerJob, error) {
 	return out, nil
 }
 
+// loadLedgerFile reads one job's ledger.  Two kinds of line are torn writes
+// and skipped: the final line when it lacks its newline (a crash
+// mid-append), and a complete line that is a strict prefix of a record (a
+// torn append that the next append sealed with a newline).  Any other line
+// that does not decode sets LedgerJob.Err; the job is then returned even
+// without a job record, so resume can report it and reserve its ID.
 func loadLedgerFile(path string) (*LedgerJob, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var lj *LedgerJob
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+	var (
+		lj            *LedgerJob
+		state, reason string
+		bad           error
+	)
+	rd := bufio.NewReaderSize(f, 64*1024)
+	for n, tail := 1, false; !tail; n++ {
+		line, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		tail = err == io.EOF // no newline: the final line, maybe torn
+		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
 		// Unknown fields are ignored on purpose, unlike on submit: a ledger
@@ -385,8 +412,11 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 		// knows still loads, and replay reuses only the units of a pass
 		// whose recorded cut matches the one the job computes now.
 		var rec ledgerRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			continue // torn tail from a crash mid-append: ignore
+		if err := json.Unmarshal(line, &rec); err != nil {
+			if !tail && !truncated(line) && bad == nil {
+				bad = fmt.Errorf("ledger line %d does not decode: %w", n, err)
+			}
+			continue
 		}
 		switch rec.T {
 		case "job":
@@ -413,13 +443,23 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 				})
 			}
 		case "state":
-			if lj != nil {
-				lj.State = rec.State
-			}
+			state, reason = rec.State, rec.Error
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if bad != nil {
+		if lj == nil {
+			lj = &LedgerJob{ID: strings.TrimSuffix(filepath.Base(path), ".jsonl")}
+		}
+		lj.Err = bad
+	}
+	if lj != nil {
+		lj.State, lj.Reason = state, reason
 	}
 	return lj, nil
+}
+
+// truncated reports whether line is a strict prefix of a JSON value.
+func truncated(line []byte) bool {
+	err := json.NewDecoder(bytes.NewReader(line)).Decode(new(json.RawMessage))
+	return errors.Is(err, io.ErrUnexpectedEOF)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http/httptest"
@@ -151,7 +152,7 @@ func TestServiceLedgerResume(t *testing.T) {
 	}
 	for i, r := range resp.Results {
 		if want := localResults[i].Status.String(); r.Status != want {
-			t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
 	if resp.Tests != localTests {
@@ -264,7 +265,7 @@ func TestServiceLedgerResumeLegacySpec(t *testing.T) {
 			}
 			for i, r := range resp.Results {
 				if want := localResults[i].Status.String(); r.Status != want {
-					t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+					t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 				}
 			}
 			if resp.Tests != localTests {
@@ -322,5 +323,74 @@ func writeLegacyLedger(t *testing.T, dir, id string, c *circuit.Circuit, text st
 	}
 	if err := os.WriteFile(filepath.Join(dir, id+".jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceLedgerUndecodableJobRecord restarts a coordinator on a ledger
+// whose job record does not decode: the object-form faults an older
+// coordinator journaled.  The job must not resume, its ledger must record it
+// failed with the decode error (once: a second restart adds nothing), and
+// its ID must stay reserved, so the next submit gets a new one.
+func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "object-faults.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "j7.jsonl")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, text := benchText(t, "c17")
+	ctx := context.Background()
+
+	var size int64
+	for restart := 0; restart < 2; restart++ {
+		co, err := NewCoordinator(Config{LedgerDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(co)
+		cl := NewClient(srv.URL)
+		if _, err := cl.Status(ctx, "j7"); err == nil {
+			t.Fatal("a job whose record does not decode was resumed")
+		}
+		if restart == 0 {
+			sub, err := cl.SubmitBench(ctx, "c17", text, JobOptions{SimInterval: intp(0)}, EncodeFaults(c, paths.SampleFaults(c, 2, 1995)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.JobID != "j8" {
+				t.Errorf("next submit got ID %s, want j8 (j7 is reserved by its ledger)", sub.JobID)
+			}
+			if _, err := cl.Cancel(ctx, sub.JobID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		co.Close()
+
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, fixture) {
+			t.Fatal("the ledger was rewritten instead of appended to")
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw[len(fixture):])), "\n")
+		if len(lines) != 1 {
+			t.Fatalf("restart %d: ledger gained %d lines, want the one failed record:\n%s", restart, len(lines), raw[len(fixture):])
+		}
+		var rec ledgerRecord
+		if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.T != "state" || rec.State != stateFailed || !strings.Contains(rec.Error, "does not decode") {
+			t.Fatalf("appended record %s, want the failed state with the decode error", lines[0])
+		}
+		if restart == 1 && int64(len(raw)) != size {
+			t.Fatal("a second restart appended to a ledger already recorded failed")
+		}
+		size = int64(len(raw))
 	}
 }

@@ -461,7 +461,7 @@ func TestWaitSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	for i, r := range resp.Results {
 		if want := localResults[i].Status.String(); r.Status != want {
-			t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
 	if resp.Tests != localTests {

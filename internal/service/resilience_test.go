@@ -94,7 +94,7 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 	}
 	for i, r := range resp.Results {
 		if want := localResults[i].Status.String(); r.Status != want {
-			t.Fatalf("fault %d (%s): status %s under chaos, local %s", i, r.Describe, r.Status, want)
+			t.Fatalf("fault %d (%s): status %s under chaos, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 		if r.PatternIndex != localResults[i].PatternIndex {
 			t.Fatalf("fault %d: pattern index %d under chaos, local %d",
@@ -230,7 +230,7 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	}
 	for i, r := range resp.Results {
 		if want := localResults[i].Status.String(); r.Status != want {
-			t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
 	if resp.Tests != localTests {
@@ -247,10 +247,10 @@ func TestLedgerCompactTerminalStub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.RecordJob("job-000001", "c17", "deadbeef", "INPUT(a)\n", JobOptions{}, []WireFault{{Nets: []string{"a"}, Transition: "rise"}})
+	l.RecordJob("job-000001", "c17", "deadbeef", "INPUT(a)\n", JobOptions{}, []WireFault{"rising a"})
 	l.RecordPass(1, WireSpec{}, [][]int{{0}})
 	l.RecordUnit(1, 0, "wA", []int{0}, nil)
-	l.RecordState(stateDone)
+	l.RecordState(stateDone, "")
 	l.Close()
 
 	path := filepath.Join(dir, "job-000001.jsonl")
@@ -308,6 +308,9 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if err != nil || lj == nil {
 		t.Fatalf("resynced ledger unreadable: %v", err)
 	}
+	if lj.Err != nil {
+		t.Fatalf("sealed torn line reported as a record that does not decode: %v", lj.Err)
+	}
 	if _, ok := lj.Passes[1]; !ok {
 		t.Fatal("record appended after a torn tail was lost (concatenated onto the debris)")
 	}
@@ -332,7 +335,7 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 		l.RecordUnit(1, u, "wA", nil, nil)
 	}
 	l.SetChaos(nil)
-	l.RecordState(stateDone) // clean append after the carnage
+	l.RecordState(stateDone, "") // clean append after the carnage
 	l.Close()
 
 	if torn := inj.Stats().Torn; torn == 0 {
@@ -341,6 +344,9 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 	lj, err := loadLedgerFile(filepath.Join(dir, "chaotic.jsonl"))
 	if err != nil || lj == nil {
 		t.Fatalf("chaotic ledger unreadable: %v", err)
+	}
+	if lj.Err != nil {
+		t.Fatalf("sealed torn writes reported as records that do not decode: %v", lj.Err)
 	}
 	seen := make(map[int]bool)
 	for _, u := range lj.Units[1] {

@@ -161,15 +161,18 @@ func TestServiceMatchesLocal(t *testing.T) {
 			}
 			simOn := tc.sim == nil
 			for i, r := range resp.Results {
+				if r.Index != i {
+					t.Fatalf("result %d carries index %d", i, r.Index)
+				}
 				want := localResults[i].Status.String()
 				if simOn {
 					if classOf(r.Status) != classOf(want) {
-						t.Fatalf("fault %d (%s): coverage class %s, local %s", i, r.Describe, r.Status, want)
+						t.Fatalf("fault %d (%s): coverage class %s, local %s", i, faults[i].Describe(c), r.Status, want)
 					}
 					continue
 				}
 				if r.Status != want {
-					t.Fatalf("fault %d (%s): status %s, local %s", i, r.Describe, r.Status, want)
+					t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 				}
 				if r.PatternIndex != localResults[i].PatternIndex {
 					t.Fatalf("fault %d: pattern index %d, local %d", i, r.PatternIndex, localResults[i].PatternIndex)
@@ -549,9 +552,9 @@ func TestServiceCancel(t *testing.T) {
 	if resp.State != "canceled" {
 		t.Fatalf("results state %q, want canceled", resp.State)
 	}
-	for _, r := range resp.Results {
+	for i, r := range resp.Results {
 		if r.Status == "pending" {
-			t.Fatalf("fault %s left pending after cancel", r.Describe)
+			t.Fatalf("fault %s left pending after cancel", faults[i].Describe(c))
 		}
 	}
 }
@@ -619,7 +622,9 @@ func TestServiceMultiTenant(t *testing.T) {
 }
 
 // TestServiceEvents checks the settle-event stream: every fault settles
-// exactly once, and the stream terminates with Done once the job is over.
+// exactly once, under its index in the submitted list and with the status
+// the final results give it (the simulation is off), and the stream
+// terminates with Done once the job is over.
 func TestServiceEvents(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 32, 1995)
@@ -641,12 +646,17 @@ func TestServiceEvents(t *testing.T) {
 	}
 	seen := 0
 	from := 0
+	settled := make(map[int]string)
 	for {
 		ev, err := cl.Events(ctx, sub.JobID, from, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range ev.Events {
+			if _, dup := settled[e.Index]; dup || e.Index < 0 || e.Index >= len(faults) {
+				t.Fatalf("settle event with index %d: out of range or repeated", e.Index)
+			}
+			settled[e.Index] = e.Status
 			if e.PatternIndex != -1 {
 				t.Fatalf("settle event carries pattern index %d, want -1 (merge has not happened)", e.PatternIndex)
 			}
@@ -662,6 +672,15 @@ func TestServiceEvents(t *testing.T) {
 	}
 	if seen != len(faults) {
 		t.Fatalf("event stream delivered %d settles for %d faults", seen, len(faults))
+	}
+	resp, err := cl.Results(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resp.Results {
+		if settled[i] != r.Status {
+			t.Errorf("fault %d settled as %s, final status %s", i, settled[i], r.Status)
+		}
 	}
 }
 

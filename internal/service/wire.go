@@ -14,6 +14,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/compact"
@@ -27,41 +28,67 @@ import (
 // API is the URL prefix of the coordinator's HTTP endpoints.
 const API = "/api/v1"
 
-// WireFault is a path delay fault in wire form: the path's nets by name,
-// input to output, and the launch transition ("rising" or "falling").
-type WireFault struct {
-	Nets       []string `json:"nets"`
-	Transition string   `json:"transition"`
-}
+// WireFault is a path delay fault in wire form: the launch transition
+// ("rising" or "falling"), then the path's nets by name, input to output,
+// separated by single spaces, e.g. "rising N1 N22 N45".  Net names carry no
+// whitespace (ParseBench refuses them), so the form splits unambiguously.
+// Names, not net IDs, are the identity on the wire: a client's circuit may
+// number its nets differently from the coordinator's compile of the same
+// bench text.
+type WireFault string
 
 // EncodeFault renders a fault with the circuit's net names.
 func EncodeFault(c *circuit.Circuit, f paths.Fault) WireFault {
-	nets := make([]string, len(f.Path.Nets))
-	for i, n := range f.Path.Nets {
-		nets[i] = c.NetName(n)
+	t := f.Transition.String()
+	n := len(t)
+	for _, id := range f.Path.Nets {
+		n += 1 + len(c.NetName(id))
 	}
-	return WireFault{Nets: nets, Transition: f.Transition.String()}
+	var sb strings.Builder
+	sb.Grow(n)
+	sb.WriteString(t)
+	for _, id := range f.Path.Nets {
+		sb.WriteByte(' ')
+		sb.WriteString(c.NetName(id))
+	}
+	return WireFault(sb.String())
 }
 
 // DecodeFault resolves a wire fault against the circuit and validates that
-// the nets form a structural path.
+// the nets form a structural path.  Every malformed string is an error: an
+// unknown transition, no nets, an empty name (a leading, trailing or doubled
+// space) or a name the circuit does not have.
 func DecodeFault(c *circuit.Circuit, wf WireFault) (paths.Fault, error) {
+	s := string(wf)
+	sp := strings.IndexByte(s, ' ')
+	if sp < 0 {
+		return paths.Fault{}, fmt.Errorf("service: fault %q names no nets", s)
+	}
 	var t paths.Transition
-	switch wf.Transition {
+	switch s[:sp] {
 	case "rising":
 		t = paths.Rising
 	case "falling":
 		t = paths.Falling
 	default:
-		return paths.Fault{}, fmt.Errorf("service: unknown transition %q (want rising or falling)", wf.Transition)
+		return paths.Fault{}, fmt.Errorf("service: unknown transition %q (want rising or falling)", s[:sp])
 	}
-	p := paths.Path{Nets: make([]circuit.NetID, len(wf.Nets))}
-	for i, name := range wf.Nets {
+	rest := s[sp+1:]
+	p := paths.Path{Nets: make([]circuit.NetID, 0, strings.Count(rest, " ")+1)}
+	for {
+		name, tail, more := strings.Cut(rest, " ")
+		if name == "" {
+			return paths.Fault{}, fmt.Errorf("service: fault %q has an empty net name", s)
+		}
 		id := c.NetByName(name)
 		if id == circuit.InvalidNet {
 			return paths.Fault{}, fmt.Errorf("service: circuit %s has no net %q", c.Name, name)
 		}
-		p.Nets[i] = id
+		p.Nets = append(p.Nets, id)
+		if !more {
+			break
+		}
+		rest = tail
 	}
 	if err := p.Validate(c); err != nil {
 		return paths.Fault{}, fmt.Errorf("service: invalid fault path: %w", err)
@@ -281,27 +308,27 @@ type WirePattern struct {
 }
 
 // WireResult is one fault's result as reported to clients (events and final
-// results).  PatternIndex refers to the job's merged, compacted test set; in
+// results).  Index is the fault's position in the job's fault list: the
+// client holds that list (it submitted it), so the fault itself is not sent
+// back.  PatternIndex refers to the job's merged, compacted test set; in
 // settle events it is -1 (indices exist only after the merge).
 type WireResult struct {
-	Fault        WireFault `json:"fault"`
-	Describe     string    `json:"describe"`
-	Status       string    `json:"status"`
-	Phase        string    `json:"phase,omitempty"`
-	PatternIndex int       `json:"pattern_index"`
-	Decisions    int       `json:"decisions,omitempty"`
-	Backtracks   int       `json:"backtracks,omitempty"`
-	Test         string    `json:"test,omitempty"`
-	Err          string    `json:"err,omitempty"`
+	Index        int    `json:"index"`
+	Status       string `json:"status"`
+	Phase        string `json:"phase,omitempty"`
+	PatternIndex int    `json:"pattern_index"`
+	Decisions    int    `json:"decisions,omitempty"`
+	Backtracks   int    `json:"backtracks,omitempty"`
+	Test         string `json:"test,omitempty"`
+	Err          string `json:"err,omitempty"`
 }
 
-// EncodeResult renders a fault result for the wire.  patternIndex overrides
-// the result's own index (settle events pass -1: merge indices do not exist
-// yet when a fault settles).
-func EncodeResult(c *circuit.Circuit, r core.FaultResult, patternIndex int) WireResult {
+// EncodeResult renders the result of the job's index-th fault for the wire.
+// patternIndex overrides the result's own index (settle events pass -1:
+// merge indices do not exist yet when a fault settles).
+func EncodeResult(index int, r core.FaultResult, patternIndex int) WireResult {
 	w := WireResult{
-		Fault:        EncodeFault(c, r.Fault),
-		Describe:     r.Fault.Describe(c),
+		Index:        index,
 		Status:       r.Status.String(),
 		Phase:        r.Phase.String(),
 		PatternIndex: patternIndex,
@@ -318,11 +345,12 @@ func EncodeResult(c *circuit.Circuit, r core.FaultResult, patternIndex int) Wire
 }
 
 // DecodeResult parses a wire result back into a core fault result (the
-// inverse of EncodeResult, used by the atpg facade's remote engine).
-func DecodeResult(c *circuit.Circuit, w WireResult) (core.FaultResult, error) {
-	f, err := DecodeFault(c, w.Fault)
-	if err != nil {
-		return core.FaultResult{}, err
+// inverse of EncodeResult, used by the atpg facade's remote engine).  faults
+// is the job's fault list, as submitted; the result's fault is the one at
+// its index, and an index outside the list is an error.
+func DecodeResult(faults []paths.Fault, w WireResult) (core.FaultResult, error) {
+	if w.Index < 0 || w.Index >= len(faults) {
+		return core.FaultResult{}, fmt.Errorf("service: result index %d out of range for %d faults", w.Index, len(faults))
 	}
 	st, ok := statusNames[w.Status]
 	if !ok {
@@ -333,7 +361,7 @@ func DecodeResult(c *circuit.Circuit, w WireResult) (core.FaultResult, error) {
 		return core.FaultResult{}, fmt.Errorf("service: unknown phase %q", w.Phase)
 	}
 	r := core.FaultResult{
-		Fault:        f,
+		Fault:        faults[w.Index],
 		Status:       st,
 		Phase:        ph,
 		PatternIndex: w.PatternIndex,
@@ -351,6 +379,26 @@ func DecodeResult(c *circuit.Circuit, w WireResult) (core.FaultResult, error) {
 		r.Err = errors.New(w.Err)
 	}
 	return r, nil
+}
+
+// DecodeResults decodes a finished job's results against the job's fault
+// list: one result per fault, each at its own index.
+func DecodeResults(faults []paths.Fault, ws []WireResult) ([]core.FaultResult, error) {
+	if len(ws) != len(faults) {
+		return nil, fmt.Errorf("service: %d results for %d faults", len(ws), len(faults))
+	}
+	out := make([]core.FaultResult, len(ws))
+	for i, w := range ws {
+		if w.Index != i {
+			return nil, fmt.Errorf("service: result %d carries index %d", i, w.Index)
+		}
+		r, err := DecodeResult(faults, w)
+		if err != nil {
+			return nil, fmt.Errorf("result %d: %w", i, err)
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // Request and response bodies of the coordinator API.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +19,9 @@ import (
 // live job.  The invariants: nothing panics, and no body draws a 5xx — a
 // malformed body is the client's fault, never the coordinator's.  Each
 // request carries a short context, so a body asking for a parked lease
-// returns when it ends.
+// returns when it ends.  The raw body is also decoded as a wire fault
+// string, which must be refused unless it is the exact encoding of a fault
+// of the circuit: every malformed string returns an error.
 func FuzzWire(f *testing.F) {
 	c, text := benchText(f, "c17")
 	faults := paths.SampleFaults(c, 8, 1995)
@@ -60,10 +63,22 @@ func FuzzWire(f *testing.F) {
 		Patterns: []WirePattern{{Worker: "w", Test: wire[0].Test}}}))
 	f.Add(mustJSON(wire))
 	f.Add(mustJSON(wireFaults))
-	f.Add(mustJSON(EncodeResult(c, core.FaultResult{Fault: faults[0], Status: core.Tested, Test: outs[0].Test}, 0)))
+	result := EncodeResult(0, core.FaultResult{Fault: faults[0], Status: core.Tested, Test: outs[0].Test}, 0)
+	f.Add(mustJSON(result))
+	f.Add(mustJSON([]WireResult{result}))
 	f.Add([]byte(`{"worker":"w","pass":1,"units":[{"id":-1,"outcomes":[]}]}`))
+	for _, wf := range wireFaults[:2] {
+		f.Add([]byte(wf))
+	}
+	f.Add([]byte("rising"))
+	f.Add([]byte(strings.Replace(string(wireFaults[0]), " ", "  ", 1)))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if fault, err := DecodeFault(c, WireFault(body)); err == nil {
+			if got := EncodeFault(c, fault); string(got) != string(body) {
+				t.Fatalf("DecodeFault accepted %q, which encodes back as %q", body, got)
+			}
+		}
 		var wfs []WireFault
 		if json.Unmarshal(body, &wfs) == nil {
 			_, _ = DecodeFaults(c, wfs)
@@ -74,7 +89,11 @@ func FuzzWire(f *testing.F) {
 		}
 		var wr WireResult
 		if json.Unmarshal(body, &wr) == nil {
-			_, _ = DecodeResult(c, wr)
+			_, _ = DecodeResult(faults, wr)
+		}
+		var wrs []WireResult
+		if json.Unmarshal(body, &wrs) == nil {
+			_, _ = DecodeResults(faults, wrs)
 		}
 		for _, path := range []string{API + "/lease", API + "/jobs/" + sub.JobID + "/results"} {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
