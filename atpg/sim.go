@@ -24,10 +24,12 @@ func Simulate(c *Circuit, pairs []TestPair, faults []Fault, robust bool) (SimRes
 	return faultsim.Run(c.c, pairs, faults, robust)
 }
 
-// SimulateParallel is Simulate sharded across workers goroutines: per-fault
-// detection is independent, so the result is identical to Simulate, only
-// faster on multi-core machines.  Like [WithWorkers], 0 selects one worker
-// per core and negative counts are an error.
+// SimulateParallel is Simulate on workers goroutines, each simulating its
+// share of the 64-pair batches against every fault; a fault's first
+// detecting pair is the least over all batches, so the result is identical
+// to Simulate, only faster on multi-core machines with sets of several
+// batches.  Like [WithWorkers], 0 selects one worker per core and negative
+// counts are an error.
 func SimulateParallel(c *Circuit, pairs []TestPair, faults []Fault, robust bool, workers int) (SimResult, error) {
 	if c == nil || c.c == nil {
 		return SimResult{}, ErrNilCircuit

@@ -23,7 +23,7 @@ func main() {
 		patternFile = flag.String("patterns", "", "test set file (as written by cmd/tip -out)")
 		sample      = flag.Int("sample", 1000, "number of faults to sample (0 = enumerate all; beware of path explosion)")
 		seed        = flag.Int64("seed", 1, "fault sampling seed")
-		workers     = flag.Int("workers", 1, "worker goroutines to shard the fault list across (0 = one per core)")
+		workers     = flag.Int("workers", 1, "simulators to spread the test set's 64-pair batches across (0 = one per core)")
 		compactStr  = flag.String("compact", "none", "statically compact the test set against the fault list: none, reverse or full")
 		class       = flag.String("class", "robust", "test class the compaction preserves coverage in: robust or nonrobust")
 		xfill       = flag.String("xfill", "zero", "don't-care fill for merged pairs: zero, one or random")

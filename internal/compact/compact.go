@@ -32,6 +32,7 @@
 package compact
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -117,12 +118,17 @@ func (s Stats) String() string {
 		s.PairsBefore, s.PairsAfter, s.Reduction()*100, s.Merged, s.SimDropped)
 }
 
-// entry is one candidate pattern of the selection pool.
+// entry is one pair of a compaction round, with everything the rounds
+// carry forward: its detections and, at level Full, its packed planes, so a
+// pair that survives a round is never simulated or packed again.
 type entry struct {
 	filled   pattern.Pair
 	unfilled pattern.Pair
 	target   string
-	det      bitset
+	// det is the set of faults the filled pair detects.
+	det bitset
+	// planes is unfilled packed by packPlanes (level Full only).
+	planes []uint64
 }
 
 // maxCompactionRounds bounds the shrink-until-fixpoint iteration of
@@ -145,21 +151,60 @@ const maxCompactionRounds = 8
 // elimination.  fill specifies how the don't cares of merged pairs are
 // completed; nil selects ZeroFill.
 func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
+	out, st, _, err := CompactOn([]*faultsim.Simulator{faultsim.New(c)}, set, faults, robust, level, fill)
+	return out, st, err
+}
+
+// CompactOn is Compact on the given simulators, which must be bound to the
+// set's circuit; their pair batches are spread over them by
+// faultsim.EachBatch.  It also returns, per fault, the index in the
+// returned set of the first pair that detects the fault, or -1 — what
+// faultsim.Run of the returned set reports as DetectedBy — or nil when level
+// is None.
+//
+// The input set is simulated once.  A round then simulates only the pairs
+// it freshly merges: every other pair carries its detections, and at level
+// Full its packed planes, from the round that made it, so the result is
+// exactly that of re-simulating every round's set.
+func CompactOn(sims []*faultsim.Simulator, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, []int, error) {
 	st := Stats{PairsBefore: set.Len(), PairsAfter: set.Len()}
-	if level == None || set.Len() == 0 || len(faults) == 0 {
-		return set, st, nil
+	if level == None {
+		return set, st, nil, nil
+	}
+	if set.Len() == 0 || len(faults) == 0 {
+		return set, st, firstDetecting(nil, len(faults)), nil
 	}
 	if fill == nil {
 		fill = ZeroFill()
 	}
-	sim := faultsim.New(c)
-	cur := set
-	for round := 0; round < maxCompactionRounds; round++ {
-		out, roundStats, err := compactOnce(sim, cur, faults, robust, level, fill)
-		if err != nil {
-			return nil, Stats{}, err
+	pool := make([]entry, set.Len())
+	for i := range pool {
+		target := ""
+		if i < len(set.Targets) {
+			target = set.Targets[i]
 		}
-		if out.Len() >= cur.Len() {
+		pool[i] = entry{filled: set.Pairs[i], unfilled: set.UnfilledAt(i), target: target}
+	}
+	if err := detect(sims, pool, faults, robust); err != nil {
+		return nil, Stats{}, nil, err
+	}
+	if level == Full {
+		pack(pool)
+	}
+	// baseline is the detected-fault set every round must reproduce exactly.
+	baseline := newBitset(len(faults))
+	for i := range pool {
+		baseline.or(pool[i].det)
+	}
+
+	cur := pool
+	merges := make(map[string]entry)
+	for round := 0; round < maxCompactionRounds; round++ {
+		next, roundStats, err := compactOnce(sims, cur, faults, robust, level, fill, baseline, merges)
+		if err != nil {
+			return nil, Stats{}, nil, err
+		}
+		if len(next) >= len(cur) {
 			// No progress: discard the pass (this is what makes Compact
 			// idempotent — on an already-compact set the first round changes
 			// nothing and the input is returned as is).
@@ -167,38 +212,35 @@ func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust 
 		}
 		st.Merged += roundStats.Merged
 		st.SimDropped += roundStats.SimDropped
-		cur = out
+		cur = next
 	}
-	st.PairsAfter = cur.Len()
-	return cur, st, nil
+	st.PairsAfter = len(cur)
+	first := firstDetecting(cur, len(faults))
+	if len(cur) == set.Len() {
+		return set, st, first, nil
+	}
+	out := &pattern.Set{InputNames: set.InputNames}
+	trackOut := set.Unfilled != nil || level == Full
+	for _, e := range cur {
+		if trackOut {
+			out.AddUnfilled(e.filled, e.unfilled, e.target)
+		} else {
+			out.Add(e.filled, e.target)
+		}
+	}
+	return out, st, first, nil
 }
 
-// compactOnce runs one merge + reverse-order pass over the set, simulating
-// with sim.
-func compactOnce(sim *faultsim.Simulator, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
+// compactOnce runs one merge + reverse-order pass over the pool and returns
+// the pairs it keeps, in order.  merges holds the merged pairs of earlier
+// rounds (see mergedPool).
+func compactOnce(sims []*faultsim.Simulator, pool []entry, faults []paths.Fault, robust bool, level Level, fill Filler, baseline bitset, merges map[string]entry) ([]entry, Stats, error) {
 	var st Stats
-
-	// Detection bitsets of the input pairs: baseline is the detected-fault
-	// set the compacted output must reproduce exactly.
-	origDet, err := detections(sim, set.Pairs, faults, robust)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	baseline := newBitset(len(faults))
-	for p := range origDet {
-		baseline.or(origDet[p])
-	}
-
-	var pool []entry
 	if level == Full {
-		pool, err = mergedPool(sim, set, faults, robust, fill, origDet, baseline, &st)
+		var err error
+		pool, err = mergedPool(sims, pool, faults, robust, fill, baseline, merges, &st)
 		if err != nil {
 			return nil, Stats{}, err
-		}
-	} else {
-		pool = make([]entry, set.Len())
-		for i := range pool {
-			pool[i] = poolEntry(set, i, origDet[i])
 		}
 	}
 
@@ -216,129 +258,138 @@ func compactOnce(sim *faultsim.Simulator, set *pattern.Set, faults []paths.Fault
 		}
 	}
 	st.SimDropped = len(pool) - kept
-
-	out := &pattern.Set{InputNames: set.InputNames}
-	trackOut := set.Unfilled != nil || level == Full
-	for i, e := range pool {
-		if !keep[i] {
-			continue
-		}
-		if trackOut {
-			out.AddUnfilled(e.filled, e.unfilled, e.target)
-		} else {
-			out.Add(e.filled, e.target)
+	out := make([]entry, 0, kept)
+	for i := range pool {
+		if keep[i] {
+			out = append(out, pool[i])
 		}
 	}
-	st.PairsAfter = out.Len()
 	return out, st, nil
 }
 
-// poolEntry builds the pool entry of input pair i.
-func poolEntry(set *pattern.Set, i int, det bitset) entry {
-	target := ""
-	if i < len(set.Targets) {
-		target = set.Targets[i]
-	}
-	return entry{filled: set.Pairs[i], unfilled: set.UnfilledAt(i), target: target, det: det}
-}
-
 // mergedPool builds the candidate pool of level Full: compatible pairs are
-// merged greedily on their unfilled forms, merged pairs are re-filled and
-// re-simulated, and any merged pair that would detect a fault outside the
-// baseline (changing coverage) is rejected in favour of its members.
-// Singleton buckets keep their original filled pair (and its detections)
-// bit for bit.
-func mergedPool(sim *faultsim.Simulator, set *pattern.Set, faults []paths.Fault, robust bool, fill Filler, origDet []bitset, baseline bitset, st *Stats) ([]entry, error) {
-	buckets := greedyMerge(set)
+// merged greedily on their packed unfilled forms, merged pairs are unpacked,
+// re-filled and simulated, and any merged pair that would detect a fault
+// outside the baseline (changing coverage) is rejected in favour of its
+// members.  Singleton buckets keep their entry, detections and planes as
+// they are.  A merged pair is a function of its planes, so merges, keyed by
+// planes, keeps every merged pair simulated so far: a merge a later round
+// forms again (a rejected one, whose members stay compatible) is taken from
+// there instead of being simulated again.
+func mergedPool(sims []*faultsim.Simulator, pool []entry, faults []paths.Fault, robust bool, fill Filler, baseline bitset, merges map[string]entry, st *Stats) ([]entry, error) {
+	planes := make([][]uint64, len(pool))
+	for i := range pool {
+		planes[i] = pool[i].planes
+	}
+	buckets := greedyMerge(planes)
 
-	// Re-fill and re-simulate the true merges in one parallel-pattern run.
-	var mergedPairs []pattern.Pair
-	var mergedIdx []int
+	// Fill and simulate the new merges in one batch-sharded pass.
+	keys := make([]string, len(buckets))
+	var fresh []entry
+	var freshKeys []string
 	for bi, b := range buckets {
-		if len(b.members) > 1 {
-			mergedPairs = append(mergedPairs, fill.Fill(b.merged))
-			mergedIdx = append(mergedIdx, bi)
-		}
-	}
-	mergedDet, err := detections(sim, mergedPairs, faults, robust)
-	if err != nil {
-		return nil, err
-	}
-
-	pool := make([]entry, 0, len(buckets))
-	mi := 0
-	for _, b := range buckets {
 		if len(b.members) == 1 {
-			i := b.members[0]
-			pool = append(pool, poolEntry(set, i, origDet[i]))
 			continue
 		}
-		filled, det := mergedPairs[mi], mergedDet[mi]
-		mi++
+		keys[bi] = planesKey(b.planes)
+		if _, ok := merges[keys[bi]]; !ok {
+			u := unpackPlanes(b.planes, pool[0].unfilled.Len())
+			fresh = append(fresh, entry{filled: fill.Fill(u), unfilled: u, planes: b.planes})
+			freshKeys = append(freshKeys, keys[bi])
+		}
+	}
+	if err := detect(sims, fresh, faults, robust); err != nil {
+		return nil, err
+	}
+	for i, m := range fresh {
+		merges[freshKeys[i]] = m
+	}
+
+	out := make([]entry, 0, len(buckets))
+	for bi, b := range buckets {
+		if len(b.members) == 1 {
+			out = append(out, pool[b.members[0]])
+			continue
+		}
+		m := merges[keys[bi]]
 		// A merge is only kept when it is coverage-neutral: it must not
 		// detect a fault the input set missed (coverage may not grow — the
 		// contract is bit-identical), and it must detect everything its
 		// members detected, including their incidental fill-value detections
 		// (coverage may not shrink).  Anything else falls back to the
 		// members.
-		reject := det.anyNotIn(baseline)
+		reject := m.det.anyNotIn(baseline)
 		for _, i := range b.members {
 			if reject {
 				break
 			}
-			reject = origDet[i].anyNotIn(det)
+			reject = pool[i].det.anyNotIn(m.det)
 		}
 		if reject {
 			for _, i := range b.members {
-				pool = append(pool, poolEntry(set, i, origDet[i]))
+				out = append(out, pool[i])
 			}
 			continue
 		}
 		st.Merged += len(b.members) - 1
 		targets := make([]string, 0, len(b.members))
 		for _, i := range b.members {
-			if i < len(set.Targets) && set.Targets[i] != "" {
-				targets = append(targets, set.Targets[i])
+			if pool[i].target != "" {
+				targets = append(targets, pool[i].target)
 			}
 		}
-		pool = append(pool, entry{
-			filled:   filled,
-			unfilled: b.merged,
-			target:   strings.Join(targets, " + "),
-			det:      det,
-		})
+		m.target = strings.Join(targets, " + ")
+		out = append(out, m)
 	}
-	return pool, nil
+	return out, nil
 }
 
-// detections fault-simulates the pairs with sim (in batches of
-// faultsim.BatchSize) and returns, per pair, the bitset of faults it detects.
-func detections(sim *faultsim.Simulator, pairs []pattern.Pair, faults []paths.Fault, robust bool) ([]bitset, error) {
-	det := make([]bitset, len(pairs))
-	for i := range det {
-		det[i] = newBitset(len(faults))
+// detect fault-simulates the entries' filled pairs with sims and records,
+// per entry, the bitset of faults it detects.
+func detect(sims []*faultsim.Simulator, pool []entry, faults []paths.Fault, robust bool) error {
+	words := (len(faults) + 63) / 64
+	dets := make([]uint64, len(pool)*words)
+	pairs := make([]pattern.Pair, len(pool))
+	for i := range pool {
+		pool[i].det = bitset(dets[i*words : (i+1)*words : (i+1)*words])
+		pairs[i] = pool[i].filled
 	}
-	if len(pairs) == 0 || len(faults) == 0 {
-		return det, nil
-	}
-	for base := 0; base < len(pairs); base += faultsim.BatchSize {
-		end := base + faultsim.BatchSize
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		if _, err := sim.Load(pairs[base:end]); err != nil {
-			return nil, err
-		}
+	return faultsim.EachBatch(sims, pairs, func(_, base int, s *faultsim.Simulator) {
 		for fi := range faults {
-			mask := sim.Detects(faults[fi], robust)
+			mask := s.Detects(faults[fi], robust)
 			for mask != 0 {
-				b := bits.TrailingZeros64(mask)
-				mask &^= 1 << uint(b)
-				det[base+b].set(fi)
+				pool[base+bits.TrailingZeros64(mask)].det.set(fi)
+				mask &= mask - 1
+			}
+		}
+	})
+}
+
+// planesKey returns the bytes of packed planes as a map key.
+func planesKey(planes []uint64) string {
+	b := make([]byte, 0, 8*len(planes))
+	for _, w := range planes {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
+
+// firstDetecting returns, per fault, the index of the first entry of the
+// pool that detects it, or -1.
+func firstDetecting(pool []entry, faults int) []int {
+	first := make([]int, faults)
+	for i := range first {
+		first[i] = -1
+	}
+	for i := len(pool) - 1; i >= 0; i-- {
+		for w, word := range pool[i].det {
+			for word != 0 {
+				first[w*64+bits.TrailingZeros64(word)] = i
+				word &= word - 1
 			}
 		}
 	}
-	return det, nil
+	return first
 }
 
 // bitset is a fixed-size bit vector over fault indices.

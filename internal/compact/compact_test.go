@@ -2,6 +2,9 @@ package compact_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -292,18 +295,176 @@ var s38584Unfilled = sync.OnceValues(func() (*pattern.Set, error) {
 	return g.TestSet(), nil
 })
 
+// c7552Unfilled caches an X-preserving robust test set of the c7552
+// stand-in, 512 sampled faults, and those faults.
+var c7552Unfilled = sync.OnceValues(func() (*pattern.Set, error) {
+	c, err := bench.Get("c7552")
+	if err != nil {
+		return nil, err
+	}
+	opts := core.DefaultOptions(sensitize.Robust)
+	opts.EmitUnfilled = true
+	g := core.New(c, opts)
+	g.Run(context.Background(), paths.SampleFaults(c, 512, 1995))
+	return g.TestSet(), nil
+})
+
+// randomUnfilled draws a set of n X-preserving pairs over the circuit's
+// inputs, each position specified with probability density, filled with
+// zeros; sparse enough that full compaction both keeps and rejects merges.
+func randomUnfilled(c *circuit.Circuit, n int, density float64, seed int64) *pattern.Set {
+	rng := rand.New(rand.NewSource(seed))
+	set := pattern.NewSet(c)
+	draw := func() logic.Value3 {
+		switch {
+		case rng.Float64() >= density:
+			return logic.X3
+		case rng.Intn(2) == 0:
+			return logic.Zero3
+		}
+		return logic.One3
+	}
+	for i := 0; i < n; i++ {
+		u := pattern.NewPair(len(c.Inputs()))
+		for j := range u.V1 {
+			u.V1[j], u.V2[j] = draw(), draw()
+		}
+		set.AddUnfilled(u.FillX(logic.Zero3), u, fmt.Sprintf("r%d", i))
+	}
+	return set
+}
+
+// TestCompactOnMatchesReference holds CompactOn, which simulates its input
+// once and carries each surviving pair's detections and planes from round
+// to round, to the reference that re-simulates every round's whole set on
+// a fresh simulator: the same set bytes, Stats and first detecting pairs,
+// on one, two and three simulators.
+func TestCompactOnMatchesReference(t *testing.T) {
+	type input struct {
+		name   string
+		c      *circuit.Circuit
+		set    *pattern.Set
+		faults []paths.Fault
+		robust bool
+	}
+	var inputs []input
+	for _, name := range []string{"c432", "c880"} {
+		c, err := bench.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := paths.SampleFaults(c, 300, 3)
+		for _, robust := range []bool{true, false} {
+			for _, density := range []float64{0.05, 0.2} {
+				inputs = append(inputs, input{
+					fmt.Sprintf("random/%s/robust=%v/density=%v", name, robust, density),
+					c, randomUnfilled(c, 200, density, int64(len(inputs))), faults, robust,
+				})
+			}
+		}
+	}
+	if !testing.Short() {
+		for _, big := range []struct {
+			circuit string
+			faults  int
+			set     func() (*pattern.Set, error)
+			robust  bool
+		}{
+			{"s38584", 1024, s38584Unfilled, false},
+			{"c7552", 512, c7552Unfilled, true},
+		} {
+			c, err := bench.Get(big.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := big.set()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, input{big.circuit, c, set, paths.SampleFaults(c, big.faults, 1995), big.robust})
+		}
+	}
+	for _, in := range inputs {
+		for _, level := range []compact.Level{compact.Reverse, compact.Full} {
+			want, wantSt, wantFirst, err := compact.ReferenceCompact(in.c, in.set, in.faults, in.robust, level, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantSt.Merged == 0 && level == compact.Full && strings.HasPrefix(in.name, "random") {
+				t.Errorf("%s: the reference merged nothing; the set does not exercise merging", in.name)
+			}
+			for sims := 1; sims <= 3; sims++ {
+				ss := make([]*faultsim.Simulator, sims)
+				for w := range ss {
+					ss[w] = faultsim.New(in.c)
+				}
+				got, st, first, err := compact.CompactOn(ss, in.set, in.faults, in.robust, level, nil)
+				if err != nil {
+					t.Fatalf("%s %v sims=%d: %v", in.name, level, sims, err)
+				}
+				if st != wantSt {
+					t.Errorf("%s %v sims=%d: stats %+v, reference %+v", in.name, level, sims, st, wantSt)
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s %v sims=%d: the compacted set differs from the reference's", in.name, level, sims)
+				}
+				if !slices.Equal(first, wantFirst) {
+					t.Errorf("%s %v sims=%d: first detecting pairs differ from the reference's", in.name, level, sims)
+				}
+			}
+		}
+	}
+}
+
 // buckets keeps BenchmarkGreedyMerge's result alive.
 var buckets int
 
 // BenchmarkGreedyMerge measures the merge pass of full compaction, which
-// runs serially after generation, on the s38584 nonrobust unfilled set.
+// runs serially once per round, on the s38584 nonrobust unfilled set packed
+// into planes (compaction packs its input once, outside the rounds).
 func BenchmarkGreedyMerge(b *testing.B) {
 	set, err := s38584Unfilled()
 	if err != nil {
 		b.Fatal(err)
 	}
+	planes := compact.PackSet(set)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets = len(compact.GreedyMerge(set))
+		buckets = len(compact.GreedyMerge(planes))
+	}
+}
+
+// compacted keeps BenchmarkCompact's result alive.
+var compacted int
+
+// BenchmarkCompact measures full compaction of the s38584 nonrobust
+// unfilled set against its 1,024 faults, as the large-nonrobust workload's
+// run ends, on one and on two simulators (a sharded run compacts on its
+// workers' simulators, which the benchmark builds once, outside the loop).
+func BenchmarkCompact(b *testing.B) {
+	set, err := s38584Unfilled()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := bench.Get("s38584")
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := paths.SampleFaults(c, 1024, 1995)
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("sims=%d", n), func(b *testing.B) {
+			sims := make([]*faultsim.Simulator, n)
+			for w := range sims {
+				sims[w] = faultsim.New(c)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, _, _, err := compact.CompactOn(sims, set, faults, false, compact.Full, compact.ZeroFill())
+				if err != nil {
+					b.Fatal(err)
+				}
+				compacted = out.Len()
+			}
+		})
 	}
 }

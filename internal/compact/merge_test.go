@@ -2,6 +2,7 @@ package compact
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -10,6 +11,21 @@ import (
 
 // GreedyMerge exposes the merge pass to the external benchmarks.
 var GreedyMerge = greedyMerge
+
+// PackSet packs the unfilled forms of the set's pairs into the planes
+// greedyMerge takes, as compaction packs its input once.
+func PackSet(set *pattern.Set) [][]uint64 {
+	pool := make([]entry, set.Len())
+	planes := make([][]uint64, set.Len())
+	for i := range pool {
+		pool[i].unfilled = set.UnfilledAt(i)
+	}
+	pack(pool)
+	for i := range pool {
+		planes[i] = pool[i].planes
+	}
+	return planes
+}
 
 // compatibleScalar is the position-by-position reference of compatible.
 func compatibleScalar(a, b pattern.Pair) bool {
@@ -35,12 +51,20 @@ func affinityScalar(merged, p pattern.Pair) int {
 	return n
 }
 
-// greedyMergeScalar is greedyMerge deciding on the scalar references.
-func greedyMergeScalar(set *pattern.Set) []*bucket {
-	var buckets []*bucket
+// scalarBucket is a bucket of greedyMergeScalar: its members and their
+// positionwise merge.
+type scalarBucket struct {
+	members []int
+	merged  pattern.Pair
+}
+
+// greedyMergeScalar is greedyMerge deciding on the scalar references and
+// merging the members' Value3 slices position by position.
+func greedyMergeScalar(set *pattern.Set) []*scalarBucket {
+	var buckets []*scalarBucket
 	for i := range set.Pairs {
 		u := set.UnfilledAt(i)
-		var best *bucket
+		var best *scalarBucket
 		bestScore := -1
 		for _, b := range buckets {
 			if !compatibleScalar(b.merged, u) {
@@ -57,7 +81,7 @@ func greedyMergeScalar(set *pattern.Set) []*bucket {
 			}
 			best.members = append(best.members, i)
 		} else {
-			buckets = append(buckets, &bucket{members: []int{i}, merged: u.Clone()})
+			buckets = append(buckets, &scalarBucket{members: []int{i}, merged: u.Clone()})
 		}
 	}
 	return buckets
@@ -86,7 +110,8 @@ var planeWidths = []int{1, 63, 64, 65, 1464}
 
 // TestMergePlanesMatchScalar checks the packed compatible and affinity
 // against the scalar references on random X-preserving pairs, sparse enough
-// that both outcomes of compatible occur at every width.
+// that both outcomes of compatible occur at every width, and that
+// unpackPlanes inverts packPlanes.
 func TestMergePlanesMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1995))
 	for _, n := range planeWidths {
@@ -98,6 +123,9 @@ func TestMergePlanesMatchScalar(t *testing.T) {
 			pa, pb := randomUnfilled(n, density, rng), randomUnfilled(n, density, rng)
 			packPlanes(a, pa)
 			packPlanes(b, pb)
+			if got := unpackPlanes(a, n); got.String() != pa.String() {
+				t.Fatalf("n=%d: unpackPlanes(packPlanes(p)) = %s, want %s", n, got, pa)
+			}
 			want := compatibleScalar(pa, pb)
 			if got := compatible(a, b); got != want {
 				t.Fatalf("n=%d: compatible = %v, scalar %v\n  a: %s\n  b: %s", n, got, want, pa, pb)
@@ -119,7 +147,8 @@ func TestMergePlanesMatchScalar(t *testing.T) {
 
 // TestGreedyMergeMatchesScalar checks that greedyMerge on packed planes
 // builds exactly the buckets of the scalar decision, members and merged
-// pairs alike.
+// pairs alike (a bucket's pair unpacked from its planes), and leaves its
+// input planes as they were.
 func TestGreedyMergeMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range planeWidths {
@@ -129,7 +158,9 @@ func TestGreedyMergeMatchesScalar(t *testing.T) {
 			u := randomUnfilled(n, density, rng)
 			set.AddUnfilled(u.FillX(logic.Zero3), u, "")
 		}
-		got, want := greedyMerge(set), greedyMergeScalar(set)
+		planes := PackSet(set)
+		packed := PackSet(set)
+		got, want := greedyMerge(planes), greedyMergeScalar(set)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: %d buckets, scalar %d", n, len(got), len(want))
 		}
@@ -143,10 +174,15 @@ func TestGreedyMergeMatchesScalar(t *testing.T) {
 					t.Fatalf("n=%d bucket %d: members %v, scalar %v", n, k, got[k].members, want[k].members)
 				}
 			}
-			if got[k].merged.String() != want[k].merged.String() {
-				t.Fatalf("n=%d bucket %d: merged %s, scalar %s", n, k, got[k].merged, want[k].merged)
+			if merged := unpackPlanes(got[k].planes, n); merged.String() != want[k].merged.String() {
+				t.Fatalf("n=%d bucket %d: merged %s, scalar %s", n, k, merged, want[k].merged)
 			}
 			merges += len(want[k].members) - 1
+		}
+		for i := range planes {
+			if !slices.Equal(planes[i], packed[i]) {
+				t.Fatalf("n=%d: greedyMerge modified the planes of pair %d", n, i)
+			}
 		}
 		if merges == 0 || len(want) == 1 {
 			t.Errorf("n=%d: %d buckets with %d merges; want a set that both merges and keeps pairs apart", n, len(want), merges)

@@ -15,6 +15,8 @@ import (
 // simulation, followed by a PatternIndex remap of the run's results onto
 // the compacted set.  Earlier runs' patterns are never touched — their
 // faults are not in scope, so dropping or merging them could lose coverage.
+// It simulates on sims, the simulators of the run's workers (see
+// compact.CompactOn).
 //
 // Compaction is coverage-exact (see internal/compact): the compacted set
 // detects exactly the faults of this run the uncompacted set detected, so
@@ -23,13 +25,12 @@ import (
 // which after merging is subsumed by (but no longer literally present in)
 // the set; PatternIndex always points at a pattern of the compacted set
 // that detects the fault.
-func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base int) {
+func (g *Generator) compactRun(sims []*faultsim.Simulator, faults []paths.Fault, results []FaultResult, base int) {
 	if g.opts.Compaction == compact.None || g.testSet.Len()-base < 2 {
 		return
 	}
-	robust := g.opts.Mode == sensitize.Robust
 	sub := g.testSet.Slice(base)
-	compacted, st, err := compact.Compact(g.c, sub, faults, robust, g.opts.Compaction, g.opts.CompactionXFill)
+	compacted, st, first, err := compact.CompactOn(sims, sub, faults, g.opts.Mode == sensitize.Robust, g.opts.Compaction, g.opts.CompactionXFill)
 	if err != nil {
 		g.fail(fmt.Errorf("core: compacting the run's patterns: %w", err))
 		return
@@ -45,24 +46,20 @@ func (g *Generator) compactRun(faults []paths.Fault, results []FaultResult, base
 	g.lastSimmed = g.testSet.Len()
 	g.newPatterns = 0
 
-	// Remap the run's pattern indices onto the compacted set.  One more
-	// parallel-pattern pass; detection of every covered fault is guaranteed
-	// (every recorded pattern was verified against its fault), so a miss — a
-	// generator bug — or a simulation error must not leave an index pointing
-	// into the replaced window: those fail safe to -1.  Indices
-	// below base (an earlier run's pattern, untouched by this compaction)
-	// stay valid and are kept.
-	sim, simErr := faultsim.Run(g.c, compacted.Pairs, faults, robust)
-	if simErr != nil {
-		g.fail(fmt.Errorf("core: remapping pattern indices after compaction: %w", simErr))
-	}
+	// Remap the run's pattern indices onto the compacted set, from the
+	// first detecting pairs compaction reports.  Detection of every covered
+	// fault is guaranteed (every recorded pattern was verified against its
+	// fault), so a miss — a generator bug — must not leave an index
+	// pointing into the replaced window: it fails safe to -1.  Indices below
+	// base (an earlier run's pattern, untouched by this compaction) stay
+	// valid and are kept.
 	for i := range results {
 		if !results[i].Status.Detected() {
 			continue
 		}
 		switch {
-		case simErr == nil && sim.DetectedBy[i] >= 0:
-			results[i].PatternIndex = base + sim.DetectedBy[i]
+		case first[i] >= 0:
+			results[i].PatternIndex = base + first[i]
 		case results[i].PatternIndex >= base:
 			results[i].PatternIndex = -1
 		}

@@ -197,7 +197,7 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 	}
 	g.testSet.Add(wide, "wrong width")
 	results[0].Status, results[0].PatternIndex = DetectedBySim, -1
-	g.reconcileDrops(results)
+	g.reconcileDrops([]*faultsim.Simulator{g.sim}, results)
 	if g.Err() == nil {
 		t.Error("reconcileDrops over a wrong-width pattern: Err = nil")
 	}
@@ -209,7 +209,7 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 		t.Fatalf("c17 run emitted %d patterns, want at least 2", g.testSet.Len())
 	}
 	g.testSet.Add(wide, "wrong width")
-	g.compactRun(faults, results, 0)
+	g.compactRun([]*faultsim.Simulator{g.sim}, faults, results, 0)
 	if g.Err() == nil {
 		t.Error("compactRun over a wrong-width pattern: Err = nil")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"time"
@@ -155,10 +156,29 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 // forks may run concurrently with each other (but not with their parent).
 func (g *Generator) Fork() *Generator {
 	w := New(g.c, g.opts)
-	for k := range g.redundantPrefixes {
-		w.redundantPrefixes[k] = true
-	}
+	w.redundantPrefixes = maps.Clone(g.redundantPrefixes)
 	return w
+}
+
+// lend returns a generator like Fork's that runs on g's own implication
+// states, objective scratch and simulator instead of allocating its own:
+// the master of a sharded run leaves them idle while its workers run, so
+// worker 0 runs on them.  Every search begins with a Reset of the state it
+// uses, so the worker's outcomes are a Fork's.  g must not run until the
+// worker is done.
+func (g *Generator) lend() *Generator {
+	return &Generator{
+		c:                 g.c,
+		opts:              g.opts,
+		st:                g.st,
+		pruneSt:           g.pruneSt,
+		aptpgSt:           g.aptpgSt,
+		tm:                g.tm,
+		sim:               g.sim,
+		objKeys:           g.objKeys,
+		testSet:           pattern.NewSet(g.c),
+		redundantPrefixes: maps.Clone(g.redundantPrefixes),
+	}
 }
 
 // absorbState merges a finished worker's non-pattern state back into g: its
@@ -236,7 +256,7 @@ func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult
 		g.stats.Sched.Add(sc.Stats())
 	}
 	g.finish(ctx, recs)
-	g.reconcileDrops(results)
+	g.reconcileDrops([]*faultsim.Simulator{g.sim}, results)
 
 	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
 	return results

@@ -55,7 +55,7 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	if workers <= 1 {
 		results := master.Run(ctx, faults)
 		if ctx == nil || ctx.Err() == nil {
-			master.compactRun(faults, results, base)
+			master.compactRun([]*faultsim.Simulator{master.sim}, faults, results, base)
 		}
 		return results
 	}
@@ -71,9 +71,20 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 		x = newExchange(workers)
 	}
 
+	// Worker 0 runs on the master's own implication states and simulator,
+	// which the master leaves idle until the workers are done; the others
+	// fork their own.  The run's tail simulates on all the workers'
+	// simulators.
 	gens := make([]*Generator, workers)
+	sims := make([]*faultsim.Simulator, workers)
 	for w := 0; w < workers; w++ {
-		g := master.Fork()
+		var g *Generator
+		if w == 0 {
+			g = master.lend()
+		} else {
+			g = master.Fork()
+		}
+		sims[w] = g.sim
 		if settle != nil {
 			g.OnSettle = func(i int, r FaultResult) {
 				settleMu.Lock()
@@ -111,13 +122,13 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 
 	master.finish(ctx, recs)
 	mergeResults(master, gens, recs, results)
-	master.reconcileDrops(results)
+	master.reconcileDrops(sims, results)
 
 	// Static compaction of the merged set, once, after the deterministic
 	// merge (skipped when the run was cut short: a canceled run should
 	// return promptly, and its test set is not final anyway).
 	if ctx.Err() == nil {
-		master.compactRun(faults, results, base)
+		master.compactRun(sims, faults, results, base)
 	}
 	return results
 }
@@ -187,7 +198,10 @@ func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []F
 //     such a fault Redundant when it settled; the returned results are the
 //     authoritative classification, as with the post-settle pattern-index
 //     remapping of compaction.
-func (g *Generator) reconcileDrops(results []FaultResult) {
+//
+// The pass runs on sims, the simulators of the run's workers (see
+// faultsim.RunOn).
+func (g *Generator) reconcileDrops(sims []*faultsim.Simulator, results []FaultResult) {
 	var idx []int
 	for i := range results {
 		switch {
@@ -204,8 +218,7 @@ func (g *Generator) reconcileDrops(results []FaultResult) {
 	for i, j := range idx {
 		checked[i] = results[j].Fault
 	}
-	sim, err := faultsim.Run(g.c, g.testSet.Pairs, checked,
-		g.opts.Mode == sensitize.Robust)
+	sim, err := faultsim.RunOn(sims, g.testSet.Pairs, checked, g.opts.Mode == sensitize.Robust)
 	if err != nil {
 		g.fail(fmt.Errorf("core: reconciling simulation drops: %w", err))
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -396,5 +397,89 @@ func TestCancellationDrainsQueue(t *testing.T) {
 	st := g.Stats()
 	if got := st.Tested + st.Redundant + st.Aborted + st.DetectedBySim; got != st.Faults {
 		t.Errorf("statuses sum to %d, want %d", got, st.Faults)
+	}
+}
+
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestShardedRunLendsMasterState checks that a 2-worker run forks one
+// worker's implication states, not two: worker 0 runs on the master's,
+// which the master leaves idle during the run.  On the s38584 stand-in a
+// generator's states take about 12 MB, so the run's allocations, a few
+// faults' worth of search and simulation besides, must stay under one and
+// a half generators' worth.
+func TestShardedRunLendsMasterState(t *testing.T) {
+	c, err := bench.Get("s38584")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(sensitize.Nonrobust)
+	faults := paths.SampleFaults(c, 4, 1995)
+	// A first run fills the circuit's memos (testability, input positions).
+	RunSharded(context.Background(), New(c, opts), faults, 2)
+
+	var g *Generator
+	one := allocated(func() { g = New(c, opts) })
+	var results []FaultResult
+	run := allocated(func() { results = RunSharded(context.Background(), g, faults, 2) })
+	t.Logf("one generator: %d bytes; a 2-worker run: %d bytes", one, run)
+	if run >= one+one/2 {
+		t.Errorf("a 2-worker run allocated %d bytes; one generator's states take %d, so it forked more than one worker", run, one)
+	}
+	for _, r := range results {
+		if r.Status == Pending {
+			t.Fatalf("fault %s left pending", r.Fault.Key())
+		}
+	}
+}
+
+// TestConsecutiveShardedRunsMatchFreshEngines checks that the state a
+// sharded run leaves behind — worker 0 ran on the master's implication
+// states and simulator, and the run's tail simulated on them — does not leak
+// into the next run: two consecutive runs on one generator give the
+// outcomes, search counts and compacted test sets of two fresh generators.
+// Subpath pruning is off, because the prefixes the first run learns may
+// legitimately settle faults of the second run differently.
+func TestConsecutiveShardedRunsMatchFreshEngines(t *testing.T) {
+	c, err := bench.Get("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(sensitize.Robust)
+	opts.FaultSimInterval = 0
+	opts.SubpathPruning = false
+	opts.Compaction = compact.Full
+	runs := [][]paths.Fault{paths.SampleFaults(c, 256, 1), paths.SampleFaults(c, 256, 2)}
+	for _, workers := range []int{2, 3} {
+		g := New(c, opts)
+		for k, faults := range runs {
+			base := g.TestSet().Len()
+			got := RunSharded(context.Background(), g, faults, workers)
+			fresh := New(c, opts)
+			want := RunSharded(context.Background(), fresh, faults, workers)
+			for i := range want {
+				w, r := want[i], got[i]
+				if w.PatternIndex >= 0 {
+					w.PatternIndex += base
+				}
+				if r.Status != w.Status || r.Phase != w.Phase || r.PatternIndex != w.PatternIndex ||
+					r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
+					t.Fatalf("workers=%d run %d fault %s: %v/%v index %d (%d decisions, %d backtracks), fresh engine %v/%v index %d (%d, %d)",
+						workers, k+1, r.Fault.Key(), r.Status, r.Phase, r.PatternIndex, r.Decisions, r.Backtracks,
+						w.Status, w.Phase, w.PatternIndex, w.Decisions, w.Backtracks)
+				}
+			}
+			if got, want := g.TestSet().Slice(base).String(), fresh.TestSet().String(); got != want {
+				t.Errorf("workers=%d run %d: the run's test set differs from a fresh engine's", workers, k+1)
+			}
+		}
 	}
 }

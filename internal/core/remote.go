@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/faultsim"
 	"repro/internal/paths"
 	"repro/internal/pattern"
 	"repro/internal/sched"
@@ -234,9 +235,10 @@ func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit))
 	}
 	m.finish(ctx, rr.recs)
 	rr.mergeOutcomes()
-	m.reconcileDrops(rr.results)
+	sims := []*faultsim.Simulator{m.sim}
+	m.reconcileDrops(sims, rr.results)
 	if ctx.Err() == nil {
-		m.compactRun(rr.faults, rr.results, rr.base)
+		m.compactRun(sims, rr.faults, rr.results, rr.base)
 	}
 	return rr.results
 }

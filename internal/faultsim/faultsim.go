@@ -108,9 +108,27 @@ func (s *Simulator) value(net circuit.NetID) logic.Word7 {
 	var v logic.Word7
 	g := s.c.Gate(net)
 	if g.Kind == logic.Input {
+		// Gather the Table 1 codes of the input's V1 and V2 values into
+		// planes, one bit per pair, and derive the seven-valued planes from
+		// them word-wide (pattern.Pair.Value7 per bit level).
 		pos := int(s.inputPos[net])
+		var z1, o1, z2, o2 uint64
 		for j := range s.pairs {
-			v.MergeAt(j, s.pairs[j].Value7(pos))
+			a, b := uint64(s.pairs[j].V1[pos]), uint64(s.pairs[j].V2[pos])
+			z1 |= (a & 1) << uint(j)
+			o1 |= (a >> 1 & 1) << uint(j)
+			z2 |= (b & 1) << uint(j)
+			o2 |= (b >> 1 & 1) << uint(j)
+		}
+		// A value is assigned when exactly one of its two bits is set; the
+		// input is stable when both vectors are assigned and agree, and
+		// carries a transition when both are assigned and differ.
+		both := (z1 ^ o1) & (z2 ^ o2)
+		v = logic.Word7{
+			Zero:     z2 &^ o2,
+			One:      o2 &^ z2,
+			Stable:   both &^ (z1 ^ z2),
+			Instable: both & (z1 ^ z2),
 		}
 	} else {
 		base := len(s.faninBuf)
@@ -233,86 +251,116 @@ type Result struct {
 // Run simulates all pairs (in batches of BatchSize) against all faults and
 // reports which faults are detected.
 func Run(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust bool) (Result, error) {
-	res := Result{
-		Detected:   make([]bool, len(faults)),
-		DetectedBy: make([]int, len(faults)),
+	return RunOn([]*Simulator{New(c)}, pairs, faults, robust)
+}
+
+// RunParallel is Run on workers simulators: the pair batches are spread over
+// them by EachBatch, each simulator evaluating its batches against the
+// whole fault list.  The result is identical to Run.  workers <= 1, or a
+// set of at most one batch, runs on one simulator.
+func RunParallel(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust bool, workers int) (Result, error) {
+	workers = max(1, min(workers, (len(pairs)+BatchSize-1)/BatchSize))
+	sims := make([]*Simulator, workers)
+	for w := range sims {
+		sims[w] = New(c)
 	}
-	for i := range res.DetectedBy {
-		res.DetectedBy[i] = -1
+	return RunOn(sims, pairs, faults, robust)
+}
+
+// RunOn is Run on the given simulators, which must be bound to the pairs'
+// circuit: the batches are spread over them by EachBatch, every simulator
+// skips the faults its own earlier batches detected, and a fault's first
+// detecting pair is the least index over all batches.  The result is
+// therefore Run's whatever the number of simulators.
+func RunOn(sims []*Simulator, pairs []pattern.Pair, faults []paths.Fault, robust bool) (Result, error) {
+	// first[w][i] is the first pair of simulator w's batches detecting
+	// fault i, or -1.
+	first := make([][]int, len(sims))
+	for w := range first {
+		first[w] = make([]int, len(faults))
+		for i := range first[w] {
+			first[w][i] = -1
+		}
 	}
-	sim := New(c)
-	for base := 0; base < len(pairs); base += BatchSize {
-		end := base + BatchSize
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		if _, err := sim.Load(pairs[base:end]); err != nil {
-			return Result{}, err
-		}
-		for fi := range faults {
-			if res.Detected[fi] {
+	err := EachBatch(sims, pairs, func(w, base int, s *Simulator) {
+		by := first[w]
+		for i, f := range faults {
+			if by[i] >= 0 {
 				continue
 			}
-			if mask := sim.Detects(faults[fi], robust); mask != 0 {
-				res.Detected[fi] = true
-				res.DetectedBy[fi] = base + bits.TrailingZeros64(mask)
-				res.NumDetected++
+			if mask := s.Detects(f, robust); mask != 0 {
+				by[i] = base + bits.TrailingZeros64(mask)
 			}
+		}
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Detected: make([]bool, len(faults)), DetectedBy: first[0]}
+	for _, by := range first[1:] {
+		for i, p := range by {
+			if p >= 0 && (res.DetectedBy[i] < 0 || p < res.DetectedBy[i]) {
+				res.DetectedBy[i] = p
+			}
+		}
+	}
+	for i, p := range res.DetectedBy {
+		if p >= 0 {
+			res.Detected[i] = true
+			res.NumDetected++
 		}
 	}
 	return res, nil
 }
 
-// RunParallel is Run sharded across workers goroutines: the fault list is
-// split into contiguous near-even shards and each worker simulates all pairs
-// against its shard with its own Simulator over the shared immutable
-// circuit.  The result is identical to Run (per-fault detection is
-// independent, and each fault still scans the pair batches in order, so
-// DetectedBy stays the index of the first detecting pair).  workers <= 1
-// falls back to the sequential Run.
-func RunParallel(c *circuit.Circuit, pairs []pattern.Pair, faults []paths.Fault, robust bool, workers int) (Result, error) {
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	if workers <= 1 {
-		return Run(c, pairs, faults, robust)
-	}
-	res := Result{
-		Detected:   make([]bool, len(faults)),
-		DetectedBy: make([]int, len(faults)),
-	}
-	per, extra := len(faults)/workers, len(faults)%workers
-	var wg sync.WaitGroup
+// EachBatch is the batch-sharded simulation driver: batch b of the pairs,
+// pairs[b*BatchSize:(b+1)*BatchSize], is loaded into sims[b%len(sims)] and
+// handed to visit with the simulator's index w and the batch's first pair
+// index base.  Each simulator runs its batches in increasing order on its
+// own goroutine (a single simulator runs on the calling goroutine), so
+// visit may write state indexed by w, or by the batch's pairs, without
+// locking.  Splitting by batch rather than by fault evaluates each batch's
+// shared cones once.  A batch that does not load ends its simulator's
+// share; the error returned is that of the lowest failing batch, the one a
+// sequential pass stops at.
+func EachBatch(sims []*Simulator, pairs []pattern.Pair, visit func(w, base int, s *Simulator)) error {
+	batches := (len(pairs) + BatchSize - 1) / BatchSize
+	workers := min(len(sims), batches)
+	failed := make([]int, workers)
 	errs := make([]error, workers)
-	detected := make([]int, workers)
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + per
-		if w < extra {
-			hi++
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			shard, err := Run(c, pairs, faults[lo:hi], robust)
-			if err != nil {
-				errs[w] = err
+	shard := func(w int) {
+		for b := w; b < batches; b += len(sims) {
+			base := b * BatchSize
+			if _, err := sims[w].Load(pairs[base:min(base+BatchSize, len(pairs))]); err != nil {
+				failed[w], errs[w] = b, err
 				return
 			}
-			copy(res.Detected[lo:hi], shard.Detected)
-			copy(res.DetectedBy[lo:hi], shard.DetectedBy)
-			detected[w] = shard.NumDetected
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return Result{}, errs[w]
+			visit(w, base, sims[w])
 		}
-		res.NumDetected += detected[w]
 	}
-	return res, nil
+	if workers == 1 {
+		shard(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				shard(w)
+			}()
+		}
+		wg.Wait()
+	}
+	lowest := -1
+	for w, err := range errs {
+		if err != nil && (lowest < 0 || failed[w] < failed[lowest]) {
+			lowest = w
+		}
+	}
+	if lowest < 0 {
+		return nil
+	}
+	return errs[lowest]
 }
 
 // Coverage returns the fraction of the given faults detected by the pairs.

@@ -313,40 +313,60 @@ func BenchmarkFaultSimC880Class(b *testing.B) {
 	}
 }
 
+// TestRunParallelMatchesRun checks that the batch-sharded simulation gives
+// Run's result on any number of simulators, including pair counts that
+// leave a partial last batch, and that a pair that does not load in a later
+// batch fails the run with the error Run reports.
 func TestRunParallelMatchesRun(t *testing.T) {
 	c, err := bench.Get("adder8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := paths.EnumerateFaults(c, 0)
-	pairs := randomPairs(c, 100, 7)
-	for _, robust := range []bool{false, true} {
-		want, err := Run(c, pairs, faults, robust)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 16, 1000} {
-			got, err := RunParallel(c, pairs, faults, robust, workers)
+	for _, n := range []int{1, 63, 64, 65, 100, 200, 330} {
+		pairs := randomPairs(c, n, int64(7+n))
+		for _, robust := range []bool{false, true} {
+			want, err := Run(c, pairs, faults, robust)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.NumDetected != want.NumDetected {
-				t.Errorf("workers=%d robust=%v: NumDetected %d, want %d",
-					workers, robust, got.NumDetected, want.NumDetected)
-			}
-			for i := range faults {
-				if got.Detected[i] != want.Detected[i] || got.DetectedBy[i] != want.DetectedBy[i] {
-					t.Errorf("workers=%d robust=%v fault %d: (%v, %d), want (%v, %d)",
-						workers, robust, i, got.Detected[i], got.DetectedBy[i],
-						want.Detected[i], want.DetectedBy[i])
+			for _, workers := range []int{2, 3, 16, 1000} {
+				got, err := RunParallel(c, pairs, faults, robust, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.NumDetected != want.NumDetected {
+					t.Errorf("pairs=%d workers=%d robust=%v: NumDetected %d, want %d",
+						n, workers, robust, got.NumDetected, want.NumDetected)
+				}
+				for i := range faults {
+					if got.Detected[i] != want.Detected[i] || got.DetectedBy[i] != want.DetectedBy[i] {
+						t.Errorf("pairs=%d workers=%d robust=%v fault %d: (%v, %d), want (%v, %d)",
+							n, workers, robust, i, got.Detected[i], got.DetectedBy[i],
+							want.Detected[i], want.DetectedBy[i])
+					}
 				}
 			}
 		}
 	}
-	// A pair/input mismatch must surface from the workers, not be swallowed.
+	// A pair/input mismatch must surface from the simulators, not be
+	// swallowed: in the first batch, and in a later batch of a set whose
+	// earlier batches load, where the error is the lowest failing batch's.
 	bad := []pattern.Pair{pattern.NewPair(1)}
 	if _, err := RunParallel(c, bad, faults, false, 4); err == nil {
 		t.Error("RunParallel with malformed pairs: expected an error")
+	}
+	pairs := randomPairs(c, 300, 11)
+	pairs[2*BatchSize+5] = pattern.NewPair(1)
+	pairs[4*BatchSize+1] = pattern.NewPair(2)
+	_, want := Run(c, pairs, faults, false)
+	if want == nil {
+		t.Fatal("Run with a malformed pair in batch 2: expected an error")
+	}
+	for _, workers := range []int{2, 3, 4} {
+		if _, err := RunParallel(c, pairs, faults, false, workers); err == nil || err.Error() != want.Error() {
+			t.Errorf("workers=%d, malformed pair in batch 2: error %v, want %v", workers, err, want)
+		}
 	}
 }
 

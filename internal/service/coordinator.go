@@ -575,11 +575,15 @@ func (j *job) settled() int {
 // ---- resume ----
 
 func (co *Coordinator) resume() error {
-	// Compact every journal before replaying: terminal jobs shrink to
-	// stubs, incomplete ones lose duplicate completions and torn tails.
+	// Every journal's file name reserves its job ID, whether or not a job
+	// loads from the file: one holding only a job record torn by a crash
+	// must not be reused, or the new job would append to the debris.  Then
+	// compact every journal before replaying: terminal jobs shrink to stubs,
+	// incomplete ones lose duplicate completions and torn tails.
 	// Best-effort — a journal that cannot be compacted is still replayable.
 	if paths, err := filepath.Glob(filepath.Join(co.cfg.LedgerDir, "*.jsonl")); err == nil {
 		for _, p := range paths {
+			co.bumpNextID(strings.TrimSuffix(filepath.Base(p), ".jsonl"))
 			_, _, _ = CompactLedgerFile(p)
 		}
 	}

@@ -394,3 +394,52 @@ func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
 		size = int64(len(raw))
 	}
 }
+
+// TestServiceLedgerTornJobRecordReservesID plants ledgers holding nothing
+// but a job record torn by a crash — the unterminated tail of the file, or
+// debris a later append sealed with a newline — from which no job loads.
+// The file's name still reserves its ID: the next submit gets j8, not j7,
+// and j7.jsonl is left byte for byte as it was instead of gaining a new
+// job's records after the debris.
+func TestServiceLedgerTornJobRecordReservesID(t *testing.T) {
+	torn := `{"t":"job","id":"j7","name":"c17","hash":"`
+	for _, tc := range []struct{ name, content string }{
+		{"unterminated", torn},
+		{"sealed", torn + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "j7.jsonl")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c, text := benchText(t, "c17")
+			ctx := context.Background()
+			co, err := NewCoordinator(Config{LedgerDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(co)
+			cl := NewClient(srv.URL)
+			sub, err := cl.SubmitBench(ctx, "c17", text, JobOptions{SimInterval: intp(0)}, EncodeFaults(c, paths.SampleFaults(c, 2, 1995)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.JobID != "j8" {
+				t.Errorf("next submit got ID %s, want j8 (j7 is reserved by its file name)", sub.JobID)
+			}
+			if _, err := cl.Cancel(ctx, sub.JobID); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			co.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != tc.content {
+				t.Errorf("j7.jsonl changed:\n%q\nwant\n%q", raw, tc.content)
+			}
+		})
+	}
+}
