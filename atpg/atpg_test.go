@@ -16,16 +16,18 @@ func TestNewValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{-1, 0, MaxWordWidth + 1, 1024} {
-		if _, err := New(c, WithWordWidth(width)); !errors.Is(err, ErrBadWidth) {
+	for _, width := range []int{-1, 0, 129, 256, 1024} {
+		_, err := New(c, WithWordWidth(width))
+		if !errors.Is(err, ErrBadWidth) {
 			t.Errorf("New(WithWordWidth(%d)): got %v, want ErrBadWidth", width, err)
+		} else if !strings.Contains(err.Error(), "1..128") {
+			t.Errorf("New(WithWordWidth(%d)): %v does not name the range 1..128", width, err)
 		}
 	}
-	if _, err := New(c, WithWordWidth(1)); err != nil {
-		t.Errorf("New(WithWordWidth(1)): unexpected error %v", err)
-	}
-	if _, err := New(c, WithWordWidth(MaxWordWidth)); err != nil {
-		t.Errorf("New(WithWordWidth(%d)): unexpected error %v", MaxWordWidth, err)
+	for _, width := range []int{1, 64, 128} {
+		if _, err := New(c, WithWordWidth(width)); err != nil {
+			t.Errorf("New(WithWordWidth(%d)): unexpected error %v", width, err)
+		}
 	}
 	if _, err := New(nil); !errors.Is(err, ErrNilCircuit) {
 		t.Errorf("New(nil): got %v, want ErrNilCircuit", err)

@@ -36,8 +36,8 @@
 //
 //   - [WithWordWidth] sets L, the number of bit levels exploited
 //     (1..[MaxWordWidth], Section 3; Tables 3-6 use 64, Tables 7-8 use 32).
-//     L = 1 is the single-bit baseline of Tables 5 and 6; L > 64 extends the
-//     paper's machine word to multi-word plane vectors.
+//     L = 1 is the single-bit baseline of Tables 5 and 6; L = 65..128
+//     extends the paper's machine word to two-word plane vectors.
 //   - [WithMode] selects the test class: [Robust] (Lin/Reddy robust path
 //     delay tests) or [Nonrobust], the two classes of Tables 3 and 4.
 //   - [WithFaultParallel] toggles FPTPG (fault-parallel test pattern

@@ -32,10 +32,10 @@ func ParseMode(s string) (Mode, error) {
 	return Nonrobust, fmt.Errorf("atpg: unknown mode %q (want robust or nonrobust)", s)
 }
 
-// MaxWordWidth is the largest word width L the generator exploits.  Widths
-// above the 64-bit machine word run on multi-word plane vectors
-// (structure-of-arrays storage, up to 512 bit levels); see DefaultWordWidth
-// for the width engines use when none is requested.
+// MaxWordWidth is the largest word width L the generator exploits: 128, two
+// 64-bit machine words per plane.  Widths above 64 run on two-word plane
+// vectors; see DefaultWordWidth for the width engines use when none is
+// requested.
 const MaxWordWidth = logic.MaxWordWidth
 
 // DefaultWordWidth is the width engines run at when WithWordWidth is not
@@ -79,8 +79,8 @@ func WithMode(m Mode) Option {
 
 // WithWordWidth sets the number of bit levels L exploited by both forms of
 // bit parallelism (default: DefaultWordWidth).  Width 1 is the single-bit
-// baseline of Tables 5 and 6; widths above 64 span multiple plane words per
-// net.  Widths outside 1..MaxWordWidth make New fail with ErrBadWidth.
+// baseline of Tables 5 and 6; widths 65..128 span two plane words per net.
+// Widths outside 1..MaxWordWidth make New fail with ErrBadWidth.
 func WithWordWidth(w int) Option {
 	return func(c *engineConfig) error {
 		if w < 1 || w > MaxWordWidth {

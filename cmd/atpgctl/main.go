@@ -36,7 +36,7 @@ func main() {
 		mode        = flag.String("mode", "robust", "test class: robust or nonrobust")
 		numFaults   = flag.Int("faults", 256, "number of target faults (0 = all structural faults; beware of path explosion)")
 		seed        = flag.Int64("seed", 1995, "seed for fault sampling")
-		width       = flag.Int("width", 0, fmt.Sprintf("word width L (1..%d, 0 = default %d)", logic.MaxWordWidth, logic.WordWidth))
+		width       = flag.Int("width", 0, fmt.Sprintf("word width L (1..%d, 0 = default %d); widths above 64 use two-word planes", logic.MaxWordWidth, logic.WordWidth))
 		backtracks  = flag.Int("backtracks", 64, "backtrack limit per fault (matches cmd/tip's default)")
 		noFPTPG     = flag.Bool("no-fptpg", false, "disable fault-parallel generation")
 		noAPTPG     = flag.Bool("no-aptpg", false, "disable alternative-parallel generation")

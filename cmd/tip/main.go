@@ -26,7 +26,7 @@ func main() {
 		mode        = flag.String("mode", "robust", "test class: robust or nonrobust")
 		numFaults   = flag.Int("faults", 256, "number of target faults (0 = all structural faults; beware of path explosion)")
 		seed        = flag.Int64("seed", 1995, "seed for fault sampling")
-		width       = flag.Int("width", atpg.DefaultWordWidth, fmt.Sprintf("word width L (1..%d); 1 is the single-bit baseline, widths above 64 use multi-word planes", atpg.MaxWordWidth))
+		width       = flag.Int("width", atpg.DefaultWordWidth, fmt.Sprintf("word width L (1..%d); 1 is the single-bit baseline, widths above 64 use two-word planes", atpg.MaxWordWidth))
 		workers     = flag.Int("workers", 1, "worker goroutines to shard the fault list across (0 = one per core)")
 		backtracks  = flag.Int("backtracks", 64, "backtrack limit per fault")
 		noFPTPG     = flag.Bool("no-fptpg", false, "disable fault-parallel generation")

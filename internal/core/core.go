@@ -107,7 +107,7 @@ type Options struct {
 	// Mode selects robust or nonrobust test generation.
 	Mode sensitize.Mode
 	// WordWidth is the number of bit levels L exploited
-	// (1..logic.MaxWordWidth).  Widths above 64 span multiple plane words per
+	// (1..logic.MaxWordWidth).  Widths above 64 span two plane words per
 	// net (see internal/logic's vector types); width 1 is the single-bit
 	// baseline of Tables 5 and 6.
 	WordWidth int
@@ -128,17 +128,13 @@ type Options struct {
 	// proved redundant without decisions, and prunes later faults containing
 	// that subpath, as described for Figure 1 of the paper.
 	SubpathPruning bool
-	// MaxImplySweeps bounds the forward/backward rounds of every implication
-	// closure.  Small values trade implication completeness (more search)
-	// for cheaper individual implications; 0 uses the implication engine's
-	// default.
-	MaxImplySweeps int
-	// FullSweepImplic is a debug option selecting the original full-sweep
-	// implication engine (from-scratch forward/backward sweeps on every
-	// Imply, whole-circuit ForwardSim, rebuild-based backtracking) instead
-	// of the event-driven incremental engine with its assignment trail.  It
-	// is retained as the oracle the incremental engine is validated against
-	// (see equiv tests); production runs leave it off.
+	// FullSweepImplic runs the generator on the full-sweep reference
+	// (implic.NewFullSweepState: from-scratch forward/backward sweeps on
+	// every Imply and a whole-circuit ForwardSim) instead of the event-driven
+	// engine.  Both backtrack over the assignment trail and reach identical
+	// decisions; the reference is the oracle of the equivalence tests and
+	// the paper's cost model in the grouping experiment.  Production runs
+	// leave it off.
 	FullSweepImplic bool
 	// Compaction selects the static compaction pass applied to a run's
 	// freshly generated patterns after the (sharded) merge: compatible-pair
@@ -167,7 +163,6 @@ func DefaultOptions(mode sensitize.Mode) Options {
 		MaxBacktracks:    8,
 		FaultSimInterval: logic.WordWidth,
 		SubpathPruning:   true,
-		MaxImplySweeps:   3,
 	}
 }
 

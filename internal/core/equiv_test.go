@@ -12,19 +12,10 @@ import (
 	"repro/internal/sensitize"
 )
 
-// These tests pin the event-driven incremental implication engine (with its
-// Assign/Undo trail) to the retained full-sweep oracle at the generator
-// level: same faults, same options, the runs must agree on every fault
+// These tests pin the event-driven incremental implication engine to the
+// full-sweep reference (implic.NewFullSweepState) at the generator level:
+// same faults, same options, the runs must agree on every fault
 // classification, every emitted pattern and the search-effort counters.
-//
-// MaxImplySweeps is raised so every implication closure converges: that is
-// the bit-exactness precondition (see the implic package comment).  With a
-// truncating bound both engines remain sound but may stop at different
-// partial closures.
-
-// equivSweeps is a sweep bound high enough for every closure to converge on
-// the test circuits.
-const equivSweeps = 16
 
 func equivGenCircuits(t *testing.T) []*circuit.Circuit {
 	t.Helper()
@@ -111,7 +102,6 @@ func TestEventDrivenGeneratorMatchesFullSweep(t *testing.T) {
 				{"aptpg-only", false, true},
 			} {
 				opts := DefaultOptions(mode)
-				opts.MaxImplySweeps = equivSweeps
 				opts.UseFPTPG = phases.fptpg
 				opts.UseAPTPG = phases.aptpg
 				tag := fmt.Sprintf("%s/%s/%s", c.Name, mode, phases.name)
@@ -124,7 +114,8 @@ func TestEventDrivenGeneratorMatchesFullSweep(t *testing.T) {
 // TestBacktrackHeavyTrailMatchesFullSweep forces deep alternative-parallel
 // search — narrow word, no input enumeration shortcut, generous backtrack
 // budget — so the Assign/Undo trail unwinds thousands of frames, and checks
-// the run is still bit-identical to the rebuild-based full-sweep oracle.
+// the run is still bit-identical to the full-sweep oracle, which unwinds the
+// same frames over whole-circuit closures.
 func TestBacktrackHeavyTrailMatchesFullSweep(t *testing.T) {
 	c := bench.MustSynthesize(bench.Profile{
 		Name: "bt-heavy", Inputs: 14, Outputs: 6, Gates: 170, Depth: 13, Seed: 71,
@@ -132,7 +123,6 @@ func TestBacktrackHeavyTrailMatchesFullSweep(t *testing.T) {
 	})
 	faults := paths.SampleFaults(c, 256, 7)
 	opts := DefaultOptions(sensitize.Robust)
-	opts.MaxImplySweeps = equivSweeps
 	opts.UseFPTPG = false     // every fault goes through backtracking search
 	opts.WordWidth = 2        // almost no alternative-parallelism: more real backtracks
 	opts.FaultSimInterval = 0 // no drops: every fault is searched in full

@@ -29,7 +29,7 @@ type Generator struct {
 
 	st      *implic.State
 	pruneSt *implic.State
-	// aptpgSt, present only on multi-word engines, is a single-word state the
+	// aptpgSt, present only on two-word engines, is a single-word state the
 	// narrowed APTPG searches swap in: a per-fault search on the wide state
 	// would stride its plane reads by the group's word capacity, paying the
 	// wide cache footprint for single-word epochs.
@@ -118,11 +118,15 @@ func newRecs(faults []paths.Fault) ([]FaultResult, []*rec) {
 // New creates a generator for the circuit with the given options.
 func New(c *circuit.Circuit, opts Options) *Generator {
 	opts = opts.normalize()
+	newState := implic.NewStateWidth
+	if opts.FullSweepImplic {
+		newState = implic.NewFullSweepState
+	}
 	g := &Generator{
 		c:                 c,
 		opts:              opts,
-		st:                implic.NewStateWidth(c, opts.WordWidth),
-		pruneSt:           implic.NewStateWidth(c, 1),
+		st:                newState(c, opts.WordWidth),
+		pruneSt:           newState(c, 1),
 		tm:                testability.For(c),
 		sim:               faultsim.New(c),
 		testSet:           pattern.NewSet(c),
@@ -130,21 +134,7 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 		objKeys:           make([][]uint64, opts.WordWidth),
 	}
 	if opts.WordWidth > logic.WordWidth {
-		g.aptpgSt = implic.NewState(c)
-	}
-	if opts.MaxImplySweeps > 0 {
-		g.st.MaxSweeps = opts.MaxImplySweeps
-		g.pruneSt.MaxSweeps = opts.MaxImplySweeps
-		if g.aptpgSt != nil {
-			g.aptpgSt.MaxSweeps = opts.MaxImplySweeps
-		}
-	}
-	if opts.FullSweepImplic {
-		g.st.FullSweep = true
-		g.pruneSt.FullSweep = true
-		if g.aptpgSt != nil {
-			g.aptpgSt.FullSweep = true
-		}
+		g.aptpgSt = newState(c, logic.WordWidth)
 	}
 	return g
 }
@@ -662,7 +652,6 @@ type decision struct {
 	input      circuit.NetID
 	value      logic.Value3
 	enumerated bool
-	enumIdx    int
 	flipped    bool
 }
 
@@ -684,15 +673,15 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	// bit levels beyond that replay duplicates of the first 2^maxEnum (see
 	// enumWord), so the active mask is narrowed to the alternatives the
 	// search can actually tell apart.  APTPG cost thus tracks the real
-	// alternative count, not the (possibly much wider) group width — wide
-	// multi-word groups pay their width in the fault-parallel phase, where
-	// the sharing is, and drop back to the efficient word here.
+	// alternative count, not the (possibly wider) group width — two-word
+	// groups pay their width in the fault-parallel phase, where the sharing
+	// is, and drop back to the efficient word here.
 	if ew := 1 << uint(maxEnum); ew < width {
 		width = ew
 	}
 	// A narrowed search fits one machine word: run it on the dedicated
 	// single-word state, whose planes are stored contiguously, instead of
-	// striding word 0 of the wide state's multi-word windows.  The search is
+	// striding word 0 of the wide state's two-word windows.  The search is
 	// self-contained between Reset and the final Undo sweep, so swapping the
 	// state pointer for the duration is safe.
 	if g.aptpgSt != nil && width <= logic.WordWidth {
@@ -721,36 +710,18 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	var deadMask logic.Mask
 	sawStuck := false
 
-	// The incremental engine backtracks over the assignment trail: every
-	// decision opens a frame (implic.State.Assign) whose Undo restores the
-	// exact pre-decision closure and simulation.  The full-sweep oracle has
-	// no trail and rebuilds the remaining decisions from scratch instead.
-	useTrail := !g.opts.FullSweepImplic
-	if useTrail {
-		// Every exit from the search (test emitted, redundancy proof, budget
-		// exhaustion, cancellation) must close the frames it opened: a frame
-		// leaked across faults makes a later backtrack restore another
-		// fault's state, which surfaces as an equivalence failure much later.
-		defer func() {
-			for g.st.Depth() > 0 {
-				g.st.Undo()
-			}
-		}()
-	}
-
-	rebuild := func() {
-		g.st.ClearPI(active)
-		g.st.AssignPI(pathIn, launch, active)
-		for _, d := range decisions {
-			if d.enumerated {
-				g.st.AssignPIWord(d.input, g.enumWord(d.enumIdx, width))
-			} else {
-				g.st.AssignPI(d.input, g.decisionValue(d.value), active)
-			}
+	// The search backtracks over the assignment trail: every decision opens
+	// a frame (implic.State.Assign) whose Undo restores the exact
+	// pre-decision closure and simulation.  Every exit from the search (test
+	// emitted, redundancy proof, budget exhaustion, cancellation) must close
+	// the frames it opened: a frame leaked across faults makes a later
+	// backtrack restore another fault's state, which surfaces as an
+	// equivalence failure much later.
+	defer func() {
+		for g.st.Depth() > 0 {
+			g.st.Undo()
 		}
-		g.implyCounted()
-		deadMask = logic.Mask{}
-	}
+	}()
 
 	maxSteps := 64 * (g.opts.MaxBacktracks + 4) * (len(g.c.Inputs()) + 4)
 	for step := 0; step < maxSteps; step++ {
@@ -785,24 +756,18 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 			for len(decisions) > 0 {
 				last := &decisions[len(decisions)-1]
 				if !last.enumerated && !last.flipped {
-					if useTrail {
-						g.st.Undo()
-					}
+					g.st.Undo()
 					last.flipped = true
 					last.value = last.value.Not()
-					if useTrail {
-						g.st.Assign()
-						g.st.AssignPI(last.input, g.decisionValue(last.value), active)
-					}
+					g.st.Assign()
+					g.st.AssignPI(last.input, g.decisionValue(last.value), active)
 					flipped = true
 					break
 				}
 				if last.enumerated {
 					enumCount--
 				}
-				if useTrail {
-					g.st.Undo()
-				}
+				g.st.Undo()
 				decisions = decisions[:len(decisions)-1]
 			}
 			if !flipped {
@@ -817,12 +782,8 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 				}
 				return
 			}
-			if useTrail {
-				g.implyCounted()
-				deadMask = logic.Mask{}
-			} else {
-				rebuild()
-			}
+			g.implyCounted()
+			deadMask = logic.Mask{}
 			continue
 		}
 
@@ -844,10 +805,8 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 			for _, obj := range objs {
 				r.res.Decisions++
 				g.stats.Decisions++
-				decisions = append(decisions, decision{input: obj.Input, enumerated: true, enumIdx: enumCount})
-				if useTrail {
-					g.st.Assign()
-				}
+				decisions = append(decisions, decision{input: obj.Input, enumerated: true})
+				g.st.Assign()
 				g.st.AssignPIWord(obj.Input, g.enumWord(enumCount, width))
 				enumCount++
 			}
@@ -861,9 +820,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 			r.res.Decisions++
 			g.stats.Decisions++
 			decisions = append(decisions, decision{input: obj.Input, value: obj.Value})
-			if useTrail {
-				g.st.Assign()
-			}
+			g.st.Assign()
 			g.st.AssignPI(obj.Input, g.decisionValue(obj.Value), active)
 		}
 		g.implyCounted()
@@ -874,7 +831,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 // enumInputs is the number of primary inputs APTPG enumerates in parallel
 // at the given width: log2(width), capped at the machine word's log2(64) = 6,
 // the paper's limit.  Alternative enumeration beyond one machine word pays
-// the multi-word plane cost on every implication of a single-fault search,
+// the two-word plane cost on every implication of a single-fault search,
 // which measures as a loss, so widths above 64 keep their width for the
 // fault-parallel phase but enumerate alternatives one word at a time.
 func enumInputs(width int) int {

@@ -86,7 +86,6 @@ func TestRedundantPrefixMatchesReference(t *testing.T) {
 		results := g.Run(context.Background(), faults)
 
 		ref := implic.NewStateWidth(tc.c, 1)
-		ref.MaxSweeps = opts.MaxImplySweeps
 		want := make(map[string]bool)
 		searched, longest := 0, 0
 		for i := range results {

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/sensitize"
 )
 
@@ -101,6 +103,32 @@ func TestRunCompareRow(t *testing.T) {
 	text := FormatCompareTable("Table 7 (test)", []CompareRow{row})
 	if !strings.Contains(text, row.Circuit) {
 		t.Errorf("formatted table missing circuit:\n%s", text)
+	}
+}
+
+// TestWordWidthAblationRefusesOutOfRange checks that a width the generator
+// would clamp gets an error row under its own label instead of a run at
+// another width.
+func TestWordWidthAblationRefusesOutOfRange(t *testing.T) {
+	cfg := testConfig(sensitize.Nonrobust)
+	rows := RunWordWidthAblation(cfg, []int{0, logic.MaxWordWidth + 1, 600})
+	if len(rows) != 3 {
+		t.Fatalf("expected 3 width rows, got %d", len(rows))
+	}
+	for i, w := range []int{0, logic.MaxWordWidth + 1, 600} {
+		r := rows[i]
+		if want := fmt.Sprintf("L=%d", w); r.Label != want {
+			t.Errorf("row %d is labelled %q, want %q", i, r.Label, want)
+		}
+		if r.Err == nil || !strings.Contains(r.Err.Error(), fmt.Sprintf("1..%d", logic.MaxWordWidth)) {
+			t.Errorf("%s: Err = %v, want an error naming 1..%d", r.Label, r.Err, logic.MaxWordWidth)
+		}
+		if r.Time != 0 || r.Tested != 0 || r.Patterns != 0 {
+			t.Errorf("%s: an out-of-range width ran: %+v", r.Label, r)
+		}
+	}
+	if text := FormatAblationTable("widths", rows); !strings.Contains(text, "L=600") || !strings.Contains(text, "error:") {
+		t.Errorf("formatted table does not report the refused width:\n%s", text)
 	}
 }
 

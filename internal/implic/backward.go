@@ -20,182 +20,19 @@ import (
 // seven-valued word swaps only the final-value planes, so stability
 // information dualises correctly.
 func (s *State) backImply(g *circuit.Gate) bool {
-	switch s.ka {
-	case 1:
+	if s.ka == 1 {
 		return s.backImply1(g)
-	case 2:
-		return s.backImply2(g)
 	}
-	switch g.Kind {
-	case logic.Buf:
-		ka, off := s.ka, s.off(g.ID)
-		req := &s.mergeReg
-		for w := 0; w < ka; w++ {
-			o, a := off+w, s.active[w]
-			req.Zero[w] = s.val.zero[o] & a
-			req.One[w] = s.val.one[o] & a
-			req.Stable[w] = s.val.stable[o] & a
-			req.Instable[w] = s.val.instable[o] & a
-		}
-		return s.mergeVal(g.Fanin[0], req)
-	case logic.Not:
-		ka, off := s.ka, s.off(g.ID)
-		req := &s.mergeReg
-		for w := 0; w < ka; w++ {
-			o, a := off+w, s.active[w]
-			req.Zero[w] = s.val.one[o] & a
-			req.One[w] = s.val.zero[o] & a
-			req.Stable[w] = s.val.stable[o] & a
-			req.Instable[w] = s.val.instable[o] & a
-		}
-		return s.mergeVal(g.Fanin[0], req)
-	case logic.And:
-		return s.backImplyAnd(g.ID, g.Fanin, false, false)
-	case logic.Nand:
-		return s.backImplyAnd(g.ID, g.Fanin, true, false)
-	case logic.Or:
-		return s.backImplyAnd(g.ID, g.Fanin, true, true)
-	case logic.Nor:
-		return s.backImplyAnd(g.ID, g.Fanin, false, true)
-	case logic.Xor:
-		return s.backImplyXor(g.ID, g.Fanin, false)
-	case logic.Xnor:
-		return s.backImplyXor(g.ID, g.Fanin, true)
-	}
-	return false
+	return s.backImply2(g)
 }
 
-// backImplyAnd derives the backward implications of an AND gate.  invert
-// folds an output inversion (NAND, and OR/NOR via the dual) by swapping the
-// output's final-value planes on the way in; dual applies the rules in the
-// OR dual, complementing the fanin values on the way in and the derived
-// requirements on the way out (the final-value planes of the requirement are
-// swapped at write time).  The per-word working set lives in the state's
-// scratch registers so the hot loops touch exactly ka words; words >= ka of
-// the scratch are stale and never read.
-func (s *State) backImplyAnd(out circuit.NetID, fanin []circuit.NetID, invert, dual bool) bool {
-	ka, ooff := s.ka, s.off(out)
-	f1, f0, st, inst := &s.bF1, &s.bF0, &s.bSt, &s.bInst
-	any1, any0, anyInst := false, false, false
-	for w := 0; w < ka; w++ {
-		o := ooff + w
-		z, on := s.val.zero[o], s.val.one[o]
-		if invert {
-			z, on = on, z
-		}
-		f1[w] = on &^ z
-		f0[w] = z &^ on
-		st[w] = s.val.stable[o]
-		inst[w] = s.val.instable[o]
-		any1 = any1 || f1[w] != 0
-		any0 = any0 || f0[w] != 0
-		anyInst = anyInst || inst[w] != 0
-	}
-
-	changed := false
-	req := &s.mergeReg
-
-	// Rule family 1: the output requires the non-controlling value (1).
-	// Every input must then be 1; if the output is stable every input is
-	// stable; if the output carries a transition and all other inputs are
-	// stable, the remaining input must carry the transition.
-	if any1 {
-		for i, net := range fanin {
-			others := &s.bOthers
-			if anyInst {
-				for w := 0; w < ka; w++ {
-					others[w] = ^uint64(0)
-				}
-				for j, other := range fanin {
-					if j == i {
-						continue
-					}
-					off := s.off(other)
-					for w := 0; w < ka; w++ {
-						others[w] &= s.val.stable[off+w]
-					}
-				}
-			}
-			for w := 0; w < ka; w++ {
-				ri := uint64(0)
-				if anyInst {
-					ri = f1[w] & inst[w] & others[w]
-				}
-				on := f1[w] | ri
-				z := uint64(0)
-				if dual {
-					z, on = on, z
-				}
-				a := s.active[w]
-				req.Zero[w] = z & a
-				req.One[w] = on & a
-				req.Stable[w] = f1[w] & st[w] & a
-				req.Instable[w] = ri & a
-			}
-			if s.mergeVal(net, req) {
-				changed = true
-			}
-		}
-	}
-
-	// Rule family 0: the output requires the controlling value (0).  If all
-	// other inputs are known to be 1, the remaining input must be 0; it must
-	// additionally be stable (resp. falling) if the output is required
-	// stable (resp. carries a transition).
-	if any0 {
-		// Under the dual, "the other input is 1" reads the fanin's
-		// complemented final value, i.e. its Zero plane.
-		ones := s.val.one
-		if dual {
-			ones = s.val.zero
-		}
-		for i, net := range fanin {
-			others := &s.bOthers
-			for w := 0; w < ka; w++ {
-				others[w] = ^uint64(0)
-			}
-			for j, other := range fanin {
-				if j == i {
-					continue
-				}
-				off := s.off(other)
-				for w := 0; w < ka; w++ {
-					others[w] &= ones[off+w]
-				}
-			}
-			anyForced := false
-			for w := 0; w < ka; w++ {
-				forced := f0[w] & others[w]
-				z, on := forced, uint64(0)
-				if dual {
-					z, on = on, z
-				}
-				a := s.active[w]
-				req.Zero[w] = z & a
-				req.One[w] = on & a
-				req.Stable[w] = forced & st[w] & a
-				req.Instable[w] = forced & inst[w] & a
-				anyForced = anyForced || forced != 0
-			}
-			if !anyForced {
-				continue
-			}
-			if s.mergeVal(net, req) {
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// backImply1 is the single-word (ka==1) specialisation of backImply: the
-// active plane windows are single words, so the rules below run on scalar
-// uint64s with no Mask or Word7V registers.  It serves both kcap==1 states
-// and wide states running a one-word epoch (e.g. APTPG's narrowed active
-// mask), which is why every plane access goes through s.off.  The algebra is
-// word-for-word the w-loop bodies of the generic variants and must be kept in
-// lockstep with them (the randomized equivalence suite runs both widths
-// against the same oracle).
+// backImply1 is the one-word (ka==1) kernel of backImply: the active plane
+// windows are single words, so the rules below run on scalar uint64s with no
+// Mask or Word7V registers.  It serves both one-word states and two-word
+// states running a one-word epoch (e.g. APTPG's narrowed active mask), which
+// is why every plane access goes through s.off.  Its algebra is, word for
+// word, that of backImply2 and must be kept in lockstep with it
+// (TestTwoWordKernelsMatchOneWord pins the two against each other).
 func (s *State) backImply1(g *circuit.Gate) bool {
 	a := s.active[0]
 	switch g.Kind {
@@ -223,7 +60,12 @@ func (s *State) backImply1(g *circuit.Gate) bool {
 	return false
 }
 
-// backImplyAnd1 is the single-word backImplyAnd.
+// backImplyAnd1 derives the backward implications of an AND gate.  invert
+// folds an output inversion (NAND, and OR/NOR via the dual) by swapping the
+// output's final-value planes on the way in; dual applies the rules in the
+// OR dual, complementing the fanin values on the way in and the derived
+// requirements on the way out (the final-value planes of the requirement are
+// swapped at write time).
 func (s *State) backImplyAnd1(out circuit.NetID, fanin []circuit.NetID, invert, dual bool) bool {
 	o := s.off(out)
 	z, on := s.val.zero[o], s.val.one[o]
@@ -236,6 +78,10 @@ func (s *State) backImplyAnd1(out circuit.NetID, fanin []circuit.NetID, invert, 
 	a := s.active[0]
 	changed := false
 
+	// Rule family 1: the output requires the non-controlling value (1).
+	// Every input must then be 1; if the output is stable every input is
+	// stable; if the output carries a transition and all other inputs are
+	// stable, the remaining input must carry the transition.
 	if f1 != 0 {
 		for i, net := range fanin {
 			rOne := f1
@@ -263,6 +109,10 @@ func (s *State) backImplyAnd1(out circuit.NetID, fanin []circuit.NetID, invert, 
 		}
 	}
 
+	// Rule family 0: the output requires the controlling value (0).  If all
+	// other inputs are known to be 1, the remaining input must be 0; it must
+	// additionally be stable (resp. falling) if the output is required
+	// stable (resp. carries a transition).
 	if f0 != 0 {
 		// Under the dual, "the other input is 1" reads the fanin's
 		// complemented final value, i.e. its Zero plane.
@@ -294,7 +144,11 @@ func (s *State) backImplyAnd1(out circuit.NetID, fanin []circuit.NetID, invert, 
 	return changed
 }
 
-// backImplyXor1 is the single-word backImplyXor.
+// backImplyXor1 derives the backward implications of an XOR gate (invert
+// folds an XNOR output inversion): when the output final value and all but
+// one input final values are known, the remaining input's final value is
+// forced to the parity-consistent value.  Stability is not implied backwards
+// through XOR (the necessary conditions are not unique).
 func (s *State) backImplyXor1(out circuit.NetID, fanin []circuit.NetID, invert bool) bool {
 	o := s.off(out)
 	z, on := s.val.zero[o], s.val.one[o]
@@ -334,11 +188,9 @@ func (s *State) backImplyXor1(out circuit.NetID, fanin []circuit.NetID, invert b
 	return changed
 }
 
-// backImply2 is the two-word (ka==2) specialisation of backImply, i.e. the
-// L=128 hot path: the constant loop bound lets the compiler unroll the plane
-// windows into registers, where the generic variants must run dynamically
-// bounded loops over Mask-sized scratch.  Like backImply1 it must stay in
-// algebraic lockstep with the generic rules.
+// backImply2 is the two-word (ka==2) kernel of backImply, i.e. the L=128 hot
+// path: the constant loop bound lets the compiler unroll the plane windows
+// into registers.  It must stay in algebraic lockstep with backImply1.
 func (s *State) backImply2(g *circuit.Gate) bool {
 	a := [2]uint64{s.active[0], s.active[1]}
 	switch g.Kind {
@@ -372,7 +224,7 @@ func (s *State) backImply2(g *circuit.Gate) bool {
 	return false
 }
 
-// backImplyAnd2 is the two-word backImplyAnd.
+// backImplyAnd2 is the two-word backImplyAnd1.
 func (s *State) backImplyAnd2(out circuit.NetID, fanin []circuit.NetID, invert, dual bool) bool {
 	o := s.off(out)
 	z := [2]uint64{s.val.zero[o], s.val.zero[o+1]}
@@ -467,7 +319,7 @@ func (s *State) backImplyAnd2(out circuit.NetID, fanin []circuit.NetID, invert, 
 	return changed
 }
 
-// backImplyXor2 is the two-word backImplyXor.
+// backImplyXor2 is the two-word backImplyXor1.
 func (s *State) backImplyXor2(out circuit.NetID, fanin []circuit.NetID, invert bool) bool {
 	o := s.off(out)
 	z := [2]uint64{s.val.zero[o], s.val.zero[o+1]}
@@ -514,71 +366,6 @@ func (s *State) backImplyXor2(out circuit.NetID, fanin []circuit.NetID, invert b
 			continue
 		}
 		if s.mergeVal2(net, rz, ro, [2]uint64{}, [2]uint64{}) {
-			changed = true
-		}
-	}
-	return changed
-}
-
-// backImplyXor derives the backward implications of an XOR gate (invert
-// folds an XNOR output inversion): when the output final value and all but
-// one input final values are known, the remaining input's final value is
-// forced to the parity-consistent value.  Stability is not implied backwards
-// through XOR (the necessary conditions are not unique).
-func (s *State) backImplyXor(out circuit.NetID, fanin []circuit.NetID, invert bool) bool {
-	ka, ooff := s.ka, s.off(out)
-	f1, f0, known := &s.bF1, &s.bF0, &s.bSt
-	anyKnown := false
-	for w := 0; w < ka; w++ {
-		o := ooff + w
-		z, on := s.val.zero[o], s.val.one[o]
-		if invert {
-			z, on = on, z
-		}
-		f1[w] = on &^ z
-		f0[w] = z &^ on
-		known[w] = f0[w] | f1[w]
-		anyKnown = anyKnown || known[w] != 0
-	}
-	if !anyKnown {
-		return false
-	}
-	changed := false
-	req := &s.mergeReg
-	for i, net := range fanin {
-		othersKnown, othersParity := &s.bOthers, &s.bInst
-		for w := 0; w < ka; w++ {
-			othersKnown[w] = ^uint64(0)
-			othersParity[w] = 0
-		}
-		for j, other := range fanin {
-			if j == i {
-				continue
-			}
-			off := s.off(other)
-			for w := 0; w < ka; w++ {
-				o := off + w
-				one := s.val.one[o] &^ s.val.zero[o]
-				zero := s.val.zero[o] &^ s.val.one[o]
-				othersKnown[w] &= one | zero
-				othersParity[w] ^= one
-			}
-		}
-		anyMask := false
-		for w := 0; w < ka; w++ {
-			mask := known[w] & othersKnown[w]
-			wantOne := (f1[w] &^ othersParity[w]) | (f0[w] & othersParity[w])
-			a := s.active[w]
-			req.One[w] = mask & wantOne & a
-			req.Zero[w] = (mask &^ wantOne) & a
-			req.Stable[w] = 0
-			req.Instable[w] = 0
-			anyMask = anyMask || mask != 0
-		}
-		if !anyMask {
-			continue
-		}
-		if s.mergeVal(net, req) {
 			changed = true
 		}
 	}

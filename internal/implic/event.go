@@ -15,8 +15,8 @@ import (
 // the same round) — exactly the Gauss-Seidel order of the full forward
 // sweep, with the provably-unchanged evaluations skipped.  A backward round
 // scans from the outputs down with the symmetric argument.  Rounds alternate
-// until both queues drain or MaxSweeps rounds have run, mirroring the sweep
-// bound of the full implementation.
+// until both queues drain: every merge only adds bits to Val, so the closure
+// reaches its fixpoint after finitely many rounds.
 
 // pushFwd schedules a gate for forward re-evaluation.  Like pushBwd and
 // pushSim, it drops gates outside the requirement cone (see growCone).
@@ -153,13 +153,9 @@ func (s *State) seedImply() {
 }
 
 // runImplyRounds alternates forward and backward event rounds until both
-// queues drain or the sweep bound is hit.
+// queues drain.
 func (s *State) runImplyRounds() {
-	maxSweeps := s.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 8
-	}
-	for round := 0; round < maxSweeps && s.fwdN+s.bwdN > 0; round++ {
+	for s.fwdN+s.bwdN > 0 {
 		// Forward: ascending levels.  Events raised while processing always
 		// target strictly higher levels, so they are consumed in this same
 		// round; events raised by the backward half land in the already

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/logic"
 )
@@ -14,7 +13,7 @@ import (
 // The tests in this file pin the freeze rule of the implication closure: a
 // bit level stops deriving once it first conflicts (see mergeVal).  Freezing
 // must be invisible to every other level, must hold the frozen level's Val
-// window still, and must be undone exactly by the trail and by ClearPI.
+// window still, and must be undone exactly by the trail.
 
 // levelVal returns the Val value of every net at one bit level.
 func levelVal(st *State, level int) []logic.Value7 {
@@ -61,7 +60,7 @@ func assertOtherLevelsMatch(t *testing.T, st, ref *State, j int, tag string) {
 }
 
 // TestConflictedLevelIsIndependent is the level-independence property of the
-// freeze rule, on randomized and ISCAS-85-class circuits at K = 1, 2 and 4
+// freeze rule, on randomized and ISCAS-85-class circuits at K = 1 and 2
 // plane words.  Two states receive the same random requirements and framed
 // decisions; in one of them a decision conflicts level j, the other runs
 // with j removed from the active mask.  After every closure:
@@ -70,17 +69,15 @@ func assertOtherLevelsMatch(t *testing.T, st, ref *State, j int, tag string) {
 //   - level j's Val window is exactly what it was at its first conflict;
 //
 // and Undo past the conflicting frame restores level j (and every other
-// plane) bit-exactly.  The sweep bound is high enough for every closure to
-// converge, the precondition of the equivalence contract.
+// plane) bit-exactly.
 func TestConflictedLevelIsIndependent(t *testing.T) {
-	for _, width := range []int{64, 128, 256} {
+	for _, width := range []int{64, 128} {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(300 + width)))
 			all := logic.LevelsMask(width)
 			for _, c := range equivCircuits(t) {
 				inputs := c.Inputs()
 				st, ref := NewStateWidth(c, width), NewStateWidth(c, width)
-				st.MaxSweeps, ref.MaxSweeps = 64, 64
 				both := func(f func(s *State)) {
 					f(st)
 					f(ref)
@@ -182,46 +179,6 @@ func TestConflictedLevelIsIndependent(t *testing.T) {
 					}
 					closure()
 					assertOtherLevelsMatch(t, st, ref, j, c.Name+"/undone")
-				}
-			}
-		})
-	}
-}
-
-// TestClearPIRevivesConflictedLevel checks the resync path: a decision
-// conflicts level j, ClearPI retracts it outside the trail, and the next
-// Imply must bring level j back to life — no conflict, and a Val window equal
-// to that of a fresh state holding the same requirements.
-func TestClearPIRevivesConflictedLevel(t *testing.T) {
-	for _, width := range []int{64, 128, 512} {
-		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			c := bench.C17()
-			all := logic.LevelsMask(width)
-			j := width - 1
-			// 22 = NAND(10, 16) required 0 implies 10 = 16 = 1 backwards.
-			n22 := c.NetByName("22")
-			st := NewStateWidth(c, width)
-			st.Reset(all)
-			st.AddRequirement(n22, logic.Final0, all)
-			st.Imply()
-			// 1 = 3 = 1 forces 10 = NAND(1, 3) = 0: a conflict on level j.
-			st.AssignPI(c.NetByName("1"), logic.Stable1, logic.BitMask(j))
-			st.AssignPI(c.NetByName("3"), logic.Stable1, logic.BitMask(j))
-			if !st.Imply().Bit(j) {
-				t.Fatalf("the decision should conflict level %d", j)
-			}
-			st.ClearPI(all)
-			if conf := st.Imply(); !conf.IsZero() {
-				t.Fatalf("after ClearPI the conflict mask is %v, want none", conf)
-			}
-			fresh := NewStateWidth(c, width)
-			fresh.Reset(all)
-			fresh.AddRequirement(n22, logic.Final0, all)
-			fresh.Imply()
-			for n := 0; n < c.NumNets(); n++ {
-				id := circuit.NetID(n)
-				if got, want := st.ValGet(id, j), fresh.ValGet(id, j); got != want {
-					t.Errorf("Val[%s] at level %d is %v after ClearPI, fresh state %v", c.NetName(id), j, got, want)
 				}
 			}
 		})

@@ -423,10 +423,6 @@ func TestStateResetAndMarkConflict(t *testing.T) {
 	if st.PIValue(c.NetByName("22")) != (logic.Word7V{}) {
 		t.Error("assigning a gate output as PI should be ignored")
 	}
-	st.ClearPI(logic.LevelsMask(logic.WordWidth))
-	if st.PIValue(c.NetByName("1")) != (logic.Word7V{}) {
-		t.Error("ClearPI should clear assignments")
-	}
 	st.Reset(logic.LevelsMask(1))
 	if !st.ConflictMask().IsZero() {
 		t.Error("Reset should clear conflicts")

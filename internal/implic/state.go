@@ -1,7 +1,7 @@
 // Package implic implements the bit-parallel implication engine used by the
-// test pattern generator.  All L bit levels of the plane vector (L = 64, 128,
-// 256 or 512; see logic.MaxWordWidth) are processed simultaneously: a bit
-// level corresponds to one target fault (fault-parallel generation) or to one
+// test pattern generator.  All L bit levels of the plane vector (L up to 128;
+// see logic.MaxWordWidth) are processed simultaneously: a bit level
+// corresponds to one target fault (fault-parallel generation) or to one
 // pattern alternative (alternative-parallel generation).
 //
 // The engine keeps three value planes per net:
@@ -27,21 +27,18 @@
 // the pre-frame planes and conflict masks) or Reset revives the level.
 // Without the freeze a dead level keeps ORing conflict encodings into Val
 // and rescheduling the gates around it: on a c7552-class run of 1024 robust
-// faults at L=64, 95 % of all Val merges added bits only to conflicted levels,
-// and almost every closure truncated by MaxSweeps was such a dead-level storm
-// (24,018 truncated closures before the freeze, 39 after).
+// faults at L=64, 95 % of all Val merges added bits only to conflicted levels.
 //
 // # Plane storage layout
 //
 // Each plane kind is stored structure-of-arrays: one []uint64 per bit plane
-// (Zero/One/Stable/Instable), holding K consecutive words per net, where K is
-// fixed at construction from the requested word width (NewStateWidth).  The
-// four plane slices of a net's K-word window are contiguous, so the
-// event-driven engine touches K adjacent words per plane per net and the
-// word3/word7 kernels reduce to fixed-bound loops the compiler can unroll and
-// auto-vectorize.  Operations run over the first kA ≤ K words, where kA
-// covers the highest active level of the current Reset epoch: a K=8 state
-// running a 64-level pass pays for one word, not eight.
+// (Zero/One/Stable/Instable), holding K consecutive words per net, where K
+// (1 or 2, logic.MaxK) is fixed at construction from the requested word width
+// (NewStateWidth).  Operations run over the first kA ≤ K words, where kA
+// covers the highest active level of the current Reset epoch, and dispatch on
+// kA to one of two kernel tiers: scalar one-word kernels (backImply1,
+// mergeVal1) and unrolled two-word kernels (backImply2, mergeVal2).  A K=2
+// state running a 64-level pass pays for one word, not two.
 //
 // # Event-driven incremental operation
 //
@@ -61,21 +58,18 @@
 // 3,719 nets, and a framed decision in such a state (BenchmarkImplyOneFault)
 // costs 4.5 µs instead of the 10.1 µs of whole-circuit propagation.
 //
-// The incremental closure is bit-identical to the retained full-sweep
-// implementation (the FullSweep debug option, kept as the test oracle) on
-// the requirement cone whenever the closure converges within MaxSweeps
-// rounds — which it does on every practical netlist; the bound exists only
-// to tame pathological circuits.  Outside the cone Val and Sim are
-// unspecified; the full sweep computes them, and nothing reads them.  On bit
-// levels whose closure contains a conflict the Val planes may differ between
-// the two implementations (a level freezes at its first conflicting merge,
-// and which merge lands first is order-dependent), but the conflict masks
-// themselves, JustifiedMask, UnjustifiedWord, the cone's Val on all
-// conflict-free levels and its Sim plane, and therefore every generator
-// decision, are identical; equiv_test.go checks this contract on randomized
-// and ISCAS-85-class circuits, at K=1 and at wider widths, and
-// freeze_test.go checks that freezing a level is invisible to every other
-// level.
+// The incremental closure is bit-identical to the full-sweep reference
+// (NewFullSweepState, see sweep.go) on the requirement cone.  Outside the
+// cone Val and Sim are unspecified; the full sweep computes them, and nothing
+// reads them.  On bit levels whose closure contains a conflict the Val planes
+// may differ between the two implementations (a level freezes at its first
+// conflicting merge, and which merge lands first is order-dependent), but the
+// conflict masks themselves, JustifiedMask, UnjustifiedWord, the cone's Val
+// on all conflict-free levels and its Sim plane, and therefore every
+// generator decision, are identical.  equiv_test.go checks this contract on
+// randomized and ISCAS-85-class circuits at K=1 and K=2, kernel_test.go pins
+// the two-word kernels to the one-word ones, and freeze_test.go checks that
+// freezing a level is invisible to every other level.
 package implic
 
 import (
@@ -138,28 +132,14 @@ type State struct {
 	conflict    logic.Mask // reported conflict mask (subset of active)
 	valConflict logic.Mask // accumulated conflict bits of the Val plane
 
-	// scratch registers and buffers reused across calls.  faninBuf7 is the
-	// single-word gather buffer of the ka==1 fast path; the bX masks are
-	// the working set of the generic backward-implication rules.  Only words
-	// [0, ka) of any scratch are meaningful; the rest are stale.
-	faninBuf   []logic.Word7V
-	faninBuf7  []logic.Word7
-	evalReg    logic.Word7V
-	mergeReg   logic.Word7V
-	bF1, bF0   logic.Mask
-	bSt, bInst logic.Mask
-	bOthers    logic.Mask
+	// faninBuf7 is the gather buffer of evalGate, which writes its result
+	// to evalReg; only words [0, ka) of evalReg are meaningful.
+	faninBuf7 []logic.Word7
+	evalReg   logic.Word7V
 
-	// MaxSweeps bounds the number of forward/backward rounds of Imply.  The
-	// implication closure usually converges in two or three rounds; the
-	// bound only protects against pathological netlists.
-	MaxSweeps int
-
-	// FullSweep selects the original from-scratch implementation of Imply,
-	// ForwardSim and Reset instead of the event-driven incremental one.  It
-	// is the debug oracle the incremental engine is validated against and
-	// must be set before Reset, not toggled mid-epoch.
-	FullSweep bool
+	// fullSweep marks the full-sweep reference (NewFullSweepState): Imply
+	// and ForwardSim recompute from scratch instead of propagating events.
+	fullSweep bool
 
 	// impReq/impPI mirror the Req and PI planes as last absorbed by the
 	// implication closure; Imply seeds events from nets whose current plane
@@ -182,7 +162,7 @@ type State struct {
 	// has bits in, usually exactly one), so the per-word scans of
 	// UnjustifiedWord and JustifiedMask stay proportional to the word's own
 	// requirement set rather than the whole group's — the scans cost the
-	// same per fault at L=512 as at L=64.  Buckets are insertion-ordered and
+	// same per fault at L=128 as at L=64.  Buckets are insertion-ordered and
 	// truncated by length on Undo, so no scan of the whole circuit is ever
 	// needed.
 	reqNetsW [logic.MaxK][]circuit.NetID
@@ -213,11 +193,6 @@ type State struct {
 	constsSeeded    bool
 	simConstsSeeded bool
 
-	// needResync is set when an assignment was removed outside the trail
-	// (ClearPI): the monotone incremental closure cannot shrink, so the next
-	// Imply recomputes from scratch and resynchronizes the bookkeeping.
-	needResync bool
-
 	// Assignment trail (see trail.go).
 	frames   []frame
 	trail    []trailEntry
@@ -238,26 +213,25 @@ func NewStateWidth(c *circuit.Circuit, width int) *State {
 	n := c.NumNets()
 	k := logic.KForWidth(width)
 	s := &State{
-		c:         c,
-		kcap:      k,
-		ka:        k,
-		req:       newPlanes7(n, k),
-		pi:        newPlanes7(n, k),
-		val:       newPlanes7(n, k),
-		sim:       newPlanes7(n, k),
-		impReq:    newPlanes7(n, k),
-		impPI:     newPlanes7(n, k),
-		simPI:     newPlanes7(n, k),
-		MaxSweeps: 8,
-		dirty:     make([]uint8, n),
-		fwdB:      make([][]circuit.NetID, c.NumLevels()),
-		bwdB:      make([][]circuit.NetID, c.NumLevels()),
-		simB:      make([][]circuit.NetID, c.NumLevels()),
-		fwdQ:      make([]bool, n),
-		bwdQ:      make([]bool, n),
-		simQ:      make([]bool, n),
-		inCone:    make([]bool, n),
-		coneNets:  make([]circuit.NetID, 0, n),
+		c:        c,
+		kcap:     k,
+		ka:       k,
+		req:      newPlanes7(n, k),
+		pi:       newPlanes7(n, k),
+		val:      newPlanes7(n, k),
+		sim:      newPlanes7(n, k),
+		impReq:   newPlanes7(n, k),
+		impPI:    newPlanes7(n, k),
+		simPI:    newPlanes7(n, k),
+		dirty:    make([]uint8, n),
+		fwdB:     make([][]circuit.NetID, c.NumLevels()),
+		bwdB:     make([][]circuit.NetID, c.NumLevels()),
+		simB:     make([][]circuit.NetID, c.NumLevels()),
+		fwdQ:     make([]bool, n),
+		bwdQ:     make([]bool, n),
+		simQ:     make([]bool, n),
+		inCone:   make([]bool, n),
+		coneNets: make([]circuit.NetID, 0, n),
 	}
 	maxFanin := 1
 	for _, g := range c.Gates() {
@@ -268,7 +242,6 @@ func NewStateWidth(c *circuit.Circuit, width int) *State {
 			s.consts = append(s.consts, g.ID)
 		}
 	}
-	s.faninBuf = make([]logic.Word7V, maxFanin)
 	s.faninBuf7 = make([]logic.Word7, maxFanin)
 	for i := range s.stamps {
 		s.stamps[i] = make([]int64, n)
@@ -330,7 +303,6 @@ func (s *State) Reset(active logic.Mask) {
 	s.valConflict = logic.Mask{}
 	s.constsSeeded = false
 	s.simConstsSeeded = false
-	s.needResync = false
 }
 
 // Active returns the mask of bit levels in use.
@@ -428,41 +400,6 @@ func (s *State) mergePI(net circuit.NetID, r *logic.Word7V) {
 	s.pendSim = append(s.pendSim, net)
 }
 
-// ClearPI removes all primary input assignments (keeping requirements),
-// restricted to the levels selected by mask.
-//
-// Removing assignments shrinks the closure, which the monotone incremental
-// engine cannot express; the next Imply therefore falls back to one full
-// from-scratch recomputation (Reset + re-assignment, or the Assign/Undo
-// trail, are the cheap ways to retract assignments).
-func (s *State) ClearPI(mask logic.Mask) {
-	ka := s.ka
-	for _, in := range s.c.Inputs() {
-		off := s.off(in)
-		cleared := false
-		for w := 0; w < ka; w++ {
-			o := off + w
-			if (s.pi.zero[o]|s.pi.one[o]|s.pi.stable[o]|s.pi.instable[o])&mask[w] != 0 {
-				cleared = true
-				break
-			}
-		}
-		if !cleared {
-			continue
-		}
-		s.note(pPI, in)
-		for w := 0; w < ka; w++ {
-			o := off + w
-			s.pi.zero[o] &^= mask[w]
-			s.pi.one[o] &^= mask[w]
-			s.pi.stable[o] &^= mask[w]
-			s.pi.instable[o] &^= mask[w]
-		}
-		s.pendSim = append(s.pendSim, in)
-		s.needResync = true
-	}
-}
-
 // loadFull copies net's window of p into a full-width vector (upper words
 // zero, so vectors from different epochs compare with ==).
 func (s *State) loadFull(p *planes7, net circuit.NetID) logic.Word7V {
@@ -501,13 +438,10 @@ func (s *State) PIValue(net circuit.NetID) logic.Word7V { return s.loadFull(&s.p
 //
 //atpgvet:noalloc
 func (s *State) Imply() logic.Mask {
-	if s.FullSweep {
+	if s.fullSweep {
 		return s.implyFull()
 	}
 	s.growCone()
-	if s.needResync {
-		return s.resync()
-	}
 	s.seedImply()
 	s.runImplyRounds()
 	// Like the full sweep, Imply reports only conflicts present in the
@@ -516,101 +450,6 @@ func (s *State) Imply() logic.Mask {
 	// keep their own mask.
 	s.conflict = s.valConflict.And(s.active)
 	return s.ConflictMask()
-}
-
-// implyFull is the retained full-sweep implementation: it recomputes the
-// closure from scratch with alternating whole-circuit forward and backward
-// sweeps.  It is the oracle the event-driven path is validated against, and
-// the recovery path after ClearPI.
-func (s *State) implyFull() logic.Mask {
-	order := s.c.TopoOrder()
-	// Start with every level live: mergeVal freezes the levels in
-	// valConflict, and a recomputation must not inherit them (ClearPI may
-	// have revived a level).  The scan at the end recomputes the mask.
-	s.valConflict = logic.Mask{}
-	// Initialise the closure with the requirements and input assignments.
-	for i := 0; i < s.c.NumNets(); i++ {
-		id := circuit.NetID(i)
-		r := s.loadFull(&s.req, id).SelectLevels(s.active)
-		s.setValReplace(id, &r)
-	}
-	for _, in := range s.c.Inputs() {
-		r := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		s.mergeVal(in, &r)
-	}
-
-	maxSweeps := s.MaxSweeps
-	if maxSweeps <= 0 {
-		maxSweeps = 8
-	}
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		changed := false
-		// Forward sweep: gate outputs receive the evaluation of their fanin
-		// values.
-		for _, id := range order {
-			g := s.c.Gate(id)
-			if g.Kind == logic.Input {
-				continue
-			}
-			s.evalGate(g, &s.val)
-			if s.mergeVal(id, &s.evalReg) {
-				changed = true
-			}
-		}
-		// Backward sweep: unique implications from required output values to
-		// the fanin nets.
-		for i := len(order) - 1; i >= 0; i-- {
-			g := s.c.Gate(order[i])
-			if g.Kind == logic.Input || len(g.Fanin) == 0 {
-				continue
-			}
-			if s.backImply(g) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	var conflict logic.Mask
-	ka := s.ka
-	for i := 0; i < s.c.NumNets(); i++ {
-		off := s.off(circuit.NetID(i))
-		for w := 0; w < ka; w++ {
-			o := off + w
-			conflict[w] |= (s.val.zero[o] & s.val.one[o]) | (s.val.stable[o] & s.val.instable[o])
-		}
-	}
-	s.valConflict = conflict
-	s.conflict = conflict.And(s.active)
-	return s.ConflictMask()
-}
-
-// resync recovers after ClearPI: one full-sweep recomputation, then the
-// incremental bookkeeping (mirrors, event queues) is rebuilt to match.
-func (s *State) resync() logic.Mask {
-	conf := s.implyFull()
-	clearQueue(s.fwdB, s.fwdQ, &s.fwdN)
-	clearQueue(s.bwdB, s.bwdQ, &s.bwdN)
-	s.pendImply = s.pendImply[:0]
-	for _, n := range s.touched {
-		req := s.loadFull(&s.req, n).SelectLevels(s.active)
-		if req != s.loadFull(&s.impReq, n) {
-			s.note(pImpReq, n)
-			s.store(&s.impReq, n, &req)
-		}
-		if s.c.IsInput(n) {
-			pi := s.loadFull(&s.pi, n).SelectLevels(s.active)
-			if pi != s.loadFull(&s.impPI, n) {
-				s.note(pImpPI, n)
-				s.store(&s.impPI, n, &pi)
-			}
-		}
-	}
-	s.constsSeeded = true
-	s.needResync = false
-	return conf
 }
 
 // store overwrites net's window of p with r (words [0, ka)).
@@ -625,78 +464,28 @@ func (s *State) store(p *planes7, net circuit.NetID, r *logic.Word7V) {
 	}
 }
 
-// setValReplace overwrites Val[net] (full-sweep initialisation only).
-func (s *State) setValReplace(net circuit.NetID, r *logic.Word7V) {
-	ka, off := s.ka, s.off(net)
-	same := true
-	for w := 0; w < ka; w++ {
-		o := off + w
-		if s.val.zero[o] != r.Zero[w] || s.val.one[o] != r.One[w] ||
-			s.val.stable[o] != r.Stable[w] || s.val.instable[o] != r.Instable[w] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return
-	}
-	s.note(pVal, net)
-	s.store(&s.val, net, r)
-}
-
-// mergeVal merges a vector into Val[net], accumulates conflicts, and (in
-// incremental mode) schedules the affected neighbors: the fanout gates
-// re-evaluate forward, the net's own gate and its fanout gates rerun their
-// backward implications.  It reports whether Val[net] changed.
+// mergeVal merges a vector into Val[net], accumulates conflicts, and
+// schedules the affected neighbors: the fanout gates re-evaluate forward, the
+// net's own gate and its fanout gates rerun their backward implications.  It
+// reports whether Val[net] changed.  It dispatches to the one- or two-word
+// kernel by the epoch's word count.
 //
 // Conflicted levels are frozen (see the package comment): the incoming vector
 // is masked with the live levels ^valConflict before the change test.  The
 // mask is read before the merge, so the merge that first conflicts a level
 // still lands (and is trailed).
 func (s *State) mergeVal(net circuit.NetID, r *logic.Word7V) bool {
-	switch s.ka {
-	case 1:
+	if s.ka == 1 {
 		return s.mergeVal1(net, r.Zero[0], r.One[0], r.Stable[0], r.Instable[0])
-	case 2:
-		return s.mergeVal2(net,
-			[2]uint64{r.Zero[0], r.Zero[1]}, [2]uint64{r.One[0], r.One[1]},
-			[2]uint64{r.Stable[0], r.Stable[1]}, [2]uint64{r.Instable[0], r.Instable[1]})
 	}
-	ka, off := s.ka, s.off(net)
-	changed := false
-	for w := 0; w < ka; w++ {
-		o := off + w
-		if (r.Zero[w]&^s.val.zero[o]|r.One[w]&^s.val.one[o]|r.Stable[w]&^s.val.stable[o]|r.Instable[w]&^s.val.instable[o])&^s.valConflict[w] != 0 {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return false
-	}
-	s.note(pVal, net)
-	for w := 0; w < ka; w++ {
-		o, live := off+w, ^s.valConflict[w]
-		z := s.val.zero[o] | r.Zero[w]&live
-		on := s.val.one[o] | r.One[w]&live
-		st := s.val.stable[o] | r.Stable[w]&live
-		in := s.val.instable[o] | r.Instable[w]&live
-		s.val.zero[o], s.val.one[o], s.val.stable[o], s.val.instable[o] = z, on, st, in
-		s.valConflict[w] |= (z & on) | (st & in)
-	}
-	if !s.FullSweep {
-		s.pushBwd(net)
-		for _, fo := range s.c.Gate(net).Fanout {
-			s.pushFwd(fo)
-			s.pushBwd(fo)
-		}
-	}
-	return true
+	return s.mergeVal2(net,
+		[2]uint64{r.Zero[0], r.Zero[1]}, [2]uint64{r.One[0], r.One[1]},
+		[2]uint64{r.Stable[0], r.Stable[1]}, [2]uint64{r.Instable[0], r.Instable[1]})
 }
 
-// mergeVal1 is the single-word (ka==1) specialisation of mergeVal: the active
-// plane windows are single words, so the merge runs on scalars with no vector
-// registers.  Wide states running a one-word epoch use it too, hence s.off.
+// mergeVal1 is the one-word (ka==1) merge: the active plane windows are
+// single words, so the merge runs on scalars with no vector registers.
+// Two-word states running a one-word epoch use it too, hence s.off.
 func (s *State) mergeVal1(net circuit.NetID, rz, ro, rs, ri uint64) bool {
 	o, live := s.off(net), ^s.valConflict[0]
 	rz, ro, rs, ri = rz&live, ro&live, rs&live, ri&live
@@ -710,18 +499,16 @@ func (s *State) mergeVal1(net circuit.NetID, rz, ro, rs, ri uint64) bool {
 	in := s.val.instable[o] | ri
 	s.val.zero[o], s.val.one[o], s.val.stable[o], s.val.instable[o] = z, on, st, in
 	s.valConflict[0] |= (z & on) | (st & in)
-	if !s.FullSweep {
-		s.pushBwd(net)
-		for _, fo := range s.c.Gate(net).Fanout {
-			s.pushFwd(fo)
-			s.pushBwd(fo)
-		}
+	s.pushBwd(net)
+	for _, fo := range s.c.Gate(net).Fanout {
+		s.pushFwd(fo)
+		s.pushBwd(fo)
 	}
 	return true
 }
 
-// mergeVal2 is the two-word (ka==2) specialisation of mergeVal: the merge
-// runs fully unrolled on scalar pairs, the L=128 hot path.
+// mergeVal2 is the two-word (ka==2) merge, fully unrolled on scalar pairs:
+// the L=128 hot path.
 func (s *State) mergeVal2(net circuit.NetID, rz, ro, rs, ri [2]uint64) bool {
 	o := s.off(net)
 	l0, l1 := ^s.valConflict[0], ^s.valConflict[1]
@@ -740,48 +527,28 @@ func (s *State) mergeVal2(net circuit.NetID, rz, ro, rs, ri [2]uint64) bool {
 	s.val.zero[o+1], s.val.one[o+1], s.val.stable[o+1], s.val.instable[o+1] = z1, on1, st1, in1
 	s.valConflict[0] |= (z0 & on0) | (st0 & in0)
 	s.valConflict[1] |= (z1 & on1) | (st1 & in1)
-	if !s.FullSweep {
-		s.pushBwd(net)
-		for _, fo := range s.c.Gate(net).Fanout {
-			s.pushFwd(fo)
-			s.pushBwd(fo)
-		}
+	s.pushBwd(net)
+	for _, fo := range s.c.Gate(net).Fanout {
+		s.pushFwd(fo)
+		s.pushBwd(fo)
 	}
 	return true
 }
 
-// evalGate evaluates gate g over the given plane storage into s.evalReg: the
-// fanin windows are gathered into the scratch vector buffer and handed to the
-// shared K-word kernel.  One- and two-word epochs instead sweep the scalar
-// kernel per word through the compact Word7 gather buffer — a cache line of
-// fanin values instead of Mask-strided Word7V writes.
+// evalGate evaluates gate g over the given plane storage into s.evalReg,
+// running the scalar kernel once per plane word through the compact Word7
+// gather buffer.
 func (s *State) evalGate(g *circuit.Gate, p *planes7) {
-	if ka := s.ka; ka <= 2 {
-		buf := s.faninBuf7[:len(g.Fanin)]
-		for w := 0; w < ka; w++ {
-			for i, f := range g.Fanin {
-				o := s.off(f) + w
-				buf[i] = logic.Word7{Zero: p.zero[o], One: p.one[o], Stable: p.stable[o], Instable: p.instable[o]}
-			}
-			r := logic.EvalGate7(g.Kind, buf)
-			s.evalReg.Zero[w], s.evalReg.One[w] = r.Zero, r.One
-			s.evalReg.Stable[w], s.evalReg.Instable[w] = r.Stable, r.Instable
+	ka, buf := s.ka, s.faninBuf7[:len(g.Fanin)]
+	for w := 0; w < ka; w++ {
+		for i, f := range g.Fanin {
+			o := s.off(f) + w
+			buf[i] = logic.Word7{Zero: p.zero[o], One: p.one[o], Stable: p.stable[o], Instable: p.instable[o]}
 		}
-		return
+		r := logic.EvalGate7(g.Kind, buf)
+		s.evalReg.Zero[w], s.evalReg.One[w] = r.Zero, r.One
+		s.evalReg.Stable[w], s.evalReg.Instable[w] = r.Stable, r.Instable
 	}
-	ka := s.ka
-	buf := s.faninBuf[:len(g.Fanin)]
-	for i, f := range g.Fanin {
-		off := s.off(f)
-		for w := 0; w < ka; w++ {
-			o := off + w
-			buf[i].Zero[w] = p.zero[o]
-			buf[i].One[w] = p.one[o]
-			buf[i].Stable[w] = p.stable[o]
-			buf[i].Instable[w] = p.instable[o]
-		}
-	}
-	logic.EvalGate7VInto(&s.evalReg, g.Kind, ka, buf)
 }
 
 // ForwardSim updates Sim: a forward-only simulation of the current PI
@@ -792,7 +559,7 @@ func (s *State) evalGate(g *circuit.Gate, p *planes7) {
 //
 //atpgvet:noalloc
 func (s *State) ForwardSim() {
-	if s.FullSweep {
+	if s.fullSweep {
 		s.forwardSimFull()
 		return
 	}
@@ -800,28 +567,8 @@ func (s *State) ForwardSim() {
 	s.runForwardSim()
 }
 
-// forwardSimFull is the retained from-scratch simulation (test oracle).
-func (s *State) forwardSimFull() {
-	var zero logic.Word7V
-	for i := 0; i < s.c.NumNets(); i++ {
-		s.setSim(circuit.NetID(i), &zero)
-	}
-	for _, in := range s.c.Inputs() {
-		r := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		s.setSim(in, &r)
-	}
-	for _, id := range s.c.TopoOrder() {
-		g := s.c.Gate(id)
-		if g.Kind == logic.Input {
-			continue
-		}
-		s.evalGate(g, &s.sim)
-		s.setSim(id, &s.evalReg)
-	}
-}
-
-// setSim overwrites Sim[net] and (in incremental mode) schedules the fanout
-// gates for re-evaluation.
+// setSim overwrites Sim[net] and schedules the fanout gates for
+// re-evaluation.
 func (s *State) setSim(net circuit.NetID, r *logic.Word7V) {
 	ka, off := s.ka, s.off(net)
 	same := true
@@ -838,10 +585,8 @@ func (s *State) setSim(net circuit.NetID, r *logic.Word7V) {
 	}
 	s.note(pSim, net)
 	s.store(&s.sim, net, r)
-	if !s.FullSweep {
-		for _, fo := range s.c.Gate(net).Fanout {
-			s.pushSim(fo)
-		}
+	for _, fo := range s.c.Gate(net).Fanout {
+		s.pushSim(fo)
 	}
 }
 

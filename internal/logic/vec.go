@@ -6,22 +6,19 @@ import (
 )
 
 // This file generalizes the scalar 64-level words (Word3/Word7, one uint64
-// per bit plane) to K-word plane vectors: a Mask, Word3V or Word7V carries up
-// to MaxK machine words per plane, giving word widths L of 64, 128, 256 or
-// 512 behind the same operation surface.  The vector types are sized for the
-// maximum width; every operation takes the vector word count k and touches
-// only words [0, k), so a K=1 engine pays for one word, not eight.
-//
-// The types are plain comparable structs of [MaxK]uint64 arrays: the plane
-// loops are fixed-bound and branch-free per word, which the compiler can
-// unroll and auto-vectorize, and equality (==) is bit-exact across the full
-// capacity — callers that operate at k < MaxK keep the upper words zero.
+// per bit plane) to plane vectors of up to MaxK machine words: a Mask or
+// Word7V carries one word per plane for L ≤ 64 and two for L ≤ 128.  The
+// types are plain comparable structs of [MaxK]uint64 arrays, sized for the
+// maximum width, and equality (==) is bit-exact across the full capacity:
+// callers that operate on one word keep the second one zero.  The gate
+// kernels stay scalar (EvalGate7 over Word7); the implication engine runs
+// them once per plane word.
 
 // MaxK is the maximum number of 64-bit words per bit plane.
-const MaxK = 8
+const MaxK = 2
 
 // MaxWordWidth is the maximum number of bit levels of a plane vector: the
-// widest word width L the engine supports (512 with MaxK = 8).
+// widest word width L the engine supports (128 with MaxK = 2).
 const MaxWordWidth = MaxK * WordWidth
 
 // KForWidth returns the number of plane words needed for the given word
@@ -163,70 +160,9 @@ func (m Mask) String() string {
 	return sb.String()
 }
 
-// Word3V holds up to MaxWordWidth three-valued logic values in two wide bit
-// planes: the K-word generalization of Word3.  The zero value is "X at every
-// bit level".
-type Word3V struct {
-	Zero Mask
-	One  Mask
-}
-
-// FillWord3V returns a vector holding v at the levels selected by mask.
-func FillWord3V(v Value3, mask Mask) Word3V {
-	var w Word3V
-	if v.ZeroBit() {
-		w.Zero = mask
-	}
-	if v.OneBit() {
-		w.One = mask
-	}
-	return w
-}
-
-// Get returns the value at bit level i.
-func (w Word3V) Get(i int) Value3 {
-	var v Value3
-	if w.Zero.Bit(i) {
-		v |= Zero3
-	}
-	if w.One.Bit(i) {
-		v |= One3
-	}
-	return v
-}
-
-// Set stores v at bit level i, replacing the previous value.
-func (w *Word3V) Set(i int, v Value3) {
-	wd, b := i>>6, uint64(1)<<uint(i&63)
-	w.Zero[wd] &^= b
-	w.One[wd] &^= b
-	if v.ZeroBit() {
-		w.Zero[wd] |= b
-	}
-	if v.OneBit() {
-		w.One[wd] |= b
-	}
-}
-
-// Merge accumulates the requirements of o into w at every bit level.
-func (w Word3V) Merge(o Word3V) Word3V {
-	return Word3V{Zero: w.Zero.Or(o.Zero), One: w.One.Or(o.One)}
-}
-
-// SelectLevels keeps only the bit levels selected by mask.
-func (w Word3V) SelectLevels(mask Mask) Word3V {
-	return Word3V{Zero: w.Zero.And(mask), One: w.One.And(mask)}
-}
-
-// Not returns the complement (planes swapped).
-func (w Word3V) Not() Word3V { return Word3V{Zero: w.One, One: w.Zero} }
-
-// ConflictMask returns the levels holding the illegal (1,1) encoding.
-func (w Word3V) ConflictMask() Mask { return w.Zero.And(w.One) }
-
 // Word7V holds up to MaxWordWidth seven-valued logic values in four wide bit
-// planes: the K-word generalization of Word7.  The zero value is "X at every
-// bit level".
+// planes: the two-word generalization of Word7.  The zero value is "X at
+// every bit level".
 type Word7V struct {
 	Zero     Mask
 	One      Mask
@@ -250,21 +186,6 @@ func FillWord7V(v Value7, mask Mask) Word7V {
 		w.Instable = mask
 	}
 	return w
-}
-
-// Word7VFromWord7 places the 64 levels of a scalar word at vector word wd.
-func Word7VFromWord7(w Word7, wd int) Word7V {
-	var v Word7V
-	v.Zero[wd] = w.Zero
-	v.One[wd] = w.One
-	v.Stable[wd] = w.Stable
-	v.Instable[wd] = w.Instable
-	return v
-}
-
-// Word7At extracts vector word wd as a scalar 64-level word.
-func (w Word7V) Word7At(wd int) Word7 {
-	return Word7{Zero: w.Zero[wd], One: w.One[wd], Stable: w.Stable[wd], Instable: w.Instable[wd]}
 }
 
 // Get returns the value at bit level i.
@@ -314,43 +235,6 @@ func (w *Word7V) Set(i int, v Value7) {
 	}
 }
 
-// MergeAt accumulates the requirement v at bit level i.
-func (w *Word7V) MergeAt(i int, v Value7) {
-	wd, b := i>>6, uint64(1)<<uint(i&63)
-	if v.ZeroBit() {
-		w.Zero[wd] |= b
-	}
-	if v.OneBit() {
-		w.One[wd] |= b
-	}
-	if v.StableBit() {
-		w.Stable[wd] |= b
-	}
-	if v.InstableBit() {
-		w.Instable[wd] |= b
-	}
-}
-
-// Merge accumulates the requirements of o into w at every bit level.
-func (w Word7V) Merge(o Word7V) Word7V {
-	return Word7V{
-		Zero:     w.Zero.Or(o.Zero),
-		One:      w.One.Or(o.One),
-		Stable:   w.Stable.Or(o.Stable),
-		Instable: w.Instable.Or(o.Instable),
-	}
-}
-
-// ClearLevels resets the bit levels selected by mask to X.
-func (w Word7V) ClearLevels(mask Mask) Word7V {
-	return Word7V{
-		Zero:     w.Zero.AndNot(mask),
-		One:      w.One.AndNot(mask),
-		Stable:   w.Stable.AndNot(mask),
-		Instable: w.Instable.AndNot(mask),
-	}
-}
-
 // SelectLevels keeps only the bit levels selected by mask.
 func (w Word7V) SelectLevels(mask Mask) Word7V {
 	return Word7V{
@@ -359,27 +243,6 @@ func (w Word7V) SelectLevels(mask Mask) Word7V {
 		Stable:   w.Stable.And(mask),
 		Instable: w.Instable.And(mask),
 	}
-}
-
-// Not returns the complement: the value planes are swapped while the
-// stability planes are preserved.
-func (w Word7V) Not() Word7V {
-	return Word7V{Zero: w.One, One: w.Zero, Stable: w.Stable, Instable: w.Instable}
-}
-
-// ConflictMask returns the levels holding an illegal encoding.
-func (w Word7V) ConflictMask() Mask {
-	return w.Zero.And(w.One).Or(w.Stable.And(w.Instable))
-}
-
-// CoversMask returns the levels at which w satisfies the requirement o,
-// restricted to the levels selected by within.
-func (w Word7V) CoversMask(o Word7V, within Mask) Mask {
-	miss := o.Zero.AndNot(w.Zero).
-		Or(o.One.AndNot(w.One)).
-		Or(o.Stable.AndNot(w.Stable)).
-		Or(o.Instable.AndNot(w.Instable))
-	return within.AndNot(miss)
 }
 
 // IsZero reports whether every level of every plane is X.
@@ -419,234 +282,4 @@ func (w Word7V) StringN(n int) string {
 		}
 	}
 	return sb.String()
-}
-
-// EvalGate3VInto evaluates a gate of the given kind over bit-parallel
-// three-valued plane vectors, writing the result into dst.  Only plane words
-// [0, k) are read and written; the caller keeps the upper words zero.  The
-// result at levels where some input holds the conflict encoding is
-// unspecified.
-//
-//atpgvet:noalloc
-func EvalGate3VInto(dst *Word3V, kind Kind, k int, in []Word3V) {
-	switch kind {
-	case Buf, Input:
-		if len(in) == 0 {
-			*dst = Word3V{}
-			return
-		}
-		*dst = in[0]
-	case Not:
-		if len(in) == 0 {
-			*dst = Word3V{}
-			return
-		}
-		*dst = in[0].Not()
-	case Const0:
-		*dst = FillWord3V(Zero3, LevelsMask(k*WordWidth))
-	case Const1:
-		*dst = FillWord3V(One3, LevelsMask(k*WordWidth))
-	case And:
-		andWord3V(dst, k, in, false)
-	case Nand:
-		andWord3V(dst, k, in, true)
-	case Or:
-		orWord3V(dst, k, in, false)
-	case Nor:
-		orWord3V(dst, k, in, true)
-	case Xor:
-		xorWord3V(dst, k, in, false)
-	case Xnor:
-		xorWord3V(dst, k, in, true)
-	default:
-		*dst = Word3V{}
-	}
-}
-
-func andWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		zero, one := uint64(0), AllLevels
-		for i := range in {
-			zero |= in[i].Zero[w]
-			one &= in[i].One[w]
-		}
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
-}
-
-func orWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		zero, one := AllLevels, uint64(0)
-		for i := range in {
-			zero &= in[i].Zero[w]
-			one |= in[i].One[w]
-		}
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
-}
-
-func xorWord3V(dst *Word3V, k int, in []Word3V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word3V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		assigned, parity := AllLevels, uint64(0)
-		for i := range in {
-			assigned &= in[i].Zero[w] ^ in[i].One[w]
-			parity ^= in[i].One[w]
-		}
-		zero, one := assigned&^parity, assigned&parity
-		if invert {
-			zero, one = one, zero
-		}
-		dst.Zero[w], dst.One[w] = zero, one
-	}
-}
-
-// EvalGate7VInto evaluates a gate of the given kind over bit-parallel
-// seven-valued plane vectors, writing the result into dst.  Only plane words
-// [0, k) are read and written; the caller keeps the upper words zero.  The
-// per-word evaluation is exactly the scalar EvalGate7 plane algebra, so the
-// result is bit-identical to evaluating each 64-level window separately.
-//
-//atpgvet:noalloc
-func EvalGate7VInto(dst *Word7V, kind Kind, k int, in []Word7V) {
-	switch kind {
-	case Buf, Input:
-		if len(in) == 0 {
-			*dst = Word7V{}
-			return
-		}
-		*dst = in[0]
-	case Not:
-		if len(in) == 0 {
-			*dst = Word7V{}
-			return
-		}
-		*dst = in[0].Not()
-	case Const0:
-		*dst = FillWord7V(Stable0, LevelsMask(k*WordWidth))
-	case Const1:
-		*dst = FillWord7V(Stable1, LevelsMask(k*WordWidth))
-	case And:
-		andWord7V(dst, k, in, false)
-	case Nand:
-		andWord7V(dst, k, in, true)
-	case Or:
-		orWord7V(dst, k, in, false)
-	case Nor:
-		orWord7V(dst, k, in, true)
-	case Xor:
-		xorWord7V(dst, k, in, false)
-	case Xnor:
-		xorWord7V(dst, k, in, true)
-	default:
-		*dst = Word7V{}
-	}
-}
-
-func andWord7V(dst *Word7V, k int, in []Word7V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word7V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		outZero, outOne := uint64(0), AllLevels
-		outInit0, outInit1 := uint64(0), AllLevels
-		allStable, anyStableZero := AllLevels, uint64(0)
-		for i := range in {
-			z, o := in[i].Zero[w], in[i].One[w]
-			s, inst := in[i].Stable[w], in[i].Instable[w]
-			outZero |= z
-			outOne &= o
-			outInit0 |= (z & s) | (o & inst)
-			outInit1 &= (o & s) | (z & inst)
-			allStable &= s
-			anyStableZero |= z & s
-		}
-		compose7VWord(dst, w, outZero, outOne, outInit0, outInit1, allStable|anyStableZero, invert)
-	}
-}
-
-func orWord7V(dst *Word7V, k int, in []Word7V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word7V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		outZero, outOne := AllLevels, uint64(0)
-		outInit0, outInit1 := AllLevels, uint64(0)
-		allStable, anyStableOne := AllLevels, uint64(0)
-		for i := range in {
-			z, o := in[i].Zero[w], in[i].One[w]
-			s, inst := in[i].Stable[w], in[i].Instable[w]
-			outZero &= z
-			outOne |= o
-			outInit0 &= (z & s) | (o & inst)
-			outInit1 |= (o & s) | (z & inst)
-			allStable &= s
-			anyStableOne |= o & s
-		}
-		compose7VWord(dst, w, outZero, outOne, outInit0, outInit1, allStable|anyStableOne, invert)
-	}
-}
-
-func xorWord7V(dst *Word7V, k int, in []Word7V, invert bool) {
-	if len(in) == 0 {
-		*dst = Word7V{}
-		return
-	}
-	for w := 0; w < k; w++ {
-		finalAssigned, finalParity := AllLevels, uint64(0)
-		initAssigned, initParity := AllLevels, uint64(0)
-		allStable := AllLevels
-		for i := range in {
-			z, o := in[i].Zero[w], in[i].One[w]
-			s, inst := in[i].Stable[w], in[i].Instable[w]
-			i0 := (z & s) | (o & inst)
-			i1 := (o & s) | (z & inst)
-			finalAssigned &= z ^ o
-			finalParity ^= o
-			initAssigned &= i0 ^ i1
-			initParity ^= i1
-			allStable &= s
-		}
-		compose7VWord(dst, w,
-			finalAssigned&^finalParity, finalAssigned&finalParity,
-			initAssigned&^initParity, initAssigned&initParity,
-			allStable, invert)
-	}
-}
-
-// compose7VWord assembles plane word w of dst from final value planes,
-// initial value planes and a stability guarantee, mirroring compose7Word;
-// invert swaps the value planes on the way out (NAND/NOR/XNOR).
-func compose7VWord(dst *Word7V, w int, zero, one, init0, init1, stable uint64, invert bool) {
-	f0 := zero &^ one
-	f1 := one &^ zero
-	known := f0 | f1
-	outStable := known & stable
-	outInstable := ((f1 & init0) | (f0 & init1)) &^ stable
-	if invert {
-		zero, one = one, zero
-	}
-	dst.Zero[w] = zero
-	dst.One[w] = one
-	dst.Stable[w] = outStable
-	dst.Instable[w] = outInstable
 }

@@ -395,6 +395,72 @@ func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
 	}
 }
 
+// TestServiceLedgerOutOfRangeWidthFails resumes a job that an older build,
+// whose planes went up to L=512, journaled at word width 256.  This build
+// refuses the width, so the job must not resume: resume records it failed
+// with the width error, exactly once across restarts, and its ID stays
+// reserved, so the next submit gets j6.
+func TestServiceLedgerOutOfRangeWidthFails(t *testing.T) {
+	dir := t.TempDir()
+	c, text := benchText(t, "c17")
+	faults := EncodeFaults(c, paths.SampleFaults(c, 4, 1995))
+	led, err := OpenLedger(dir, "j5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.RecordJob("j5", "c17", HashBench(text), text, JobOptions{WordWidth: 256, SimInterval: intp(0)}, faults)
+	led.Close()
+	path := filepath.Join(dir, "j5.jsonl")
+	ctx := context.Background()
+
+	for restart := 0; restart < 2; restart++ {
+		co, err := NewCoordinator(Config{LedgerDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(co)
+		cl := NewClient(srv.URL)
+		if _, err := cl.Status(ctx, "j5"); err == nil {
+			t.Fatal("a job journaled at word width 256 was resumed")
+		}
+		if restart == 0 {
+			sub, err := cl.SubmitBench(ctx, "c17", text, JobOptions{SimInterval: intp(0)}, faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.JobID != "j6" {
+				t.Errorf("next submit got ID %s, want j6 (j5 is reserved by its ledger)", sub.JobID)
+			}
+			if _, err := cl.Cancel(ctx, sub.JobID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		co.Close()
+
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var states []ledgerRecord
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec ledgerRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.T == "state" {
+				states = append(states, rec)
+			}
+		}
+		if len(states) != 1 {
+			t.Fatalf("restart %d: the ledger holds %d state records, want the one failed record:\n%s", restart, len(states), raw)
+		}
+		if s := states[0]; s.State != stateFailed || !strings.Contains(s.Error, "word width 256 out of range 1..128") {
+			t.Fatalf("restart %d: state record %+v, want failed with the width error", restart, s)
+		}
+	}
+}
+
 // TestServiceLedgerTornJobRecordReservesID plants ledgers holding nothing
 // but a job record torn by a crash — the unterminated tail of the file, or
 // debris a later append sealed with a newline — from which no job loads.

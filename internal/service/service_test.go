@@ -684,11 +684,10 @@ func TestServiceEvents(t *testing.T) {
 	}
 }
 
-// TestServiceSubmitRejectsUnknownOption checks that a job option the
-// coordinator does not know is reported, not silently dropped: a client
-// still sending a removed option such as "escalate" would otherwise get a
-// run other than the one it asked for.
-func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
+// rawSubmitter returns a function that submits a c17 job with the given
+// options object, as raw JSON, to a fresh coordinator.
+func rawSubmitter(t *testing.T) func(options string) *httptest.ResponseRecorder {
+	t.Helper()
 	c, text := benchText(t, "c17")
 	faults, err := json.Marshal(EncodeFaults(c, paths.SampleFaults(c, 4, 1995)))
 	if err != nil {
@@ -698,18 +697,25 @@ func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer co.Close()
+	t.Cleanup(co.Close)
 	bench, err := json.Marshal(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	submit := func(options string) *httptest.ResponseRecorder {
+	return func(options string) *httptest.ResponseRecorder {
 		body := `{"circuit_bench":` + string(bench) + `,"options":` + options + `,"faults":` + string(faults) + `}`
 		rec := httptest.NewRecorder()
 		co.ServeHTTP(rec, httptest.NewRequest("POST", API+"/jobs", strings.NewReader(body)))
 		return rec
 	}
+}
 
+// TestServiceSubmitRejectsUnknownOption checks that a job option the
+// coordinator does not know is reported, not silently dropped: a client
+// still sending a removed option such as "escalate" would otherwise get a
+// run other than the one it asked for.
+func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
+	submit := rawSubmitter(t)
 	rec := submit(`{"escalate":8}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("submit with an unknown option: HTTP %d, want 400", rec.Code)
@@ -723,5 +729,26 @@ func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
 	}
 	if rec := submit(`{"word_width":8}`); rec.Code >= 300 {
 		t.Errorf("submit with known options: HTTP %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// TestServiceSubmitRejectsOutOfRangeWidth checks the wire's width bound: a
+// submit asking for a word width above logic.MaxWordWidth gets HTTP 400 with
+// an error naming the range, and the widest legal width is accepted.
+func TestServiceSubmitRejectsOutOfRangeWidth(t *testing.T) {
+	submit := rawSubmitter(t)
+	rec := submit(`{"word_width":129}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("submit with word width 129: HTTP %d, want 400", rec.Code)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != "bad-options" || !strings.Contains(e.Error, "1..128") {
+		t.Errorf("error = %+v, want code bad-options naming the range 1..128", e)
+	}
+	if rec := submit(`{"word_width":128}`); rec.Code >= 300 {
+		t.Errorf("submit with word width 128: HTTP %d: %s", rec.Code, rec.Body)
 	}
 }

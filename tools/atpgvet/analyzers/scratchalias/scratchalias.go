@@ -41,7 +41,7 @@ longer-lived locations, and must not be grown with append.`,
 var mutators = map[string]bool{
 	"Assign": true, "Undo": true, "Reset": true, "Imply": true,
 	"ForwardSim": true, "AddRequirement": true, "AssignPI": true,
-	"AssignPIWord": true, "ClearPI": true, "MarkConflict": true,
+	"AssignPIWord": true, "MarkConflict": true,
 	"UnjustifiedWord": true,
 }
 
