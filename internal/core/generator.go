@@ -491,17 +491,19 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			break
 		}
 
-		// One backtrace-guided input assignment per still-alive level.  The
-		// assignments only write the input plane and the simulation is not
-		// rerun before the next round, so one ordering serves every level.
-		g.orderObjectives(alive)
+		// One backtrace-guided input assignment per still-alive level, from
+		// the objective order taken at the group's first decision point:
+		// FPTPG never undoes, so the order serves every round.
+		if iter == 0 {
+			g.orderObjectives(alive)
+		}
 		progress := false
 		for i, r := range batch {
 			if !alive.Bit(i) {
 				continue
 			}
 			bit := logic.BitMask(i)
-			obj, ok := g.findObjective(i)
+			obj, ok := g.findObjective(g.objKeys[i], i)
 			if !ok {
 				needPhase2 = append(needPhase2, r)
 				alive = alive.AndNot(bit)
@@ -565,8 +567,13 @@ func (g *Generator) objectiveCost(net circuit.NetID, level int) int {
 // UnjustifiedWord scan per plane word serves all its levels.  Each
 // (net, level) requirement becomes the key cost<<32 | OrderPos(net) in
 // objKeys[level] — costs saturate at testability.MaxMeasure = 2^28, so the
-// key fits — and each level's keys are sorted once.  The order is valid
-// until the next ForwardSim; input assignments in between do not change it.
+// key fits — and each level's keys are sorted once.
+//
+// One order serves a whole epoch, an FPTPG group or an APTPG fault, when it
+// is taken at the epoch's first decision point: the keys are fixed after
+// Reset, and the simulation only grows from there (FPTPG never undoes, APTPG
+// never below its base state), so a level's unjustified requirements only
+// shrink, in unchanged order.  findObjective skips the ones justified since.
 func (g *Generator) orderObjectives(levels logic.Mask) {
 	for w, lw := range levels {
 		if lw == 0 {
@@ -597,40 +604,40 @@ func (g *Generator) objectiveNet(key uint64) circuit.NetID {
 
 // findObjective returns a primary input assignment helping to justify some
 // requirement that is still unjustified at the given bit level, preferring
-// the cheapest requirement.  orderObjectives must have ordered the level
-// since the last ForwardSim.
-func (g *Generator) findObjective(level int) (backtrace.Objective, bool) {
-	for _, key := range g.objKeys[level] {
-		net := g.objectiveNet(key)
-		if obj, ok := backtrace.Backtrace(g.st, g.tm, net, g.st.ReqGet(net, level), level); ok {
-			return obj, true
-		}
+// the cheapest requirement.  keys is an epoch order of the level's
+// requirements (see orderObjectives), and ForwardSim must be up to date.
+func (g *Generator) findObjective(keys []uint64, level int) (backtrace.Objective, bool) {
+	if objs := g.findObjectives(keys, level, 1); len(objs) > 0 {
+		return objs[0], true
 	}
 	return backtrace.Objective{}, false
 }
 
 // findObjectives collects up to max distinct primary input objectives from
-// the unjustified requirements of the given bit level, in the same
-// cheapest-first order as findObjective; APTPG enumerates all their value
-// combinations at once.  The returned slice is a generator-owned scratch
-// buffer, valid until the next call.
+// the requirements of keys still unjustified at the given bit level, in
+// order; APTPG enumerates all their value combinations at once.  The
+// returned slice is a generator-owned scratch buffer, valid until the next
+// call.
 //
 //atpgvet:scratch
-func (g *Generator) findObjectives(level, max int) []backtrace.Objective {
+func (g *Generator) findObjectives(keys []uint64, level, max int) []backtrace.Objective {
 	objs := g.objs[:0]
-keys:
-	for _, key := range g.objKeys[level] {
+scan:
+	for _, key := range keys {
 		if len(objs) >= max {
 			break
 		}
 		net := g.objectiveNet(key)
+		if !g.st.Unjustified(net, level) {
+			continue
+		}
 		obj, ok := backtrace.Backtrace(g.st, g.tm, net, g.st.ReqGet(net, level), level)
 		if !ok {
 			continue
 		}
 		for _, o := range objs {
 			if o.Input == obj.Input {
-				continue keys
+				continue scan
 			}
 		}
 		objs = append(objs, obj)
@@ -703,6 +710,11 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		g.markRedundant(r, PhaseAPTPG)
 		return
 	}
+	// One order serves the search (see orderObjectives), and level 0's
+	// serves every level: they all carry the same requirements.
+	g.st.ForwardSim()
+	g.orderObjectives(logic.BitMask(0))
+	keys := g.objKeys[0]
 
 	var decisions []decision
 	enumCount := 0
@@ -794,9 +806,8 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		// in Section 3.2 of the paper.  Beyond the budget, decisions are
 		// conventional: one input, one value on all levels.
 		lvl := aliveMask.TrailingZeros()
-		g.orderObjectives(logic.BitMask(lvl))
 		if enumCount < maxEnum {
-			objs := g.findObjectives(lvl, maxEnum-enumCount)
+			objs := g.findObjectives(keys, lvl, maxEnum-enumCount)
 			if len(objs) == 0 {
 				deadMask = deadMask.Or(logic.BitMask(lvl))
 				sawStuck = true
@@ -811,7 +822,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 				enumCount++
 			}
 		} else {
-			obj, ok := g.findObjective(lvl)
+			obj, ok := g.findObjective(keys, lvl)
 			if !ok {
 				deadMask = deadMask.Or(logic.BitMask(lvl))
 				sawStuck = true

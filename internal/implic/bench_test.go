@@ -74,10 +74,7 @@ func decisionStep(st *State, inputs []circuit.NetID, i int, sim bool) {
 
 // BenchmarkImply measures the steady-state incremental implication closure:
 // one framed input decision implied and undone per iteration, at every word
-// width.  (The few reported B/op are the amortized growth of the
-// simulation-pending list, which this benchmark never drains because it
-// never calls ForwardSim; the generator's real loop always does.  allocs/op
-// stays zero.)
+// width.
 func BenchmarkImply(b *testing.B) {
 	for _, width := range benchWidths {
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
@@ -227,5 +224,28 @@ func BenchmarkForwardSimFullSweep(b *testing.B) {
 		st.AssignPI(in, logic.Stable1, st.Active())
 		st.Imply()
 		st.ForwardSim()
+	}
+}
+
+// BenchmarkNewState measures the construction of one implication state; its
+// B/op is the plane, trail-stamp and event-queue storage every state holds
+// (a generator on a two-word engine holds three).  It runs on c7552 at one
+// and at two plane words and on the s38584 stand-in at one.
+func BenchmarkNewState(b *testing.B) {
+	for _, tc := range []struct {
+		circuit string
+		width   int
+	}{{"c7552", 64}, {"c7552", 128}, {"s38584", 64}} {
+		b.Run(fmt.Sprintf("%s/w%d", tc.circuit, tc.width), func(b *testing.B) {
+			c, err := bench.Get(tc.circuit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				NewStateWidth(c, tc.width)
+			}
+		})
 	}
 }

@@ -450,3 +450,46 @@ func TestConeGrowthAcrossFrames(t *testing.T) {
 		})
 	}
 }
+
+// TestUndoRestoresPendingLists pins Undo's exact restore of the pending
+// lists, on level 0 of c17.  The requirements 10 = S0 and 22 = S1 imply
+// input 1 = S1.  A frame assigns 1 = S1 and is undone before any closure,
+// so input 1 was pending when it closed.  Input 2 = S0 is then assigned
+// outside any frame, and a frame assigning 1 = S0 implies a conflict on
+// level 0 and is undone.  Input 2's assignment was pending at that Assign,
+// so it must be pending after the Undo too.  An Undo that re-pended only the
+// nets whose Val it restored would lose it: with input 1 left pending by
+// the first frame ahead of input 2, the closure conflicts the level before
+// it reaches input 2, whose merge the frozen level then masks, so Val[2] is
+// never written inside the frame and stays X once the level revives.
+func TestUndoRestoresPendingLists(t *testing.T) {
+	c := bench.C17()
+	net := c.NetByName
+	lvl0 := logic.BitMask(0)
+	for _, width := range equivWidths {
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			st := NewStateWidth(c, width)
+			st.Reset(logic.LevelsMask(width))
+			st.AddRequirement(net("10"), logic.Stable0, lvl0)
+			st.AddRequirement(net("22"), logic.Stable1, lvl0)
+			st.Imply()
+			st.ForwardSim()
+
+			st.Assign()
+			st.AssignPI(net("1"), logic.Stable1, lvl0)
+			st.Undo()
+
+			st.AssignPI(net("2"), logic.Stable0, lvl0)
+			st.Assign()
+			st.AssignPI(net("1"), logic.Stable0, lvl0)
+			if st.Imply() != lvl0 {
+				t.Fatal("assigning 1 = S0 against the implied S1 did not conflict level 0")
+			}
+			st.Undo()
+
+			st.Imply()
+			st.ForwardSim()
+			assertMatchesOracle(t, st, fmt.Sprintf("c17/w%d", width))
+		})
+	}
+}

@@ -121,8 +121,9 @@ func clearQueue(buckets [][]circuit.NetID, queued []bool, count *int) {
 	*count = 0
 }
 
-// seedImply merges every pending Req/PI change (anything that differs from
-// the absorbed mirrors) into the closure, scheduling propagation events.
+// seedImply merges the Req and PI windows of every pending net into the
+// closure, scheduling propagation events.  A window the closure already
+// holds changes nothing: mergeVal adds only new bits on live levels.
 // Constant drivers are seeded once per Reset, since the full sweep evaluates
 // them unconditionally.
 func (s *State) seedImply() {
@@ -132,21 +133,12 @@ func (s *State) seedImply() {
 			s.pushFwd(cn)
 		}
 	}
-	for i := 0; i < len(s.pendImply); i++ {
-		n := s.pendImply[i]
+	for _, n := range s.pendImply {
 		req := s.loadFull(&s.req, n).SelectLevels(s.active)
-		if req != s.loadFull(&s.impReq, n) {
-			s.note(pImpReq, n)
-			s.store(&s.impReq, n, &req)
-			s.mergeVal(n, &req)
-		}
+		s.mergeVal(n, &req)
 		if s.c.IsInput(n) {
 			pi := s.loadFull(&s.pi, n).SelectLevels(s.active)
-			if pi != s.loadFull(&s.impPI, n) {
-				s.note(pImpPI, n)
-				s.store(&s.impPI, n, &pi)
-				s.mergeVal(n, &pi)
-			}
+			s.mergeVal(n, &pi)
 		}
 	}
 	s.pendImply = s.pendImply[:0]
@@ -192,9 +184,9 @@ func (s *State) runImplyRounds() {
 }
 
 // runForwardSim is the event-driven ForwardSim: it reseeds the inputs whose
-// assignment changed since the last call and re-evaluates exactly the gates
-// whose fanin values change, in one ascending levelized pass (simulation is
-// feed-forward, so one pass always suffices).
+// assignment changed since the last call (setSim skips an unchanged one) and
+// re-evaluates exactly the gates whose fanin values change, in one ascending
+// levelized pass (simulation is feed-forward, so one pass always suffices).
 func (s *State) runForwardSim() {
 	if !s.simConstsSeeded {
 		s.simConstsSeeded = true
@@ -202,14 +194,8 @@ func (s *State) runForwardSim() {
 			s.pushSim(cn)
 		}
 	}
-	for i := 0; i < len(s.pendSim); i++ {
-		in := s.pendSim[i]
+	for _, in := range s.pendSim {
 		pi := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		if pi == s.loadFull(&s.simPI, in) {
-			continue
-		}
-		s.note(pSimPI, in)
-		s.store(&s.simPI, in, &pi)
 		s.setSim(in, &pi)
 	}
 	s.pendSim = s.pendSim[:0]

@@ -38,17 +38,19 @@
 // covers the highest active level of the current Reset epoch, and dispatch on
 // kA to one of two kernel tiers: scalar one-word kernels (backImply1,
 // mergeVal1) and unrolled two-word kernels (backImply2, mergeVal2).  A K=2
-// state running a 64-level pass pays for one word, not two.
+// state running a 64-level pass pays for one word, not two.  The four plane
+// kinds and their trail stamps cost 160 bytes per net at K=1.
 //
 // # Event-driven incremental operation
 //
-// The engine is incremental: Imply and ForwardSim only propagate from nets
-// whose Req or PI actually changed since the previous call, along the
-// precomputed fanout and fanin lists of the circuit, using levelized event
-// queues (see event.go).  An assignment trail (Assign/Undo, see trail.go)
-// lets the generator's backtracking restore the exact pre-decision state
-// instead of recomputing the closure from scratch, and Reset clears only the
-// planes that were written since the previous Reset.
+// The engine is incremental: Imply and ForwardSim only propagate from the
+// nets whose Req or PI changed since the previous call (the pending lists),
+// along the precomputed fanout and fanin lists of the circuit, using
+// levelized event queues (see event.go).  An assignment trail (Assign/Undo,
+// see trail.go) lets the generator's backtracking restore the exact
+// pre-decision state, pending lists included, instead of recomputing the
+// closure from scratch, and Reset clears only the planes that were written
+// since the previous Reset.
 //
 // Propagation is also cone-local: events stay inside the requirement cone,
 // the transitive fanin of the nets that carry a requirement, which is the
@@ -122,11 +124,9 @@ type State struct {
 	kcap int
 	ka   int
 
-	// The plane kinds: requirements, input assignments, implication closure,
-	// forward simulation, plus the absorbed mirrors of the incremental
-	// engine (see the mirror comment below).
-	req, pi, val, sim    planes7
-	impReq, impPI, simPI planes7
+	// The plane kinds: requirements, input assignments, implication closure
+	// and forward simulation.
+	req, pi, val, sim planes7
 
 	active      logic.Mask // bit levels in use
 	conflict    logic.Mask // reported conflict mask (subset of active)
@@ -141,13 +141,10 @@ type State struct {
 	// and ForwardSim recompute from scratch instead of propagating events.
 	fullSweep bool
 
-	// impReq/impPI mirror the Req and PI planes as last absorbed by the
-	// implication closure; Imply seeds events from nets whose current plane
-	// differs from its mirror.  simPI is the same mirror for ForwardSim.
-	// (Storage is in the planes7 fields above.)
-
-	// pendImply/pendSim list nets whose Req/PI may differ from the mirrors
-	// (duplicates allowed); they are drained by Imply and ForwardSim.
+	// pendImply lists the nets whose Req or PI changed since Imply last
+	// absorbed them, pendSim the inputs whose PI changed since ForwardSim last
+	// simulated them (duplicates allowed); Imply and ForwardSim drain them,
+	// and Undo restores them as they were at the matching Assign.
 	pendImply []circuit.NetID
 	pendSim   []circuit.NetID
 
@@ -193,12 +190,14 @@ type State struct {
 	constsSeeded    bool
 	simConstsSeeded bool
 
-	// Assignment trail (see trail.go).
-	frames   []frame
-	trail    []trailEntry
-	trailW   []uint64
-	stamps   [numPlanes][]int64
-	frameSeq int64
+	// Assignment trail (see trail.go); pendSaved holds the pending lists
+	// of the open frames.
+	frames    []frame
+	trail     []trailEntry
+	trailW    []uint64
+	pendSaved []circuit.NetID
+	stamps    [numPlanes][]int64
+	frameSeq  int64
 }
 
 // NewState allocates an implication state for the circuit at the default
@@ -220,9 +219,6 @@ func NewStateWidth(c *circuit.Circuit, width int) *State {
 		pi:       newPlanes7(n, k),
 		val:      newPlanes7(n, k),
 		sim:      newPlanes7(n, k),
-		impReq:   newPlanes7(n, k),
-		impPI:    newPlanes7(n, k),
-		simPI:    newPlanes7(n, k),
 		dirty:    make([]uint8, n),
 		fwdB:     make([][]circuit.NetID, c.NumLevels()),
 		bwdB:     make([][]circuit.NetID, c.NumLevels()),
@@ -290,6 +286,7 @@ func (s *State) Reset(active logic.Mask) {
 	s.frames = s.frames[:0]
 	s.trail = s.trail[:0]
 	s.trailW = s.trailW[:0]
+	s.pendSaved = s.pendSaved[:0]
 	for w := s.kcap; w < logic.MaxK; w++ {
 		active[w] = 0
 	}
@@ -639,6 +636,13 @@ func (s *State) UnjustifiedWord(w int) (nets []circuit.NetID, miss []uint64) {
 	}
 	s.unjustNets, s.unjustMiss = nets, miss
 	return nets, miss
+}
+
+// Unjustified reports whether net's requirement at the given active level
+// (below Width) is uncovered by the forward simulation, as UnjustifiedWord's
+// miss word does; ForwardSim must be up to date.
+func (s *State) Unjustified(net circuit.NetID, level int) bool {
+	return s.missWord(net, level>>6)>>uint(level&63)&1 != 0
 }
 
 // SimValue returns the forward-simulation vector of a net.

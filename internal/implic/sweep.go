@@ -25,6 +25,7 @@ func NewFullSweepState(c *circuit.Circuit, width int) *State {
 // implyFull recomputes the closure from scratch with alternating
 // whole-circuit forward and backward sweeps until a sweep changes nothing.
 func (s *State) implyFull() logic.Mask {
+	s.pendImply = s.pendImply[:0] // the sweep reads every window
 	order := s.c.TopoOrder()
 	// Start with every level live: mergeVal freezes the levels in
 	// valConflict, and a recomputation must not inherit them.  The scan at
@@ -104,6 +105,7 @@ func (s *State) setValReplace(net circuit.NetID, r *logic.Word7V) {
 // forwardSimFull recomputes the simulation of the whole circuit from the
 // input assignments.
 func (s *State) forwardSimFull() {
+	s.pendSim = s.pendSim[:0]
 	var zero logic.Word7V
 	for i := 0; i < s.c.NumNets(); i++ {
 		s.setSim(circuit.NetID(i), &zero)

@@ -7,8 +7,9 @@ import (
 
 // This file implements the assignment trail: Assign opens a frame, every
 // subsequent plane write records the overwritten window once per frame, and
-// Undo restores the exact pre-frame state.  The generator's backtracking
-// undoes decisions instead of resetting and re-implying from scratch.
+// Undo restores the exact pre-frame state, the pending lists included.  The
+// generator's backtracking undoes decisions instead of resetting and
+// re-implying from scratch.
 
 // Trailed plane identifiers.
 const (
@@ -16,17 +17,18 @@ const (
 	pPI
 	pVal
 	pSim
-	pImpReq
-	pImpPI
-	pSimPI
 	numPlanes
 )
 
-// frame marks a trail position plus the scalar state restored by Undo.
+// frame marks a trail position plus the state restored by Undo.  The
+// pending lists at Assign are saved in pendSaved from pendAt on: the
+// pendImplyLen imply nets, then the simulation inputs.
 type frame struct {
 	seq             int64
 	trailLen        int
 	trailWLen       int
+	pendAt          int
+	pendImplyLen    int32
 	reqNetsWLen     [logic.MaxK]int32
 	coneLen         int32
 	coneRootsLen    int32
@@ -48,22 +50,7 @@ type trailEntry struct {
 }
 
 func (s *State) planeByID(plane uint8) *planes7 {
-	switch plane {
-	case pReq:
-		return &s.req
-	case pPI:
-		return &s.pi
-	case pVal:
-		return &s.val
-	case pSim:
-		return &s.sim
-	case pImpReq:
-		return &s.impReq
-	case pImpPI:
-		return &s.impPI
-	default:
-		return &s.simPI
-	}
+	return [numPlanes]*planes7{&s.req, &s.pi, &s.val, &s.sim}[plane]
 }
 
 // note is the write barrier called immediately before every plane write: it
@@ -103,6 +90,8 @@ func (s *State) Assign() {
 		seq:             s.frameSeq,
 		trailLen:        len(s.trail),
 		trailWLen:       len(s.trailW),
+		pendAt:          len(s.pendSaved),
+		pendImplyLen:    int32(len(s.pendImply)),
 		conflict:        s.conflict,
 		valConflict:     s.valConflict,
 		constsSeeded:    s.constsSeeded,
@@ -113,16 +102,20 @@ func (s *State) Assign() {
 	}
 	f.coneLen, f.coneRootsLen, f.coneDone = int32(len(s.coneNets)), int32(len(s.coneRoots)), int32(s.coneDone)
 	s.frames = append(s.frames, f)
+	s.pendSaved = append(s.pendSaved, s.pendImply...)
+	s.pendSaved = append(s.pendSaved, s.pendSim...)
 }
 
 // Depth returns the number of open trail frames.
 func (s *State) Depth() int { return len(s.frames) }
 
 // Undo restores the state at the matching Assign: all plane windows, the
-// conflict masks, the requirement bookkeeping and the requirement cone.
-// Nets whose restored Req/PI may disagree with what the closure or the
-// simulation absorbed are re-queued, so the next Imply/ForwardSim reconciles
-// them.  Undo without an open frame is a no-op.
+// conflict masks, the requirement bookkeeping, the requirement cone and the
+// pending lists.  The restored Val and Sim hold what they held at Assign, so
+// the nets pending then are the ones to reconcile; the trail cannot tell
+// them, because a frame may absorb a change without a trailed write (a merge
+// masked by a level frozen in the frame).  Undo without an open frame is a
+// no-op.
 //
 //atpgvet:noalloc
 func (s *State) Undo() {
@@ -146,18 +139,15 @@ func (s *State) Undo() {
 			p.instable[o] = s.trailW[b+3]
 		}
 		s.trailW = s.trailW[:wbase]
-		switch e.plane {
-		case pReq, pImpReq, pImpPI:
-			s.pendImply = append(s.pendImply, e.net)
-		case pPI:
-			s.pendImply = append(s.pendImply, e.net)
-			s.pendSim = append(s.pendSim, e.net)
-		case pSimPI:
-			s.pendSim = append(s.pendSim, e.net)
-		}
 	}
 	s.trail = s.trail[:f.trailLen]
 	s.trailW = s.trailW[:f.trailWLen]
+	saved := s.pendSaved[f.pendAt:]
+	s.pendImply = s.pendImply[:0]
+	s.pendImply = append(s.pendImply, saved[:f.pendImplyLen]...)
+	s.pendSim = s.pendSim[:0]
+	s.pendSim = append(s.pendSim, saved[f.pendImplyLen:]...)
+	s.pendSaved = s.pendSaved[:f.pendAt]
 	for w := 0; w < ka; w++ {
 		s.reqNetsW[w] = s.reqNetsW[w][:f.reqNetsWLen[w]]
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -130,7 +131,7 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*job
-	order  []string // submission order; leases scan oldest-first
+	order  []string // unfinished jobs in submission order; leases scan oldest-first
 	nextID int
 }
 
@@ -354,6 +355,11 @@ func (co *Coordinator) job(id string) *job {
 func (co *Coordinator) runJob(j *job) {
 	defer co.wg.Done()
 	defer j.ledger.Close()
+	defer func() {
+		co.mu.Lock()
+		co.order = slices.DeleteFunc(co.order, func(id string) bool { return id == j.id })
+		co.mu.Unlock()
+	}()
 	select {
 	case co.sem <- struct{}{}:
 		defer func() { <-co.sem }()

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,68 @@ func TestParkedLeaseWakesOnSubmit(t *testing.T) {
 	}
 	if r.lease.JobID != sub.JobID || len(r.lease.Units) != 3 {
 		t.Fatalf("parked lease got %d units of %q, want 3 of %q", len(r.lease.Units), r.lease.JobID, sub.JobID)
+	}
+}
+
+// TestLeaseScansLiveJobsOnly: a finished job leaves the list leases scan,
+// while its status is still served, and the jobs submitted afterwards lease
+// oldest-first.
+func TestLeaseScansLiveJobsOnly(t *testing.T) {
+	ctx := budget(t)
+	co, url := loopback(t, Config{}, nil)
+	cl := NewClient(url)
+	// until polls cond every millisecond within the test's budget.
+	until := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			select {
+			case <-ctx.Done():
+				t.Fatal(what)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	scanned := func() []string {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return slices.Clone(co.order)
+	}
+
+	stop := startWorkers(t, url, 1)
+	var finished []string
+	for i := 0; i < 3; i++ {
+		finished = append(finished, submitC17(ctx, t, cl, 2).JobID)
+	}
+	for _, id := range finished {
+		if st, err := cl.Wait(ctx, id); err != nil || st.State != stateDone {
+			t.Fatalf("job %s: %+v, %v; want done", id, st, err)
+		}
+	}
+	stop()
+	until("finished jobs stay in the lease scan list", func() bool { return len(scanned()) == 0 })
+	for _, id := range finished {
+		if st, err := cl.Status(ctx, id); err != nil || st.State != stateDone {
+			t.Fatalf("status of finished job %s: %+v, %v; want done", id, st, err)
+		}
+	}
+
+	older, newer := submitC17(ctx, t, cl, 2).JobID, submitC17(ctx, t, cl, 2).JobID
+	if got := scanned(); !slices.Equal(got, []string{older, newer}) {
+		t.Fatalf("lease scan list %v, want [%s %s]", got, older, newer)
+	}
+	for _, id := range []string{older, newer} {
+		j := co.job(id)
+		until("job "+id+" never started its pass", func() bool {
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			return j.state == stateRunning && j.pass != nil
+		})
+	}
+	for _, want := range []string{older, newer} {
+		l, ok, err := cl.Lease(ctx, "w", 10, 0)
+		if err != nil || !ok || l.JobID != want {
+			t.Fatalf("lease: job %q ok=%v err=%v; want every unit of %s", l.JobID, ok, err, want)
+		}
 	}
 }
 
