@@ -124,9 +124,11 @@ type Options struct {
 	// drops the detected ones; 0 disables it.  The paper simulates after
 	// every L generated patterns.
 	FaultSimInterval int
-	// SubpathPruning records the minimal conflicting subpath of every fault
-	// proved redundant without decisions, and prunes later faults containing
-	// that subpath, as described for Figure 1 of the paper.
+	// SubpathPruning prunes faults that contain the minimal conflicting
+	// subpath of a fault proved redundant without decisions, as described
+	// for Figure 1 of the paper.  Such a fault is queued, and its subpath is
+	// searched only when a later fault shares its launch transition and
+	// first two nets, the only faults the subpath can prune.
 	SubpathPruning bool
 	// FullSweepImplic runs the generator on the full-sweep reference
 	// (implic.NewFullSweepState: from-scratch forward/backward sweeps on

@@ -27,12 +27,12 @@ type Generator struct {
 	c    *circuit.Circuit
 	opts Options
 
-	st      *implic.State
-	pruneSt *implic.State
+	st *implic.State
 	// aptpgSt, present only on two-word engines, is a single-word state the
 	// narrowed APTPG searches swap in: a per-fault search on the wide state
 	// would stride its plane reads by the group's word capacity, paying the
-	// wide cache footprint for single-word epochs.
+	// wide cache footprint for single-word epochs.  The subpath search runs
+	// on it too, and on st where the engine has no aptpgSt.
 	aptpgSt *implic.State
 	tm      *testability.Measures
 	sim     *faultsim.Simulator
@@ -67,10 +67,15 @@ type Generator struct {
 	// generator's test set.  It is ignored while FaultSimInterval is 0.
 	ImportPatterns func() []pattern.Pair
 
-	// redundantPrefixes maps a subpath key (path prefix + launch transition)
-	// proved unsensitizable to true; faults containing such a prefix are
-	// redundant without further work.
+	// redundantPrefixes maps the key of a subpath proved unsensitizable (see
+	// appendPrefixKey) to true; faults containing such a prefix are
+	// redundant without further work.  prefixQueue holds, by head, the
+	// faults whose own closure conflicted and whose prefixes are not
+	// searched yet; keyBuf is the scratch buffer of the prefix keys.  See
+	// prefix.go.
 	redundantPrefixes map[string]bool
+	prefixQueue       map[prefixHead][]paths.Fault
+	keyBuf            []byte
 
 	// newPatterns counts patterns generated since the last interleaved fault
 	// simulation; lastSimmed is the test-set index already simulated.
@@ -126,11 +131,11 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 		c:                 c,
 		opts:              opts,
 		st:                newState(c, opts.WordWidth),
-		pruneSt:           newState(c, 1),
 		tm:                testability.For(c),
 		sim:               faultsim.New(c),
 		testSet:           pattern.NewSet(c),
 		redundantPrefixes: make(map[string]bool),
+		prefixQueue:       make(map[prefixHead][]paths.Fault),
 		objKeys:           make([][]uint64, opts.WordWidth),
 	}
 	if opts.WordWidth > logic.WordWidth {
@@ -141,12 +146,14 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 
 // Fork returns a fresh generator over the same (immutable, shared) circuit
 // and options, with an empty test set and zeroed statistics, but carrying a
-// snapshot of the redundant subpaths learned so far.  Forked generators are
-// the workers of a sharded run: each owns its complete mutable state, so
-// forks may run concurrently with each other (but not with their parent).
+// snapshot of the redundant subpaths learned so far and of the prefix queue.
+// Forked generators are the workers of a sharded run: each owns its complete
+// mutable state, so forks may run concurrently with each other (but not with
+// their parent).
 func (g *Generator) Fork() *Generator {
 	w := New(g.c, g.opts)
 	w.redundantPrefixes = maps.Clone(g.redundantPrefixes)
+	w.prefixQueue = cloneQueue(g.prefixQueue)
 	return w
 }
 
@@ -161,13 +168,13 @@ func (g *Generator) lend() *Generator {
 		c:                 g.c,
 		opts:              g.opts,
 		st:                g.st,
-		pruneSt:           g.pruneSt,
 		aptpgSt:           g.aptpgSt,
 		tm:                g.tm,
 		sim:               g.sim,
 		objKeys:           g.objKeys,
 		testSet:           pattern.NewSet(g.c),
 		redundantPrefixes: maps.Clone(g.redundantPrefixes),
+		prefixQueue:       cloneQueue(g.prefixQueue),
 	}
 }
 
@@ -175,7 +182,8 @@ func (g *Generator) lend() *Generator {
 // statistics are added, its error is kept unless g has one, and the
 // redundant subpaths it learned are kept for later runs.  Patterns are
 // merged separately, in canonical fault order, by the sharded orchestrator
-// (see mergeResults).  The worker must not be used afterwards.
+// (see mergeResults), and so is the prefix queue (see absorbQueues).  The
+// worker must not be used afterwards.
 func (g *Generator) absorbState(w *Generator) {
 	g.stats.Add(w.stats)
 	if w.err != nil {
@@ -413,20 +421,27 @@ func (g *Generator) decisionValue(v logic.Value3) logic.Value7 {
 }
 
 // sensitizeRec computes (and caches) the sensitization conditions of the
-// fault, accounting the time separately (the t_sens column of Tables 5/6).
+// fault.
 func (g *Generator) sensitizeRec(r *rec) bool {
 	if r.sensOK {
 		return true
 	}
-	start := time.Now()
-	cond, err := sensitize.Sensitize(g.c, r.fault, g.opts.Mode)
-	g.stats.SensitizeTime += time.Since(start)
+	cond, err := g.sensitize(r.fault)
 	if err != nil {
 		return false
 	}
 	r.cond = cond
 	r.sensOK = true
 	return true
+}
+
+// sensitize computes the sensitization conditions of a fault, accounting
+// the time separately (the t_sens column of Tables 5/6).
+func (g *Generator) sensitize(f paths.Fault) (sensitize.Conditions, error) {
+	start := time.Now()
+	cond, err := sensitize.Sensitize(g.c, f, g.opts.Mode)
+	g.stats.SensitizeTime += time.Since(start)
+	return cond, err
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +476,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 	if newConf := conf.And(alive); !newConf.IsZero() {
 		for i, r := range batch {
 			if newConf.Bit(i) {
-				g.markRedundant(r, PhaseFPTPG)
+				g.markSelfConflicting(r, PhaseFPTPG)
 			}
 		}
 		alive = alive.AndNot(newConf)
@@ -531,7 +546,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 					// APTPG instead of backtracking inside FPTPG.
 					needPhase2 = append(needPhase2, r)
 				} else {
-					g.markRedundant(r, PhaseFPTPG)
+					g.markSelfConflicting(r, PhaseFPTPG)
 				}
 			}
 			alive = alive.AndNot(newConf)
@@ -707,7 +722,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 
 	if conf := g.implyCounted(); conf == active {
 		// Conflict on every level with no optional assignment: redundant.
-		g.markRedundant(r, PhaseAPTPG)
+		g.markSelfConflicting(r, PhaseAPTPG)
 		return
 	}
 	// One order serves the search (see orderObjectives), and level 0's
@@ -955,9 +970,6 @@ func (g *Generator) markRedundant(r *rec, phase Phase) {
 	r.res.Status = Redundant
 	r.res.Phase = phase
 	g.stats.Redundant++
-	if g.opts.SubpathPruning && phase != PhasePruning {
-		g.recordRedundantPrefix(r)
-	}
 	g.settle(r)
 }
 
@@ -1044,94 +1056,4 @@ func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
 			}
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Subpath redundancy pruning.
-// ---------------------------------------------------------------------------
-
-// pruneIfKnownRedundant checks whether the fault contains a subpath already
-// proved unsensitizable and, if so, marks it redundant without any search.
-func (g *Generator) pruneIfKnownRedundant(r *rec) bool {
-	if len(g.redundantPrefixes) == 0 {
-		return false
-	}
-	key := prefixKeyBuilder(r.fault.Transition)
-	for i, net := range r.fault.Path.Nets {
-		key.add(net)
-		if i == 0 {
-			continue
-		}
-		if g.redundantPrefixes[key.String()] {
-			g.markRedundant(r, PhasePruning)
-			g.stats.PrunedRedundant++
-			return true
-		}
-	}
-	return false
-}
-
-// recordRedundantPrefix finds the shortest prefix of the redundant fault's
-// path whose sensitization requirements are already contradictory, and
-// records it so later faults sharing the prefix are pruned, exactly as in
-// the Figure 1 discussion of the paper ("all paths containing this subpath
-// are proved to be redundant, too").
-//
-// The candidate lengths are tested bit-parallel on the one-word prune state:
-// bit level k carries the conditions of one candidate length (the
-// assignments with Pos below it) plus the launch, so one implication tests up
-// to 64 lengths.  Requirements grow with the length, so the conflicting
-// levels are a suffix of the candidates and the lowest one is the shortest
-// conflicting prefix.  A path of at most 65 nets is settled in one round,
-// level k carrying length k+2; a longer one spreads 64 lengths over the open
-// range and narrows the range 64 times per round.
-func (g *Generator) recordRedundantPrefix(r *rec) {
-	if !r.sensOK {
-		return
-	}
-	nets := r.fault.Path.Nets
-	launch := g.launchValue(r.fault.Transition)
-	var lengths [logic.WordWidth]int
-	// Once a round has found a conflict, hi is the shortest conflicting
-	// length seen and the shortest of all lies in [lo, hi]; every round
-	// tests hi again, so a round without a conflict is the first one.
-	lo, hi := 2, len(nets)
-	if hi < lo {
-		return
-	}
-	for {
-		n := hi - lo + 1
-		levels := min(n, logic.WordWidth)
-		for k := 0; k < levels; k++ {
-			lengths[k] = lo + (k+1)*n/levels - 1
-		}
-		all := logic.LevelsMask(levels)
-		g.pruneSt.Reset(all)
-		for _, a := range r.cond.Assignments {
-			// The assignment belongs to every candidate longer than its
-			// position: the levels from the first such length upwards.
-			k, _ := slices.BinarySearch(lengths[:levels], int(a.Pos)+1)
-			if k < levels {
-				g.pruneSt.AddRequirement(a.Net, a.Value, all.AndNot(logic.LevelsMask(k)))
-			}
-		}
-		g.pruneSt.AssignPI(r.fault.Path.Input(), launch, all)
-		conf := g.pruneSt.Imply()
-		if conf.IsZero() {
-			return // the conflict needs the whole path plus implications elsewhere
-		}
-		k := conf.TrailingZeros()
-		if k > 0 {
-			lo = lengths[k-1] + 1
-		}
-		hi = lengths[k]
-		if lo == hi {
-			break
-		}
-	}
-	key := prefixKeyBuilder(r.fault.Transition)
-	for i := 0; i < hi; i++ {
-		key.add(nets[i])
-	}
-	g.redundantPrefixes[key.String()] = true
 }

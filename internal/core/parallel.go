@@ -139,8 +139,9 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 // is a pure function of the per-fault outcomes, independent of the dispatch
 // interleaving), and the worker-local PatternIndex of every covered fault is
 // remapped onto the merged set.  Cross-worker simulation drops keep index -1
-// here and are reconciled by reconcileDrops.  Worker statistics and
-// learned redundant subpaths are absorbed into the master.
+// here and are reconciled by reconcileDrops.  Worker statistics, learned
+// redundant subpaths and queued redundant faults are absorbed into the
+// master.
 //
 //atpgvet:deterministic
 func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []FaultResult) {
@@ -171,6 +172,7 @@ func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []F
 	for _, g := range gens {
 		master.absorbState(g)
 	}
+	master.absorbQueues(gens)
 	// Merged patterns are final results of a completed run: they must not be
 	// re-simulated by a later sequential Run on master.
 	master.lastSimmed = master.testSet.Len()
