@@ -39,7 +39,9 @@ const (
 	PhaseFPTPG      = core.PhaseFPTPG
 	PhaseAPTPG      = core.PhaseAPTPG
 	PhaseSimulation = core.PhaseSimulation
-	PhasePruning    = core.PhasePruning
+	// PhasePruning is no longer produced by the generator; it is decoded
+	// only from the service ledgers of earlier builds (see core.PhasePruning).
+	PhasePruning = core.PhasePruning
 )
 
 // Result is the outcome for one target fault: its classification, the phase
@@ -99,10 +101,9 @@ func (c Coverage) Efficiency() float64 {
 
 // Engine is the bit-parallel path delay fault test pattern generator, bound
 // to one circuit and one configuration.  Run and Stream may be called
-// several times; the test set, statistics and learned redundant subpaths
-// accumulate across calls.  With [WithWorkers] the engine parallelizes each
-// run internally, but an Engine is still not safe for concurrent use by
-// multiple goroutines.
+// several times; the test set and statistics accumulate across calls.  With
+// [WithWorkers] the engine parallelizes each run internally, but an Engine
+// is still not safe for concurrent use by multiple goroutines.
 type Engine struct {
 	circuit  *Circuit
 	gen      *core.Generator

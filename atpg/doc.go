@@ -75,9 +75,9 @@
 // in canonical fault order, so with the interleaved simulation disabled
 // it is identical for every worker count and steal interleaving (with it
 // enabled, which covered fault contributes a pattern still depends on
-// cross-worker drop timing) — and the test set, statistics and learned
-// redundant subpaths accumulate in the engine exactly as in a sequential
-// run.  See docs/ARCHITECTURE.md ("Scheduling") for the design.
+// cross-worker drop timing) — and the test set and statistics accumulate
+// in the engine exactly as in a sequential run.  See docs/ARCHITECTURE.md
+// ("Scheduling") for the design.
 //
 // Generation honors context cancellation and deadlines: a canceled run
 // returns early with an error matching [ErrCanceled], and every fault that

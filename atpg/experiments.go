@@ -106,10 +106,6 @@ func RunCompactionAblation(cfg ExperimentConfig) []AblationRow {
 	return harness.RunCompactionAblation(cfg)
 }
 
-// RunPruningAblation compares generation with and without subpath
-// redundancy pruning.
-func RunPruningAblation(cfg ExperimentConfig) []AblationRow { return harness.RunPruningAblation(cfg) }
-
 // RunGroupingAblation re-runs the Tables 5/6 comparison with fault-serial
 // (L=1), fixed-wide and two-pass adaptive grouping, under both the
 // incremental event-driven implication engine and the retained full-sweep

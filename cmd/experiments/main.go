@@ -141,8 +141,6 @@ func main() {
 			fmt.Println()
 			fmt.Print(atpg.FormatAblationTable("Ablation: interleaved fault simulation", atpg.RunFaultSimAblation(cfg)))
 			fmt.Println()
-			fmt.Print(atpg.FormatAblationTable("Ablation: subpath redundancy pruning", atpg.RunPruningAblation(cfg)))
-			fmt.Println()
 			fmt.Print(atpg.FormatAblationTable("Ablation: sharded-engine workers", atpg.RunWorkerAblation(cfg, nil)))
 			fmt.Println()
 			fmt.Print(atpg.FormatAblationTable("Ablation: static test-set compaction", atpg.RunCompactionAblation(cfg)))

@@ -1,8 +1,11 @@
-// Redundancy identification and subpath pruning: run robust generation on a
-// circuit that contains unsensitizable paths and show how a conflict during
-// implication (with no optional assignments) proves a fault redundant, and
-// how the recorded subpath prunes further faults without any search — the
-// behaviour discussed around Figure 1 of the paper.
+// Redundancy identification: run robust generation on a circuit that
+// contains unsensitizable paths and show how a conflict during implication
+// (with no optional assignments) proves a fault redundant.  This is also how
+// the generator applies the rule discussed around Figure 1 of the paper,
+// that every path through an unsensitizable subpath is redundant: a fault
+// through the subpath carries its requirements, so its bit level conflicts
+// at the FPTPG group's first implication.  One group's first implication
+// proves all six faults through g2 here, with no search and no decision.
 //
 // Run with:
 //
@@ -36,14 +39,19 @@ robustly: every path through g2 is a robustly redundant path delay fault.`)
 		panic(err)
 	}
 
+	byPhase := map[atpg.Phase]int{}
+	decisions := 0
 	for _, r := range results {
 		fmt.Printf("%-36s %-10s settled by %s\n", c.Describe(r.Fault), r.Status, r.Phase)
+		if r.Status == atpg.Redundant {
+			byPhase[r.Phase]++
+			decisions += r.Decisions
+		}
 	}
-	st := e.Stats()
 	cov := e.Coverage()
 	fmt.Println()
-	fmt.Printf("redundant faults: %d (of which %d identified by subpath pruning alone)\n",
-		cov.Redundant, st.PrunedRedundant)
+	fmt.Printf("redundant faults: %d (%d settled by fptpg, %d by aptpg), proved with %d decisions in %d FPTPG group(s)\n",
+		cov.Redundant, byPhase[atpg.PhaseFPTPG], byPhase[atpg.PhaseAPTPG], decisions, e.Stats().FPTPGGroups)
 	fmt.Printf("tested faults:    %d\n", cov.Detected)
 	fmt.Printf("aborted faults:   %d (efficiency %.2f%%)\n", cov.Aborted, cov.Efficiency())
 }

@@ -8,7 +8,10 @@
 //     target faults simultaneously, one per bit level, and justifies them
 //     with shared bit-parallel implications.  Levels that conflict before
 //     any optional decision prove their fault redundant; levels whose
-//     requirements become justified yield a test.
+//     requirements become justified yield a test.  This also settles the
+//     Figure 1 rule that every path through an unsensitizable subpath is
+//     redundant: such a fault carries the subpath's requirements, so its
+//     level conflicts at the group's first implication.
 //
 //   - APTPG (alternative-parallel test pattern generation) takes a single
 //     hard fault, flattens it onto all L bit levels and enumerates all value
@@ -84,6 +87,10 @@ const (
 	PhaseFPTPG
 	PhaseAPTPG
 	PhaseSimulation
+	// PhasePruning is no longer produced by the generator: earlier builds
+	// settled faults through a recorded redundant subpath under it, and it
+	// is kept only so that their service ledgers still decode.  Such faults
+	// now conflict at their FPTPG group's first implication (PhaseFPTPG).
 	PhasePruning
 )
 
@@ -124,12 +131,6 @@ type Options struct {
 	// drops the detected ones; 0 disables it.  The paper simulates after
 	// every L generated patterns.
 	FaultSimInterval int
-	// SubpathPruning prunes faults that contain the minimal conflicting
-	// subpath of a fault proved redundant without decisions, as described
-	// for Figure 1 of the paper.  Such a fault is queued, and its subpath is
-	// searched only when a later fault shares its launch transition and
-	// first two nets, the only faults the subpath can prune.
-	SubpathPruning bool
 	// FullSweepImplic runs the generator on the full-sweep reference
 	// (implic.NewFullSweepState: from-scratch forward/backward sweeps on
 	// every Imply and a whole-circuit ForwardSim) instead of the event-driven
@@ -164,7 +165,6 @@ func DefaultOptions(mode sensitize.Mode) Options {
 		UseAPTPG:         true,
 		MaxBacktracks:    8,
 		FaultSimInterval: logic.WordWidth,
-		SubpathPruning:   true,
 	}
 }
 
@@ -244,12 +244,11 @@ type FaultResult struct {
 
 // Stats aggregates a generator run.
 type Stats struct {
-	Faults          int
-	Tested          int
-	Redundant       int
-	Aborted         int
-	DetectedBySim   int
-	PrunedRedundant int
+	Faults        int
+	Tested        int
+	Redundant     int
+	Aborted       int
+	DetectedBySim int
 
 	Patterns     int
 	FPTPGGroups  int
@@ -285,7 +284,6 @@ func (s *Stats) Add(o Stats) {
 	s.Redundant += o.Redundant
 	s.Aborted += o.Aborted
 	s.DetectedBySim += o.DetectedBySim
-	s.PrunedRedundant += o.PrunedRedundant
 
 	s.Patterns += o.Patterns
 	s.FPTPGGroups += o.FPTPGGroups

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -190,22 +191,36 @@ func TestSingleBitEquivalence(t *testing.T) {
 // unsensitizable and must be classified Redundant (not Aborted).  Nonrobust
 // tests for some of these paths exist (a static hazard on g2 can expose the
 // fault when other delays cooperate), so the check applies to robust mode.
+//
+// This is the paper's Figure 1 rule, that every path through an
+// unsensitizable subpath is redundant, on the generator alone: each such
+// fault carries the subpath's requirements, so its bit level conflicts at
+// the FPTPG group's first implication, before any decision.  That holds at
+// every width, a one-fault group included.
 func TestRedundantExampleIdentifiesRedundancy(t *testing.T) {
 	c := bench.RedundantExample()
 	g2 := c.NetByName("g2")
-	_, results := runAll(t, c, DefaultOptions(sensitize.Robust))
-	for _, r := range results {
-		throughG2 := false
-		for _, n := range r.Fault.Path.Nets {
-			if n == g2 {
-				throughG2 = true
+	for _, width := range []int{64, 1} {
+		opts := DefaultOptions(sensitize.Robust)
+		opts.WordWidth = width
+		opts.FaultSimInterval = width
+		_, results := runAll(t, c, opts)
+		through := 0
+		for _, r := range results {
+			if !slices.Contains(r.Fault.Path.Nets, g2) {
+				if r.Status == Aborted {
+					t.Errorf("width %d: fault %s should not be aborted", width, r.Fault.Describe(c))
+				}
+				continue
+			}
+			through++
+			if r.Status != Redundant || r.Phase != PhaseFPTPG || r.Decisions != 0 {
+				t.Errorf("width %d: fault %s through g2 is %v/%v after %d decisions, want redundant/fptpg after none",
+					width, r.Fault.Describe(c), r.Status, r.Phase, r.Decisions)
 			}
 		}
-		if throughG2 && r.Status != Redundant {
-			t.Errorf("fault %s through g2 should be robustly redundant, got %v", r.Fault.Describe(c), r.Status)
-		}
-		if !throughG2 && r.Status == Aborted {
-			t.Errorf("fault %s should not be aborted", r.Fault.Describe(c))
+		if through == 0 {
+			t.Fatalf("width %d: no fault runs through g2", width)
 		}
 	}
 }
@@ -347,37 +362,6 @@ func TestWordWidthSweep(t *testing.T) {
 				t.Errorf("width %d: fault %s detection differs from width 1",
 					width, results[i].Fault.Describe(c))
 			}
-		}
-	}
-}
-
-// TestSubpathPruning: with pruning enabled, once one fault through the
-// unsensitizable gate g2 is proved redundant, later faults sharing the
-// prefix are classified by the pruning phase without a new search.
-func TestSubpathPruning(t *testing.T) {
-	c := bench.RedundantExample()
-	opts := DefaultOptions(sensitize.Nonrobust)
-	g := New(c, opts)
-	results := g.Run(context.Background(), paths.EnumerateFaults(c, 0))
-	pruned := 0
-	for _, r := range results {
-		if r.Phase == PhasePruning {
-			pruned++
-			if r.Status != Redundant {
-				t.Errorf("pruned fault %s has status %v", r.Fault.Describe(c), r.Status)
-			}
-		}
-	}
-	if g.Stats().PrunedRedundant != pruned {
-		t.Errorf("stats.PrunedRedundant = %d, counted %d", g.Stats().PrunedRedundant, pruned)
-	}
-	// Pruning must not change the classification: compare with pruning off.
-	opts.SubpathPruning = false
-	g2 := New(c, opts)
-	results2 := g2.Run(context.Background(), paths.EnumerateFaults(c, 0))
-	for i := range results {
-		if (results[i].Status == Redundant) != (results2[i].Status == Redundant) {
-			t.Errorf("pruning changed the classification of %s", results[i].Fault.Describe(c))
 		}
 	}
 }

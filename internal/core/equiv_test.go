@@ -126,7 +126,6 @@ func TestBacktrackHeavyTrailMatchesFullSweep(t *testing.T) {
 	opts.UseFPTPG = false     // every fault goes through backtracking search
 	opts.WordWidth = 2        // almost no alternative-parallelism: more real backtracks
 	opts.FaultSimInterval = 0 // no drops: every fault is searched in full
-	opts.SubpathPruning = false
 	opts.MaxBacktracks = 48
 	runEquivPair(t, c, faults, opts, "backtrack-heavy")
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 	"time"
@@ -31,8 +30,7 @@ type Generator struct {
 	// aptpgSt, present only on two-word engines, is a single-word state the
 	// narrowed APTPG searches swap in: a per-fault search on the wide state
 	// would stride its plane reads by the group's word capacity, paying the
-	// wide cache footprint for single-word epochs.  The subpath search runs
-	// on it too, and on st where the engine has no aptpgSt.
+	// wide cache footprint for single-word epochs.
 	aptpgSt *implic.State
 	tm      *testability.Measures
 	sim     *faultsim.Simulator
@@ -66,16 +64,6 @@ type Generator struct {
 	// their PatternIndex is -1: foreign patterns have no index in this
 	// generator's test set.  It is ignored while FaultSimInterval is 0.
 	ImportPatterns func() []pattern.Pair
-
-	// redundantPrefixes maps the key of a subpath proved unsensitizable (see
-	// appendPrefixKey) to true; faults containing such a prefix are
-	// redundant without further work.  prefixQueue holds, by head, the
-	// faults whose own closure conflicted and whose prefixes are not
-	// searched yet; keyBuf is the scratch buffer of the prefix keys.  See
-	// prefix.go.
-	redundantPrefixes map[string]bool
-	prefixQueue       map[prefixHead][]paths.Fault
-	keyBuf            []byte
 
 	// newPatterns counts patterns generated since the last interleaved fault
 	// simulation; lastSimmed is the test-set index already simulated.
@@ -128,15 +116,13 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 		newState = implic.NewFullSweepState
 	}
 	g := &Generator{
-		c:                 c,
-		opts:              opts,
-		st:                newState(c, opts.WordWidth),
-		tm:                testability.For(c),
-		sim:               faultsim.New(c),
-		testSet:           pattern.NewSet(c),
-		redundantPrefixes: make(map[string]bool),
-		prefixQueue:       make(map[prefixHead][]paths.Fault),
-		objKeys:           make([][]uint64, opts.WordWidth),
+		c:       c,
+		opts:    opts,
+		st:      newState(c, opts.WordWidth),
+		tm:      testability.For(c),
+		sim:     faultsim.New(c),
+		testSet: pattern.NewSet(c),
+		objKeys: make([][]uint64, opts.WordWidth),
 	}
 	if opts.WordWidth > logic.WordWidth {
 		g.aptpgSt = newState(c, logic.WordWidth)
@@ -144,54 +130,33 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 	return g
 }
 
-// Fork returns a fresh generator over the same (immutable, shared) circuit
-// and options, with an empty test set and zeroed statistics, but carrying a
-// snapshot of the redundant subpaths learned so far and of the prefix queue.
-// Forked generators are the workers of a sharded run: each owns its complete
-// mutable state, so forks may run concurrently with each other (but not with
-// their parent).
-func (g *Generator) Fork() *Generator {
-	w := New(g.c, g.opts)
-	w.redundantPrefixes = maps.Clone(g.redundantPrefixes)
-	w.prefixQueue = cloneQueue(g.prefixQueue)
-	return w
-}
-
-// lend returns a generator like Fork's that runs on g's own implication
+// lend returns a generator like New's that runs on g's own implication
 // states, objective scratch and simulator instead of allocating its own:
 // the master of a sharded run leaves them idle while its workers run, so
 // worker 0 runs on them.  Every search begins with a Reset of the state it
-// uses, so the worker's outcomes are a Fork's.  g must not run until the
-// worker is done.
+// uses, so the worker's outcomes are a fresh generator's.  g must not run
+// until the worker is done.
 func (g *Generator) lend() *Generator {
 	return &Generator{
-		c:                 g.c,
-		opts:              g.opts,
-		st:                g.st,
-		aptpgSt:           g.aptpgSt,
-		tm:                g.tm,
-		sim:               g.sim,
-		objKeys:           g.objKeys,
-		testSet:           pattern.NewSet(g.c),
-		redundantPrefixes: maps.Clone(g.redundantPrefixes),
-		prefixQueue:       cloneQueue(g.prefixQueue),
+		c:       g.c,
+		opts:    g.opts,
+		st:      g.st,
+		aptpgSt: g.aptpgSt,
+		tm:      g.tm,
+		sim:     g.sim,
+		objKeys: g.objKeys,
+		testSet: pattern.NewSet(g.c),
 	}
 }
 
 // absorbState merges a finished worker's non-pattern state back into g: its
-// statistics are added, its error is kept unless g has one, and the
-// redundant subpaths it learned are kept for later runs.  Patterns are
+// statistics are added and its error is kept unless g has one.  Patterns are
 // merged separately, in canonical fault order, by the sharded orchestrator
-// (see mergeResults), and so is the prefix queue (see absorbQueues).  The
-// worker must not be used afterwards.
+// (see mergeResults).  The worker must not be used afterwards.
 func (g *Generator) absorbState(w *Generator) {
 	g.stats.Add(w.stats)
 	if w.err != nil {
 		g.fail(w.err)
-	}
-	//atpgvet:ignore detmerge -- order-independent map-to-map copy; the set union is the same whatever the iteration order
-	for k := range w.redundantPrefixes {
-		g.redundantPrefixes[k] = true
 	}
 }
 
@@ -303,23 +268,20 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 	}
 }
 
-// processUnit runs one work unit: subpath pruning, one fault-parallel FPTPG
-// group per width-window of the unit's still-pending faults, and the
+// processUnit runs one work unit: one fault-parallel FPTPG group per
+// width-window of the unit's still-pending faults, and the
 // alternative-parallel search for the faults FPTPG hands over.  Faults that
-// exhaust MaxBacktracks are Aborted.
+// exhaust MaxBacktracks are Aborted.  Nothing carries over from one unit to
+// the next, so a unit's outcome depends on its own faults alone.
 func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
+	if ctx.Err() != nil {
+		return
+	}
 	var group []*rec
 	for _, r := range unit {
-		if ctx.Err() != nil {
-			return
+		if r.res.Status == Pending {
+			group = append(group, r)
 		}
-		if r.res.Status != Pending {
-			continue
-		}
-		if g.opts.SubpathPruning && g.pruneIfKnownRedundant(r) {
-			continue
-		}
-		group = append(group, r)
 	}
 	for start := 0; start < len(group); start += g.opts.WordWidth {
 		end := start + g.opts.WordWidth
@@ -421,27 +383,20 @@ func (g *Generator) decisionValue(v logic.Value3) logic.Value7 {
 }
 
 // sensitizeRec computes (and caches) the sensitization conditions of the
-// fault.
+// fault, accounting the time separately (the t_sens column of Tables 5/6).
 func (g *Generator) sensitizeRec(r *rec) bool {
 	if r.sensOK {
 		return true
 	}
-	cond, err := g.sensitize(r.fault)
+	start := time.Now()
+	cond, err := sensitize.Sensitize(g.c, r.fault, g.opts.Mode)
+	g.stats.SensitizeTime += time.Since(start)
 	if err != nil {
 		return false
 	}
 	r.cond = cond
 	r.sensOK = true
 	return true
-}
-
-// sensitize computes the sensitization conditions of a fault, accounting
-// the time separately (the t_sens column of Tables 5/6).
-func (g *Generator) sensitize(f paths.Fault) (sensitize.Conditions, error) {
-	start := time.Now()
-	cond, err := sensitize.Sensitize(g.c, f, g.opts.Mode)
-	g.stats.SensitizeTime += time.Since(start)
-	return cond, err
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +431,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 	if newConf := conf.And(alive); !newConf.IsZero() {
 		for i, r := range batch {
 			if newConf.Bit(i) {
-				g.markSelfConflicting(r, PhaseFPTPG)
+				g.markRedundant(r, PhaseFPTPG)
 			}
 		}
 		alive = alive.AndNot(newConf)
@@ -546,7 +501,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 					// APTPG instead of backtracking inside FPTPG.
 					needPhase2 = append(needPhase2, r)
 				} else {
-					g.markSelfConflicting(r, PhaseFPTPG)
+					g.markRedundant(r, PhaseFPTPG)
 				}
 			}
 			alive = alive.AndNot(newConf)
@@ -722,7 +677,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 
 	if conf := g.implyCounted(); conf == active {
 		// Conflict on every level with no optional assignment: redundant.
-		g.markSelfConflicting(r, PhaseAPTPG)
+		g.markRedundant(r, PhaseAPTPG)
 		return
 	}
 	// One order serves the search (see orderObjectives), and level 0's

@@ -15,9 +15,9 @@ import (
 
 // RunSharded generates tests for the faults like Generator.Run, but spreads
 // the work across workers goroutines, multiplying the paper's word-level bit
-// parallelism by core-level parallelism.  Each worker is a Fork of master —
-// an independent generator over the shared immutable circuit — consuming
-// work units (word-parallel fault groups) from a shared scheduler
+// parallelism by core-level parallelism.  Each worker is an independent
+// generator with master's options over the shared immutable circuit,
+// consuming work units (word-parallel fault groups) from a shared scheduler
 // (internal/sched).  Every worker starts on one contiguous run of units, the
 // classic shard split, and an idle worker steals queued units from the most
 // loaded peer, so clustered hard faults do not serialize on one worker.
@@ -73,7 +73,7 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 
 	// Worker 0 runs on the master's own implication states and simulator,
 	// which the master leaves idle until the workers are done; the others
-	// fork their own.  The run's tail simulates on all the workers'
+	// allocate their own.  The run's tail simulates on all the workers'
 	// simulators.
 	gens := make([]*Generator, workers)
 	sims := make([]*faultsim.Simulator, workers)
@@ -82,7 +82,7 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 		if w == 0 {
 			g = master.lend()
 		} else {
-			g = master.Fork()
+			g = New(master.c, master.opts)
 		}
 		sims[w] = g.sim
 		if settle != nil {
@@ -139,9 +139,8 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 // is a pure function of the per-fault outcomes, independent of the dispatch
 // interleaving), and the worker-local PatternIndex of every covered fault is
 // remapped onto the merged set.  Cross-worker simulation drops keep index -1
-// here and are reconciled by reconcileDrops.  Worker statistics, learned
-// redundant subpaths and queued redundant faults are absorbed into the
-// master.
+// here and are reconciled by reconcileDrops.  Worker statistics and errors
+// are absorbed into the master.
 //
 //atpgvet:deterministic
 func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []FaultResult) {
@@ -172,7 +171,6 @@ func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []F
 	for _, g := range gens {
 		master.absorbState(g)
 	}
-	master.absorbQueues(gens)
 	// Merged patterns are final results of a completed run: they must not be
 	// re-simulated by a later sequential Run on master.
 	master.lastSimmed = master.testSet.Len()

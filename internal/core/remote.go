@@ -211,7 +211,6 @@ func (rr *RemoteRun) AddEffort(d Stats) {
 	s.Decisions += d.Decisions
 	s.Backtracks += d.Backtracks
 	s.Implications += d.Implications
-	s.PrunedRedundant += d.PrunedRedundant
 	s.SensitizeTime += d.SensitizeTime
 	s.GenerateTime += d.GenerateTime
 }
@@ -283,14 +282,13 @@ func (rr *RemoteRun) mergeOutcomes() {
 // the unit outcomes, and dispatch/compaction happen on the coordinator.
 func (s Stats) EffortDelta(prev Stats) Stats {
 	return Stats{
-		FPTPGGroups:     s.FPTPGGroups - prev.FPTPGGroups,
-		APTPGFaults:     s.APTPGFaults - prev.APTPGFaults,
-		Decisions:       s.Decisions - prev.Decisions,
-		Backtracks:      s.Backtracks - prev.Backtracks,
-		Implications:    s.Implications - prev.Implications,
-		PrunedRedundant: s.PrunedRedundant - prev.PrunedRedundant,
-		SensitizeTime:   s.SensitizeTime - prev.SensitizeTime,
-		GenerateTime:    s.GenerateTime - prev.GenerateTime,
+		FPTPGGroups:   s.FPTPGGroups - prev.FPTPGGroups,
+		APTPGFaults:   s.APTPGFaults - prev.APTPGFaults,
+		Decisions:     s.Decisions - prev.Decisions,
+		Backtracks:    s.Backtracks - prev.Backtracks,
+		Implications:  s.Implications - prev.Implications,
+		SensitizeTime: s.SensitizeTime - prev.SensitizeTime,
+		GenerateTime:  s.GenerateTime - prev.GenerateTime,
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // dispatchInProcess runs a RemoteRun with an in-process transport: workers
-// goroutines over forked generators pull whole units from a channel, process
+// goroutines over fresh generators pull whole units from a channel, process
 // them with ProcessRemoteUnit, exchange verified patterns through the same
 // exchange buffer the local sharded engine uses, and apply outcomes and
 // effort deltas back onto the run.  It is the loopback model of the service
@@ -22,7 +22,7 @@ import (
 func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, faults []paths.Fault, workers int) []FaultResult {
 	wks := make([]*Generator, workers)
 	for i := range wks {
-		wks[i] = master.Fork()
+		wks[i] = New(master.c, master.opts)
 	}
 	x := newExchange(workers)
 	published := make([]int, workers) // per-worker test-set length already published
@@ -62,10 +62,10 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 // TestShardedMatchesSequential: a RemoteRun dispatched to in-process remote
 // workers must classify every fault like the local sharded engine with the
 // same options.  With the interleaved simulation off, unit outcomes are pure
-// per-fault functions, so statuses, pattern indices, the serialized test set
-// and the deterministic statistics must all be bit-identical; with it on,
-// outcomes depend on pattern arrival order, so — as across local workers —
-// the coverage class and the redundancy proofs must match.
+// functions of the unit, so statuses, phases, pattern indices, the
+// serialized test set and the search counts must all be bit-identical; with
+// it on, outcomes depend on pattern arrival order, so — as across local
+// workers — the coverage class and the redundancy proofs must match.
 func TestRemoteRunMatchesLocal(t *testing.T) {
 	for _, name := range []string{"c17", "paper", "redundant", "adder8", "c432"} {
 		c, err := bench.Get(name)
@@ -94,9 +94,9 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 			}
 			for i := range got {
 				if simInterval == 0 {
-					if got[i].Status != want[i].Status {
-						t.Errorf("%s sim=0: fault %s is %v remote, %v local",
-							name, got[i].Fault.Key(), got[i].Status, want[i].Status)
+					if got[i].Status != want[i].Status || got[i].Phase != want[i].Phase {
+						t.Errorf("%s sim=0: fault %s is %v/%v remote, %v/%v local",
+							name, got[i].Fault.Key(), got[i].Status, got[i].Phase, want[i].Status, want[i].Phase)
 					}
 					if got[i].PatternIndex != want[i].PatternIndex {
 						t.Errorf("%s sim=0: fault %s pattern index %d remote, %d local",
@@ -122,7 +122,7 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 				ls, rs := local.Stats(), master.Stats()
 				if ls.Tested != rs.Tested || ls.Redundant != rs.Redundant ||
 					ls.Aborted != rs.Aborted || ls.Patterns != rs.Patterns ||
-					ls.Decisions != rs.Decisions || ls.Backtracks != rs.Backtracks {
+					searchCounts(ls) != searchCounts(rs) {
 					t.Errorf("%s sim=0: stats differ: local %+v remote %+v", name, ls, rs)
 				}
 			}
@@ -149,7 +149,7 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 	master := New(c, opts)
 	rr := NewRemoteRun(master, faults)
 	results := rr.Run(context.Background(), func(units []sched.Unit) {
-		wk := master.Fork()
+		wk := New(c, opts)
 		for _, u := range units {
 			ufaults := make([]paths.Fault, len(u.Faults))
 			for i, fi := range u.Faults {
@@ -201,7 +201,7 @@ func TestRemoteRunCanceled(t *testing.T) {
 	rr := NewRemoteRun(master, faults)
 	applied := 0
 	results := rr.Run(ctx, func(units []sched.Unit) {
-		wk := master.Fork()
+		wk := New(c, opts)
 		for i, u := range units {
 			if i == 2 {
 				cancel() // the coordinator lost the job mid-pass

@@ -150,17 +150,6 @@ func RunCompactionAblation(cfg Config) []AblationRow {
 	return rows
 }
 
-// RunPruningAblation compares generation with and without subpath redundancy
-// pruning.
-func RunPruningAblation(cfg Config) []AblationRow {
-	cfg = cfg.normalize()
-	p := ablationProfile()
-	return []AblationRow{
-		runAblation("subpath-pruning", cfg, p, nil),
-		runAblation("pruning-off", cfg, p, func(o *core.Options) { o.SubpathPruning = false }),
-	}
-}
-
 // FormatAblationTable renders ablation rows.
 func FormatAblationTable(title string, rows []AblationRow) string {
 	var sb strings.Builder

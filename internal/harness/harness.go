@@ -145,13 +145,12 @@ func (cfg Config) singleBitOptions() core.Options {
 // structuralBaselineOptions builds the options of the conventional
 // structural single-fault generator used as the stand-in for the comparison
 // tools of Tables 7 and 8: one fault at a time, conventional backtracking
-// only, no fault-simulation dropping and no subpath pruning.
+// only and no fault-simulation dropping.
 func (cfg Config) structuralBaselineOptions() core.Options {
 	o := cfg.generatorOptions()
 	o.WordWidth = 1
 	o.UseFPTPG = false
 	o.FaultSimInterval = 0
-	o.SubpathPruning = false
 	return o
 }
 

@@ -28,7 +28,7 @@ func TestConfigNormalize(t *testing.T) {
 		t.Errorf("QuickConfig should scale down: %+v", o)
 	}
 	so := Config{}.normalize().structuralBaselineOptions()
-	if so.WordWidth != 1 || so.UseFPTPG || so.FaultSimInterval != 0 || so.SubpathPruning {
+	if so.WordWidth != 1 || so.UseFPTPG || so.FaultSimInterval != 0 {
 		t.Errorf("structural baseline options wrong: %+v", so)
 	}
 	sb := Config{}.normalize().singleBitOptions()
@@ -155,10 +155,6 @@ func TestAblations(t *testing.T) {
 	sims := RunFaultSimAblation(cfg)
 	if len(sims) != 2 {
 		t.Fatalf("expected 2 faultsim rows, got %d", len(sims))
-	}
-	prunes := RunPruningAblation(cfg)
-	if len(prunes) != 2 {
-		t.Fatalf("expected 2 pruning rows, got %d", len(prunes))
 	}
 	workerRows := RunWorkerAblation(cfg, []int{1, 2, 4})
 	if len(workerRows) != 3 {

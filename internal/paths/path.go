@@ -49,24 +49,6 @@ func (p Path) Key() string {
 	return sb.String()
 }
 
-// ContainsSubpath reports whether the consecutive net sequence sub occurs on
-// the path.
-func (p Path) ContainsSubpath(sub []circuit.NetID) bool {
-	if len(sub) == 0 || len(sub) > len(p.Nets) {
-		return false
-	}
-outer:
-	for i := 0; i+len(sub) <= len(p.Nets); i++ {
-		for j, s := range sub {
-			if p.Nets[i+j] != s {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // Describe renders the path with net names, e.g. "b - p - x".
 func (p Path) Describe(c *circuit.Circuit) string {
 	names := make([]string, len(p.Nets))

@@ -191,15 +191,6 @@ func TestPathHelpers(t *testing.T) {
 	if path.Describe(c) != "b - p - x" {
 		t.Errorf("Describe = %q", path.Describe(c))
 	}
-	if !path.ContainsSubpath([]circuit.NetID{b, p}) || !path.ContainsSubpath([]circuit.NetID{p, x}) {
-		t.Error("ContainsSubpath should find consecutive segments")
-	}
-	if path.ContainsSubpath([]circuit.NetID{b, x}) {
-		t.Error("b-x is not a consecutive segment of b-p-x")
-	}
-	if path.ContainsSubpath(nil) {
-		t.Error("empty subpath should not be contained")
-	}
 	clone := path.Clone()
 	clone.Nets[0] = x
 	if path.Nets[0] != b {

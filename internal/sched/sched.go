@@ -3,7 +3,7 @@
 // hands them out to N workers.
 //
 // Every worker starts from one contiguous run of units — preserving the
-// locality that makes subpath pruning and interleaved simulation effective —
+// locality that makes the interleaved simulation's dropping effective —
 // and a worker whose own queue runs dry takes queued units from the tail of
 // the most loaded peer, so clustered hard faults are rebalanced instead of
 // serialized on one worker.

@@ -51,11 +51,6 @@ type Assignment struct {
 	// OnPath marks requirements on the target path itself (as opposed to
 	// off-path side inputs).
 	OnPath bool
-	// Pos is the path position the requirement belongs to: i for the i-th
-	// on-path net and for the side inputs of the gate driving it.  The
-	// conditions of the path prefix of length n are exactly the assignments
-	// with Pos < n.
-	Pos int32
 }
 
 // Conditions is the full set of requirements for one fault.
@@ -71,10 +66,6 @@ type Conditions struct {
 // an on-path signal and a side input demanding an incompatible value) are
 // not resolved here; they are merged and detected by the implication engine,
 // which is what identifies such faults as redundant.
-//
-// Every assignment carries its path position (Assignment.Pos), so the
-// conditions of any path prefix are a filter of the full conditions: subpath
-// redundancy identification tests prefixes without sensitizing them again.
 func Sensitize(c *circuit.Circuit, f paths.Fault, mode Mode) (Conditions, error) {
 	if err := f.Path.Validate(c); err != nil {
 		return Conditions{}, fmt.Errorf("sensitize: %w", err)
@@ -97,7 +88,7 @@ func Sensitize(c *circuit.Circuit, f paths.Fault, mode Mode) (Conditions, error)
 		} else {
 			v = logic.Value7From3(trans[i].FinalValue3())
 		}
-		cond.Assignments = append(cond.Assignments, Assignment{Net: net, Value: v, OnPath: true, Pos: int32(i)})
+		cond.Assignments = append(cond.Assignments, Assignment{Net: net, Value: v, OnPath: true})
 	}
 
 	// Off-path requirements: for every gate on the path (all path nets except
@@ -122,7 +113,7 @@ func Sensitize(c *circuit.Circuit, f paths.Fault, mode Mode) (Conditions, error)
 				seenOnPath = true
 				continue
 			}
-			cond.Assignments = append(cond.Assignments, Assignment{Net: fanin, Value: side, Pos: int32(i)})
+			cond.Assignments = append(cond.Assignments, Assignment{Net: fanin, Value: side})
 		}
 	}
 	return cond, nil

@@ -1,7 +1,6 @@
 package sensitize
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -262,51 +261,5 @@ func TestSelfConflicting(t *testing.T) {
 	}
 	if !cond2.SelfConflicting() {
 		t.Error("requirements 0 and 1 on the same net should self-conflict")
-	}
-}
-
-// TestPrefixPositions checks the contract subpath pruning filters on: the
-// assignments with Pos < n are exactly the conditions of the path prefix of
-// length n, that is the on-path nets [:n] followed by the side inputs of the
-// gates driving nets 1..n-1, in the order Sensitize lists them.
-func TestPrefixPositions(t *testing.T) {
-	c, err := bench.Get("c880")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []Mode{Nonrobust, Robust} {
-		for _, f := range paths.SampleFaults(c, 64, 1995) {
-			cond, err := Sensitize(c, f, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nets := f.Path.Nets
-			for n := 1; n <= len(nets); n++ {
-				var want []Assignment
-				for i, net := range nets[:n] {
-					want = append(want, Assignment{Net: net, OnPath: true, Pos: int32(i)})
-				}
-				for i := 1; i < n; i++ {
-					skipped := false
-					for _, fanin := range c.Gate(nets[i]).Fanin {
-						if fanin == nets[i-1] && !skipped {
-							skipped = true
-							continue
-						}
-						want = append(want, Assignment{Net: fanin, Pos: int32(i)})
-					}
-				}
-				var got []Assignment
-				for _, a := range cond.Assignments {
-					if int(a.Pos) < n {
-						a.Value = 0 // values are covered by the other tests
-						got = append(got, a)
-					}
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%v %s, prefix %d: assignments %v, want %v", mode, f.Describe(c), n, got, want)
-				}
-			}
-		}
 	}
 }

@@ -326,6 +326,78 @@ func writeLegacyLedger(t *testing.T, dir, id string, c *circuit.Circuit, text st
 	}
 }
 
+// TestServiceLedgerReplaysPruningPhase resumes a ledger whose unit records
+// settle redundant faults under phase "pruning", as builds with subpath
+// pruning journaled a pruned fault: status redundant, no decisions.  This
+// build no longer produces the phase, but such a ledger must still replay,
+// and the recorded phase must reach the job's results.
+func TestServiceLedgerReplaysPruningPhase(t *testing.T) {
+	dir := t.TempDir()
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	const recorded = 24
+	writeLegacyLedger(t, dir, "j1", c, text, faults,
+		`{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8}`, recorded)
+	path := filepath.Join(dir, "j1.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const proved, pruned = `{"status":"redundant","phase":"fptpg"}`, `{"status":"redundant","phase":"pruning"}`
+	n := strings.Count(string(raw), proved)
+	if n == 0 {
+		t.Fatal("no recorded unit settles a redundant fault without a decision; pick another sample")
+	}
+	if err := os.WriteFile(path, []byte(strings.ReplaceAll(string(raw), proved, pruned)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d recorded outcomes relabeled %q", n, recorded, "pruning")
+	localResults, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
+	ctx := context.Background()
+
+	co, err := NewCoordinator(Config{LedgerDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	driveWorker(t, cl, "w", "j1", c, 1<<30)
+	st, err := cl.Wait(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != stateDone || st.Replayed != recorded {
+		t.Fatalf("resumed job ended %q with %d units replayed, want done with %d", st.State, st.Replayed, recorded)
+	}
+	resp, err := cl.Results(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for i, r := range resp.Results {
+		want := localResults[i]
+		if r.Status != want.Status.String() {
+			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want.Status)
+		}
+		wantPhase := want.Phase.String()
+		if i < recorded && want.Status == core.Redundant && want.Phase == core.PhaseFPTPG && want.Decisions == 0 {
+			wantPhase = core.PhasePruning.String()
+			replayed++
+		}
+		if r.Phase != wantPhase {
+			t.Errorf("fault %d (%s): phase %s, want %s", i, faults[i].Describe(c), r.Phase, wantPhase)
+		}
+	}
+	if replayed != n {
+		t.Errorf("%d results carry the replayed phase, the ledger records %d", replayed, n)
+	}
+	if resp.Tests != localTests {
+		t.Fatal("merged test set differs from a fresh local run")
+	}
+}
+
 // TestServiceLedgerUndecodableJobRecord restarts a coordinator on a ledger
 // whose job record does not decode: the object-form faults an older
 // coordinator journaled.  The job must not resume, its ledger must record it

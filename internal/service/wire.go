@@ -216,7 +216,9 @@ var phaseNames = map[string]core.Phase{
 	"fptpg":      core.PhaseFPTPG,
 	"aptpg":      core.PhaseAPTPG,
 	"simulation": core.PhaseSimulation,
-	"pruning":    core.PhasePruning,
+	// No longer produced by the generator; decoded only from the ledgers
+	// of earlier builds, whose unit records still carry it.
+	"pruning": core.PhasePruning,
 }
 
 // EncodeOutcome renders a remote outcome for the wire.

@@ -47,8 +47,8 @@ func Analyze(c *circuit.Circuit) *Measures {
 type memoKey struct{}
 
 // For returns the measures of the circuit, computing them on first use and
-// caching them on the circuit itself: every generator fork and backtrace of
-// the same compiled circuit shares one analysis.
+// caching them on the circuit itself: every generator and backtrace of the
+// same compiled circuit shares one analysis.
 func For(c *circuit.Circuit) *Measures {
 	return c.Memo(memoKey{}, func() any { return Analyze(c) }).(*Measures)
 }
