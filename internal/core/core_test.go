@@ -366,6 +366,47 @@ func TestWordWidthSweep(t *testing.T) {
 	}
 }
 
+// TestSubpathPruning: in nonrobust mode, where some paths through the
+// unsensitizable gate g2 stay testable, every fault through g2 proved
+// redundant is settled by its FPTPG group's first implication, with no
+// search and no record of earlier proofs: the subpath's conflict prunes each
+// such fault by itself, one fault at a time and sixty-four at once alike.
+func TestSubpathPruning(t *testing.T) {
+	c := bench.RedundantExample()
+	g2 := c.NetByName("g2")
+	var reference []FaultResult
+	for _, width := range []int{64, 1} {
+		opts := DefaultOptions(sensitize.Nonrobust)
+		opts.WordWidth = width
+		opts.FaultSimInterval = width
+		_, results := runAll(t, c, opts)
+		pruned := 0
+		for _, r := range results {
+			if r.Status != Redundant || !slices.Contains(r.Fault.Path.Nets, g2) {
+				continue
+			}
+			pruned++
+			if r.Phase != PhaseFPTPG || r.Decisions != 0 {
+				t.Errorf("width %d: redundant fault %s through g2 settled in %v after %d decisions, want fptpg after none",
+					width, r.Fault.Describe(c), r.Phase, r.Decisions)
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("width %d: no fault through g2 is redundant", width)
+		}
+		if reference == nil {
+			reference = results
+			continue
+		}
+		for i := range results {
+			if (results[i].Status == Redundant) != (reference[i].Status == Redundant) {
+				t.Errorf("width %d: fault %s redundancy differs from width 64",
+					width, results[i].Fault.Describe(c))
+			}
+		}
+	}
+}
+
 // TestFaultSimulationDrop: a pattern generated for one fault drops a second
 // fault that shares the same launch and side conditions, through the
 // interleaved fault simulation.  The circuit is built so the drop is

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -534,12 +536,17 @@ func TestWaitSurvivesCoordinatorRestart(t *testing.T) {
 
 // severProxy lets the first event poll through, then severs the next sever
 // polls mid-body: headers sent, the body cut short of its declared length.
+// It holds every result report after the first until the last sever has
+// fired, so the job cannot finish, and the first poll cannot carry the whole
+// feed, before the severs land, however the scheduler orders the goroutines.
 type severProxy struct {
 	inner http.Handler
+	spent chan struct{} // closed when the last sever fires
 
-	mu    sync.Mutex
-	polls int
-	sever int
+	mu      sync.Mutex
+	polls   int
+	reports int
+	sever   int
 }
 
 func (p *severProxy) left() int {
@@ -555,6 +562,9 @@ func (p *severProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		cut := p.polls > 1 && p.sever > 0
 		if cut {
 			p.sever--
+			if p.sever == 0 {
+				close(p.spent)
+			}
 		}
 		p.mu.Unlock()
 		if cut {
@@ -567,19 +577,40 @@ func (p *severProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/results") {
+		p.mu.Lock()
+		p.reports++
+		held := p.reports > 1
+		p.mu.Unlock()
+		if held {
+			// Consume the body first: net/http cancels r.Context() on a
+			// client hang-up only once the body is read.
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			select {
+			case <-p.spent:
+			case <-r.Context().Done():
+				return
+			}
+		}
+	}
 	p.inner.ServeHTTP(w, r)
 }
 
 // TestFollowReconnects severs six consecutive event polls in the middle of
 // a job — more than one call's retry budget, so Follow's own reconnect
 // engages — and demands every settle event arrive exactly once, in the
-// feed's order.
+// feed's order.  The job's six units go out in two leases, so its second
+// result report, held by the proxy, keeps it running until the severs land.
 func TestFollowReconnects(t *testing.T) {
 	ctx := budget(t)
 	const severs = 6
 	var proxy *severProxy
 	co, url := loopback(t, Config{}, func(co http.Handler) http.Handler {
-		proxy = &severProxy{inner: co, sever: severs}
+		proxy = &severProxy{inner: co, sever: severs, spent: make(chan struct{})}
 		return proxy
 	})
 	cl := NewClient(url, WithRetryPolicy(retry.Policy{Initial: 5 * time.Millisecond, Max: 20 * time.Millisecond}))
