@@ -91,7 +91,7 @@ func TestBacktraceRepeatedJustification(t *testing.T) {
 			st.Imply()
 			st.ForwardSim()
 			for iter := 0; iter < 20; iter++ {
-				if st.JustifiedMask().Bit(0) {
+				if st.JustifiedMask(st.Active()).Bit(0) {
 					break
 				}
 				unj := unjustifiedAt(st, 0)
@@ -118,7 +118,7 @@ func TestBacktraceRepeatedJustification(t *testing.T) {
 				st.Imply()
 				st.ForwardSim()
 			}
-			if !st.JustifiedMask().Bit(0) {
+			if !st.JustifiedMask(st.Active()).Bit(0) {
 				t.Errorf("could not justify %s = %v on c17", g.Name, want)
 			}
 		}

@@ -599,7 +599,7 @@ func BenchmarkObjectives(b *testing.B) {
 	}
 	conflict := g.st.Imply()
 	g.st.ForwardSim()
-	alive := g.st.Active().AndNot(conflict).AndNot(g.st.JustifiedMask())
+	alive := g.st.Active().AndNot(conflict).AndNot(g.st.JustifiedMask(g.st.Active()))
 	if alive.IsZero() {
 		b.Fatal("no level of the group needs a decision")
 	}

@@ -36,9 +36,11 @@ type Generator struct {
 	sim     *faultsim.Simulator
 
 	// objKeys holds each bit level's objective order (see orderObjectives);
-	// objs is the scratch result of findObjectives.
-	objKeys [][]uint64
-	objs    []backtrace.Objective
+	// objs is the scratch result of findObjectives, and decisions the APTPG
+	// decision stack, which runAPTPG truncates for every fault.
+	objKeys   [][]uint64
+	objs      []backtrace.Objective
+	decisions []decision
 
 	testSet *pattern.Set
 	stats   Stats
@@ -442,7 +444,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			return nil
 		}
 		g.st.ForwardSim()
-		if just := g.st.JustifiedMask().And(alive); !just.IsZero() {
+		if just := g.st.JustifiedMask(alive); !just.IsZero() {
 			for i, r := range batch {
 				if !just.Bit(i) {
 					continue
@@ -686,7 +688,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	g.orderObjectives(logic.BitMask(0))
 	keys := g.objKeys[0]
 
-	var decisions []decision
+	decisions := g.decisions[:0]
 	enumCount := 0
 	backtracks := 0 // backtracks spent on the fault in this pass
 	var deadMask logic.Mask
@@ -703,6 +705,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		for g.st.Depth() > 0 {
 			g.st.Undo()
 		}
+		g.decisions = decisions // keep the grown stack for the next fault
 	}()
 
 	maxSteps := 64 * (g.opts.MaxBacktracks + 4) * (len(g.c.Inputs()) + 4)
@@ -714,7 +717,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		}
 		g.st.ForwardSim()
 		aliveMask := active.AndNot(g.st.ConflictMask()).AndNot(deadMask)
-		if just := g.st.JustifiedMask().And(aliveMask); !just.IsZero() {
+		if just := g.st.JustifiedMask(aliveMask); !just.IsZero() {
 			lvl := just.TrailingZeros()
 			if g.emitTest(r, lvl, PhaseAPTPG) {
 				return

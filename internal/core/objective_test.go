@@ -55,7 +55,7 @@ func setUpGroup(g *Generator, width int, seed int64) (levels logic.Mask, keys fu
 	}
 	alive := levels.AndNot(g.st.Imply())
 	g.st.ForwardSim()
-	if alive.AndNot(g.st.JustifiedMask()).IsZero() {
+	if alive.AndNot(g.st.JustifiedMask(alive)).IsZero() {
 		return levels, nil, false
 	}
 	g.orderObjectives(alive)
@@ -78,7 +78,7 @@ func setUpAPTPG(g *Generator, width int, seed int64) (levels logic.Mask, keys fu
 	g.st.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), all)
 	conflict := g.st.Imply()
 	g.st.ForwardSim()
-	if conflict == all || !g.st.JustifiedMask().IsZero() {
+	if conflict == all || !g.st.JustifiedMask(all).IsZero() {
 		return all, nil, false
 	}
 	g.orderObjectives(logic.BitMask(0))

@@ -128,8 +128,17 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 				tag, c.NetName(id), got.StringN(st.Width()), want.StringN(st.Width()))
 		}
 	}
-	if got, want := st.JustifiedMask(), o.JustifiedMask(); got != want {
-		t.Fatalf("%s: JustifiedMask %v, oracle %v", tag, got, want)
+	just := st.JustifiedMask(st.Active())
+	if want := o.JustifiedMask(o.Active()); just != want {
+		t.Fatalf("%s: JustifiedMask %v, oracle %v", tag, just, want)
+	}
+	// A caller passes the levels it still searches, and the scan may stop
+	// early on them: any subset must read as the full scan restricted to it.
+	mrng := rand.New(rand.NewSource(int64(conf[0] ^ just[0])))
+	for _, m := range []logic.Mask{{}, st.Active().AndNot(just), randMask(mrng, st.Width()), randMask(mrng, st.Width()), randMask(mrng, st.Width())} {
+		if got, want := st.JustifiedMask(m), just.And(m); got != want {
+			t.Fatalf("%s: JustifiedMask(%v) = %v, want %v", tag, m, got, want)
+		}
 	}
 	for w := 0; w < logic.KForWidth(st.Width()); w++ {
 		got, want := unjustifiedWord(st, w), unjustifiedWord(o, w)

@@ -345,7 +345,7 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	st.AddRequirement(n16, logic.Final0, logic.BitMask(1))
 	st.Imply()
 	st.ForwardSim()
-	if !st.JustifiedMask().IsZero() {
+	if !st.JustifiedMask(st.Active()).IsZero() {
 		t.Error("nothing should be justified before any input assignment")
 	}
 	if unj := unjustifiedAt(st, 0); len(unj) != 1 || unj[0] != n16 {
@@ -359,10 +359,10 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	st.AssignPI(c.NetByName("2"), logic.Stable0, logic.BitMask(0))
 	st.Imply()
 	st.ForwardSim()
-	if !st.JustifiedMask().Bit(0) {
+	if !st.JustifiedMask(st.Active()).Bit(0) {
 		t.Error("level 0 should be justified after assigning 2=0")
 	}
-	if st.JustifiedMask().Bit(1) {
+	if st.JustifiedMask(st.Active()).Bit(1) {
 		t.Error("level 1 should not be justified")
 	}
 	// Level 1: 16=0 needs 2=1 and 11=1, 11=1 needs 3=0 or 6=0.
@@ -370,7 +370,7 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	st.AssignPI(c.NetByName("3"), logic.Stable0, logic.BitMask(1))
 	st.Imply()
 	st.ForwardSim()
-	if !st.JustifiedMask().Bit(1) {
+	if !st.JustifiedMask(st.Active()).Bit(1) {
 		t.Error("level 1 should be justified after assigning 2=1, 3=0")
 	}
 	if unj := unjustifiedAt(st, 1); len(unj) != 0 {

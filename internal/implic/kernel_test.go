@@ -29,13 +29,13 @@ func wordOf(v logic.Word7V, w int) logic.Word7V {
 func assertWordsMatch(t *testing.T, wide *State, words [logic.MaxK]*State, tag string) {
 	t.Helper()
 	c := wide.Circuit()
-	conf, just := wide.ConflictMask(), wide.JustifiedMask()
+	conf, just := wide.ConflictMask(), wide.JustifiedMask(wide.Active())
 	wideCone := reqCone(wide)
 	for w, st := range words {
 		if got, want := conf[w], st.ConflictMask()[0]; got != want {
 			t.Fatalf("%s: word %d: conflict mask %064b, one-word state %064b", tag, w, got, want)
 		}
-		if got, want := just[w], st.JustifiedMask()[0]; got != want {
+		if got, want := just[w], st.JustifiedMask(st.Active())[0]; got != want {
 			t.Fatalf("%s: word %d: JustifiedMask %064b, one-word state %064b", tag, w, got, want)
 		}
 		if got, want := unjustifiedWord(wide, w), unjustifiedWord(st, 0); !slices.Equal(got, want) {

@@ -587,13 +587,15 @@ func (s *State) setSim(net circuit.NetID, r *logic.Word7V) {
 	}
 }
 
-// JustifiedMask returns the mask of active bit levels on which every
-// requirement is covered by the forward simulation of the primary input
-// assignments and no conflict has been recorded.  ForwardSim must have been
-// called after the last assignment change.  Only nets carrying a
-// requirement are inspected.
-func (s *State) JustifiedMask() logic.Mask {
-	mask := s.active.AndNot(s.conflict)
+// JustifiedMask returns the mask of the given levels that are active, carry
+// no recorded conflict, and on which every requirement is covered by the
+// forward simulation of the primary input assignments.  ForwardSim must have
+// been called after the last assignment change.  Only nets carrying a
+// requirement are inspected, and the scan of a plane word ends as soon as
+// none of its levels is left: a caller passes the levels it still searches,
+// not every active one.
+func (s *State) JustifiedMask(levels logic.Mask) logic.Mask {
+	mask := levels.And(s.active).AndNot(s.conflict)
 	for w := 0; w < s.ka; w++ {
 		for _, id := range s.reqNetsW[w] {
 			mask[w] &^= s.missWord(id, w)

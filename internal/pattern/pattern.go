@@ -96,17 +96,32 @@ func (p Pair) Transitions() int {
 }
 
 // String renders the pair as "V1 -> V2" bit strings (x for unassigned),
-// input 0 leftmost.
+// input 0 leftmost.  The text is built in one allocation of its final size.
 func (p Pair) String() string {
-	return vectorString(p.V1) + " -> " + vectorString(p.V2)
+	var sb strings.Builder
+	sb.Grow(len(p.V1) + len(p.V2) + len(" -> "))
+	writeVector(&sb, p.V1)
+	sb.WriteString(" -> ")
+	writeVector(&sb, p.V2)
+	return sb.String()
 }
 
-func vectorString(v []logic.Value3) string {
-	var sb strings.Builder
+// writeVector writes one character per value: 0, 1 or x.  A code a pattern
+// never holds (Conflict3, or one out of range) is written as its lower-cased
+// Value3.String.
+func writeVector(sb *strings.Builder, v []logic.Value3) {
 	for _, x := range v {
-		sb.WriteString(x.String())
+		switch x {
+		case logic.Zero3:
+			sb.WriteByte('0')
+		case logic.One3:
+			sb.WriteByte('1')
+		case logic.X3:
+			sb.WriteByte('x')
+		default:
+			sb.WriteString(strings.ToLower(x.String()))
+		}
 	}
-	return strings.ToLower(sb.String())
 }
 
 // ParsePair parses the notation produced by String.

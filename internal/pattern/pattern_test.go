@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -78,6 +79,83 @@ func TestPairStringRoundTrip(t *testing.T) {
 	}
 	if _, err := ParsePair("0z -> 00"); err == nil {
 		t.Error("bad character should fail")
+	}
+}
+
+// referenceString is the pair text as the codec first wrote it, one
+// Value3.String per value, lower-cased per vector and concatenated.  The
+// one-allocation Pair.String must reproduce it byte for byte.
+func referenceString(p Pair) string {
+	vec := func(v []logic.Value3) string {
+		var sb strings.Builder
+		for _, x := range v {
+			sb.WriteString(x.String())
+		}
+		return strings.ToLower(sb.String())
+	}
+	return vec(p.V1) + " -> " + vec(p.V2)
+}
+
+// randomPair draws a pair of n inputs over 0, 1 and x.
+func randomPair(rng *rand.Rand, n int) Pair {
+	codes := []logic.Value3{logic.X3, logic.Zero3, logic.One3}
+	p := NewPair(n)
+	for i := 0; i < n; i++ {
+		p.V1[i] = codes[rng.Intn(len(codes))]
+		p.V2[i] = codes[rng.Intn(len(codes))]
+	}
+	return p
+}
+
+// TestPairStringMatchesReference: Pair.String writes the reference text for
+// every Value3 code — the conflict code and an out-of-range one included —
+// and for random pairs at the widths of the c880 and s38584 stand-ins, and
+// ParsePair reads every pattern back to the pair it came from.
+func TestPairStringMatchesReference(t *testing.T) {
+	for _, v := range []logic.Value3{logic.X3, logic.Zero3, logic.One3, logic.Conflict3, logic.Value3(7)} {
+		p := Pair{V1: []logic.Value3{v, logic.Zero3}, V2: []logic.Value3{logic.One3, v}}
+		if got, want := p.String(), referenceString(p); got != want {
+			t.Errorf("code %d: String = %q, reference %q", v, got, want)
+		}
+	}
+	if got := (Pair{}).String(); got != " -> " {
+		t.Errorf("empty pair: String = %q", got)
+	}
+	rng := rand.New(rand.NewSource(1995))
+	for _, name := range []string{"c880", "s38584"} {
+		prof, ok := bench.ProfileByName(name)
+		if !ok {
+			t.Fatalf("no profile %s", name)
+		}
+		for k := 0; k < 50; k++ {
+			p := randomPair(rng, prof.Inputs)
+			s := p.String()
+			if want := referenceString(p); s != want {
+				t.Fatalf("%s pair %d: String differs from the reference", name, k)
+			}
+			q, err := ParsePair(s)
+			if err != nil {
+				t.Fatalf("%s pair %d: %v", name, k, err)
+			}
+			if !samePair(p, q) {
+				t.Fatalf("%s pair %d: ParsePair(String) is not the pair", name, k)
+			}
+		}
+	}
+}
+
+// pairText keeps BenchmarkPairString's result alive.
+var pairText string
+
+// BenchmarkPairString renders one pair at the s38584 stand-in's width
+// (1,464 inputs).  It makes one allocation: the text at its final size.
+func BenchmarkPairString(b *testing.B) {
+	prof, _ := bench.ProfileByName("s38584")
+	p := randomPair(rand.New(rand.NewSource(1995)), prof.Inputs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairText = p.String()
 	}
 }
 

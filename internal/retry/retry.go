@@ -15,7 +15,8 @@
 // Classification is deliberately conservative about what is terminal:
 // connection refused/reset, timeouts (including a per-attempt deadline
 // firing), severed response bodies and HTTP 5xx (plus 408/425/429) are
-// transient; other 4xx responses and context cancellation are terminal.
+// transient; other 4xx responses, context cancellation and errors marked
+// Permanent are terminal.
 // Do and the loop helpers check the caller's own context separately, so a
 // dead parent context always stops the retrying regardless of class.  Errors may carry a server-provided retry hint
 // (HTTP Retry-After) via the RetryAfterHint interface; Do and Backoff honor
@@ -52,19 +53,24 @@ type HTTPStatus interface{ HTTPStatus() int }
 // Retry-After); Do and Backoff use it as a lower bound on the next delay.
 type RetryAfterHint interface{ RetryAfterHint() time.Duration }
 
-// Classify is the default transient/terminal classification.  nil and
-// deliberate cancellation are Terminal; wire-shaped failures (refused/reset
-// connections, timeouts — a deadline firing on one attempt is the classic
-// transient fault; the caller's own context is checked separately by the
-// retry loops — truncated bodies, retryable HTTP statuses) are Transient;
-// HTTP client errors are Terminal.  Unknown errors default to Transient: on
-// a wire edge an unclassified failure is far more often a flaky hop than a
-// permanent condition, and the budget bounds the damage.
+// Classify is the default transient/terminal classification.  nil,
+// deliberate cancellation and errors marked Permanent are Terminal;
+// wire-shaped failures (refused/reset connections, timeouts — a deadline
+// firing on one attempt is the classic transient fault; the caller's own
+// context is checked separately by the retry loops — truncated bodies,
+// retryable HTTP statuses) are Transient; HTTP client errors are Terminal.
+// Unknown errors default to Transient: on a wire edge an unclassified
+// failure is far more often a flaky hop than a permanent condition, and the
+// budget bounds the damage.
 func Classify(err error) Class {
 	if err == nil {
 		return Terminal
 	}
 	if errors.Is(err, context.Canceled) {
+		return Terminal
+	}
+	var p permanent
+	if errors.As(err, &p) {
 		return Terminal
 	}
 	var hs HTTPStatus
@@ -73,6 +79,15 @@ func Classify(err error) Class {
 	}
 	return Transient
 }
+
+// Permanent marks err as a failure no retry can fix, for a reason that is
+// not an HTTP status: Classify returns Terminal for it and for every error
+// that wraps it, and errors.Is and errors.As still see err.
+func Permanent(err error) error { return permanent{err} }
+
+type permanent struct{ error }
+
+func (p permanent) Unwrap() error { return p.error }
 
 // ClassifyHTTP classifies a bare HTTP status code: 5xx and the retryable
 // 4xx trio (408 request timeout, 425 too early, 429 rate limited) are

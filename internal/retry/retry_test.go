@@ -44,11 +44,17 @@ func TestClassify(t *testing.T) {
 		{"http-409", &httpErr{status: 409}, Terminal},
 		{"wrapped-http", fmt.Errorf("call: %w", &httpErr{status: 502}), Transient},
 		{"unknown", errors.New("mystery"), Transient},
+		{"permanent", Permanent(errors.New("mystery")), Terminal},
+		{"wrapped-permanent", fmt.Errorf("call: %w", Permanent(io.ErrUnexpectedEOF)), Terminal},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {
 			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+	// A permanent mark hides nothing from errors.Is.
+	if sentinel := errors.New("sentinel"); !errors.Is(fmt.Errorf("call: %w", Permanent(sentinel)), sentinel) {
+		t.Error("errors.Is does not see through Permanent")
 	}
 	// The transient wire shapes document themselves.
 	for _, err := range []error{

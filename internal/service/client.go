@@ -20,6 +20,20 @@ import (
 // coordinator does not hold; the caller retries with the bench text.
 var ErrUnknownCircuit = errors.New("service: circuit not cached on coordinator")
 
+// maxReplyBody bounds every reply the client reads.  The largest reply is a
+// job's results, which grow with its faults and with its circuit's inputs:
+// a tested fault carries its pattern in its result and again in the test
+// set text.  A 1,024-fault nonrobust job on the s38584 stand-in, the
+// largest built-in circuit (1,464 inputs), replies with 4.9 MB, about
+// 4.8 KB a fault, so the bound holds the results of some 220,000 faults of
+// that circuit.
+const maxReplyBody = 1 << 30
+
+// ErrReplyTooLarge reports a reply longer than maxReplyBody, whether its
+// Content-Length declares it or its chunks run past the bound.  The same
+// request would get the same reply, so no retry policy retries it.
+var ErrReplyTooLarge = retry.Permanent(fmt.Errorf("service: reply exceeds %d bytes", maxReplyBody))
+
 // Per-endpoint attempt deadlines.  Every request context is additionally
 // bounded by the caller's own deadline (context.WithTimeout keeps the
 // earlier of the two), so these only cap how long one attempt may hang on
@@ -152,7 +166,7 @@ func (cl *Client) call(ctx context.Context, p retry.Policy, timeout time.Duratio
 
 // doOnce is one attempt: the full response body is read before decoding, so
 // a severed body surfaces as a transient read error rather than a partially
-// filled out value.
+// filled out value, and a body over maxReplyBody as ErrReplyTooLarge.
 func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) (int, error) {
 	var rd io.Reader
 	if body != nil {
@@ -170,7 +184,7 @@ func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, 
 		return 0, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readReply(resp, maxReplyBody)
 	if err != nil {
 		return resp.StatusCode, fmt.Errorf("service: reading %s %s response: %w", method, path, err)
 	}
@@ -198,6 +212,40 @@ func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	return resp.StatusCode, nil
+}
+
+// readReply reads a reply body of at most limit bytes.  A reply of declared
+// length is read into one buffer of exactly that size, and one declared
+// over the limit is refused unread.  A chunked reply is read to its end
+// into a buffer that doubles up to limit+1 bytes: filling that last byte
+// means the reply runs past the limit.  Neither way reads or holds more.
+func readReply(resp *http.Response, limit int) ([]byte, error) {
+	if n := resp.ContentLength; n > int64(limit) {
+		return nil, ErrReplyTooLarge
+	} else if n >= 0 {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	buf := make([]byte, 0, min(512, limit+1))
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(2*cap(buf), limit+1))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > limit {
+			return nil, ErrReplyTooLarge
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // parseRetryAfter reads the delay-seconds form of a Retry-After header.
@@ -370,13 +418,12 @@ func (cl *Client) CircuitBench(ctx context.Context, hash string) (string, error)
 			return err
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return &APIError{Status: resp.StatusCode, Code: "unknown-circuit", Message: "circuit not cached"}
-		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := readReply(resp, maxReplyBody)
 		if err != nil {
-			return err
+			return fmt.Errorf("service: reading circuit %s: %w", hash, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return &APIError{Status: resp.StatusCode, Code: "unknown-circuit", Message: "circuit not cached"}
 		}
 		text = string(b)
 		return nil

@@ -286,10 +286,22 @@ func (co *Coordinator) routes() {
 	co.mux.HandleFunc("POST "+API+"/lease", co.handleLease)
 }
 
+// replyBufs recycles the buffers writeJSON encodes replies into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON answers with v encoded as one JSON line.  The body is encoded
+// into a pooled buffer first, so it goes out in one write with its
+// Content-Length, and the client reads it into one buffer of that size.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	_ = json.NewEncoder(buf).Encode(v)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, status int, code, msg string) {
@@ -308,6 +320,30 @@ const (
 	maxLeaseBody   = 64 << 10
 	maxResultsBody = 64 << 20
 )
+
+// decodeBody reads a request body of at most limit bytes and decodes it as
+// JSON into v.  A body of declared length is read into one buffer of exactly
+// that size, and one declared over the limit is refused unread; a body of
+// unknown length is read to its end through the limit.  A body that is read
+// is read to its end, which is when net/http starts watching for the client
+// to hang up.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > limit:
+		return &http.MaxBytesError{Limit: limit}
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default:
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
+}
 
 // writeBodyErr answers a request whose body could not be read or decoded:
 // 413 too-large when the body exceeds the route's limit, 400 bad-request
@@ -338,6 +374,9 @@ func (co *Coordinator) addJob(j *job) {
 	j.ctx, j.cancel = jctx, cancel
 	j.state = stateQueued
 	j.exch = newRing(co.cfg.ExchangeCap)
+	// Every fault settles exactly once, so the event log is made at its
+	// final size.
+	j.events = make([]WireResult, 0, len(j.faults))
 	co.mu.Lock()
 	co.jobs[j.id] = j
 	co.order = append(co.order, j.id)
@@ -821,8 +860,10 @@ func (co *Coordinator) handleCircuit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown-circuit", "circuit not cached")
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte(bench))
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(bench)))
+	_, _ = io.WriteString(w, bench)
 }
 
 func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -885,16 +926,11 @@ func (co *Coordinator) handlePatterns(w http.ResponseWriter, r *http.Request) {
 // work.  A request with a wait window parks until a unit is leasable; 204
 // means nothing was leasable within it.
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	// Read the body to its end: net/http notices that a parked client hung
-	// up only once the request body is consumed.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxLeaseBody))
-	if err != nil {
-		writeBodyErr(w, err)
-		return
-	}
+	// decodeBody reads the body to its end: net/http notices that a parked
+	// client hung up only once the request body is consumed.
 	var req LeaseRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad-request", err.Error())
+	if err := decodeBody(w, r, maxLeaseBody, &req); err != nil {
+		writeBodyErr(w, err)
 		return
 	}
 	if req.Worker == "" {
@@ -985,7 +1021,7 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	var req PostResults
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultsBody)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxResultsBody, &req); err != nil {
 		writeBodyErr(w, err)
 		return
 	}

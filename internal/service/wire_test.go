@@ -1,10 +1,14 @@
 package service
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/paths"
@@ -75,5 +79,147 @@ func TestServiceRefusesWhitespaceNames(t *testing.T) {
 	co.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, API+"/jobs", strings.NewReader(body)))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"bad-circuit"`) {
 		t.Fatalf("submit with a whitespace net name: HTTP %d %s, want 400 bad-circuit", rec.Code, rec.Body)
+	}
+}
+
+// sizedReplies is coordinator middleware that checks every reply with a
+// body against its Content-Length header, and notes the routes it served.
+type sizedReplies struct {
+	next http.Handler
+
+	mu     sync.Mutex
+	routes map[string]bool
+	bad    []string
+}
+
+// countingWriter counts the body bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n int
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.ResponseWriter.Write(p)
+	cw.n += n
+	return n, err
+}
+
+func (s *sizedReplies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	cw := &countingWriter{ResponseWriter: w}
+	s.next.ServeHTTP(cw, r) // the coordinator's mux sets r.Pattern
+	declared := cw.Header().Get("Content-Length")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.routes[r.Pattern] = true
+	if (cw.n > 0 || declared != "") && declared != strconv.Itoa(cw.n) {
+		s.bad = append(s.bad, fmt.Sprintf("%s %s: Content-Length %q for a %d-byte body", r.Method, r.URL, declared, cw.n))
+	}
+}
+
+// TestServiceRepliesCarryLength runs a job through every route — a client
+// submitting, following, waiting, fetching and canceling, two workers
+// leasing, fetching the spec, the bench text and the pattern exchange and
+// posting results — and checks that every reply with a body declares its
+// exact length, error replies included.
+func TestServiceRepliesCarryLength(t *testing.T) {
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	check := &sizedReplies{routes: make(map[string]bool)}
+	_, url := loopback(t, Config{}, func(h http.Handler) http.Handler {
+		check.next = h
+		return check
+	})
+	stop := startWorkers(t, url, 2)
+	defer stop()
+	cl := NewClient(url)
+	ctx := budget(t)
+
+	// The interleaved simulation on, so the workers read the exchange.
+	sub, err := cl.SubmitBench(ctx, "c432", text, JobOptions{SimInterval: intp(8)}, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range cl.Follow(ctx, sub.JobID) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := cl.Wait(ctx, sub.JobID); err != nil || st.State != stateDone {
+		t.Fatalf("job ended %q (err %v)", st.State, err)
+	}
+	if _, err := cl.Results(ctx, sub.JobID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Cancel(ctx, sub.JobID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Status(ctx, "j999"); err == nil {
+		t.Fatal("status of an unknown job succeeded")
+	}
+	if _, err := cl.Submit(ctx, SubmitRequest{Name: "none"}); err == nil {
+		t.Fatal("a submit without a circuit succeeded")
+	}
+	stop()
+
+	check.mu.Lock()
+	defer check.mu.Unlock()
+	for _, b := range check.bad {
+		t.Error(b)
+	}
+	for _, route := range []string{
+		"POST " + API + "/jobs",
+		"GET " + API + "/jobs/{id}",
+		"DELETE " + API + "/jobs/{id}",
+		"GET " + API + "/jobs/{id}/events",
+		"GET " + API + "/jobs/{id}/results",
+		"POST " + API + "/jobs/{id}/results",
+		"GET " + API + "/jobs/{id}/patterns",
+		"GET " + API + "/jobs/{id}/spec",
+		"GET " + API + "/circuits/{hash}",
+		"POST " + API + "/lease",
+	} {
+		if !check.routes[route] {
+			t.Errorf("route %s was never served", route)
+		}
+	}
+}
+
+// unreadBody is a request body that counts the reads made of it.
+type unreadBody struct{ reads int }
+
+func (b *unreadBody) Read([]byte) (int, error) {
+	b.reads++
+	return 0, io.EOF
+}
+
+// TestServiceRefusesDeclaredOversizeBodies: a results post or a lease
+// request whose Content-Length is over its route's limit gets 413
+// too-large before a byte of its body is read.
+func TestServiceRefusesDeclaredOversizeBodies(t *testing.T) {
+	co, err := NewCoordinator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	sub := submitC17(budget(t), t, NewClient(srv.URL), 4)
+
+	for _, tc := range []struct {
+		path  string
+		limit int64
+	}{
+		{"/jobs/" + sub.JobID + "/results", maxResultsBody},
+		{"/lease", maxLeaseBody},
+	} {
+		body := &unreadBody{}
+		req := httptest.NewRequest(http.MethodPost, API+tc.path, body)
+		req.ContentLength = tc.limit + 1
+		rec := httptest.NewRecorder()
+		co.ServeHTTP(rec, req)
+		assertTooLarge(t, rec, "POST "+tc.path)
+		if body.reads != 0 {
+			t.Errorf("POST %s: the refused body was read %d times", tc.path, body.reads)
+		}
 	}
 }
