@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -235,15 +234,7 @@ func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit))
 	}
 	m.finish(ctx, rr.recs)
 	rr.mergeOutcomes()
-	// The workers are remote and done by now, so the tail simulates on every
-	// core: the master's simulator first, as in RunSharded, and one more per
-	// core.  Reconciliation and compaction give the same results on any
-	// number of simulators.
-	sims := make([]*faultsim.Simulator, runtime.GOMAXPROCS(0))
-	sims[0] = m.sim
-	for w := 1; w < len(sims); w++ {
-		sims[w] = faultsim.New(m.c)
-	}
+	sims := []*faultsim.Simulator{m.sim}
 	m.reconcileDrops(sims, rr.results)
 	if ctx.Err() == nil {
 		m.compactRun(sims, rr.faults, rr.results, rr.base)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -67,19 +65,8 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 // functions of the unit, so statuses, phases, pattern indices, the
 // serialized test set and the search counts must all be bit-identical; with
 // it on, outcomes depend on pattern arrival order, so — as across local
-// workers — the coverage class and the redundancy proofs must match.  The
-// coordinator's tail simulates on one simulator per core, so the test runs
-// at two GOMAXPROCS values: the results must not depend on the count.
+// workers — the coverage class and the redundancy proofs must match.
 func TestRemoteRunMatchesLocal(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			remoteRunMatchesLocal(t)
-		})
-	}
-}
-
-func remoteRunMatchesLocal(t *testing.T) {
 	for _, name := range []string{"c17", "paper", "redundant", "adder8", "c432"} {
 		c, err := bench.Get(name)
 		if err != nil {

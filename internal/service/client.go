@@ -215,37 +215,20 @@ func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, 
 }
 
 // readReply reads a reply body of at most limit bytes.  A reply of declared
-// length is read into one buffer of exactly that size, and one declared
-// over the limit is refused unread.  A chunked reply is read to its end
-// into a buffer that doubles up to limit+1 bytes: filling that last byte
-// means the reply runs past the limit.  Neither way reads or holds more.
+// length is read by readSized, and one declared over the limit is refused
+// unread.  A chunked reply is read through the limit and one byte more:
+// reading that byte means the reply runs past the limit.
 func readReply(resp *http.Response, limit int) ([]byte, error) {
 	if n := resp.ContentLength; n > int64(limit) {
 		return nil, ErrReplyTooLarge
 	} else if n >= 0 {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, buf)
-		return buf, err
+		return readSized(resp.Body, n)
 	}
-	buf := make([]byte, 0, min(512, limit+1))
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(2*cap(buf), limit+1))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if len(buf) > limit {
-			return nil, ErrReplyTooLarge
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+	if err == nil && len(b) > limit {
+		return nil, ErrReplyTooLarge
 	}
+	return b, err
 }
 
 // parseRetryAfter reads the delay-seconds form of a Retry-After header.

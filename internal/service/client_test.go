@@ -101,21 +101,31 @@ func TestReadReplyChunkedBound(t *testing.T) {
 }
 
 // TestClientRetriesShortReply: a reply that declares more bytes than it
-// sends is a severed body, a transient read error the policy retries.
+// sends is a severed body, a transient read error the policy retries.  A
+// reply that declares maxReplyBody and sends a few bytes sets aside no more
+// than maxPresize an attempt.
 func TestClientRetriesShortReply(t *testing.T) {
-	var hits atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Content-Length", "100")
-		_, _ = io.WriteString(w, `{"job_id":`)
-	}))
-	defer srv.Close()
-	_, err := NewClient(srv.URL, quickRetries).Status(context.Background(), "j1")
-	if err == nil || errors.Is(err, ErrReplyTooLarge) || retry.Classify(err) != retry.Transient {
-		t.Fatalf("short reply: error %v, want a transient read error", err)
-	}
-	if n := hits.Load(); n != 3 {
-		t.Fatalf("short reply asked %d times, want all 3 attempts", n)
+	for _, declared := range []int{100, maxReplyBody} {
+		var hits atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			w.Header().Set("Content-Length", strconv.Itoa(declared))
+			_, _ = io.WriteString(w, `{"job_id":`)
+		}))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewClient(srv.URL, quickRetries).Status(context.Background(), "j1")
+		runtime.ReadMemStats(&after)
+		srv.Close()
+		if err == nil || errors.Is(err, ErrReplyTooLarge) || retry.Classify(err) != retry.Transient {
+			t.Fatalf("reply declaring %d bytes and sending 10: error %v, want a transient read error", declared, err)
+		}
+		if n := hits.Load(); n != 3 {
+			t.Fatalf("reply declaring %d bytes and sending 10: asked %d times, want all 3 attempts", declared, n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*maxPresize {
+			t.Errorf("three replies declaring %d bytes and sending 10 allocated %d bytes", declared, grew)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -221,5 +222,34 @@ func TestServiceRefusesDeclaredOversizeBodies(t *testing.T) {
 		if body.reads != 0 {
 			t.Errorf("POST %s: the refused body was read %d times", tc.path, body.reads)
 		}
+	}
+}
+
+// TestServiceDeclaredLengthAllocatesOnArrival: a results post that declares
+// maxResultsBody and ends after a few bytes gets 400 bad-request, and the
+// coordinator sets aside no more than maxPresize for it: the buffer follows
+// the bytes that arrive, not the length the post declares.
+func TestServiceDeclaredLengthAllocatesOnArrival(t *testing.T) {
+	co, err := NewCoordinator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	sub := submitC17(budget(t), t, NewClient(srv.URL), 4)
+
+	req := httptest.NewRequest(http.MethodPost, API+"/jobs/"+sub.JobID+"/results", strings.NewReader(`{"worker":`))
+	req.ContentLength = maxResultsBody
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	co.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("a post that ends short of its declared length: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*maxPresize {
+		t.Errorf("a post declaring %d bytes and sending 10 allocated %d bytes", maxResultsBody, grew)
 	}
 }
