@@ -160,7 +160,7 @@ func (e *Engine) Mode() Mode { return e.gen.Options().Mode }
 func (e *Engine) WordWidth() int { return e.gen.Options().WordWidth }
 
 // Workers returns the number of worker goroutines each run is sharded
-// across (1 = the sequential generator).
+// across (1 = the paper's sequential generator).
 func (e *Engine) Workers() int { return e.workers }
 
 // Run generates tests for the given faults and returns one result per
@@ -203,15 +203,13 @@ func (e *Engine) Run(ctx context.Context, faults []Fault) ([]Result, error) {
 // After the stream ends, [Engine.Coverage] and [Engine.Tests] reflect
 // everything generated.
 //
-// The yield function always runs on the consumer's goroutine: in a parallel
-// engine the worker goroutines hand their settled results over a channel,
-// so ranging over the stream needs no synchronization.  One caveat of
-// parallel streams: the PatternIndex of a streamed result is worker-local
-// (or -1 for cross-shard simulation drops); indices into the merged test
-// set are only available from [Engine.Run].  Similarly, with
-// [WithCompaction] the results stream as faults settle — before the
-// compaction pass runs — so streamed indices refer to the uncompacted set;
-// after the stream ends, [Engine.Tests] returns the compacted set.
+// The yield function always runs on the consumer's goroutine: the worker
+// goroutines hand their settled results over a channel, so ranging over the
+// stream needs no synchronization.  One caveat, at every worker count: a
+// streamed result's PatternIndex is -1, because the run's test set is
+// merged (and, with [WithCompaction], compacted) only after every fault has
+// settled; indices into the final set are only available from
+// [Engine.Run].  After the stream ends, [Engine.Tests] returns that set.
 func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 	return func(yield func(Result) bool) {
 		if len(faults) == 0 {
@@ -228,33 +226,12 @@ func (e *Engine) Stream(ctx context.Context, faults []Fault) iter.Seq[Result] {
 		defer cancel()
 		defer func() { e.gen.OnSettle = nil }()
 
-		if e.workers <= 1 || len(faults) <= 1 {
-			stopped := false
-			e.gen.OnSettle = func(_ int, r Result) {
-				if e.progress != nil {
-					e.progress(r)
-				}
-				if stopped {
-					return
-				}
-				if !yield(r) {
-					stopped = true
-					cancel()
-				}
-			}
-			// Through RunSharded rather than Run directly so the run-level
-			// passes (static compaction of the fresh patterns) apply to
-			// sequential streams too.
-			core.RunSharded(runCtx, e.gen, faults, 1)
-			return
-		}
-
-		// Parallel run: workers settle faults on their own goroutines.  Every
-		// fault settles exactly once, so a buffer of len(faults) lets workers
-		// publish without ever blocking; the consumer drains on its own
-		// goroutine.  After an early break the channel is drained to
-		// completion so the engine's accumulated state is final (and the
-		// master generator idle) by the time the stream returns.
+		// Workers settle faults on their own goroutines.  Every fault settles
+		// exactly once, so a buffer of len(faults) lets workers publish
+		// without ever blocking; the consumer drains on its own goroutine.
+		// After an early break the channel is drained to completion so the
+		// engine's accumulated state is final (and the master generator idle)
+		// by the time the stream returns.
 		ch := make(chan Result, len(faults))
 		e.gen.OnSettle = func(_ int, r Result) {
 			if e.progress != nil {

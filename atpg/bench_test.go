@@ -181,7 +181,7 @@ func BenchmarkGroupingWide(b *testing.B) {
 			opts.WordWidth = width
 			opts.FaultSimInterval = width
 			for i := 0; i < b.N; i++ {
-				core.New(c, opts).Run(context.Background(), faults)
+				core.RunSharded(context.Background(), core.New(c, opts), faults, 1)
 			}
 		})
 	}
@@ -238,7 +238,7 @@ func BenchmarkFigure1FPTPG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := core.New(c, opts)
-		g.Run(context.Background(), faults)
+		core.RunSharded(context.Background(), g, faults, 1)
 	}
 }
 
@@ -255,7 +255,7 @@ func BenchmarkFigure2APTPG(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := core.New(c, opts)
-		g.Run(context.Background(), []paths.Fault{f})
+		core.RunSharded(context.Background(), g, []paths.Fault{f}, 1)
 	}
 }
 
@@ -302,12 +302,12 @@ func BenchmarkAblationLogicWidth(b *testing.B) {
 	faults := paths.SampleFaults(c, 64, 3)
 	b.Run("robust", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 	b.Run("nonrobust", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Nonrobust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Nonrobust)), faults, 1)
 		}
 	})
 }
@@ -322,12 +322,12 @@ func BenchmarkSpeedupHeadline(b *testing.B) {
 	faults := paths.SampleFaults(c, 128, 5)
 	b.Run("bit-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.DefaultOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.DefaultOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 	b.Run("single-bit", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.New(c, core.SingleBitOptions(sensitize.Robust)).Run(context.Background(), faults)
+			core.RunSharded(context.Background(), core.New(c, core.SingleBitOptions(sensitize.Robust)), faults, 1)
 		}
 	})
 }

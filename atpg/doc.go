@@ -73,10 +73,10 @@
 // workers.  Results merge into the same deterministic, input-ordered
 // slice [Engine.Run] always returns — the merged test set is reassembled
 // in canonical fault order, so with the interleaved simulation disabled
-// it is identical for every worker count and steal interleaving (with it
-// enabled, which covered fault contributes a pattern still depends on
-// cross-worker drop timing) — and the test set and statistics accumulate
-// in the engine exactly as in a sequential run.  See docs/ARCHITECTURE.md
+// it is identical for every worker count, one included, and every steal
+// interleaving (with it enabled, which covered fault contributes a
+// pattern still depends on cross-worker drop timing) — and the test set
+// and statistics accumulate in the engine across runs.  See docs/ARCHITECTURE.md
 // ("Scheduling") for the design.
 //
 // Generation honors context cancellation and deadlines: a canceled run

@@ -54,8 +54,7 @@ type engineConfig struct {
 	// simInterval, when nil, tracks the word width (the paper simulates
 	// after every L generated patterns).
 	simInterval *int
-	// workers is the resolved worker count; 0 (option absent) means 1, the
-	// sequential engine.
+	// workers is the resolved worker count; 0 (option absent) means 1.
 	workers  int
 	progress func(Result)
 	// remote, when set, makes the engine submit runs to an ATPG service
@@ -144,15 +143,19 @@ func WithInterleavedSim(interval int) Option {
 // the most loaded peer.  When the interleaved simulation is on, workers
 // exchange their patterns so one shard's tests still drop detected faults on
 // the others.  n = 0 selects runtime.GOMAXPROCS(0), one worker per available
-// core; negative counts fail construction.  The default is 1, the
-// sequential generator of the paper.
+// core; negative counts fail construction.  The default is 1: one worker
+// owns every fault and drops the detected ones after every L patterns, as
+// the paper's generator does.  Every worker count ends its runs with the
+// same canonical merge of the test set.
 //
 // Sharding never changes which faults are covered, proved redundant or
 // aborted, but it can change whether a covered fault reports Tested (its
 // own pattern) or DetectedBySim (dropped by another fault's pattern), since
-// that depends on the cross-shard pattern arrival order.  Statistics
-// aggregate over the workers, so Stats time fields become CPU time rather
-// than wall-clock time.
+// that depends on the cross-shard pattern arrival order.  With the
+// interleaved simulation off (WithInterleavedSim(0)) neither the statuses
+// nor the written test set depend on n.  Statistics aggregate over the
+// workers, so Stats time fields become CPU time rather than wall-clock
+// time.
 func WithWorkers(n int) Option {
 	return func(c *engineConfig) error {
 		if n < 0 {
@@ -168,9 +171,9 @@ func WithWorkers(n int) Option {
 
 // WithProgress registers a callback invoked once for every fault whose
 // classification becomes final, in settle order.  The callback runs on the
-// generating goroutine — with several workers, on whichever worker settles
-// the fault, serialized by the engine — and must not call back into the
-// engine.
+// worker goroutine that settles the fault, serialized by the engine, and
+// must not call back into the engine.  Its results carry PatternIndex -1:
+// the run's test set is merged only after every fault has settled.
 func WithProgress(fn func(Result)) Option {
 	return func(c *engineConfig) error {
 		c.progress = fn
@@ -179,9 +182,7 @@ func WithProgress(fn func(Result)) Option {
 }
 
 // WithCompaction selects the static compaction applied to every run's test
-// set once after generation (and, with several workers, after the
-// deterministic merge — compaction is what claws back the size difference
-// between merged sharded sets and sequential ones):
+// set once, after the run's deterministic merge:
 //
 //   - CompactNone (the default) leaves the set as generated;
 //   - CompactReverse re-simulates the pairs in reverse generation order and

@@ -119,6 +119,13 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds the time a client may take to send a request's
+// headers; the coordinator bounds each request body itself.  With no idle
+// timeout set, it also closes a keep-alive connection idle that long, which
+// clients redial.  There is no server-wide ReadTimeout: its deadline would
+// stay on the connection while a long-poll is parked and cancel it.
+const readHeaderTimeout = 10 * time.Second
+
 // runCoordinator serves the coordinator until ctx is canceled, then shuts
 // the HTTP server down and closes the coordinator — which, with a ledger,
 // leaves running jobs resumable by the next start.  The coordinator's own
@@ -129,7 +136,7 @@ func runCoordinator(ctx context.Context, cfg service.Config, listen string) erro
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: listen, Handler: co}
+	srv := &http.Server{Addr: listen, Handler: co, ReadHeaderTimeout: readHeaderTimeout}
 	srv.RegisterOnShutdown(co.BeginShutdown)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()

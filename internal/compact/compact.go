@@ -1,7 +1,7 @@
 // Package compact implements static test-set compaction for path delay
 // fault test sets: the merged pattern sets of multi-worker generation runs
-// are measurably larger than sequential ones (cross-shard interleaved-sim
-// dropping is weaker than in-process dropping), and compaction claws the
+// are measurably larger than one-worker ones (cross-shard interleaved-sim
+// dropping is weaker than one worker's dropping), and compaction claws the
 // difference back after the fact.
 //
 // Two classic passes are combined, both word-level bit parallel:

@@ -105,7 +105,7 @@ func generate(t *testing.T, name string, n int, mode sensitize.Mode) (*circuit.C
 	opts := core.DefaultOptions(mode)
 	opts.EmitUnfilled = true
 	g := core.New(c, opts)
-	g.Run(context.Background(), faults)
+	core.RunSharded(context.Background(), g, faults, 1)
 	return c, faults, g.TestSet()
 }
 
@@ -207,7 +207,7 @@ func TestMergeUsesUnfilledPairs(t *testing.T) {
 	opts := core.DefaultOptions(sensitize.Robust)
 	opts.EmitUnfilled = true
 	g := core.New(c, opts)
-	g.Run(context.Background(), faults)
+	core.RunSharded(context.Background(), g, faults, 1)
 	set := g.TestSet()
 	if set.Unfilled == nil {
 		t.Fatal("generator did not record unfilled pairs despite EmitUnfilled")
@@ -291,7 +291,7 @@ var s38584Unfilled = sync.OnceValues(func() (*pattern.Set, error) {
 	opts := core.DefaultOptions(sensitize.Nonrobust)
 	opts.EmitUnfilled = true
 	g := core.New(c, opts)
-	g.Run(context.Background(), paths.SampleFaults(c, 1024, 1995))
+	core.RunSharded(context.Background(), g, paths.SampleFaults(c, 1024, 1995), 1)
 	return g.TestSet(), nil
 })
 
@@ -305,7 +305,7 @@ var c7552Unfilled = sync.OnceValues(func() (*pattern.Set, error) {
 	opts := core.DefaultOptions(sensitize.Robust)
 	opts.EmitUnfilled = true
 	g := core.New(c, opts)
-	g.Run(context.Background(), paths.SampleFaults(c, 512, 1995))
+	core.RunSharded(context.Background(), g, paths.SampleFaults(c, 512, 1995), 1)
 	return g.TestSet(), nil
 })
 

@@ -41,10 +41,6 @@ func (g *Generator) compactRun(sims []*faultsim.Simulator, faults []paths.Fault,
 	}
 	g.testSet.Truncate(base)
 	g.testSet.Append(compacted)
-	// Patterns already in the set are final: later sequential runs on this
-	// generator must not re-simulate them.
-	g.lastSimmed = g.testSet.Len()
-	g.newPatterns = 0
 
 	// Remap the run's pattern indices onto the compacted set, from the
 	// first detecting pairs compaction reports.  Detection of every covered

@@ -181,9 +181,9 @@ func TestC7552ShardedCompactionReduction(t *testing.T) {
 // test set, which no path into the set lets through, and checks that the
 // drop reconciliation and the compaction report the simulation failure
 // through Err instead of returning without a trace.  The test verification
-// and, fed the same pattern through ImportPatterns, the interleaved
-// simulation's dropping must report it the same way, and a sharded run's
-// master takes over a worker's error.
+// and, fed the same pattern as another worker's, a worker's claim sweep
+// must report it the same way, and a sharded run's master takes over a
+// worker's error.
 func TestFinishingErrorsAreReported(t *testing.T) {
 	c := bench.C17()
 	faults := paths.EnumerateFaults(c, 0)
@@ -191,20 +191,20 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 
 	opts := DefaultOptions(sensitize.Robust)
 	g := New(c, opts)
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	if err := g.Err(); err != nil {
 		t.Fatalf("clean run: Err = %v", err)
 	}
 	g.testSet.Add(wide, "wrong width")
 	results[0].Status, results[0].PatternIndex = DetectedBySim, -1
-	g.reconcileDrops([]*faultsim.Simulator{g.sim}, results)
+	g.reconcileDrops([]*faultsim.Simulator{g.sim}, results, 0)
 	if g.Err() == nil {
 		t.Error("reconcileDrops over a wrong-width pattern: Err = nil")
 	}
 
 	opts.Compaction = compact.Reverse
 	g = New(c, opts)
-	results = g.Run(context.Background(), faults)
+	results = RunSharded(context.Background(), g, faults, 1)
 	if g.testSet.Len() < 2 {
 		t.Fatalf("c17 run emitted %d patterns, want at least 2", g.testSet.Len())
 	}
@@ -220,10 +220,12 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 	}
 
 	g = New(c, DefaultOptions(sensitize.Robust))
-	g.ImportPatterns = func() []pattern.Pair { return []pattern.Pair{wide} }
-	g.Run(context.Background(), faults)
+	g.x, g.xid = newExchange(2), 0
+	g.x.publish(1, wide)
+	_, recs := newRecs(faults)
+	g.claimSweep(recs)
 	if g.Err() == nil {
-		t.Error("dropping with a wrong-width imported pattern: Err = nil")
+		t.Error("a claim sweep over a wrong-width foreign pattern: Err = nil")
 	}
 	worker := g
 	g = New(c, DefaultOptions(sensitize.Robust))

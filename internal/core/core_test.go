@@ -22,7 +22,7 @@ func runAll(t *testing.T, c *circuit.Circuit, opts Options) (*Generator, []Fault
 	t.Helper()
 	faults := paths.EnumerateFaults(c, 0)
 	g := New(c, opts)
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	if len(results) != len(faults) {
 		t.Fatalf("%s: %d results for %d faults", c.Name, len(results), len(faults))
 	}
@@ -251,7 +251,7 @@ func TestFigure1FPTPG(t *testing.T) {
 		}
 	}
 	g := New(c, DefaultOptions(sensitize.Nonrobust))
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	for _, r := range results {
 		if r.Status != Tested && r.Status != Redundant && r.Status != DetectedBySim {
 			t.Errorf("fault %s ended as %v; FPTPG/APTPG should settle every figure-1 fault",
@@ -281,7 +281,7 @@ func TestFigure2APTPG(t *testing.T) {
 	opts := DefaultOptions(sensitize.Nonrobust)
 	opts.UseFPTPG = false
 	g := New(c, opts)
-	results := g.Run(context.Background(), []paths.Fault{f})
+	results := RunSharded(context.Background(), g, []paths.Fault{f}, 1)
 	if !results[0].Status.Detected() {
 		t.Fatalf("path a-p-x (falling) should be testable, got %v", results[0].Status)
 	}
@@ -306,7 +306,7 @@ func TestPhaseAblations(t *testing.T) {
 	_, rBoth := runAll(t, c, both)
 	_, rA := runAll(t, c, aptpgOnly)
 	gF := New(c, fptpgOnly)
-	rF := gF.Run(context.Background(), paths.EnumerateFaults(c, 0))
+	rF := RunSharded(context.Background(), gF, paths.EnumerateFaults(c, 0), 1)
 
 	if detectedCount(rBoth) < detectedCount(rA) {
 		t.Error("combined configuration should not detect fewer faults than APTPG-only")
@@ -332,7 +332,7 @@ func TestPhaseAblations(t *testing.T) {
 	neither.UseFPTPG = false
 	neither.UseAPTPG = false
 	gN := New(c, neither)
-	rN := gN.Run(context.Background(), paths.EnumerateFaults(c, 4))
+	rN := RunSharded(context.Background(), gN, paths.EnumerateFaults(c, 4), 1)
 	for _, r := range rN {
 		if r.Status != Aborted {
 			t.Errorf("with both phases disabled every fault should abort, got %v", r.Status)
@@ -431,7 +431,7 @@ func TestFaultSimulationDrop(t *testing.T) {
 	opts := SingleBitOptions(sensitize.Robust)
 	opts.FaultSimInterval = 1
 	g := New(c, opts)
-	results := g.Run(context.Background(), faults)
+	results := RunSharded(context.Background(), g, faults, 1)
 	if !results[0].Status.Detected() || !results[1].Status.Detected() {
 		t.Fatalf("both faults should be detected: %v, %v", results[0].Status, results[1].Status)
 	}
@@ -446,7 +446,7 @@ func TestFaultSimulationDrop(t *testing.T) {
 	// may then be attributed to simulation.
 	opts.FaultSimInterval = 0
 	g2 := New(c, opts)
-	results2 := g2.Run(context.Background(), faults)
+	results2 := RunSharded(context.Background(), g2, faults, 1)
 	if detectedCount(results2) < detectedCount(results) {
 		t.Errorf("coverage without fault simulation (%d) below coverage with it (%d)",
 			detectedCount(results2), detectedCount(results))
@@ -513,7 +513,7 @@ func TestSyntheticCircuitATPG(t *testing.T) {
 	faults := paths.SampleFaults(c, 200, 9)
 	for _, mode := range []sensitize.Mode{sensitize.Nonrobust, sensitize.Robust} {
 		g := New(c, DefaultOptions(mode))
-		results := g.Run(context.Background(), faults)
+		results := RunSharded(context.Background(), g, faults, 1)
 		st := g.Stats()
 		if st.Faults != len(faults) {
 			t.Fatalf("stats faults %d != %d", st.Faults, len(faults))
@@ -555,7 +555,7 @@ func BenchmarkVerify(b *testing.B) {
 	}
 	g := New(c, DefaultOptions(sensitize.Nonrobust))
 	var tested *FaultResult
-	for _, r := range g.Run(context.Background(), paths.SampleFaults(c, 8, 1995)) {
+	for _, r := range RunSharded(context.Background(), g, paths.SampleFaults(c, 8, 1995), 1) {
 		if r.Status == Tested {
 			tested = &r
 			break

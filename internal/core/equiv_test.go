@@ -44,11 +44,11 @@ func equivGenCircuits(t *testing.T) []*circuit.Circuit {
 func runEquivPair(t *testing.T, c *circuit.Circuit, faults []paths.Fault, opts Options, tag string) {
 	t.Helper()
 	inc := New(c, opts)
-	resInc := inc.Run(context.Background(), faults)
+	resInc := RunSharded(context.Background(), inc, faults, 1)
 
 	opts.FullSweepImplic = true
 	ora := New(c, opts)
-	resOra := ora.Run(context.Background(), faults)
+	resOra := RunSharded(context.Background(), ora, faults, 1)
 
 	for i := range resInc {
 		a, b := resInc[i], resOra[i]
@@ -130,7 +130,7 @@ func TestBacktrackHeavyTrailMatchesFullSweep(t *testing.T) {
 	runEquivPair(t, c, faults, opts, "backtrack-heavy")
 
 	g := New(c, opts)
-	g.Run(context.Background(), faults)
+	RunSharded(context.Background(), g, faults, 1)
 	if bt := g.Stats().Backtracks; bt < 100 {
 		t.Fatalf("backtrack-heavy case only produced %d backtracks; the trail was barely exercised", bt)
 	}

@@ -20,8 +20,10 @@ import (
 )
 
 // Generator is the bit-parallel path delay fault test pattern generator.
-// It is bound to one circuit and one option set; Run may be called several
-// times, accumulating into the same test set and statistics.
+// It is bound to one circuit and one option set.  As the master of
+// RunSharded or RemoteRun it holds the merged test set and the statistics,
+// which accumulate over several runs; as a worker it holds the patterns it
+// generated itself, without target descriptions.
 type Generator struct {
 	c    *circuit.Circuit
 	opts Options
@@ -48,38 +50,24 @@ type Generator struct {
 	// OnSettle, when non-nil, is invoked once for every fault whose
 	// classification becomes final, in the order the faults settle (which is
 	// generally not the order they were passed in), with the fault's position
-	// i in the run's fault list.  It must be set before Run and must not call
-	// back into the generator.
+	// i in the run's fault list.  It must be set before RunSharded and must
+	// not call back into the generator.
 	OnSettle func(i int, r FaultResult)
-
-	// OnPattern, when non-nil, is invoked for every verified test pattern as
-	// it is added to the test set.  The sharded engine (RunSharded) uses it
-	// to publish each worker's patterns to the other workers; the pair must
-	// be treated as immutable.
-	OnPattern func(pattern.Pair)
-
-	// ImportPatterns, when non-nil, is polled at every fault-simulation
-	// point for patterns generated outside this generator (by other workers
-	// of a sharded run).  The returned pairs are fault-simulated against the
-	// still-pending faults, and detected faults are dropped exactly like
-	// drops from the generator's own interleaved simulation, except that
-	// their PatternIndex is -1: foreign patterns have no index in this
-	// generator's test set.  It is ignored while FaultSimInterval is 0.
-	ImportPatterns func() []pattern.Pair
 
 	// newPatterns counts patterns generated since the last interleaved fault
 	// simulation; lastSimmed is the test-set index already simulated.
 	newPatterns int
 	lastSimmed  int
 
-	// runBase is the test-set length at the start of the current run: the
-	// claim-time sweep only simulates the run's own patterns, so faults of
-	// one run are never dropped by an earlier run's tests.
-	runBase int
+	// x, set only on the workers of a run with two or more of them while the
+	// interleaved simulation is on, is the run's pattern exchange, and xid
+	// the worker's index in it.
+	x   *exchange
+	xid int
 
 	// foreign accumulates the patterns imported from the other workers of a
-	// sharded run, so faults claimed later are still checked against every
-	// foreign pattern that arrived before them.
+	// run, so faults claimed later are still checked against every foreign
+	// pattern that arrived before them.
 	foreign []pattern.Pair
 
 	// err is the first error a run's finishing passes hit (see Err).
@@ -92,9 +80,11 @@ type rec struct {
 	res    *FaultResult
 	cond   sensitize.Conditions
 	sensOK bool
-	// worker is the index of the worker that claimed the fault; the merge
-	// uses it to locate the worker-local test set a PatternIndex refers to.
-	worker int
+	// raw is the X-preserving form of a Tested fault's test while the
+	// options track unfilled patterns (Options.EmitUnfilled), nil otherwise;
+	// the merge appends it to the test set together with res.Test.  A
+	// pointer keeps the record at 128 bytes.
+	raw *pattern.Pair
 	// idx is the fault's position in the run's fault list.
 	idx int
 }
@@ -136,8 +126,9 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 // states, objective scratch and simulator instead of allocating its own:
 // the master of a sharded run leaves them idle while its workers run, so
 // worker 0 runs on them.  Every search begins with a Reset of the state it
-// uses, so the worker's outcomes are a fresh generator's.  g must not run
-// until the worker is done.
+// uses, so the worker's outcomes are a fresh generator's.  The worker's test
+// set is bare: it is never written, so it needs no input names.  g must not
+// run until the worker is done.
 func (g *Generator) lend() *Generator {
 	return &Generator{
 		c:       g.c,
@@ -147,14 +138,14 @@ func (g *Generator) lend() *Generator {
 		tm:      g.tm,
 		sim:     g.sim,
 		objKeys: g.objKeys,
-		testSet: pattern.NewSet(g.c),
+		testSet: &pattern.Set{},
 	}
 }
 
 // absorbState merges a finished worker's non-pattern state back into g: its
 // statistics are added and its error is kept unless g has one.  Patterns are
-// merged separately, in canonical fault order, by the sharded orchestrator
-// (see mergeResults).  The worker must not be used afterwards.
+// merged separately, in canonical fault order, from the run's records (see
+// mergeRun).  The worker must not be used afterwards.
 func (g *Generator) absorbState(w *Generator) {
 	g.stats.Add(w.stats)
 	if w.err != nil {
@@ -193,61 +184,22 @@ func (g *Generator) fail(err error) {
 	}
 }
 
-// Run generates tests for the given target faults and returns one result per
-// fault, in the same order.  The context bounds the run: when it is canceled
-// or its deadline expires, generation stops at the next check point and every
-// fault that has not settled yet is returned as Aborted with the cancellation
-// cause in its Err field.  Callers that need to distinguish a canceled run
-// from a completed one inspect ctx.Err (or context.Cause) after Run returns.
-//
-// Internally the run is scheduler-driven: the fault list is cut into work
-// units (word-parallel groups) that a single consumer drains in input order.
-// The multi-worker variant of the same pipeline is RunSharded.
-func (g *Generator) Run(ctx context.Context, faults []paths.Fault) []FaultResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	sensAtStart := g.stats.SensitizeTime
-
-	results, recs := newRecs(faults)
-	g.stats.Faults += len(faults)
-	g.runBase = g.testSet.Len()
-
-	if len(recs) > 0 {
-		sc := sched.New(1)
-		sc.Load(g.opts.cut(len(recs)))
-		g.consume(ctx, sc, 0, recs)
-		g.stats.Sched.Add(sc.Stats())
-	}
-	g.finish(ctx, recs)
-	g.reconcileDrops([]*faultsim.Simulator{g.sim}, results)
-
-	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
-	return results
-}
-
 // consume drains the scheduler as worker w: it claims units, drops claimed
 // faults that existing patterns already detect, processes the rest as
 // word-parallel groups, and runs the interleaved fault simulation.  Each
 // fault index of a unit refers into recs.
 //
-// The simulation scope follows ownership.  A single-worker scheduler gives
-// the consumer exclusive ownership of every record, so each pattern batch
-// is simulated once against all still-pending faults at the interval points
-// (the paper's dropping, linear in the pattern count) and no claim-time
-// sweep is needed.  With several workers a record is only safely mutable
-// after its unit is claimed, so the eager scope shrinks to the claimed
-// records and each claimed unit is instead swept once against the patterns
-// that accumulated before it was claimed.
+// The simulation scope follows ownership.  The only worker of a run owns
+// every record, so each pattern batch is simulated once against all
+// still-pending faults at the interval points (the paper's dropping, linear
+// in the pattern count) and no claim-time sweep is needed.  With several
+// workers a record is only safely mutable after its unit is claimed, so each
+// claimed unit is instead swept once against the patterns that accumulated
+// before it was claimed.
 //
 //atpgvet:ctxloop
 func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec) {
 	exclusive := sc.Workers() == 1
-	scope := recs
-	if !exclusive {
-		scope = nil
-	}
 	for ctx.Err() == nil {
 		u, ok := sc.Next(w)
 		if !ok {
@@ -257,15 +209,13 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 		//atpgvet:ignore ctxloop -- bounded setup loop over one claimed unit (at most a word of faults), not a claim loop
 		for i, f := range u.Faults {
 			unit[i] = recs[f]
-			unit[i].worker = w
 		}
 		if !exclusive {
 			g.claimSweep(unit)
-			scope = append(scope, unit...)
 		}
 		g.processUnit(ctx, unit)
-		if ctx.Err() == nil {
-			g.maybeSimulate(scope)
+		if exclusive && ctx.Err() == nil {
+			g.maybeSimulate(recs)
 		}
 	}
 }
@@ -315,27 +265,21 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 }
 
 // claimSweep drops just-claimed faults that are already detected: by a
-// pattern another worker published (the accumulated foreign buffer), or by a
-// pattern this worker generated earlier in the run.  It runs at unit claim
-// time on multi-worker schedulers — where a worker cannot eagerly drop
-// faults it has not claimed — so a fault is never searched when the
-// worker's existing tests already cover it.  Disabled together with the
-// interleaved simulation.
+// pattern another worker published (the accumulated foreign buffer, topped
+// up from the run's exchange), or by a pattern this worker generated
+// earlier.  It runs at unit claim time on multi-worker schedulers and on
+// remote workers — where a worker cannot eagerly drop faults it has not
+// claimed — so a fault is never searched when the existing tests already
+// cover it.  Disabled together with the interleaved simulation.
 func (g *Generator) claimSweep(unit []*rec) {
 	if g.opts.FaultSimInterval <= 0 {
 		return
 	}
-	if g.ImportPatterns != nil {
-		if foreign := g.ImportPatterns(); len(foreign) > 0 {
-			g.foreign = append(g.foreign, foreign...)
-		}
+	if g.x != nil {
+		g.foreign = append(g.foreign, g.x.fetch(g.xid)...)
 	}
-	if len(g.foreign) > 0 {
-		g.dropDetected(unit, g.foreign, -1)
-	}
-	if g.testSet.Len() > g.runBase {
-		g.dropDetected(unit, g.testSet.Pairs[g.runBase:], g.runBase)
-	}
+	g.dropDetected(unit, g.foreign)
+	g.dropDetected(unit, g.testSet.Pairs)
 }
 
 // finish sweeps up records that are still pending after the passes: faults
@@ -408,7 +352,7 @@ func (g *Generator) sensitizeRec(r *rec) bool {
 // runGroup processes up to WordWidth faults simultaneously, one per bit
 // level, and returns the faults that need backtracking (handed to APTPG).
 // On context cancellation the group is abandoned mid-iteration; its unsettled
-// faults stay Pending and are swept up by Run.
+// faults stay Pending and are swept up by finish.
 func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 	var needPhase2 []*rec
 	active := logic.LevelsMask(len(batch))
@@ -883,26 +827,24 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 }
 
 // emitTest extracts, verifies and records a test for the fault from the
-// given bit level.  It returns false (and leaves the fault pending) when the
-// verification rejects the pattern.
+// given bit level: in the fault's record, for the run's merge, and in the
+// worker's own set, for its fault simulation.  It returns false (and leaves
+// the fault pending) when the verification rejects the pattern.
 func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	p, raw := g.extractPattern(r, level)
 	if !g.verifyPattern(r.fault, p) {
 		return false
 	}
-	idx := g.testSet.Len()
-	if g.opts.EmitUnfilled {
-		g.testSet.AddUnfilled(p, raw, r.fault.Describe(g.c))
-	} else {
-		g.testSet.Add(p, r.fault.Describe(g.c))
-	}
-	if g.OnPattern != nil {
-		g.OnPattern(p)
+	g.testSet.Add(p, "")
+	if g.x != nil {
+		g.x.publish(g.xid, p)
 	}
 	r.res.Status = Tested
 	r.res.Phase = phase
 	r.res.Test = p
-	r.res.PatternIndex = idx
+	if g.opts.EmitUnfilled {
+		r.raw = &pattern.Pair{V1: raw.V1, V2: raw.V2}
+	}
 	g.stats.Tested++
 	g.stats.Patterns++
 	g.newPatterns++
@@ -956,39 +898,25 @@ func (g *Generator) settle(r *rec) {
 // Interleaved fault simulation.
 // ---------------------------------------------------------------------------
 
-// maybeSimulate drops still-pending faults that are already detected by
-// existing patterns.  Patterns imported from other workers of a sharded run
-// are simulated whenever they arrive (and kept in the foreign buffer for the
-// claim-time sweep of later units); the generator's own patterns are
-// simulated after every FaultSimInterval of them, as the paper does after
-// every L generated patterns.
+// maybeSimulate drops still-pending faults that the worker's own patterns
+// already detect, after every FaultSimInterval of them, as the paper does
+// after every L generated patterns.
 func (g *Generator) maybeSimulate(recs []*rec) {
-	if g.opts.FaultSimInterval <= 0 {
-		return
-	}
-	if g.ImportPatterns != nil {
-		if foreign := g.ImportPatterns(); len(foreign) > 0 {
-			g.foreign = append(g.foreign, foreign...)
-			g.dropDetected(recs, foreign, -1)
-		}
-	}
-	if g.newPatterns < g.opts.FaultSimInterval {
+	if g.opts.FaultSimInterval <= 0 || g.newPatterns < g.opts.FaultSimInterval {
 		return
 	}
 	g.newPatterns = 0
-	base := g.lastSimmed
-	pairs := g.testSet.Pairs[base:]
+	pairs := g.testSet.Pairs[g.lastSimmed:]
 	g.lastSimmed = g.testSet.Len()
-	g.dropDetected(recs, pairs, base)
+	g.dropDetected(recs, pairs)
 }
 
 // dropDetected fault-simulates the pairs against every still-pending fault
-// and settles the detected ones as DetectedBySim.  base is the test-set
-// index of pairs[0]; a negative base marks foreign patterns that have no
-// index in this generator's test set (PatternIndex stays -1 and is
-// reconciled against the merged set by the sharded orchestrator).  A batch
-// the simulator cannot load stops the dropping and is recorded in Err.
-func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
+// and settles the detected ones as DetectedBySim.  Their PatternIndex stays
+// -1: the run's merge decides the set's order, and reconcileDrops assigns
+// each the first detecting pattern of the merged set.  A batch the
+// simulator cannot load stops the dropping and is recorded in Err.
+func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair) {
 	robust := g.opts.Mode == sensitize.Robust
 	for start := 0; start < len(pairs); start += faultsim.BatchSize {
 		end := start + faultsim.BatchSize
@@ -1003,12 +931,9 @@ func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair, base int) {
 			if r.res.Status != Pending {
 				continue
 			}
-			if mask := g.sim.Detects(r.fault, robust); mask != 0 {
+			if g.sim.Detects(r.fault, robust) != 0 {
 				r.res.Status = DetectedBySim
 				r.res.Phase = PhaseSimulation
-				if base >= 0 {
-					r.res.PatternIndex = base + start + bits.TrailingZeros64(mask)
-				}
 				g.stats.DetectedBySim++
 				g.settle(r)
 			}

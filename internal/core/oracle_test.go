@@ -94,7 +94,7 @@ func TestGeneratorMatchesBruteForceOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := New(c, DefaultOptions(mode))
-			results := g.Run(context.Background(), faults)
+			results := RunSharded(context.Background(), g, faults, 1)
 			for i, r := range results {
 				if r.Status == Aborted {
 					t.Errorf("%s/%s: fault %s aborted on a tiny circuit", c.Name, mode, r.Fault.Describe(c))

@@ -13,68 +13,55 @@ import (
 	"repro/internal/sensitize"
 )
 
-// RunSharded generates tests for the faults like Generator.Run, but spreads
-// the work across workers goroutines, multiplying the paper's word-level bit
-// parallelism by core-level parallelism.  Each worker is an independent
-// generator with master's options over the shared immutable circuit,
-// consuming work units (word-parallel fault groups) from a shared scheduler
-// (internal/sched).  Every worker starts on one contiguous run of units, the
-// classic shard split, and an idle worker steals queued units from the most
-// loaded peer, so clustered hard faults do not serialize on one worker.
-// When the interleaved fault simulation is enabled, workers exchange their
-// verified patterns through a shared buffer, so a pattern emitted by one
-// worker still drops detected faults on the others.
+// RunSharded generates tests for the faults and returns one result per
+// fault, in the same order, spreading the work across workers goroutines:
+// core-level parallelism on top of the paper's word-level bit parallelism.
+// Each worker is a generator with master's options over the shared
+// immutable circuit, consuming work units (word-parallel fault groups) from
+// a shared scheduler (internal/sched).  Worker 0 runs on the master's
+// implication states and simulator, which the master leaves idle during the
+// run; the others allocate their own.  Every worker starts on one contiguous
+// run of units, the classic shard split, and an idle worker steals queued
+// units from the most loaded peer, so clustered hard faults do not
+// serialize on one worker.  A run of one worker is the paper's sequential
+// generator: it owns every record and drops detected faults after every
+// FaultSimInterval patterns.  With several workers and the interleaved
+// simulation enabled, workers exchange their verified patterns, so a
+// pattern emitted by one worker still drops detected faults claimed later
+// by the others.
 //
-// The merged result slice is deterministic and input-ordered: result i
-// belongs to faults[i].  Pattern indices refer to the merged test set, which
-// is reassembled in canonical fault order — the pattern of a Tested fault
-// appears at the position its fault's input index dictates, regardless of
-// which worker generated it or in which order — so the merged set does not
-// depend on the steal interleaving.  Faults dropped by a foreign worker's
-// pattern get the index of the first pattern of the merged set that detects
-// them.  master's OnSettle callback is invoked as
-// faults settle, serialized by a mutex but in a nondeterministic
-// interleaving across workers; its OnPattern and ImportPatterns hooks are
-// not used.  Statistics are summed over the workers, so the time fields
-// report aggregate CPU time rather than wall-clock time.
+// Every run ends the same way, whatever its worker count (see mergeRun):
+// the test set is appended in canonical fault order, so it does not depend
+// on the worker count or the steal interleaving, simulation drops are
+// reconciled against it, and with Options.Compaction it is statically
+// compacted, with the PatternIndex of every covered fault remapped onto the
+// compacted set.  master's OnSettle callback is invoked as faults settle,
+// serialized by a mutex but in a nondeterministic interleaving across
+// workers; the results it sees carry PatternIndex -1, as the merge has not
+// happened yet.  Statistics are summed over the workers, so the time fields
+// report aggregate CPU time rather than wall-clock time.  master must not be
+// used concurrently with RunSharded.
 //
-// When Options.Compaction is enabled, the merged test set of the run is
-// statically compacted once after the deterministic merge (reverse-order
-// fault simulation and, at compact.Full, compatible-pair merging), and the
-// PatternIndex of every covered fault is remapped onto the compacted set.
-// Compaction applies equally to the workers <= 1 path, so the sequential
-// and sharded engines stay comparable.
-//
-// With workers <= 1 (or a single fault) the call is exactly master.Run.
-// master must not be used concurrently with RunSharded.
+// The context bounds the run: when it is canceled or its deadline expires,
+// generation stops at the next check point and every fault that has not
+// settled yet is returned as Aborted with the cancellation cause in its Err
+// field.  Callers that need to distinguish a canceled run from a completed
+// one inspect ctx.Err (or context.Cause) after RunSharded returns.
 func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, workers int) []FaultResult {
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	base := master.testSet.Len()
-	if workers <= 1 {
-		results := master.Run(ctx, faults)
-		if ctx == nil || ctx.Err() == nil {
-			master.compactRun([]*faultsim.Simulator{master.sim}, faults, results, base)
-		}
-		return results
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	workers = max(min(workers, len(faults)), 1)
 
 	var settleMu sync.Mutex
 	settle := master.OnSettle
 
 	var x *exchange
-	if master.opts.FaultSimInterval > 0 {
+	if workers > 1 && master.opts.FaultSimInterval > 0 {
 		x = newExchange(workers)
 	}
 
-	// Worker 0 runs on the master's own implication states and simulator,
-	// which the master leaves idle until the workers are done; the others
-	// allocate their own.  The run's tail simulates on all the workers'
-	// simulators.
+	// The run's tail simulates on all the workers' simulators.
 	gens := make([]*Generator, workers)
 	sims := make([]*faultsim.Simulator, workers)
 	for w := 0; w < workers; w++ {
@@ -92,11 +79,7 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 				settle(i, r)
 			}
 		}
-		if x != nil {
-			id := w
-			g.OnPattern = func(p pattern.Pair) { x.publish(id, p) }
-			g.ImportPatterns = func() []pattern.Pair { return x.fetch(id) }
-		}
+		g.x, g.xid = x, w
 		gens[w] = g
 	}
 
@@ -119,70 +102,56 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	}
 	wg.Wait()
 	master.stats.Sched.Add(sc.Stats())
-
-	master.finish(ctx, recs)
-	mergeResults(master, gens, recs, results)
-	master.reconcileDrops(sims, results)
-
-	// Static compaction of the merged set, once, after the deterministic
-	// merge (skipped when the run was cut short: a canceled run should
-	// return promptly, and its test set is not final anyway).
-	if ctx.Err() == nil {
-		master.compactRun(sims, faults, results, base)
-	}
-	return results
-}
-
-// mergeResults reassembles the workers' output on the master, in canonical
-// fault order: walking the results by fault input index, every Tested
-// fault's pattern is appended to the master set (so the merged set's order
-// is a pure function of the per-fault outcomes, independent of the dispatch
-// interleaving), and the worker-local PatternIndex of every covered fault is
-// remapped onto the merged set.  Cross-worker simulation drops keep index -1
-// here and are reconciled by reconcileDrops.  Worker statistics and errors
-// are absorbed into the master.
-//
-//atpgvet:deterministic
-func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []FaultResult) {
-	type patKey struct{ worker, index int }
-	remap := make(map[patKey]int)
-	for i := range results {
-		r := &results[i]
-		if r.Status == Tested && r.PatternIndex >= 0 {
-			k := patKey{recs[i].worker, r.PatternIndex}
-			mi := master.testSet.AddFrom(gens[k.worker].testSet, k.index)
-			remap[k] = mi
-			r.PatternIndex = mi
-		}
-	}
-	for i := range results {
-		r := &results[i]
-		if r.Status != DetectedBySim || r.PatternIndex < 0 {
-			continue
-		}
-		if mi, ok := remap[patKey{recs[i].worker, r.PatternIndex}]; ok {
-			r.PatternIndex = mi
-		} else {
-			// Unreachable while every worker pattern belongs to a Tested
-			// fault; fail safe to the foreign-drop reconciliation.
-			r.PatternIndex = -1
-		}
-	}
 	for _, g := range gens {
 		master.absorbState(g)
 	}
-	// Merged patterns are final results of a completed run: they must not be
-	// re-simulated by a later sequential Run on master.
-	master.lastSimmed = master.testSet.Len()
-	master.newPatterns = 0
+	master.mergeRun(ctx, sims, faults, results, recs)
+	return results
+}
+
+// mergeRun ends a run, local or remote, once its units are processed: it
+// sweeps up the faults still pending (carrying the cancellation cause when
+// ctx ended the run), appends the run's tests to g's test set in canonical
+// fault order, reconciles the simulation drops against them, and
+// statically compacts the run's patterns on sims, the simulators of the
+// run's workers (skipped when the run was cut short: a canceled run should
+// return promptly, and its test set is not final anyway).
+//
+// The merge walks the records by fault input index and appends every Tested
+// fault's test, with its X-preserving form when the options track it, so
+// the merged set is a pure function of the per-fault outcomes: independent
+// of the worker count, of which worker processed which unit, of lease
+// requeues and of result arrival order.  Each target description is
+// rendered here, once.
+//
+//atpgvet:deterministic
+func (g *Generator) mergeRun(ctx context.Context, sims []*faultsim.Simulator, faults []paths.Fault, results []FaultResult, recs []*rec) {
+	g.finish(ctx, recs)
+	base := g.testSet.Len()
+	for _, r := range recs {
+		if r.res.Status != Tested {
+			continue
+		}
+		r.res.PatternIndex = g.testSet.Len()
+		target := r.fault.Describe(g.c)
+		if g.opts.EmitUnfilled && r.raw != nil {
+			g.testSet.AddUnfilled(r.res.Test, *r.raw, target)
+		} else {
+			g.testSet.Add(r.res.Test, target)
+		}
+	}
+	g.reconcileDrops(sims, results, base)
+	if ctx.Err() == nil {
+		g.compactRun(sims, faults, results, base)
+	}
 }
 
 // reconcileDrops resolves the classifications that depend on the run's
 // final test set, with one parallel-pattern simulation pass:
 //
-//   - Faults dropped by a foreign worker's pattern carry no index into any
-//     worker-local set; they get the index of the first pattern of the
-//     merged set that detects them.
+//   - Faults dropped by the interleaved simulation carry no pattern index;
+//     they get the index of the first of the run's merged patterns that
+//     detects them.
 //
 //   - While the interleaved simulation is active, faults the search proved
 //     Redundant but the final set demonstrably detects are reported
@@ -199,9 +168,11 @@ func mergeResults(master *Generator, gens []*Generator, recs []*rec, results []F
 //     authoritative classification, as with the post-settle pattern-index
 //     remapping of compaction.
 //
-// The pass runs on sims, the simulators of the run's workers (see
+// The pass simulates only the run's patterns, from index base of the test
+// set on: a fault of one run is never credited to an earlier run's tests.
+// It runs on sims, the simulators of the run's workers (see
 // faultsim.RunOn).
-func (g *Generator) reconcileDrops(sims []*faultsim.Simulator, results []FaultResult) {
+func (g *Generator) reconcileDrops(sims []*faultsim.Simulator, results []FaultResult, base int) {
 	var idx []int
 	for i := range results {
 		switch {
@@ -211,38 +182,38 @@ func (g *Generator) reconcileDrops(sims []*faultsim.Simulator, results []FaultRe
 			idx = append(idx, i)
 		}
 	}
-	if len(idx) == 0 || g.testSet.Len() == 0 {
+	if len(idx) == 0 || g.testSet.Len() == base {
 		return
 	}
 	checked := make([]paths.Fault, len(idx))
 	for i, j := range idx {
 		checked[i] = results[j].Fault
 	}
-	sim, err := faultsim.RunOn(sims, g.testSet.Pairs, checked, g.opts.Mode == sensitize.Robust)
+	sim, err := faultsim.RunOn(sims, g.testSet.Pairs[base:], checked, g.opts.Mode == sensitize.Robust)
 	if err != nil {
 		g.fail(fmt.Errorf("core: reconciling simulation drops: %w", err))
 		return
 	}
 	for i, j := range idx {
-		r := &results[j]
-		if r.Status == Redundant {
-			if sim.DetectedBy[i] >= 0 {
-				r.Status = DetectedBySim
-				r.Phase = PhaseSimulation
-				r.PatternIndex = sim.DetectedBy[i]
-				g.stats.Redundant--
-				g.stats.DetectedBySim++
-			}
+		first := sim.DetectedBy[i]
+		if first < 0 {
 			continue
 		}
-		r.PatternIndex = sim.DetectedBy[i]
+		r := &results[j]
+		if r.Status == Redundant {
+			r.Status = DetectedBySim
+			r.Phase = PhaseSimulation
+			g.stats.Redundant--
+			g.stats.DetectedBySim++
+		}
+		r.PatternIndex = base + first
 	}
 }
 
 // exchange is the cross-worker pattern buffer: every worker publishes its
-// verified patterns and periodically fetches the patterns the other workers
-// published since its last fetch, so DetectedBySim drops happen across
-// workers whichever worker claims which unit.
+// verified patterns and, when it claims a unit, fetches the patterns the
+// other workers published since its last fetch, so DetectedBySim drops
+// happen across workers whichever worker claims which unit.
 type exchange struct {
 	mu      sync.Mutex
 	entries []exchangeEntry

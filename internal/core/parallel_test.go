@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,7 +41,7 @@ func classOf(s Status) string {
 
 // TestShardedMatchesSequential checks the cornerstone of the scheduler-driven
 // engine on several circuits and modes: any worker count must classify
-// every fault the same as the sequential generator.  With the interleaved
+// every fault the same as one worker, the paper's sequential generator.  With the interleaved
 // simulation disabled every fault's search is independent, so the statuses
 // must match exactly; with it enabled, Tested and DetectedBySim may swap
 // (coverage class equality), but redundancy proofs and the merged coverage
@@ -58,7 +58,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 				opts := DefaultOptions(mode)
 				opts.FaultSimInterval = simInterval
 				seq := New(c, opts)
-				want := seq.Run(context.Background(), faults)
+				want := RunSharded(context.Background(), seq, faults, 1)
 				for _, workers := range []int{2, 3, 8} {
 					g := New(c, opts)
 					got := RunSharded(context.Background(), g, faults, workers)
@@ -161,17 +161,6 @@ func TestShardedSettleCallback(t *testing.T) {
 	}
 }
 
-// sortedPatterns renders a test set as a sorted multiset of pattern strings:
-// the canonical form for comparing what was generated regardless of order.
-func sortedPatterns(set *pattern.Set) []string {
-	out := make([]string, set.Len())
-	for i, p := range set.Pairs {
-		out[i] = p.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
 // searchEffort is the search effort of a run: the Stats counters that must
 // not depend on how the run's units were spread over workers.
 type searchEffort struct {
@@ -182,15 +171,37 @@ func searchCounts(s Stats) searchEffort {
 	return searchEffort{s.Implications, s.Decisions, s.Backtracks, s.FPTPGGroups, s.APTPGFaults}
 }
 
+// writtenSet returns the test set as Write serializes it.
+func writtenSet(t *testing.T, set *pattern.Set) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := set.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// firstLineDiff describes the first line at which two texts differ.
+func firstLineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n  %s\n  %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, reference has %d", len(g), len(w))
+}
+
 // TestSchedulerDeterminism is the determinism matrix of the dispatch layer:
 // with the interleaved simulation off, every worker count in {1,2,4,8} must
-// produce the sequential run's per-fault outcomes (status, phase, decisions,
-// backtracks), search counts and pattern multiset — the outcome may not
-// depend on how work was spread over cores or which units were stolen.  A
-// unit's outcome depends on the unit alone, so this holds for the phase of
-// every redundant fault too.  The c880 sample proves 536 of its faults
-// redundant, 248 of them through an unsensitizable subpath shared with an
-// earlier fault of the sample.
+// produce the per-fault outcomes (status, phase, pattern index, decisions,
+// backtracks), search counts and written test set of one worker, byte for
+// byte, at every compaction level — the outcome may not depend on how work
+// was spread over cores or which units were stolen, and one worker goes
+// through the same canonical merge as eight.  A unit's outcome depends on
+// the unit alone, so this holds for the phase of every redundant fault too.
+// The c880 sample proves 536 of its faults redundant, 248 of them through an
+// unsensitizable subpath shared with an earlier fault of the sample.
 func TestSchedulerDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -204,41 +215,38 @@ func TestSchedulerDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults := tc.faults(c)
-		opts := DefaultOptions(sensitize.Robust)
-		opts.FaultSimInterval = 0
+		for _, level := range []compact.Level{compact.None, compact.Reverse, compact.Full} {
+			opts := DefaultOptions(sensitize.Robust)
+			opts.FaultSimInterval = 0
+			opts.Compaction = level
 
-		ref := New(c, opts)
-		want := ref.Run(context.Background(), faults)
-		wantPatterns := sortedPatterns(ref.TestSet())
-		for _, workers := range []int{1, 2, 4, 8} {
-			g := New(c, opts)
-			got := RunSharded(context.Background(), g, faults, workers)
-			tag := fmt.Sprintf("%s workers=%d", tc.name, workers)
-			differ := 0
-			for i := range got {
-				r, w := got[i], want[i]
-				if r.Status != w.Status || r.Phase != w.Phase || r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
-					if differ++; differ <= 5 {
-						t.Errorf("%s: fault %s is %v/%v (%d decisions, %d backtracks), reference %v/%v (%d, %d)",
-							tag, r.Fault.Key(), r.Status, r.Phase, r.Decisions, r.Backtracks,
-							w.Status, w.Phase, w.Decisions, w.Backtracks)
+			ref := New(c, opts)
+			want := RunSharded(context.Background(), ref, faults, 1)
+			wantSet := writtenSet(t, ref.TestSet())
+			for _, workers := range []int{2, 4, 8} {
+				g := New(c, opts)
+				got := RunSharded(context.Background(), g, faults, workers)
+				tag := fmt.Sprintf("%s compaction=%v workers=%d", tc.name, level, workers)
+				differ := 0
+				for i := range got {
+					r, w := got[i], want[i]
+					if r.Status != w.Status || r.Phase != w.Phase || r.PatternIndex != w.PatternIndex ||
+						r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
+						if differ++; differ <= 5 {
+							t.Errorf("%s: fault %s is %v/%v index %d (%d decisions, %d backtracks), one worker %v/%v index %d (%d, %d)",
+								tag, r.Fault.Key(), r.Status, r.Phase, r.PatternIndex, r.Decisions, r.Backtracks,
+								w.Status, w.Phase, w.PatternIndex, w.Decisions, w.Backtracks)
+						}
 					}
 				}
-			}
-			if differ > 0 {
-				t.Errorf("%s: %d of %d faults differ from the reference", tag, differ, len(got))
-			}
-			if gc, wc := searchCounts(g.Stats()), searchCounts(ref.Stats()); gc != wc {
-				t.Errorf("%s: search counts %+v, reference %+v", tag, gc, wc)
-			}
-			gotPatterns := sortedPatterns(g.TestSet())
-			if len(gotPatterns) != len(wantPatterns) {
-				t.Fatalf("%s: %d patterns, reference has %d", tag, len(gotPatterns), len(wantPatterns))
-			}
-			for i := range gotPatterns {
-				if gotPatterns[i] != wantPatterns[i] {
-					t.Fatalf("%s: pattern multiset differs from the reference at %d:\n  %s\n  %s",
-						tag, i, gotPatterns[i], wantPatterns[i])
+				if differ > 0 {
+					t.Errorf("%s: %d of %d faults differ from one worker's", tag, differ, len(got))
+				}
+				if gc, wc := searchCounts(g.Stats()), searchCounts(ref.Stats()); gc != wc {
+					t.Errorf("%s: search counts %+v, one worker %+v", tag, gc, wc)
+				}
+				if gotSet := writtenSet(t, g.TestSet()); gotSet != wantSet {
+					t.Errorf("%s: written test set differs from one worker's at %s", tag, firstLineDiff(gotSet, wantSet))
 				}
 			}
 		}
@@ -263,7 +271,7 @@ func TestWidthDeterminism(t *testing.T) {
 		opts.WordWidth = width
 		opts.FaultSimInterval = 0
 		g := New(c, opts)
-		res := g.Run(context.Background(), faults)
+		res := RunSharded(context.Background(), g, faults, 1)
 		got := make([]Status, len(res))
 		for i := range res {
 			if res[i].Status == Aborted {
@@ -343,7 +351,7 @@ func TestWorkStealingBalancesSkew(t *testing.T) {
 	// Probe a sample for the most and least expensive faults.
 	sample := paths.SampleFaults(c, 96, 7)
 	probe := New(c, opts)
-	res := probe.Run(context.Background(), sample)
+	res := RunSharded(context.Background(), probe, sample, 1)
 	hard, easy, hardCost, easyCost := 0, 0, -1, int(^uint(0)>>1)
 	for i, r := range res {
 		cost := r.Decisions + 16*r.Backtracks
@@ -478,37 +486,49 @@ func TestShardedRunLendsMasterState(t *testing.T) {
 // states and simulator, and the run's tail simulated on them — does not leak
 // into the next run: two consecutive runs on one generator give the
 // outcomes (phases included), search counts and compacted test sets of two
-// fresh generators.
+// fresh generators.  With the interleaved simulation on, one worker's
+// outcomes are deterministic too, and its dropping must not see the earlier
+// run's patterns.
 func TestConsecutiveShardedRunsMatchFreshEngines(t *testing.T) {
 	c, err := bench.Get("c880")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(sensitize.Robust)
-	opts.FaultSimInterval = 0
-	opts.Compaction = compact.Full
 	runs := [][]paths.Fault{paths.SampleFaults(c, 256, 1), paths.SampleFaults(c, 256, 2)}
-	for _, workers := range []int{2, 3} {
-		g := New(c, opts)
-		for k, faults := range runs {
-			base := g.TestSet().Len()
-			got := RunSharded(context.Background(), g, faults, workers)
-			fresh := New(c, opts)
-			want := RunSharded(context.Background(), fresh, faults, workers)
-			for i := range want {
-				w, r := want[i], got[i]
-				if w.PatternIndex >= 0 {
-					w.PatternIndex += base
+	for _, tc := range []struct {
+		sim     int
+		level   compact.Level
+		workers []int
+	}{
+		{0, compact.Full, []int{1, 2, 3}},
+		{64, compact.None, []int{1}},
+	} {
+		opts := DefaultOptions(sensitize.Robust)
+		opts.FaultSimInterval = tc.sim
+		opts.Compaction = tc.level
+		for _, workers := range tc.workers {
+			g := New(c, opts)
+			for k, faults := range runs {
+				tag := fmt.Sprintf("sim=%d workers=%d run %d", tc.sim, workers, k+1)
+				base := g.TestSet().Len()
+				got := RunSharded(context.Background(), g, faults, workers)
+				fresh := New(c, opts)
+				want := RunSharded(context.Background(), fresh, faults, workers)
+				for i := range want {
+					w, r := want[i], got[i]
+					if w.PatternIndex >= 0 {
+						w.PatternIndex += base
+					}
+					if r.Status != w.Status || r.Phase != w.Phase || r.PatternIndex != w.PatternIndex ||
+						r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
+						t.Fatalf("%s fault %s: %v/%v index %d (%d decisions, %d backtracks), fresh engine %v/%v index %d (%d, %d)",
+							tag, r.Fault.Key(), r.Status, r.Phase, r.PatternIndex, r.Decisions, r.Backtracks,
+							w.Status, w.Phase, w.PatternIndex, w.Decisions, w.Backtracks)
+					}
 				}
-				if r.Status != w.Status || r.Phase != w.Phase || r.PatternIndex != w.PatternIndex ||
-					r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
-					t.Fatalf("workers=%d run %d fault %s: %v/%v index %d (%d decisions, %d backtracks), fresh engine %v/%v index %d (%d, %d)",
-						workers, k+1, r.Fault.Key(), r.Status, r.Phase, r.PatternIndex, r.Decisions, r.Backtracks,
-						w.Status, w.Phase, w.PatternIndex, w.Decisions, w.Backtracks)
+				if got, want := g.TestSet().Slice(base).String(), fresh.TestSet().String(); got != want {
+					t.Errorf("%s: the run's test set differs from a fresh engine's", tag)
 				}
-			}
-			if got, want := g.TestSet().Slice(base).String(), fresh.TestSet().String(); got != want {
-				t.Errorf("workers=%d run %d: the run's test set differs from a fresh engine's", workers, k+1)
 			}
 		}
 	}

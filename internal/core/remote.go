@@ -14,7 +14,7 @@ import (
 // This file is the core's half of the distributed engine (internal/service):
 // the worker side processes single work units shipped over the wire
 // (ProcessRemoteUnit), the coordinator side drives the same pass as
-// Run/RunSharded but hands the units to a dispatch callback instead of local
+// RunSharded but hands the units to a dispatch callback instead of local
 // goroutines (RemoteRun), and the client side folds a finished remote run
 // back into a local generator (ImportRemoteRun).
 //
@@ -96,8 +96,8 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 		}
 		if r.res.Status == Tested {
 			o.Test = r.res.Test
-			if g.opts.EmitUnfilled && r.res.PatternIndex >= 0 {
-				o.Raw = g.testSet.UnfilledAt(r.res.PatternIndex)
+			if r.raw != nil {
+				o.Raw = *r.raw
 			}
 		}
 		out[i] = o
@@ -106,11 +106,11 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 }
 
 // RemoteRun is the coordinator side of a distributed run: the same pipeline
-// as Run/RunSharded — pass cutting, canonical merge, drop reconciliation,
-// static compaction — with the unit processing replaced by a dispatch
-// callback.  The caller (internal/service) owns the transport: it leases the
-// units of the pass to workers, feeds their reported outcomes to Apply, and
-// returns from dispatch once every unit of the pass has been applied.
+// as RunSharded — pass cutting, canonical merge, drop reconciliation, static
+// compaction — with the unit processing replaced by a dispatch callback.
+// The caller (internal/service) owns the transport: it leases the units of
+// the pass to workers, feeds their reported outcomes to Apply, and returns
+// from dispatch once every unit of the pass has been applied.
 //
 // Apply and AddEffort are safe for concurrent use with each other, but the
 // caller must not let them race the end of the pass: every Apply must
@@ -123,10 +123,8 @@ type RemoteRun struct {
 	faults  []paths.Fault
 	results []FaultResult
 	recs    []*rec
-	base    int
 
-	mu       sync.Mutex
-	outcomes []RemoteOutcome
+	mu sync.Mutex
 }
 
 // NewRemoteRun prepares a distributed run of the faults on the master
@@ -136,14 +134,7 @@ type RemoteRun struct {
 func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 	results, recs := newRecs(faults)
 	master.stats.Faults += len(faults)
-	return &RemoteRun{
-		master:   master,
-		faults:   faults,
-		results:  results,
-		recs:     recs,
-		base:     master.testSet.Len(),
-		outcomes: make([]RemoteOutcome, len(faults)),
-	}
+	return &RemoteRun{master: master, faults: faults, results: results, recs: recs}
 }
 
 // Apply folds one processed unit's outcomes into the run: unit holds the
@@ -152,9 +143,9 @@ func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 // first-write-wins per fault — a duplicate report for an already settled
 // fault (the at-least-once case: lease requeue plus a late original result)
 // is a no-op, which keeps every classification the first reported one.
-// A Pending outcome only accumulates the search effort; Run's finish sweeps
-// the fault up.  The master's OnSettle fires for every newly settled fault;
-// the indices of those faults are returned.
+// A Pending outcome only accumulates the search effort; Run sweeps the fault
+// up.  The master's OnSettle fires for every newly settled fault; the
+// indices of those faults are returned.
 func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
@@ -178,8 +169,10 @@ func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 		r.res.Phase = o.Phase
 		if o.Status == Tested {
 			r.res.Test = o.Test
+			if o.Raw.Len() > 0 {
+				r.raw = &pattern.Pair{V1: o.Raw.V1, V2: o.Raw.V2}
+			}
 		}
-		rr.outcomes[fi] = o
 		switch o.Status {
 		case Tested:
 			m.stats.Tested++
@@ -218,12 +211,9 @@ func (rr *RemoteRun) AddEffort(d Stats) {
 // Run drives the distributed run: it cuts the pass into work units exactly
 // like a local run and hands them to dispatch, which must not return before
 // every unit of the pass has been processed and applied (see the
-// synchronization contract on RemoteRun).  After the pass it finishes
-// exactly like RunSharded: pending faults are swept up (carrying
-// the cancellation cause when ctx ended the run), the test set is merged in
-// canonical fault order, simulation drops are reconciled against the merged
-// set, and the run's patterns are statically compacted.  The results are
-// input-ordered: result i belongs to fault i.
+// synchronization contract on RemoteRun).  After the pass it ends exactly
+// like RunSharded (see mergeRun), on the master's simulator.  The results
+// are input-ordered: result i belongs to fault i.
 func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit)) []FaultResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -232,47 +222,8 @@ func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit))
 	if len(rr.recs) > 0 && ctx.Err() == nil {
 		dispatch(m.opts.cut(len(rr.recs)))
 	}
-	m.finish(ctx, rr.recs)
-	rr.mergeOutcomes()
-	sims := []*faultsim.Simulator{m.sim}
-	m.reconcileDrops(sims, rr.results)
-	if ctx.Err() == nil {
-		m.compactRun(sims, rr.faults, rr.results, rr.base)
-	}
+	m.mergeRun(ctx, []*faultsim.Simulator{m.sim}, rr.faults, rr.results, rr.recs)
 	return rr.results
-}
-
-// mergeOutcomes reassembles the workers' patterns on the master in canonical
-// fault order: walking the results by fault input index, every Tested
-// fault's pattern is appended to the master's test set, so the merged set is
-// a pure function of the per-fault outcomes — independent of which worker
-// processed which unit, of lease requeues and of result arrival order — and
-// identical to the merged set of a local sharded run with the same
-// per-fault outcomes.  DetectedBySim faults keep index -1 here and get the
-// first detecting pattern of the merged set from reconcileDrops.
-//
-//atpgvet:deterministic
-func (rr *RemoteRun) mergeOutcomes() {
-	m := rr.master
-	for i := range rr.results {
-		r := &rr.results[i]
-		if r.Status != Tested {
-			continue
-		}
-		o := rr.outcomes[i]
-		idx := m.testSet.Len()
-		target := rr.faults[i].Describe(m.c)
-		if m.opts.EmitUnfilled && o.Raw.Len() > 0 {
-			m.testSet.AddUnfilled(o.Test, o.Raw, target)
-		} else {
-			m.testSet.Add(o.Test, target)
-		}
-		r.PatternIndex = idx
-	}
-	// Merged patterns are final results of a completed run: they must not be
-	// re-simulated by a later sequential Run on the master.
-	m.lastSimmed = m.testSet.Len()
-	m.newPatterns = 0
 }
 
 // EffortDelta returns the search-effort counters accumulated between the
@@ -298,14 +249,13 @@ func (s Stats) EffortDelta(prev Stats) Stats {
 // appended to the generator's accumulated test set and the returned results
 // have their pattern indices rebased onto it; the input slices are not
 // mutated.  Later local runs on the same generator compose as usual
-// (patterns accumulate, imported patterns are never re-simulated).
+// (patterns accumulate, and a run's workers never simulate an earlier run's
+// patterns).
 func (g *Generator) ImportRemoteRun(results []FaultResult, set *pattern.Set, stats Stats) []FaultResult {
 	base := g.testSet.Len()
 	if set != nil {
 		g.testSet.Append(set)
 	}
-	g.lastSimmed = g.testSet.Len()
-	g.newPatterns = 0
 	g.stats.Add(stats)
 	out := make([]FaultResult, len(results))
 	copy(out, results)

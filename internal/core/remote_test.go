@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"strings"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -61,11 +61,12 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 // TestRemoteRunMatchesLocal is the distributed counterpart of
 // TestShardedMatchesSequential: a RemoteRun dispatched to in-process remote
 // workers must classify every fault like the local sharded engine with the
-// same options.  With the interleaved simulation off, unit outcomes are pure
-// functions of the unit, so statuses, phases, pattern indices, the
-// serialized test set and the search counts must all be bit-identical; with
-// it on, outcomes depend on pattern arrival order, so — as across local
-// workers — the coverage class and the redundancy proofs must match.
+// same options, at one and at two local workers.  With the interleaved
+// simulation off, unit outcomes are pure functions of the unit, so
+// statuses, phases, pattern indices, the written test set and the search
+// counts must all be bit-identical; with it on, outcomes depend on pattern
+// arrival order, so — as across local workers — the coverage class and the
+// redundancy proofs must match.
 func TestRemoteRunMatchesLocal(t *testing.T) {
 	for _, name := range []string{"c17", "paper", "redundant", "adder8", "c432"} {
 		c, err := bench.Get(name)
@@ -82,52 +83,46 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 			opts.FaultSimInterval = simInterval
 			opts.Compaction = compact.Reverse
 
-			local := New(c, opts)
-			want := RunSharded(context.Background(), local, faults, 2)
-
 			master := New(c, opts)
 			rr := NewRemoteRun(master, faults)
 			got := dispatchInProcess(context.Background(), rr, master, faults, 2)
-
-			if len(got) != len(want) {
+			if len(got) != len(faults) {
 				t.Fatalf("%s sim=%d: %d remote results for %d faults", name, simInterval, len(got), len(faults))
 			}
-			for i := range got {
+
+			for _, workers := range []int{1, 2} {
+				tag := fmt.Sprintf("%s sim=%d workers=%d", name, simInterval, workers)
+				local := New(c, opts)
+				want := RunSharded(context.Background(), local, faults, workers)
+				for i := range got {
+					if simInterval == 0 {
+						if got[i].Status != want[i].Status || got[i].Phase != want[i].Phase {
+							t.Errorf("%s: fault %s is %v/%v remote, %v/%v local",
+								tag, got[i].Fault.Key(), got[i].Status, got[i].Phase, want[i].Status, want[i].Phase)
+						}
+						if got[i].PatternIndex != want[i].PatternIndex {
+							t.Errorf("%s: fault %s pattern index %d remote, %d local",
+								tag, got[i].Fault.Key(), got[i].PatternIndex, want[i].PatternIndex)
+						}
+					} else if classOf(got[i].Status) != classOf(want[i].Status) {
+						t.Errorf("%s: fault %s is %v remote, %v local (coverage class moved)",
+							tag, got[i].Fault.Key(), got[i].Status, want[i].Status)
+					}
+				}
 				if simInterval == 0 {
-					if got[i].Status != want[i].Status || got[i].Phase != want[i].Phase {
-						t.Errorf("%s sim=0: fault %s is %v/%v remote, %v/%v local",
-							name, got[i].Fault.Key(), got[i].Status, got[i].Phase, want[i].Status, want[i].Phase)
+					if ls, rs := writtenSet(t, local.TestSet()), writtenSet(t, master.TestSet()); ls != rs {
+						t.Errorf("%s: written test sets differ at %s", tag, firstLineDiff(rs, ls))
 					}
-					if got[i].PatternIndex != want[i].PatternIndex {
-						t.Errorf("%s sim=0: fault %s pattern index %d remote, %d local",
-							name, got[i].Fault.Key(), got[i].PatternIndex, want[i].PatternIndex)
+					ls, rs := local.Stats(), master.Stats()
+					if ls.Tested != rs.Tested || ls.Redundant != rs.Redundant ||
+						ls.Aborted != rs.Aborted || ls.Patterns != rs.Patterns ||
+						searchCounts(ls) != searchCounts(rs) {
+						t.Errorf("%s: stats differ: local %+v remote %+v", tag, ls, rs)
 					}
-				} else if classOf(got[i].Status) != classOf(want[i].Status) {
-					t.Errorf("%s sim=%d: fault %s is %v remote, %v local (coverage class moved)",
-						name, simInterval, got[i].Fault.Key(), got[i].Status, want[i].Status)
 				}
-			}
-			if simInterval == 0 {
-				var lb, rb strings.Builder
-				if err := local.TestSet().Write(&lb); err != nil {
-					t.Fatal(err)
+				if lc, rc := local.Stats().Coverage(), master.Stats().Coverage(); lc != rc {
+					t.Errorf("%s: coverage %v remote, %v local", tag, rc, lc)
 				}
-				if err := master.TestSet().Write(&rb); err != nil {
-					t.Fatal(err)
-				}
-				if lb.String() != rb.String() {
-					t.Errorf("%s sim=0: merged test sets differ:\nlocal:\n%s\nremote:\n%s",
-						name, lb.String(), rb.String())
-				}
-				ls, rs := local.Stats(), master.Stats()
-				if ls.Tested != rs.Tested || ls.Redundant != rs.Redundant ||
-					ls.Aborted != rs.Aborted || ls.Patterns != rs.Patterns ||
-					searchCounts(ls) != searchCounts(rs) {
-					t.Errorf("%s sim=0: stats differ: local %+v remote %+v", name, ls, rs)
-				}
-			}
-			if lc, rc := local.Stats().Coverage(), master.Stats().Coverage(); lc != rc {
-				t.Errorf("%s sim=%d: coverage %v remote, %v local", name, simInterval, rc, lc)
 			}
 		}
 	}
@@ -175,7 +170,7 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 			st.Patterns, master.TestSet().Len(), st.Tested)
 	}
 	seq := New(c, opts)
-	want := seq.Run(context.Background(), faults)
+	want := RunSharded(context.Background(), seq, faults, 1)
 	for i := range results {
 		if results[i].Status != want[i].Status {
 			t.Errorf("fault %s: %v remote, %v sequential", results[i].Fault.Key(), results[i].Status, want[i].Status)

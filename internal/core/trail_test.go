@@ -28,7 +28,7 @@ func TestTrailFramesClosedAfterRun(t *testing.T) {
 			// that opens trail frames — would never run.
 			opts.UseFPTPG = false
 			g := New(c, opts)
-			g.Run(context.Background(), paths.EnumerateFaults(c, 0))
+			RunSharded(context.Background(), g, paths.EnumerateFaults(c, 0), 1)
 			if d := g.st.Depth(); d != 0 {
 				t.Errorf("%s (budget %d): %d trail frames still open after Run", c.Name, budget, d)
 			}

@@ -49,7 +49,9 @@ type Config struct {
 	MaxBacktracks int
 	// Workers shards every generator run across this many goroutines
 	// (core-level parallelism on top of the word-level bit parallelism).
-	// 0 or 1 runs the sequential generator of the paper.
+	// 0 or 1 runs one worker, which drops detected faults after every L
+	// patterns as the paper's generator does; every count ends its runs
+	// with the same canonical merge of the test set.
 	Workers int
 	// Compact selects the static test-set compaction applied after every
 	// generator run (compact.None disables it, the default).
@@ -96,7 +98,7 @@ func (cfg Config) normalize() Config {
 }
 
 // runGenerator builds a generator and runs it over the faults, sharded
-// across cfg.Workers goroutines (1 = the plain sequential run).
+// across cfg.Workers goroutines.
 func (cfg Config) runGenerator(c *circuit.Circuit, opts core.Options, faults []paths.Fault) *core.Generator {
 	g := core.New(c, opts)
 	core.RunSharded(context.Background(), g, faults, cfg.Workers)

@@ -257,28 +257,6 @@ func (s *Set) Append(other *Set) int {
 	return base
 }
 
-// AddFrom appends pair i of other — with its target description and, when
-// tracked by either set, its unfilled form — to s and returns the index it
-// received.  It is the single-pair counterpart of Append, used by the
-// sharded merge to reassemble worker sets in canonical fault order.  The
-// pair is shared, not copied (pairs are immutable after generation).
-//
-//atpgvet:deterministic
-func (s *Set) AddFrom(other *Set, i int) int {
-	idx := len(s.Pairs)
-	if s.Unfilled != nil || other.Unfilled != nil {
-		s.trackUnfilled()
-		s.Unfilled = append(s.Unfilled, other.UnfilledAt(i))
-	}
-	s.Pairs = append(s.Pairs, other.Pairs[i])
-	target := ""
-	if i < len(other.Targets) {
-		target = other.Targets[i]
-	}
-	s.Targets = append(s.Targets, target)
-	return idx
-}
-
 // Slice returns a new set holding the pairs from index from on (sharing the
 // underlying pairs, which are immutable after generation).
 func (s *Set) Slice(from int) *Set {

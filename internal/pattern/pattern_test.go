@@ -273,45 +273,6 @@ func TestAppendKeepsUnfilled(t *testing.T) {
 	}
 }
 
-// TestAddFrom checks the single-pair merge primitive the canonical-order
-// sharded merge is built on: the pair arrives with its target and unfilled
-// form, in any tracking combination.
-func TestAddFrom(t *testing.T) {
-	p1, _ := ParsePair("00 -> 01")
-	u1, _ := ParsePair("x0 -> x1")
-	p2, _ := ParsePair("11 -> 10")
-
-	src := &Set{}
-	src.Add(p2, "plain")
-	src.AddUnfilled(p1, u1, "tracked")
-
-	dst := &Set{}
-	if idx := dst.AddFrom(src, 0); idx != 0 {
-		t.Fatalf("first AddFrom returned index %d", idx)
-	}
-	if idx := dst.AddFrom(src, 1); idx != 1 {
-		t.Fatalf("second AddFrom returned index %d", idx)
-	}
-	if dst.Len() != 2 || dst.Targets[0] != "plain" || dst.Targets[1] != "tracked" {
-		t.Fatalf("AddFrom lost pairs or targets: len=%d targets=%v", dst.Len(), dst.Targets)
-	}
-	if dst.UnfilledAt(1).String() != u1.String() {
-		t.Errorf("AddFrom lost the unfilled form: %q", dst.UnfilledAt(1).String())
-	}
-	if dst.UnfilledAt(0).String() != p2.String() {
-		t.Errorf("backfilled unfilled form wrong: %q", dst.UnfilledAt(0).String())
-	}
-
-	// An untracked source into an untracked destination stays untracked.
-	plain := &Set{}
-	plainSrc := &Set{}
-	plainSrc.Add(p2, "")
-	plain.AddFrom(plainSrc, 0)
-	if plain.Unfilled != nil {
-		t.Error("AddFrom invented unfilled tracking for untracked sets")
-	}
-}
-
 // TestSliceTruncate checks the window operations compaction splices with.
 func TestSliceTruncate(t *testing.T) {
 	s := &Set{InputNames: []string{"a", "b"}}

@@ -349,12 +349,36 @@ const (
 	maxResultsBody = 64 << 20
 )
 
-// decodeBody reads a request body of at most limit bytes and decodes it as
-// JSON into v.  A body of declared length is read by readSized, and one
-// declared over the limit is refused unread; a body of unknown length is
-// read to its end through the limit.  A body that is read is read to its
-// end, which is when net/http starts watching for the client to hang up.
+// bodyReadTimeout bounds the time a request body may take to arrive: a
+// client that declares a body and withholds it has its connection closed
+// then, instead of holding it and a handler for as long as it likes.  Two
+// minutes lets a 64 MiB body arrive at 0.6 MB/s.  A variable so that tests
+// can shrink it.
+var bodyReadTimeout = 2 * time.Minute
+
+// bodyDeadline sets the read deadline for the request body on w's
+// connection and returns the function that clears it, which the caller
+// calls once the body is read to its end: a deadline left standing would
+// cancel the request's context when it passed, so a long-poll parked after
+// its body was read would end early.  A body that is refused or fails to
+// arrive keeps the deadline, which then also bounds net/http's discarding
+// of its unread rest: the connection is closed after the error reply.
+func bodyDeadline(w http.ResponseWriter) (clear func()) {
+	rc := http.NewResponseController(w)
+	if rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) != nil {
+		return func() {}
+	}
+	return func() { _ = rc.SetReadDeadline(time.Time{}) }
+}
+
+// decodeBody reads a request body of at most limit bytes, within
+// bodyReadTimeout (see bodyDeadline), and decodes it as JSON into v.  A body
+// of declared length is read by readSized, and one declared over the limit
+// is refused unread; a body of unknown length is read to its end through
+// the limit.  A body that is read is read to its end, which is when
+// net/http starts watching for the client to hang up.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	clear := bodyDeadline(w)
 	var body []byte
 	var err error
 	switch n := r.ContentLength; {
@@ -368,6 +392,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	if err != nil {
 		return err
 	}
+	clear()
 	return json.Unmarshal(body, v)
 }
 
@@ -738,12 +763,21 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Unknown fields are rejected, not ignored: a client sending an option
 	// this coordinator does not know would otherwise get a different run
 	// than it asked for.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	body := http.MaxBytesReader(w, r.Body, maxSubmitBody)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	clear := bodyDeadline(w)
+	err := dec.Decode(&req)
+	if err == nil {
+		// Read to the end within the deadline: once it is cleared, net/http
+		// would wait without one for declared bytes after the JSON value.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if err != nil {
 		writeBodyErr(w, err)
 		return
 	}
+	clear()
 	coreOpts, err := req.Options.ToCore()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad-options", err.Error())

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -651,5 +652,72 @@ func TestFollowReconnects(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, feed.Events) {
 		t.Fatalf("Follow delivered %d events that differ from the feed's %d (lost, doubled or reordered)", len(got), len(feed.Events))
+	}
+}
+
+// TestServiceBodyDeadline: a lease request that declares more bytes than it
+// sends is answered 400 and has its connection closed once bodyReadTimeout
+// passes, while a lease that sent its body and stays parked for longer than
+// bodyReadTimeout still gets its units: the deadline is cleared once the
+// body is read.
+func TestServiceBodyDeadline(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 200 * time.Millisecond
+	ctx := budget(t)
+	co, url := loopback(t, Config{}, nil)
+
+	type reply struct {
+		lease LeaseResponse
+		code  int
+		err   error
+	}
+	parkedLease := make(chan reply, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+API+"/lease",
+			strings.NewReader(`{"worker":"parked","max_units":100,"wait_ms":4000}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			parkedLease <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var l LeaseResponse
+		err = json.NewDecoder(resp.Body).Decode(&l)
+		parkedLease <- reply{l, resp.StatusCode, err}
+	}()
+	parked(ctx, t, &co.work)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(testBudget)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST "+API+"/lease HTTP/1.1\r\nHost: coordinator\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"worker\":"); err != nil {
+		t.Fatal(err)
+	}
+	answer, err := io.ReadAll(conn)
+	closed := time.Since(start)
+	if err != nil {
+		t.Fatalf("withheld body: connection still open after %v (%v)", closed, err)
+	}
+	if closed < bodyReadTimeout {
+		t.Errorf("withheld body: connection closed after %v, before the %v deadline", closed, bodyReadTimeout)
+	}
+	if !bytes.HasPrefix(answer, []byte("HTTP/1.1 400 ")) {
+		t.Errorf("withheld body answered %q, want 400", answer)
+	}
+
+	// The parked lease has now waited past the deadline; a job's units
+	// must still reach it.
+	time.Sleep(2 * bodyReadTimeout)
+	submitC17(ctx, t, NewClient(url), 4)
+	r := <-parkedLease
+	if r.err != nil || r.code != http.StatusOK || len(r.lease.Units) == 0 {
+		t.Fatalf("lease parked past the body deadline: code %d, %d units, err %v", r.code, len(r.lease.Units), r.err)
 	}
 }
