@@ -1,7 +1,7 @@
 // The repository-level benchmarks regenerate every table and figure of the
-// paper's evaluation (see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-versus-measured results).  They live in the atpg
-// package directory because the public facade is the layer they exercise.
+// paper's evaluation (docs/ARCHITECTURE.md, "Paper-section map", names the
+// package behind each table).  They live in the atpg package directory
+// because the public facade is the layer they exercise.
 //
 // The benchmarks run the same harness code as cmd/experiments, but on
 // scaled-down circuit stand-ins and smaller fault samples so that

@@ -107,10 +107,9 @@ func RunCompactionAblation(cfg ExperimentConfig) []AblationRow {
 }
 
 // RunGroupingAblation re-runs the Tables 5/6 comparison with fault-serial
-// (L=1), fixed-wide and two-pass adaptive grouping, under both the
-// incremental event-driven implication engine and the retained full-sweep
-// oracle — the honest re-measurement of the paper's width economics on the
-// new cost model.
+// (L=1) and fixed-wide grouping, under both the incremental event-driven
+// implication engine and the retained full-sweep oracle — the honest
+// re-measurement of the paper's width economics on the new cost model.
 func RunGroupingAblation(cfg ExperimentConfig) []GroupingRow {
 	return harness.RunGroupingAblation(cfg)
 }

@@ -47,19 +47,16 @@ func main() {
 		role = flag.String("role", "coordinator", "process role: coordinator or worker")
 
 		// Coordinator flags.
-		listen        = flag.String("listen", "127.0.0.1:9090", "coordinator listen address")
-		ledger        = flag.String("ledger", "", "directory for per-job ledger files (empty = no persistence, jobs are not resumable)")
-		compactAt     = flag.Int64("compact-watermark", 0, "ledger bytes that trigger a snapshot-and-truncate compaction (0 = 16MB default, negative = only compact on resume)")
-		leaseTTL      = flag.Duration("lease", 30*time.Second, "work unit lease time-to-live; expired leases are requeued")
-		exchangeCap   = flag.Int("exchange-cap", 4096, "bound on the buffered cross-worker pattern exchange (oldest dropped first)")
-		maxActive     = flag.Int("max-active", 4, "jobs generating concurrently; further jobs queue")
-		cacheSize     = flag.Int("cache", 0, "compiled-circuit cache capacity (0 = default)")
-		unitsPerLease = flag.Int("units-per-lease", 4, "max work units handed out per lease request")
+		listen    = flag.String("listen", "127.0.0.1:9090", "coordinator listen address")
+		ledger    = flag.String("ledger", "", "directory for per-job ledger files (empty = no persistence, jobs are not resumable)")
+		compactAt = flag.Int64("compact-watermark", 0, "ledger bytes that trigger a snapshot-and-truncate compaction (0 = 16MB default, negative = only compact on resume)")
+		leaseTTL  = flag.Duration("lease", 30*time.Second, "work unit lease time-to-live; expired leases are requeued")
+		maxActive = flag.Int("max-active", 4, "jobs generating concurrently; further jobs queue")
+		cacheSize = flag.Int("cache", 0, "compiled-circuit cache capacity (0 = default)")
 
 		// Worker flags.
 		coordinator = flag.String("coordinator", "http://127.0.0.1:9090", "coordinator base URL (worker role)")
 		id          = flag.String("id", "", "worker ID; must be unique per fleet (default: host/pid derived)")
-		maxUnits    = flag.Int("max-units", 4, "units requested per lease (worker role)")
 
 		// Shared.
 		chaosSpec = flag.String("chaos", "", "fault-injection spec, e.g. seed=7,drop=0.1,sever=0.05,tear=0.1,storm-after=200 (empty = off)")
@@ -85,10 +82,8 @@ func main() {
 	case "coordinator":
 		err = runCoordinator(ctx, service.Config{
 			LeaseTTL:         *leaseTTL,
-			ExchangeCap:      *exchangeCap,
 			MaxActive:        *maxActive,
 			CacheSize:        *cacheSize,
-			UnitsPerLease:    *unitsPerLease,
 			LedgerDir:        *ledger,
 			CompactWatermark: *compactAt,
 			Chaos:            inj,
@@ -103,7 +98,6 @@ func main() {
 		wk := service.NewWorker(service.WorkerConfig{
 			Coordinator: *coordinator,
 			ID:          wid,
-			MaxUnits:    *maxUnits,
 			Transport:   inj.Transport(nil),
 		})
 		err = wk.Run(ctx)

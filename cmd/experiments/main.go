@@ -3,7 +3,8 @@
 // bit-parallel versus single-bit comparison on the ISCAS89-class suite
 // (Tables 5 and 6), the comparison against a conventional structural
 // generator (Tables 7 and 8), the headline speed-up summary, and the
-// ablation studies described in DESIGN.md.
+// ablation studies of internal/harness (-ablations and -grouping, see the
+// README's "Command-line tools").
 //
 // Usage:
 //

@@ -6,9 +6,9 @@
 // suites referenced by the paper.
 //
 // The original ISCAS netlists are not distributed with this repository; the
-// synthetic circuits substitute for them (see DESIGN.md).  A .bench parser is
-// available in the circuit package, so the real netlists can be used
-// unchanged when they are available.
+// synthetic circuits substitute for them (see Profile and Synthesize).  A
+// .bench parser is available in the circuit package, so the real netlists
+// can be used unchanged when they are available.
 package bench
 
 import (

@@ -40,9 +40,9 @@ func allPairs(c *circuit.Circuit) []pattern.Pair {
 }
 
 // oracleCircuits are small circuits without XOR gates (the generator fixes
-// XOR side inputs at stable 0 by convention, which is deliberately
-// conservative; see DESIGN.md) so exact agreement with the brute-force
-// oracle is required.
+// XOR side inputs at stable 0 by convention, which can prove a testable
+// fault redundant; see docs/ARCHITECTURE.md, "XOR side inputs") so exact
+// agreement with the brute-force oracle is required.
 func oracleCircuits(t *testing.T) []*circuit.Circuit {
 	t.Helper()
 	b := circuit.NewBuilder("mix5")

@@ -6,7 +6,7 @@
 // comparison tools are unavailable, so the harness substitutes synthetic
 // circuits with matching structural profiles, a selectable word width, and a
 // conventional structural single-fault generator as the stand-in comparator
-// (see DESIGN.md).  Absolute numbers therefore differ from the paper; the
+// (see bench.Profile and bench.Synthesize).  Absolute numbers therefore differ from the paper; the
 // quantities that are expected to reproduce are the *shapes*: complete or
 // near-complete efficiency, bit-parallel speed-ups over the single-bit
 // generator, and a reduction of aborted faults.

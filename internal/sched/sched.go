@@ -30,8 +30,6 @@ type Unit struct {
 
 // Stats aggregates the dispatch behavior of one or more scheduler loads.
 type Stats struct {
-	// Passes counts scheduler loads (1 per generation pass).
-	Passes int
 	// Units counts the work units dispatched.
 	Units int
 	// Steals counts units a worker took from another worker's queue.
@@ -46,7 +44,6 @@ type Stats struct {
 
 // Add accumulates the counters of another load into s.
 func (s *Stats) Add(o Stats) {
-	s.Passes += o.Passes
 	s.Units += o.Units
 	s.Steals += o.Steals
 	s.IdleUnits += o.IdleUnits
@@ -54,13 +51,12 @@ func (s *Stats) Add(o Stats) {
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("passes=%d units=%d steals=%d idle-units=%d",
-		s.Passes, s.Units, s.Steals, s.IdleUnits)
+	return fmt.Sprintf("units=%d steals=%d idle-units=%d", s.Units, s.Steals, s.IdleUnits)
 }
 
 // Scheduler hands out the loaded units to workers.  Next is safe for
-// concurrent use by the workers; Load is not (load between passes, with the
-// workers quiesced).
+// concurrent use by the workers; Load is not (load before the workers
+// start).
 type Scheduler struct {
 	mu     sync.Mutex
 	queues [][]Unit // queues[w][heads[w]:] is worker w's pending FIFO
@@ -84,12 +80,11 @@ func (s *Scheduler) Workers() int { return len(s.queues) }
 
 // Load distributes the units across the worker queues: contiguous runs of
 // units, balanced by fault count (the near-even contiguous fault sharding).
-// It resets any previous load; call it once per pass, with the workers
+// It resets any previous load; call it once per run, with the workers
 // quiesced.
 func (s *Scheduler) Load(units []Unit) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Passes++
 	s.stats.Units += len(units)
 
 	remWeight := 0

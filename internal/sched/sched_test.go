@@ -168,9 +168,9 @@ func TestConcurrentDrainIsComplete(t *testing.T) {
 }
 
 func TestStatsAdd(t *testing.T) {
-	a := Stats{Passes: 1, Units: 10, Steals: 2, IdleUnits: 3}
-	a.Add(Stats{Passes: 1, Units: 5, Steals: 1, IdleUnits: 4})
-	if a.Passes != 2 || a.Units != 15 || a.Steals != 3 || a.IdleUnits != 7 {
+	a := Stats{Units: 10, Steals: 2, IdleUnits: 3}
+	a.Add(Stats{Units: 5, Steals: 1, IdleUnits: 4})
+	if a.Units != 15 || a.Steals != 3 || a.IdleUnits != 7 {
 		t.Errorf("Stats.Add gave %+v", a)
 	}
 }

@@ -119,8 +119,7 @@ func BenchmarkWireJob(b *testing.B) {
 // c880 job, the bench's service-loopback job: each iteration fetches the
 // job's spec and its results through the client from an httptest server
 // that answers with writeJSON, and posts one lease's unit results (four
-// units of 64 faults, with the tested faults' patterns), which the server
-// reads as the coordinator does.  The run that produces the results happens
+// units of 64 faults), which the server reads as the coordinator does.  The run that produces the results happens
 // once, outside the timer.  KB/op is the three bodies' size.
 func BenchmarkWireHTTP(b *testing.B) {
 	c, text := benchText(b, "c880")
@@ -141,18 +140,14 @@ func BenchmarkWireHTTP(b *testing.B) {
 	for i, r := range results {
 		final.Results = append(final.Results, EncodeResult(i, r, r.PatternIndex))
 	}
-	post := PostResults{Worker: "w1", Pass: 1}
+	post := PostResults{Worker: "w1"}
 	for u := 0; u < 4; u++ {
 		ur := UnitResult{ID: u}
 		for i := 64 * u; i < 64*(u+1); i++ {
 			r := results[i]
-			ur.Faults = append(ur.Faults, i)
 			ur.Outcomes = append(ur.Outcomes, EncodeOutcome(core.RemoteOutcome{
 				Status: r.Status, Phase: r.Phase, Decisions: r.Decisions, Backtracks: r.Backtracks, Test: r.Test,
 			}))
-			if r.Status == core.Tested {
-				post.Patterns = append(post.Patterns, WirePattern{Worker: "w1", Test: r.Test.String()})
-			}
 		}
 		post.Units = append(post.Units, ur)
 	}

@@ -42,7 +42,7 @@ var ErrReplyTooLarge = retry.Permanent(fmt.Errorf("service: reply exceeds %d byt
 // these replace.
 const (
 	// opTimeout bounds one attempt of a short control-plane call
-	// (cancel, spec, patterns, posting results).
+	// (cancel, spec, posting results).
 	opTimeout = 15 * time.Second
 	// submitTimeout bounds one submit attempt, which may carry the full
 	// bench text and pay for parse + levelization on the coordinator.
@@ -418,7 +418,7 @@ func (cl *Client) CircuitBench(ctx context.Context, hash string) (string, error)
 // the request for up to wait until one is leasable (0 answers at once).  ok
 // is false when nothing was leasable within the wait (HTTP 204).  Retrying
 // a lost lease is safe: if the grant never arrived, its TTL expires and the
-// units requeue.
+// units requeue, and the exchange patterns it carried only forgo drops.
 func (cl *Client) Lease(ctx context.Context, worker string, maxUnits int, wait time.Duration) (LeaseResponse, bool, error) {
 	var resp LeaseResponse
 	req := LeaseRequest{Worker: worker, MaxUnits: maxUnits, WaitMS: int(wait.Milliseconds())}
@@ -427,14 +427,6 @@ func (cl *Client) Lease(ctx context.Context, worker string, maxUnits int, wait t
 		return resp, false, err
 	}
 	return resp, code == http.StatusOK, nil
-}
-
-// Patterns fetches the job's pattern-exchange delta since the cursor.
-func (cl *Client) Patterns(ctx context.Context, jobID string, from int) (PatternsResponse, error) {
-	var resp PatternsResponse
-	path := fmt.Sprintf("/jobs/%s/patterns?from=%d", jobID, from)
-	_, err := cl.call(ctx, cl.wide, opTimeout, http.MethodGet, path, nil, &resp)
-	return resp, err
 }
 
 // PostUnitResults reports a batch of processed units.  Retrying a post whose

@@ -19,7 +19,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/paths"
-	"repro/internal/pattern"
 	"repro/internal/sched"
 )
 
@@ -50,18 +49,11 @@ type Config struct {
 	LeaseTTL time.Duration
 	// ExpireInterval is the requeue sweep period.  Default LeaseTTL/4.
 	ExpireInterval time.Duration
-	// ExchangeCap bounds the cross-worker pattern exchange buffer per job;
-	// older patterns age out (workers merely lose drop opportunities).
-	// Default 4096.
-	ExchangeCap int
 	// MaxActive bounds how many jobs generate concurrently; the rest queue.
 	// Default 4.
 	MaxActive int
 	// CacheSize bounds the compiled-circuit cache.  Default 64.
 	CacheSize int
-	// UnitsPerLease is the default batch size when a lease request does not
-	// name one.  Default 4.
-	UnitsPerLease int
 	// LedgerDir, when set, persists a JSONL unit ledger per job and resumes
 	// incomplete jobs on startup.
 	LedgerDir string
@@ -89,14 +81,8 @@ func (cfg Config) withDefaults() Config {
 			cfg.ExpireInterval = 50 * time.Millisecond
 		}
 	}
-	if cfg.ExchangeCap <= 0 {
-		cfg.ExchangeCap = 4096
-	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 4
-	}
-	if cfg.UnitsPerLease <= 0 {
-		cfg.UnitsPerLease = 4
 	}
 	if cfg.CompactWatermark == 0 {
 		cfg.CompactWatermark = 16 << 20
@@ -122,8 +108,8 @@ type Coordinator struct {
 	sem  chan struct{} // bounds concurrently generating jobs
 	wg   sync.WaitGroup
 
-	// work fires whenever units may have become leasable: a pass starts or
-	// the expiry sweep requeues units.  Parked leases wait on it.
+	// work fires whenever units may have become leasable: a job's pass
+	// starts or the expiry sweep requeues units.  Parked leases wait on it.
 	work broadcast
 	// drain is closed when shutdown begins (BeginShutdown).
 	drain     chan struct{}
@@ -152,20 +138,20 @@ type job struct {
 	cancel context.CancelCauseFunc
 	ledger *Ledger
 	replay *LedgerJob // recorded progress to restore; nil for fresh jobs
-	exch   *ring
+	simOn  bool       // the job runs the interleaved simulation
 
-	mu         sync.Mutex
-	state      string
-	stateSig   broadcast // fires on every state change
-	rr         *core.RemoteRun
-	pass       *passState // current pass, nil between passes
-	passSeq    int
-	leaseStats sched.LeaseStats // accumulated over finished passes
-	replayed   int              // units restored from the ledger
-	results    []WireResult
-	testsText  string
-	stats      core.Stats
-	err        string // why a failed job failed
+	mu        sync.Mutex
+	state     string
+	stateSig  broadcast // fires on every state change
+	rr        *core.RemoteRun
+	pass      *passState       // the pass while it is dispatched, nil before and after
+	leases    sched.LeaseStats // the pass's lease counters once it is over
+	exch      exchange
+	replayed  int // units restored from the ledger
+	results   []WireResult
+	testsText string
+	stats     core.Stats
+	err       string // why a failed job failed
 
 	evMu   sync.Mutex
 	events []WireResult
@@ -173,53 +159,52 @@ type job struct {
 	evSig  broadcast // fires on every append and when the feed closes
 }
 
-// passState is the leasable surface of the pass currently being dispatched.
+// passState is the leasable surface of the job's pass while it is
+// dispatched: the lease queue and the unit cut it hands out.
 type passState struct {
-	seq   int
 	q     *sched.LeaseQueue
 	units []sched.Unit
 }
 
-// ring is the bounded cross-worker pattern exchange of one job.  Patterns
-// are addressed by a monotonically growing cursor; entries that age out of
-// the window are counted as dropped (backpressure, not an error — a worker
-// that misses foreign patterns only forgoes drop opportunities).
-type ring struct {
-	mu      sync.Mutex
-	cap     int
-	base    int
-	buf     []WirePattern
-	dropped int
+// exchangeCap bounds the patterns a job's exchange holds.
+const exchangeCap = 4096
+
+// exchange is the cross-worker pattern exchange of a job that simulates:
+// the tests of its applied tested outcomes, each with the worker that
+// reported it, at positions that only grow.  Past exchangeCap patterns a
+// publish drops the oldest; a worker that misses them only forgoes drop
+// opportunities.  The job's mutex guards it.
+type exchange struct {
+	base    int // position of buf[0]
+	buf     []exchanged
+	cursors map[string]int // each worker's next position to read
 }
 
-func newRing(capacity int) *ring { return &ring{cap: capacity} }
+type exchanged struct{ worker, test string }
 
-func (r *ring) publish(ps []WirePattern) {
-	if len(ps) == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf = append(r.buf, ps...)
-	if over := len(r.buf) - r.cap; over > 0 {
-		r.buf = append([]WirePattern(nil), r.buf[over:]...)
-		r.base += over
-		r.dropped += over
+func (x *exchange) publish(worker, test string) {
+	x.buf = append(x.buf, exchanged{worker, test})
+	if over := len(x.buf) - exchangeCap; over > 0 {
+		x.buf = x.buf[over:]
+		x.base += over
 	}
 }
 
-func (r *ring) fetch(from int) (out []WirePattern, next, dropped int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if from < r.base {
-		dropped = r.base - from
-		from = r.base
+// since returns the tests published since the worker's previous call,
+// except its own, and moves the worker's cursor past them.  A cursor that
+// fell behind the oldest pattern held reads from there.
+func (x *exchange) since(worker string) []string {
+	if x.cursors == nil {
+		x.cursors = make(map[string]int)
 	}
-	if from > r.base+len(r.buf) {
-		from = r.base + len(r.buf)
+	var out []string
+	for _, e := range x.buf[max(x.cursors[worker], x.base)-x.base:] {
+		if e.worker != worker {
+			out = append(out, e.test)
+		}
 	}
-	out = append([]WirePattern(nil), r.buf[from-r.base:]...)
-	return out, r.base + len(r.buf), dropped
+	x.cursors[worker] = x.base + len(x.buf)
+	return out
 }
 
 // NewCoordinator builds a coordinator and, when the config names a ledger
@@ -280,7 +265,6 @@ func (co *Coordinator) routes() {
 	co.mux.HandleFunc("GET "+API+"/jobs/{id}/events", co.handleEvents)
 	co.mux.HandleFunc("GET "+API+"/jobs/{id}/results", co.handleResults)
 	co.mux.HandleFunc("POST "+API+"/jobs/{id}/results", co.handlePostResults)
-	co.mux.HandleFunc("GET "+API+"/jobs/{id}/patterns", co.handlePatterns)
 	co.mux.HandleFunc("GET "+API+"/jobs/{id}/spec", co.handleSpec)
 	co.mux.HandleFunc("GET "+API+"/circuits/{hash}", co.handleCircuit)
 	co.mux.HandleFunc("POST "+API+"/lease", co.handleLease)
@@ -424,7 +408,7 @@ func (co *Coordinator) addJob(j *job) {
 	jctx, cancel := context.WithCancelCause(co.ctx)
 	j.ctx, j.cancel = jctx, cancel
 	j.state = stateQueued
-	j.exch = newRing(co.cfg.ExchangeCap)
+	j.simOn = j.coreOpts.FaultSimInterval > 0
 	// Every fault settles exactly once, so the event log is made at its
 	// final size.
 	j.events = make([]WireResult, 0, len(j.faults))
@@ -531,17 +515,15 @@ func terminal(state string) bool {
 	return state == stateDone || state == stateCanceled || state == stateFailed
 }
 
-// runPass dispatches one pass's units through the lease queue and blocks
+// runPass dispatches the job's units through the lease queue and blocks
 // until every unit has completed (or the job is canceled).  It is the
 // dispatch callback of core.RemoteRun.Run, so returning is the pass barrier.
-// spec is recorded in the ledger with the pass's unit cut.
+// spec is recorded in the ledger with the unit cut.
 func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 	q := sched.NewLeaseQueue(units)
 	j.mu.Lock()
-	j.passSeq++
-	seq := j.passSeq
-	j.pass = &passState{seq: seq, q: q, units: units}
-	j.replayPassLocked(seq, spec, units, q)
+	j.pass = &passState{q: q, units: units}
+	j.replayLocked(spec)
 	j.mu.Unlock()
 	co.work.fire()
 
@@ -574,59 +556,78 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 	// outcome happened-before dispatch returns (see core.RemoteRun's
 	// synchronization contract).
 	j.mu.Lock()
-	st := q.Stats()
-	j.leaseStats.Leases += st.Leases
-	j.leaseStats.Completed += st.Completed
-	j.leaseStats.Requeues += st.Requeues
-	j.leaseStats.Duplicates += st.Duplicates
+	j.leases = q.Stats()
 	j.pass = nil
 	j.mu.Unlock()
 }
 
-// replayPassLocked restores recorded completions of this pass from the
-// ledger: matching units are completed and applied without dispatching any
-// work, so no patterns are re-generated for units merged before the restart.
-// Caller holds j.mu.
-func (j *job) replayPassLocked(seq int, spec WireSpec, units []sched.Unit, q *sched.LeaseQueue) {
-	cut := make([][]int, len(units))
-	for i, u := range units {
+// replayLocked restores the job's recorded unit completions from the ledger
+// when the recorded cut is the one the job computes now: each recorded unit
+// that passes the checks a live post gets goes through the same apply path,
+// without dispatching any work, so no patterns are re-generated for units
+// merged before the restart.  A unit that fails them is dispatched again.
+// Otherwise (no recorded cut, or options or code changed under the ledger)
+// the cut is recorded afresh, and the next load reads only the units
+// recorded after it.  Caller holds j.mu.
+func (j *job) replayLocked(spec WireSpec) {
+	ps := j.pass
+	cut := make([][]int, len(ps.units))
+	for i, u := range ps.units {
 		cut[i] = u.Faults
 	}
-	if j.replay != nil {
-		if lp, ok := j.replay.Passes[seq]; ok && passMatches(lp, spec, cut) {
-			for _, lu := range j.replay.Units[seq] {
-				if lu.Unit < 0 || lu.Unit >= len(units) {
-					continue
-				}
-				outs, err := DecodeOutcomes(lu.Outcomes)
-				if err != nil || len(outs) != len(units[lu.Unit].Faults) {
-					continue
-				}
-				if !q.Complete(lu.Unit) {
-					continue
-				}
-				j.rr.Apply(units[lu.Unit].Faults, outs)
-				j.replayed++
-				// Republish replayed patterns so live workers joining the
-				// resumed run still see them for claim sweeps.
-				var pats []WirePattern
-				for _, o := range outs {
-					if o.Status == core.Tested {
-						pats = append(pats, WirePattern{Worker: lu.Worker, Test: o.Test.String()})
-					}
-				}
-				j.exch.publish(pats)
-			}
-			// The pass record is already on disk; nothing to append.
-			return
-		}
-		// The recorded cut disagrees with the computed one (options or code
-		// changed under the ledger): discard the remaining replay and fall
-		// through to a fresh record.  Determinism makes this unreachable for
-		// an unchanged binary.
-		j.replay = nil
+	lj := j.replay
+	j.replay = nil
+	if lj == nil || lj.Pass == nil || !passMatches(*lj.Pass, spec, cut) {
+		j.ledger.RecordPass(spec, cut)
+		return
 	}
-	j.ledger.RecordPass(seq, spec, cut)
+	for _, lu := range lj.Units {
+		outs, err := j.checkUnit(ps, lu.Unit, lu.Outcomes)
+		if err == nil && j.applyUnit(ps, lu.Unit, lu.Worker, outs) {
+			j.replayed++
+		}
+	}
+}
+
+// checkUnit decodes a reported unit's outcomes and checks them against the
+// pass: the unit ID, one outcome per fault of the unit, and one value per
+// primary input in the patterns of every tested outcome.  Live posts and
+// ledger replay both check every unit here before applying it.
+func (j *job) checkUnit(ps *passState, id int, wire []WireOutcome) ([]core.RemoteOutcome, error) {
+	if id < 0 || id >= len(ps.units) {
+		return nil, fmt.Errorf("unit %d out of range", id)
+	}
+	if n := len(ps.units[id].Faults); len(wire) != n {
+		return nil, fmt.Errorf("unit %d: %d outcomes for %d faults", id, len(wire), n)
+	}
+	outs, err := DecodeOutcomes(wire)
+	if err == nil {
+		err = checkWidths(outs, len(j.c.Inputs()))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("unit %d: %w", id, err)
+	}
+	return outs, nil
+}
+
+// applyUnit is the one apply path of live posts and ledger replay: it
+// completes a checked unit and, on its first completion only, folds the
+// outcomes into the run and, when the job simulates, publishes the tests of
+// its tested outcomes to the exchange under the reporting worker.  It
+// reports whether the completion was the first.  Caller holds j.mu.
+func (j *job) applyUnit(ps *passState, id int, worker string, outs []core.RemoteOutcome) bool {
+	if !ps.q.Complete(id) {
+		return false
+	}
+	j.rr.Apply(ps.units[id].Faults, outs)
+	if j.simOn {
+		for _, o := range outs {
+			if o.Status == core.Tested {
+				j.exch.publish(worker, o.Test.String())
+			}
+		}
+	}
+	return true
 }
 
 func passMatches(lp LedgerPass, spec WireSpec, cut [][]int) bool {
@@ -857,12 +858,9 @@ func (co *Coordinator) statusOf(j *job) JobStatus {
 		CacheHit: j.cacheHit,
 		Replayed: j.replayed,
 	}
-	ls := j.leaseStats
+	ls := j.leases
 	if j.pass != nil {
-		cur := j.pass.q.Stats()
-		ls.Leases += cur.Leases
-		ls.Requeues += cur.Requeues
-		ls.Duplicates += cur.Duplicates
+		ls = j.pass.q.Stats()
 	}
 	j.mu.Unlock()
 	st.Leases, st.Requeues, st.Duplicates = ls.Leases, ls.Requeues, ls.Duplicates
@@ -971,17 +969,6 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (co *Coordinator) handlePatterns(w http.ResponseWriter, r *http.Request) {
-	j := co.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, "unknown-job", "no such job")
-		return
-	}
-	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
-	pats, next, dropped := j.exch.fetch(from)
-	writeJSON(w, http.StatusOK, PatternsResponse{Patterns: pats, Next: next, Dropped: dropped})
-}
-
 // handleLease hands out units of the oldest running job that has pending
 // work.  A request with a wait window parks until a unit is leasable; 204
 // means nothing was leasable within it.
@@ -999,7 +986,7 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	max := req.MaxUnits
 	if max <= 0 {
-		max = co.cfg.UnitsPerLease
+		max = unitsPerLease
 	}
 	var (
 		resp    LeaseResponse
@@ -1019,7 +1006,8 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // lease takes up to max units for worker from the oldest running job with
-// pending work.
+// pending work, with the tests the job's other workers reported since the
+// worker's previous lease of it.
 func (co *Coordinator) lease(worker string, max int) (LeaseResponse, bool) {
 	co.mu.Lock()
 	jobs := make([]*job, 0, len(co.order))
@@ -1038,11 +1026,9 @@ func (co *Coordinator) lease(worker string, max int) (LeaseResponse, bool) {
 			j.mu.Unlock()
 			continue
 		}
-		resp := LeaseResponse{
-			JobID: j.id,
-			Pass:  j.pass.seq,
-			TTLMS: co.cfg.LeaseTTL.Milliseconds(),
-			SimOn: j.coreOpts.FaultSimInterval > 0,
+		resp := LeaseResponse{JobID: j.id}
+		if j.simOn {
+			resp.Patterns = j.exch.since(worker)
 		}
 		for _, lu := range leased {
 			resp.Units = append(resp.Units, WireUnit{ID: lu.ID, Faults: lu.Unit.Faults})
@@ -1071,9 +1057,10 @@ func checkWidths(outs []core.RemoteOutcome, inputs int) error {
 	return nil
 }
 
-// handlePostResults folds a worker's batch into the run.  Completion and
-// Apply happen under j.mu — that, plus runPass re-acquiring j.mu after the
-// queue drains, is the happens-before barrier core.RemoteRun requires.
+// handlePostResults folds a worker's batch into the run through the apply
+// path ledger replay takes too (checkUnit, applyUnit).  Completion and Apply
+// happen under j.mu — that, plus runPass re-acquiring j.mu after the queue
+// drains, is the happens-before barrier core.RemoteRun requires.
 func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request) {
 	j := co.job(r.PathValue("id"))
 	if j == nil {
@@ -1093,58 +1080,30 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	ps := j.pass
-	if j.state != stateRunning || ps == nil || ps.seq != req.Pass {
+	if j.state != stateRunning || ps == nil {
 		j.mu.Unlock()
 		// At-least-once delivery meeting a finished pass: discard, no error.
 		writeJSON(w, http.StatusOK, PostResultsResponse{Stale: true})
 		return
 	}
-	// Validate everything before completing anything, so a malformed batch
-	// is rejected whole and the worker's retry is not a duplicate.
-	inputs := len(j.c.Inputs())
+	// Check everything before completing anything, so a malformed batch is
+	// refused whole and the worker's retry is not a duplicate.
 	decoded := make([][]core.RemoteOutcome, len(req.Units))
 	for i, ur := range req.Units {
-		if ur.ID < 0 || ur.ID >= len(ps.units) {
-			j.mu.Unlock()
-			writeErr(w, http.StatusBadRequest, "bad-unit", fmt.Sprintf("unit %d out of range", ur.ID))
-			return
-		}
-		if len(ur.Outcomes) != len(ps.units[ur.ID].Faults) {
-			j.mu.Unlock()
-			writeErr(w, http.StatusBadRequest, "bad-unit", fmt.Sprintf("unit %d: %d outcomes for %d faults", ur.ID, len(ur.Outcomes), len(ps.units[ur.ID].Faults)))
-			return
-		}
-		outs, err := DecodeOutcomes(ur.Outcomes)
-		if err == nil {
-			err = checkWidths(outs, inputs)
-		}
+		outs, err := j.checkUnit(ps, ur.ID, ur.Outcomes)
 		if err != nil {
 			j.mu.Unlock()
-			writeErr(w, http.StatusBadRequest, "bad-unit", fmt.Sprintf("unit %d: %v", ur.ID, err))
+			writeErr(w, http.StatusBadRequest, "bad-unit", err.Error())
 			return
 		}
 		decoded[i] = outs
 	}
-	for i, wp := range req.Patterns {
-		p, err := pattern.ParsePair(wp.Test)
-		if err == nil && p.Len() != inputs {
-			err = fmt.Errorf("%d values for %d inputs", p.Len(), inputs)
-		}
-		if err != nil {
-			j.mu.Unlock()
-			writeErr(w, http.StatusBadRequest, "bad-request", fmt.Sprintf("exchange pattern %d: %v", i, err))
-			return
-		}
-	}
-	j.exch.publish(req.Patterns)
 	j.rr.AddEffort(req.Effort)
 	for i, ur := range req.Units {
-		if !ps.q.Complete(ur.ID) {
-			continue // duplicate completion: first write won, skip
+		// A duplicate completion applies nothing: the first write won.
+		if j.applyUnit(ps, ur.ID, req.Worker, decoded[i]) {
+			j.ledger.RecordUnit(ur.ID, req.Worker, ur.Outcomes)
 		}
-		ufaults := ps.units[ur.ID].Faults
-		j.rr.Apply(ufaults, decoded[i])
-		j.ledger.RecordUnit(ps.seq, ur.ID, req.Worker, ufaults, ur.Outcomes)
 	}
 	// Snapshot-and-truncate a journal that outgrew the watermark; holding
 	// j.mu here keeps the snapshot consistent with the applied state.

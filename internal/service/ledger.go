@@ -19,13 +19,20 @@ import (
 // The ledger makes jobs resumable across coordinator restarts: one JSONL
 // file per job under the ledger directory records the job itself (circuit
 // text, options, faults — everything needed to re-run it), the unit cut of
-// every pass, each completed unit with its outcomes, and the terminal state.
+// its pass, each completed unit with its outcomes, and the terminal state.
 // On startup the coordinator replays incomplete ledgers: the job is rebuilt,
 // recorded unit completions are applied without re-dispatching them (no
 // patterns are re-generated for already-merged units), and only the
-// remainder is leased out.  Replay is sound because the pass cut is a
-// deterministic function of the (replayed) outcomes, and applying a
-// recorded outcome is exactly what applying the live report was.
+// remainder is leased out.  Replay is sound because the unit cut is a
+// deterministic function of the job's options and faults, and a recorded
+// unit goes through the checks and the apply path a live report does.
+//
+// A pass record starts the unit list afresh: a coordinator that finds a
+// recorded cut other than the one it computes records its own, and the
+// units recorded under the old cut never replay again.  Builds that ran an
+// escalating second pass journaled it with "seq" (and its units with
+// "pass") 2; the loader skips those records and reads the two fields for
+// nothing else.
 //
 // Records are appended, never rewritten in place; a torn final line (crash
 // mid-write) is ignored on load, and reopening a file with a torn tail
@@ -41,9 +48,9 @@ import (
 // long-lived coordinator; Compact (run on resume and when a job's journal
 // crosses the coordinator's size watermark) snapshots the replayable
 // content and truncates the file to exactly that: terminal jobs shrink to
-// a two-line stub, live jobs keep one record per pass and one per distinct
-// completed unit (first completion wins, mirroring replay), with the
-// redundant per-unit fault lists dropped — the pass cut already holds them.
+// a two-line stub, live jobs keep the pass record and one record per
+// distinct completed unit under it (first completion wins, mirroring
+// replay).
 
 // ledgerRecord is one JSONL line; T selects which fields are meaningful.
 type ledgerRecord struct {
@@ -57,17 +64,16 @@ type ledgerRecord struct {
 	Options *JobOptions `json:"options,omitempty"`
 	Faults  []WireFault `json:"faults,omitempty"`
 
-	// T == "pass"
+	// T == "pass"; Seq is read only, from the ledgers of escalating builds.
 	Seq   int       `json:"seq,omitempty"`
 	Spec  *WireSpec `json:"spec,omitempty"`
 	Units [][]int   `json:"units,omitempty"`
 
-	// T == "unit"
-	Pass       int           `json:"pass,omitempty"`
-	Unit       int           `json:"unit"`
-	Worker     string        `json:"worker,omitempty"`
-	UnitFaults []int         `json:"unit_faults,omitempty"`
-	Outcomes   []WireOutcome `json:"outcomes,omitempty"`
+	// T == "unit"; Pass is read only, as Seq is.
+	Pass     int           `json:"pass,omitempty"`
+	Unit     int           `json:"unit"`
+	Worker   string        `json:"worker,omitempty"`
+	Outcomes []WireOutcome `json:"outcomes,omitempty"`
 
 	// T == "state"
 	State string `json:"state,omitempty"`
@@ -180,14 +186,14 @@ func (l *Ledger) RecordJob(id, name, hash, bench string, opts JobOptions, faults
 	l.append(ledgerRecord{T: "job", ID: id, Name: name, Hash: hash, Bench: bench, Options: &opts, Faults: faults})
 }
 
-// RecordPass records the unit cut of one pass.
-func (l *Ledger) RecordPass(seq int, spec WireSpec, units [][]int) {
-	l.append(ledgerRecord{T: "pass", Seq: seq, Spec: &spec, Units: units})
+// RecordPass records the unit cut of the job's pass.
+func (l *Ledger) RecordPass(spec WireSpec, units [][]int) {
+	l.append(ledgerRecord{T: "pass", Spec: &spec, Units: units})
 }
 
 // RecordUnit records one completed unit with its outcomes.
-func (l *Ledger) RecordUnit(pass, unit int, worker string, faults []int, outcomes []WireOutcome) {
-	l.append(ledgerRecord{T: "unit", Pass: pass, Unit: unit, Worker: worker, UnitFaults: faults, Outcomes: outcomes})
+func (l *Ledger) RecordUnit(unit int, worker string, outcomes []WireOutcome) {
+	l.append(ledgerRecord{T: "unit", Unit: unit, Worker: worker, Outcomes: outcomes})
 }
 
 // RecordState records a terminal state ("done", "canceled" or "failed")
@@ -270,9 +276,8 @@ func compactLedgerFile(path string, before int64) (int64, error) {
 
 // renderCompact serializes the snapshot form of a loaded ledger: terminal
 // jobs keep only an identity stub and their state (enough for ID allocation
-// and the resume skip); live jobs keep the full job record, each pass cut,
-// and the first completion of each unit with the redundant per-unit fault
-// list dropped — replay reads fault indices from the pass cut.
+// and the resume skip); live jobs keep the full job record, the pass cut and
+// the first completion of each unit recorded under it.
 func renderCompact(lj *LedgerJob) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -286,22 +291,16 @@ func renderCompact(lj *LedgerJob) []byte {
 		T: "job", ID: lj.ID, Name: lj.Name, Hash: lj.Hash, Bench: lj.Bench,
 		Options: &opts, Faults: lj.Faults,
 	})
-	seqs := make([]int, 0, len(lj.Passes))
-	for seq := range lj.Passes {
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		lp := lj.Passes[seq]
+	if lp := lj.Pass; lp != nil {
 		spec := lp.Spec
-		_ = enc.Encode(ledgerRecord{T: "pass", Seq: seq, Spec: &spec, Units: lp.Units})
+		_ = enc.Encode(ledgerRecord{T: "pass", Spec: &spec, Units: lp.Units})
 		done := make(map[int]bool)
-		for _, lu := range lj.Units[seq] {
+		for _, lu := range lj.Units {
 			if done[lu.Unit] {
 				continue // duplicate completion: replay's first-wins drops it too
 			}
 			done[lu.Unit] = true
-			_ = enc.Encode(ledgerRecord{T: "unit", Pass: seq, Unit: lu.Unit, Worker: lu.Worker, Outcomes: lu.Outcomes})
+			_ = enc.Encode(ledgerRecord{T: "unit", Unit: lu.Unit, Worker: lu.Worker, Outcomes: lu.Outcomes})
 		}
 	}
 	return buf.Bytes()
@@ -336,25 +335,22 @@ type LedgerJob struct {
 	// not replayable: resume records the job failed with this error.  When
 	// the job record itself is that line, ID comes from the file name.
 	Err error
-	// Passes and Units hold the recorded pass cuts and unit completions,
-	// keyed by pass sequence number.
-	Passes map[int]LedgerPass
-	Units  map[int][]LedgerUnit
+	// Pass is the last recorded unit cut, nil when none was recorded, and
+	// Units the unit completions recorded after it, in journal order.
+	Pass  *LedgerPass
+	Units []LedgerUnit
 }
 
-// LedgerPass is a recorded pass cut.
+// LedgerPass is a recorded unit cut.
 type LedgerPass struct {
 	Spec  WireSpec
 	Units [][]int
 }
 
-// LedgerUnit is a recorded unit completion.  Faults is informational and
-// absent from compacted ledgers — replay takes the fault indices from the
-// pass cut, never from here.
+// LedgerUnit is a recorded unit completion.
 type LedgerUnit struct {
 	Unit     int
 	Worker   string
-	Faults   []int
 	Outcomes []WireOutcome
 }
 
@@ -426,21 +422,18 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 				Hash:   rec.Hash,
 				Bench:  rec.Bench,
 				Faults: rec.Faults,
-				Passes: make(map[int]LedgerPass),
-				Units:  make(map[int][]LedgerUnit),
 			}
 			if rec.Options != nil {
 				lj.Options = *rec.Options
 			}
 		case "pass":
-			if lj != nil && rec.Spec != nil {
-				lj.Passes[rec.Seq] = LedgerPass{Spec: *rec.Spec, Units: rec.Units}
+			if lj != nil && rec.Spec != nil && rec.Seq <= 1 {
+				lj.Pass = &LedgerPass{Spec: *rec.Spec, Units: rec.Units}
+				lj.Units = nil
 			}
 		case "unit":
-			if lj != nil {
-				lj.Units[rec.Pass] = append(lj.Units[rec.Pass], LedgerUnit{
-					Unit: rec.Unit, Worker: rec.Worker, Faults: rec.UnitFaults, Outcomes: rec.Outcomes,
-				})
+			if lj != nil && rec.Pass <= 1 {
+				lj.Units = append(lj.Units, LedgerUnit{Unit: rec.Unit, Worker: rec.Worker, Outcomes: rec.Outcomes})
 			}
 		case "state":
 			state, reason = rec.State, rec.Error

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,18 +20,16 @@ import (
 // driveWorker is a hand-cranked worker: it leases units one at a time,
 // processes them through a job-local generator and posts the results, until
 // it has completed n units or the job reaches a terminal state.  It returns
-// the unit IDs it processed, by pass — the exact accounting the resume test
-// needs to prove replayed units are never re-dispatched.
-func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circuit, n int) map[int][]int {
+// the unit IDs it processed — the exact accounting the resume test needs to
+// prove replayed units are never re-dispatched.
+func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circuit, n int) []int {
 	t.Helper()
 	ctx := context.Background()
 	var (
-		gen    *core.Generator
-		faults []paths.Fault
+		w         *crank
+		processed []int
 	)
-	processed := make(map[int][]int)
-	done := 0
-	for done < n {
+	for len(processed) < n {
 		lease, ok, err := cl.Lease(ctx, worker, 1, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -47,36 +46,20 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 			time.Sleep(5 * time.Millisecond)
 			continue
 		}
-		if gen == nil {
+		if w == nil {
 			spec, err := cl.Spec(ctx, lease.JobID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts, err := spec.Options.ToCore()
+			faults, err := DecodeFaults(c, spec.Faults)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen = core.New(c, opts)
-			if faults, err = DecodeFaults(c, spec.Faults); err != nil {
-				t.Fatal(err)
-			}
+			w = newCrank(t, cl, worker, c, spec.Options, faults)
 		}
-		post := PostResults{Worker: worker, Pass: lease.Pass}
-		for _, u := range lease.Units {
-			ufaults := make([]paths.Fault, len(u.Faults))
-			for i, fi := range u.Faults {
-				ufaults[i] = faults[fi]
-			}
-			prev := gen.Stats()
-			outs := gen.ProcessRemoteUnit(ctx, ufaults, nil)
-			post.Effort = gen.Stats().EffortDelta(prev)
-			wire := make([]WireOutcome, len(outs))
-			for i, o := range outs {
-				wire[i] = EncodeOutcome(o)
-			}
-			post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: wire})
-			processed[lease.Pass] = append(processed[lease.Pass], u.ID)
-			done++
+		post := w.process(ctx, lease)
+		for _, u := range post.Units {
+			processed = append(processed, u.ID)
 		}
 		if _, err := cl.PostUnitResults(ctx, lease.JobID, post); err != nil {
 			t.Fatal(err)
@@ -142,8 +125,8 @@ func TestServiceLedgerResume(t *testing.T) {
 	}
 	// No re-generated patterns for merged units: the pass has exactly one
 	// unit per fault, and worker B processed only the remainder.
-	if got, want := len(processed[1]), len(faults)-preCrash; got != want {
-		t.Fatalf("worker processed %d pass-1 units after resume, want %d (replayed units re-dispatched)", got, want)
+	if got, want := len(processed), len(faults)-preCrash; got != want {
+		t.Fatalf("worker processed %d units after resume, want %d (replayed units re-dispatched)", got, want)
 	}
 
 	resp, err := clB.Results(ctx, sub.JobID)
@@ -256,7 +239,7 @@ func TestServiceLedgerResumeLegacySpec(t *testing.T) {
 			if st.Replayed != tc.replayed {
 				t.Errorf("replayed %d units, want %d", st.Replayed, tc.replayed)
 			}
-			if got := len(processed[1]); got != tc.units {
+			if got := len(processed); got != tc.units {
 				t.Errorf("dispatched %d units after the resume, want %d", got, tc.units)
 			}
 			resp, err := cl.Results(ctx, "j1")
@@ -273,6 +256,137 @@ func TestServiceLedgerResumeLegacySpec(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resumeToEnd starts a coordinator on the ledger directory, drives one
+// hand-cranked worker through every unit the resumed job "j1" dispatches,
+// and returns the job's final status, its results and the units the worker
+// processed.
+func resumeToEnd(t *testing.T, dir string, c *circuit.Circuit) (JobStatus, ResultsResponse, []int) {
+	t.Helper()
+	ctx := context.Background()
+	co, err := NewCoordinator(Config{LedgerDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	srv := httptest.NewServer(co)
+	defer srv.Close()
+	cl := NewClient(srv.URL)
+	processed := driveWorker(t, cl, "w", "j1", c, 1<<30)
+	st, err := cl.Wait(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != stateDone {
+		t.Fatalf("resumed job finished in state %q (%s)", st.State, st.Error)
+	}
+	resp, err := cl.Results(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, resp, processed
+}
+
+// assertMatchesLocal checks a job's results against a fresh local run:
+// every status, and the merged test set byte for byte.
+func assertMatchesLocal(t *testing.T, c *circuit.Circuit, faults []paths.Fault, resp ResultsResponse, local []core.FaultResult, localTests string) {
+	t.Helper()
+	for i, r := range resp.Results {
+		if want := local[i].Status.String(); r.Status != want {
+			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
+		}
+	}
+	if resp.Tests != localTests {
+		t.Fatal("merged test set differs from a fresh local run")
+	}
+}
+
+// TestServiceLedgerDiscardedCutStaysDiscarded resumes an escalating job's
+// ledger twice.  The first coordinator discards the recorded cut (budget 1,
+// the escalation's first pass), records its own and completes 5 units; the
+// second must replay exactly those 5, never the 12 units recorded under the
+// discarded cut, whose budget-1 outcomes abort faults a full budget tests.
+func TestServiceLedgerDiscardedCutStaysDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	writeLegacyLedger(t, dir, "j1", c, text, faults,
+		`{"word_width":1,"sim_interval":0,"escalate":8,"compact":"reverse"}`, `{"width":1,"budget":1,"final":false}`, 12)
+	local, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
+
+	coA, err := NewCoordinator(Config{LedgerDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := httptest.NewServer(coA)
+	const completed = 5
+	driveWorker(t, NewClient(srvA.URL), "wA", "j1", c, completed)
+	srvA.Close()
+	coA.Close()
+
+	st, resp, processed := resumeToEnd(t, dir, c)
+	if st.Replayed != completed {
+		t.Errorf("replayed %d units, want the %d completed under the recorded cut", st.Replayed, completed)
+	}
+	if got, want := len(processed), len(faults)-completed; got != want {
+		t.Errorf("dispatched %d units after the second resume, want %d", got, want)
+	}
+	assertMatchesLocal(t, c, faults, resp, local, localTests)
+}
+
+// TestServiceLedgerReplayChecksWidths resumes a ledger one of whose unit
+// records carries a tested outcome with one value too many.  Replay checks
+// a recorded unit as a live post is checked, so that unit is dispatched
+// again instead of replayed into the merged set, and the job ends done.
+func TestServiceLedgerReplayChecksWidths(t *testing.T) {
+	dir := t.TempDir()
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	const recorded = 12
+	writeLegacyLedger(t, dir, "j1", c, text, faults,
+		`{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8}`, recorded)
+	local, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
+
+	path := filepath.Join(dir, "j1.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	widened := -1
+	for i, line := range lines {
+		var rec ledgerRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.T != "unit" || rec.Outcomes[0].Status != "tested" {
+			continue
+		}
+		v1, v2, _ := strings.Cut(rec.Outcomes[0].Test, " -> ")
+		rec.Outcomes[0].Test = v1 + "0 -> " + v2 + "0"
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i], widened = string(b), rec.Unit
+		break
+	}
+	if widened < 0 {
+		t.Fatal("no recorded unit tests its fault; pick another sample")
+	}
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, resp, processed := resumeToEnd(t, dir, c)
+	if st.Replayed != recorded-1 {
+		t.Errorf("replayed %d units, want %d", st.Replayed, recorded-1)
+	}
+	if !slices.Contains(processed, widened) || len(processed) != len(faults)-recorded+1 {
+		t.Errorf("dispatched units %v after the resume, want unit %d and the %d never recorded", processed, widened, len(faults)-recorded)
+	}
+	assertMatchesLocal(t, c, faults, resp, local, localTests)
 }
 
 // writeLegacyLedger writes an unfinished job's ledger the way an older

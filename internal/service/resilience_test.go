@@ -189,17 +189,12 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	if err != nil || lj == nil {
 		t.Fatalf("compacted ledger unreadable: %v", err)
 	}
-	for seq, units := range lj.Units {
-		seen := make(map[int]bool)
-		for _, u := range units {
-			if seen[u.Unit] {
-				t.Fatalf("pass %d unit %d recorded twice after compaction", seq, u.Unit)
-			}
-			seen[u.Unit] = true
-			if u.Faults != nil {
-				t.Fatalf("pass %d unit %d kept its redundant fault list after compaction", seq, u.Unit)
-			}
+	seen := make(map[int]bool)
+	for _, u := range lj.Units {
+		if seen[u.Unit] {
+			t.Fatalf("unit %d recorded twice after compaction", u.Unit)
 		}
+		seen[u.Unit] = true
 	}
 
 	coB, err := NewCoordinator(Config{LedgerDir: dir})
@@ -221,8 +216,8 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	if st.Replayed != preCrash {
 		t.Fatalf("replayed %d units from the compacted ledger, want %d", st.Replayed, preCrash)
 	}
-	if got, want := len(processed[1]), len(faults)-preCrash; got != want {
-		t.Fatalf("worker processed %d pass-1 units after resume, want %d", got, want)
+	if got, want := len(processed), len(faults)-preCrash; got != want {
+		t.Fatalf("worker processed %d units after resume, want %d", got, want)
 	}
 	resp, err := clB.Results(ctx, sub.JobID)
 	if err != nil {
@@ -248,8 +243,8 @@ func TestLedgerCompactTerminalStub(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.RecordJob("job-000001", "c17", "deadbeef", "INPUT(a)\n", JobOptions{}, []WireFault{"rising a"})
-	l.RecordPass(1, WireSpec{}, [][]int{{0}})
-	l.RecordUnit(1, 0, "wA", []int{0}, nil)
+	l.RecordPass(WireSpec{}, [][]int{{0}})
+	l.RecordUnit(0, "wA", nil)
 	l.RecordState(stateDone, "")
 	l.Close()
 
@@ -301,7 +296,7 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.RecordPass(1, WireSpec{}, [][]int{{0}})
+	l.RecordPass(WireSpec{}, [][]int{{0}})
 	l.Close()
 
 	lj, err := loadLedgerFile(path)
@@ -311,7 +306,7 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if lj.Err != nil {
 		t.Fatalf("sealed torn line reported as a record that does not decode: %v", lj.Err)
 	}
-	if _, ok := lj.Passes[1]; !ok {
+	if lj.Pass == nil {
 		t.Fatal("record appended after a torn tail was lost (concatenated onto the debris)")
 	}
 }
@@ -326,13 +321,13 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.RecordJob("chaotic", "c17", "", "", JobOptions{}, nil)
-	l.RecordPass(1, WireSpec{}, [][]int{{0}})
+	l.RecordPass(WireSpec{}, [][]int{{0}})
 
 	inj := chaos.New(chaos.Config{Seed: 3, Tear: 0.5})
 	l.SetChaos(inj)
 	const writes = 40
 	for u := 0; u < writes; u++ {
-		l.RecordUnit(1, u, "wA", nil, nil)
+		l.RecordUnit(u, "wA", nil)
 	}
 	l.SetChaos(nil)
 	l.RecordState(stateDone, "") // clean append after the carnage
@@ -349,13 +344,13 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 		t.Fatalf("sealed torn writes reported as records that do not decode: %v", lj.Err)
 	}
 	seen := make(map[int]bool)
-	for _, u := range lj.Units[1] {
+	for _, u := range lj.Units {
 		if u.Unit < 0 || u.Unit >= writes || seen[u.Unit] {
 			t.Fatalf("unit %d surfaced corrupt or doubled from torn writes", u.Unit)
 		}
 		seen[u.Unit] = true
 	}
-	if len(lj.Units[1]) == writes {
+	if len(lj.Units) == writes {
 		t.Fatal("no unit record was lost despite torn writes — failpoint not on the write path")
 	}
 	if lj.State != stateDone {
@@ -443,27 +438,86 @@ func TestWorkerBackoffCounters(t *testing.T) {
 }
 
 // replayCut is the accounting replay derives from a loaded ledger, applying
-// replayPassLocked's own filters: only units of a recorded pass, in range of
-// its cut, first completion wins.  This is exactly what resume applies, so
-// compaction must preserve it bit for bit.
-func replayCut(lj *LedgerJob) map[int][]LedgerUnit {
-	cut := make(map[int][]LedgerUnit)
-	for seq, units := range lj.Units {
-		lp, ok := lj.Passes[seq]
-		if !ok {
-			continue // no pass record: replay never applies these
+// replayLocked's own filters: only units recorded after the pass record, in
+// range of its cut, first completion wins.  This is exactly what resume
+// applies, so compaction must preserve it bit for bit.
+func replayCut(lj *LedgerJob) []LedgerUnit {
+	if lj.Pass == nil {
+		return nil // no pass record: replay never applies these
+	}
+	var cut []LedgerUnit
+	seen := make(map[int]bool)
+	for _, u := range lj.Units {
+		if u.Unit < 0 || u.Unit >= len(lj.Pass.Units) || seen[u.Unit] {
+			continue
 		}
-		seen := make(map[int]bool)
-		for _, u := range units {
-			if u.Unit < 0 || u.Unit >= len(lp.Units) || seen[u.Unit] {
-				continue
-			}
-			seen[u.Unit] = true
-			u.Faults = nil // informational; compaction drops it by design
-			cut[seq] = append(cut[seq], u)
+		seen[u.Unit] = true
+		if len(u.Outcomes) == 0 {
+			// Replay reads an empty list as it reads an absent one, and
+			// compaction writes neither.
+			u.Outcomes = nil
 		}
+		cut = append(cut, u)
 	}
 	return cut
+}
+
+// Ledgers the replay rule reads in two ways: an escalating build's, whose
+// second pass the loader skips, and one whose recorded cut a coordinator
+// discarded and recorded afresh, after which only the units recorded under
+// the new cut replay.
+const (
+	escalatedLedger = `{"t":"job","id":"j5","name":"c17","bench":"INPUT(a)\n"}
+{"t":"pass","seq":1,"spec":{"width":1,"budget":1,"final":false},"units":[[0],[1]]}
+{"t":"unit","pass":1,"unit":0,"worker":"wA","unit_faults":[0],"outcomes":[{"status":"aborted","phase":"aptpg"}]}
+{"t":"pass","seq":2,"spec":{"width":2,"budget":8,"final":true},"units":[[0,1]]}
+{"t":"unit","pass":2,"unit":0,"worker":"wB","unit_faults":[0,1],"outcomes":[{"status":"tested"},{"status":"redundant"}]}
+`
+	recutLedger = `{"t":"job","id":"j6","name":"c17","bench":"INPUT(a)\n"}
+{"t":"pass","seq":1,"spec":{"width":1,"budget":1},"units":[[0],[1]]}
+{"t":"unit","pass":1,"unit":0,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
+{"t":"unit","pass":1,"unit":1,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
+{"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
+{"t":"unit","unit":1,"worker":"wB","outcomes":[{"status":"redundant","phase":"fptpg"}]}
+`
+)
+
+// TestLedgerReplayRule loads both ledgers, as written and compacted: the
+// escalating build's first pass and its unit replay, its second pass does
+// not, and only the unit recorded after the re-recorded cut replays.
+func TestLedgerReplayRule(t *testing.T) {
+	for _, tc := range []struct {
+		name, ledger string
+		budget       int
+		want         []LedgerUnit
+	}{
+		{"escalated", escalatedLedger, 1, []LedgerUnit{{Unit: 0, Worker: "wA", Outcomes: []WireOutcome{{Status: "aborted", Phase: "aptpg"}}}}},
+		{"recut", recutLedger, 8, []LedgerUnit{{Unit: 1, Worker: "wB", Outcomes: []WireOutcome{{Status: "redundant", Phase: "fptpg"}}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			if err := os.WriteFile(path, []byte(tc.ledger), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, form := range []string{"written", "compacted"} {
+				if form == "compacted" {
+					if _, _, err := CompactLedgerFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lj, err := loadLedgerFile(path)
+				if err != nil || lj == nil || lj.Err != nil {
+					t.Fatalf("%s: ledger unreadable: %v %+v", form, err, lj)
+				}
+				if lj.Pass == nil || lj.Pass.Spec.Budget != tc.budget || len(lj.Pass.Units) != 2 {
+					t.Fatalf("%s: pass %+v, want the cut of two units at budget %d", form, lj.Pass, tc.budget)
+				}
+				if got := replayCut(lj); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s: replays %+v, want %+v", form, got, tc.want)
+				}
+			}
+		})
+	}
 }
 
 // FuzzLedgerCompact throws arbitrary bytes at the JSONL loader and then at
@@ -485,6 +539,8 @@ func FuzzLedgerCompact(f *testing.F) {
 	f.Add([]byte(`{"t":"job","id":"j3"}
 {"t":"unit","pa`)) // torn tail
 	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"id\":\"j4\"}\n"))
+	f.Add([]byte(escalatedLedger))
+	f.Add([]byte(recutLedger))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.jsonl")

@@ -257,13 +257,13 @@ func TestServiceRequeue(t *testing.T) {
 	}
 	// The ghost finally reports in: the pass is long gone, so the batch is
 	// discarded as stale rather than applied or errored.
-	late := PostResults{Worker: "ghost", Pass: ghost.Pass}
+	late := PostResults{Worker: "ghost"}
 	for _, u := range ghost.Units {
 		outs := make([]WireOutcome, len(u.Faults))
 		for i := range outs {
 			outs[i] = WireOutcome{Status: "redundant", Phase: "aptpg"}
 		}
-		late.Units = append(late.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+		late.Units = append(late.Units, UnitResult{ID: u.ID, Outcomes: outs})
 	}
 	lateResp, err := cl.PostUnitResults(ctx, sub.JobID, late)
 	if err != nil {
@@ -275,13 +275,11 @@ func TestServiceRequeue(t *testing.T) {
 }
 
 // TestServiceRejectsWrongWidthPattern posts a batch whose Tested outcomes
-// carry patterns one value wider than the circuit has inputs, then the same
-// units with a wrong-width pattern for the cross-worker exchange.  Each
-// batch must be refused whole with 400 before anything is applied or
-// journaled — the merge would otherwise absorb patterns no simulation of
-// the test set can load — and the job must still end byte-identical to a
-// local run once the refused units' leases expire and a real worker
-// processes them.
+// carry patterns one value wider than the circuit has inputs.  The batch
+// must be refused whole with 400 before anything is applied or journaled —
+// the merge would otherwise absorb patterns no simulation of the test set
+// can load — and the job must still end byte-identical to a local run once
+// the refused units' leases expire and a real worker processes them.
 func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
@@ -314,33 +312,21 @@ func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 	}
 	n := len(c.Inputs()) + 1
 	wide := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n)
-	post := PostResults{Worker: "wide", Pass: lease.Pass}
+	post := PostResults{Worker: "wide"}
 	for _, u := range lease.Units {
 		outs := make([]WireOutcome, len(u.Faults))
 		for i := range outs {
 			outs[i] = WireOutcome{Status: "tested", Phase: "fptpg", Test: wide}
 		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outs})
 	}
 	_, err = cl.PostUnitResults(ctx, sub.JobID, post)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad-unit" {
 		t.Fatalf("posting wrong-width patterns: err = %v, want 400 bad-unit", err)
 	}
-	// The same units reported without patterns, but with a wrong-width
-	// pattern for the cross-worker exchange, are refused as well.
-	post.Patterns = []WirePattern{{Worker: "wide", Test: wide}}
-	for _, u := range post.Units {
-		for i := range u.Outcomes {
-			u.Outcomes[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
-		}
-	}
-	_, err = cl.PostUnitResults(ctx, sub.JobID, post)
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("posting a wrong-width exchange pattern: err = %v, want 400", err)
-	}
 	if st, err := cl.Status(ctx, sub.JobID); err != nil || st.Settled != 0 {
-		t.Fatalf("after the refused batches: settled %d (err %v), want 0", st.Settled, err)
+		t.Fatalf("after the refused batch: settled %d (err %v), want 0", st.Settled, err)
 	}
 
 	stop := startWorkers(t, srv.URL, 1)
@@ -475,13 +461,13 @@ func TestServiceRefusesOversizeBodies(t *testing.T) {
 	if err != nil || !ok || len(granted.Units) == 0 {
 		t.Fatalf("no lease for the oversize worker (ok %v, err %v)", ok, err)
 	}
-	post := PostResults{Worker: "big", Pass: granted.Pass}
+	post := PostResults{Worker: "big"}
 	for _, u := range granted.Units {
 		outs := make([]WireOutcome, len(u.Faults))
 		for i := range outs {
 			outs[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
 		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: outs})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outs})
 	}
 	journaled := ledgerSizes(t, dir)
 	assertTooLarge(t, servePadded(t, co, "/jobs/"+sub.JobID+"/results", post, maxResultsBody+1), "POST /jobs/{id}/results")

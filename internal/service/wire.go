@@ -2,10 +2,10 @@
 // coordinator that accepts ATPG jobs over HTTP/JSON, compiles each circuit
 // once into a content-addressed cache, cuts every job's fault universe into
 // the same scheduler work units a local run uses, and leases those units to
-// remote workers under timeout-protected leases; workers stream verified
-// patterns back through the coordinator for cross-worker dropping, and the
-// coordinator feeds the reported outcomes through the core's canonical
-// fault-order merge and static compaction, so a distributed run is
+// remote workers under timeout-protected leases; the coordinator feeds the
+// reported outcomes through the core's canonical fault-order merge and
+// static compaction, and hands each worker the tests the others reported
+// for cross-worker dropping, so a distributed run is
 // bit-identical in statuses (and canonical in pattern order) to a
 // single-process run with the same options whenever the interleaved
 // simulation is off.  See docs/ARCHITECTURE.md "Service".
@@ -279,9 +279,10 @@ func DecodeOutcomes(ws []WireOutcome) ([]core.RemoteOutcome, error) {
 	return out, nil
 }
 
-// WireSpec is the pass parameters a job ledger records with each pass: the
-// word-parallel group width and the APTPG backtrack budget.  Resume compares
-// it with the live pass to spot ledgers recorded under other parameters.
+// WireSpec is the pass parameters a job ledger records with the job's unit
+// cut: the word-parallel group width and the APTPG backtrack budget.  Resume
+// compares it with the live pass to spot ledgers recorded under other
+// parameters.
 type WireSpec struct {
 	Width  int `json:"width"`
 	Budget int `json:"budget"`
@@ -293,21 +294,19 @@ func passSpec(o core.Options) WireSpec {
 	return WireSpec{Width: o.WordWidth, Budget: o.MaxBacktracks}
 }
 
-// WireUnit is one leased work unit: its stable ID within the pass and the
-// fault indices (into the job's fault list) it groups.  Workers process the
-// unit whole — regrouping would change FPTPG batch composition and with it
-// the outcomes.
+// WireUnit is one leased work unit: its stable ID within the job's unit cut
+// and the fault indices (into the job's fault list) it groups.  Workers
+// process the unit whole — regrouping would change FPTPG batch composition
+// and with it the outcomes.
 type WireUnit struct {
 	ID     int   `json:"id"`
 	Faults []int `json:"faults"`
 }
 
-// WirePattern is one verified pattern in the cross-worker exchange: the
-// publishing worker (so workers can skip their own) and the filled pair.
-type WirePattern struct {
-	Worker string `json:"worker"`
-	Test   string `json:"test"`
-}
+// unitsPerLease is the batch a worker asks for in each lease request, and
+// the coordinator's batch for a request that names none: leasing several
+// units per round trip spreads the wire latency over more generation work.
+const unitsPerLease = 4
 
 // WireResult is one fault's result as reported to clients (events and final
 // results).  Index is the fault's position in the job's fault list: the
@@ -434,7 +433,7 @@ type (
 		Faults   int    `json:"faults"`
 		Settled  int    `json:"settled"`
 		CacheHit bool   `json:"cache_hit"`
-		// Lease dispatch counters, accumulated over the job's passes.
+		// Lease dispatch counters of the job's pass.
 		Leases     int `json:"leases"`
 		Requeues   int `json:"requeues"`
 		Duplicates int `json:"duplicates"`
@@ -453,15 +452,15 @@ type (
 		WaitMS   int    `json:"wait_ms,omitempty"`
 	}
 
-	// LeaseResponse hands out a batch of whole units of one job's current
-	// pass.  The worker must post results for each unit before the lease
-	// TTL expires, or the units are requeued to other workers.
+	// LeaseResponse hands out a batch of whole units of one job.  The
+	// worker must post results for each unit before the lease TTL expires,
+	// or the units are requeued to other workers.  On a job that simulates,
+	// Patterns carries the tests the job's other workers reported since
+	// this worker's previous lease of the job, for its claim sweep.
 	LeaseResponse struct {
-		JobID string     `json:"job_id"`
-		Pass  int        `json:"pass"`
-		Units []WireUnit `json:"units"`
-		TTLMS int64      `json:"ttl_ms"`
-		SimOn bool       `json:"sim_on"`
+		JobID    string     `json:"job_id"`
+		Units    []WireUnit `json:"units"`
+		Patterns []string   `json:"patterns,omitempty"`
 	}
 
 	// JobSpec is what a worker needs to set up a job-local generator.
@@ -472,41 +471,27 @@ type (
 		Faults      []WireFault `json:"faults"`
 	}
 
-	// UnitResult reports one processed unit: the leased unit (echoed so the
-	// coordinator applies outcomes positionally) and one outcome per fault.
+	// UnitResult reports one processed unit: the leased unit's ID and one
+	// outcome per fault, in the unit's fault order.
 	UnitResult struct {
 		ID       int           `json:"id"`
-		Faults   []int         `json:"faults"`
 		Outcomes []WireOutcome `json:"outcomes"`
 	}
 
-	// PostResults reports a batch of processed units, the verified patterns
-	// the batch produced (for the cross-worker exchange) and the worker's
+	// PostResults reports a batch of processed units and the worker's
 	// search-effort delta.
 	PostResults struct {
-		Worker   string        `json:"worker"`
-		Pass     int           `json:"pass"`
-		Units    []UnitResult  `json:"units"`
-		Patterns []WirePattern `json:"patterns,omitempty"`
-		Effort   core.Stats    `json:"effort"`
+		Worker string       `json:"worker"`
+		Units  []UnitResult `json:"units"`
+		Effort core.Stats   `json:"effort"`
 	}
 
 	// PostResultsResponse tells the worker how the batch was received.
-	// Stale means the pass (or the job) is over and the batch was discarded
-	// — not an error, just at-least-once delivery meeting a finished pass.
+	// Stale means the job's pass is over and the batch was discarded — not
+	// an error, just at-least-once delivery meeting a finished pass.
 	PostResultsResponse struct {
 		Stale    bool `json:"stale,omitempty"`
 		Canceled bool `json:"canceled,omitempty"`
-	}
-
-	// PatternsResponse is the exchange delta since the requested cursor.
-	// Dropped counts patterns that aged out of the bounded exchange buffer
-	// before this worker fetched them (backpressure, not an error: missing
-	// foreign patterns only forgo drop opportunities).
-	PatternsResponse struct {
-		Patterns []WirePattern `json:"patterns"`
-		Next     int           `json:"next"`
-		Dropped  int           `json:"dropped,omitempty"`
 	}
 
 	// EventsResponse is a page of settle events starting at cursor From.

@@ -59,14 +59,13 @@ func FuzzWire(f *testing.F) {
 	wire := []WireOutcome{EncodeOutcome(outs[0])}
 	f.Add(mustJSON(LeaseRequest{Worker: "w", MaxUnits: 2}))
 	f.Add(mustJSON(LeaseRequest{Worker: "w", WaitMS: 10}))
-	f.Add(mustJSON(PostResults{Worker: "w", Pass: 1, Units: []UnitResult{{ID: 0, Faults: []int{0}, Outcomes: wire}},
-		Patterns: []WirePattern{{Worker: "w", Test: wire[0].Test}}}))
+	f.Add(mustJSON(PostResults{Worker: "w", Units: []UnitResult{{ID: 0, Outcomes: wire}}}))
 	f.Add(mustJSON(wire))
 	f.Add(mustJSON(wireFaults))
 	result := EncodeResult(0, core.FaultResult{Fault: faults[0], Status: core.Tested, Test: outs[0].Test}, 0)
 	f.Add(mustJSON(result))
 	f.Add(mustJSON([]WireResult{result}))
-	f.Add([]byte(`{"worker":"w","pass":1,"units":[{"id":-1,"outcomes":[]}]}`))
+	f.Add([]byte(`{"worker":"w","units":[{"id":-1,"outcomes":[]}]}`))
 	for _, wf := range wireFaults[:2] {
 		f.Add([]byte(wf))
 	}

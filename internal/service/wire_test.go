@@ -119,8 +119,8 @@ func (s *sizedReplies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestServiceRepliesCarryLength runs a job through every route — a client
 // submitting, following, waiting, fetching and canceling, two workers
-// leasing, fetching the spec, the bench text and the pattern exchange and
-// posting results — and checks that every reply with a body declares its
+// leasing, fetching the spec and the bench text and posting results — and
+// checks that every reply with a body declares its
 // exact length, error replies included.
 func TestServiceRepliesCarryLength(t *testing.T) {
 	c, text := benchText(t, "c432")
@@ -135,7 +135,7 @@ func TestServiceRepliesCarryLength(t *testing.T) {
 	cl := NewClient(url)
 	ctx := budget(t)
 
-	// The interleaved simulation on, so the workers read the exchange.
+	// The interleaved simulation on, so the lease replies carry the exchange.
 	sub, err := cl.SubmitBench(ctx, "c432", text, JobOptions{SimInterval: intp(8)}, EncodeFaults(c, faults))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,6 @@ func TestServiceRepliesCarryLength(t *testing.T) {
 		"GET " + API + "/jobs/{id}/events",
 		"GET " + API + "/jobs/{id}/results",
 		"POST " + API + "/jobs/{id}/results",
-		"GET " + API + "/jobs/{id}/patterns",
 		"GET " + API + "/jobs/{id}/spec",
 		"GET " + API + "/circuits/{hash}",
 		"POST " + API + "/lease",

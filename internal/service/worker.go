@@ -18,12 +18,9 @@ import (
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL.
 	Coordinator string
-	// ID names this worker in leases and published patterns; it must be
-	// unique among the workers of one coordinator.
+	// ID names this worker in leases and in the pattern exchange; it must
+	// be unique among the workers of one coordinator.
 	ID string
-	// MaxUnits is the lease batch size: leasing several units per round
-	// trip amortizes the wire latency over more generation work.  Default 4.
-	MaxUnits int
 	// CacheSize bounds the worker's own compiled-circuit cache.  Default 64.
 	CacheSize int
 	// Transport overrides the HTTP transport of the worker's client — the
@@ -62,18 +59,15 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 	if cfg.ID == "" {
 		cfg.ID = "worker"
 	}
-	if cfg.MaxUnits <= 0 {
-		cfg.MaxUnits = 4
-	}
 	return cfg
 }
 
 // Worker is one remote generation process: it leases whole work units from
 // the coordinator, runs them through a job-local core.Generator (compiled
-// from the coordinator's cached circuit), and posts outcomes, fresh verified
-// patterns and search-effort deltas back.  Foreign patterns fetched from the
-// exchange feed the generator's claim sweep, so cross-worker dropping works
-// exactly as it does between local shards.
+// from the coordinator's cached circuit), and posts outcomes and
+// search-effort deltas back.  The foreign patterns a lease carries feed the
+// generator's claim sweep, so cross-worker dropping works exactly as it
+// does between local shards.
 type Worker struct {
 	cfg   WorkerConfig
 	cl    *Client
@@ -93,11 +87,6 @@ type workerJob struct {
 	cancel context.CancelFunc
 	gen    *core.Generator
 	faults []paths.Fault
-	simOn  bool
-	// published is how much of the local generator's test set has been
-	// posted to the exchange; cursor is the exchange fetch position.
-	published int
-	cursor    int
 }
 
 // NewWorker builds a worker for the coordinator named in the config.
@@ -145,7 +134,7 @@ func (wk *Worker) Run(ctx context.Context) error {
 		Seed:     int64(h.Sum64()),
 	}.Backoff()
 	for ctx.Err() == nil {
-		lease, ok, err := wk.cl.Lease(ctx, wk.cfg.ID, wk.cfg.MaxUnits, longPollWait)
+		lease, ok, err := wk.cl.Lease(ctx, wk.cfg.ID, unitsPerLease, longPollWait)
 		switch {
 		case ctx.Err() != nil:
 			// The worker's own context ended the call: not a lease error.
@@ -189,26 +178,19 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 		return
 	}
 
-	// Pull the exchange delta so the claim sweep can drop faults other
-	// workers already covered.  Foreign patterns accumulate inside the
-	// generator, so handing them to the first unit of the batch suffices.
+	// The lease carries the tests other workers reported since this
+	// worker's previous lease, so the claim sweep can drop faults they
+	// already cover.  Foreign patterns accumulate inside the generator, so
+	// handing them to the first unit of the batch suffices.
 	var foreign []pattern.Pair
-	if wj.simOn {
-		if pr, err := wk.cl.Patterns(ctx, wj.id, wj.cursor); err == nil {
-			wj.cursor = pr.Next
-			for _, wp := range pr.Patterns {
-				if wp.Worker == wk.cfg.ID {
-					continue
-				}
-				if p, err := pattern.ParsePair(wp.Test); err == nil {
-					foreign = append(foreign, p)
-				}
-			}
+	for _, s := range lease.Patterns {
+		if p, err := pattern.ParsePair(s); err == nil {
+			foreign = append(foreign, p)
 		}
 	}
 
 	prev := wj.gen.Stats()
-	post := PostResults{Worker: wk.cfg.ID, Pass: lease.Pass}
+	post := PostResults{Worker: wk.cfg.ID}
 	for _, u := range lease.Units {
 		ufaults := make([]paths.Fault, len(u.Faults))
 		for i, fi := range u.Faults {
@@ -224,18 +206,13 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 		for i, o := range outs {
 			wire[i] = EncodeOutcome(o)
 		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Faults: u.Faults, Outcomes: wire})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: wire})
 	}
 	if wj.ctx.Err() != nil || ctx.Err() != nil {
 		// Canceled mid-batch: the outcomes may be truncated.  Drop the batch
 		// and let the leases expire instead of reporting partial work.
 		return
 	}
-	set := wj.gen.TestSet()
-	for _, p := range set.Pairs[wj.published:] {
-		post.Patterns = append(post.Patterns, WirePattern{Worker: wk.cfg.ID, Test: p.String()})
-	}
-	wj.published = set.Len()
 	post.Effort = wj.gen.Stats().EffortDelta(prev)
 
 	resp, err := wk.cl.PostUnitResults(ctx, wj.id, post)
@@ -289,7 +266,6 @@ func (wk *Worker) jobState(ctx context.Context, lease LeaseResponse) (*workerJob
 		cancel: cancel,
 		gen:    core.New(c, opts),
 		faults: faults,
-		simOn:  lease.SimOn,
 	}
 	wk.mu.Lock()
 	if prior, ok := wk.jobs[lease.JobID]; ok {
