@@ -218,14 +218,11 @@ func (b *Builder) Build() (*Circuit, error) {
 	})
 	c.order = order
 
-	// Precompute the topological positions and per-level net buckets the
-	// event-driven implication engine schedules on.
+	// Precompute the topological positions the event-driven implication
+	// engine schedules on.
 	c.orderPos = make([]int32, n)
-	c.levelNets = make([][]NetID, c.maxLevel+1)
 	for pos, id := range order {
 		c.orderPos[id] = int32(pos)
-		lvl := c.gates[id].Level
-		c.levelNets[lvl] = append(c.levelNets[lvl], id)
 	}
 
 	if err := c.Validate(); err != nil {

@@ -61,11 +61,9 @@ type Circuit struct {
 	order   []NetID // topological order, inputs first
 	byName  map[string]NetID
 
-	// orderPos[id] is the index of net id in order; levelNets groups the
-	// nets by topological level, each bucket in topological order.  Both are
-	// precomputed by Build for the event-driven implication engine.
-	orderPos  []int32
-	levelNets [][]NetID
+	// orderPos[id] is the index of net id in order, precomputed by Build for
+	// the event-driven implication engine.
+	orderPos []int32
 
 	maxLevel int
 	numDFF   int
@@ -137,11 +135,6 @@ func (c *Circuit) OrderPos(id NetID) int { return int(c.orderPos[id]) }
 // NumLevels returns the number of topological levels (MaxLevel + 1), the
 // bucket count of per-level event queues.
 func (c *Circuit) NumLevels() int { return c.maxLevel + 1 }
-
-// LevelNets returns the nets grouped by topological level: LevelNets()[l]
-// holds every net of level l, in topological order.  The returned slices
-// must not be modified.
-func (c *Circuit) LevelNets() [][]NetID { return c.levelNets }
 
 // MaxLevel returns the largest topological level, i.e. the logic depth.
 func (c *Circuit) MaxLevel() int { return c.maxLevel }

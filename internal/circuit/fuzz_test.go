@@ -66,7 +66,8 @@ func TestParseRefusesWhitespaceNames(t *testing.T) {
 // serialized form of every generator in internal/bench plus a handful of
 // malformed shapes.  Invariants: the parser never panics, every error is a
 // *ParseError carrying the source name, no parsed net name contains
-// whitespace, and parsing is a fixpoint under WriteBench serialization.
+// whitespace, OrderPos inverts TopoOrder, levels never fall along TopoOrder,
+// and parsing is a fixpoint under WriteBench serialization.
 func FuzzParse(f *testing.F) {
 	seeds := []*circuit.Circuit{
 		bench.C17(),
@@ -111,6 +112,19 @@ func FuzzParse(f *testing.F) {
 		for id := 0; id < c.NumNets(); id++ {
 			if n := c.NetName(circuit.NetID(id)); strings.IndexFunc(n, unicode.IsSpace) >= 0 {
 				t.Fatalf("parsed net name %q contains whitespace", n)
+			}
+		}
+		// Objective ordering breaks ties by OrderPos, and the implication
+		// engine's event buckets follow the level order; Validate checks
+		// neither.
+		order := c.TopoOrder()
+		for i, id := range order {
+			if got := c.OrderPos(id); got != i {
+				t.Fatalf("OrderPos(%q) = %d, want its TopoOrder index %d", c.NetName(id), got, i)
+			}
+			if i > 0 && c.Gate(id).Level < c.Gate(order[i-1]).Level {
+				t.Fatalf("level falls along TopoOrder at %d: %q (level %d) follows %q (level %d)",
+					i, c.NetName(id), c.Gate(id).Level, c.NetName(order[i-1]), c.Gate(order[i-1]).Level)
 			}
 		}
 		// A circuit the parser accepts must serialize to a form it accepts

@@ -257,8 +257,8 @@ type Stats struct {
 	Backtracks   int
 	Implications int
 
-	// Sched summarizes the dispatch layer of the run(s): passes, work
-	// units, steals and the idle-unit skew counter (see sched.Stats).
+	// Sched summarizes the dispatch layer of the run(s): work units,
+	// steals and the idle-unit skew counter (see sched.Stats).
 	Sched sched.Stats
 
 	// Compaction summarizes the static compaction passes of the run(s):

@@ -57,18 +57,20 @@ type RemoteOutcome struct {
 // ProcessRemoteUnit is the worker side of a distributed run: it processes one
 // work unit — the exact sched.Group cut the coordinator's pass produced —
 // under the generator's own options and returns one outcome per fault, in
-// unit order.  foreign carries the verified patterns published by the other
-// workers of the job since this worker's previous fetch; as in a local
-// sharded run they are swept against the unit's faults at claim time (and
-// kept for later units), so a fault another worker's pattern already detects
-// is dropped without a search.  Faults left Pending by a canceled ctx come
-// back Pending; callers drop such a unit rather than report it.
+// unit order.  foreign carries the tests the coordinator delivered on the
+// lease reply: those of the tested outcomes other workers reported since
+// this worker's previous lease.  As in a local sharded run they are swept
+// against the unit's faults at claim time (and kept for later units), so a
+// fault another worker's pattern already detects is dropped without a
+// search.  Faults left Pending by a canceled ctx come back Pending; callers
+// drop such a unit rather than report it.
 //
 // The generator must be dedicated to one job (same circuit and options as
-// the coordinator's master, fresh test set): its test set accumulates the
-// patterns of the units it processed, which the caller publishes to the
-// other workers (TestSet), and its statistics accumulate the search effort,
-// which the caller reports to the coordinator as periodic deltas
+// the coordinator's master, fresh test set).  Its test set accumulates the
+// patterns of the units it processed and feeds only its own claim sweep: the
+// other workers get those tests from the coordinator, which publishes the
+// outcomes it applies.  Its statistics accumulate the search effort, which
+// the caller reports to the coordinator as periodic deltas
 // (Stats.EffortDelta / RemoteRun.AddEffort).
 func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault, foreign []pattern.Pair) []RemoteOutcome {
 	if ctx == nil {

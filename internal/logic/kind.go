@@ -4,15 +4,18 @@
 // Two logics are provided, following Henftling & Wittmann (DATE 1995):
 //
 //   - a three-valued logic {0, 1, X} for nonrobust test generation, encoded
-//     in two bit planes per signal (Table 1 of the paper), and
+//     in a 0-bit and a 1-bit per signal (Table 1 of the paper), and
 //   - the seven-valued logic of Lin and Reddy for robust test generation,
 //     encoded in four bit planes per signal (Table 2 of the paper).
 //
-// The bit-parallel representation stores L = 64 logic values per signal, one
-// per bit level.  Each plane is a uint64; bit i of every plane belongs to bit
-// level i.  Gate evaluation, implication and conflict detection then operate
-// on whole planes with word-wide boolean operations, so all 64 bit levels are
-// processed by a handful of machine instructions.
+// Both test classes run on the four-plane Word7: nonrobust requirements are
+// final-only values, which constrain only the Zero and One planes, and those
+// two planes hold the Table 1 bits of every level.  A Word7 stores L = 64
+// logic values per signal, one per bit level.  Each plane is a uint64; bit i
+// of every plane belongs to bit level i.  Gate evaluation, implication and
+// conflict detection then operate on whole planes with word-wide boolean
+// operations, so all 64 bit levels are processed by a handful of machine
+// instructions.
 package logic
 
 import "fmt"

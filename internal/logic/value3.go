@@ -33,9 +33,6 @@ func (v Value3) IsConflict() bool { return v == Conflict3 }
 // IsAssigned reports whether v carries a definite logic value (0 or 1).
 func (v Value3) IsAssigned() bool { return v == Zero3 || v == One3 }
 
-// IsX reports whether v is unassigned.
-func (v Value3) IsX() bool { return v == X3 }
-
 // Not returns the boolean complement.  X and conflict are unchanged.
 func (v Value3) Not() Value3 {
 	switch v {
@@ -95,10 +92,10 @@ func ParseValue3(s string) (Value3, error) {
 }
 
 // Eval3 evaluates a gate of the given kind over scalar three-valued inputs.
-// It is the scalar reference implementation against which the bit-parallel
-// evaluation in Word3 is cross-checked by the test suite.  Conflict inputs
-// propagate pessimistically: the result of any gate with a conflicting input
-// is itself a conflict, which mirrors the plane formulas.
+// It is the scalar reference for the final values of Eval7 (and so of the
+// Zero and One planes of EvalGate7), which the test suite cross-checks.
+// Conflict inputs propagate pessimistically: the result of any gate with a
+// conflicting input is itself a conflict.
 func Eval3(kind Kind, in ...Value3) Value3 {
 	for _, v := range in {
 		if v.IsConflict() {

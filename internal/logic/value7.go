@@ -67,15 +67,6 @@ func (v Value7) IsConflict() bool {
 	return false
 }
 
-// IsAssigned reports whether v carries a definite final value (0 or 1)
-// without being a conflict.
-func (v Value7) IsAssigned() bool {
-	return !v.IsConflict() && (v.ZeroBit() || v.OneBit())
-}
-
-// IsX reports whether v is fully unassigned.
-func (v Value7) IsX() bool { return v == X7 }
-
 // Final returns the final (second-vector) value of v as a three-valued value.
 func (v Value7) Final() Value3 {
 	var out Value3
@@ -128,9 +119,6 @@ func (v Value7) Merge(o Value7) Value7 { return v | o }
 // Covers reports whether v satisfies the requirement o: every encoding bit
 // demanded by o is present in v.
 func (v Value7) Covers(o Value7) bool { return v&o == o }
-
-// Weaken3 projects v onto the three-valued logic, dropping stability.
-func (v Value7) Weaken3() Value3 { return v.Final() }
 
 // Value7From3 lifts a three-valued value into the seven-valued logic with
 // unknown stability.

@@ -122,9 +122,6 @@ func TestValue7CoversAndWeaken(t *testing.T) {
 	if !Rise7.Covers(Final1) {
 		t.Error("Rise7 must cover Final1")
 	}
-	if Stable1.Weaken3() != One3 || Fall7.Weaken3() != Zero3 || X7.Weaken3() != X3 {
-		t.Error("Weaken3 projection is wrong")
-	}
 	if Value7From3(One3) != Final1 || Value7From3(Zero3) != Final0 || Value7From3(X3) != X7 {
 		t.Error("Value7From3 lifting is wrong")
 	}

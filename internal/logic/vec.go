@@ -5,14 +5,14 @@ import (
 	"strings"
 )
 
-// This file generalizes the scalar 64-level words (Word3/Word7, one uint64
-// per bit plane) to plane vectors of up to MaxK machine words: a Mask or
-// Word7V carries one word per plane for L ≤ 64 and two for L ≤ 128.  The
-// types are plain comparable structs of [MaxK]uint64 arrays, sized for the
-// maximum width, and equality (==) is bit-exact across the full capacity:
-// callers that operate on one word keep the second one zero.  The gate
-// kernels stay scalar (EvalGate7 over Word7); the implication engine runs
-// them once per plane word.
+// This file generalizes the scalar 64-level word (Word7, one uint64 per bit
+// plane) to plane vectors of up to MaxK machine words: a Mask or Word7V
+// carries one word per plane for L ≤ 64 and two for L ≤ 128.  The types are
+// plain comparable structs of [MaxK]uint64 arrays, sized for the maximum
+// width, and equality (==) is bit-exact across the full capacity: callers
+// that operate on one word keep the second one zero.  The gate kernels stay
+// scalar (EvalGate7 over Word7); the implication engine runs them once per
+// plane word.
 
 // MaxK is the maximum number of 64-bit words per bit plane.
 const MaxK = 2

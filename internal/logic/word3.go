@@ -1,13 +1,8 @@
 package logic
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
-
-// WordWidth is the number of bit levels held by a Word3 or Word7: the machine
-// word length L exploited by the bit-parallel generator.
+// WordWidth is the number of bit levels held by a Word7 or by one plane word
+// of a Word7V: the machine word length L exploited by the bit-parallel
+// generator.
 const WordWidth = 64
 
 // AllLevels is the mask selecting every bit level of a word.
@@ -24,268 +19,4 @@ func LevelMask(n int) uint64 {
 		return AllLevels
 	}
 	return (uint64(1) << uint(n)) - 1
-}
-
-// Word3 holds 64 three-valued logic values, one per bit level, in two bit
-// planes following Table 1 of the paper.  Bit i of Zero is the 0-bit of bit
-// level i; bit i of One is its 1-bit.  The zero value of Word3 is "X at every
-// bit level" and is ready to use.
-type Word3 struct {
-	Zero uint64 // the 0-bit plane
-	One  uint64 // the 1-bit plane
-}
-
-// FillWord3 returns a word holding v at every bit level.
-func FillWord3(v Value3) Word3 {
-	var w Word3
-	if v.ZeroBit() {
-		w.Zero = AllLevels
-	}
-	if v.OneBit() {
-		w.One = AllLevels
-	}
-	return w
-}
-
-// Get returns the value at bit level i.
-func (w Word3) Get(i int) Value3 {
-	var v Value3
-	if w.Zero>>uint(i)&1 != 0 {
-		v |= Zero3
-	}
-	if w.One>>uint(i)&1 != 0 {
-		v |= One3
-	}
-	return v
-}
-
-// Set stores v at bit level i, replacing the previous value.
-func (w *Word3) Set(i int, v Value3) {
-	mask := uint64(1) << uint(i)
-	w.Zero &^= mask
-	w.One &^= mask
-	if v.ZeroBit() {
-		w.Zero |= mask
-	}
-	if v.OneBit() {
-		w.One |= mask
-	}
-}
-
-// MergeAt accumulates the requirement v at bit level i (bitwise OR of the
-// encodings, as in Value3.Merge).
-func (w *Word3) MergeAt(i int, v Value3) {
-	mask := uint64(1) << uint(i)
-	if v.ZeroBit() {
-		w.Zero |= mask
-	}
-	if v.OneBit() {
-		w.One |= mask
-	}
-}
-
-// Merge accumulates the requirements of o into w at every bit level.
-func (w Word3) Merge(o Word3) Word3 {
-	return Word3{Zero: w.Zero | o.Zero, One: w.One | o.One}
-}
-
-// MergeMasked accumulates the requirements of o into w at the bit levels
-// selected by mask.
-func (w Word3) MergeMasked(o Word3, mask uint64) Word3 {
-	return Word3{Zero: w.Zero | o.Zero&mask, One: w.One | o.One&mask}
-}
-
-// ClearLevels resets the bit levels selected by mask to X.
-func (w Word3) ClearLevels(mask uint64) Word3 {
-	return Word3{Zero: w.Zero &^ mask, One: w.One &^ mask}
-}
-
-// SelectLevels keeps only the bit levels selected by mask, clearing the rest
-// to X.
-func (w Word3) SelectLevels(mask uint64) Word3 {
-	return Word3{Zero: w.Zero & mask, One: w.One & mask}
-}
-
-// Not returns the bitwise complement of the logic values: the planes are
-// swapped, so 0 becomes 1, X stays X and conflicts stay conflicts.
-func (w Word3) Not() Word3 { return Word3{Zero: w.One, One: w.Zero} }
-
-// ConflictMask returns the mask of bit levels holding the illegal (1,1)
-// encoding.
-func (w Word3) ConflictMask() uint64 { return w.Zero & w.One }
-
-// AssignedMask returns the mask of bit levels holding a definite 0 or 1
-// (conflicting levels are excluded).
-func (w Word3) AssignedMask() uint64 { return (w.Zero ^ w.One) }
-
-// XMask returns the mask of bit levels that are completely unassigned.
-func (w Word3) XMask() uint64 { return ^(w.Zero | w.One) }
-
-// CoversMask returns the mask of bit levels at which w satisfies the
-// requirement o (every encoding bit demanded by o is present in w).
-func (w Word3) CoversMask(o Word3) uint64 {
-	return ^((o.Zero &^ w.Zero) | (o.One &^ w.One))
-}
-
-// ContradictsMask returns the mask of bit levels at which w directly
-// contradicts the requirement o: one demands 0 where the other holds 1.
-func (w Word3) ContradictsMask(o Word3) uint64 {
-	return (w.Zero & o.One) | (w.One & o.Zero)
-}
-
-// Equal reports whether both words hold identical values at every bit level.
-func (w Word3) Equal(o Word3) bool { return w == o }
-
-// Flatten returns a word holding the value of bit level i at every bit level.
-// It implements the "flattening of the active bit to multiple bit levels"
-// used when a fault is handed from FPTPG to APTPG.
-func (w Word3) Flatten(i int) Word3 {
-	return FillWord3(w.Get(i))
-}
-
-// Spread copies the value at bit level from of src into the bit levels
-// selected by mask of w, leaving other levels untouched.
-func (w Word3) Spread(src Word3, from int, mask uint64) Word3 {
-	v := src.Get(from)
-	out := Word3{Zero: w.Zero &^ mask, One: w.One &^ mask}
-	if v.ZeroBit() {
-		out.Zero |= mask
-	}
-	if v.OneBit() {
-		out.One |= mask
-	}
-	return out
-}
-
-// CountAssigned returns the number of bit levels carrying a definite value.
-func (w Word3) CountAssigned() int { return bits.OnesCount64(w.AssignedMask()) }
-
-// String renders the word with bit level L-1 on the left and bit level 0 on
-// the right, matching the notation of Figures 1 and 2 of the paper, but only
-// for the lowest `width` levels when the remaining levels are all X.
-func (w Word3) String() string { return w.StringN(WordWidth) }
-
-// StringN renders only the lowest n bit levels.
-func (w Word3) StringN(n int) string {
-	if n <= 0 {
-		n = 1
-	}
-	if n > WordWidth {
-		n = WordWidth
-	}
-	var sb strings.Builder
-	for i := n - 1; i >= 0; i-- {
-		switch w.Get(i) {
-		case Zero3:
-			sb.WriteByte('0')
-		case One3:
-			sb.WriteByte('1')
-		case X3:
-			sb.WriteByte('x')
-		default:
-			sb.WriteByte('C')
-		}
-	}
-	return sb.String()
-}
-
-// ParseWord3 parses the notation produced by StringN: the leftmost character
-// is the highest bit level.  Characters 0, 1, x/X and C are accepted.
-func ParseWord3(s string) (Word3, error) {
-	if len(s) > WordWidth {
-		return Word3{}, fmt.Errorf("logic: word literal %q longer than %d levels", s, WordWidth)
-	}
-	var w Word3
-	n := len(s)
-	for idx := 0; idx < n; idx++ {
-		level := n - 1 - idx
-		switch s[idx] {
-		case '0':
-			w.Set(level, Zero3)
-		case '1':
-			w.Set(level, One3)
-		case 'x', 'X':
-			w.Set(level, X3)
-		case 'c', 'C':
-			w.Set(level, Conflict3)
-		default:
-			return Word3{}, fmt.Errorf("logic: invalid character %q in word literal %q", s[idx], s)
-		}
-	}
-	return w, nil
-}
-
-// EvalGate3 evaluates a gate of the given kind over bit-parallel three-valued
-// inputs.  All 64 bit levels are evaluated simultaneously using plane-wide
-// boolean operations.  The result at levels where some input holds the
-// conflict encoding is unspecified.
-//
-//atpgvet:noalloc
-func EvalGate3(kind Kind, in []Word3) Word3 {
-	switch kind {
-	case Buf, Input:
-		if len(in) == 0 {
-			return Word3{}
-		}
-		return in[0]
-	case Not:
-		if len(in) == 0 {
-			return Word3{}
-		}
-		return in[0].Not()
-	case Const0:
-		return FillWord3(Zero3)
-	case Const1:
-		return FillWord3(One3)
-	case And:
-		return andWord3(in)
-	case Nand:
-		return andWord3(in).Not()
-	case Or:
-		return orWord3(in)
-	case Nor:
-		return orWord3(in).Not()
-	case Xor:
-		return xorWord3(in)
-	case Xnor:
-		return xorWord3(in).Not()
-	}
-	return Word3{}
-}
-
-func andWord3(in []Word3) Word3 {
-	if len(in) == 0 {
-		return Word3{}
-	}
-	out := Word3{Zero: 0, One: AllLevels}
-	for _, w := range in {
-		out.Zero |= w.Zero
-		out.One &= w.One
-	}
-	return out
-}
-
-func orWord3(in []Word3) Word3 {
-	if len(in) == 0 {
-		return Word3{}
-	}
-	out := Word3{Zero: AllLevels, One: 0}
-	for _, w := range in {
-		out.Zero &= w.Zero
-		out.One |= w.One
-	}
-	return out
-}
-
-func xorWord3(in []Word3) Word3 {
-	if len(in) == 0 {
-		return Word3{}
-	}
-	assigned := AllLevels
-	parity := uint64(0)
-	for _, w := range in {
-		assigned &= w.Zero ^ w.One
-		parity ^= w.One
-	}
-	return Word3{Zero: assigned &^ parity, One: assigned & parity}
 }

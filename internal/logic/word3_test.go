@@ -1,10 +1,6 @@
 package logic
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestLevelMask(t *testing.T) {
 	if LevelMask(0) != 0 {
@@ -25,261 +21,4 @@ func TestLevelMask(t *testing.T) {
 	if LevelMask(-3) != 0 {
 		t.Errorf("LevelMask(-3) = %x", LevelMask(-3))
 	}
-}
-
-func TestWord3GetSet(t *testing.T) {
-	var w Word3
-	values := []Value3{Zero3, One3, X3, Conflict3}
-	for i := 0; i < WordWidth; i++ {
-		w.Set(i, values[i%len(values)])
-	}
-	for i := 0; i < WordWidth; i++ {
-		if got := w.Get(i); got != values[i%len(values)] {
-			t.Fatalf("level %d: got %v, want %v", i, got, values[i%len(values)])
-		}
-	}
-	// Overwrite and re-check.
-	w.Set(5, One3)
-	if w.Get(5) != One3 {
-		t.Errorf("overwrite failed: %v", w.Get(5))
-	}
-	w.MergeAt(5, Zero3)
-	if w.Get(5) != Conflict3 {
-		t.Errorf("MergeAt should accumulate into a conflict, got %v", w.Get(5))
-	}
-}
-
-func TestWord3FillAndMasks(t *testing.T) {
-	w := FillWord3(One3)
-	if w.One != AllLevels || w.Zero != 0 {
-		t.Fatalf("FillWord3(One3) = %+v", w)
-	}
-	if w.AssignedMask() != AllLevels {
-		t.Error("all levels should be assigned")
-	}
-	if w.XMask() != 0 {
-		t.Error("no level should be X")
-	}
-	if w.ConflictMask() != 0 {
-		t.Error("no level should conflict")
-	}
-	var x Word3
-	if x.XMask() != AllLevels {
-		t.Error("zero word should be all X")
-	}
-	c := FillWord3(Conflict3)
-	if c.ConflictMask() != AllLevels {
-		t.Error("conflict fill should conflict at every level")
-	}
-	if c.AssignedMask() != 0 {
-		t.Error("conflicting levels are not counted as assigned")
-	}
-}
-
-func TestWord3MergeAndCovers(t *testing.T) {
-	a, err := ParseWord3("01x1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseWord3("0011")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := a.Merge(b)
-	want, _ := ParseWord3("0C11") // level 2 merges 1 and 0 into a conflict
-	if m != want {
-		t.Errorf("Merge = %s, want %s", m.StringN(4), want.StringN(4))
-	}
-	if got := a.CoversMask(b) & LevelMask(4); got != 0b1001 {
-		t.Errorf("CoversMask = %04b, want 1001", got)
-	}
-	if got := a.ContradictsMask(b) & LevelMask(4); got != 0b0100 {
-		t.Errorf("ContradictsMask = %04b, want 0100", got)
-	}
-}
-
-func TestWord3FlattenSpreadSelect(t *testing.T) {
-	w, _ := ParseWord3("10x1")
-	f := w.Flatten(0)
-	if f != FillWord3(One3) {
-		t.Errorf("Flatten(0) = %s", f.StringN(4))
-	}
-	f = w.Flatten(1)
-	if f != FillWord3(X3) {
-		t.Errorf("Flatten(1) = %s", f.StringN(4))
-	}
-	s := Word3{}.Spread(w, 3, LevelMask(4))
-	if s.StringN(4) != "1111" {
-		t.Errorf("Spread = %s", s.StringN(4))
-	}
-	sel := w.SelectLevels(0b0011)
-	if sel.StringN(4) != "xx"+w.StringN(2) {
-		t.Errorf("SelectLevels = %s", sel.StringN(4))
-	}
-	cl := w.ClearLevels(0b0001)
-	if cl.Get(0) != X3 || cl.Get(3) != One3 {
-		t.Errorf("ClearLevels = %s", cl.StringN(4))
-	}
-	if w.CountAssigned() != 3 {
-		t.Errorf("CountAssigned = %d", w.CountAssigned())
-	}
-}
-
-func TestWord3StringParseRoundTrip(t *testing.T) {
-	lits := []string{"", "0", "1", "x", "C", "10xC01", "1111", "xxxx"}
-	for _, lit := range lits {
-		w, err := ParseWord3(lit)
-		if err != nil {
-			t.Fatalf("ParseWord3(%q): %v", lit, err)
-		}
-		if lit == "" {
-			continue
-		}
-		if got := w.StringN(len(lit)); got != replaceUpperX(lit) {
-			t.Errorf("round trip of %q gave %q", lit, got)
-		}
-	}
-	if _, err := ParseWord3("012"); err == nil {
-		t.Error("ParseWord3(\"012\") should fail")
-	}
-	long := make([]byte, WordWidth+1)
-	for i := range long {
-		long[i] = '0'
-	}
-	if _, err := ParseWord3(string(long)); err == nil {
-		t.Error("over-long literal should fail")
-	}
-}
-
-func replaceUpperX(s string) string {
-	b := []byte(s)
-	for i := range b {
-		if b[i] == 'X' {
-			b[i] = 'x'
-		}
-		if b[i] == 'c' {
-			b[i] = 'C'
-		}
-	}
-	return string(b)
-}
-
-// TestEvalGate3MatchesScalar cross-checks the bit-parallel gate evaluation
-// against the scalar reference at every bit level, for random non-conflicting
-// inputs.  This is the central correctness property of the Table 1 encoding.
-func TestEvalGate3MatchesScalar(t *testing.T) {
-	kinds := []Kind{Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
-	rng := rand.New(rand.NewSource(1995))
-	for iter := 0; iter < 200; iter++ {
-		kind := kinds[rng.Intn(len(kinds))]
-		n := 1
-		if kind != Buf && kind != Not {
-			n = 1 + rng.Intn(4)
-		}
-		in := make([]Word3, n)
-		for i := range in {
-			for lvl := 0; lvl < WordWidth; lvl++ {
-				in[i].Set(lvl, []Value3{X3, Zero3, One3}[rng.Intn(3)])
-			}
-		}
-		out := EvalGate3(kind, in)
-		for lvl := 0; lvl < WordWidth; lvl++ {
-			scalarIn := make([]Value3, n)
-			for i := range in {
-				scalarIn[i] = in[i].Get(lvl)
-			}
-			want := Eval3(kind, scalarIn...)
-			if got := out.Get(lvl); got != want {
-				t.Fatalf("kind %v level %d: parallel %v, scalar %v (inputs %v)",
-					kind, lvl, got, want, scalarIn)
-			}
-		}
-	}
-}
-
-// TestEvalGate3SingleLevelProperty uses testing/quick to compare the scalar
-// evaluation with a word evaluation restricted to a single bit level.
-func TestEvalGate3SingleLevelProperty(t *testing.T) {
-	kinds := []Kind{And, Nand, Or, Nor, Xor, Xnor}
-	f := func(kindIdx uint8, raw [4]uint8, level uint8) bool {
-		kind := kinds[int(kindIdx)%len(kinds)]
-		lvl := int(level) % WordWidth
-		in := make([]Word3, len(raw))
-		scalarIn := make([]Value3, len(raw))
-		for i, r := range raw {
-			v := []Value3{X3, Zero3, One3}[int(r)%3]
-			scalarIn[i] = v
-			in[i].Set(lvl, v)
-		}
-		out := EvalGate3(kind, in)
-		return out.Get(lvl) == Eval3(kind, scalarIn...)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEvalGate3Constants(t *testing.T) {
-	if EvalGate3(Const0, nil) != FillWord3(Zero3) {
-		t.Error("Const0 evaluation wrong")
-	}
-	if EvalGate3(Const1, nil) != FillWord3(One3) {
-		t.Error("Const1 evaluation wrong")
-	}
-	if (EvalGate3(And, nil) != Word3{}) {
-		t.Error("AND of no inputs should be X")
-	}
-	in := FillWord3(One3)
-	if EvalGate3(Buf, []Word3{in}) != in {
-		t.Error("BUF should copy its input")
-	}
-	if EvalGate3(Not, []Word3{in}) != FillWord3(Zero3) {
-		t.Error("NOT should complement its input")
-	}
-}
-
-func BenchmarkTable1GateEval(b *testing.B) {
-	// Evaluates a 4-input AND over all 64 bit levels; this is the elementary
-	// operation the paper's Table 1 encoding is designed to make cheap.
-	in := make([]Word3, 4)
-	rng := rand.New(rand.NewSource(7))
-	for i := range in {
-		for lvl := 0; lvl < WordWidth; lvl++ {
-			in[i].Set(lvl, []Value3{X3, Zero3, One3}[rng.Intn(3)])
-		}
-	}
-	b.ResetTimer()
-	var sink Word3
-	for i := 0; i < b.N; i++ {
-		sink = EvalGate3(And, in)
-	}
-	_ = sink
-}
-
-func BenchmarkSingleBitGateEval(b *testing.B) {
-	// The scalar counterpart of BenchmarkTable1GateEval: evaluating the same
-	// 64 levels one by one with the scalar reference.  The ratio of the two
-	// benchmarks shows the raw word-level parallelism available to the TPG.
-	in := make([]Word3, 4)
-	rng := rand.New(rand.NewSource(7))
-	for i := range in {
-		for lvl := 0; lvl < WordWidth; lvl++ {
-			in[i].Set(lvl, []Value3{X3, Zero3, One3}[rng.Intn(3)])
-		}
-	}
-	scalar := make([][]Value3, WordWidth)
-	for lvl := range scalar {
-		scalar[lvl] = make([]Value3, len(in))
-		for i := range in {
-			scalar[lvl][i] = in[i].Get(lvl)
-		}
-	}
-	b.ResetTimer()
-	var sink Value3
-	for i := 0; i < b.N; i++ {
-		for lvl := 0; lvl < WordWidth; lvl++ {
-			sink = Eval3(And, scalar[lvl]...)
-		}
-	}
-	_ = sink
 }

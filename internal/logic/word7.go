@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Word7 holds 64 seven-valued logic values, one per bit level, in four bit
 // planes following Table 2 of the paper.  The zero value is "X at every bit
@@ -89,92 +86,11 @@ func (w *Word7) MergeAt(i int, v Value7) {
 	}
 }
 
-// Merge accumulates the requirements of o into w at every bit level.
-func (w Word7) Merge(o Word7) Word7 {
-	return Word7{
-		Zero:     w.Zero | o.Zero,
-		One:      w.One | o.One,
-		Stable:   w.Stable | o.Stable,
-		Instable: w.Instable | o.Instable,
-	}
-}
-
-// MergeMasked accumulates the requirements of o into w at the bit levels
-// selected by mask.
-func (w Word7) MergeMasked(o Word7, mask uint64) Word7 {
-	return Word7{
-		Zero:     w.Zero | o.Zero&mask,
-		One:      w.One | o.One&mask,
-		Stable:   w.Stable | o.Stable&mask,
-		Instable: w.Instable | o.Instable&mask,
-	}
-}
-
-// ClearLevels resets the bit levels selected by mask to X.
-func (w Word7) ClearLevels(mask uint64) Word7 {
-	return Word7{
-		Zero:     w.Zero &^ mask,
-		One:      w.One &^ mask,
-		Stable:   w.Stable &^ mask,
-		Instable: w.Instable &^ mask,
-	}
-}
-
-// SelectLevels keeps only the bit levels selected by mask.
-func (w Word7) SelectLevels(mask uint64) Word7 {
-	return Word7{
-		Zero:     w.Zero & mask,
-		One:      w.One & mask,
-		Stable:   w.Stable & mask,
-		Instable: w.Instable & mask,
-	}
-}
-
 // Not returns the complement: the value planes are swapped while the
 // stability planes are preserved.
 func (w Word7) Not() Word7 {
 	return Word7{Zero: w.One, One: w.Zero, Stable: w.Stable, Instable: w.Instable}
 }
-
-// ConflictMask returns the mask of bit levels holding an illegal encoding:
-// both value bits set, or both stability bits set (Table 2).
-func (w Word7) ConflictMask() uint64 {
-	return (w.Zero & w.One) | (w.Stable & w.Instable)
-}
-
-// AssignedMask returns the mask of bit levels with a definite final value and
-// no conflict.
-func (w Word7) AssignedMask() uint64 {
-	return (w.Zero ^ w.One) &^ (w.Stable & w.Instable)
-}
-
-// XMask returns the mask of bit levels that are completely unassigned.
-func (w Word7) XMask() uint64 {
-	return ^(w.Zero | w.One | w.Stable | w.Instable)
-}
-
-// CoversMask returns the mask of bit levels at which w satisfies the
-// requirement o.
-func (w Word7) CoversMask(o Word7) uint64 {
-	return ^((o.Zero &^ w.Zero) | (o.One &^ w.One) | (o.Stable &^ w.Stable) | (o.Instable &^ w.Instable))
-}
-
-// ContradictsMask returns the mask of bit levels at which w directly
-// contradicts the requirement o on the final value or the stability.
-func (w Word7) ContradictsMask(o Word7) uint64 {
-	return (w.Zero & o.One) | (w.One & o.Zero) | (w.Stable & o.Instable) | (w.Instable & o.Stable)
-}
-
-// Flatten returns a word holding the value of bit level i at every bit level.
-func (w Word7) Flatten(i int) Word7 { return FillWord7(w.Get(i)) }
-
-// Weaken3 projects the word onto the three-valued logic, dropping the
-// stability planes.
-func (w Word7) Weaken3() Word3 { return Word3{Zero: w.Zero, One: w.One} }
-
-// Word7From3 lifts a three-valued word into the seven-valued logic with
-// unknown stability at every level.
-func Word7From3(w Word3) Word7 { return Word7{Zero: w.Zero, One: w.One} }
 
 // InitialPlanes returns two planes giving, per bit level, whether the initial
 // (first-vector) value is known to be 0 or known to be 1.
@@ -223,39 +139,6 @@ func (w Word7) StringN(n int) string {
 		}
 	}
 	return sb.String()
-}
-
-// ParseWord7 parses the notation produced by StringN.
-func ParseWord7(s string) (Word7, error) {
-	if len(s) > WordWidth {
-		return Word7{}, fmt.Errorf("logic: word literal %q longer than %d levels", s, WordWidth)
-	}
-	var w Word7
-	n := len(s)
-	for idx := 0; idx < n; idx++ {
-		level := n - 1 - idx
-		switch s[idx] {
-		case '0':
-			w.Set(level, Final0)
-		case '1':
-			w.Set(level, Final1)
-		case 's':
-			w.Set(level, Stable0)
-		case 'S':
-			w.Set(level, Stable1)
-		case 'f':
-			w.Set(level, Fall7)
-		case 'r':
-			w.Set(level, Rise7)
-		case 'x', 'X':
-			w.Set(level, X7)
-		case 'c', 'C':
-			w.Set(level, Stable0|Stable1)
-		default:
-			return Word7{}, fmt.Errorf("logic: invalid character %q in word literal %q", s[idx], s)
-		}
-	}
-	return w, nil
 }
 
 // EvalGate7 evaluates a gate of the given kind over bit-parallel seven-valued

@@ -154,32 +154,6 @@ func SideInputValue(kind logic.Kind, onPath paths.Transition, mode Mode) (logic.
 	return logic.X7, fmt.Errorf("gate kind %v cannot appear on a sensitized path", kind)
 }
 
-// RequirementWords folds the assignments into one requirement word per net,
-// placing the requirement at the given bit level.  Assignments to the same
-// net merge; incompatible requirements produce the conflict encoding, which
-// the implication engine reports.  The words slice must have one entry per
-// net of the circuit.
-func (cond Conditions) RequirementWords(words []logic.Word7, level int) {
-	for _, a := range cond.Assignments {
-		if a.Value == logic.X7 {
-			continue
-		}
-		words[a.Net].MergeAt(level, a.Value)
-	}
-}
-
-// RequirementWordsAll folds the assignments into the requirement words at
-// every bit level selected by mask (used when a fault is flattened for
-// APTPG).
-func (cond Conditions) RequirementWordsAll(words []logic.Word7, mask uint64) {
-	for _, a := range cond.Assignments {
-		if a.Value == logic.X7 {
-			continue
-		}
-		words[a.Net] = words[a.Net].MergeMasked(logic.FillWord7(a.Value), mask)
-	}
-}
-
 // SelfConflicting reports whether the conditions already contradict each
 // other on some net, before any implication is performed (for example a
 // reconvergent side input required at both 0 and 1).  Such faults are

@@ -192,34 +192,6 @@ func TestSensitizeRejectsInvalidPath(t *testing.T) {
 	}
 }
 
-func TestRequirementWords(t *testing.T) {
-	c := bench.C17()
-	p := pathByNames(t, c, "3", "11", "16", "22")
-	f := paths.Fault{Path: p, Transition: paths.Rising}
-	cond, err := Sensitize(c, f, Robust)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := make([]logic.Word7, c.NumNets())
-	cond.RequirementWords(words, 5)
-	if got := words[c.NetByName("3")].Get(5); got != logic.Rise7 {
-		t.Errorf("requirement at level 5 = %v, want Rise", got)
-	}
-	if got := words[c.NetByName("3")].Get(4); got != logic.X7 {
-		t.Errorf("level 4 should be untouched, got %v", got)
-	}
-	wordsAll := make([]logic.Word7, c.NumNets())
-	cond.RequirementWordsAll(wordsAll, logic.LevelMask(8))
-	for lvl := 0; lvl < 8; lvl++ {
-		if got := wordsAll[c.NetByName("2")].Get(lvl); got != logic.Stable1 {
-			t.Errorf("flattened requirement at level %d = %v, want Stable1", lvl, got)
-		}
-	}
-	if got := wordsAll[c.NetByName("2")].Get(8); got != logic.X7 {
-		t.Errorf("level 8 should be untouched, got %v", got)
-	}
-}
-
 // TestSelfConflicting builds a fault whose side-input requirements contradict
 // each other: in the paper example, the path b-q-s-x with a rising transition
 // at b requires side input c of gate q to be non-controlling while the
