@@ -138,9 +138,6 @@ func New(c *Circuit, opts ...Option) (*Engine, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if cfg.remote != "" && cfg.xfillSet {
-		return nil, fmt.Errorf("%w: WithXFill installs an opaque filler the coordinator cannot deserialize", ErrRemoteOption)
-	}
 	return &Engine{
 		circuit:  c,
 		gen:      core.New(c.c, cfg.opts),

@@ -33,7 +33,8 @@ func ParseCompaction(s string) (CompactionLevel, error) { return compact.ParseLe
 type CompactionStats = compact.Stats
 
 // XFill is a strategy for completing the don't-care positions of merged
-// pairs after compaction.  Use [XFillZero], [XFillOne] or [XFillRandom].
+// pairs after compaction: [XFillZero], [XFillOne] or [XFillRandom].  The
+// zero value is XFillZero.
 type XFill = compact.Filler
 
 // XFillZero fills every don't care with logic 0 (the default, matching the
@@ -49,24 +50,14 @@ func XFillRandom(seed int64) XFill { return compact.RandomFill(seed) }
 
 // ParseXFill parses the CLI spelling of an X-fill strategy — "zero", "one"
 // or "random" (seeded with seed); the empty string means zero.
-func ParseXFill(name string, seed int64) (XFill, error) {
-	switch name {
-	case "zero", "":
-		return XFillZero(), nil
-	case "one":
-		return XFillOne(), nil
-	case "random":
-		return XFillRandom(seed), nil
-	}
-	return nil, fmt.Errorf("atpg: unknown X-fill strategy %q (want zero, one or random)", name)
-}
+func ParseXFill(name string, seed int64) (XFill, error) { return compact.ParseFill(name, seed) }
 
 // CompactTests statically compacts a test set against a fault list without
 // an engine: compatible-pair merging (level CompactFull) followed by
 // reverse-order fault simulation.  The returned set detects exactly the
 // same faults of the list, in the selected class, as the input set — never
 // fewer and never more — and the input set is not modified.  fill selects
-// how merged pairs' don't cares are completed; nil means XFillZero.
+// how merged pairs' don't cares are completed.
 //
 // This is the library entry behind `dfsim -compact`; engines compact their
 // own sets when built with [WithCompaction].

@@ -15,9 +15,6 @@ func TestCompactionOptionValidation(t *testing.T) {
 	if _, err := atpg.New(c, atpg.WithCompaction(atpg.CompactionLevel(99))); err == nil {
 		t.Error("WithCompaction accepted an unknown level")
 	}
-	if _, err := atpg.New(c, atpg.WithXFill(nil)); err == nil {
-		t.Error("WithXFill accepted nil")
-	}
 	for _, level := range []atpg.CompactionLevel{atpg.CompactNone, atpg.CompactReverse, atpg.CompactFull} {
 		if _, err := atpg.New(c, atpg.WithCompaction(level), atpg.WithXFill(atpg.XFillRandom(1))); err != nil {
 			t.Errorf("WithCompaction(%v) rejected: %v", level, err)
@@ -148,10 +145,10 @@ func TestCompactTests(t *testing.T) {
 		t.Errorf("coverage changed: %v -> %v", a, b)
 	}
 
-	if _, _, err := atpg.CompactTests(nil, set, faults, true, atpg.CompactFull, nil); err == nil {
+	if _, _, err := atpg.CompactTests(nil, set, faults, true, atpg.CompactFull, atpg.XFillZero()); err == nil {
 		t.Error("nil circuit accepted")
 	}
-	if _, _, err := atpg.CompactTests(c, nil, faults, true, atpg.CompactFull, nil); err == nil {
+	if _, _, err := atpg.CompactTests(c, nil, faults, true, atpg.CompactFull, atpg.XFillZero()); err == nil {
 		t.Error("nil set accepted")
 	}
 }

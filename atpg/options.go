@@ -21,16 +21,9 @@ const (
 	Robust = sensitize.Robust
 )
 
-// ParseMode parses "robust" or "nonrobust".
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "robust":
-		return Robust, nil
-	case "nonrobust":
-		return Nonrobust, nil
-	}
-	return Nonrobust, fmt.Errorf("atpg: unknown mode %q (want robust or nonrobust)", s)
-}
+// ParseMode parses "robust" or "nonrobust" (the spelling of the CLI -mode
+// flags).
+func ParseMode(s string) (Mode, error) { return sensitize.ParseMode(s) }
 
 // MaxWordWidth is the largest word width L the generator exploits: 128, two
 // 64-bit machine words per plane.  Widths above 64 run on two-word plane
@@ -60,9 +53,6 @@ type engineConfig struct {
 	// remote, when set, makes the engine submit runs to an ATPG service
 	// coordinator instead of generating in-process (see WithRemote).
 	remote string
-	// xfillSet notes an explicit WithXFill: a custom filler is an opaque
-	// function and cannot be serialized to a remote coordinator.
-	xfillSet bool
 }
 
 // WithMode selects robust or nonrobust test generation (default: robust).
@@ -212,11 +202,7 @@ func WithCompaction(level CompactionLevel) Option {
 // WithCompaction(CompactFull).
 func WithXFill(f XFill) Option {
 	return func(c *engineConfig) error {
-		if f == nil {
-			return fmt.Errorf("atpg: nil X-fill strategy")
-		}
 		c.opts.CompactionXFill = f
-		c.xfillSet = true
 		return nil
 	}
 }

@@ -3,7 +3,6 @@ package atpg
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -33,11 +32,6 @@ func propagateCancel(cl *service.Client, jobID string) {
 	_, _ = cl.Cancel(cctx, jobID)
 }
 
-// ErrRemoteOption is returned by New when an option cannot be carried over
-// the wire to a remote coordinator (currently only WithXFill: a custom
-// filler is an opaque function).
-var ErrRemoteOption = errors.New("atpg: option not supported with WithRemote")
-
 // WithRemote makes the engine run on an ATPG service coordinator instead of
 // in-process: Run submits the circuit (content-addressed, so repeat
 // submissions of the same design skip the upload and the parse), the fault
@@ -49,10 +43,10 @@ var ErrRemoteOption = errors.New("atpg: option not supported with WithRemote")
 // breaking out cancels the job on the coordinator.
 //
 // addr is the coordinator's base URL, e.g. "http://127.0.0.1:9090".
-// [WithWorkers] is ignored remotely (parallelism is the worker fleet's),
-// and [WithXFill] fails construction with ErrRemoteOption: a custom filler
-// cannot be serialized.  [WithProgress] works — it is fed from the event
-// stream.
+// [WithWorkers] is ignored remotely (parallelism is the worker fleet's).
+// [WithProgress] works — it is fed from the event stream.  After a run,
+// Stats().Sched carries the job's lease counters (units, leases, requeues
+// and duplicates).
 func WithRemote(addr string) Option {
 	return func(c *engineConfig) error {
 		if addr == "" {
@@ -77,6 +71,8 @@ func remoteWireOptions(opts core.Options) service.JobOptions {
 		NoAPTPG:     !opts.UseAPTPG,
 		SimInterval: &sim,
 		Compact:     opts.Compaction.String(),
+		XFill:       opts.CompactionXFill.Name(),
+		XFillSeed:   opts.CompactionXFill.Seed(),
 	}
 }
 

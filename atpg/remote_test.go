@@ -3,7 +3,6 @@ package atpg_test
 import (
 	"bytes"
 	"context"
-	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -62,15 +61,28 @@ func remoteOptions(extra ...atpg.Option) []atpg.Option {
 // contract: Engine.Run through WithRemote — two workers over real HTTP —
 // must return bit-identical statuses and pattern indices, a byte-identical
 // test set and equal coverage versus a local two-worker engine with the
-// same options.
+// same options.  The second case carries full compaction with a seeded
+// random X-fill over the wire.
 func TestRemoteRunMatchesLocal(t *testing.T) {
 	c, err := atpg.Builtin("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := atpg.SampleFaults(c, 96, 1995)
+	url := startService(t, 2)
+	for _, tc := range []struct {
+		name string
+		opts []atpg.Option
+	}{
+		{"reverse", nil},
+		{"full-random7", []atpg.Option{atpg.WithCompaction(atpg.CompactFull), atpg.WithXFill(atpg.XFillRandom(7))}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { remoteMatchesLocal(t, c, faults, url, tc.opts...) })
+	}
+}
 
-	local, err := atpg.New(c, remoteOptions(atpg.WithWorkers(2))...)
+func remoteMatchesLocal(t *testing.T, c *atpg.Circuit, faults []atpg.Fault, url string, extra ...atpg.Option) {
+	local, err := atpg.New(c, append(remoteOptions(extra...), atpg.WithWorkers(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +91,8 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	url := startService(t, 2)
 	var progressed int
-	remote, err := atpg.New(c, remoteOptions(
+	remote, err := atpg.New(c, append(remoteOptions(extra...),
 		atpg.WithRemote(url),
 		atpg.WithProgress(func(atpg.Result) { progressed++ }),
 	)...)
@@ -192,17 +203,12 @@ func TestRemoteStreamBreak(t *testing.T) {
 	}
 }
 
-// TestRemoteOptionErrors: WithXFill installs an opaque function the wire
-// cannot carry, so combining it with WithRemote must fail construction;
-// an empty coordinator address is rejected outright.
+// TestRemoteOptionErrors: an empty coordinator address is rejected
+// outright.
 func TestRemoteOptionErrors(t *testing.T) {
 	c, err := atpg.Builtin("c432")
 	if err != nil {
 		t.Fatal(err)
-	}
-	_, err = atpg.New(c, atpg.WithRemote("http://127.0.0.1:1"), atpg.WithXFill(atpg.XFillOne()))
-	if !errors.Is(err, atpg.ErrRemoteOption) {
-		t.Errorf("WithRemote+WithXFill: got %v, want ErrRemoteOption", err)
 	}
 	_, err = atpg.New(c, atpg.WithRemote(""))
 	if err == nil {

@@ -3,12 +3,12 @@
 //	atpgd -role coordinator -listen :9090 -ledger /var/lib/atpgd
 //	atpgd -role worker -coordinator http://127.0.0.1:9090 -id w1
 //
-// A coordinator accepts jobs over HTTP/JSON (see cmd/atpgctl and the atpg
-// package's WithRemote option), compiles each submitted circuit once into a
-// content-addressed cache, cuts the fault universe into leased work units
-// and merges the workers' verified patterns deterministically.  With
-// -ledger it journals every job to a JSON-lines file and resumes
-// interrupted jobs on restart.
+// A coordinator accepts jobs over HTTP/JSON from the atpg package's
+// WithRemote option, which tip -remote sets (see cmd/tip), compiles each
+// submitted circuit once into a content-addressed cache, cuts the fault
+// universe into leased work units and merges the workers' verified patterns
+// deterministically.  With -ledger it journals every job to a JSON-lines
+// file and resumes interrupted jobs on restart.
 //
 // A worker leases units from the coordinator — each lease request waits on
 // the coordinator until a unit is leasable — runs them through the

@@ -1,12 +1,18 @@
 // Command tip is the bit-parallel path delay fault test pattern generator
 // (named after the paper's tool).  It reads a benchmark circuit, selects a
 // set of target path delay faults, generates robust or nonrobust two-vector
-// tests for them and reports the per-fault outcome.
+// tests for them and reports the per-fault outcome.  With -remote the run
+// goes to an atpgd coordinator's worker fleet instead (see cmd/atpgd); the
+// -v, -out and -statuses output is the same as a local run's, and with the
+// interleaved simulation off (-sim 0) it is byte-identical.  An interrupt
+// cancels the run (a remote one on its coordinator too); a second one
+// kills the process.
 //
 // Usage:
 //
 //	tip -circuit c432 -mode robust -faults 256
 //	tip -bench mydesign.bench -mode nonrobust -faults 1000 -out tests.txt
+//	tip -remote http://127.0.0.1:9090 -circuit c432 -sim 0 -out remote.tests
 package main
 
 import (
@@ -15,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/atpg"
 )
@@ -38,10 +46,15 @@ func main() {
 		out         = flag.String("out", "", "write the generated test set to this file")
 		statuses    = flag.String("statuses", "", "write one 'fault<TAB>status' line per target fault (input order) to this file")
 		verbose     = flag.Bool("v", false, "print one line per fault")
+		remote      = flag.String("remote", "", "run on the atpgd coordinator at this base URL (e.g. http://127.0.0.1:9090) instead of in-process")
 		cpuprofile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the generation run to this file")
 		memprofile  = flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	)
 	flag.Parse()
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop) // a second interrupt kills the process
 
 	c, err := atpg.LoadCircuit(*circuitName, *benchFile)
 	if err != nil {
@@ -85,6 +98,9 @@ func main() {
 	if *sim >= 0 {
 		engineOpts = append(engineOpts, atpg.WithInterleavedSim(*sim))
 	}
+	if *remote != "" {
+		engineOpts = append(engineOpts, atpg.WithRemote(*remote))
+	}
 	e, err := atpg.New(c, engineOpts...)
 	if errors.Is(err, atpg.ErrBadWidth) {
 		fail(fmt.Errorf("invalid width: %v (valid: -width 1..%d)", err, atpg.MaxWordWidth))
@@ -92,7 +108,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if e.Workers() != 1 {
+	if e.Workers() != 1 && *remote == "" { // the fleet sets a remote run's parallelism
 		fmt.Printf("workers: %d\n", e.Workers())
 	}
 
@@ -100,7 +116,7 @@ func main() {
 	profiled := atpg.ExperimentConfig{CPUProfile: *cpuprofile, MemProfile: *memprofile}
 	if err := profiled.Profiled(func() error {
 		var runErr error
-		results, runErr = e.Run(context.Background(), faults)
+		results, runErr = e.Run(ctx, faults)
 		return runErr
 	}); err != nil {
 		fail(err)
@@ -114,7 +130,7 @@ func main() {
 	st := e.Stats()
 	fmt.Printf("result: %s\n", st)
 	fmt.Printf("sensitization time: %s, generation time: %s\n", st.SensitizeTime, st.GenerateTime)
-	if e.Workers() != 1 {
+	if e.Workers() != 1 || *remote != "" {
 		fmt.Printf("scheduling: %s\n", st.Sched)
 	}
 	if level != atpg.CompactNone {

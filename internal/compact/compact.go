@@ -11,7 +11,7 @@
 //     carrying the union of their requirements.  This needs the don't-care
 //     information the generator normally discards when it fills a pattern,
 //     so merging works on the X-preserving (unfilled) forms and the merged
-//     pairs are re-filled afterwards by a pluggable Filler.  The forms are
+//     pairs are re-filled afterwards by a Filler.  The forms are
 //     compared as bit planes of 64 inputs per word in the paper's Table 1
 //     encoding, where a merge is an OR and a conflict the (1,1) code.
 //
@@ -149,7 +149,7 @@ const maxCompactionRounds = 8
 // pattern.Set.AddUnfilled and the generator's EmitUnfilled option); without
 // them every value counts as specified and merging degrades to duplicate
 // elimination.  fill specifies how the don't cares of merged pairs are
-// completed; nil selects ZeroFill.
+// completed.
 func Compact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault, robust bool, level Level, fill Filler) (*pattern.Set, Stats, error) {
 	out, st, _, err := CompactOn([]*faultsim.Simulator{faultsim.New(c)}, set, faults, robust, level, fill)
 	return out, st, err
@@ -173,9 +173,6 @@ func CompactOn(sims []*faultsim.Simulator, set *pattern.Set, faults []paths.Faul
 	}
 	if set.Len() == 0 || len(faults) == 0 {
 		return set, st, firstDetecting(nil, len(faults)), nil
-	}
-	if fill == nil {
-		fill = ZeroFill()
 	}
 	pool := make([]entry, set.Len())
 	for i := range pool {

@@ -91,6 +91,16 @@ func TestFillers(t *testing.T) {
 	if !varies {
 		t.Error("RandomFill ignores its seed")
 	}
+	// Name and Seed are what the service wire carries: ParseFill must give
+	// back the same filler, and the zero value is the zero fill.
+	for _, f := range []compact.Filler{{}, compact.ZeroFill(), compact.OneFill(), compact.RandomFill(7)} {
+		if got, err := compact.ParseFill(f.Name(), f.Seed()); err != nil || got != f {
+			t.Errorf("ParseFill(%q, %d) = %v, %v; want %v", f.Name(), f.Seed(), got, err, f)
+		}
+	}
+	if _, err := compact.ParseFill("half", 0); err == nil {
+		t.Error("ParseFill accepted an unknown strategy")
+	}
 }
 
 // generate runs the bit-parallel generator with unfilled-pair tracking and
@@ -133,7 +143,7 @@ func TestCompactionInvariants(t *testing.T) {
 				before := detectedVector(t, c, set.Pairs, faults, robust)
 
 				for _, level := range []compact.Level{compact.Reverse, compact.Full} {
-					out, st, err := compact.Compact(c, set, faults, robust, level, nil)
+					out, st, err := compact.Compact(c, set, faults, robust, level, compact.ZeroFill())
 					if err != nil {
 						t.Fatalf("%v: %v", level, err)
 					}
@@ -152,7 +162,7 @@ func TestCompactionInvariants(t *testing.T) {
 					}
 
 					// Idempotence: compacting the compacted set is a no-op.
-					out2, st2, err := compact.Compact(c, out, faults, robust, level, nil)
+					out2, st2, err := compact.Compact(c, out, faults, robust, level, compact.ZeroFill())
 					if err != nil {
 						t.Fatalf("%v (second pass): %v", level, err)
 					}
@@ -177,7 +187,7 @@ func TestReverseOrderDropsDuplicates(t *testing.T) {
 	doubled.Append(set)
 	doubled.Append(set)
 
-	out, st, err := compact.Compact(c, doubled, faults, true, compact.Reverse, nil)
+	out, st, err := compact.Compact(c, doubled, faults, true, compact.Reverse, compact.ZeroFill())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func TestCompactNoneAndEmpty(t *testing.T) {
 	}
 	faults := paths.EnumerateFaults(c, 4)
 	empty := &pattern.Set{}
-	out, st, err := compact.Compact(c, empty, faults, true, compact.Full, nil)
+	out, st, err := compact.Compact(c, empty, faults, true, compact.Full, compact.ZeroFill())
 	if err != nil || out.Len() != 0 {
 		t.Fatalf("empty set: %v, %v", out, err)
 	}
@@ -253,10 +263,10 @@ func TestCompactNoneAndEmpty(t *testing.T) {
 	}
 	set := &pattern.Set{}
 	set.Add(pattern.NewPair(len(c.Inputs())).FillX(logic.Zero3), "t")
-	if out, _, _ := compact.Compact(c, set, faults, true, compact.None, nil); out != set {
+	if out, _, _ := compact.Compact(c, set, faults, true, compact.None, compact.ZeroFill()); out != set {
 		t.Error("level None should return the input set unchanged")
 	}
-	if out, _, _ := compact.Compact(c, set, nil, true, compact.Full, nil); out != set {
+	if out, _, _ := compact.Compact(c, set, nil, true, compact.Full, compact.ZeroFill()); out != set {
 		t.Error("empty fault list should return the input set unchanged")
 	}
 }
@@ -386,7 +396,7 @@ func TestCompactOnMatchesReference(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for _, level := range []compact.Level{compact.Reverse, compact.Full} {
-			want, wantSt, wantFirst, err := compact.ReferenceCompact(in.c, in.set, in.faults, in.robust, level, nil)
+			want, wantSt, wantFirst, err := compact.ReferenceCompact(in.c, in.set, in.faults, in.robust, level, compact.ZeroFill())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,7 +408,7 @@ func TestCompactOnMatchesReference(t *testing.T) {
 				for w := range ss {
 					ss[w] = faultsim.New(in.c)
 				}
-				got, st, first, err := compact.CompactOn(ss, in.set, in.faults, in.robust, level, nil)
+				got, st, first, err := compact.CompactOn(ss, in.set, in.faults, in.robust, level, compact.ZeroFill())
 				if err != nil {
 					t.Fatalf("%s %v sims=%d: %v", in.name, level, sims, err)
 				}

@@ -13,43 +13,70 @@ import (
 // where both vectors were unconstrained, so no spurious transitions are
 // introduced (spurious transitions could invalidate robust detections the
 // merge is supposed to preserve).
-type Filler interface {
-	// Fill returns a fully specified copy of p.  Positions already assigned
-	// are never changed.
-	Fill(p pattern.Pair) pattern.Pair
-	// String names the strategy, e.g. "zero" or "random(42)".
-	String() string
+//
+// A Filler is one of three strategies, named by Name and made by ZeroFill,
+// OneFill, RandomFill or ParseFill; the zero value is ZeroFill.
+type Filler struct {
+	kind fillKind
+	seed int64 // RandomFill's seed
 }
 
-// valueFill fills every don't care with one constant value.
-type valueFill struct{ v logic.Value3 }
+type fillKind uint8
+
+const (
+	fillZero fillKind = iota
+	fillOne
+	fillRandom
+)
+
+// fillNames are the ParseFill spellings, indexed by fillKind.
+var fillNames = [...]string{"zero", "one", "random"}
 
 // ZeroFill returns the filler assigning logic 0 to every don't care, the
 // generator's default fill value.
-func ZeroFill() Filler { return valueFill{logic.Zero3} }
+func ZeroFill() Filler { return Filler{} }
 
 // OneFill returns the filler assigning logic 1 to every don't care.
-func OneFill() Filler { return valueFill{logic.One3} }
+func OneFill() Filler { return Filler{kind: fillOne} }
 
-func (f valueFill) Fill(p pattern.Pair) pattern.Pair { return p.FillX(f.v) }
+// RandomFill returns the deterministic seeded random filler.  The fill of a
+// pair depends only on the seed, the pair's contents and the position, never
+// on call order, so repeated compactions of the same set are bit-identical.
+func RandomFill(seed int64) Filler { return Filler{kind: fillRandom, seed: seed} }
 
-func (f valueFill) String() string {
-	if f.v == logic.One3 {
-		return "one"
+// ParseFill parses the spelling of a fill strategy: "zero", "one" or
+// "random" (seeded with seed); the empty string means zero.
+func ParseFill(name string, seed int64) (Filler, error) {
+	switch name {
+	case "zero", "":
+		return ZeroFill(), nil
+	case "one":
+		return OneFill(), nil
+	case "random":
+		return RandomFill(seed), nil
 	}
-	return "zero"
+	return Filler{}, fmt.Errorf("compact: unknown X-fill %q (want zero, one or random)", name)
 }
 
-// randomFill fills don't cares with seed-derived pseudo-random values.  The
-// fill of a pair depends only on the seed, the pair's contents and the
-// position, never on call order, so repeated compactions of the same set are
-// bit-identical.
-type randomFill struct{ seed int64 }
+// Name returns the strategy's ParseFill spelling.
+func (f Filler) Name() string { return fillNames[f.kind] }
 
-// RandomFill returns the deterministic seeded random filler.
-func RandomFill(seed int64) Filler { return randomFill{seed} }
+// Seed returns the seed of a random filler; it is 0 for the others.
+func (f Filler) Seed() int64 { return f.seed }
 
-func (f randomFill) Fill(p pattern.Pair) pattern.Pair {
+// Fill returns a fully specified copy of p.  Positions already assigned are
+// never changed.
+func (f Filler) Fill(p pattern.Pair) pattern.Pair {
+	switch f.kind {
+	case fillOne:
+		return p.FillX(logic.One3)
+	case fillRandom:
+		return f.randomFill(p)
+	}
+	return p.FillX(logic.Zero3)
+}
+
+func (f Filler) randomFill(p pattern.Pair) pattern.Pair {
 	out := p.Clone()
 	// FNV-style hash over the specified bits of the pair, salted by the
 	// seed, so distinct pairs draw distinct fill streams.
@@ -72,5 +99,3 @@ func (f randomFill) Fill(p pattern.Pair) pattern.Pair {
 	}
 	return out
 }
-
-func (f randomFill) String() string { return fmt.Sprintf("random(%d)", f.seed) }

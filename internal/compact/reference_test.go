@@ -21,9 +21,6 @@ func referenceCompact(c *circuit.Circuit, set *pattern.Set, faults []paths.Fault
 	if level == None {
 		return set, st, nil, nil
 	}
-	if fill == nil {
-		fill = ZeroFill()
-	}
 	cur := set
 	for round := 0; round < maxCompactionRounds && cur.Len() > 0 && len(faults) > 0; round++ {
 		out, rs, err := referenceRound(c, cur, faults, robust, level, fill)

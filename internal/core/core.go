@@ -145,7 +145,7 @@ type Options struct {
 	// Compaction never changes which faults of the run are detected.
 	Compaction compact.Level
 	// CompactionXFill fills the don't-care positions of merged pairs during
-	// compaction; nil selects compact.ZeroFill().
+	// compaction; the zero value is compact.ZeroFill().
 	CompactionXFill compact.Filler
 	// EmitUnfilled records the X-preserving form of every generated pattern
 	// alongside the filled one (pattern.Set.Unfilled).  Merge-level
@@ -191,9 +191,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Compaction == compact.Full {
 		o.EmitUnfilled = true
-	}
-	if o.Compaction != compact.None && o.CompactionXFill == nil {
-		o.CompactionXFill = compact.ZeroFill()
 	}
 	return o
 }

@@ -213,16 +213,18 @@ func (rr *RemoteRun) AddEffort(d Stats) {
 // Run drives the distributed run: it cuts the pass into work units exactly
 // like a local run and hands them to dispatch, which must not return before
 // every unit of the pass has been processed and applied (see the
-// synchronization contract on RemoteRun).  After the pass it ends exactly
-// like RunSharded (see mergeRun), on the master's simulator.  The results
-// are input-ordered: result i belongs to fault i.
-func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit)) []FaultResult {
+// synchronization contract on RemoteRun).  dispatch returns the pass's
+// dispatch counters, which Run adds to the master's Stats.Sched as
+// RunSharded adds its scheduler's.  After the pass it ends exactly like
+// RunSharded (see mergeRun), on the master's simulator.  The results are
+// input-ordered: result i belongs to fault i.
+func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit) sched.Stats) []FaultResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	m := rr.master
 	if len(rr.recs) > 0 && ctx.Err() == nil {
-		dispatch(m.opts.cut(len(rr.recs)))
+		m.stats.Sched.Add(dispatch(m.opts.cut(len(rr.recs))))
 	}
 	m.mergeRun(ctx, []*faultsim.Simulator{m.sim}, rr.faults, rr.results, rr.recs)
 	return rr.results

@@ -26,7 +26,7 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 	}
 	x := newExchange(workers)
 	published := make([]int, workers) // per-worker test-set length already published
-	return rr.Run(ctx, func(units []sched.Unit) {
+	return rr.Run(ctx, func(units []sched.Unit) sched.Stats {
 		ch := make(chan sched.Unit)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -55,6 +55,7 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 		}
 		close(ch)
 		wg.Wait()
+		return sched.Stats{Units: len(units)}
 	})
 }
 
@@ -143,7 +144,8 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 
 	master := New(c, opts)
 	rr := NewRemoteRun(master, faults)
-	results := rr.Run(context.Background(), func(units []sched.Unit) {
+	var dispatched sched.Stats
+	results := rr.Run(context.Background(), func(units []sched.Unit) sched.Stats {
 		wk := New(c, opts)
 		for _, u := range units {
 			ufaults := make([]paths.Fault, len(u.Faults))
@@ -159,8 +161,13 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 				t.Errorf("duplicate apply settled %v", settled)
 			}
 		}
+		dispatched = sched.Stats{Units: len(units), Leases: 2 * len(units), Duplicates: len(units)}
+		return dispatched
 	})
 	st := master.Stats()
+	if st.Sched != dispatched {
+		t.Errorf("master's dispatch counters %+v, want the pass's %+v", st.Sched, dispatched)
+	}
 	if st.Tested+st.Redundant+st.Aborted+st.DetectedBySim != len(faults) {
 		t.Errorf("classifications sum to %d, want %d (duplicate apply double-counted)",
 			st.Tested+st.Redundant+st.Aborted+st.DetectedBySim, len(faults))
@@ -195,12 +202,12 @@ func TestRemoteRunCanceled(t *testing.T) {
 	master := New(c, opts)
 	rr := NewRemoteRun(master, faults)
 	applied := 0
-	results := rr.Run(ctx, func(units []sched.Unit) {
+	results := rr.Run(ctx, func(units []sched.Unit) sched.Stats {
 		wk := New(c, opts)
 		for i, u := range units {
 			if i == 2 {
 				cancel() // the coordinator lost the job mid-pass
-				return
+				return sched.Stats{}
 			}
 			ufaults := make([]paths.Fault, len(u.Faults))
 			for j, fi := range u.Faults {
@@ -209,6 +216,7 @@ func TestRemoteRunCanceled(t *testing.T) {
 			rr.Apply(u.Faults, wk.ProcessRemoteUnit(ctx, ufaults, nil))
 			applied += len(u.Faults)
 		}
+		return sched.Stats{}
 	})
 	if applied == 0 {
 		t.Fatal("no units applied before cancellation")

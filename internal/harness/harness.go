@@ -56,8 +56,8 @@ type Config struct {
 	// Compact selects the static test-set compaction applied after every
 	// generator run (compact.None disables it, the default).
 	Compact compact.Level
-	// XFill fills the don't cares of pairs merged during compaction; nil
-	// selects compact.ZeroFill().
+	// XFill fills the don't cares of pairs merged during compaction; the
+	// zero value is compact.ZeroFill().
 	XFill compact.Filler
 	// CPUProfile and MemProfile, when non-empty, are the pprof output paths
 	// used by Config.Profiled (and by the -cpuprofile/-memprofile flags of

@@ -76,21 +76,6 @@ func Value3FromBool(b bool) Value3 {
 	return Zero3
 }
 
-// ParseValue3 parses "0", "1", "x"/"X", or "c"/"C".
-func ParseValue3(s string) (Value3, error) {
-	switch s {
-	case "0":
-		return Zero3, nil
-	case "1":
-		return One3, nil
-	case "x", "X":
-		return X3, nil
-	case "c", "C":
-		return Conflict3, nil
-	}
-	return X3, fmt.Errorf("logic: cannot parse %q as a three-valued logic value", s)
-}
-
 // Eval3 evaluates a gate of the given kind over scalar three-valued inputs.
 // It is the scalar reference for the final values of Eval7 (and so of the
 // Zero and One planes of EvalGate7), which the test suite cross-checks.

@@ -158,29 +158,6 @@ func (v Value7) String() string {
 	return fmt.Sprintf("Value7(%04b)", uint8(v))
 }
 
-// ParseValue7 parses the notation produced by String.
-func ParseValue7(s string) (Value7, error) {
-	switch s {
-	case "X", "x":
-		return X7, nil
-	case "0s", "0S":
-		return Stable0, nil
-	case "1s", "1S":
-		return Stable1, nil
-	case "0i", "0I":
-		return Fall7, nil
-	case "1i", "1I":
-		return Rise7, nil
-	case "0x", "0X", "0":
-		return Final0, nil
-	case "1x", "1X", "1":
-		return Final1, nil
-	case "C", "c":
-		return Stable0 | Stable1, nil
-	}
-	return X7, fmt.Errorf("logic: cannot parse %q as a seven-valued logic value", s)
-}
-
 // AllValues7 lists the seven legal values plus X in a deterministic order;
 // useful for exhaustive tests.
 func AllValues7() []Value7 {

@@ -1,7 +1,5 @@
 package logic
 
-import "strings"
-
 // Word7 holds 64 seven-valued logic values, one per bit level, in four bit
 // planes following Table 2 of the paper.  The zero value is "X at every bit
 // level" and is ready to use.
@@ -98,47 +96,6 @@ func (w Word7) InitialPlanes() (init0, init1 uint64) {
 	init0 = (w.Zero & w.Stable) | (w.One & w.Instable)
 	init1 = (w.One & w.Stable) | (w.Zero & w.Instable)
 	return init0, init1
-}
-
-// String renders the word with bit level L-1 on the left, using one
-// character per level: 0/1 for final values with unknown stability, s/S for
-// stable 0/1, f/r for falling/rising transitions, x for X and C for a
-// conflict.
-func (w Word7) String() string { return w.StringN(WordWidth) }
-
-// StringN renders only the lowest n bit levels.
-func (w Word7) StringN(n int) string {
-	if n <= 0 {
-		n = 1
-	}
-	if n > WordWidth {
-		n = WordWidth
-	}
-	var sb strings.Builder
-	for i := n - 1; i >= 0; i-- {
-		v := w.Get(i)
-		switch {
-		case v.IsConflict():
-			sb.WriteByte('C')
-		case v == X7:
-			sb.WriteByte('x')
-		case v == Stable0:
-			sb.WriteByte('s')
-		case v == Stable1:
-			sb.WriteByte('S')
-		case v == Fall7:
-			sb.WriteByte('f')
-		case v == Rise7:
-			sb.WriteByte('r')
-		case v == Final0:
-			sb.WriteByte('0')
-		case v == Final1:
-			sb.WriteByte('1')
-		default:
-			sb.WriteByte('?')
-		}
-	}
-	return sb.String()
 }
 
 // EvalGate7 evaluates a gate of the given kind over bit-parallel seven-valued

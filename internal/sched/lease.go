@@ -24,7 +24,7 @@ type LeaseQueue struct {
 	leased  map[int]lease
 	done    []bool
 	left    int // units not yet completed
-	stats   LeaseStats
+	stats   Stats
 
 	// doneCh is closed when every unit has completed.
 	doneCh chan struct{}
@@ -43,20 +43,6 @@ type LeasedUnit struct {
 	Unit Unit
 }
 
-// LeaseStats summarizes the dispatch behavior of a queue.
-type LeaseStats struct {
-	// Leases counts units handed out, including re-leases after expiry.
-	Leases int
-	// Completed counts units completed (first completion only).
-	Completed int
-	// Requeues counts expired leases put back on the pending queue.
-	Requeues int
-	// Duplicates counts completions of already-completed units (the
-	// at-least-once case: the original worker's result arrived after the
-	// requeued unit completed elsewhere).
-	Duplicates int
-}
-
 // NewLeaseQueue builds a queue over the units of one pass.  Unit IDs are the
 // unit's index in the slice.  A queue over zero units is complete
 // immediately.
@@ -66,6 +52,7 @@ func NewLeaseQueue(units []Unit) *LeaseQueue {
 		leased: make(map[int]lease),
 		done:   make([]bool, len(units)),
 		left:   len(units),
+		stats:  Stats{Units: len(units)},
 		doneCh: make(chan struct{}),
 	}
 	q.pending = make([]int, len(units))
@@ -122,7 +109,6 @@ func (q *LeaseQueue) Complete(id int) bool {
 	}
 	q.done[id] = true
 	delete(q.leased, id)
-	q.stats.Completed++
 	q.left--
 	if q.left == 0 {
 		close(q.doneCh)
@@ -164,8 +150,9 @@ func (q *LeaseQueue) Remaining() int {
 	return q.left
 }
 
-// Stats returns the counters accumulated so far.
-func (q *LeaseQueue) Stats() LeaseStats {
+// Stats returns the counters accumulated so far: Units is the pass's unit
+// count, and Steals and IdleUnits, which only a Scheduler counts, stay zero.
+func (q *LeaseQueue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.stats

@@ -41,8 +41,8 @@ func TestLeaseQueueBasic(t *testing.T) {
 		t.Fatalf("wait on complete queue: %v", err)
 	}
 	st := q.Stats()
-	if st.Leases != 5 || st.Completed != 5 || st.Requeues != 0 || st.Duplicates != 0 {
-		t.Fatalf("stats %+v", st)
+	if want := (Stats{Units: 5, Leases: 5}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestLeaseQueueExpiryRequeues(t *testing.T) {
 		}
 	}
 	st := q.Stats()
-	if st.Requeues != 2 || st.Duplicates != 2 || st.Completed != 3 {
-		t.Fatalf("stats %+v, want 2 requeues, 2 duplicates, 3 completed", st)
+	if want := (Stats{Units: 3, Leases: 5, Requeues: 2, Duplicates: 2}); st != want || q.Remaining() != 0 {
+		t.Fatalf("stats %+v with %d remaining, want %+v and none", st, q.Remaining(), want)
 	}
 	if err := q.Wait(context.Background()); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,9 @@ type Unit struct {
 	Faults []int
 }
 
-// Stats aggregates the dispatch behavior of one or more scheduler loads.
+// Stats aggregates the dispatch behavior of one or more passes, whether a
+// Scheduler hands their units to local workers or a LeaseQueue leases them
+// to remote ones.
 type Stats struct {
 	// Units counts the work units dispatched.
 	Units int
@@ -40,18 +42,36 @@ type Stats struct {
 	// nothing is left to steal — so a nonzero value would mean stealing
 	// stranded work.
 	IdleUnits int
+
+	// Leases counts units a LeaseQueue handed out, re-leases after expiry
+	// included.
+	Leases int
+	// Requeues counts expired leases put back on the pending queue.
+	Requeues int
+	// Duplicates counts completions of already-completed units (the
+	// at-least-once case: the original worker's result arrived after the
+	// requeued unit completed elsewhere).
+	Duplicates int
 }
 
-// Add accumulates the counters of another load into s.
+// Add accumulates the counters of another pass into s.
 func (s *Stats) Add(o Stats) {
 	s.Units += o.Units
 	s.Steals += o.Steals
 	s.IdleUnits += o.IdleUnits
+	s.Leases += o.Leases
+	s.Requeues += o.Requeues
+	s.Duplicates += o.Duplicates
 }
 
-// String renders a one-line summary.
+// String renders a one-line summary; the lease counters appear once a unit
+// was leased.
 func (s Stats) String() string {
-	return fmt.Sprintf("units=%d steals=%d idle-units=%d", s.Units, s.Steals, s.IdleUnits)
+	out := fmt.Sprintf("units=%d steals=%d idle-units=%d", s.Units, s.Steals, s.IdleUnits)
+	if s.Leases > 0 {
+		out += fmt.Sprintf(" leases=%d requeues=%d duplicates=%d", s.Leases, s.Requeues, s.Duplicates)
+	}
+	return out
 }
 
 // Scheduler hands out the loaded units to workers.  Next is safe for

@@ -44,6 +44,17 @@ func (m Mode) String() string {
 	return "nonrobust"
 }
 
+// ParseMode parses "robust" or "nonrobust".
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "robust":
+		return Robust, nil
+	case "nonrobust":
+		return Nonrobust, nil
+	}
+	return Nonrobust, fmt.Errorf("sensitize: unknown mode %q (want robust or nonrobust)", s)
+}
+
 // Assignment is a single value requirement produced by sensitization.
 type Assignment struct {
 	Net   circuit.NetID

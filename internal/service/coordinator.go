@@ -144,8 +144,8 @@ type job struct {
 	state     string
 	stateSig  broadcast // fires on every state change
 	rr        *core.RemoteRun
-	pass      *passState       // the pass while it is dispatched, nil before and after
-	leases    sched.LeaseStats // the pass's lease counters once it is over
+	pass      *passState  // the pass while it is dispatched, nil before and after
+	leases    sched.Stats // the pass's lease counters once it is over
 	exch      exchange
 	replayed  int // units restored from the ledger
 	results   []WireResult
@@ -462,8 +462,8 @@ func (co *Coordinator) runJob(j *job) {
 	j.mu.Unlock()
 
 	spec := passSpec(master.Options())
-	results := rr.Run(j.ctx, func(units []sched.Unit) {
-		co.runPass(j, units, spec)
+	results := rr.Run(j.ctx, func(units []sched.Unit) sched.Stats {
+		return co.runPass(j, units, spec)
 	})
 
 	var buf bytes.Buffer
@@ -515,11 +515,11 @@ func terminal(state string) bool {
 	return state == stateDone || state == stateCanceled || state == stateFailed
 }
 
-// runPass dispatches the job's units through the lease queue and blocks
-// until every unit has completed (or the job is canceled).  It is the
-// dispatch callback of core.RemoteRun.Run, so returning is the pass barrier.
-// spec is recorded in the ledger with the unit cut.
-func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
+// runPass dispatches the job's units through the lease queue, blocks until
+// every unit has completed (or the job is canceled) and returns the queue's
+// counters.  It is the dispatch callback of core.RemoteRun.Run, so returning
+// is the pass barrier.  spec is recorded in the ledger with the unit cut.
+func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) sched.Stats {
 	q := sched.NewLeaseQueue(units)
 	j.mu.Lock()
 	j.pass = &passState{q: q, units: units}
@@ -556,9 +556,10 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) {
 	// outcome happened-before dispatch returns (see core.RemoteRun's
 	// synchronization contract).
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.leases = q.Stats()
 	j.pass = nil
-	j.mu.Unlock()
+	return j.leases
 }
 
 // replayLocked restores the job's recorded unit completions from the ledger

@@ -247,6 +247,11 @@ func TestServiceRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The results carry the pass's lease counters, as the status does.
+	if sc := resp.Stats.Sched; sc.Requeues != st.Requeues || sc.Leases != st.Leases || sc.Duplicates != st.Duplicates {
+		t.Errorf("results' dispatch counters %+v, status leases=%d requeues=%d duplicates=%d",
+			sc, st.Leases, st.Requeues, st.Duplicates)
+	}
 	for i, r := range resp.Results {
 		if want := localResults[i].Status.String(); r.Status != want {
 			t.Fatalf("fault %d: status %s, local %s (requeue changed a classification)", i, r.Status, want)

@@ -138,13 +138,9 @@ type JobOptions struct {
 func (o JobOptions) ToCore() (core.Options, error) {
 	mode := sensitize.Robust
 	if o.Mode != "" {
-		switch o.Mode {
-		case "robust":
-			mode = sensitize.Robust
-		case "nonrobust":
-			mode = sensitize.Nonrobust
-		default:
-			return core.Options{}, fmt.Errorf("service: unknown mode %q (want robust or nonrobust)", o.Mode)
+		var err error
+		if mode, err = sensitize.ParseMode(o.Mode); err != nil {
+			return core.Options{}, err
 		}
 	}
 	opts := core.DefaultOptions(mode)
@@ -170,22 +166,12 @@ func (o JobOptions) ToCore() (core.Options, error) {
 	} else {
 		opts.FaultSimInterval = opts.WordWidth
 	}
-	if o.Compact != "" {
-		lvl, err := compact.ParseLevel(o.Compact)
-		if err != nil {
-			return core.Options{}, err
-		}
-		opts.Compaction = lvl
+	var err error
+	if opts.Compaction, err = compact.ParseLevel(o.Compact); err != nil {
+		return core.Options{}, err
 	}
-	switch o.XFill {
-	case "", "zero":
-		// compact.ZeroFill is the normalize() default.
-	case "one":
-		opts.CompactionXFill = compact.OneFill()
-	case "random":
-		opts.CompactionXFill = compact.RandomFill(o.XFillSeed)
-	default:
-		return core.Options{}, fmt.Errorf("service: unknown xfill %q (want zero, one or random)", o.XFill)
+	if opts.CompactionXFill, err = compact.ParseFill(o.XFill, o.XFillSeed); err != nil {
+		return core.Options{}, err
 	}
 	return opts, nil
 }
