@@ -78,7 +78,7 @@ type Coverage struct {
 	Aborted int
 	// Patterns is the size of the engine's test set — after compaction when
 	// the engine was built with [WithCompaction], so it can be smaller than
-	// Stats.Patterns, the number of patterns generated.
+	// Stats.Tested, the number of patterns generated.
 	Patterns int
 }
 
@@ -134,9 +134,9 @@ func New(c *Circuit, opts ...Option) (*Engine, error) {
 	} else {
 		cfg.opts.FaultSimInterval = cfg.opts.WordWidth
 	}
-	workers := cfg.workers
-	if workers < 1 {
-		workers = 1
+	workers := max(cfg.workers, 1)
+	if cfg.remote != "" {
+		workers = 0 // the fleet sets a remote run's parallelism
 	}
 	return &Engine{
 		circuit:  c,
@@ -157,7 +157,8 @@ func (e *Engine) Mode() Mode { return e.gen.Options().Mode }
 func (e *Engine) WordWidth() int { return e.gen.Options().WordWidth }
 
 // Workers returns the number of worker goroutines each run is sharded
-// across (1 = the paper's sequential generator).
+// across (1 = the paper's sequential generator), or 0 on a remote engine
+// (see WithRemote), whose runs the coordinator's fleet parallelizes.
 func (e *Engine) Workers() int { return e.workers }
 
 // Run generates tests for the given faults and returns one result per

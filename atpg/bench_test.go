@@ -157,13 +157,14 @@ func BenchmarkGrouping(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupingWide measures the two-word width economics on a
+// BenchmarkGroupingWide measures the widths above one machine word on a
 // hard-fault reference: the c7552 sample is scored with the circuit's
 // testability measures and only the hardest quarter is kept, so the run is
 // dominated by faults whose searches are expensive enough to pay for
-// word-parallel sharing.  This is the decision benchmark for the L=128 plane
-// vectors: on this population L=128 runs within a few percent of fixed L=64
-// (see the README Performance notes).
+// word-parallel sharing.  The generator runs on one word at every width, so
+// L=128 runs each 128-fault unit as two 64-fault FPTPG groups and decides
+// what fixed L=64 decides; the benchmark measures what its larger units
+// cost (see the README Performance notes).
 func BenchmarkGroupingWide(b *testing.B) {
 	c, err := bench.Get("c7552")
 	if err != nil {

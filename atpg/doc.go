@@ -36,8 +36,9 @@
 //
 //   - [WithWordWidth] sets L, the number of bit levels exploited
 //     (1..[MaxWordWidth], Section 3; Tables 3-6 use 64, Tables 7-8 use 32).
-//     L = 1 is the single-bit baseline of Tables 5 and 6; L = 65..128
-//     extends the paper's machine word to two-word plane vectors.
+//     L = 1 is the single-bit baseline of Tables 5 and 6.  The searches run
+//     on one machine word: L = 65..128 only cuts larger work units, each
+//     run as one-word groups.
 //   - [WithMode] selects the test class: [Robust] (Lin/Reddy robust path
 //     delay tests) or [Nonrobust], the two classes of Tables 3 and 4.
 //   - [WithFaultParallel] toggles FPTPG (fault-parallel test pattern
@@ -68,10 +69,10 @@
 // run of units, the classic shard split, and an idle worker steals queued
 // units from the most loaded peer, so clustered hard faults do not
 // serialize on one worker.  The workers cooperate: patterns emitted by
-// one are fault-simulated against the others' pending faults, so the
-// interleaved-simulation dropping of the paper keeps working across
-// workers.  Results merge into the same deterministic, input-ordered
-// slice [Engine.Run] always returns — the merged test set is reassembled
+// one join the run's pattern pool and are fault-simulated against the
+// faults the others claim, so the interleaved-simulation dropping of the
+// paper keeps working across workers.  Results merge into the same
+// deterministic, input-ordered slice [Engine.Run] always returns — the merged test set is reassembled
 // in canonical fault order, so with the interleaved simulation disabled
 // it is identical for every worker count, one included, and every steal
 // interleaving (with it enabled, which covered fault contributes a

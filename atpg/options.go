@@ -25,16 +25,16 @@ const (
 // flags).
 func ParseMode(s string) (Mode, error) { return sensitize.ParseMode(s) }
 
-// MaxWordWidth is the largest word width L the generator exploits: 128, two
-// 64-bit machine words per plane.  Widths above 64 run on two-word plane
-// vectors; see DefaultWordWidth for the width engines use when none is
-// requested.
+// MaxWordWidth is the largest word width L an engine accepts: 128.  The
+// searches run on one 64-bit machine word: a width above 64 sets the size
+// of a work unit and the default simulation interval, and each unit runs
+// as consecutive fault-parallel groups of at most 64 faults, which decide
+// exactly what one wider group would.  See DefaultWordWidth for the width
+// engines use when none is requested.
 const MaxWordWidth = logic.MaxWordWidth
 
 // DefaultWordWidth is the width engines run at when WithWordWidth is not
-// given: one machine word, 64 bit levels.  Wider planes amortize better on
-// hard fault populations but cost proportionally more per implication; see
-// the README performance notes before raising it.
+// given: one machine word, 64 bit levels.
 const DefaultWordWidth = logic.WordWidth
 
 // Option configures an [Engine] at construction time.
@@ -68,8 +68,9 @@ func WithMode(m Mode) Option {
 
 // WithWordWidth sets the number of bit levels L exploited by both forms of
 // bit parallelism (default: DefaultWordWidth).  Width 1 is the single-bit
-// baseline of Tables 5 and 6; widths 65..128 span two plane words per net.
-// Widths outside 1..MaxWordWidth make New fail with ErrBadWidth.
+// baseline of Tables 5 and 6; widths 65..128 run each work unit as several
+// one-word groups (see MaxWordWidth).  Widths outside 1..MaxWordWidth make
+// New fail with ErrBadWidth.
 func WithWordWidth(w int) Option {
 	return func(c *engineConfig) error {
 		if w < 1 || w > MaxWordWidth {
@@ -131,9 +132,9 @@ func WithInterleavedSim(interval int) Option {
 // the shared immutable circuit, starts on one contiguous shard of the fault
 // slice and, once its own shard is drained, steals queued fault groups from
 // the most loaded peer.  When the interleaved simulation is on, workers
-// exchange their patterns so one shard's tests still drop detected faults on
-// the others.  n = 0 selects runtime.GOMAXPROCS(0), one worker per available
-// core; negative counts fail construction.  The default is 1: one worker
+// share the run's pattern pool, so one shard's tests still drop detected
+// faults on the others.  n = 0 selects runtime.GOMAXPROCS(0), one worker
+// per available core; negative counts fail construction.  The default is 1: one worker
 // owns every fault and drops the detected ones after every L patterns, as
 // the paper's generator does.  Every worker count ends its runs with the
 // same canonical merge of the test set.

@@ -147,6 +147,10 @@ func TestWorkersOptionValidation(t *testing.T) {
 	if e, err := New(c); err != nil || e.Workers() != 1 {
 		t.Errorf("default engine: Workers() = %d (err %v), want 1", e.Workers(), err)
 	}
+	// The fleet sets a remote run's parallelism, not the engine.
+	if e, err := New(c, WithRemote("http://127.0.0.1:1"), WithWorkers(4)); err != nil || e.Workers() != 0 {
+		t.Errorf("remote engine with WithWorkers(4): Workers() = %d (err %v), want 0", e.Workers(), err)
+	}
 }
 
 // TestCancellationMidParallelRun cancels a 4-worker run after a few faults

@@ -43,7 +43,8 @@ func propagateCancel(cl *service.Client, jobID string) {
 // breaking out cancels the job on the coordinator.
 //
 // addr is the coordinator's base URL, e.g. "http://127.0.0.1:9090".
-// [WithWorkers] is ignored remotely (parallelism is the worker fleet's).
+// [WithWorkers] is ignored remotely (parallelism is the worker fleet's), and
+// [Engine.Workers] reads 0.
 // [WithProgress] works — it is fed from the event stream.  After a run,
 // Stats().Sched carries the job's lease counters (units, leases, requeues
 // and duplicates).

@@ -49,7 +49,6 @@ func main() {
 		// Coordinator flags.
 		listen    = flag.String("listen", "127.0.0.1:9090", "coordinator listen address")
 		ledger    = flag.String("ledger", "", "directory for per-job ledger files (empty = no persistence, jobs are not resumable)")
-		compactAt = flag.Int64("compact-watermark", 0, "ledger bytes that trigger a snapshot-and-truncate compaction (0 = 16MB default, negative = only compact on resume)")
 		leaseTTL  = flag.Duration("lease", 30*time.Second, "work unit lease time-to-live; expired leases are requeued")
 		maxActive = flag.Int("max-active", 4, "jobs generating concurrently; further jobs queue")
 		cacheSize = flag.Int("cache", 0, "compiled-circuit cache capacity (0 = default)")
@@ -81,12 +80,11 @@ func main() {
 	switch *role {
 	case "coordinator":
 		err = runCoordinator(ctx, service.Config{
-			LeaseTTL:         *leaseTTL,
-			MaxActive:        *maxActive,
-			CacheSize:        *cacheSize,
-			LedgerDir:        *ledger,
-			CompactWatermark: *compactAt,
-			Chaos:            inj,
+			LeaseTTL:  *leaseTTL,
+			MaxActive: *maxActive,
+			CacheSize: *cacheSize,
+			LedgerDir: *ledger,
+			Chaos:     inj,
 		}, *listen)
 	case "worker":
 		wid := *id

@@ -34,7 +34,7 @@ func main() {
 		mode        = flag.String("mode", "robust", "test class: robust or nonrobust")
 		numFaults   = flag.Int("faults", 256, "number of target faults (0 = all structural faults; beware of path explosion)")
 		seed        = flag.Int64("seed", 1995, "seed for fault sampling")
-		width       = flag.Int("width", atpg.DefaultWordWidth, fmt.Sprintf("word width L (1..%d); 1 is the single-bit baseline, widths above 64 use two-word planes", atpg.MaxWordWidth))
+		width       = flag.Int("width", atpg.DefaultWordWidth, fmt.Sprintf("word width L (1..%d); 1 is the single-bit baseline, widths above 64 run as several one-word groups", atpg.MaxWordWidth))
 		workers     = flag.Int("workers", 1, "worker goroutines to shard the fault list across (0 = one per core)")
 		backtracks  = flag.Int("backtracks", 64, "backtrack limit per fault")
 		noFPTPG     = flag.Bool("no-fptpg", false, "disable fault-parallel generation")
@@ -108,7 +108,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if e.Workers() != 1 && *remote == "" { // the fleet sets a remote run's parallelism
+	if e.Workers() > 1 {
 		fmt.Printf("workers: %d\n", e.Workers())
 	}
 
@@ -130,7 +130,7 @@ func main() {
 	st := e.Stats()
 	fmt.Printf("result: %s\n", st)
 	fmt.Printf("sensitization time: %s, generation time: %s\n", st.SensitizeTime, st.GenerateTime)
-	if e.Workers() != 1 || *remote != "" {
+	if e.Workers() != 1 { // 0 on a remote engine
 		fmt.Printf("scheduling: %s\n", st.Sched)
 	}
 	if level != atpg.CompactNone {

@@ -220,8 +220,7 @@ func TestFinishingErrorsAreReported(t *testing.T) {
 	}
 
 	g = New(c, DefaultOptions(sensitize.Robust))
-	g.x, g.xid = newExchange(2), 0
-	g.x.publish(1, wide)
+	g.pool.add(wide)
 	_, recs := newRecs(faults)
 	g.claimSweep(recs)
 	if g.Err() == nil {

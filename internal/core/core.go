@@ -114,9 +114,11 @@ type Options struct {
 	// Mode selects robust or nonrobust test generation.
 	Mode sensitize.Mode
 	// WordWidth is the number of bit levels L exploited
-	// (1..logic.MaxWordWidth).  Widths above 64 span two plane words per
-	// net (see internal/logic's vector types); width 1 is the single-bit
-	// baseline of Tables 5 and 6.
+	// (1..logic.MaxWordWidth); width 1 is the single-bit baseline of Tables
+	// 5 and 6.  It sets the size of a work unit and the default simulation
+	// interval.  The searches run on one machine word: a unit of more than
+	// logic.WordWidth faults runs as consecutive FPTPG groups of at most
+	// logic.WordWidth, and APTPG enumerates at most that many alternatives.
 	WordWidth int
 	// UseFPTPG enables the fault-parallel first phase.
 	UseFPTPG bool
@@ -239,7 +241,37 @@ type FaultResult struct {
 	Err error
 }
 
-// Stats aggregates a generator run.
+// Effort is the search effort of a run: the FPTPG groups run, the faults
+// searched by APTPG, the decisions, backtracks and implications made, and
+// the time split of Tables 5 and 6.  A remote worker reports it for the
+// units it processed.
+type Effort struct {
+	FPTPGGroups  int
+	APTPGFaults  int
+	Decisions    int
+	Backtracks   int
+	Implications int
+
+	// SensitizeTime is the time spent computing sensitization conditions
+	// (the t_sens column of Tables 5 and 6); GenerateTime is the rest of the
+	// generation time.
+	SensitizeTime time.Duration
+	GenerateTime  time.Duration
+}
+
+// Add accumulates another effort into e.
+func (e *Effort) Add(o Effort) {
+	e.FPTPGGroups += o.FPTPGGroups
+	e.APTPGFaults += o.APTPGFaults
+	e.Decisions += o.Decisions
+	e.Backtracks += o.Backtracks
+	e.Implications += o.Implications
+	e.SensitizeTime += o.SensitizeTime
+	e.GenerateTime += o.GenerateTime
+}
+
+// Stats aggregates a generator run.  The classification counters are
+// counted once per run, from its final results (see mergeRun).
 type Stats struct {
 	Faults        int
 	Tested        int
@@ -247,12 +279,7 @@ type Stats struct {
 	Aborted       int
 	DetectedBySim int
 
-	Patterns     int
-	FPTPGGroups  int
-	APTPGFaults  int
-	Decisions    int
-	Backtracks   int
-	Implications int
+	Effort
 
 	// Sched summarizes the dispatch layer of the run(s): work units,
 	// steals and the idle-unit skew counter (see sched.Stats).
@@ -262,12 +289,6 @@ type Stats struct {
 	// pairs before/after, compatible merges, reverse-order simulation drops.
 	// All counters stay zero while Options.Compaction is compact.None.
 	Compaction compact.Stats
-
-	// SensitizeTime is the time spent computing sensitization conditions
-	// (the t_sens column of Tables 5 and 6); GenerateTime is the rest of the
-	// generation time.
-	SensitizeTime time.Duration
-	GenerateTime  time.Duration
 }
 
 // Add accumulates the counters and times of another run into s.  It is the
@@ -281,20 +302,26 @@ func (s *Stats) Add(o Stats) {
 	s.Redundant += o.Redundant
 	s.Aborted += o.Aborted
 	s.DetectedBySim += o.DetectedBySim
-
-	s.Patterns += o.Patterns
-	s.FPTPGGroups += o.FPTPGGroups
-	s.APTPGFaults += o.APTPGFaults
-	s.Decisions += o.Decisions
-	s.Backtracks += o.Backtracks
-	s.Implications += o.Implications
-
+	s.Effort.Add(o.Effort)
 	s.Sched.Add(o.Sched)
-
 	s.Compaction.Add(o.Compaction)
+}
 
-	s.SensitizeTime += o.SensitizeTime
-	s.GenerateTime += o.GenerateTime
+// tally counts the final classifications of a run's results.
+func (s *Stats) tally(results []FaultResult) {
+	s.Faults += len(results)
+	for i := range results {
+		switch results[i].Status {
+		case Tested:
+			s.Tested++
+		case Redundant:
+			s.Redundant++
+		case Aborted:
+			s.Aborted++
+		case DetectedBySim:
+			s.DetectedBySim++
+		}
+	}
 }
 
 // Efficiency returns the paper's efficiency metric
@@ -317,6 +344,6 @@ func (s Stats) Coverage() float64 {
 
 // String renders a one-line summary.
 func (s Stats) String() string {
-	return fmt.Sprintf("faults=%d tested=%d redundant=%d aborted=%d sim-detected=%d patterns=%d efficiency=%.2f%%",
-		s.Faults, s.Tested, s.Redundant, s.Aborted, s.DetectedBySim, s.Patterns, s.Efficiency())
+	return fmt.Sprintf("faults=%d tested=%d redundant=%d aborted=%d sim-detected=%d efficiency=%.2f%%",
+		s.Faults, s.Tested, s.Redundant, s.Aborted, s.DetectedBySim, s.Efficiency())
 }

@@ -366,6 +366,21 @@ func TestWordWidthSweep(t *testing.T) {
 	}
 }
 
+// TestWideGeneratorRunsOnOneWord: a generator wider than a machine word
+// allocates its implication state and objective scratch at one word, and
+// runs its wider units as several one-word groups.
+func TestWideGeneratorRunsOnOneWord(t *testing.T) {
+	opts := DefaultOptions(sensitize.Robust)
+	opts.WordWidth = logic.MaxWordWidth
+	g := New(bench.C17(), opts)
+	if w := g.st.Width(); w != logic.WordWidth {
+		t.Errorf("width-%d generator: st.Width() = %d, want %d", opts.WordWidth, w, logic.WordWidth)
+	}
+	if n := len(g.objKeys); n != logic.WordWidth {
+		t.Errorf("width-%d generator: %d objective orders, want %d", opts.WordWidth, n, logic.WordWidth)
+	}
+}
+
 // TestSubpathPruning: in nonrobust mode, where some paths through the
 // unsensitizable gate g2 stay testable, every fault through g2 proved
 // redundant is settled by its FPTPG group's first implication, with no

@@ -22,20 +22,17 @@ import (
 // Generator is the bit-parallel path delay fault test pattern generator.
 // It is bound to one circuit and one option set.  As the master of
 // RunSharded or RemoteRun it holds the merged test set and the statistics,
-// which accumulate over several runs; as a worker it holds the patterns it
-// generated itself, without target descriptions.
+// which accumulate over several runs; as a worker it holds only what a
+// search needs, and adds the tests it emits to the run's pattern pool.
 type Generator struct {
 	c    *circuit.Circuit
 	opts Options
 
-	st *implic.State
-	// aptpgSt, present only on two-word engines, is a single-word state the
-	// narrowed APTPG searches swap in: a per-fault search on the wide state
-	// would stride its plane reads by the group's word capacity, paying the
-	// wide cache footprint for single-word epochs.
-	aptpgSt *implic.State
-	tm      *testability.Measures
-	sim     *faultsim.Simulator
+	// st is one machine word wide, at most: wider units run as several
+	// FPTPG groups (see processUnit).
+	st  *implic.State
+	tm  *testability.Measures
+	sim *faultsim.Simulator
 
 	// objKeys holds each bit level's objective order (see orderObjectives);
 	// objs is the scratch result of findObjectives, and decisions the APTPG
@@ -54,21 +51,11 @@ type Generator struct {
 	// not call back into the generator.
 	OnSettle func(i int, r FaultResult)
 
-	// newPatterns counts patterns generated since the last interleaved fault
-	// simulation; lastSimmed is the test-set index already simulated.
-	newPatterns int
-	lastSimmed  int
-
-	// x, set only on the workers of a run with two or more of them while the
-	// interleaved simulation is on, is the run's pattern exchange, and xid
-	// the worker's index in it.
-	x   *exchange
-	xid int
-
-	// foreign accumulates the patterns imported from the other workers of a
-	// run, so faults claimed later are still checked against every foreign
-	// pattern that arrived before them.
-	foreign []pattern.Pair
+	// pool is the run's pattern pool while the interleaved simulation is
+	// on, nil otherwise; lastSimmed is the number of its patterns the
+	// one-worker interval simulation has simulated.
+	pool       *pool
+	lastSimmed int
 
 	// err is the first error a run's finishing passes hit (see Err).
 	err error
@@ -107,39 +94,30 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 	if opts.FullSweepImplic {
 		newState = implic.NewFullSweepState
 	}
+	width := min(opts.WordWidth, logic.WordWidth)
 	g := &Generator{
 		c:       c,
 		opts:    opts,
-		st:      newState(c, opts.WordWidth),
+		st:      newState(c, width),
 		tm:      testability.For(c),
 		sim:     faultsim.New(c),
 		testSet: pattern.NewSet(c),
-		objKeys: make([][]uint64, opts.WordWidth),
+		objKeys: make([][]uint64, width),
 	}
-	if opts.WordWidth > logic.WordWidth {
-		g.aptpgSt = newState(c, logic.WordWidth)
+	if opts.FaultSimInterval > 0 {
+		g.pool = new(pool)
 	}
 	return g
 }
 
-// lend returns a generator like New's that runs on g's own implication
-// states, objective scratch and simulator instead of allocating its own:
-// the master of a sharded run leaves them idle while its workers run, so
-// worker 0 runs on them.  Every search begins with a Reset of the state it
-// uses, so the worker's outcomes are a fresh generator's.  The worker's test
-// set is bare: it is never written, so it needs no input names.  g must not
-// run until the worker is done.
+// lend returns a worker generator that runs on g's own implication state,
+// objective scratch and simulator instead of allocating its own: the master
+// of a sharded run leaves them idle while its workers run, so worker 0 runs
+// on them.  Every search begins with a Reset of the state, so the worker's
+// outcomes are a fresh generator's.  g must not run until the worker is
+// done.
 func (g *Generator) lend() *Generator {
-	return &Generator{
-		c:       g.c,
-		opts:    g.opts,
-		st:      g.st,
-		aptpgSt: g.aptpgSt,
-		tm:      g.tm,
-		sim:     g.sim,
-		objKeys: g.objKeys,
-		testSet: &pattern.Set{},
-	}
+	return &Generator{c: g.c, opts: g.opts, st: g.st, tm: g.tm, sim: g.sim, objKeys: g.objKeys}
 }
 
 // absorbState merges a finished worker's non-pattern state back into g: its
@@ -221,10 +199,12 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 }
 
 // processUnit runs one work unit: one fault-parallel FPTPG group per
-// width-window of the unit's still-pending faults, and the
+// machine-word window of the unit's still-pending faults, and the
 // alternative-parallel search for the faults FPTPG hands over.  Faults that
 // exhaust MaxBacktracks are Aborted.  Nothing carries over from one unit to
-// the next, so a unit's outcome depends on its own faults alone.
+// the next, so a unit's outcome depends on its own faults alone; bit levels
+// are independent, so splitting a unit wider than the state into several
+// groups changes no fault's outcome.
 func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 	if ctx.Err() != nil {
 		return
@@ -235,12 +215,8 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 			group = append(group, r)
 		}
 	}
-	for start := 0; start < len(group); start += g.opts.WordWidth {
-		end := start + g.opts.WordWidth
-		if end > len(group) {
-			end = len(group)
-		}
-		batch := group[start:end]
+	for start := 0; start < len(group); start += logic.WordWidth {
+		batch := group[start:min(start+logic.WordWidth, len(group))]
 		var hard []*rec
 		if g.opts.UseFPTPG {
 			g.stats.FPTPGGroups++
@@ -264,22 +240,13 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 	}
 }
 
-// claimSweep drops just-claimed faults that are already detected: by a
-// pattern another worker published (the accumulated foreign buffer, topped
-// up from the run's exchange), or by a pattern this worker generated
-// earlier.  It runs at unit claim time on multi-worker schedulers and on
-// remote workers — where a worker cannot eagerly drop faults it has not
-// claimed — so a fault is never searched when the existing tests already
-// cover it.  Disabled together with the interleaved simulation.
+// claimSweep drops just-claimed faults that a pattern of the run's pool
+// already detects.  It runs at unit claim time on multi-worker schedulers
+// and on remote workers — where a worker cannot eagerly drop faults it has
+// not claimed — so a fault is never searched when the existing tests
+// already cover it.  Without a pool (the simulation is off) it does nothing.
 func (g *Generator) claimSweep(unit []*rec) {
-	if g.opts.FaultSimInterval <= 0 {
-		return
-	}
-	if g.x != nil {
-		g.foreign = append(g.foreign, g.x.fetch(g.xid)...)
-	}
-	g.dropDetected(unit, g.foreign)
-	g.dropDetected(unit, g.testSet.Pairs)
+	g.dropDetected(unit, g.pool.since(0))
 }
 
 // finish sweeps up records that are still pending after the passes: faults
@@ -595,22 +562,9 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	// The enumeration distinguishes at most 2^maxEnum value combinations;
 	// bit levels beyond that replay duplicates of the first 2^maxEnum (see
 	// enumWord), so the active mask is narrowed to the alternatives the
-	// search can actually tell apart.  APTPG cost thus tracks the real
-	// alternative count, not the (possibly wider) group width — two-word
-	// groups pay their width in the fault-parallel phase, where the sharing
-	// is, and drop back to the efficient word here.
+	// search can actually tell apart: at most one machine word.
 	if ew := 1 << uint(maxEnum); ew < width {
 		width = ew
-	}
-	// A narrowed search fits one machine word: run it on the dedicated
-	// single-word state, whose planes are stored contiguously, instead of
-	// striding word 0 of the wide state's two-word windows.  The search is
-	// self-contained between Reset and the final Undo sweep, so swapping the
-	// state pointer for the duration is safe.
-	if g.aptpgSt != nil && width <= logic.WordWidth {
-		wide := g.st
-		g.st = g.aptpgSt
-		defer func() { g.st = wide }()
 	}
 	active := logic.LevelsMask(width)
 	g.st.Reset(active)
@@ -758,10 +712,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 
 // enumInputs is the number of primary inputs APTPG enumerates in parallel
 // at the given width: log2(width), capped at the machine word's log2(64) = 6,
-// the paper's limit.  Alternative enumeration beyond one machine word pays
-// the two-word plane cost on every implication of a single-fault search,
-// which measures as a loss, so widths above 64 keep their width for the
-// fault-parallel phase but enumerate alternatives one word at a time.
+// the paper's limit.
 func enumInputs(width int) int {
 	return min(log2(width), log2(logic.WordWidth))
 }
@@ -828,26 +779,20 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 
 // emitTest extracts, verifies and records a test for the fault from the
 // given bit level: in the fault's record, for the run's merge, and in the
-// worker's own set, for its fault simulation.  It returns false (and leaves
-// the fault pending) when the verification rejects the pattern.
+// run's pool, for its fault simulation.  It returns false (and leaves the
+// fault pending) when the verification rejects the pattern.
 func (g *Generator) emitTest(r *rec, level int, phase Phase) bool {
 	p, raw := g.extractPattern(r, level)
 	if !g.verifyPattern(r.fault, p) {
 		return false
 	}
-	g.testSet.Add(p, "")
-	if g.x != nil {
-		g.x.publish(g.xid, p)
-	}
+	g.pool.add(p)
 	r.res.Status = Tested
 	r.res.Phase = phase
 	r.res.Test = p
 	if g.opts.EmitUnfilled {
 		r.raw = &pattern.Pair{V1: raw.V1, V2: raw.V2}
 	}
-	g.stats.Tested++
-	g.stats.Patterns++
-	g.newPatterns++
 	g.settle(r)
 	return true
 }
@@ -869,14 +814,12 @@ func (g *Generator) verifyPattern(f paths.Fault, p pattern.Pair) bool {
 func (g *Generator) markRedundant(r *rec, phase Phase) {
 	r.res.Status = Redundant
 	r.res.Phase = phase
-	g.stats.Redundant++
 	g.settle(r)
 }
 
 func (g *Generator) markAborted(r *rec, phase Phase) {
 	r.res.Status = Aborted
 	r.res.Phase = phase
-	g.stats.Aborted++
 	g.settle(r)
 }
 
@@ -898,16 +841,16 @@ func (g *Generator) settle(r *rec) {
 // Interleaved fault simulation.
 // ---------------------------------------------------------------------------
 
-// maybeSimulate drops still-pending faults that the worker's own patterns
-// already detect, after every FaultSimInterval of them, as the paper does
-// after every L generated patterns.
+// maybeSimulate drops still-pending faults that the run's patterns already
+// detect, after every FaultSimInterval of them, as the paper does after
+// every L generated patterns.  The only worker of a run adds every pattern
+// of the pool, so each is simulated once.
 func (g *Generator) maybeSimulate(recs []*rec) {
-	if g.opts.FaultSimInterval <= 0 || g.newPatterns < g.opts.FaultSimInterval {
+	pairs := g.pool.since(g.lastSimmed)
+	if g.pool == nil || len(pairs) < g.opts.FaultSimInterval {
 		return
 	}
-	g.newPatterns = 0
-	pairs := g.testSet.Pairs[g.lastSimmed:]
-	g.lastSimmed = g.testSet.Len()
+	g.lastSimmed += len(pairs)
 	g.dropDetected(recs, pairs)
 }
 
@@ -934,7 +877,6 @@ func (g *Generator) dropDetected(recs []*rec, pairs []pattern.Pair) {
 			if g.sim.Detects(r.fault, robust) != 0 {
 				r.res.Status = DetectedBySim
 				r.res.Phase = PhaseSimulation
-				g.stats.DetectedBySim++
 				g.settle(r)
 			}
 		}

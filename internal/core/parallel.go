@@ -26,7 +26,7 @@ import (
 // serialize on one worker.  A run of one worker is the paper's sequential
 // generator: it owns every record and drops detected faults after every
 // FaultSimInterval patterns.  With several workers and the interleaved
-// simulation enabled, workers exchange their verified patterns, so a
+// simulation enabled, the workers share the run's pattern pool, so a
 // pattern emitted by one worker still drops detected faults claimed later
 // by the others.
 //
@@ -56,9 +56,9 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	var settleMu sync.Mutex
 	settle := master.OnSettle
 
-	var x *exchange
-	if workers > 1 && master.opts.FaultSimInterval > 0 {
-		x = newExchange(workers)
+	var run *pool
+	if master.opts.FaultSimInterval > 0 {
+		run = new(pool)
 	}
 
 	// The run's tail simulates on all the workers' simulators.
@@ -71,6 +71,7 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 		} else {
 			g = New(master.c, master.opts)
 		}
+		g.pool = run
 		sims[w] = g.sim
 		if settle != nil {
 			g.OnSettle = func(i int, r FaultResult) {
@@ -79,12 +80,10 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 				settle(i, r)
 			}
 		}
-		g.x, g.xid = x, w
 		gens[w] = g
 	}
 
 	results, recs := newRecs(faults)
-	master.stats.Faults += len(faults)
 
 	sc := sched.New(workers)
 	sc.Load(master.opts.cut(len(recs)))
@@ -95,9 +94,8 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 			defer wg.Done()
 			g := gens[w]
 			start := time.Now()
-			sensAtStart := g.stats.SensitizeTime
 			g.consume(ctx, sc, w, recs)
-			g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
+			g.stats.GenerateTime = time.Since(start) - g.stats.SensitizeTime
 		}(w)
 	}
 	wg.Wait()
@@ -112,10 +110,11 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 // mergeRun ends a run, local or remote, once its units are processed: it
 // sweeps up the faults still pending (carrying the cancellation cause when
 // ctx ended the run), appends the run's tests to g's test set in canonical
-// fault order, reconciles the simulation drops against them, and
-// statically compacts the run's patterns on sims, the simulators of the
-// run's workers (skipped when the run was cut short: a canceled run should
-// return promptly, and its test set is not final anyway).
+// fault order, reconciles the simulation drops against them, statically
+// compacts the run's patterns on sims, the simulators of the run's workers
+// (skipped when the run was cut short: a canceled run should return
+// promptly, and its test set is not final anyway), and counts the run's
+// final classifications into g's statistics.
 //
 // The merge walks the records by fault input index and appends every Tested
 // fault's test, with its X-preserving form when the options track it, so
@@ -144,6 +143,7 @@ func (g *Generator) mergeRun(ctx context.Context, sims []*faultsim.Simulator, fa
 	if ctx.Err() == nil {
 		g.compactRun(sims, faults, results, base)
 	}
+	g.stats.tally(results)
 }
 
 // reconcileDrops resolves the classifications that depend on the run's
@@ -203,49 +203,36 @@ func (g *Generator) reconcileDrops(sims []*faultsim.Simulator, results []FaultRe
 		if r.Status == Redundant {
 			r.Status = DetectedBySim
 			r.Phase = PhaseSimulation
-			g.stats.Redundant--
-			g.stats.DetectedBySim++
 		}
 		r.PatternIndex = base + first
 	}
 }
 
-// exchange is the cross-worker pattern buffer: every worker publishes its
-// verified patterns and, when it claims a unit, fetches the patterns the
-// other workers published since its last fetch, so DetectedBySim drops
-// happen across workers whichever worker claims which unit.
-type exchange struct {
-	mu      sync.Mutex
-	entries []exchangeEntry
-	cursors []int
+// pool is a run's append-only pattern pool: its workers add the tests they
+// emit, and the claim sweeps and the one-worker interval simulation read
+// it.  A pattern is never changed once added, so a slice read under the
+// lock stays valid after it is released.  A nil pool, the run's while the
+// simulation is off, holds nothing.
+type pool struct {
+	mu    sync.Mutex
+	pairs []pattern.Pair
 }
 
-type exchangeEntry struct {
-	from int
-	pair pattern.Pair
-}
-
-func newExchange(workers int) *exchange {
-	return &exchange{cursors: make([]int, workers)}
-}
-
-func (x *exchange) publish(from int, p pattern.Pair) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.entries = append(x.entries, exchangeEntry{from: from, pair: p})
-}
-
-// fetch returns the patterns published by other workers since worker w's
-// previous fetch.
-func (x *exchange) fetch(w int) []pattern.Pair {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	var out []pattern.Pair
-	for _, e := range x.entries[x.cursors[w]:] {
-		if e.from != w {
-			out = append(out, e.pair)
-		}
+func (p *pool) add(pairs ...pattern.Pair) {
+	if p == nil {
+		return
 	}
-	x.cursors[w] = len(x.entries)
-	return out
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pairs = append(p.pairs, pairs...)
+}
+
+// since returns the patterns added after the first n.
+func (p *pool) since(n int) []pattern.Pair {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pairs[n:]
 }

@@ -253,6 +253,115 @@ func TestSchedulerDeterminism(t *testing.T) {
 	}
 }
 
+// TestWideWidthsMatchOneWord pins what lets every width run on one machine
+// word: with the interleaved simulation off, widths 64, 96 and 128 give the
+// same per-fault outcomes (status, phase, pattern index, decisions,
+// backtracks), the same decisions, backtracks and APTPG searches, the same
+// classification counts and the same written test set, at one and two
+// workers, in both classes.  Bit levels are independent, so how a unit's
+// faults are grouped decides nothing; only the implication and FPTPG group
+// counts follow the grouping.
+func TestWideWidthsMatchOneWord(t *testing.T) {
+	c, err := bench.Get("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := paths.SampleFaults(c, 512, 1995)
+	for _, mode := range []sensitize.Mode{sensitize.Robust, sensitize.Nonrobust} {
+		for _, workers := range []int{1, 2} {
+			var (
+				want      []FaultResult
+				wantStats Stats
+				wantSet   string
+			)
+			for _, width := range []int{64, 96, 128} {
+				opts := DefaultOptions(mode)
+				opts.WordWidth = width
+				opts.FaultSimInterval = 0
+				opts.Compaction = compact.Full
+				g := New(c, opts)
+				got := RunSharded(context.Background(), g, faults, workers)
+				st, set := g.Stats(), writtenSet(t, g.TestSet())
+				if want == nil {
+					want, wantStats, wantSet = got, st, set
+					continue
+				}
+				tag := fmt.Sprintf("%v workers=%d width=%d", mode, workers, width)
+				for i := range got {
+					r, w := got[i], want[i]
+					if r.Status != w.Status || r.Phase != w.Phase || r.PatternIndex != w.PatternIndex ||
+						r.Decisions != w.Decisions || r.Backtracks != w.Backtracks {
+						t.Fatalf("%s: fault %s is %v/%v index %d (%d decisions, %d backtracks), width 64 %v/%v index %d (%d, %d)",
+							tag, r.Fault.Key(), r.Status, r.Phase, r.PatternIndex, r.Decisions, r.Backtracks,
+							w.Status, w.Phase, w.PatternIndex, w.Decisions, w.Backtracks)
+					}
+				}
+				if st.Decisions != wantStats.Decisions || st.Backtracks != wantStats.Backtracks ||
+					st.APTPGFaults != wantStats.APTPGFaults || st.Tested != wantStats.Tested ||
+					st.Redundant != wantStats.Redundant || st.Aborted != wantStats.Aborted {
+					t.Errorf("%s: stats %v, width 64 %v", tag, st, wantStats)
+				}
+				if set != wantSet {
+					t.Errorf("%s: written test set differs from width 64's at %s", tag, firstLineDiff(set, wantSet))
+				}
+			}
+		}
+	}
+}
+
+// checkTally checks that the classification counters of st equal the
+// counts of the statuses in results.
+func checkTally(t *testing.T, tag string, st Stats, results []FaultResult) {
+	t.Helper()
+	n := map[Status]int{}
+	for i := range results {
+		n[results[i].Status]++
+	}
+	got := [5]int{st.Faults, st.Tested, st.Redundant, st.Aborted, st.DetectedBySim}
+	want := [5]int{len(results), n[Tested], n[Redundant], n[Aborted], n[DetectedBySim]}
+	if got != want {
+		t.Errorf("%s: stats count faults/tested/redundant/aborted/sim-detected %v, the results %v", tag, got, want)
+	}
+}
+
+// TestStatsTallyResults checks the one tally: after a run, local or remote,
+// finished or canceled, the classification counters of Stats are the
+// counts of the statuses the run returned, with the simulation's drops and
+// relabels included.
+func TestStatsTallyResults(t *testing.T) {
+	c, err := bench.Get("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := paths.SampleFaults(c, 256, 1995)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, simInterval := range []int{0, 8} {
+		opts := DefaultOptions(sensitize.Robust)
+		opts.WordWidth = 8
+		opts.FaultSimInterval = simInterval
+		opts.Compaction = compact.Reverse
+		for _, workers := range []int{1, 2} {
+			g := New(c, opts)
+			results := RunSharded(context.Background(), g, faults, workers)
+			checkTally(t, fmt.Sprintf("sim=%d local workers=%d", simInterval, workers), g.Stats(), results)
+		}
+		master := New(c, opts)
+		results := dispatchInProcess(context.Background(), NewRemoteRun(master, faults), master, faults, 2)
+		checkTally(t, fmt.Sprintf("sim=%d remote", simInterval), master.Stats(), results)
+
+		g := New(c, opts)
+		results = RunSharded(canceled, g, faults, 2)
+		checkTally(t, fmt.Sprintf("sim=%d canceled local", simInterval), g.Stats(), results)
+		if st := g.Stats(); st.Aborted != len(faults) {
+			t.Errorf("sim=%d canceled local: %d of %d faults aborted", simInterval, st.Aborted, len(faults))
+		}
+		master = New(c, opts)
+		results = dispatchInProcess(canceled, NewRemoteRun(master, faults), master, faults, 2)
+		checkTally(t, fmt.Sprintf("sim=%d canceled remote", simInterval), master.Stats(), results)
+	}
+}
+
 // TestWidthDeterminism is the width dimension of the determinism matrix:
 // with the interleaved simulation off, the per-fault classification may not
 // depend on the word width — the single-bit baseline, the one-word width and

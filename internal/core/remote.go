@@ -57,36 +57,34 @@ type RemoteOutcome struct {
 // ProcessRemoteUnit is the worker side of a distributed run: it processes one
 // work unit — the exact sched.Group cut the coordinator's pass produced —
 // under the generator's own options and returns one outcome per fault, in
-// unit order.  foreign carries the tests the coordinator delivered on the
-// lease reply: those of the tested outcomes other workers reported since
-// this worker's previous lease.  As in a local sharded run they are swept
-// against the unit's faults at claim time (and kept for later units), so a
-// fault another worker's pattern already detects is dropped without a
-// search.  Faults left Pending by a canceled ctx come back Pending; callers
-// drop such a unit rather than report it.
+// unit order, and the search effort the unit took.  foreign carries the
+// tests the coordinator delivered on the lease reply: those of the tested
+// outcomes other workers reported since this worker's previous lease.  They
+// join the generator's pattern pool, and as in a local sharded run the pool
+// is swept against the unit's faults at claim time, so a fault another
+// worker's pattern already detects is dropped without a search.  Faults left
+// Pending by a canceled ctx come back Pending; callers drop such a unit
+// rather than report it.
 //
 // The generator must be dedicated to one job (same circuit and options as
-// the coordinator's master, fresh test set).  Its test set accumulates the
-// patterns of the units it processed and feeds only its own claim sweep: the
-// other workers get those tests from the coordinator, which publishes the
-// outcomes it applies.  Its statistics accumulate the search effort, which
-// the caller reports to the coordinator as periodic deltas
-// (Stats.EffortDelta / RemoteRun.AddEffort).
-func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault, foreign []pattern.Pair) []RemoteOutcome {
+// the coordinator's master).  Its pool accumulates the patterns of the units
+// it processed and the foreign ones, and feeds only its own claim sweep: the
+// other workers get its tests from the coordinator, which publishes the
+// outcomes it applies.  Its statistics count one unit at a time: the caller
+// reports the returned effort to the coordinator (RemoteRun.AddEffort).
+func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault, foreign []pattern.Pair) ([]RemoteOutcome, Effort) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	sensAtStart := g.stats.SensitizeTime
+	g.stats = Stats{}
 
 	_, recs := newRecs(faults)
-	if len(foreign) > 0 {
-		g.foreign = append(g.foreign, foreign...)
-	}
+	g.pool.add(foreign...)
 	g.claimSweep(recs)
 	g.processUnit(ctx, recs)
 
-	g.stats.GenerateTime += time.Since(start) - (g.stats.SensitizeTime - sensAtStart)
+	g.stats.GenerateTime = time.Since(start) - g.stats.SensitizeTime
 
 	out := make([]RemoteOutcome, len(recs))
 	for i, r := range recs {
@@ -104,7 +102,7 @@ func (g *Generator) ProcessRemoteUnit(ctx context.Context, faults []paths.Fault,
 		}
 		out[i] = o
 	}
-	return out
+	return out, g.stats.Effort
 }
 
 // RemoteRun is the coordinator side of a distributed run: the same pipeline
@@ -135,7 +133,6 @@ type RemoteRun struct {
 // callback is invoked from Apply as faults settle.
 func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 	results, recs := newRecs(faults)
-	master.stats.Faults += len(faults)
 	return &RemoteRun{master: master, faults: faults, results: results, recs: recs}
 }
 
@@ -151,7 +148,6 @@ func NewRemoteRun(master *Generator, faults []paths.Fault) *RemoteRun {
 func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	m := rr.master
 	var settled []int
 	for i, fi := range unit {
 		if i >= len(outcomes) || fi < 0 || fi >= len(rr.recs) {
@@ -175,39 +171,20 @@ func (rr *RemoteRun) Apply(unit []int, outcomes []RemoteOutcome) []int {
 				r.raw = &pattern.Pair{V1: o.Raw.V1, V2: o.Raw.V2}
 			}
 		}
-		switch o.Status {
-		case Tested:
-			m.stats.Tested++
-			m.stats.Patterns++
-		case Redundant:
-			m.stats.Redundant++
-		case Aborted:
-			m.stats.Aborted++
-		case DetectedBySim:
-			m.stats.DetectedBySim++
-		}
-		m.settle(r)
+		rr.master.settle(r)
 		settled = append(settled, fi)
 	}
 	return settled
 }
 
-// AddEffort folds a worker's search-effort delta (Stats.EffortDelta between
-// two snapshots of the worker generator's statistics) into the master's
-// statistics.  Classification counters are not touched — those are bumped by
-// Apply, deduplicated per fault — so duplicated effort from an at-least-once
-// requeue can at worst overstate the effort counters, never the results.
-func (rr *RemoteRun) AddEffort(d Stats) {
+// AddEffort folds the search effort a worker reported into the master's
+// statistics.  The classifications are counted once, from the run's final
+// results, so duplicated effort from an at-least-once requeue can at worst
+// overstate the effort counters, never the results.
+func (rr *RemoteRun) AddEffort(e Effort) {
 	rr.mu.Lock()
 	defer rr.mu.Unlock()
-	s := &rr.master.stats
-	s.FPTPGGroups += d.FPTPGGroups
-	s.APTPGFaults += d.APTPGFaults
-	s.Decisions += d.Decisions
-	s.Backtracks += d.Backtracks
-	s.Implications += d.Implications
-	s.SensitizeTime += d.SensitizeTime
-	s.GenerateTime += d.GenerateTime
+	rr.master.stats.Effort.Add(e)
 }
 
 // Run drives the distributed run: it cuts the pass into work units exactly
@@ -228,23 +205,6 @@ func (rr *RemoteRun) Run(ctx context.Context, dispatch func(units []sched.Unit) 
 	}
 	m.mergeRun(ctx, []*faultsim.Simulator{m.sim}, rr.faults, rr.results, rr.recs)
 	return rr.results
-}
-
-// EffortDelta returns the search-effort counters accumulated between the
-// prev snapshot and s: the fields RemoteRun.AddEffort folds into a
-// coordinator's statistics.  Classification counters, dispatch and
-// compaction summaries are zero in the delta — classifications travel with
-// the unit outcomes, and dispatch/compaction happen on the coordinator.
-func (s Stats) EffortDelta(prev Stats) Stats {
-	return Stats{
-		FPTPGGroups:   s.FPTPGGroups - prev.FPTPGGroups,
-		APTPGFaults:   s.APTPGFaults - prev.APTPGFaults,
-		Decisions:     s.Decisions - prev.Decisions,
-		Backtracks:    s.Backtracks - prev.Backtracks,
-		Implications:  s.Implications - prev.Implications,
-		SensitizeTime: s.SensitizeTime - prev.SensitizeTime,
-		GenerateTime:  s.GenerateTime - prev.GenerateTime,
-	}
 }
 
 // ImportRemoteRun is the client side of a distributed run: it folds the

@@ -9,23 +9,27 @@ import (
 	"repro/internal/bench"
 	"repro/internal/compact"
 	"repro/internal/paths"
+	"repro/internal/pattern"
 	"repro/internal/sched"
 	"repro/internal/sensitize"
 )
 
 // dispatchInProcess runs a RemoteRun with an in-process transport: workers
 // goroutines over fresh generators pull whole units from a channel, process
-// them with ProcessRemoteUnit, exchange verified patterns through the same
-// exchange buffer the local sharded engine uses, and apply outcomes and
-// effort deltas back onto the run.  It is the loopback model of the service
-// coordinator/worker pair, minus HTTP.
+// them with ProcessRemoteUnit, and apply outcomes and effort back onto the
+// run.  As the coordinator does, it publishes the tests of the tested
+// outcomes it applies, and hands each worker those published since the
+// worker's previous unit (its own included, which only repeats patterns its
+// pool holds).  It is the loopback model of the service coordinator/worker
+// pair, minus HTTP.
 func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, faults []paths.Fault, workers int) []FaultResult {
 	wks := make([]*Generator, workers)
 	for i := range wks {
 		wks[i] = New(master.c, master.opts)
 	}
-	x := newExchange(workers)
-	published := make([]int, workers) // per-worker test-set length already published
+	var mu sync.Mutex
+	var published []pattern.Pair
+	seen := make([]int, workers) // per-worker count of published tests delivered
 	return rr.Run(ctx, func(units []sched.Unit) sched.Stats {
 		ch := make(chan sched.Unit)
 		var wg sync.WaitGroup
@@ -39,14 +43,20 @@ func dispatchInProcess(ctx context.Context, rr *RemoteRun, master *Generator, fa
 					for i, fi := range u.Faults {
 						ufaults[i] = faults[fi]
 					}
-					prev := g.Stats()
-					outs := g.ProcessRemoteUnit(ctx, ufaults, x.fetch(w))
-					for _, p := range g.TestSet().Pairs[published[w]:] {
-						x.publish(w, p)
+					mu.Lock()
+					foreign := published[seen[w]:]
+					seen[w] = len(published)
+					mu.Unlock()
+					outs, effort := g.ProcessRemoteUnit(ctx, ufaults, foreign)
+					mu.Lock()
+					for _, o := range outs {
+						if o.Status == Tested {
+							published = append(published, o.Test)
+						}
 					}
-					published[w] = g.TestSet().Len()
+					mu.Unlock()
 					rr.Apply(u.Faults, outs)
-					rr.AddEffort(g.Stats().EffortDelta(prev))
+					rr.AddEffort(effort)
 				}
 			}(w)
 		}
@@ -116,7 +126,7 @@ func TestRemoteRunMatchesLocal(t *testing.T) {
 					}
 					ls, rs := local.Stats(), master.Stats()
 					if ls.Tested != rs.Tested || ls.Redundant != rs.Redundant ||
-						ls.Aborted != rs.Aborted || ls.Patterns != rs.Patterns ||
+						ls.Aborted != rs.Aborted ||
 						searchCounts(ls) != searchCounts(rs) {
 						t.Errorf("%s: stats differ: local %+v remote %+v", tag, ls, rs)
 					}
@@ -152,7 +162,7 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 			for i, fi := range u.Faults {
 				ufaults[i] = faults[fi]
 			}
-			outs := wk.ProcessRemoteUnit(context.Background(), ufaults, nil)
+			outs, _ := wk.ProcessRemoteUnit(context.Background(), ufaults, nil)
 			if settled := rr.Apply(u.Faults, outs); len(settled) == 0 {
 				t.Errorf("unit %v settled no faults", u.Faults)
 			}
@@ -172,9 +182,8 @@ func TestRemoteApplyDuplicateIsNoop(t *testing.T) {
 		t.Errorf("classifications sum to %d, want %d (duplicate apply double-counted)",
 			st.Tested+st.Redundant+st.Aborted+st.DetectedBySim, len(faults))
 	}
-	if st.Patterns != st.Tested || master.TestSet().Len() != st.Tested {
-		t.Errorf("patterns=%d set=%d tested=%d: merged set inconsistent",
-			st.Patterns, master.TestSet().Len(), st.Tested)
+	if master.TestSet().Len() != st.Tested {
+		t.Errorf("set=%d tested=%d: merged set inconsistent", master.TestSet().Len(), st.Tested)
 	}
 	seq := New(c, opts)
 	want := RunSharded(context.Background(), seq, faults, 1)
@@ -213,7 +222,8 @@ func TestRemoteRunCanceled(t *testing.T) {
 			for j, fi := range u.Faults {
 				ufaults[j] = faults[fi]
 			}
-			rr.Apply(u.Faults, wk.ProcessRemoteUnit(ctx, ufaults, nil))
+			outs, _ := wk.ProcessRemoteUnit(ctx, ufaults, nil)
+			rr.Apply(u.Faults, outs)
 			applied += len(u.Faults)
 		}
 		return sched.Stats{}

@@ -45,7 +45,7 @@ func runAblation(label string, cfg Config, p bench.Profile, mutate func(*core.Op
 	row.Tested = st.Tested + st.DetectedBySim
 	row.Aborted = st.Aborted
 	// The test-set size, which compaction can make smaller than the number
-	// of generated patterns (st.Patterns).
+	// of generated patterns (st.Tested).
 	row.Patterns = g.TestSet().Len()
 	return row
 }

@@ -221,7 +221,7 @@ func (cfg Config) runATPGRow(p bench.Profile) ATPGRow {
 	row.Redundant = st.Redundant
 	row.Aborted = st.Aborted
 	row.Efficiency = st.Efficiency()
-	row.Patterns = st.Patterns
+	row.Patterns = st.Tested
 	return row
 }
 

@@ -55,13 +55,8 @@ type Config struct {
 	// CacheSize bounds the compiled-circuit cache.  Default 64.
 	CacheSize int
 	// LedgerDir, when set, persists a JSONL unit ledger per job and resumes
-	// incomplete jobs on startup.
+	// incomplete jobs on startup, compacting every ledger first.
 	LedgerDir string
-	// CompactWatermark triggers a snapshot-and-truncate of a job's ledger
-	// once its journal crosses this many bytes (ledgers are also compacted
-	// on resume).  0 selects the 16MB default; negative disables live
-	// compaction.
-	CompactWatermark int64
 	// Clock overrides the lease clock (leases, expiry sweeps).  nil means
 	// time.Now; the chaos injector's skewed clock enters here.
 	Clock func() time.Time
@@ -83,9 +78,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 4
-	}
-	if cfg.CompactWatermark == 0 {
-		cfg.CompactWatermark = 16 << 20
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = cfg.Chaos.Clock() // nil injector yields time.Now
@@ -437,19 +429,12 @@ func (co *Coordinator) runJob(j *job) {
 	select {
 	case co.sem <- struct{}{}:
 		defer func() { <-co.sem }()
+		j.setState(stateRunning)
 	case <-j.ctx.Done():
-		// Canceled while queued: every fault is aborted with the cause, as
-		// in a local run canceled before it started, so the results still
-		// hold one entry per fault.
-		wire := make([]WireResult, len(j.faults))
-		r := core.FaultResult{Status: core.Aborted, PatternIndex: -1, Err: context.Cause(j.ctx)}
-		for i := range wire {
-			wire[i] = EncodeResult(i, r, -1)
-		}
-		j.finalize(wire, "", core.Stats{}, nil)
-		return
+		// Canceled while queued: the run dispatches nothing and returns
+		// every fault Aborted with the cause, counted as in a local run
+		// canceled before it started.
 	}
-	j.setState(stateRunning)
 
 	master := core.New(j.c, j.coreOpts)
 	master.OnSettle = func(i int, r core.FaultResult) {
@@ -1105,11 +1090,6 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		if j.applyUnit(ps, ur.ID, req.Worker, decoded[i]) {
 			j.ledger.RecordUnit(ur.ID, req.Worker, ur.Outcomes)
 		}
-	}
-	// Snapshot-and-truncate a journal that outgrew the watermark; holding
-	// j.mu here keeps the snapshot consistent with the applied state.
-	if wm := co.cfg.CompactWatermark; wm > 0 && j.ledger.Size() >= wm {
-		_, _, _ = j.ledger.Compact()
 	}
 	j.mu.Unlock()
 	writeJSON(w, http.StatusOK, PostResultsResponse{})

@@ -51,7 +51,6 @@ func (w *crank) lease(ctx context.Context, wait bool) (LeaseResponse, bool) {
 // process runs the leased units and returns the batch to post.
 func (w *crank) process(ctx context.Context, l LeaseResponse) PostResults {
 	w.t.Helper()
-	prev := w.gen.Stats()
 	var foreign []pattern.Pair
 	for _, s := range l.Patterns {
 		p, err := pattern.ParsePair(s)
@@ -66,14 +65,15 @@ func (w *crank) process(ctx context.Context, l LeaseResponse) PostResults {
 		for i, fi := range u.Faults {
 			ufaults[i] = w.faults[fi]
 		}
+		outs, effort := w.gen.ProcessRemoteUnit(ctx, ufaults, foreign)
 		var wire []WireOutcome
-		for _, o := range w.gen.ProcessRemoteUnit(ctx, ufaults, foreign) {
+		for _, o := range outs {
 			wire = append(wire, EncodeOutcome(o))
 		}
 		foreign = nil
 		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: wire})
+		post.Effort.Add(effort)
 	}
-	post.Effort = w.gen.Stats().EffortDelta(prev)
 	return post
 }
 

@@ -44,13 +44,13 @@ import (
 // ledgered — they are informational, and the search effort of pre-crash
 // units is simply absent from a resumed job's statistics.
 //
-// Because the journal is append-only it would grow without bound on a
-// long-lived coordinator; Compact (run on resume and when a job's journal
-// crosses the coordinator's size watermark) snapshots the replayable
-// content and truncates the file to exactly that: terminal jobs shrink to
-// a two-line stub, live jobs keep the pass record and one record per
-// distinct completed unit under it (first completion wins, mirroring
-// replay).
+// A live journal holds only the job record, its cut and the units' first
+// completions (a duplicate completion applies nothing, so it is never
+// journaled), besides debris of torn appends.  Resume compacts every
+// journal (CompactLedgerFile) to its replayable content: terminal jobs
+// shrink to a two-line stub, live jobs keep the pass record and one record
+// per distinct completed unit under it (first completion wins, mirroring
+// replay), and torn debris goes.
 
 // ledgerRecord is one JSONL line; T selects which fields are meaningful.
 type ledgerRecord struct {
@@ -85,8 +85,6 @@ type ledgerRecord struct {
 type Ledger struct {
 	mu    sync.Mutex
 	f     *os.File
-	path  string
-	size  int64
 	torn  bool // last line on disk lacks its newline; resync before appending
 	chaos *chaos.Injector
 }
@@ -103,11 +101,10 @@ func OpenLedger(dir, jobID string) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Ledger{f: f, path: path}
+	l := &Ledger{f: f}
 	if fi, err := f.Stat(); err == nil {
-		l.size = fi.Size()
+		l.torn = hasTornTail(path, fi.Size())
 	}
-	l.torn = hasTornTail(path, l.size)
 	return l, nil
 }
 
@@ -138,16 +135,6 @@ func (l *Ledger) SetChaos(in *chaos.Injector) {
 	l.mu.Unlock()
 }
 
-// Size returns the journal's current size in bytes.
-func (l *Ledger) Size() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
 func (l *Ledger) append(rec ledgerRecord) {
 	if l == nil {
 		return
@@ -168,11 +155,9 @@ func (l *Ledger) append(rec ledgerRecord) {
 		if _, err := l.f.Write([]byte{'\n'}); err != nil {
 			return
 		}
-		l.size++
 		l.torn = false
 	}
 	n, err := l.chaos.TearWrite(l.f, b)
-	l.size += int64(n)
 	if err != nil || n < len(b) {
 		// Torn (injected or real): whatever landed lacks its newline.  A
 		// write that delivered nothing left the file clean.
@@ -202,76 +187,35 @@ func (l *Ledger) RecordState(state, reason string) {
 	l.append(ledgerRecord{T: "state", State: state, Error: reason})
 }
 
-// Compact snapshots the journal's replayable content and truncates the file
-// to it (atomically, via rename), then keeps appending to the compacted
-// file.  Replay accounting is preserved exactly: the snapshot keeps one
-// record per distinct completed unit, which is precisely the set replay
-// would apply.  Returns the sizes before and after.
-func (l *Ledger) Compact() (before, after int64, err error) {
-	if l == nil {
-		return 0, 0, nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	before = l.size
-	after, err = compactLedgerFile(l.path, before)
-	if err != nil || after == before {
-		return before, before, err
-	}
-	// Swap the append handle onto the compacted file: the old handle points
-	// at the unlinked inode after the rename.
-	if l.f != nil {
-		_ = l.f.Close()
-	}
-	f, err := os.OpenFile(l.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		l.f = nil // appends become no-ops; the on-disk snapshot stays valid
-		return before, after, err
-	}
-	l.f = f
-	l.size = after
-	l.torn = false
-	return before, after, nil
-}
-
-// CompactLedgerFile compacts one job's ledger file in place (see
-// Ledger.Compact); the coordinator runs it over every ledger on resume.
-// Files that would not shrink are left untouched.
+// CompactLedgerFile rewrites one job's ledger file to its replayable
+// content (see renderCompact) when that is smaller; the coordinator runs it
+// over every ledger on resume.  It returns the sizes before and after; a
+// file that would not shrink is left untouched.
 func CompactLedgerFile(path string) (before, after int64, err error) {
 	fi, err := os.Stat(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	before = fi.Size()
-	after, err = compactLedgerFile(path, before)
-	return before, after, err
-}
-
-// compactLedgerFile rewrites path to its compact snapshot when that is
-// smaller, returning the resulting size (== before when skipped).
-func compactLedgerFile(path string, before int64) (int64, error) {
 	lj, err := loadLedgerFile(path)
-	if err != nil {
-		return before, err
-	}
-	if lj == nil || lj.Err != nil {
+	if err != nil || lj == nil || lj.Err != nil {
 		// No job record, or a line that does not decode: nothing safe to
 		// rewrite.
-		return before, nil
+		return before, before, err
 	}
 	snap := renderCompact(lj)
 	if int64(len(snap)) >= before {
-		return before, nil
+		return before, before, nil
 	}
 	tmp := path + ".compact"
 	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-		return before, err
+		return before, before, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
-		return before, err
+		return before, before, err
 	}
-	return int64(len(snap)), nil
+	return before, int64(len(snap)), nil
 }
 
 // renderCompact serializes the snapshot form of a loaded ledger: terminal

@@ -427,7 +427,7 @@ func writeLegacyLedger(t *testing.T, dir, id string, c *circuit.Circuit, text st
 		`{"t":"pass","seq":1,"spec":` + spec + `,"units":` + marshal(units) + `}`,
 	}
 	for u := 0; u < n; u++ {
-		outs := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
+		outs, _ := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
 		wire := make([]WireOutcome, len(outs))
 		for i, o := range outs {
 			wire[i] = EncodeOutcome(o)

@@ -22,10 +22,9 @@ import (
 // TestServiceChaosEndToEnd is the harness proving the resilience layer's
 // central claim: a distributed run under injected faults — dropped requests,
 // severed responses, synthetic 503s, added latency on every worker, plus a
-// lease-expiry storm and torn ledger appends on the coordinator, with live
-// ledger compaction after every post — still produces statuses, pattern
-// indices and a merged test set byte-identical to an undisturbed
-// single-process run.  The injector counters are asserted so a mis-wired
+// lease-expiry storm and torn ledger appends on the coordinator — still
+// produces statuses, pattern indices and a merged test set byte-identical
+// to an undisturbed single-process run.  The injector counters are asserted so a mis-wired
 // failpoint cannot pass as "survived".
 func TestServiceChaosEndToEnd(t *testing.T) {
 	c, text := benchText(t, "c432")
@@ -35,10 +34,9 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 
 	coChaos := chaos.New(chaos.Config{Seed: 11, StormAfter: 5, StormSkew: time.Minute, Tear: 0.25})
 	co, err := NewCoordinator(Config{
-		LeaseTTL:         2 * time.Second,
-		LedgerDir:        t.TempDir(),
-		CompactWatermark: 1, // compact after every post: live compaction under load
-		Chaos:            coChaos,
+		LeaseTTL:  2 * time.Second,
+		LedgerDir: t.TempDir(),
+		Chaos:     coChaos,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -193,6 +193,44 @@ func TestServiceMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestServiceQueuedCancelTally cancels a job while it waits for a
+// generation slot.  Its run dispatches nothing and returns every fault
+// Aborted with the cancellation cause, and its statistics count them as a
+// local run canceled before it started does: Faults == Aborted == n.
+func TestServiceQueuedCancelTally(t *testing.T) {
+	ctx := budget(t)
+	_, url := loopback(t, Config{MaxActive: 1}, nil)
+	cl := NewClient(url)
+	// No worker is attached, so the first job holds the only slot.
+	first := submitC17(ctx, t, cl, 3)
+	if st, err := cl.statusWait(ctx, first.JobID, stateQueued, longPollWait); err != nil || st.State != stateRunning {
+		t.Fatalf("first job: %+v, %v; want running", st, err)
+	}
+	const n = 5
+	second := submitC17(ctx, t, cl, n)
+	if st, err := cl.Status(ctx, second.JobID); err != nil || st.State != stateQueued {
+		t.Fatalf("second job: %+v, %v; want queued", st, err)
+	}
+	if _, err := cl.Cancel(ctx, second.JobID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Wait(ctx, second.JobID); err != nil || st.State != stateCanceled {
+		t.Fatalf("canceled job: %+v, %v; want canceled", st, err)
+	}
+	resp, err := cl.Results(ctx, second.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range resp.Results {
+		if r.Status != "aborted" || r.Err == "" {
+			t.Errorf("fault %d: %s (err %q), want aborted with the cause", r.Index, r.Status, r.Err)
+		}
+	}
+	if s := resp.Stats; len(resp.Results) != n || s.Faults != n || s.Aborted != n {
+		t.Errorf("%d results, stats faults=%d aborted=%d; want %d of each", len(resp.Results), s.Faults, s.Aborted, n)
+	}
+}
+
 // TestServiceRequeue kills a lease without completing it: a ghost worker
 // grabs units and vanishes, the TTL expires, and the coordinator requeues
 // the units to a live worker.  The run must still finish with the exact

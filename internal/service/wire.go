@@ -124,7 +124,7 @@ func DecodeFaults(c *circuit.Circuit, wfs []WireFault) ([]paths.Fault, error) {
 // valid configuration; the No* spellings keep "enabled" the zero value.
 type JobOptions struct {
 	Mode        string `json:"mode,omitempty"`         // "robust" (default) or "nonrobust"
-	WordWidth   int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth; 0 = 64
+	WordWidth   int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth (unit size; searches run on at most 64 levels); 0 = 64
 	Backtracks  int    `json:"backtracks,omitempty"`   // APTPG backtrack limit; 0 = default
 	NoFPTPG     bool   `json:"no_fptpg,omitempty"`     // disable the fault-parallel phase
 	NoAPTPG     bool   `json:"no_aptpg,omitempty"`     // disable the alternative-parallel phase
@@ -464,12 +464,12 @@ type (
 		Outcomes []WireOutcome `json:"outcomes"`
 	}
 
-	// PostResults reports a batch of processed units and the worker's
-	// search-effort delta.
+	// PostResults reports a batch of processed units and the search effort
+	// they took.
 	PostResults struct {
 		Worker string       `json:"worker"`
 		Units  []UnitResult `json:"units"`
-		Effort core.Stats   `json:"effort"`
+		Effort core.Effort  `json:"effort"`
 	}
 
 	// PostResultsResponse tells the worker how the batch was received.

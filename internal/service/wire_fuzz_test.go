@@ -55,7 +55,7 @@ func FuzzWire(f *testing.F) {
 	}
 
 	// Seeds: one valid body of every shape the target decodes.
-	outs := core.New(c, coreOpts).ProcessRemoteUnit(context.Background(), faults[:1], nil)
+	outs, _ := core.New(c, coreOpts).ProcessRemoteUnit(context.Background(), faults[:1], nil)
 	wire := []WireOutcome{EncodeOutcome(outs[0])}
 	f.Add(mustJSON(LeaseRequest{Worker: "w", MaxUnits: 2}))
 	f.Add(mustJSON(LeaseRequest{Worker: "w", WaitMS: 10}))

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -63,6 +65,38 @@ func TestWireFaultRoundTrip(t *testing.T) {
 		if f, err := DecodeFault(c, WireFault(bad)); err == nil {
 			t.Errorf("DecodeFault(%q) = %s, want an error", bad, f.Describe(c))
 		}
+	}
+}
+
+// TestWireStatsKeys pins the statistics on the wire: a results post's
+// effort carries exactly the seven effort counters, and a finished job's
+// statistics the classification counters, the effort and the dispatch and
+// compaction summaries.
+func TestWireStatsKeys(t *testing.T) {
+	keys := func(v any, field string) []string {
+		t.Helper()
+		var body, obj map[string]json.RawMessage
+		b, err := json.Marshal(v)
+		if err == nil {
+			err = json.Unmarshal(b, &body)
+		}
+		if err == nil {
+			err = json.Unmarshal(body[field], &obj)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Sorted(maps.Keys(obj))
+	}
+	effort := []string{"FPTPGGroups", "APTPGFaults", "Decisions", "Backtracks", "Implications", "SensitizeTime", "GenerateTime"}
+	stats := append([]string{"Faults", "Tested", "Redundant", "Aborted", "DetectedBySim", "Sched", "Compaction"}, effort...)
+	slices.Sort(effort)
+	slices.Sort(stats)
+	if got := keys(PostResults{}, "effort"); !slices.Equal(got, effort) {
+		t.Errorf("results post effort keys %q, want %q", got, effort)
+	}
+	if got := keys(ResultsResponse{}, "stats"); !slices.Equal(got, stats) {
+		t.Errorf("results stats keys %q, want %q", got, stats)
 	}
 }
 

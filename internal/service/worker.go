@@ -64,10 +64,10 @@ func (cfg WorkerConfig) withDefaults() WorkerConfig {
 
 // Worker is one remote generation process: it leases whole work units from
 // the coordinator, runs them through a job-local core.Generator (compiled
-// from the coordinator's cached circuit), and posts outcomes and
-// search-effort deltas back.  The foreign patterns a lease carries feed the
-// generator's claim sweep, so cross-worker dropping works exactly as it
-// does between local shards.
+// from the coordinator's cached circuit), and posts outcomes and search
+// effort back.  The foreign patterns a lease carries join the generator's
+// pattern pool, which its claim sweep reads, so cross-worker dropping works
+// exactly as it does between local shards.
 type Worker struct {
 	cfg   WorkerConfig
 	cl    *Client
@@ -180,8 +180,8 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 
 	// The lease carries the tests other workers reported since this
 	// worker's previous lease, so the claim sweep can drop faults they
-	// already cover.  Foreign patterns accumulate inside the generator, so
-	// handing them to the first unit of the batch suffices.
+	// already cover.  They join the generator's pattern pool, so handing
+	// them to the first unit of the batch suffices.
 	var foreign []pattern.Pair
 	for _, s := range lease.Patterns {
 		if p, err := pattern.ParsePair(s); err == nil {
@@ -189,7 +189,6 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 		}
 	}
 
-	prev := wj.gen.Stats()
 	post := PostResults{Worker: wk.cfg.ID}
 	for _, u := range lease.Units {
 		ufaults := make([]paths.Fault, len(u.Faults))
@@ -199,7 +198,8 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 			}
 			ufaults[i] = wj.faults[fi]
 		}
-		outs := wj.gen.ProcessRemoteUnit(wj.ctx, ufaults, foreign)
+		outs, effort := wj.gen.ProcessRemoteUnit(wj.ctx, ufaults, foreign)
+		post.Effort.Add(effort)
 		wk.units.Add(1)
 		foreign = nil
 		wire := make([]WireOutcome, len(outs))
@@ -213,7 +213,6 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 		// and let the leases expire instead of reporting partial work.
 		return
 	}
-	post.Effort = wj.gen.Stats().EffortDelta(prev)
 
 	resp, err := wk.cl.PostUnitResults(ctx, wj.id, post)
 	if err != nil {
