@@ -31,7 +31,7 @@ func ParseMode(s string) (Mode, error) { return sensitize.ParseMode(s) }
 // as consecutive fault-parallel groups of at most 64 faults, which decide
 // exactly what one wider group would.  See DefaultWordWidth for the width
 // engines use when none is requested.
-const MaxWordWidth = logic.MaxWordWidth
+const MaxWordWidth = core.MaxWordWidth
 
 // DefaultWordWidth is the width engines run at when WithWordWidth is not
 // given: one machine word, 64 bit levels.

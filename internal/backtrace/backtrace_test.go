@@ -174,12 +174,12 @@ func TestBacktraceFailsWhenEverythingAssigned(t *testing.T) {
 }
 
 // unjustifiedAt returns the nets st.UnjustifiedWord reports uncovered at the
-// given bit level, in topological order (the scan returns bucket order).
+// given bit level, in topological order (the scan returns insertion order).
 func unjustifiedAt(st *implic.State, level int) []circuit.NetID {
-	nets, miss := st.UnjustifiedWord(level / logic.WordWidth)
+	nets, miss := st.UnjustifiedWord()
 	var out []circuit.NetID
 	for i, n := range nets {
-		if miss[i]>>uint(level%logic.WordWidth)&1 != 0 {
+		if logic.Mask(miss[i]).Bit(level) {
 			out = append(out, n)
 		}
 	}

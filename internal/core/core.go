@@ -113,12 +113,12 @@ func (p Phase) String() string {
 type Options struct {
 	// Mode selects robust or nonrobust test generation.
 	Mode sensitize.Mode
-	// WordWidth is the number of bit levels L exploited
-	// (1..logic.MaxWordWidth); width 1 is the single-bit baseline of Tables
-	// 5 and 6.  It sets the size of a work unit and the default simulation
-	// interval.  The searches run on one machine word: a unit of more than
-	// logic.WordWidth faults runs as consecutive FPTPG groups of at most
-	// logic.WordWidth, and APTPG enumerates at most that many alternatives.
+	// WordWidth is the number of bit levels L exploited (1..MaxWordWidth);
+	// width 1 is the single-bit baseline of Tables 5 and 6.  It sets the
+	// size of a work unit and the default simulation interval.  The
+	// searches run on one machine word: a unit of more than logic.WordWidth
+	// faults runs as consecutive FPTPG groups of at most logic.WordWidth,
+	// and APTPG enumerates at most that many alternatives.
 	WordWidth int
 	// UseFPTPG enables the fault-parallel first phase.
 	UseFPTPG bool
@@ -185,8 +185,8 @@ func (o Options) normalize() Options {
 	if o.WordWidth < 1 {
 		o.WordWidth = 1
 	}
-	if o.WordWidth > logic.MaxWordWidth {
-		o.WordWidth = logic.MaxWordWidth
+	if o.WordWidth > MaxWordWidth {
+		o.WordWidth = MaxWordWidth
 	}
 	if o.MaxBacktracks <= 0 {
 		o.MaxBacktracks = 8
@@ -203,8 +203,14 @@ const maxFPTPGIterations = 128
 // fillValue is the value of the primary inputs a test does not constrain.
 const fillValue = logic.Zero3
 
+// MaxWordWidth is the widest word width L a run accepts: 128.  The width is
+// the size of a work unit (see cut) and the default simulation interval; the
+// searches run on one machine word of logic.WordWidth levels, so a wider
+// unit runs as consecutive FPTPG groups of at most logic.WordWidth faults.
+const MaxWordWidth = 2 * logic.WordWidth
+
 // cut groups the n target faults of a run into the work units of its pass:
-// runs of WordWidth fault indices, in input order.
+// runs of WordWidth (at most MaxWordWidth) fault indices, in input order.
 func (o Options) cut(n int) []sched.Unit {
 	idx := make([]int, n)
 	for i := range idx {

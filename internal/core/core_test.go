@@ -367,15 +367,12 @@ func TestWordWidthSweep(t *testing.T) {
 }
 
 // TestWideGeneratorRunsOnOneWord: a generator wider than a machine word
-// allocates its implication state and objective scratch at one word, and
-// runs its wider units as several one-word groups.
+// allocates its objective scratch at one word (its implication state is one
+// word at every width), and runs its wider units as several one-word groups.
 func TestWideGeneratorRunsOnOneWord(t *testing.T) {
 	opts := DefaultOptions(sensitize.Robust)
-	opts.WordWidth = logic.MaxWordWidth
+	opts.WordWidth = MaxWordWidth
 	g := New(bench.C17(), opts)
-	if w := g.st.Width(); w != logic.WordWidth {
-		t.Errorf("width-%d generator: st.Width() = %d, want %d", opts.WordWidth, w, logic.WordWidth)
-	}
 	if n := len(g.objKeys); n != logic.WordWidth {
 		t.Errorf("width-%d generator: %d objective orders, want %d", opts.WordWidth, n, logic.WordWidth)
 	}
@@ -489,8 +486,8 @@ func TestStatusAndOptionHelpers(t *testing.T) {
 	if o.WordWidth != 100 || o.MaxBacktracks <= 0 {
 		t.Errorf("normalize gave %+v", o)
 	}
-	o = Options{Mode: sensitize.Robust, WordWidth: 4 * logic.MaxWordWidth}.normalize()
-	if o.WordWidth != logic.MaxWordWidth {
+	o = Options{Mode: sensitize.Robust, WordWidth: 4 * MaxWordWidth}.normalize()
+	if o.WordWidth != MaxWordWidth {
 		t.Errorf("normalize gave %+v", o)
 	}
 	o = Options{WordWidth: 0}.normalize()
@@ -500,7 +497,7 @@ func TestStatusAndOptionHelpers(t *testing.T) {
 	if log2(64) != 6 || log2(1) != 0 || log2(32) != 5 {
 		t.Error("log2 wrong")
 	}
-	if enumInputs(1) != 0 || enumInputs(32) != 5 || enumInputs(200) != 6 || enumInputs(logic.MaxWordWidth) != 6 {
+	if enumInputs(1) != 0 || enumInputs(32) != 5 || enumInputs(200) != 6 || enumInputs(MaxWordWidth) != 6 {
 		t.Error("enumInputs wrong")
 	}
 	s := Stats{Faults: 200, Aborted: 2, Tested: 150, DetectedBySim: 40}
@@ -557,6 +554,24 @@ func TestSyntheticCircuitATPG(t *testing.T) {
 	}
 }
 
+// verifySetup returns a nonrobust s38584 generator and a fault of a small
+// run of it that was tested, with its test.
+func verifySetup(tb testing.TB) (*Generator, *FaultResult) {
+	tb.Helper()
+	c, err := bench.Get("s38584")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := New(c, DefaultOptions(sensitize.Nonrobust))
+	for _, r := range RunSharded(context.Background(), g, paths.SampleFaults(c, 8, 1995), 1) {
+		if r.Status == Tested {
+			return g, &r
+		}
+	}
+	tb.Fatal("no fault of the sample was tested")
+	return nil, nil
+}
+
 // BenchmarkVerify measures the check every emitted test passes before it
 // is recorded (verifyPattern: one Load and one Detects) on the s38584
 // stand-in, in the nonrobust mode of its benchmark workload.  The pair is
@@ -564,21 +579,7 @@ func TestSyntheticCircuitATPG(t *testing.T) {
 // path: a random pair fails the launch check at the path input and
 // measures nothing.
 func BenchmarkVerify(b *testing.B) {
-	c, err := bench.Get("s38584")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := New(c, DefaultOptions(sensitize.Nonrobust))
-	var tested *FaultResult
-	for _, r := range RunSharded(context.Background(), g, paths.SampleFaults(c, 8, 1995), 1) {
-		if r.Status == Tested {
-			tested = &r
-			break
-		}
-	}
-	if tested == nil {
-		b.Fatal("no fault of the sample was tested")
-	}
+	g, tested := verifySetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !g.verifyPattern(tested.Fault, tested.Test) {
@@ -614,8 +615,8 @@ func BenchmarkObjectives(b *testing.B) {
 	}
 	conflict := g.st.Imply()
 	g.st.ForwardSim()
-	alive := g.st.Active().AndNot(conflict).AndNot(g.st.JustifiedMask(g.st.Active()))
-	if alive.IsZero() {
+	alive := g.st.Active() &^ conflict &^ g.st.JustifiedMask(g.st.Active())
+	if alive == 0 {
 		b.Fatal("no level of the group needs a decision")
 	}
 	b.Run("order", func(b *testing.B) {

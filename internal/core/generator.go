@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -90,7 +89,7 @@ func newRecs(faults []paths.Fault) ([]FaultResult, []*rec) {
 // New creates a generator for the circuit with the given options.
 func New(c *circuit.Circuit, opts Options) *Generator {
 	opts = opts.normalize()
-	newState := implic.NewStateWidth
+	newState := implic.NewState
 	if opts.FullSweepImplic {
 		newState = implic.NewFullSweepState
 	}
@@ -98,7 +97,7 @@ func New(c *circuit.Circuit, opts Options) *Generator {
 	g := &Generator{
 		c:       c,
 		opts:    opts,
-		st:      newState(c, width),
+		st:      newState(c),
 		tm:      testability.For(c),
 		sim:     faultsim.New(c),
 		testSet: pattern.NewSet(c),
@@ -336,41 +335,38 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			g.st.AddRequirement(a.Net, a.Value, bit)
 		}
 		g.st.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), bit)
-		alive = alive.Or(bit)
+		alive |= bit
 	}
 
 	var decided logic.Mask
 	conf := g.implyCounted()
-	if newConf := conf.And(alive); !newConf.IsZero() {
+	if newConf := conf & alive; newConf != 0 {
 		for i, r := range batch {
 			if newConf.Bit(i) {
 				g.markRedundant(r, PhaseFPTPG)
 			}
 		}
-		alive = alive.AndNot(newConf)
+		alive &^= newConf
 	}
 
-	for iter := 0; !alive.IsZero() && iter < maxFPTPGIterations; iter++ {
+	for iter := 0; alive != 0 && iter < maxFPTPGIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil
 		}
 		g.st.ForwardSim()
-		if just := g.st.JustifiedMask(alive); !just.IsZero() {
+		if just := g.st.JustifiedMask(alive); just != 0 {
 			for i, r := range batch {
 				if !just.Bit(i) {
 					continue
 				}
-				bit := logic.BitMask(i)
-				if g.emitTest(r, i, PhaseFPTPG) {
-					alive = alive.AndNot(bit)
-				} else {
+				if !g.emitTest(r, i, PhaseFPTPG) {
 					// Verification failed: give the fault to APTPG.
 					needPhase2 = append(needPhase2, r)
-					alive = alive.AndNot(bit)
 				}
+				alive &^= logic.BitMask(i)
 			}
 		}
-		if alive.IsZero() {
+		if alive == 0 {
 			break
 		}
 
@@ -389,11 +385,11 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			obj, ok := g.findObjective(g.objKeys[i], i)
 			if !ok {
 				needPhase2 = append(needPhase2, r)
-				alive = alive.AndNot(bit)
+				alive &^= bit
 				continue
 			}
 			g.st.AssignPI(obj.Input, g.decisionValue(obj.Value), bit)
-			decided = decided.Or(bit)
+			decided |= bit
 			r.res.Decisions++
 			g.stats.Decisions++
 			progress = true
@@ -403,7 +399,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 		}
 
 		conf = g.implyCounted()
-		if newConf := conf.And(alive); !newConf.IsZero() {
+		if newConf := conf & alive; newConf != 0 {
 			for i, r := range batch {
 				if !newConf.Bit(i) {
 					continue
@@ -417,7 +413,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 					g.markRedundant(r, PhaseFPTPG)
 				}
 			}
-			alive = alive.AndNot(newConf)
+			alive &^= newConf
 		}
 	}
 
@@ -447,7 +443,7 @@ func (g *Generator) objectiveCost(net circuit.NetID, level int) int {
 // justifying the easy requirements first lets their implications constrain
 // the state before the expensive ones are attacked, which measurably lowers
 // the abort count on the ISCAS circuits (hardest-first raised it).  One
-// UnjustifiedWord scan per plane word serves all its levels.  Each
+// UnjustifiedWord scan serves all levels.  Each
 // (net, level) requirement becomes the key cost<<32 | OrderPos(net) in
 // objKeys[level] — costs saturate at testability.MaxMeasure = 2^28, so the
 // key fits — and each level's keys are sorted once.
@@ -458,25 +454,20 @@ func (g *Generator) objectiveCost(net circuit.NetID, level int) int {
 // never below its base state), so a level's unjustified requirements only
 // shrink, in unchanged order.  findObjective skips the ones justified since.
 func (g *Generator) orderObjectives(levels logic.Mask) {
-	for w, lw := range levels {
-		if lw == 0 {
-			continue
+	nets, miss := g.st.UnjustifiedWord()
+	for m := levels; m != 0; m &= m - 1 {
+		lvl := m.TrailingZeros()
+		g.objKeys[lvl] = g.objKeys[lvl][:0]
+	}
+	for i, net := range nets {
+		pos := uint64(g.c.OrderPos(net))
+		for m := logic.Mask(miss[i]) & levels; m != 0; m &= m - 1 {
+			lvl := m.TrailingZeros()
+			g.objKeys[lvl] = append(g.objKeys[lvl], uint64(g.objectiveCost(net, lvl))<<32|pos)
 		}
-		nets, miss := g.st.UnjustifiedWord(w)
-		for m := lw; m != 0; m &= m - 1 {
-			lvl := w*logic.WordWidth + bits.TrailingZeros64(m)
-			g.objKeys[lvl] = g.objKeys[lvl][:0]
-		}
-		for i, net := range nets {
-			pos := uint64(g.c.OrderPos(net))
-			for m := miss[i] & lw; m != 0; m &= m - 1 {
-				lvl := w*logic.WordWidth + bits.TrailingZeros64(m)
-				g.objKeys[lvl] = append(g.objKeys[lvl], uint64(g.objectiveCost(net, lvl))<<32|pos)
-			}
-		}
-		for m := lw; m != 0; m &= m - 1 {
-			slices.Sort(g.objKeys[w*logic.WordWidth+bits.TrailingZeros64(m)])
-		}
+	}
+	for m := levels; m != 0; m &= m - 1 {
+		slices.Sort(g.objKeys[m.TrailingZeros()])
 	}
 }
 
@@ -614,18 +605,18 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 			return
 		}
 		g.st.ForwardSim()
-		aliveMask := active.AndNot(g.st.ConflictMask()).AndNot(deadMask)
-		if just := g.st.JustifiedMask(aliveMask); !just.IsZero() {
+		aliveMask := active &^ g.st.ConflictMask() &^ deadMask
+		if just := g.st.JustifiedMask(aliveMask); just != 0 {
 			lvl := just.TrailingZeros()
 			if g.emitTest(r, lvl, PhaseAPTPG) {
 				return
 			}
-			deadMask = deadMask.Or(logic.BitMask(lvl))
+			deadMask |= logic.BitMask(lvl)
 			sawStuck = true
 			continue
 		}
 
-		if aliveMask.IsZero() {
+		if aliveMask == 0 {
 			// Every alternative currently under consideration conflicts:
 			// backtrack chronologically over the conventional decisions.
 			backtracks++
@@ -666,7 +657,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 				return
 			}
 			g.implyCounted()
-			deadMask = logic.Mask{}
+			deadMask = 0
 			continue
 		}
 
@@ -680,7 +671,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		if enumCount < maxEnum {
 			objs := g.findObjectives(keys, lvl, maxEnum-enumCount)
 			if len(objs) == 0 {
-				deadMask = deadMask.Or(logic.BitMask(lvl))
+				deadMask |= logic.BitMask(lvl)
 				sawStuck = true
 				continue
 			}
@@ -695,7 +686,7 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 		} else {
 			obj, ok := g.findObjective(keys, lvl)
 			if !ok {
-				deadMask = deadMask.Or(logic.BitMask(lvl))
+				deadMask |= logic.BitMask(lvl)
 				sawStuck = true
 				continue
 			}
@@ -720,10 +711,10 @@ func enumInputs(width int) int {
 // enumWord builds the per-level assignment word of the idx-th enumerated
 // input at the given word width: bit level j receives value bit idx of j, so
 // across the active levels all combinations of the enumerated inputs appear.
-func (g *Generator) enumWord(idx, width int) logic.Word7V {
+func (g *Generator) enumWord(idx, width int) logic.Word7 {
 	one := g.decisionValue(logic.One3)
 	zero := g.decisionValue(logic.Zero3)
-	var w logic.Word7V
+	var w logic.Word7
 	for j := 0; j < width; j++ {
 		if (j>>uint(idx))&1 == 1 {
 			w.Set(j, one)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,10 +17,10 @@ import (
 // level's unjustified requirements, scanned and sorted afresh by
 // objectiveCost and topological position, then backtraced in that order.
 func perStepObjective(g *Generator, lvl int) (backtrace.Objective, bool) {
-	nets, miss := g.st.UnjustifiedWord(lvl / logic.WordWidth)
+	nets, miss := g.st.UnjustifiedWord()
 	var keys []uint64
 	for i, net := range nets {
-		if miss[i]>>uint(lvl%logic.WordWidth)&1 != 0 {
+		if logic.Mask(miss[i]).Bit(lvl) {
 			keys = append(keys, uint64(g.objectiveCost(net, lvl))<<32|uint64(g.c.OrderPos(net)))
 		}
 	}
@@ -51,11 +50,11 @@ func setUpGroup(g *Generator, width int, seed int64) (levels logic.Mask, keys fu
 			g.st.AddRequirement(a.Net, a.Value, bit)
 		}
 		g.st.AssignPI(f.Path.Input(), g.launchValue(f.Transition), bit)
-		levels = levels.Or(bit)
+		levels |= bit
 	}
-	alive := levels.AndNot(g.st.Imply())
+	alive := levels &^ g.st.Imply()
 	g.st.ForwardSim()
-	if alive.AndNot(g.st.JustifiedMask(alive)).IsZero() {
+	if alive&^g.st.JustifiedMask(alive) == 0 {
 		return levels, nil, false
 	}
 	g.orderObjectives(alive)
@@ -78,7 +77,7 @@ func setUpAPTPG(g *Generator, width int, seed int64) (levels logic.Mask, keys fu
 	g.st.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), all)
 	conflict := g.st.Imply()
 	g.st.ForwardSim()
-	if conflict == all || !g.st.JustifiedMask(all).IsZero() {
+	if conflict == all || g.st.JustifiedMask(all) != 0 {
 		return all, nil, false
 	}
 	g.orderObjectives(logic.BitMask(0))
@@ -139,11 +138,11 @@ func runEpoch(t *testing.T, g *Generator, rng *rand.Rand, levels logic.Mask, key
 	inputs := g.c.Inputs()
 	selected := 0
 	for step := 0; step < 40; step++ {
-		alive := levels.AndNot(g.st.ConflictMask())
+		alive := levels &^ g.st.ConflictMask()
 		switch {
 		case frames && g.st.Depth() > 0 && rng.Intn(4) == 0:
 			g.st.Undo()
-		case alive.IsZero():
+		case alive == 0:
 			return selected
 		default:
 			if frames {
@@ -166,8 +165,8 @@ func runEpoch(t *testing.T, g *Generator, rng *rand.Rand, levels logic.Mask, key
 			g.st.Imply()
 		}
 		g.st.ForwardSim()
-		alive = levels.AndNot(g.st.ConflictMask())
-		for lvl := 0; lvl < g.st.Width(); lvl++ {
+		alive = levels &^ g.st.ConflictMask()
+		for lvl := 0; lvl < logic.WordWidth; lvl++ {
 			if !alive.Bit(lvl) {
 				continue
 			}
@@ -188,10 +187,8 @@ func runEpoch(t *testing.T, g *Generator, rng *rand.Rand, levels logic.Mask, key
 // randomLevel returns a uniformly chosen level of the non-empty mask.
 func randomLevel(rng *rand.Rand, m logic.Mask) int {
 	var lvls []int
-	for w, word := range m {
-		for ; word != 0; word &= word - 1 {
-			lvls = append(lvls, w*logic.WordWidth+bits.TrailingZeros64(word))
-		}
+	for ; m != 0; m &= m - 1 {
+		lvls = append(lvls, m.TrailingZeros())
 	}
 	return lvls[rng.Intn(len(lvls))]
 }

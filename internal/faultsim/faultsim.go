@@ -94,7 +94,7 @@ func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
 }
 
 // BatchMask returns the mask of bit levels occupied by the current batch.
-func (s *Simulator) BatchMask() uint64 { return logic.LevelMask(len(s.pairs)) }
+func (s *Simulator) BatchMask() uint64 { return uint64(logic.LevelsMask(len(s.pairs))) }
 
 // value returns the value word of net for the current batch, evaluating the
 // net's fanin cone down to the nets already evaluated for this batch.

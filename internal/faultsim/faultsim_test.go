@@ -289,28 +289,34 @@ func TestLoadErrors(t *testing.T) {
 // BenchmarkFaultSimC880Class simulates one 64-pair batch against 500
 // faults of the c880 stand-in, robustly.  It must not allocate.
 func BenchmarkFaultSimC880Class(b *testing.B) {
+	batch := c880Batch(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch()
+	}
+}
+
+// c880Batch returns one batch of BenchmarkFaultSimC880Class: 64 random
+// pairs loaded and 500 sampled c880 faults simulated against them.  It runs
+// the batch once before returning, which allocates the simulator's per-net
+// state and grows its evaluation stack.
+func c880Batch(tb testing.TB) func() {
+	tb.Helper()
 	p, _ := bench.ProfileByName("c880")
 	c := bench.MustSynthesize(p)
 	faults := paths.SampleFaults(c, 500, 3)
 	pairs := randomPairs(c, 64, 17)
 	sim := New(c)
-	// An untimed iteration allocates the simulator's per-net state and grows
-	// its evaluation stack.
-	if _, err := sim.Load(pairs); err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range faults {
-		sim.Detects(f, true)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	batch := func() {
 		if _, err := sim.Load(pairs); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, f := range faults {
 			sim.Detects(f, true)
 		}
 	}
+	batch()
+	return batch
 }
 
 // TestRunParallelMatchesRun checks that the batch-sharded simulation gives

@@ -10,7 +10,6 @@ import (
 	"repro/internal/compact"
 	"repro/internal/core"
 	"repro/internal/faultsim"
-	"repro/internal/logic"
 	"repro/internal/sensitize"
 )
 
@@ -57,22 +56,22 @@ func ablationProfile() bench.Profile {
 }
 
 // RunWordWidthAblation sweeps the word width L: the central design parameter
-// of the paper.  widths defaults to 1 through logic.MaxWordWidth; a width
-// outside 1..logic.MaxWordWidth gets a row carrying an Err instead of a run,
+// of the paper.  widths defaults to 1 through core.MaxWordWidth; a width
+// outside 1..core.MaxWordWidth gets a row carrying an Err instead of a run,
 // so no row is labelled with a width it did not run at.
 func RunWordWidthAblation(cfg Config, widths []int) []AblationRow {
 	cfg = cfg.normalize()
 	if len(widths) == 0 {
-		widths = []int{1, 8, 16, 32, 64, logic.MaxWordWidth}
+		widths = []int{1, 8, 16, 32, 64, core.MaxWordWidth}
 	}
 	p := ablationProfile()
 	var rows []AblationRow
 	for _, w := range widths {
 		width := w
 		label := fmt.Sprintf("L=%d", width)
-		if width < 1 || width > logic.MaxWordWidth {
+		if width < 1 || width > core.MaxWordWidth {
 			rows = append(rows, AblationRow{Label: label,
-				Err: fmt.Errorf("word width %d out of range 1..%d", width, logic.MaxWordWidth)})
+				Err: fmt.Errorf("word width %d out of range 1..%d", width, core.MaxWordWidth)})
 			continue
 		}
 		rows = append(rows, runAblation(label, cfg, p, func(o *core.Options) {

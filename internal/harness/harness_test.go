@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/logic"
+	"repro/internal/core"
 	"repro/internal/sensitize"
 )
 
@@ -111,17 +111,17 @@ func TestRunCompareRow(t *testing.T) {
 // another width.
 func TestWordWidthAblationRefusesOutOfRange(t *testing.T) {
 	cfg := testConfig(sensitize.Nonrobust)
-	rows := RunWordWidthAblation(cfg, []int{0, logic.MaxWordWidth + 1, 600})
+	rows := RunWordWidthAblation(cfg, []int{0, core.MaxWordWidth + 1, 600})
 	if len(rows) != 3 {
 		t.Fatalf("expected 3 width rows, got %d", len(rows))
 	}
-	for i, w := range []int{0, logic.MaxWordWidth + 1, 600} {
+	for i, w := range []int{0, core.MaxWordWidth + 1, 600} {
 		r := rows[i]
 		if want := fmt.Sprintf("L=%d", w); r.Label != want {
 			t.Errorf("row %d is labelled %q, want %q", i, r.Label, want)
 		}
-		if r.Err == nil || !strings.Contains(r.Err.Error(), fmt.Sprintf("1..%d", logic.MaxWordWidth)) {
-			t.Errorf("%s: Err = %v, want an error naming 1..%d", r.Label, r.Err, logic.MaxWordWidth)
+		if r.Err == nil || !strings.Contains(r.Err.Error(), fmt.Sprintf("1..%d", core.MaxWordWidth)) {
+			t.Errorf("%s: Err = %v, want an error naming 1..%d", r.Label, r.Err, core.MaxWordWidth)
 		}
 		if r.Time != 0 || r.Tested != 0 || r.Patterns != 0 {
 			t.Errorf("%s: an out-of-range width ran: %+v", r.Label, r)

@@ -16,27 +16,26 @@ import (
 // them with -benchmem: the steady state must not allocate (the CI bench job
 // gates allocs/op at zero).  The *FullSweep variants measure the full-sweep
 // reference on the identical workload, which is the speed-up the
-// event-driven engine is buying.  Each benchmark runs at one and at two plane
-// words, so CI tracks both kernel tiers.
+// event-driven engine is buying.
 
 // benchWidths are the word widths the micro-benchmarks parameterize over.
-var benchWidths = []int{64, 128}
+var benchWidths = []int{64}
 
 // benchImplyState builds a c880-class state loaded with the sensitization
 // requirements of `width` faults (one per bit level) and an implied base
 // closure, mirroring the generator's state when it starts making decisions.
-func benchImplyState(b *testing.B, fullSweep bool, width int) (*State, []circuit.NetID) {
-	b.Helper()
+func benchImplyState(tb testing.TB, fullSweep bool, width int) (*State, []circuit.NetID) {
+	tb.Helper()
 	p, ok := bench.ProfileByName("c880")
 	if !ok {
-		b.Fatal("unknown profile c880")
+		tb.Fatal("unknown profile c880")
 	}
 	c := bench.MustSynthesize(p)
-	newState := NewStateWidth
+	newState := NewState
 	if fullSweep {
 		newState = NewFullSweepState
 	}
-	st := newState(c, width)
+	st := newState(c)
 	active := logic.LevelsMask(width)
 	st.Reset(active)
 	faults := paths.SampleFaults(c, width, 1)
@@ -44,7 +43,7 @@ func benchImplyState(b *testing.B, fullSweep bool, width int) (*State, []circuit
 		f := faults[lvl%len(faults)]
 		cond, err := sensitize.Sensitize(c, f, sensitize.Robust)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, a := range cond.Assignments {
 			st.AddRequirement(a.Net, a.Value, logic.BitMask(lvl))
@@ -53,6 +52,73 @@ func benchImplyState(b *testing.B, fullSweep bool, width int) (*State, []circuit
 	st.Imply()
 	st.ForwardSim()
 	return st, c.Inputs()
+}
+
+// oneFaultState builds the state of BenchmarkImplyOneFault: the first
+// sampled c7552 fault whose conditions do not conflict outright, on all 64
+// levels, implied and simulated, and the unassigned inputs of its cone.
+func oneFaultState(tb testing.TB) (*State, []circuit.NetID) {
+	tb.Helper()
+	p, ok := bench.ProfileByName("c7552")
+	if !ok {
+		tb.Fatal("unknown profile c7552")
+	}
+	c := bench.MustSynthesize(p)
+	st := NewState(c)
+	all := logic.LevelsMask(logic.WordWidth)
+	// APTPG searches only faults whose conditions do not conflict outright.
+	for _, f := range paths.SampleFaults(c, 64, 1) {
+		cond, err := sensitize.Sensitize(c, f, sensitize.Robust)
+		if err != nil {
+			continue
+		}
+		st.Reset(all)
+		for _, a := range cond.Assignments {
+			st.AddRequirement(a.Net, a.Value, all)
+		}
+		st.AssignPI(f.Path.Input(), f.Transition.Value7(), all)
+		if st.Imply() == 0 {
+			break
+		}
+	}
+	if st.ConflictMask() != 0 {
+		tb.Fatal("every sampled fault conflicts outright")
+	}
+	st.ForwardSim()
+	var inputs []circuit.NetID
+	cone := reqCone(st)
+	for _, in := range c.Inputs() {
+		if cone[in] && st.PIValue(in) == (logic.Word7{}) {
+			inputs = append(inputs, in)
+		}
+	}
+	return st, inputs
+}
+
+// deadState builds the state of BenchmarkImplyDead: benchImplyState with a
+// contradictory requirement (stable 0 and stable 1) on the net with the
+// largest fanout, which conflicts every odd level before the first decision.
+func deadState(tb testing.TB, width int) (*State, []circuit.NetID) {
+	tb.Helper()
+	st, inputs := benchImplyState(tb, false, width)
+	c := st.Circuit()
+	hub := circuit.NetID(0)
+	for n := 0; n < c.NumNets(); n++ {
+		if id := circuit.NetID(n); len(c.Gate(id).Fanout) > len(c.Gate(hub).Fanout) {
+			hub = id
+		}
+	}
+	var odd logic.Mask
+	for lvl := 1; lvl < width; lvl += 2 {
+		odd |= logic.BitMask(lvl)
+	}
+	st.AddRequirement(hub, logic.Stable0, odd)
+	st.AddRequirement(hub, logic.Stable1, odd)
+	if st.Imply()&odd != odd {
+		tb.Fatal("the contradictory requirement did not conflict the odd levels")
+	}
+	st.ForwardSim()
+	return st, inputs
 }
 
 // decisionStep is one framed decision: assign an input on all levels, imply
@@ -98,40 +164,7 @@ func BenchmarkImply(b *testing.B) {
 // iteration is a framed decision on a primary input of that cone, implied,
 // simulated and undone.
 func BenchmarkImplyOneFault(b *testing.B) {
-	p, ok := bench.ProfileByName("c7552")
-	if !ok {
-		b.Fatal("unknown profile c7552")
-	}
-	c := bench.MustSynthesize(p)
-	st := NewState(c)
-	all := logic.LevelsMask(logic.WordWidth)
-	// The first sampled fault whose conditions do not conflict outright:
-	// APTPG searches only those.
-	for _, f := range paths.SampleFaults(c, 64, 1) {
-		cond, err := sensitize.Sensitize(c, f, sensitize.Robust)
-		if err != nil {
-			continue
-		}
-		st.Reset(all)
-		for _, a := range cond.Assignments {
-			st.AddRequirement(a.Net, a.Value, all)
-		}
-		st.AssignPI(f.Path.Input(), f.Transition.Value7(), all)
-		if st.Imply().IsZero() {
-			break
-		}
-	}
-	if !st.ConflictMask().IsZero() {
-		b.Fatal("every sampled fault conflicts outright")
-	}
-	st.ForwardSim()
-	var inputs []circuit.NetID
-	cone := reqCone(st)
-	for _, in := range c.Inputs() {
-		if cone[in] && st.PIValue(in).IsZero() {
-			inputs = append(inputs, in)
-		}
-	}
+	st, inputs := oneFaultState(b)
 	for i := 0; i < 256; i++ {
 		decisionStep(st, inputs, i, true) // warm up trail/queue capacities
 	}
@@ -151,24 +184,7 @@ func BenchmarkImplyOneFault(b *testing.B) {
 func BenchmarkImplyDead(b *testing.B) {
 	for _, width := range benchWidths {
 		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			st, inputs := benchImplyState(b, false, width)
-			c := st.Circuit()
-			hub := circuit.NetID(0)
-			for n := 0; n < c.NumNets(); n++ {
-				if id := circuit.NetID(n); len(c.Gate(id).Fanout) > len(c.Gate(hub).Fanout) {
-					hub = id
-				}
-			}
-			var odd logic.Mask
-			for lvl := 1; lvl < width; lvl += 2 {
-				odd = odd.Or(logic.BitMask(lvl))
-			}
-			st.AddRequirement(hub, logic.Stable0, odd)
-			st.AddRequirement(hub, logic.Stable1, odd)
-			if st.Imply().And(odd) != odd {
-				b.Fatal("the contradictory requirement did not conflict the odd levels")
-			}
-			st.ForwardSim()
+			st, inputs := deadState(b, width)
 			for i := 0; i < 256; i++ {
 				decisionStep(st, inputs, i, false)
 			}
@@ -228,23 +244,19 @@ func BenchmarkForwardSimFullSweep(b *testing.B) {
 }
 
 // BenchmarkNewState measures the construction of one implication state; its
-// B/op is the plane, trail-stamp and event-queue storage every state holds
-// (a generator on a two-word engine holds three).  It runs on c7552 at one
-// and at two plane words and on the s38584 stand-in at one.
+// B/op is the plane, trail-stamp and event-queue storage every state holds.
+// It runs on c7552 and on the s38584 stand-in.
 func BenchmarkNewState(b *testing.B) {
-	for _, tc := range []struct {
-		circuit string
-		width   int
-	}{{"c7552", 64}, {"c7552", 128}, {"s38584", 64}} {
-		b.Run(fmt.Sprintf("%s/w%d", tc.circuit, tc.width), func(b *testing.B) {
-			c, err := bench.Get(tc.circuit)
+	for _, name := range []string{"c7552", "s38584"} {
+		b.Run(name+"/w64", func(b *testing.B) {
+			c, err := bench.Get(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				NewStateWidth(c, tc.width)
+				NewState(c)
 			}
 		})
 	}

@@ -19,7 +19,9 @@ import (
 // every bit level whose closure is conflict-free (on conflicted levels the
 // derived stability planes are order-dependent; see the package comment),
 // and exact trail restores.  Every randomized test runs the width dimension
-// {1, 64, 128}, so both kernel tiers are exercised.
+// {1, 64, 128}: a state covers one machine word at every width it is asked
+// for, and the w128 cases check that a width-128 request, which the engine
+// accepts, gets a correct 64-level state.
 
 // equivValues are the assignable seven-valued constants used to drive the
 // randomized tests (X is excluded: assigning X is a no-op).
@@ -32,17 +34,13 @@ var equivWidths = []int{1, 64, 128}
 
 // randMask returns a random level mask bounded to the given word width.
 func randMask(rng *rand.Rand, width int) logic.Mask {
-	var m logic.Mask
-	for w := 0; w < logic.KForWidth(width); w++ {
-		m[w] = rng.Uint64()
-	}
-	return m.And(logic.LevelsMask(width))
+	return logic.Mask(rng.Uint64()) & logic.LevelsMask(width)
 }
 
-// randPIWord returns a sparse random per-level assignment vector.
-func randPIWord(rng *rand.Rand, width int) logic.Word7V {
-	var w logic.Word7V
-	for lvl := 0; lvl < width; lvl += 1 + rng.Intn(7) {
+// randPIWord returns a sparse random per-level assignment word.
+func randPIWord(rng *rand.Rand, width int) logic.Word7 {
+	var w logic.Word7
+	for lvl := 0; lvl < min(width, logic.WordWidth); lvl += 1 + rng.Intn(7) {
 		w.Set(lvl, equivValues[rng.Intn(len(equivValues))])
 	}
 	return w
@@ -53,15 +51,15 @@ func randPIWord(rng *rand.Rand, width int) logic.Word7V {
 // scratch, so the externally assigned planes are all it needs.
 func oracleFor(st *State) *State {
 	c := st.Circuit()
-	o := NewFullSweepState(c, st.Width())
+	o := NewFullSweepState(c)
 	o.Reset(st.Active())
 	for n := 0; n < c.NumNets(); n++ {
 		id := circuit.NetID(n)
 		req := st.Requirement(id)
-		if req.IsZero() {
+		if req == (logic.Word7{}) {
 			continue
 		}
-		for lvl := 0; lvl < st.Width(); lvl++ {
+		for lvl := 0; lvl < logic.WordWidth; lvl++ {
 			if v := req.Get(lvl); v != logic.X7 {
 				o.AddRequirement(id, v, logic.BitMask(lvl))
 			}
@@ -82,7 +80,7 @@ func reqCone(st *State) []bool {
 	order := c.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
-		if !cone[id] && st.Requirement(id).IsZero() {
+		if !cone[id] && st.Requirement(id) == (logic.Word7{}) {
 			continue
 		}
 		cone[id] = true
@@ -110,7 +108,7 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 	}
 	c := st.Circuit()
 	cone := reqCone(st)
-	keep := conf.Not()
+	keep := ^conf
 	for n := 0; n < c.NumNets(); n++ {
 		id := circuit.NetID(n)
 		if st.inCone[id] != cone[id] {
@@ -120,12 +118,11 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 			continue
 		}
 		if got, want := st.ImpliedValue(id).SelectLevels(keep), o.ImpliedValue(id).SelectLevels(keep); got != want {
-			t.Fatalf("%s: Val[%s] conflict-free levels differ:\n  incremental %v\n  oracle      %v\n  actv=%v\n  conf=%v",
-				tag, c.NetName(id), got.StringN(st.Width()), want.StringN(st.Width()), st.Active(), conf)
+			t.Fatalf("%s: Val[%s] conflict-free levels differ:\n  incremental %x\n  oracle      %x\n  actv=%x\n  conf=%x",
+				tag, c.NetName(id), got, want, st.Active(), conf)
 		}
 		if got, want := st.SimValue(id), o.SimValue(id); got != want {
-			t.Fatalf("%s: Sim[%s] differs:\n  incremental %v\n  oracle      %v",
-				tag, c.NetName(id), got.StringN(st.Width()), want.StringN(st.Width()))
+			t.Fatalf("%s: Sim[%s] differs:\n  incremental %x\n  oracle      %x", tag, c.NetName(id), got, want)
 		}
 	}
 	just := st.JustifiedMask(st.Active())
@@ -134,17 +131,14 @@ func assertMatchesOracle(t *testing.T, st *State, tag string) {
 	}
 	// A caller passes the levels it still searches, and the scan may stop
 	// early on them: any subset must read as the full scan restricted to it.
-	mrng := rand.New(rand.NewSource(int64(conf[0] ^ just[0])))
-	for _, m := range []logic.Mask{{}, st.Active().AndNot(just), randMask(mrng, st.Width()), randMask(mrng, st.Width()), randMask(mrng, st.Width())} {
-		if got, want := st.JustifiedMask(m), just.And(m); got != want {
-			t.Fatalf("%s: JustifiedMask(%v) = %v, want %v", tag, m, got, want)
+	mrng := rand.New(rand.NewSource(int64(conf ^ just)))
+	for _, m := range []logic.Mask{0, st.Active() &^ just, randMask(mrng, logic.WordWidth), randMask(mrng, logic.WordWidth), randMask(mrng, logic.WordWidth)} {
+		if got, want := st.JustifiedMask(m), just&m; got != want {
+			t.Fatalf("%s: JustifiedMask(%x) = %x, want %x", tag, m, got, want)
 		}
 	}
-	for w := 0; w < logic.KForWidth(st.Width()); w++ {
-		got, want := unjustifiedWord(st, w), unjustifiedWord(o, w)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: UnjustifiedWord(%d) = %v, oracle %v", tag, w, got, want)
-		}
+	if got, want := unjustifiedWord(st), unjustifiedWord(o); !slices.Equal(got, want) {
+		t.Fatalf("%s: UnjustifiedWord = %v, oracle %v", tag, got, want)
 	}
 }
 
@@ -154,11 +148,11 @@ type unjustifiedMiss struct {
 	miss uint64
 }
 
-// unjustifiedWord returns the UnjustifiedWord scan of plane word w in
-// topological order: the scan returns bucket order, and the buckets of an
-// incremental state and its oracle fill in different orders.
-func unjustifiedWord(st *State, w int) []unjustifiedMiss {
-	nets, miss := st.UnjustifiedWord(w)
+// unjustifiedWord returns the UnjustifiedWord scan in topological order: the
+// scan returns insertion order, and the requirement lists of an incremental
+// state and its oracle fill in different orders.
+func unjustifiedWord(st *State) []unjustifiedMiss {
+	nets, miss := st.UnjustifiedWord()
 	out := make([]unjustifiedMiss, len(nets))
 	for i, n := range nets {
 		out[i] = unjustifiedMiss{n, miss[i]}
@@ -172,8 +166,8 @@ func unjustifiedWord(st *State, w int) []unjustifiedMiss {
 // given bit level, in topological order.
 func unjustifiedAt(st *State, level int) []circuit.NetID {
 	var out []circuit.NetID
-	for _, u := range unjustifiedWord(st, level/logic.WordWidth) {
-		if u.miss>>uint(level%logic.WordWidth)&1 != 0 {
+	for _, u := range unjustifiedWord(st) {
+		if logic.Mask(u.miss).Bit(level) {
 			out = append(out, u.net)
 		}
 	}
@@ -182,7 +176,7 @@ func unjustifiedAt(st *State, level int) []circuit.NetID {
 
 // planeSnap is every plane of every net of a state, plus its conflict mask.
 type planeSnap struct {
-	req, pi, val, sim []logic.Word7V
+	req, pi, val, sim []logic.Word7
 	conflict          logic.Mask
 }
 
@@ -240,7 +234,7 @@ func TestIncrementalImplyMatchesOracleRandomOps(t *testing.T) {
 				inputs := c.Inputs()
 				for trial := 0; trial < 4; trial++ {
 					active := randMask(rng, width)
-					if active.IsZero() {
+					if active == 0 {
 						active = logic.LevelsMask(width)
 					}
 					st.Reset(active)

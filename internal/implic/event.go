@@ -121,9 +121,9 @@ func clearQueue(buckets [][]circuit.NetID, queued []bool, count *int) {
 	*count = 0
 }
 
-// seedImply merges the Req and PI windows of every pending net into the
-// closure, scheduling propagation events.  A window the closure already
-// holds changes nothing: mergeVal adds only new bits on live levels.
+// seedImply merges the Req and PI words of every pending net into the
+// closure, scheduling propagation events.  A word the closure already holds
+// changes nothing: mergeVal adds only new bits on live levels.
 // Constant drivers are seeded once per Reset, since the full sweep evaluates
 // them unconditionally.
 func (s *State) seedImply() {
@@ -134,11 +134,9 @@ func (s *State) seedImply() {
 		}
 	}
 	for _, n := range s.pendImply {
-		req := s.loadFull(&s.req, n).SelectLevels(s.active)
-		s.mergeVal(n, &req)
+		s.mergeVal(n, s.req[n].SelectLevels(s.active))
 		if s.c.IsInput(n) {
-			pi := s.loadFull(&s.pi, n).SelectLevels(s.active)
-			s.mergeVal(n, &pi)
+			s.mergeVal(n, s.pi[n].SelectLevels(s.active))
 		}
 	}
 	s.pendImply = s.pendImply[:0]
@@ -159,8 +157,7 @@ func (s *State) runImplyRounds() {
 					n := b[i]
 					s.fwdQ[n] = false
 					s.fwdN--
-					s.evalGate(s.c.Gate(n), &s.val)
-					s.mergeVal(n, &s.evalReg)
+					s.mergeVal(n, s.evalGate(s.c.Gate(n), s.val))
 				}
 				s.fwdB[lvl] = s.fwdB[lvl][:0]
 			}
@@ -195,8 +192,7 @@ func (s *State) runForwardSim() {
 		}
 	}
 	for _, in := range s.pendSim {
-		pi := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		s.setSim(in, &pi)
+		s.setSim(in, s.pi[in].SelectLevels(s.active))
 	}
 	s.pendSim = s.pendSim[:0]
 	if s.simN == 0 {
@@ -208,8 +204,7 @@ func (s *State) runForwardSim() {
 			n := b[i]
 			s.simQ[n] = false
 			s.simN--
-			s.evalGate(s.c.Gate(n), &s.sim)
-			s.setSim(n, &s.evalReg)
+			s.setSim(n, s.evalGate(s.c.Gate(n), s.sim))
 		}
 		s.simB[lvl] = s.simB[lvl][:0]
 	}

@@ -158,7 +158,7 @@ func TestImplyBackwardUniqueImplications(t *testing.T) {
 	if got := st.ImpliedValue(c.NetByName("1")).Get(0); got != logic.X7 {
 		t.Errorf("input 1 should stay unknown, got %v", got)
 	}
-	if !st.ConflictMask().IsZero() {
+	if st.ConflictMask() != 0 {
 		t.Errorf("no conflict expected, got mask %v", st.ConflictMask())
 	}
 }
@@ -345,15 +345,15 @@ func TestJustifiedMaskAndUnjustified(t *testing.T) {
 	st.AddRequirement(n16, logic.Final0, logic.BitMask(1))
 	st.Imply()
 	st.ForwardSim()
-	if !st.JustifiedMask(st.Active()).IsZero() {
+	if st.JustifiedMask(st.Active()) != 0 {
 		t.Error("nothing should be justified before any input assignment")
 	}
 	if unj := unjustifiedAt(st, 0); len(unj) != 1 || unj[0] != n16 {
 		t.Errorf("unjustified nets at level 0 = %v, want [16]", unj)
 	}
 	// One scan reports both levels: 16's miss word covers levels 0 and 1.
-	if nets, miss := st.UnjustifiedWord(0); len(nets) != 1 || nets[0] != n16 || miss[0] != 0b11 {
-		t.Errorf("UnjustifiedWord(0) = %v %v, want [16] [0b11]", nets, miss)
+	if nets, miss := st.UnjustifiedWord(); len(nets) != 1 || nets[0] != n16 || miss[0] != 0b11 {
+		t.Errorf("UnjustifiedWord = %v %v, want [16] [0b11]", nets, miss)
 	}
 	// Setting input 2 = 0 makes 16 = NAND(2,11) = 1: level 0 justified.
 	st.AssignPI(c.NetByName("2"), logic.Stable0, logic.BitMask(0))
@@ -403,16 +403,17 @@ func TestSensitizedFaultRedundantByImplication(t *testing.T) {
 	}
 }
 
-func TestStateResetAndMarkConflict(t *testing.T) {
+func TestStateReset(t *testing.T) {
 	c := bench.C17()
 	st := NewState(c)
 	st.Reset(logic.LevelsMask(8))
 	if st.Active() != logic.LevelsMask(8) {
 		t.Error("active mask not stored")
 	}
-	st.MarkConflict(logic.BitMask(2))
-	if st.ConflictMask() != logic.BitMask(2) {
-		t.Error("MarkConflict not visible")
+	st.AddRequirement(c.NetByName("10"), logic.Stable0, logic.BitMask(2))
+	st.AddRequirement(c.NetByName("10"), logic.Stable1, logic.BitMask(2))
+	if st.Imply() != logic.BitMask(2) || st.ConflictMask() != logic.BitMask(2) {
+		t.Error("contradictory requirement did not conflict level 2")
 	}
 	st.AssignPI(c.NetByName("1"), logic.Stable1, logic.LevelsMask(logic.WordWidth))
 	if got := st.PIValue(c.NetByName("1")); got.Get(7) != logic.Stable1 || got.Get(8) != logic.X7 {
@@ -420,12 +421,12 @@ func TestStateResetAndMarkConflict(t *testing.T) {
 	}
 	// Assigning a non-input net is ignored.
 	st.AssignPI(c.NetByName("22"), logic.Stable1, logic.BitMask(0))
-	if st.PIValue(c.NetByName("22")) != (logic.Word7V{}) {
+	if st.PIValue(c.NetByName("22")) != (logic.Word7{}) {
 		t.Error("assigning a gate output as PI should be ignored")
 	}
 	st.Reset(logic.LevelsMask(1))
-	if !st.ConflictMask().IsZero() {
-		t.Error("Reset should clear conflicts")
+	if st.ConflictMask() != 0 || st.Requirement(c.NetByName("10")) != (logic.Word7{}) {
+		t.Error("Reset should clear conflicts and requirements")
 	}
 	if st.Circuit() != c {
 		t.Error("Circuit accessor broken")

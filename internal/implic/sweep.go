@@ -13,11 +13,11 @@ import (
 // early.  The equivalence tests validate the engine against it, and the
 // grouping experiment runs the generator on it.
 
-// NewFullSweepState allocates a state like NewStateWidth whose Imply and
+// NewFullSweepState allocates a state like NewState whose Imply and
 // ForwardSim recompute the closure and the simulation of the whole circuit
 // from scratch.
-func NewFullSweepState(c *circuit.Circuit, width int) *State {
-	s := NewStateWidth(c, width)
+func NewFullSweepState(c *circuit.Circuit) *State {
+	s := NewState(c)
 	s.fullSweep = true
 	return s
 }
@@ -25,21 +25,22 @@ func NewFullSweepState(c *circuit.Circuit, width int) *State {
 // implyFull recomputes the closure from scratch with alternating
 // whole-circuit forward and backward sweeps until a sweep changes nothing.
 func (s *State) implyFull() logic.Mask {
-	s.pendImply = s.pendImply[:0] // the sweep reads every window
+	s.pendImply = s.pendImply[:0] // the sweep reads every net
 	order := s.c.TopoOrder()
 	// Start with every level live: mergeVal freezes the levels in
 	// valConflict, and a recomputation must not inherit them.  The scan at
 	// the end recomputes the mask.
-	s.valConflict = logic.Mask{}
+	s.valConflict = 0
 	// Initialise the closure with the requirements and input assignments.
-	for i := 0; i < s.c.NumNets(); i++ {
+	for i := range s.val {
 		id := circuit.NetID(i)
-		r := s.loadFull(&s.req, id).SelectLevels(s.active)
-		s.setValReplace(id, &r)
+		if r := s.req[id].SelectLevels(s.active); s.val[id] != r {
+			s.note(pVal, id)
+			s.val[id] = r
+		}
 	}
 	for _, in := range s.c.Inputs() {
-		r := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		s.mergeVal(in, &r)
+		s.mergeVal(in, s.pi[in].SelectLevels(s.active))
 	}
 
 	for changed := true; changed; {
@@ -51,8 +52,7 @@ func (s *State) implyFull() logic.Mask {
 			if g.Kind == logic.Input {
 				continue
 			}
-			s.evalGate(g, &s.val)
-			if s.mergeVal(id, &s.evalReg) {
+			if s.mergeVal(id, s.evalGate(g, s.val)) {
 				changed = true
 			}
 		}
@@ -69,57 +69,28 @@ func (s *State) implyFull() logic.Mask {
 		}
 	}
 
-	var conflict logic.Mask
-	ka := s.ka
-	for i := 0; i < s.c.NumNets(); i++ {
-		off := s.off(circuit.NetID(i))
-		for w := 0; w < ka; w++ {
-			o := off + w
-			conflict[w] |= (s.val.zero[o] & s.val.one[o]) | (s.val.stable[o] & s.val.instable[o])
-		}
+	s.valConflict = 0
+	for _, v := range s.val {
+		s.valConflict |= (v.Zero & v.One) | (v.Stable & v.Instable)
 	}
-	s.valConflict = conflict
-	s.conflict = conflict.And(s.active)
 	return s.ConflictMask()
-}
-
-// setValReplace overwrites Val[net] (full-sweep initialisation only).
-func (s *State) setValReplace(net circuit.NetID, r *logic.Word7V) {
-	ka, off := s.ka, s.off(net)
-	same := true
-	for w := 0; w < ka; w++ {
-		o := off + w
-		if s.val.zero[o] != r.Zero[w] || s.val.one[o] != r.One[w] ||
-			s.val.stable[o] != r.Stable[w] || s.val.instable[o] != r.Instable[w] {
-			same = false
-			break
-		}
-	}
-	if same {
-		return
-	}
-	s.note(pVal, net)
-	s.store(&s.val, net, r)
 }
 
 // forwardSimFull recomputes the simulation of the whole circuit from the
 // input assignments.
 func (s *State) forwardSimFull() {
 	s.pendSim = s.pendSim[:0]
-	var zero logic.Word7V
-	for i := 0; i < s.c.NumNets(); i++ {
-		s.setSim(circuit.NetID(i), &zero)
+	for i := range s.sim {
+		s.setSim(circuit.NetID(i), logic.Word7{})
 	}
 	for _, in := range s.c.Inputs() {
-		r := s.loadFull(&s.pi, in).SelectLevels(s.active)
-		s.setSim(in, &r)
+		s.setSim(in, s.pi[in].SelectLevels(s.active))
 	}
 	for _, id := range s.c.TopoOrder() {
 		g := s.c.Gate(id)
 		if g.Kind == logic.Input {
 			continue
 		}
-		s.evalGate(g, &s.sim)
-		s.setSim(id, &s.evalReg)
+		s.setSim(id, s.evalGate(g, s.sim))
 	}
 }

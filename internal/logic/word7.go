@@ -84,6 +84,12 @@ func (w *Word7) MergeAt(i int, v Value7) {
 	}
 }
 
+// SelectLevels keeps only the bit levels selected by mask.
+func (w Word7) SelectLevels(mask Mask) Word7 {
+	m := uint64(mask)
+	return Word7{Zero: w.Zero & m, One: w.One & m, Stable: w.Stable & m, Instable: w.Instable & m}
+}
+
 // Not returns the complement: the value planes are swapped while the
 // stability planes are preserved.
 func (w Word7) Not() Word7 {

@@ -47,11 +47,11 @@ func TestWord7InitialPlanes(t *testing.T) {
 	w.Set(3, Fall7)   // initial 1
 	w.Set(4, Final0)  // initial unknown
 	i0, i1 := w.InitialPlanes()
-	if i0&LevelMask(5) != 0b00101 {
-		t.Errorf("init0 plane = %05b", i0&LevelMask(5))
+	if i0&uint64(LevelsMask(5)) != 0b00101 {
+		t.Errorf("init0 plane = %05b", i0&uint64(LevelsMask(5)))
 	}
-	if i1&LevelMask(5) != 0b01010 {
-		t.Errorf("init1 plane = %05b", i1&LevelMask(5))
+	if i1&uint64(LevelsMask(5)) != 0b01010 {
+		t.Errorf("init1 plane = %05b", i1&uint64(LevelsMask(5)))
 	}
 }
 

@@ -762,7 +762,7 @@ func TestServiceSubmitRejectsUnknownOption(t *testing.T) {
 }
 
 // TestServiceSubmitRejectsOutOfRangeWidth checks the wire's width bound: a
-// submit asking for a word width above logic.MaxWordWidth gets HTTP 400 with
+// submit asking for a word width above core.MaxWordWidth gets HTTP 400 with
 // an error naming the range, and the widest legal width is accepted.
 func TestServiceSubmitRejectsOutOfRangeWidth(t *testing.T) {
 	submit := rawSubmitter(t)

@@ -19,7 +19,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/compact"
 	"repro/internal/core"
-	"repro/internal/logic"
 	"repro/internal/paths"
 	"repro/internal/pattern"
 	"repro/internal/sensitize"
@@ -124,7 +123,7 @@ func DecodeFaults(c *circuit.Circuit, wfs []WireFault) ([]paths.Fault, error) {
 // valid configuration; the No* spellings keep "enabled" the zero value.
 type JobOptions struct {
 	Mode        string `json:"mode,omitempty"`         // "robust" (default) or "nonrobust"
-	WordWidth   int    `json:"word_width,omitempty"`   // 1..logic.MaxWordWidth (unit size; searches run on at most 64 levels); 0 = 64
+	WordWidth   int    `json:"word_width,omitempty"`   // 1..core.MaxWordWidth (unit size; searches run on at most 64 levels); 0 = 64
 	Backtracks  int    `json:"backtracks,omitempty"`   // APTPG backtrack limit; 0 = default
 	NoFPTPG     bool   `json:"no_fptpg,omitempty"`     // disable the fault-parallel phase
 	NoAPTPG     bool   `json:"no_aptpg,omitempty"`     // disable the alternative-parallel phase
@@ -145,8 +144,8 @@ func (o JobOptions) ToCore() (core.Options, error) {
 	}
 	opts := core.DefaultOptions(mode)
 	if o.WordWidth != 0 {
-		if o.WordWidth < 1 || o.WordWidth > logic.MaxWordWidth {
-			return core.Options{}, fmt.Errorf("service: word width %d out of range 1..%d", o.WordWidth, logic.MaxWordWidth)
+		if o.WordWidth < 1 || o.WordWidth > core.MaxWordWidth {
+			return core.Options{}, fmt.Errorf("service: word width %d out of range 1..%d", o.WordWidth, core.MaxWordWidth)
 		}
 		opts.WordWidth = o.WordWidth
 	}

@@ -41,8 +41,7 @@ longer-lived locations, and must not be grown with append.`,
 var mutators = map[string]bool{
 	"Assign": true, "Undo": true, "Reset": true, "Imply": true,
 	"ForwardSim": true, "AddRequirement": true, "AssignPI": true,
-	"AssignPIWord": true, "MarkConflict": true,
-	"UnjustifiedWord": true,
+	"AssignPIWord": true, "UnjustifiedWord": true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
