@@ -39,9 +39,6 @@ const (
 	PhaseFPTPG      = core.PhaseFPTPG
 	PhaseAPTPG      = core.PhaseAPTPG
 	PhaseSimulation = core.PhaseSimulation
-	// PhasePruning is no longer produced by the generator; it is decoded
-	// only from the service ledgers of earlier builds (see core.PhasePruning).
-	PhasePruning = core.PhasePruning
 )
 
 // Result is the outcome for one target fault: its classification, the phase

@@ -188,30 +188,6 @@ func BenchmarkGroupingWide(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactionReduction measures the full static compaction pass on a
-// c7552 sharded run and reports the achieved size reduction as a custom
-// "reduction" metric (0..1), which the CI bench gate tracks alongside ns/op
-// (tools/benchcmp -min-metric).
-func BenchmarkCompactionReduction(b *testing.B) {
-	c, err := atpg.Builtin("c7552")
-	if err != nil {
-		b.Fatal(err)
-	}
-	faults := atpg.SampleFaults(c, 128, 1995)
-	reduction := 0.0
-	for i := 0; i < b.N; i++ {
-		e, err := atpg.New(c, atpg.WithWorkers(4), atpg.WithCompaction(atpg.CompactFull))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(context.Background(), faults); err != nil {
-			b.Fatal(err)
-		}
-		reduction = e.Stats().Compaction.Reduction()
-	}
-	b.ReportMetric(reduction, "reduction")
-}
-
 // figure1Faults returns the four faults processed fault-parallel in the
 // Figure 1 walk-through of the paper.
 func figure1Faults(c *circuit.Circuit) []paths.Fault {

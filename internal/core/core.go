@@ -88,9 +88,11 @@ const (
 	PhaseAPTPG
 	PhaseSimulation
 	// PhasePruning is no longer produced by the generator: earlier builds
-	// settled faults through a recorded redundant subpath under it, and it
-	// is kept only so that their service ledgers still decode.  Such faults
-	// now conflict at their FPTPG group's first implication (PhaseFPTPG).
+	// settled faults through a recorded redundant subpath under it.  Such
+	// faults now conflict at their FPTPG group's first implication
+	// (PhaseFPTPG).  Nothing decodes it any more; it stays only because
+	// bench/layers.go reads it for its core.settled.pruning row, and goes
+	// with that row.
 	PhasePruning
 )
 

@@ -1,8 +1,8 @@
 // Package retry is the repo's one idiom for surviving transient faults on
 // the service's wire edges: context-aware exponential backoff with
 // decorrelated jitter, a transient/terminal error classification shared by
-// every caller, and a per-operation retry budget so a hopeless endpoint
-// fails in bounded time instead of retrying forever.
+// every caller, and a per-operation attempt budget so a hopeless endpoint
+// fails after a bounded number of tries instead of retrying forever.
 //
 // Two shapes cover every call site:
 //
@@ -26,7 +26,6 @@ package retry
 import (
 	"context"
 	"errors"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -135,21 +134,6 @@ func retryAfter(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// transientNetError reports whether err looks like a severed wire: used by
-// tests and documented here as the shapes Classify treats as transient by
-// default (net timeouts, ECONNRESET, EPIPE, EOF mid-body).
-func transientNetError(err error) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return true
-	}
-	return errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.EPIPE) ||
-		errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrUnexpectedEOF)
-}
-
 // Policy tunes one operation's retry behavior.  The zero value is usable:
 // it means 4 attempts, 100ms initial delay, 5s cap, default classification.
 type Policy struct {
@@ -161,9 +145,6 @@ type Policy struct {
 	// the default of 4; negative means unlimited (the context bounds the
 	// loop instead — reconnecting long-polls use this).
 	Attempts int
-	// Budget, when positive, caps the total time spent across attempts
-	// and backoff sleeps; once exceeded no further attempt starts.
-	Budget time.Duration
 	// Classify overrides the transient/terminal verdict.  Default Classify.
 	Classify func(error) Class
 	// Seed, when nonzero, makes the jitter sequence deterministic — chaos
@@ -195,12 +176,11 @@ func (p Policy) withDefaults() Policy {
 // Max), so a fleet of clients that failed together does not retry in
 // lockstep.  Not safe for concurrent use; each goroutine owns its own.
 type Backoff struct {
-	p       Policy
-	mu      sync.Mutex
-	rng     *rand.Rand
-	prev    time.Duration
-	tries   int
-	started time.Time
+	p     Policy
+	mu    sync.Mutex
+	rng   *rand.Rand
+	prev  time.Duration
+	tries int
 }
 
 // Backoff builds a fresh delay sequence under the policy.
@@ -219,14 +199,8 @@ func (p Policy) Backoff() *Backoff {
 func (b *Backoff) Next() (time.Duration, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.started.IsZero() {
-		b.started = time.Now()
-	}
 	b.tries++
 	if b.p.Attempts > 0 && b.tries >= b.p.Attempts {
-		return 0, false
-	}
-	if b.p.Budget > 0 && time.Since(b.started) > b.p.Budget {
 		return 0, false
 	}
 	lo := b.p.Initial
@@ -270,21 +244,12 @@ func (b *Backoff) Sleep(ctx context.Context, err error) bool {
 }
 
 // Reset clears the sequence after a success, so the next failure backs off
-// from Initial again.  The attempt and time budgets restart too.
+// from Initial again.  The attempt budget restarts too.
 func (b *Backoff) Reset() {
 	b.mu.Lock()
 	b.prev = 0
 	b.tries = 0
-	b.started = time.Time{}
 	b.mu.Unlock()
-}
-
-// Last returns the most recent delay Next produced (0 before any failure).
-// Worker counters expose it as the effective backoff.
-func (b *Backoff) Last() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.prev
 }
 
 // Do runs op, retrying transient failures under the policy until it

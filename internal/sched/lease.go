@@ -143,13 +143,6 @@ func (q *LeaseQueue) expireLocked(now time.Time) int {
 	return n
 }
 
-// Remaining returns the number of units not yet completed.
-func (q *LeaseQueue) Remaining() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.left
-}
-
 // Stats returns the counters accumulated so far: Units is the pass's unit
 // count, and Steals and IdleUnits, which only a Scheduler counts, stay zero.
 func (q *LeaseQueue) Stats() Stats {

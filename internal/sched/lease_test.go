@@ -34,9 +34,6 @@ func TestLeaseQueueBasic(t *testing.T) {
 			t.Fatalf("first completion of %d reported duplicate", id)
 		}
 	}
-	if q.Remaining() != 0 {
-		t.Fatalf("remaining=%d after completing all", q.Remaining())
-	}
 	if err := q.Wait(context.Background()); err != nil {
 		t.Fatalf("wait on complete queue: %v", err)
 	}
@@ -81,8 +78,8 @@ func TestLeaseQueueExpiryRequeues(t *testing.T) {
 		}
 	}
 	st := q.Stats()
-	if want := (Stats{Units: 3, Leases: 5, Requeues: 2, Duplicates: 2}); st != want || q.Remaining() != 0 {
-		t.Fatalf("stats %+v with %d remaining, want %+v and none", st, q.Remaining(), want)
+	if want := (Stats{Units: 3, Leases: 5, Requeues: 2, Duplicates: 2}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 	if err := q.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -151,7 +148,20 @@ func TestLeaseQueuePreseedForReplay(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 2 {
 		t.Fatalf("post-replay lease returned %v, want units 0 and 2", got)
 	}
-	if q.Remaining() != 2 {
-		t.Fatalf("remaining=%d, want 2", q.Remaining())
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := q.Wait(canceled); err != context.Canceled {
+		t.Fatalf("wait with units 0 and 2 open: %v, want the context's error", err)
+	}
+	for _, u := range got {
+		if !q.Complete(u.ID) {
+			t.Fatalf("completion of %d reported duplicate", u.ID)
+		}
+	}
+	if err := q.Wait(context.Background()); err != nil {
+		t.Fatalf("wait after the remainder completed: %v", err)
+	}
+	if want := (Stats{Units: 4, Leases: 2}); q.Stats() != want {
+		t.Fatalf("stats %+v, want %+v", q.Stats(), want)
 	}
 }

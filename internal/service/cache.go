@@ -24,7 +24,8 @@ func HashBench(text string) string {
 // between jobs and workers, so a hit saves the whole parse+levelize (and,
 // through circuit.Memo, the cached testability measures that hang off the
 // circuit).  A simple bounded FIFO keeps memory flat under many distinct
-// designs; hits and misses are counted for the BenchmarkServiceCache gate.
+// designs; hits and misses are counted, and TestHashFirstSubmitsHitTheCache
+// holds the hit count of hash-first submissions.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

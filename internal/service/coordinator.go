@@ -57,12 +57,8 @@ type Config struct {
 	// LedgerDir, when set, persists a JSONL unit ledger per job and resumes
 	// incomplete jobs on startup, compacting every ledger first.
 	LedgerDir string
-	// Clock overrides the lease clock (leases, expiry sweeps).  nil means
-	// time.Now; the chaos injector's skewed clock enters here.
-	Clock func() time.Time
 	// Chaos, when set, injects the configured coordinator-side faults:
-	// torn ledger appends, and (unless Clock is set explicitly) the
-	// lease-clock expiry storm.
+	// torn ledger appends and the lease-clock expiry storm.
 	Chaos *chaos.Injector
 }
 
@@ -79,9 +75,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 4
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = cfg.Chaos.Clock() // nil injector yields time.Now
-	}
 	return cfg
 }
 
@@ -94,6 +87,7 @@ type Coordinator struct {
 	cfg   Config
 	cache *Cache
 	mux   *http.ServeMux
+	clock func() time.Time // the lease clock: leases and expiry sweeps
 
 	ctx  context.Context
 	stop context.CancelCauseFunc
@@ -208,6 +202,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:    cfg,
 		cache:  NewCache(cfg.CacheSize),
 		mux:    http.NewServeMux(),
+		clock:  cfg.Chaos.Clock(), // time.Now for a nil injector
 		ctx:    ctx,
 		stop:   stop,
 		sem:    make(chan struct{}, cfg.MaxActive),
@@ -236,11 +231,11 @@ func (co *Coordinator) Close() {
 }
 
 // Cache exposes the compiled-circuit cache (hit/miss counters for tests and
-// the service cache benchmark).
+// the bench's service-loopback workload).
 func (co *Coordinator) Cache() *Cache { return co.cache }
 
-// now reads the lease clock (time.Now unless injected).
-func (co *Coordinator) now() time.Time { return co.cfg.Clock() }
+// now reads the lease clock (time.Now unless the chaos injector skews it).
+func (co *Coordinator) now() time.Time { return co.clock() }
 
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if co.draining() {

@@ -29,10 +29,12 @@ import (
 //
 // A pass record starts the unit list afresh: a coordinator that finds a
 // recorded cut other than the one it computes records its own, and the
-// units recorded under the old cut never replay again.  Builds that ran an
-// escalating second pass journaled it with "seq" (and its units with
-// "pass") 2; the loader skips those records and reads the two fields for
-// nothing else.
+// units recorded under the old cut never replay again.
+//
+// The job record carries the ledger's format version (ledgerVersion).  A
+// job whose record carries none, or another, is not resumed: resume records
+// it failed with a *LedgerVersionError, as it does a job whose ledger holds
+// a line that does not decode.
 //
 // Records are appended, never rewritten in place; a torn final line (crash
 // mid-write) is ignored on load, and reopening a file with a torn tail
@@ -52,11 +54,32 @@ import (
 // per distinct completed unit under it (first completion wins, mirroring
 // replay), and torn debris goes.
 
+// ledgerVersion is the format version of the ledgers this build writes,
+// and the only one it resumes.  A change to what a record holds, or to how
+// replay reads it, takes the next version.
+const ledgerVersion = 1
+
+// LedgerVersionError is why a job whose ledger has another format version
+// than ledgerVersion is not resumed: an older build wrote it (no version,
+// or a lower one) or a newer one did.
+type LedgerVersionError struct {
+	// Version is the job record's version, 0 when it carries none.
+	Version int
+}
+
+func (e *LedgerVersionError) Error() string {
+	if e.Version == 0 {
+		return fmt.Sprintf("ledger job record carries no format version; this build reads version %d", ledgerVersion)
+	}
+	return fmt.Sprintf("ledger job record has format version %d; this build reads version %d", e.Version, ledgerVersion)
+}
+
 // ledgerRecord is one JSONL line; T selects which fields are meaningful.
 type ledgerRecord struct {
 	T string `json:"t"` // "job", "pass", "unit" or "state"
 
 	// T == "job"
+	Version int         `json:"version,omitempty"`
 	ID      string      `json:"id,omitempty"`
 	Name    string      `json:"name,omitempty"`
 	Hash    string      `json:"hash,omitempty"`
@@ -64,13 +87,11 @@ type ledgerRecord struct {
 	Options *JobOptions `json:"options,omitempty"`
 	Faults  []WireFault `json:"faults,omitempty"`
 
-	// T == "pass"; Seq is read only, from the ledgers of escalating builds.
-	Seq   int       `json:"seq,omitempty"`
+	// T == "pass"
 	Spec  *WireSpec `json:"spec,omitempty"`
 	Units [][]int   `json:"units,omitempty"`
 
-	// T == "unit"; Pass is read only, as Seq is.
-	Pass     int           `json:"pass,omitempty"`
+	// T == "unit"
 	Unit     int           `json:"unit"`
 	Worker   string        `json:"worker,omitempty"`
 	Outcomes []WireOutcome `json:"outcomes,omitempty"`
@@ -168,7 +189,7 @@ func (l *Ledger) append(rec ledgerRecord) {
 // RecordJob records the job itself: everything a restarted coordinator needs
 // to re-run it from scratch.
 func (l *Ledger) RecordJob(id, name, hash, bench string, opts JobOptions, faults []WireFault) {
-	l.append(ledgerRecord{T: "job", ID: id, Name: name, Hash: hash, Bench: bench, Options: &opts, Faults: faults})
+	l.append(ledgerRecord{T: "job", Version: ledgerVersion, ID: id, Name: name, Hash: hash, Bench: bench, Options: &opts, Faults: faults})
 }
 
 // RecordPass records the unit cut of the job's pass.
@@ -226,13 +247,13 @@ func renderCompact(lj *LedgerJob) []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	if lj.State != "" {
-		_ = enc.Encode(ledgerRecord{T: "job", ID: lj.ID, Name: lj.Name})
+		_ = enc.Encode(ledgerRecord{T: "job", Version: ledgerVersion, ID: lj.ID, Name: lj.Name})
 		_ = enc.Encode(ledgerRecord{T: "state", State: lj.State, Error: lj.Reason})
 		return buf.Bytes()
 	}
 	opts := lj.Options
 	_ = enc.Encode(ledgerRecord{
-		T: "job", ID: lj.ID, Name: lj.Name, Hash: lj.Hash, Bench: lj.Bench,
+		T: "job", Version: ledgerVersion, ID: lj.ID, Name: lj.Name, Hash: lj.Hash, Bench: lj.Bench,
 		Options: &opts, Faults: lj.Faults,
 	})
 	if lp := lj.Pass; lp != nil {
@@ -275,9 +296,11 @@ type LedgerJob struct {
 	// coordinator should resume; Reason is the error recorded with it.
 	State  string
 	Reason string
-	// Err is the first complete line that does not decode.  The ledger is
-	// not replayable: resume records the job failed with this error.  When
-	// the job record itself is that line, ID comes from the file name.
+	// Err is the first complete line that does not decode, or a
+	// *LedgerVersionError for a job record of another format version.  The
+	// ledger is not replayable: resume records the job failed with this
+	// error.  When the job record itself does not decode, ID comes from the
+	// file name.
 	Err error
 	// Pass is the last recorded unit cut, nil when none was recorded, and
 	// Units the unit completions recorded after it, in journal order.
@@ -324,8 +347,9 @@ func LoadLedgers(dir string) ([]*LedgerJob, error) {
 // and skipped: the final line when it lacks its newline (a crash
 // mid-append), and a complete line that is a strict prefix of a record (a
 // torn append that the next append sealed with a newline).  Any other line
-// that does not decode sets LedgerJob.Err; the job is then returned even
-// without a job record, so resume can report it and reserve its ID.
+// that does not decode sets LedgerJob.Err, and so does a job record of
+// another format version; the job is then returned even without a job
+// record, so resume can report it and reserve its ID.
 func loadLedgerFile(path string) (*LedgerJob, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -347,10 +371,10 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 		if line = bytes.TrimSpace(line); len(line) == 0 {
 			continue
 		}
-		// Unknown fields are ignored on purpose, unlike on submit: a ledger
-		// that records options or spec fields this coordinator no longer
-		// knows still loads, and replay reuses only the units of a pass
-		// whose recorded cut matches the one the job computes now.
+		// Unknown fields are ignored, unlike on submit: the job record's
+		// version says whether this build reads the ledger, and replay
+		// reuses only the units of a pass whose recorded cut matches the
+		// one the job computes now.
 		var rec ledgerRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			if !tail && !truncated(line) && bad == nil {
@@ -360,6 +384,9 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 		}
 		switch rec.T {
 		case "job":
+			if rec.Version != ledgerVersion && bad == nil {
+				bad = &LedgerVersionError{Version: rec.Version}
+			}
 			lj = &LedgerJob{
 				ID:     rec.ID,
 				Name:   rec.Name,
@@ -371,12 +398,12 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 				lj.Options = *rec.Options
 			}
 		case "pass":
-			if lj != nil && rec.Spec != nil && rec.Seq <= 1 {
+			if lj != nil && rec.Spec != nil {
 				lj.Pass = &LedgerPass{Spec: *rec.Spec, Units: rec.Units}
 				lj.Units = nil
 			}
 		case "unit":
-			if lj != nil && rec.Pass <= 1 {
+			if lj != nil {
 				lj.Units = append(lj.Units, LedgerUnit{Unit: rec.Unit, Worker: rec.Worker, Outcomes: rec.Outcomes})
 			}
 		case "state":

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -182,82 +184,6 @@ func TestServiceLedgerTerminalNotResumed(t *testing.T) {
 	}
 }
 
-// TestServiceLedgerResumeLegacySpec resumes ledgers written before the
-// escalation options were removed, whose pass specs carry a "final" flag and
-// whose job options may carry "escalate".  Replay must reuse a recorded pass
-// only when its cut is still the one the job computes:
-//
-//   - a non-escalating job's final pass is the job's pass today, so its
-//     recorded units replay and only the rest are dispatched;
-//   - an escalating job's first pass (width 1, budget 1, not final) cuts
-//     the same units as the job's width-1 pass today but under another
-//     budget, so the replay is discarded and every unit is dispatched
-//     afresh.
-//
-// Both must finish identical to a fresh local run of the options the
-// coordinator still knows.
-func TestServiceLedgerResumeLegacySpec(t *testing.T) {
-	c, text := benchText(t, "c432")
-	faults := paths.SampleFaults(c, 48, 1995)
-	const recorded = 12
-	for _, tc := range []struct {
-		name     string
-		options  string // the job's options as the old coordinator recorded them
-		spec     string // the old pass-1 spec, one fault per unit
-		run      JobOptions
-		replayed int
-		units    int // units dispatched after the resume
-	}{
-		{"final", `{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8,"final":true}`,
-			JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, recorded, len(faults) - recorded},
-		{"escalate", `{"word_width":1,"sim_interval":0,"escalate":8,"compact":"reverse"}`, `{"width":1,"budget":1,"final":false}`,
-			JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, 0, len(faults)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeLegacyLedger(t, dir, "j1", c, text, faults, tc.options, tc.spec, recorded)
-			localResults, localTests, _ := localRun(t, c, tc.run, faults)
-			ctx := context.Background()
-
-			co, err := NewCoordinator(Config{LedgerDir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer co.Close()
-			srv := httptest.NewServer(co)
-			defer srv.Close()
-			cl := NewClient(srv.URL)
-
-			processed := driveWorker(t, cl, "w", "j1", c, 1<<30)
-			st, err := cl.Wait(ctx, "j1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.State != stateDone {
-				t.Fatalf("resumed job finished in state %q", st.State)
-			}
-			if st.Replayed != tc.replayed {
-				t.Errorf("replayed %d units, want %d", st.Replayed, tc.replayed)
-			}
-			if got := len(processed); got != tc.units {
-				t.Errorf("dispatched %d units after the resume, want %d", got, tc.units)
-			}
-			resp, err := cl.Results(ctx, "j1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range resp.Results {
-				if want := localResults[i].Status.String(); r.Status != want {
-					t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
-				}
-			}
-			if resp.Tests != localTests {
-				t.Fatal("merged test set differs from a fresh local run")
-			}
-		})
-	}
-}
-
 // resumeToEnd starts a coordinator on the ledger directory, drives one
 // hand-cranked worker through every unit the resumed job "j1" dispatches,
 // and returns the job's final status, its results and the units the worker
@@ -302,18 +228,19 @@ func assertMatchesLocal(t *testing.T, c *circuit.Circuit, faults []paths.Fault, 
 	}
 }
 
-// TestServiceLedgerDiscardedCutStaysDiscarded resumes an escalating job's
-// ledger twice.  The first coordinator discards the recorded cut (budget 1,
-// the escalation's first pass), records its own and completes 5 units; the
-// second must replay exactly those 5, never the 12 units recorded under the
-// discarded cut, whose budget-1 outcomes abort faults a full budget tests.
+// TestServiceLedgerDiscardedCutStaysDiscarded resumes a ledger twice whose
+// recorded cut was made under another spec (budget 1) than the job computes
+// (budget 8).  The first coordinator discards the recorded cut, records its
+// own and completes 5 units; the second must replay exactly those 5, never
+// the 12 units recorded under the discarded cut, whose budget-1 outcomes
+// abort faults a full budget tests.
 func TestServiceLedgerDiscardedCutStaysDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	writeLegacyLedger(t, dir, "j1", c, text, faults,
-		`{"word_width":1,"sim_interval":0,"escalate":8,"compact":"reverse"}`, `{"width":1,"budget":1,"final":false}`, 12)
-	local, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
+	writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 1}, 12)
+	local, localTests, _ := localRun(t, c, opts, faults)
 
 	coA, err := NewCoordinator(Config{LedgerDir: dir})
 	if err != nil {
@@ -344,9 +271,9 @@ func TestServiceLedgerReplayChecksWidths(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
 	const recorded = 12
-	writeLegacyLedger(t, dir, "j1", c, text, faults,
-		`{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8}`, recorded)
-	local, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
+	writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, recorded)
+	local, localTests, _ := localRun(t, c, opts, faults)
 
 	path := filepath.Join(dir, "j1.jsonl")
 	raw, err := os.ReadFile(path)
@@ -389,126 +316,35 @@ func TestServiceLedgerReplayChecksWidths(t *testing.T) {
 	assertMatchesLocal(t, c, faults, resp, local, localTests)
 }
 
-// writeLegacyLedger writes an unfinished job's ledger the way an older
-// coordinator did: the job record with the given raw options, a pass-1
-// record with the given raw spec cutting the faults into one unit each, and
-// the first n units' outcomes, computed under that spec.
-func writeLegacyLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, faults []paths.Fault, options, spec string, n int) {
+// writeLedger writes an unfinished job's ledger through the Ledger API:
+// the job record, a pass record with the given spec cutting the faults into
+// one unit each, and the first n units' outcomes, computed under that spec.
+func writeLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, faults []paths.Fault, jo JobOptions, ws WireSpec, n int) {
 	t.Helper()
-	var ws WireSpec
-	if err := json.Unmarshal([]byte(spec), &ws); err != nil {
-		t.Fatal(err)
-	}
-	var jo JobOptions
-	if err := json.Unmarshal([]byte(options), &jo); err != nil {
-		t.Fatal(err)
-	}
 	opts, err := jo.ToCore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.WordWidth, opts.MaxBacktracks = ws.Width, ws.Budget
 	gen := core.New(c, opts)
-
-	marshal := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	led, err := OpenLedger(dir, id)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer led.Close()
+	led.RecordJob(id, c.Name, HashBench(text), text, jo, EncodeFaults(c, faults))
 	units := make([][]int, len(faults))
 	for f := range units {
 		units[f] = []int{f}
 	}
-	lines := []string{
-		`{"t":"job","id":` + marshal(id) + `,"name":"c432","hash":` + marshal(HashBench(text)) +
-			`,"bench":` + marshal(text) + `,"options":` + options + `,"faults":` + marshal(EncodeFaults(c, faults)) + `}`,
-		`{"t":"pass","seq":1,"spec":` + spec + `,"units":` + marshal(units) + `}`,
-	}
+	led.RecordPass(ws, units)
 	for u := 0; u < n; u++ {
 		outs, _ := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
 		wire := make([]WireOutcome, len(outs))
 		for i, o := range outs {
 			wire[i] = EncodeOutcome(o)
 		}
-		lines = append(lines, `{"t":"unit","pass":1,"unit":`+marshal(u)+`,"worker":"old","unit_faults":`+
-			marshal(units[u])+`,"outcomes":`+marshal(wire)+`}`)
-	}
-	if err := os.WriteFile(filepath.Join(dir, id+".jsonl"), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServiceLedgerReplaysPruningPhase resumes a ledger whose unit records
-// settle redundant faults under phase "pruning", as builds with subpath
-// pruning journaled a pruned fault: status redundant, no decisions.  This
-// build no longer produces the phase, but such a ledger must still replay,
-// and the recorded phase must reach the job's results.
-func TestServiceLedgerReplaysPruningPhase(t *testing.T) {
-	dir := t.TempDir()
-	c, text := benchText(t, "c432")
-	faults := paths.SampleFaults(c, 48, 1995)
-	const recorded = 24
-	writeLegacyLedger(t, dir, "j1", c, text, faults,
-		`{"word_width":1,"sim_interval":0,"compact":"reverse"}`, `{"width":1,"budget":8}`, recorded)
-	path := filepath.Join(dir, "j1.jsonl")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const proved, pruned = `{"status":"redundant","phase":"fptpg"}`, `{"status":"redundant","phase":"pruning"}`
-	n := strings.Count(string(raw), proved)
-	if n == 0 {
-		t.Fatal("no recorded unit settles a redundant fault without a decision; pick another sample")
-	}
-	if err := os.WriteFile(path, []byte(strings.ReplaceAll(string(raw), proved, pruned)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%d of %d recorded outcomes relabeled %q", n, recorded, "pruning")
-	localResults, localTests, _ := localRun(t, c, JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}, faults)
-	ctx := context.Background()
-
-	co, err := NewCoordinator(Config{LedgerDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-	srv := httptest.NewServer(co)
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-	driveWorker(t, cl, "w", "j1", c, 1<<30)
-	st, err := cl.Wait(ctx, "j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != stateDone || st.Replayed != recorded {
-		t.Fatalf("resumed job ended %q with %d units replayed, want done with %d", st.State, st.Replayed, recorded)
-	}
-	resp, err := cl.Results(ctx, "j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed := 0
-	for i, r := range resp.Results {
-		want := localResults[i]
-		if r.Status != want.Status.String() {
-			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want.Status)
-		}
-		wantPhase := want.Phase.String()
-		if i < recorded && want.Status == core.Redundant && want.Phase == core.PhaseFPTPG && want.Decisions == 0 {
-			wantPhase = core.PhasePruning.String()
-			replayed++
-		}
-		if r.Phase != wantPhase {
-			t.Errorf("fault %d (%s): phase %s, want %s", i, faults[i].Describe(c), r.Phase, wantPhase)
-		}
-	}
-	if replayed != n {
-		t.Errorf("%d results carry the replayed phase, the ledger records %d", replayed, n)
-	}
-	if resp.Tests != localTests {
-		t.Fatal("merged test set differs from a fresh local run")
+		led.RecordUnit(u, "old", wire)
 	}
 }
 
@@ -578,6 +414,88 @@ func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
 			t.Fatal("a second restart appended to a ledger already recorded failed")
 		}
 		size = int64(len(raw))
+	}
+}
+
+// TestServiceLedgerVersionRefused restarts a coordinator on ledgers whose
+// job record carries no format version, as every build before versioning
+// wrote it, or a version this build does not know.  The job must not
+// resume: its ledger must record it failed with the *LedgerVersionError,
+// once across restarts, and the next submit must get a new ID.
+func TestServiceLedgerVersionRefused(t *testing.T) {
+	c, text := benchText(t, "c17")
+	faults := paths.SampleFaults(c, 4, 1995)
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0)}
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{{"missing", 0}, {"newer", ledgerVersion + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, 2)
+			path := filepath.Join(dir, "j1.jsonl")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			versioned := `{"t":"job","version":1,`
+			if !bytes.HasPrefix(raw, []byte(versioned)) {
+				t.Fatalf("job record does not start %s:\n%s", versioned, raw)
+			}
+			stamp := `{"t":"job",`
+			if tc.version != 0 {
+				stamp = fmt.Sprintf(`{"t":"job","version":%d,`, tc.version)
+			}
+			raw = append([]byte(stamp), raw[len(versioned):]...)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lj, err := loadLedgerFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ve *LedgerVersionError
+			if !errors.As(lj.Err, &ve) || ve.Version != tc.version {
+				t.Fatalf("loaded ledger error %v, want a *LedgerVersionError of version %d", lj.Err, tc.version)
+			}
+			ctx := context.Background()
+			for restart := 0; restart < 2; restart++ {
+				co, err := NewCoordinator(Config{LedgerDir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := httptest.NewServer(co)
+				cl := NewClient(srv.URL)
+				if _, err := cl.Status(ctx, "j1"); err == nil {
+					t.Fatal("a job of another ledger version was resumed")
+				}
+				if restart == 0 {
+					sub, err := cl.SubmitBench(ctx, "c17", text, opts, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sub.JobID != "j2" {
+						t.Errorf("next submit got ID %s, want j2 (j1 is reserved by its ledger)", sub.JobID)
+					}
+				}
+				srv.Close()
+				co.Close()
+				got, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(got, raw) {
+					t.Fatal("the ledger was rewritten instead of appended to")
+				}
+				var rec ledgerRecord
+				if err := json.Unmarshal(bytes.TrimSpace(got[len(raw):]), &rec); err != nil {
+					t.Fatalf("restart %d: ledger gained %q, want the one failed record: %v", restart, got[len(raw):], err)
+				}
+				if rec.T != "state" || rec.State != stateFailed || rec.Error != ve.Error() {
+					t.Fatalf("restart %d: appended record %+v, want failed with %q", restart, rec, ve.Error())
+				}
+			}
+		})
 	}
 }
 

@@ -127,6 +127,15 @@ func TestLeaseScansLiveJobsOnly(t *testing.T) {
 	ctx := budget(t)
 	co, url := loopback(t, Config{}, nil)
 	cl := NewClient(url)
+	// The worker reaches the coordinator through a server of its own.  A
+	// stopped worker's last lease request may still be parked there until
+	// net/http notices the hang-up; closing the server waits for it, so it
+	// cannot take a unit of the jobs submitted afterwards.
+	wsrv := httptest.NewServer(co)
+	t.Cleanup(func() {
+		co.Close() // answers a request still parked if the test failed early
+		wsrv.Close()
+	})
 	// until polls cond every millisecond within the test's budget.
 	until := func(what string, cond func() bool) {
 		t.Helper()
@@ -144,7 +153,7 @@ func TestLeaseScansLiveJobsOnly(t *testing.T) {
 		return slices.Clone(co.order)
 	}
 
-	stop := startWorkers(t, url, 1)
+	stop := startWorkers(t, wsrv.URL, 1)
 	var finished []string
 	for i := 0; i < 3; i++ {
 		finished = append(finished, submitC17(ctx, t, cl, 2).JobID)
@@ -155,6 +164,7 @@ func TestLeaseScansLiveJobsOnly(t *testing.T) {
 		}
 	}
 	stop()
+	wsrv.Close()
 	until("finished jobs stay in the lease scan list", func() bool { return len(scanned()) == 0 })
 	for _, id := range finished {
 		if st, err := cl.Status(ctx, id); err != nil || st.State != stateDone {

@@ -285,7 +285,7 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"t":"unit","pass":1,"un`); err != nil {
+	if _, err := f.WriteString(`{"t":"unit","un`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -460,36 +460,25 @@ func replayCut(lj *LedgerJob) []LedgerUnit {
 	return cut
 }
 
-// Ledgers the replay rule reads in two ways: an escalating build's, whose
-// second pass the loader skips, and one whose recorded cut a coordinator
-// discarded and recorded afresh, after which only the units recorded under
-// the new cut replay.
-const (
-	escalatedLedger = `{"t":"job","id":"j5","name":"c17","bench":"INPUT(a)\n"}
-{"t":"pass","seq":1,"spec":{"width":1,"budget":1,"final":false},"units":[[0],[1]]}
-{"t":"unit","pass":1,"unit":0,"worker":"wA","unit_faults":[0],"outcomes":[{"status":"aborted","phase":"aptpg"}]}
-{"t":"pass","seq":2,"spec":{"width":2,"budget":8,"final":true},"units":[[0,1]]}
-{"t":"unit","pass":2,"unit":0,"worker":"wB","unit_faults":[0,1],"outcomes":[{"status":"tested"},{"status":"redundant"}]}
-`
-	recutLedger = `{"t":"job","id":"j6","name":"c17","bench":"INPUT(a)\n"}
-{"t":"pass","seq":1,"spec":{"width":1,"budget":1},"units":[[0],[1]]}
-{"t":"unit","pass":1,"unit":0,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
-{"t":"unit","pass":1,"unit":1,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
+// recutLedger is a ledger whose recorded cut a coordinator discarded and
+// recorded afresh, after which only the units recorded under the new cut
+// replay.
+const recutLedger = `{"t":"job","version":1,"id":"j6","name":"c17","bench":"INPUT(a)\n"}
+{"t":"pass","spec":{"width":1,"budget":1},"units":[[0],[1]]}
+{"t":"unit","unit":0,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
+{"t":"unit","unit":1,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
 {"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
 {"t":"unit","unit":1,"worker":"wB","outcomes":[{"status":"redundant","phase":"fptpg"}]}
 `
-)
 
-// TestLedgerReplayRule loads both ledgers, as written and compacted: the
-// escalating build's first pass and its unit replay, its second pass does
-// not, and only the unit recorded after the re-recorded cut replays.
+// TestLedgerReplayRule loads the recut ledger, as written and compacted:
+// only the unit recorded after the re-recorded cut replays.
 func TestLedgerReplayRule(t *testing.T) {
 	for _, tc := range []struct {
 		name, ledger string
 		budget       int
 		want         []LedgerUnit
 	}{
-		{"escalated", escalatedLedger, 1, []LedgerUnit{{Unit: 0, Worker: "wA", Outcomes: []WireOutcome{{Status: "aborted", Phase: "aptpg"}}}}},
 		{"recut", recutLedger, 8, []LedgerUnit{{Unit: 1, Worker: "wB", Outcomes: []WireOutcome{{Status: "redundant", Phase: "fptpg"}}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -525,19 +514,21 @@ func TestLedgerReplayRule(t *testing.T) {
 // (so resume can never double-dispatch a recorded unit or drop a completed
 // one), terminal states survive, and compaction is idempotent.
 func FuzzLedgerCompact(f *testing.F) {
-	f.Add([]byte(`{"t":"job","id":"j1","name":"c17","bench":"INPUT(a)\n"}
-{"t":"pass","seq":1,"spec":{},"units":[[0],[1]]}
-{"t":"unit","pass":1,"unit":0,"worker":"wA","outcomes":[{"s":"tested"}]}
-{"t":"unit","pass":1,"unit":0,"worker":"wB"}
-{"t":"unit","pass":1,"unit":1,"worker":"wA"}
+	f.Add([]byte(`{"t":"job","version":1,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
+{"t":"pass","spec":{},"units":[[0],[1]]}
+{"t":"unit","unit":0,"worker":"wA","outcomes":[{"s":"tested"}]}
+{"t":"unit","unit":0,"worker":"wB"}
+{"t":"unit","unit":1,"worker":"wA"}
 `))
-	f.Add([]byte(`{"t":"job","id":"j2","name":"c17"}
+	f.Add([]byte(`{"t":"job","version":1,"id":"j2","name":"c17"}
 {"t":"state","state":"done"}
 `))
-	f.Add([]byte(`{"t":"job","id":"j3"}
-{"t":"unit","pa`)) // torn tail
-	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"id\":\"j4\"}\n"))
-	f.Add([]byte(escalatedLedger))
+	f.Add([]byte(`{"t":"job","version":1,"id":"j3"}
+{"t":"unit","un`)) // torn tail
+	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":1,\"id\":\"j4\"}\n"))
+	f.Add([]byte(`{"t":"job","id":"j5"}
+{"t":"pass","spec":{},"units":[[0]]}
+`)) // no format version
 	f.Add([]byte(recutLedger))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -201,9 +201,6 @@ var phaseNames = map[string]core.Phase{
 	"fptpg":      core.PhaseFPTPG,
 	"aptpg":      core.PhaseAPTPG,
 	"simulation": core.PhaseSimulation,
-	// No longer produced by the generator; decoded only from the ledgers
-	// of earlier builds, whose unit records still carry it.
-	"pruning": core.PhasePruning,
 }
 
 // EncodeOutcome renders a remote outcome for the wire.

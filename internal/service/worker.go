@@ -21,8 +21,6 @@ type WorkerConfig struct {
 	// ID names this worker in leases and in the pattern exchange; it must
 	// be unique among the workers of one coordinator.
 	ID string
-	// CacheSize bounds the worker's own compiled-circuit cache.  Default 64.
-	CacheSize int
 	// Transport overrides the HTTP transport of the worker's client — the
 	// chaos injector enters here.  nil uses the default transport.
 	Transport http.RoundTripper
@@ -99,7 +97,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:   cfg,
 		cl:    NewClient(cfg.Coordinator, opts...),
-		cache: NewCache(cfg.CacheSize),
+		cache: NewCache(0),
 		jobs:  make(map[string]*workerJob),
 	}
 }

@@ -1,14 +1,14 @@
 // Command benchcmp converts `go test -bench` output into a JSON benchmark
-// record and compares two such records, failing on regressions.  It is the
-// engine of the CI bench job: every run on main uploads its record as an
-// artifact, and later runs download the previous record and gate on it.
+// record and compares two such records, failing on time regressions.  It is
+// the engine of the CI bench job: every run on main uploads its record as
+// an artifact, and later runs download the previous record and gate on it.
+// Allocation budgets and metric floors are not its business: they are
+// tests that `go test ./...` runs.
 //
 // Convert benchmark output (stdin or -in) to JSON:
 //
 //	go test -run '^$' -bench BenchmarkRun -benchtime=3x -count=3 . \
 //	    | go run ./tools/benchcmp -convert -sha "$GITHUB_SHA" -out BENCH_$GITHUB_SHA.json
-//
-// `-benchmem` columns (B/op, allocs/op) are captured when present.
 //
 // Compare a new record against a previous one (exit status 1 plus a clear
 // diff message when any of the named benchmarks regresses more than
@@ -16,18 +16,6 @@
 //
 //	go run ./tools/benchcmp -compare prev.json new.json \
 //	    -key 'BenchmarkRun/workers=4,BenchmarkImply' -max-regress 25
-//
-// Allocation budgets are gated on the new record alone (no history needed):
-//
-//	go run ./tools/benchcmp -compare prev.json new.json \
-//	    -max-allocs 'BenchmarkImply=0,BenchmarkForwardSim=0'
-//
-// Custom metrics reported with testing.B.ReportMetric (e.g. the compaction
-// "reduction" ratio) are captured during -convert and can be gated with a
-// floor on the new record:
-//
-//	go run ./tools/benchcmp -compare prev.json new.json \
-//	    -min-metric 'BenchmarkCompactionReduction:reduction=0.15'
 //
 // The JSON stores, per benchmark, every ns/op sample (one per -count
 // repetition) and their median; the raw benchmark text is embedded under
@@ -66,24 +54,12 @@ type Benchmark struct {
 	NsPerOp []float64 `json:"ns_per_op"`
 	// MedianNsPerOp is the median of NsPerOp, the comparison statistic.
 	MedianNsPerOp float64 `json:"median_ns_per_op"`
-	// BytesPerOp and AllocsPerOp list the -benchmem samples, when present.
-	BytesPerOp  []float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp []float64 `json:"allocs_per_op,omitempty"`
-	// MedianAllocsPerOp is the median of AllocsPerOp (0 when absent), the
-	// statistic gated by -max-allocs.
-	MedianAllocsPerOp float64 `json:"median_allocs_per_op,omitempty"`
-	// Metrics holds the samples of custom units reported with
-	// testing.B.ReportMetric (e.g. "reduction"), keyed by unit name.
-	Metrics map[string][]float64 `json:"metrics,omitempty"`
-	// MetricMedians holds the per-unit medians of Metrics, the statistics
-	// gated by -min-metric.
-	MetricMedians map[string]float64 `json:"metric_medians,omitempty"`
 }
 
 // benchLine matches the start of one result line of `go test -bench`
-// output; the value/unit pairs after the iteration count are parsed
-// field-wise, so custom ReportMetric units are captured alongside ns/op,
-// B/op and allocs/op.
+// output; the value/unit pairs after the iteration count are read
+// field-wise, so the ns/op column is found among -benchmem and custom
+// ReportMetric columns.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 
 // procSuffix is the trailing -GOMAXPROCS decoration of benchmark names.
@@ -98,8 +74,6 @@ func main() {
 		compare    = flag.Bool("compare", false, "compare two JSON records: benchcmp -compare old.json new.json")
 		keys       = flag.String("key", "BenchmarkRun/workers=4", "comma-separated benchmark names gated by -compare")
 		maxRegress = flag.Float64("max-regress", 25, "maximum allowed ns/op regression of each -key, in percent")
-		maxAllocs  = flag.String("max-allocs", "", "comma-separated name=N allocation budgets gated on the new record (median allocs/op)")
-		minMetric  = flag.String("min-metric", "", "comma-separated name:unit=min floors for custom metrics, gated on the new record (e.g. 'BenchmarkCompactionReduction:reduction=0.15')")
 	)
 	flag.Parse()
 
@@ -112,7 +86,7 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-compare needs exactly two arguments: old.json new.json"))
 		}
-		ok, report, err := runCompare(flag.Arg(0), flag.Arg(1), *keys, *maxRegress, *maxAllocs, *minMetric)
+		ok, report, err := runCompare(flag.Arg(0), flag.Arg(1), *keys, *maxRegress)
 		if err != nil {
 			fatal(err)
 		}
@@ -160,17 +134,11 @@ func runConvert(in, out, sha string) error {
 	return os.WriteFile(out, data, 0o644)
 }
 
-// Parse extracts the benchmark samples from `go test -bench` output.  The
-// value/unit pairs after the iteration count are read pairwise: ns/op, B/op
-// and allocs/op populate their dedicated fields, any other unit (a custom
-// testing.B.ReportMetric unit such as "reduction") is collected under
-// Metrics.
+// Parse extracts the ns/op samples from `go test -bench` output.  The
+// value/unit pairs after the iteration count are read pairwise, and every
+// unit other than ns/op (B/op, allocs/op, custom metrics) is skipped.
 func Parse(text, sha string) (Record, error) {
-	type samples struct {
-		ns, bytes, allocs []float64
-		metrics           map[string][]float64
-	}
-	byName := make(map[string]*samples)
+	byName := make(map[string][]float64)
 	for _, line := range strings.Split(text, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
@@ -181,28 +149,17 @@ func Parse(text, sha string) (Record, error) {
 			continue
 		}
 		name := procSuffix.ReplaceAllString(m[1], "")
-		s := byName[name]
-		if s == nil {
-			s = &samples{metrics: make(map[string][]float64)}
-			byName[name] = s
-		}
 		sawNs := false
 		for i := 0; i+1 < len(fields); i += 2 {
+			if fields[i+1] != "ns/op" {
+				continue
+			}
 			value, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return Record{}, fmt.Errorf("bad %s value in %q: %w", fields[i+1], line, err)
+				return Record{}, fmt.Errorf("bad ns/op value in %q: %w", line, err)
 			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				s.ns = append(s.ns, value)
-				sawNs = true
-			case "B/op":
-				s.bytes = append(s.bytes, value)
-			case "allocs/op":
-				s.allocs = append(s.allocs, value)
-			default:
-				s.metrics[unit] = append(s.metrics[unit], value)
-			}
+			byName[name] = append(byName[name], value)
+			sawNs = true
 		}
 		if !sawNs {
 			return Record{}, fmt.Errorf("no ns/op column in %q", line)
@@ -218,25 +175,8 @@ func Parse(text, sha string) (Record, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		s := byName[name]
-		b := Benchmark{
-			Name:          name,
-			NsPerOp:       s.ns,
-			MedianNsPerOp: median(s.ns),
-			BytesPerOp:    s.bytes,
-			AllocsPerOp:   s.allocs,
-		}
-		if len(s.allocs) > 0 {
-			b.MedianAllocsPerOp = median(s.allocs)
-		}
-		if len(s.metrics) > 0 {
-			b.Metrics = s.metrics
-			b.MetricMedians = make(map[string]float64, len(s.metrics))
-			for unit, values := range s.metrics {
-				b.MetricMedians[unit] = median(values)
-			}
-		}
-		rec.Benchmarks = append(rec.Benchmarks, b)
+		ns := byName[name]
+		rec.Benchmarks = append(rec.Benchmarks, Benchmark{Name: name, NsPerOp: ns, MedianNsPerOp: median(ns)})
 	}
 	return rec, nil
 }
@@ -285,9 +225,8 @@ func splitList(s string) []string {
 
 // runCompare renders a delta table of every benchmark the two records share
 // and gates on the named keys: ok is false when any key's median ns/op grew
-// by more than maxRegress percent, when a -max-allocs budget is exceeded in
-// the new record, or when a -min-metric floor is undercut in the new record.
-func runCompare(oldPath, newPath, keys string, maxRegress float64, maxAllocs, minMetric string) (ok bool, report string, err error) {
+// by more than maxRegress percent.
+func runCompare(oldPath, newPath, keys string, maxRegress float64) (ok bool, report string, err error) {
 	oldRec, err := load(oldPath)
 	if err != nil {
 		return false, "", err
@@ -330,61 +269,6 @@ func runCompare(oldPath, newPath, keys string, maxRegress float64, maxAllocs, mi
 		}
 		fmt.Fprintf(&sb, "\nOK: %s within limits (%+.1f%% vs old sha %s, limit %.0f%%)\n",
 			key, d, orUnknown(oldRec.SHA), maxRegress)
-	}
-
-	for _, budget := range splitList(maxAllocs) {
-		name, limitStr, found := strings.Cut(budget, "=")
-		if !found {
-			return false, sb.String(), fmt.Errorf("bad -max-allocs entry %q (want name=N)", budget)
-		}
-		limit, err := strconv.ParseFloat(limitStr, 64)
-		if err != nil {
-			return false, sb.String(), fmt.Errorf("bad -max-allocs limit in %q: %w", budget, err)
-		}
-		nb, foundB := newRec.find(name)
-		if !foundB {
-			return false, sb.String(), fmt.Errorf("benchmark %q missing from %s", name, newPath)
-		}
-		if len(nb.AllocsPerOp) == 0 {
-			return false, sb.String(), fmt.Errorf("benchmark %q has no allocs/op samples (run it with -benchmem)", name)
-		}
-		if nb.MedianAllocsPerOp > limit {
-			fmt.Fprintf(&sb, "\nFAIL: %s allocates %.0f allocs/op (median), above the %.0f budget\n",
-				name, nb.MedianAllocsPerOp, limit)
-			ok = false
-		} else {
-			fmt.Fprintf(&sb, "\nOK: %s within its allocation budget (%.0f <= %.0f allocs/op)\n",
-				name, nb.MedianAllocsPerOp, limit)
-		}
-	}
-
-	for _, floor := range splitList(minMetric) {
-		spec, limitStr, found := strings.Cut(floor, "=")
-		if !found {
-			return false, sb.String(), fmt.Errorf("bad -min-metric entry %q (want name:unit=min)", floor)
-		}
-		name, unit, found := strings.Cut(spec, ":")
-		if !found {
-			return false, sb.String(), fmt.Errorf("bad -min-metric entry %q (want name:unit=min)", floor)
-		}
-		limit, err := strconv.ParseFloat(limitStr, 64)
-		if err != nil {
-			return false, sb.String(), fmt.Errorf("bad -min-metric floor in %q: %w", floor, err)
-		}
-		nb, foundB := newRec.find(name)
-		if !foundB {
-			return false, sb.String(), fmt.Errorf("benchmark %q missing from %s", name, newPath)
-		}
-		got, hasMetric := nb.MetricMedians[unit]
-		if !hasMetric {
-			return false, sb.String(), fmt.Errorf("benchmark %q reports no %q metric", name, unit)
-		}
-		if got < limit {
-			fmt.Fprintf(&sb, "\nFAIL: %s %s = %.4f (median), below the %.4f floor\n", name, unit, got, limit)
-			ok = false
-		} else {
-			fmt.Fprintf(&sb, "\nOK: %s %s above its floor (%.4f >= %.4f)\n", name, unit, got, limit)
-		}
 	}
 	return ok, sb.String(), nil
 }
