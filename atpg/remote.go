@@ -90,9 +90,10 @@ func (e *Engine) submitRemote(ctx context.Context, cl *service.Client, faults []
 // importRemote folds a finished job's outcome into the engine: results are
 // matched to the submitted faults by index, rebased onto the local test set,
 // and the coordinator's statistics are accumulated, so Tests, Stats and
-// Coverage read exactly as after a local run.
+// Coverage read exactly as after a local run.  The results must hold one
+// row per submitted fault, in fault order (see ResultColumns.DecodeFinal).
 func (e *Engine) importRemote(faults []Fault, resp service.ResultsResponse) ([]Result, error) {
-	results, err := service.DecodeResults(faults, resp.Results)
+	results, err := resp.Results.DecodeFinal(faults)
 	if err != nil {
 		return nil, fmt.Errorf("atpg: remote results: %w", err)
 	}
@@ -151,21 +152,24 @@ func (e *Engine) runRemote(ctx context.Context, faults []Fault) ([]Result, error
 // faults, to the engine's progress callback and to yield.  It returns when
 // the feed reports done, yield stops it, or ctx ends.  The feed reconnects
 // through transient failures (see service.Client.Follow), so no event is
-// delivered twice and none is lost.
+// delivered twice and none is lost.  A page that does not decode against
+// the faults delivers none of its events and ends the feed with an error.
 func (e *Engine) followEvents(ctx context.Context, cl *service.Client, jobID string, faults []Fault, yield func(Result) bool) error {
-	for w, err := range cl.Follow(ctx, jobID) {
+	for page, err := range cl.Follow(ctx, jobID) {
 		if err != nil {
 			return err
 		}
-		r, err := service.DecodeResult(faults, w)
+		results, err := page.DecodePage(faults)
 		if err != nil {
 			return fmt.Errorf("atpg: remote event: %w", err)
 		}
-		if e.progress != nil {
-			e.progress(r)
-		}
-		if !yield(r) {
-			return nil
+		for _, r := range results {
+			if e.progress != nil {
+				e.progress(r)
+			}
+			if !yield(r) {
+				return nil
+			}
 		}
 	}
 	return nil

@@ -258,10 +258,10 @@ func TestRemoteImportRejectsWrongWidth(t *testing.T) {
 	}
 }
 
-// TestRemoteImportRejectsMisindexedResults: results name their fault by its
-// index in the submitted list, so the import refuses a response with one
-// result too few and one whose result sits at the wrong position, and
-// leaves the engine's set untouched.
+// TestRemoteImportRejectsMisindexedResults: final results hold one row per
+// submitted fault, in fault order, with no fault indices, so the import
+// refuses a response with a row too few or too many and one that carries
+// indices (even 0..n-1), and leaves the engine's set untouched.
 func TestRemoteImportRejectsMisindexedResults(t *testing.T) {
 	c, err := Builtin("c17")
 	if err != nil {
@@ -272,15 +272,29 @@ func TestRemoteImportRejectsMisindexedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := SampleFaults(c, 3, 1)
-	aborted := func(i int) service.WireResult {
-		return service.WireResult{Index: i, Status: "aborted", Phase: "none", PatternIndex: -1}
+	// aborted returns the columns of aborted results for the faults at
+	// index, or of n faults in fault order when index is nil.
+	aborted := func(n int, index []int) service.ResultColumns {
+		if index != nil {
+			n = len(index)
+		}
+		rc := service.ResultColumns{Index: index}
+		rc.Status, rc.Phase = strings.Repeat("a", n), strings.Repeat("n", n)
+		rc.Decisions, rc.Backtracks, rc.PatternIndex = make([]int, n), make([]int, n), make([]int, n)
+		for k := range rc.PatternIndex {
+			rc.PatternIndex[k] = -1
+		}
+		return rc
 	}
 	tests := strings.Repeat("0", len(c.c.Inputs())) + " -> " + strings.Repeat("1", len(c.c.Inputs())) + "\n"
-	for name, results := range map[string][]service.WireResult{
-		"short":        {aborted(0), aborted(1)},
-		"long":         {aborted(0), aborted(1), aborted(2), aborted(2)},
-		"misplaced":    {aborted(0), aborted(2), aborted(1)},
-		"out of range": {aborted(0), aborted(1), aborted(3)},
+	for name, results := range map[string]service.ResultColumns{
+		"short":         aborted(2, nil),
+		"long":          aborted(4, nil),
+		"indexed":       aborted(0, []int{0, 1, 2}),
+		"short indexed": aborted(0, []int{0, 1}),
+		"long indexed":  aborted(0, []int{0, 1, 2, 2}),
+		"misplaced":     aborted(0, []int{0, 2, 1}),
+		"out of range":  aborted(0, []int{0, 1, 3}),
 	} {
 		resp := service.ResultsResponse{State: "done", Results: results, Tests: tests}
 		if _, err := e.importRemote(faults, resp); err == nil {
@@ -290,7 +304,7 @@ func TestRemoteImportRejectsMisindexedResults(t *testing.T) {
 			t.Fatalf("%s: the refused import left %d patterns in the engine's set", name, e.Tests().Len())
 		}
 	}
-	ok := service.ResultsResponse{State: "done", Results: []service.WireResult{aborted(0), aborted(1), aborted(2)}, Tests: tests}
+	ok := service.ResultsResponse{State: "done", Results: aborted(3, nil), Tests: tests}
 	results, err := e.importRemote(faults, ok)
 	if err != nil {
 		t.Fatal(err)
@@ -302,9 +316,10 @@ func TestRemoteImportRejectsMisindexedResults(t *testing.T) {
 	}
 }
 
-// TestRemoteEventOutOfRange: a settle event whose index lies outside the
-// submitted list ends the event feed with an error instead of reaching the
-// progress callback.
+// TestRemoteEventOutOfRange: a page of settle events one of whose indices
+// lies outside the submitted list, or whose index and status columns differ
+// in length, ends the event feed with an error, and none of the page's
+// events reaches the progress callback.
 func TestRemoteEventOutOfRange(t *testing.T) {
 	c, err := Builtin("c17")
 	if err != nil {
@@ -315,20 +330,26 @@ func TestRemoteEventOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := SampleFaults(c, 2, 1)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"events":[{"index":0,"status":"aborted","pattern_index":-1},{"index":2,"status":"aborted","pattern_index":-1}],"next":2,"done":true}`))
-	}))
-	defer srv.Close()
-	delivered := 0
-	err = e.followEvents(context.Background(), service.NewClient(srv.URL), "j1", faults, func(Result) bool {
-		delivered++
-		return true
-	})
-	if err == nil {
-		t.Fatal("an event with an out-of-range index was accepted")
-	}
-	if delivered != 1 {
-		t.Fatalf("%d events reached the consumer, want only the first (in range)", delivered)
+	for name, page := range map[string]string{
+		"out of range": `{"status":"aa","phase":"nn","decisions":[0,0],"backtracks":[0,0],"pattern_index":[-1,-1],"index":[0,2]}`,
+		"no index":     `{"status":"aa","phase":"nn","decisions":[0,0],"backtracks":[0,0],"pattern_index":[-1,-1]}`,
+		"no status":    `{"status":"","phase":"","decisions":[],"backtracks":[],"pattern_index":[],"index":[0,1]}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write([]byte(`{"events":` + page + `,"next":2,"done":true}`))
+		}))
+		delivered := 0
+		err = e.followEvents(context.Background(), service.NewClient(srv.URL), "j1", faults, func(Result) bool {
+			delivered++
+			return true
+		})
+		srv.Close()
+		if err == nil {
+			t.Errorf("%s: a page that does not line up with the faults was accepted", name)
+		}
+		if delivered != 0 {
+			t.Errorf("%s: %d events reached the consumer, want none: the page is refused whole", name, delivered)
+		}
 	}
 }

@@ -291,15 +291,19 @@ func (cl *Client) Events(ctx context.Context, jobID string, from int, wait time.
 	return resp, err
 }
 
-// Follow yields the job's settle events in order, from the first, until the
-// feed reports done; breaking out of the loop stops it.  A transient
-// failure of the feed — a coordinator restart, a dropped connection, a
-// severed response — does not end it: Follow backs off and resumes from the
-// last event it yielded, so no event arrives twice and none is lost.  A
-// terminal error (the job is unknown) or the end of ctx is yielded once,
-// with a zero event, and ends the stream.
-func (cl *Client) Follow(ctx context.Context, jobID string) iter.Seq2[WireResult, error] {
-	return func(yield func(WireResult, error) bool) {
+// Follow yields the job's settle events in order, from the first, one page
+// of them at a time, until the feed reports done; breaking out of the loop
+// stops it.  A transient failure of the feed — a coordinator restart, a
+// dropped connection, a severed response — does not end it: Follow backs
+// off and resumes after the last page it yielded, so no event arrives twice
+// and none is lost.  A page that leaves the cursor where it was (a long poll
+// that timed out, or the done page of a feed read to its end) holds no event
+// and is skipped; every other page is yielded as it came, so the caller's
+// DecodePage refuses one whose columns do not line up.  A terminal error
+// (the job is unknown) or the end of ctx is yielded once, with an empty
+// page, and ends the stream.
+func (cl *Client) Follow(ctx context.Context, jobID string) iter.Seq2[ResultColumns, error] {
+	return func(yield func(ResultColumns, error) bool) {
 		bo := cl.reconnect()
 		from := 0
 		for {
@@ -311,14 +315,12 @@ func (cl *Client) Follow(ctx context.Context, jobID string) iter.Seq2[WireResult
 				if ctx.Err() != nil {
 					err = ctx.Err()
 				}
-				yield(WireResult{}, err)
+				yield(ResultColumns{}, err)
 				return
 			}
 			bo.Reset()
-			for _, w := range ev.Events {
-				if !yield(w, nil) {
-					return
-				}
+			if ev.Next != from && !yield(ev.Events, nil) {
+				return
 			}
 			from = ev.Next
 			if ev.Done {

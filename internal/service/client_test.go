@@ -136,10 +136,7 @@ func TestClientReadsChunkedLikeSized(t *testing.T) {
 	c, _ := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
 	results, tests, stats := localRun(t, c, JobOptions{SimInterval: intp(0)}, faults)
-	want := ResultsResponse{JobID: "j1", State: stateDone, Tests: tests, Stats: stats}
-	for i, r := range results {
-		want.Results = append(want.Results, EncodeResult(i, r, r.PatternIndex))
-	}
+	want := ResultsResponse{JobID: "j1", State: stateDone, Results: resultColumns(nil, results), Tests: tests, Stats: stats}
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == API+"/jobs/chunked/results" {
 			w.Header().Set("Content-Type", "application/json")
@@ -180,7 +177,7 @@ func TestClientReadsChunkedLikeSized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sized.Tests != tests || len(sized.Results) != len(faults) {
+		if sized.Tests != tests || len(sized.Results.Status) != len(faults) {
 			t.Fatal("the sized reply does not decode to the job's results")
 		}
 		if !reflect.DeepEqual(chunked, sized) {

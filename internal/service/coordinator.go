@@ -134,15 +134,19 @@ type job struct {
 	leases    sched.Stats // the pass's lease counters once it is over
 	exch      exchange
 	replayed  int // units restored from the ledger
-	results   []WireResult
+	results   []core.FaultResult
 	testsText string
 	stats     core.Stats
 	err       string // why a failed job failed
 
-	evMu   sync.Mutex
-	events []WireResult
-	evDone bool
-	evSig  broadcast // fires on every append and when the feed closes
+	// The settle-event feed: each settled fault's index and its result at
+	// settle time, in settle order.  A page renders them when it is served,
+	// so a feed nobody follows costs no more than these two slices.
+	evMu      sync.Mutex
+	evIndex   []int
+	evResults []core.FaultResult
+	evDone    bool
+	evSig     broadcast // fires on every append and when the feed closes
 }
 
 // passState is the leasable surface of the job's pass while it is
@@ -259,11 +263,11 @@ func (co *Coordinator) routes() {
 
 // maxPresize bounds the buffer the service sets aside for a body before the
 // body's bytes arrive, and the reply buffers it keeps for reuse.  A c880 job
-// of 3,000 faults submits 191 KB, is sent a 382 KB spec and 536 KB of
-// results, and posts about 42 KB of unit results at a time, so each of its
-// bodies is still read into one buffer of its size.  A body that declares
-// more grows its buffer as its bytes arrive: a length that is declared and
-// never sent holds no more than this.
+// of 3,000 faults submits 191 KB, leases about 16 KB of faults at a time,
+// posts about 15 KB of unit results at a time and is sent 316 KB of
+// results, so each of its bodies is still read into one buffer of its size.
+// A body that declares more grows its buffer as its bytes arrive: a length
+// that is declared and never sent holds no more than this.
 const maxPresize = 1 << 20
 
 // readSized reads a body that declares n bytes: one of at most maxPresize
@@ -309,7 +313,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string) {
 
 // Request body limits, one per route that reads a body.  Each leaves wide
 // headroom over what a job sends: a 3,000-fault c880 job submits 191 KB and
-// posts about 42 KB of unit results at a time, and a lease request is a
+// posts about 15 KB of unit results at a time, and a lease request is a
 // worker id and two numbers.  The largest legitimate bodies are a submit
 // carrying the s38584 stand-in's bench text and a few hundred thousand
 // faults, and a results post of four 512-fault units of that circuit, whose
@@ -398,7 +402,8 @@ func (co *Coordinator) addJob(j *job) {
 	j.simOn = j.coreOpts.FaultSimInterval > 0
 	// Every fault settles exactly once, so the event log is made at its
 	// final size.
-	j.events = make([]WireResult, 0, len(j.faults))
+	j.evIndex = make([]int, 0, len(j.faults))
+	j.evResults = make([]core.FaultResult, 0, len(j.faults))
 	co.mu.Lock()
 	co.jobs[j.id] = j
 	co.order = append(co.order, j.id)
@@ -432,10 +437,9 @@ func (co *Coordinator) runJob(j *job) {
 	}
 
 	master := core.New(j.c, j.coreOpts)
-	master.OnSettle = func(i int, r core.FaultResult) {
-		// Merge indices do not exist yet when a fault settles: events carry -1.
-		j.appendEvent(EncodeResult(i, r, -1))
-	}
+	// Merge indices do not exist yet when a fault settles: r.PatternIndex
+	// is -1.
+	master.OnSettle = j.appendEvent
 	rr := core.NewRemoteRun(master, j.faults)
 	j.mu.Lock()
 	j.rr = rr
@@ -448,18 +452,14 @@ func (co *Coordinator) runJob(j *job) {
 
 	var buf bytes.Buffer
 	_ = master.TestSet().Write(&buf)
-	wire := make([]WireResult, len(results))
-	for i, r := range results {
-		wire[i] = EncodeResult(i, r, r.PatternIndex)
-	}
-	j.finalize(wire, buf.String(), master.Stats(), master.Err())
+	j.finalize(results, buf.String(), master.Stats(), master.Err())
 }
 
 // finalize lands the job in its terminal state: canceled when its context
 // ended, failed when the run reported an error (the master generator's
 // finishing passes could not simulate the merged set — a bug, which must not
 // pass for a done job), done otherwise.
-func (j *job) finalize(results []WireResult, tests string, stats core.Stats, runErr error) {
+func (j *job) finalize(results []core.FaultResult, tests string, stats core.Stats, runErr error) {
 	state := stateDone
 	persist := true
 	var reason string
@@ -563,25 +563,23 @@ func (j *job) replayLocked(spec WireSpec) {
 		return
 	}
 	for _, lu := range lj.Units {
-		outs, err := j.checkUnit(ps, lu.Unit, lu.Outcomes)
-		if err == nil && j.applyUnit(ps, lu.Unit, lu.Worker, outs) {
+		outs, err := j.checkUnit(ps, lu.Unit, &lu.Outcomes)
+		if err == nil && j.applyUnit(ps, lu.Unit, lu.Worker, outs, lu.Outcomes.Tests) {
 			j.replayed++
 		}
 	}
 }
 
-// checkUnit decodes a reported unit's outcomes and checks them against the
-// pass: the unit ID, one outcome per fault of the unit, and one value per
-// primary input in the patterns of every tested outcome.  Live posts and
-// ledger replay both check every unit here before applying it.
-func (j *job) checkUnit(ps *passState, id int, wire []WireOutcome) ([]core.RemoteOutcome, error) {
+// checkUnit decodes a reported unit's outcome columns and checks them
+// against the pass: the unit ID, one entry per fault of the unit in every
+// column (see OutcomeColumns), and one value per primary input in the
+// patterns of every tested outcome.  Live posts and ledger replay both check
+// every unit here before applying it.
+func (j *job) checkUnit(ps *passState, id int, oc *OutcomeColumns) ([]core.RemoteOutcome, error) {
 	if id < 0 || id >= len(ps.units) {
 		return nil, fmt.Errorf("unit %d out of range", id)
 	}
-	if n := len(ps.units[id].Faults); len(wire) != n {
-		return nil, fmt.Errorf("unit %d: %d outcomes for %d faults", id, len(wire), n)
-	}
-	outs, err := DecodeOutcomes(wire)
+	outs, err := oc.outcomes(len(ps.units[id].Faults))
 	if err == nil {
 		err = checkWidths(outs, len(j.c.Inputs()))
 	}
@@ -594,18 +592,17 @@ func (j *job) checkUnit(ps *passState, id int, wire []WireOutcome) ([]core.Remot
 // applyUnit is the one apply path of live posts and ledger replay: it
 // completes a checked unit and, on its first completion only, folds the
 // outcomes into the run and, when the job simulates, publishes the tests of
-// its tested outcomes to the exchange under the reporting worker.  It
-// reports whether the completion was the first.  Caller holds j.mu.
-func (j *job) applyUnit(ps *passState, id int, worker string, outs []core.RemoteOutcome) bool {
+// its tested outcomes (tests, the unit's tests column) to the exchange under
+// the reporting worker.  It reports whether the completion was the first.
+// Caller holds j.mu.
+func (j *job) applyUnit(ps *passState, id int, worker string, outs []core.RemoteOutcome, tests []string) bool {
 	if !ps.q.Complete(id) {
 		return false
 	}
 	j.rr.Apply(ps.units[id].Faults, outs)
 	if j.simOn {
-		for _, o := range outs {
-			if o.Status == core.Tested {
-				j.exch.publish(worker, o.Test.String())
-			}
+		for _, t := range tests {
+			j.exch.publish(worker, t)
 		}
 	}
 	return true
@@ -630,9 +627,12 @@ func passMatches(lp LedgerPass, spec WireSpec, cut [][]int) bool {
 
 // ---- event stream ----
 
-func (j *job) appendEvent(ev WireResult) {
+// appendEvent records the settle of the job's i-th fault; it is the master
+// generator's OnSettle.
+func (j *job) appendEvent(i int, r core.FaultResult) {
 	j.evMu.Lock()
-	j.events = append(j.events, ev)
+	j.evIndex = append(j.evIndex, i)
+	j.evResults = append(j.evResults, r)
 	j.evMu.Unlock()
 	j.evSig.fire()
 }
@@ -647,7 +647,7 @@ func (j *job) closeEvents() {
 func (j *job) settled() int {
 	j.evMu.Lock()
 	defer j.evMu.Unlock()
-	return len(j.events)
+	return len(j.evIndex)
 }
 
 // ---- resume ----
@@ -885,12 +885,7 @@ func (co *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown-job", "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, JobSpec{
-		JobID:       j.id,
-		CircuitHash: j.hash,
-		Options:     j.wireOpts,
-		Faults:      j.wireFaults,
-	})
+	writeJSON(w, http.StatusOK, JobSpec{JobID: j.id, CircuitHash: j.hash, Options: j.wireOpts})
 }
 
 func (co *Coordinator) handleCircuit(w http.ResponseWriter, r *http.Request) {
@@ -921,8 +916,10 @@ func (co *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, "not-done", msg)
 		return
 	}
-	resp := ResultsResponse{JobID: j.id, State: j.state, Results: j.results, Tests: j.testsText, Stats: j.stats}
+	resp := ResultsResponse{JobID: j.id, State: j.state, Tests: j.testsText, Stats: j.stats}
+	results := j.results
 	j.mu.Unlock()
+	resp.Results = resultColumns(nil, results)
 	co.reply(w, resp)
 }
 
@@ -934,18 +931,22 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	from, _ := strconv.Atoi(r.URL.Query().Get("from"))
 	from = max(from, 0)
-	var resp EventsResponse
+	var (
+		index   []int
+		results []core.FaultResult
+		resp    EventsResponse
+	)
 	if co.park(w, r, &j.evSig, waitQuery(r), func() bool {
 		j.evMu.Lock()
 		defer j.evMu.Unlock()
-		from = min(from, len(j.events))
-		resp = EventsResponse{
-			Events: append([]WireResult(nil), j.events[from:]...),
-			Next:   len(j.events),
-			Done:   j.evDone,
-		}
-		return len(resp.Events) > 0 || resp.Done
+		// Settled entries never change, so the page renders them after the
+		// lock is released.
+		from = min(from, len(j.evIndex))
+		index, results = j.evIndex[from:], j.evResults[from:]
+		resp = EventsResponse{Next: len(j.evIndex), Done: j.evDone}
+		return len(index) > 0 || resp.Done
 	}) {
+		resp.Events = resultColumns(index, results)
 		co.reply(w, resp)
 	}
 }
@@ -1007,12 +1008,16 @@ func (co *Coordinator) lease(worker string, max int) (LeaseResponse, bool) {
 			j.mu.Unlock()
 			continue
 		}
-		resp := LeaseResponse{JobID: j.id}
+		resp := LeaseResponse{JobID: j.id, Units: make([]WireUnit, len(leased))}
 		if j.simOn {
 			resp.Patterns = j.exch.since(worker)
 		}
-		for _, lu := range leased {
-			resp.Units = append(resp.Units, WireUnit{ID: lu.ID, Faults: lu.Unit.Faults})
+		for k, lu := range leased {
+			faults := make([]WireFault, len(lu.Unit.Faults))
+			for i, fi := range lu.Unit.Faults {
+				faults[i] = j.wireFaults[fi]
+			}
+			resp.Units[k] = WireUnit{ID: lu.ID, Faults: faults}
 		}
 		j.mu.Unlock()
 		return resp, true
@@ -1070,8 +1075,9 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 	// Check everything before completing anything, so a malformed batch is
 	// refused whole and the worker's retry is not a duplicate.
 	decoded := make([][]core.RemoteOutcome, len(req.Units))
-	for i, ur := range req.Units {
-		outs, err := j.checkUnit(ps, ur.ID, ur.Outcomes)
+	for i := range req.Units {
+		ur := &req.Units[i]
+		outs, err := j.checkUnit(ps, ur.ID, &ur.Outcomes)
 		if err != nil {
 			j.mu.Unlock()
 			writeErr(w, http.StatusBadRequest, "bad-unit", err.Error())
@@ -1080,10 +1086,11 @@ func (co *Coordinator) handlePostResults(w http.ResponseWriter, r *http.Request)
 		decoded[i] = outs
 	}
 	j.rr.AddEffort(req.Effort)
-	for i, ur := range req.Units {
+	for i := range req.Units {
+		ur := &req.Units[i]
 		// A duplicate completion applies nothing: the first write won.
-		if j.applyUnit(ps, ur.ID, req.Worker, decoded[i]) {
-			j.ledger.RecordUnit(ur.ID, req.Worker, ur.Outcomes)
+		if j.applyUnit(ps, ur.ID, req.Worker, decoded[i], ur.Outcomes.Tests) {
+			j.ledger.RecordUnit(ur.ID, req.Worker, &ur.Outcomes)
 		}
 	}
 	j.mu.Unlock()

@@ -18,20 +18,19 @@ import (
 // carries, as Worker does, and posts the outcomes when told to.  driveWorker
 // runs its units through it too.
 type crank struct {
-	t      *testing.T
-	cl     *Client
-	id     string
-	gen    *core.Generator
-	faults []paths.Fault
+	t   *testing.T
+	cl  *Client
+	id  string
+	gen *core.Generator
 }
 
-func newCrank(t *testing.T, cl *Client, id string, c *circuit.Circuit, opts JobOptions, faults []paths.Fault) *crank {
+func newCrank(t *testing.T, cl *Client, id string, c *circuit.Circuit, opts JobOptions) *crank {
 	t.Helper()
 	coreOpts, err := opts.ToCore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &crank{t: t, cl: cl, id: id, gen: core.New(c, coreOpts), faults: faults}
+	return &crank{t: t, cl: cl, id: id, gen: core.New(c, coreOpts)}
 }
 
 // lease asks for up to two units, waiting for one when wait is set.
@@ -61,17 +60,13 @@ func (w *crank) process(ctx context.Context, l LeaseResponse) PostResults {
 	}
 	post := PostResults{Worker: w.id}
 	for _, u := range l.Units {
-		ufaults := make([]paths.Fault, len(u.Faults))
-		for i, fi := range u.Faults {
-			ufaults[i] = w.faults[fi]
+		faults, err := DecodeFaults(w.gen.Circuit(), u.Faults)
+		if err != nil {
+			w.t.Fatalf("lease carries unit %d: %v", u.ID, err)
 		}
-		outs, effort := w.gen.ProcessRemoteUnit(ctx, ufaults, foreign)
-		var wire []WireOutcome
-		for _, o := range outs {
-			wire = append(wire, EncodeOutcome(o))
-		}
+		outs, effort := w.gen.ProcessRemoteUnit(ctx, faults, foreign)
 		foreign = nil
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: wire})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outcomeColumns(outs)})
 		post.Effort.Add(effort)
 	}
 	return post
@@ -97,10 +92,8 @@ type exchangeModel struct {
 // for the first time.
 func (m *exchangeModel) applied(p PostResults) {
 	for _, ur := range p.Units {
-		for _, o := range ur.Outcomes {
-			if o.Status == "tested" {
-				m.log = append(m.log, exchanged{p.Worker, o.Test})
-			}
+		for _, test := range ur.Outcomes.Tests {
+			m.log = append(m.log, exchanged{p.Worker, test})
 		}
 	}
 }
@@ -182,7 +175,7 @@ func TestServiceExchangeOnLease(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m exchangeModel
-		a, b := newCrank(t, cl, "a", c, simOn, faults), newCrank(t, cl, "b", c, simOn, faults)
+		a, b := newCrank(t, cl, "a", c, simOn), newCrank(t, cl, "b", c, simOn)
 		delivered, dups := run(t, ctx, sub.JobID, &m, m.since, a, b)
 		if delivered == 0 {
 			t.Fatal("no lease carried a pattern: the check above proved nothing")
@@ -207,7 +200,7 @@ func TestServiceExchangeOnLease(t *testing.T) {
 		}
 		// Worker a completes six units on the first coordinator.
 		var replayed exchangeModel
-		a := newCrank(t, clA, "a", c, simOn, faults)
+		a := newCrank(t, clA, "a", c, simOn)
 		for i := 0; i < 3; i++ {
 			l, ok := a.lease(ctx, true)
 			if !ok {
@@ -228,7 +221,7 @@ func TestServiceExchangeOnLease(t *testing.T) {
 		_, url := loopback(t, Config{LedgerDir: dir}, nil)
 		cl := NewClient(url)
 		m := replayed
-		b, c2 := newCrank(t, cl, "b", c, simOn, faults), newCrank(t, cl, "c", c, simOn, faults)
+		b, c2 := newCrank(t, cl, "b", c, simOn), newCrank(t, cl, "c", c, simOn)
 		run(t, ctx, sub.JobID, &m, m.since, b, c2)
 		if got := m.cursors["b"]; got < len(replayed.log) {
 			t.Fatalf("worker b read %d of the %d replayed tests", got, len(replayed.log))
@@ -249,7 +242,7 @@ func TestServiceExchangeOnLease(t *testing.T) {
 		}
 		var m exchangeModel
 		none := func(string) []string { return nil }
-		run(t, ctx, sub.JobID, &m, none, newCrank(t, cl, "a", c, simOff, faults), newCrank(t, cl, "b", c, simOff, faults))
+		run(t, ctx, sub.JobID, &m, none, newCrank(t, cl, "a", c, simOff), newCrank(t, cl, "b", c, simOff))
 		finish(t, ctx, cl, sub.JobID)
 	})
 }

@@ -56,8 +56,9 @@ import (
 
 // ledgerVersion is the format version of the ledgers this build writes,
 // and the only one it resumes.  A change to what a record holds, or to how
-// replay reads it, takes the next version.
-const ledgerVersion = 1
+// replay reads it, takes the next version.  Version 2 records a unit's
+// outcomes as OutcomeColumns; version 1 recorded one object per outcome.
+const ledgerVersion = 2
 
 // LedgerVersionError is why a job whose ledger has another format version
 // than ledgerVersion is not resumed: an older build wrote it (no version,
@@ -92,9 +93,9 @@ type ledgerRecord struct {
 	Units [][]int   `json:"units,omitempty"`
 
 	// T == "unit"
-	Unit     int           `json:"unit"`
-	Worker   string        `json:"worker,omitempty"`
-	Outcomes []WireOutcome `json:"outcomes,omitempty"`
+	Unit     int             `json:"unit"`
+	Worker   string          `json:"worker,omitempty"`
+	Outcomes *OutcomeColumns `json:"outcomes,omitempty"`
 
 	// T == "state"
 	State string `json:"state,omitempty"`
@@ -198,7 +199,7 @@ func (l *Ledger) RecordPass(spec WireSpec, units [][]int) {
 }
 
 // RecordUnit records one completed unit with its outcomes.
-func (l *Ledger) RecordUnit(unit int, worker string, outcomes []WireOutcome) {
+func (l *Ledger) RecordUnit(unit int, worker string, outcomes *OutcomeColumns) {
 	l.append(ledgerRecord{T: "unit", Unit: unit, Worker: worker, Outcomes: outcomes})
 }
 
@@ -265,7 +266,7 @@ func renderCompact(lj *LedgerJob) []byte {
 				continue // duplicate completion: replay's first-wins drops it too
 			}
 			done[lu.Unit] = true
-			_ = enc.Encode(ledgerRecord{T: "unit", Unit: lu.Unit, Worker: lu.Worker, Outcomes: lu.Outcomes})
+			_ = enc.Encode(ledgerRecord{T: "unit", Unit: lu.Unit, Worker: lu.Worker, Outcomes: &lu.Outcomes})
 		}
 	}
 	return buf.Bytes()
@@ -318,7 +319,7 @@ type LedgerPass struct {
 type LedgerUnit struct {
 	Unit     int
 	Worker   string
-	Outcomes []WireOutcome
+	Outcomes OutcomeColumns
 }
 
 // LoadLedgers reads every job ledger under dir, sorted by file name for a
@@ -404,7 +405,11 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 			}
 		case "unit":
 			if lj != nil {
-				lj.Units = append(lj.Units, LedgerUnit{Unit: rec.Unit, Worker: rec.Worker, Outcomes: rec.Outcomes})
+				lu := LedgerUnit{Unit: rec.Unit, Worker: rec.Worker}
+				if rec.Outcomes != nil {
+					lu.Outcomes = *rec.Outcomes
+				}
+				lj.Units = append(lj.Units, lu)
 			}
 		case "state":
 			state, reason = rec.State, rec.Error

@@ -53,11 +53,7 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 			if err != nil {
 				t.Fatal(err)
 			}
-			faults, err := DecodeFaults(c, spec.Faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w = newCrank(t, cl, worker, c, spec.Options, faults)
+			w = newCrank(t, cl, worker, c, spec.Options)
 		}
 		post := w.process(ctx, lease)
 		for _, u := range post.Units {
@@ -135,8 +131,8 @@ func TestServiceLedgerResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
@@ -218,8 +214,8 @@ func resumeToEnd(t *testing.T, dir string, c *circuit.Circuit) (JobStatus, Resul
 // every status, and the merged test set byte for byte.
 func assertMatchesLocal(t *testing.T, c *circuit.Circuit, faults []paths.Fault, resp ResultsResponse, local []core.FaultResult, localTests string) {
 	t.Helper()
-	for i, r := range resp.Results {
-		if want := local[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := local[i].Status; r.Status != want {
 			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
@@ -287,11 +283,11 @@ func TestServiceLedgerReplayChecksWidths(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.T != "unit" || rec.Outcomes[0].Status != "tested" {
+		if rec.T != "unit" || len(rec.Outcomes.Tests) == 0 {
 			continue
 		}
-		v1, v2, _ := strings.Cut(rec.Outcomes[0].Test, " -> ")
-		rec.Outcomes[0].Test = v1 + "0 -> " + v2 + "0"
+		v1, v2, _ := strings.Cut(rec.Outcomes.Tests[0], " -> ")
+		rec.Outcomes.Tests[0] = v1 + "0 -> " + v2 + "0"
 		b, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -340,11 +336,8 @@ func writeLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, 
 	led.RecordPass(ws, units)
 	for u := 0; u < n; u++ {
 		outs, _ := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
-		wire := make([]WireOutcome, len(outs))
-		for i, o := range outs {
-			wire[i] = EncodeOutcome(o)
-		}
-		led.RecordUnit(u, "old", wire)
+		oc := outcomeColumns(outs)
+		led.RecordUnit(u, "old", &oc)
 	}
 }
 
@@ -419,9 +412,11 @@ func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
 
 // TestServiceLedgerVersionRefused restarts a coordinator on ledgers whose
 // job record carries no format version, as every build before versioning
-// wrote it, or a version this build does not know.  The job must not
-// resume: its ledger must record it failed with the *LedgerVersionError,
-// once across restarts, and the next submit must get a new ID.
+// wrote it, format version 1, whose unit records hold one object per
+// outcome (testdata/version1.jsonl, written by a build of that version), or
+// a version this build does not know.  The job must not resume: its ledger
+// must record it failed with the *LedgerVersionError, once across restarts,
+// and the next submit must get a new ID.
 func TestServiceLedgerVersionRefused(t *testing.T) {
 	c, text := benchText(t, "c17")
 	faults := paths.SampleFaults(c, 4, 1995)
@@ -429,24 +424,34 @@ func TestServiceLedgerVersionRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		version int
-	}{{"missing", 0}, {"newer", ledgerVersion + 1}} {
+		fixture string // a ledger an older build wrote, resumed as it is
+	}{{"missing", 0, ""}, {"version 1", 1, "version1.jsonl"}, {"newer", ledgerVersion + 1, ""}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, 2)
 			path := filepath.Join(dir, "j1.jsonl")
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+			var raw []byte
+			if tc.fixture != "" {
+				fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw = fixture
+			} else {
+				writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, 2)
+				written, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				versioned := fmt.Sprintf(`{"t":"job","version":%d,`, ledgerVersion)
+				if !bytes.HasPrefix(written, []byte(versioned)) {
+					t.Fatalf("job record does not start %s:\n%s", versioned, written)
+				}
+				stamp := `{"t":"job",`
+				if tc.version != 0 {
+					stamp = fmt.Sprintf(`{"t":"job","version":%d,`, tc.version)
+				}
+				raw = append([]byte(stamp), written[len(versioned):]...)
 			}
-			versioned := `{"t":"job","version":1,`
-			if !bytes.HasPrefix(raw, []byte(versioned)) {
-				t.Fatalf("job record does not start %s:\n%s", versioned, raw)
-			}
-			stamp := `{"t":"job",`
-			if tc.version != 0 {
-				stamp = fmt.Sprintf(`{"t":"job","version":%d,`, tc.version)
-			}
-			raw = append([]byte(stamp), raw[len(versioned):]...)
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}

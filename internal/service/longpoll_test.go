@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/paths"
 	"repro/internal/retry"
 )
@@ -535,8 +536,8 @@ func TestWaitSurvivesCoordinatorRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
@@ -632,15 +633,19 @@ func TestFollowReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []WireResult
+	var got []core.FaultResult
 	followed := make(chan error, 1)
 	go func() {
-		for ev, err := range cl.Follow(ctx, sub.JobID) {
+		for page, err := range cl.Follow(ctx, sub.JobID) {
+			if err == nil {
+				var results []core.FaultResult
+				results, err = page.DecodePage(faults)
+				got = append(got, results...)
+			}
 			if err != nil {
 				followed <- err
 				return
 			}
-			got = append(got, ev)
 		}
 		followed <- nil
 	}()
@@ -657,11 +662,15 @@ func TestFollowReconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !feed.Done || len(feed.Events) != len(faults) {
-		t.Fatalf("feed holds %d events (done %v), want %d", len(feed.Events), feed.Done, len(faults))
+	events, err := feed.Events.DecodePage(faults)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, feed.Events) {
-		t.Fatalf("Follow delivered %d events that differ from the feed's %d (lost, doubled or reordered)", len(got), len(feed.Events))
+	if !feed.Done || len(events) != len(faults) {
+		t.Fatalf("feed holds %d events (done %v), want %d", len(events), feed.Done, len(faults))
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("Follow delivered %d events that differ from the feed's %d (lost, doubled or reordered)", len(got), len(events))
 	}
 }
 

@@ -87,11 +87,8 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != len(localResults) {
-		t.Fatalf("got %d results under chaos, want %d", len(resp.Results), len(localResults))
-	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d (%s): status %s under chaos, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 		if r.PatternIndex != localResults[i].PatternIndex {
@@ -221,8 +218,8 @@ func TestServiceLedgerCompactionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
 		}
 	}
@@ -450,10 +447,13 @@ func replayCut(lj *LedgerJob) []LedgerUnit {
 			continue
 		}
 		seen[u.Unit] = true
-		if len(u.Outcomes) == 0 {
-			// Replay reads an empty list as it reads an absent one, and
-			// compaction writes neither.
-			u.Outcomes = nil
+		// Replay reads an empty tests or raws column as it reads an absent
+		// one, and compaction writes neither.
+		if len(u.Outcomes.Tests) == 0 {
+			u.Outcomes.Tests = nil
+		}
+		if len(u.Outcomes.Raws) == 0 {
+			u.Outcomes.Raws = nil
 		}
 		cut = append(cut, u)
 	}
@@ -463,12 +463,12 @@ func replayCut(lj *LedgerJob) []LedgerUnit {
 // recutLedger is a ledger whose recorded cut a coordinator discarded and
 // recorded afresh, after which only the units recorded under the new cut
 // replay.
-const recutLedger = `{"t":"job","version":1,"id":"j6","name":"c17","bench":"INPUT(a)\n"}
+const recutLedger = `{"t":"job","version":2,"id":"j6","name":"c17","bench":"INPUT(a)\n"}
 {"t":"pass","spec":{"width":1,"budget":1},"units":[[0],[1]]}
-{"t":"unit","unit":0,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
-{"t":"unit","unit":1,"worker":"wA","outcomes":[{"status":"aborted","phase":"aptpg"}]}
+{"t":"unit","unit":0,"worker":"wA","outcomes":{"status":"a","phase":"a","decisions":[3],"backtracks":[1]}}
+{"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"a","phase":"a","decisions":[3],"backtracks":[1]}}
 {"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
-{"t":"unit","unit":1,"worker":"wB","outcomes":[{"status":"redundant","phase":"fptpg"}]}
+{"t":"unit","unit":1,"worker":"wB","outcomes":{"status":"r","phase":"f","decisions":[0],"backtracks":[0]}}
 `
 
 // TestLedgerReplayRule loads the recut ledger, as written and compacted:
@@ -479,7 +479,7 @@ func TestLedgerReplayRule(t *testing.T) {
 		budget       int
 		want         []LedgerUnit
 	}{
-		{"recut", recutLedger, 8, []LedgerUnit{{Unit: 1, Worker: "wB", Outcomes: []WireOutcome{{Status: "redundant", Phase: "fptpg"}}}}},
+		{"recut", recutLedger, 8, []LedgerUnit{{Unit: 1, Worker: "wB", Outcomes: OutcomeColumns{Status: "r", Phase: "f", Decisions: []int{0}, Backtracks: []int{0}}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.jsonl")
@@ -514,21 +514,25 @@ func TestLedgerReplayRule(t *testing.T) {
 // (so resume can never double-dispatch a recorded unit or drop a completed
 // one), terminal states survive, and compaction is idempotent.
 func FuzzLedgerCompact(f *testing.F) {
-	f.Add([]byte(`{"t":"job","version":1,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
+	f.Add([]byte(`{"t":"job","version":2,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
 {"t":"pass","spec":{},"units":[[0],[1]]}
-{"t":"unit","unit":0,"worker":"wA","outcomes":[{"s":"tested"}]}
+{"t":"unit","unit":0,"worker":"wA","outcomes":{"status":"t","phase":"f","decisions":[0],"backtracks":[0],"tests":["0 -> 1"],"raws":["x -> 1"]}}
 {"t":"unit","unit":0,"worker":"wB"}
-{"t":"unit","unit":1,"worker":"wA"}
+{"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"r","phase":"a","decisions":[2],"backtracks":[1],"tests":[]}}
 `))
-	f.Add([]byte(`{"t":"job","version":1,"id":"j2","name":"c17"}
+	f.Add([]byte(`{"t":"job","version":2,"id":"j2","name":"c17"}
 {"t":"state","state":"done"}
 `))
-	f.Add([]byte(`{"t":"job","version":1,"id":"j3"}
+	f.Add([]byte(`{"t":"job","version":2,"id":"j3"}
 {"t":"unit","un`)) // torn tail
-	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":1,\"id\":\"j4\"}\n"))
+	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":2,\"id\":\"j4\"}\n"))
 	f.Add([]byte(`{"t":"job","id":"j5"}
 {"t":"pass","spec":{},"units":[[0]]}
 `)) // no format version
+	f.Add([]byte(`{"t":"job","version":1,"id":"j6"}
+{"t":"pass","spec":{},"units":[[0]]}
+{"t":"unit","unit":0,"worker":"wA","outcomes":[{"status":"tested","test":"0 -> 1"}]}
+`)) // format version 1: one object per outcome
 	f.Add([]byte(recutLedger))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/paths"
+	"repro/internal/pattern"
 )
 
 // benchText loads a built-in circuit and renders the exact .bench text a
@@ -34,6 +36,20 @@ func benchText(tb testing.TB, name string) (*circuit.Circuit, string) {
 		tb.Fatal(err)
 	}
 	return c, buf.String()
+}
+
+// decoded decodes a job's results against the fault list it submitted:
+// one result per fault, in fault order.
+func decoded(t testing.TB, faults []paths.Fault, resp ResultsResponse) []core.FaultResult {
+	t.Helper()
+	results, err := resp.Results.DecodeFinal(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(faults) {
+		t.Fatalf("%d results for %d faults", len(results), len(faults))
+	}
+	return results
 }
 
 // localRun is the single-process baseline a distributed run must match:
@@ -83,14 +99,24 @@ func startWorkers(t *testing.T, url string, n int) (stop func()) {
 // "detected-by-simulation" both mean the merged set covers the fault, and
 // which one a fault gets depends on worker interleaving when the
 // interleaved simulation is on.
-func classOf(status string) string {
-	if status == "tested" || status == "detected-by-simulation" {
+func classOf(status core.Status) string {
+	if status.Detected() {
 		return "detected"
 	}
-	return status
+	return status.String()
 }
 
 func intp(v int) *int { return &v }
+
+// sameOutcomes returns the outcome columns of n faults that all had outcome
+// o.
+func sameOutcomes(n int, o core.RemoteOutcome) OutcomeColumns {
+	outs := make([]core.RemoteOutcome, n)
+	for i := range outs {
+		outs[i] = o
+	}
+	return outcomeColumns(outs)
+}
 
 // TestServiceMatchesLocal is the service's half of the determinism
 // contract: a distributed run over real HTTP with two workers and a narrow
@@ -156,15 +182,9 @@ func TestServiceMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(resp.Results) != len(localResults) {
-				t.Fatalf("got %d results, want %d", len(resp.Results), len(localResults))
-			}
 			simOn := tc.sim == nil
-			for i, r := range resp.Results {
-				if r.Index != i {
-					t.Fatalf("result %d carries index %d", i, r.Index)
-				}
-				want := localResults[i].Status.String()
+			for i, r := range decoded(t, faults, resp) {
+				want := localResults[i].Status
 				if simOn {
 					if classOf(r.Status) != classOf(want) {
 						t.Fatalf("fault %d (%s): coverage class %s, local %s", i, faults[i].Describe(c), r.Status, want)
@@ -221,13 +241,15 @@ func TestServiceQueuedCancelTally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range resp.Results {
-		if r.Status != "aborted" || r.Err == "" {
-			t.Errorf("fault %d: %s (err %q), want aborted with the cause", r.Index, r.Status, r.Err)
+	c, _ := benchText(t, "c17")
+	results := decoded(t, paths.SampleFaults(c, n, 1995), resp)
+	for i, r := range results {
+		if r.Status != core.Aborted || r.Err == nil {
+			t.Errorf("fault %d: %s (err %v), want aborted with the cause", i, r.Status, r.Err)
 		}
 	}
-	if s := resp.Stats; len(resp.Results) != n || s.Faults != n || s.Aborted != n {
-		t.Errorf("%d results, stats faults=%d aborted=%d; want %d of each", len(resp.Results), s.Faults, s.Aborted, n)
+	if s := resp.Stats; len(results) != n || s.Faults != n || s.Aborted != n {
+		t.Errorf("%d results, stats faults=%d aborted=%d; want %d of each", len(results), s.Faults, s.Aborted, n)
 	}
 }
 
@@ -290,8 +312,8 @@ func TestServiceRequeue(t *testing.T) {
 		t.Errorf("results' dispatch counters %+v, status leases=%d requeues=%d duplicates=%d",
 			sc, st.Leases, st.Requeues, st.Duplicates)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d: status %s, local %s (requeue changed a classification)", i, r.Status, want)
 		}
 	}
@@ -302,11 +324,7 @@ func TestServiceRequeue(t *testing.T) {
 	// discarded as stale rather than applied or errored.
 	late := PostResults{Worker: "ghost"}
 	for _, u := range ghost.Units {
-		outs := make([]WireOutcome, len(u.Faults))
-		for i := range outs {
-			outs[i] = WireOutcome{Status: "redundant", Phase: "aptpg"}
-		}
-		late.Units = append(late.Units, UnitResult{ID: u.ID, Outcomes: outs})
+		late.Units = append(late.Units, UnitResult{ID: u.ID, Outcomes: sameOutcomes(len(u.Faults), core.RemoteOutcome{Status: core.Redundant, Phase: core.PhaseAPTPG})})
 	}
 	lateResp, err := cl.PostUnitResults(ctx, sub.JobID, late)
 	if err != nil {
@@ -354,14 +372,13 @@ func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 		t.Fatal("no lease for the wrong-width worker")
 	}
 	n := len(c.Inputs()) + 1
-	wide := strings.Repeat("0", n) + " -> " + strings.Repeat("1", n)
+	wide, err := pattern.ParsePair(strings.Repeat("0", n) + " -> " + strings.Repeat("1", n))
+	if err != nil {
+		t.Fatal(err)
+	}
 	post := PostResults{Worker: "wide"}
 	for _, u := range lease.Units {
-		outs := make([]WireOutcome, len(u.Faults))
-		for i := range outs {
-			outs[i] = WireOutcome{Status: "tested", Phase: "fptpg", Test: wide}
-		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outs})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: sameOutcomes(len(u.Faults), core.RemoteOutcome{Status: core.Tested, Phase: core.PhaseFPTPG, Test: wide})})
 	}
 	_, err = cl.PostUnitResults(ctx, sub.JobID, post)
 	var apiErr *APIError
@@ -385,13 +402,102 @@ func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d: status %s, local %s", i, r.Status, want)
 		}
 	}
 	if resp.Tests != localTests {
 		t.Fatal("merged test set differs from local run after the refused batch")
+	}
+}
+
+// TestServiceRefusesMalformedColumns posts a lease's two units, the first
+// well formed and the second broken in one way each time: columns that
+// disagree in length with each other or with the unit, an unknown status or
+// phase code, a tests column that does not hold one pattern per Tested
+// fault, a raws column that is neither empty nor one per Tested fault, and
+// a pattern that does not parse or has the wrong width.  Each post is
+// refused whole with 400 bad-unit: no unit completes, no fault settles and
+// nothing is journaled.  The well-formed post then completes both units.
+func TestServiceRefusesMalformedColumns(t *testing.T) {
+	ctx := budget(t)
+	dir := t.TempDir()
+	_, url := loopback(t, Config{LedgerDir: dir}, nil)
+	cl := NewClient(url)
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	opts := JobOptions{WordWidth: 8, SimInterval: intp(0)}
+	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newCrank(t, cl, "w", c, opts)
+	lease, ok := w.lease(ctx, true)
+	if !ok || len(lease.Units) != 2 {
+		t.Fatalf("lease of %d units (ok %v), want 2", len(lease.Units), ok)
+	}
+	valid := w.process(ctx, lease)
+	// Break the unit that tests the most faults.
+	if len(valid.Units[0].Outcomes.Tests) > len(valid.Units[1].Outcomes.Tests) {
+		valid.Units[0], valid.Units[1] = valid.Units[1], valid.Units[0]
+	}
+	if n := len(valid.Units[1].Outcomes.Tests); n < 2 {
+		t.Fatalf("the unit to break tests %d faults, want 2 or more; pick another sample", n)
+	}
+	n := len(c.Inputs())
+	wide := strings.Repeat("0", n+1) + " -> " + strings.Repeat("1", n+1)
+	for _, tc := range []struct {
+		name   string
+		mangle func(oc *OutcomeColumns)
+	}{
+		{"status short", func(oc *OutcomeColumns) { oc.Status = oc.Status[1:] }},
+		{"phase long", func(oc *OutcomeColumns) { oc.Phase += "n" }},
+		{"decisions short", func(oc *OutcomeColumns) { oc.Decisions = oc.Decisions[1:] }},
+		{"backtracks long", func(oc *OutcomeColumns) { oc.Backtracks = append(oc.Backtracks, 0) }},
+		{"every column short of the unit", func(oc *OutcomeColumns) {
+			k := strings.IndexByte(oc.Status, 't')
+			oc.Status, oc.Phase = oc.Status[:k]+oc.Status[k+1:], oc.Phase[:k]+oc.Phase[k+1:]
+			oc.Decisions = append(oc.Decisions[:k:k], oc.Decisions[k+1:]...)
+			oc.Backtracks = append(oc.Backtracks[:k:k], oc.Backtracks[k+1:]...)
+			oc.Tests = oc.Tests[1:]
+		}},
+		{"unknown status code", func(oc *OutcomeColumns) { oc.Status = "x" + oc.Status[1:] }},
+		{"unknown phase code", func(oc *OutcomeColumns) { oc.Phase = oc.Phase[:1] + "P" + oc.Phase[2:] }},
+		{"tests short", func(oc *OutcomeColumns) { oc.Tests = oc.Tests[1:] }},
+		{"tests long", func(oc *OutcomeColumns) { oc.Tests = append(oc.Tests, oc.Tests[0]) }},
+		{"raws short", func(oc *OutcomeColumns) { oc.Raws = oc.Tests[1:] }},
+		{"raws long", func(oc *OutcomeColumns) { oc.Raws = append(slices.Clone(oc.Tests), oc.Tests[0]) }},
+		{"test does not parse", func(oc *OutcomeColumns) { oc.Tests[len(oc.Tests)-1] = "01 -> 1z" }},
+		{"raw does not parse", func(oc *OutcomeColumns) { oc.Raws = slices.Clone(oc.Tests); oc.Raws[0] = "0 1" }},
+		{"test too wide", func(oc *OutcomeColumns) { oc.Tests[0] = wide }},
+		{"raw too wide", func(oc *OutcomeColumns) { oc.Raws = slices.Clone(oc.Tests); oc.Raws[1] = wide }},
+	} {
+		post := valid
+		post.Units = slices.Clone(valid.Units)
+		oc := valid.Units[1].Outcomes
+		oc.Decisions, oc.Backtracks, oc.Tests = slices.Clone(oc.Decisions), slices.Clone(oc.Backtracks), slices.Clone(oc.Tests)
+		tc.mangle(&oc)
+		post.Units[1].Outcomes = oc
+		journaled := ledgerSizes(t, dir)
+		_, err := cl.PostUnitResults(ctx, sub.JobID, post)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad-unit" {
+			t.Errorf("%s: err = %v, want 400 bad-unit", tc.name, err)
+		}
+		if st, err := cl.Status(ctx, sub.JobID); err != nil || st.Settled != 0 {
+			t.Fatalf("%s: settled %d (err %v), want 0", tc.name, st.Settled, err)
+		}
+		if got := ledgerSizes(t, dir); !maps.Equal(got, journaled) {
+			t.Fatalf("%s: the refused post was journaled: ledger %v, before %v", tc.name, got, journaled)
+		}
+	}
+	if resp, err := cl.PostUnitResults(ctx, sub.JobID, valid); err != nil || resp.Stale {
+		t.Fatalf("the well-formed post: stale %v, err %v", resp.Stale, err)
+	}
+	st, err := cl.Status(ctx, sub.JobID)
+	if want := len(lease.Units[0].Faults) + len(lease.Units[1].Faults); err != nil || st.Settled != want || st.Duplicates != 0 {
+		t.Fatalf("after the well-formed post: settled %d, duplicates %d (err %v); want %d and 0", st.Settled, st.Duplicates, err, want)
 	}
 }
 
@@ -506,11 +612,7 @@ func TestServiceRefusesOversizeBodies(t *testing.T) {
 	}
 	post := PostResults{Worker: "big"}
 	for _, u := range granted.Units {
-		outs := make([]WireOutcome, len(u.Faults))
-		for i := range outs {
-			outs[i] = WireOutcome{Status: "aborted", Phase: "aptpg"}
-		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outs})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: sameOutcomes(len(u.Faults), core.RemoteOutcome{Status: core.Aborted, Phase: core.PhaseAPTPG})})
 	}
 	journaled := ledgerSizes(t, dir)
 	assertTooLarge(t, servePadded(t, co, "/jobs/"+sub.JobID+"/results", post, maxResultsBody+1), "POST /jobs/{id}/results")
@@ -534,8 +636,8 @@ func TestServiceRefusesOversizeBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
-		if want := localResults[i].Status.String(); r.Status != want {
+	for i, r := range decoded(t, faults, resp) {
+		if want := localResults[i].Status; r.Status != want {
 			t.Fatalf("fault %d: status %s, local %s", i, r.Status, want)
 		}
 	}
@@ -581,8 +683,8 @@ func TestServiceCancel(t *testing.T) {
 	if resp.State != "canceled" {
 		t.Fatalf("results state %q, want canceled", resp.State)
 	}
-	for i, r := range resp.Results {
-		if r.Status == "pending" {
+	for i, r := range decoded(t, faults, resp) {
+		if r.Status == core.Pending {
 			t.Fatalf("fault %s left pending after cancel", faults[i].Describe(c))
 		}
 	}
@@ -639,8 +741,8 @@ func TestServiceMultiTenant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range resp.Results {
-			if want := tn.results[i].Status.String(); r.Status != want {
+		for i, r := range decoded(t, tn.faults, resp) {
+			if want := tn.results[i].Status; r.Status != want {
 				t.Fatalf("%s fault %d: status %s, local %s", tn.name, i, r.Status, want)
 			}
 		}
@@ -675,21 +777,26 @@ func TestServiceEvents(t *testing.T) {
 	}
 	seen := 0
 	from := 0
-	settled := make(map[int]string)
+	settled := make(map[int]core.Status)
 	for {
 		ev, err := cl.Events(ctx, sub.JobID, from, 2*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range ev.Events {
-			if _, dup := settled[e.Index]; dup || e.Index < 0 || e.Index >= len(faults) {
-				t.Fatalf("settle event with index %d: out of range or repeated", e.Index)
+		events, err := ev.Events.DecodePage(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, e := range events {
+			i := ev.Events.Index[k]
+			if _, dup := settled[i]; dup {
+				t.Fatalf("settle event with index %d repeated", i)
 			}
-			settled[e.Index] = e.Status
+			settled[i] = e.Status
 			if e.PatternIndex != -1 {
 				t.Fatalf("settle event carries pattern index %d, want -1 (merge has not happened)", e.PatternIndex)
 			}
-			if e.Status == "pending" {
+			if e.Status == core.Pending {
 				t.Fatal("settle event with pending status")
 			}
 			seen++
@@ -706,7 +813,7 @@ func TestServiceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range resp.Results {
+	for i, r := range decoded(t, faults, resp) {
 		if settled[i] != r.Status {
 			t.Errorf("fault %d settled as %s, final status %s", i, settled[i], r.Status)
 		}

@@ -175,88 +175,110 @@ func (o JobOptions) ToCore() (core.Options, error) {
 	return opts, nil
 }
 
-// WireOutcome is a core.RemoteOutcome in wire form: status and phase by
-// name, patterns in the "V1 -> V2" text notation.
-type WireOutcome struct {
-	Status     string `json:"status"`
-	Phase      string `json:"phase,omitempty"`
-	Decisions  int    `json:"decisions,omitempty"`
-	Backtracks int    `json:"backtracks,omitempty"`
-	Test       string `json:"test,omitempty"`
-	Raw        string `json:"raw,omitempty"`
+// The status and phase codes of the outcome and result columns: one byte
+// per fault, the first letter of core.Status.String and core.Phase.String.
+// A status's or phase's value is its position in the string; the generator
+// settles no fault under core.PhasePruning, which has none.
+const (
+	statusCodes = "ptrad" // pending, tested, redundant, aborted, detected-by-simulation
+	phaseCodes  = "nfas"  // none, fptpg, aptpg, simulation
+)
+
+// OutcomeColumns are a unit's outcomes in wire form, one column per field
+// and one entry per fault, in the unit's fault order: a results post carries
+// them, and so does the ledger's record of a completed unit.  Status and
+// Phase hold one code byte per fault (statusCodes, phaseCodes); Tests holds
+// the "V1 -> V2" text of the Tested faults' tests, in order, and Raws their
+// X-preserving forms when the options track them (Options.EmitUnfilled),
+// else nothing.
+type OutcomeColumns struct {
+	Status     string   `json:"status"`
+	Phase      string   `json:"phase"`
+	Decisions  []int    `json:"decisions"`
+	Backtracks []int    `json:"backtracks"`
+	Tests      []string `json:"tests,omitempty"`
+	Raws       []string `json:"raws,omitempty"`
 }
 
-// statusNames matches core.Status.String.
-var statusNames = map[string]core.Status{
-	"pending":                core.Pending,
-	"tested":                 core.Tested,
-	"redundant":              core.Redundant,
-	"aborted":                core.Aborted,
-	"detected-by-simulation": core.DetectedBySim,
+// outcomeColumns renders a unit's outcomes for the wire.
+func outcomeColumns(outs []core.RemoteOutcome) OutcomeColumns {
+	return columnsOf(len(outs), func(k int) core.RemoteOutcome { return outs[k] })
 }
 
-// phaseNames matches core.Phase.String.
-var phaseNames = map[string]core.Phase{
-	"none":       core.PhaseNone,
-	"fptpg":      core.PhaseFPTPG,
-	"aptpg":      core.PhaseAPTPG,
-	"simulation": core.PhaseSimulation,
-}
-
-// EncodeOutcome renders a remote outcome for the wire.
-func EncodeOutcome(o core.RemoteOutcome) WireOutcome {
-	w := WireOutcome{
-		Status:     o.Status.String(),
-		Phase:      o.Phase.String(),
-		Decisions:  o.Decisions,
-		Backtracks: o.Backtracks,
-	}
-	if o.Status == core.Tested {
-		w.Test = o.Test.String()
-		if o.Raw.Len() > 0 {
-			w.Raw = o.Raw.String()
-		}
-	}
-	return w
-}
-
-// DecodeOutcome parses a wire outcome.
-func DecodeOutcome(w WireOutcome) (core.RemoteOutcome, error) {
-	st, ok := statusNames[w.Status]
-	if !ok {
-		return core.RemoteOutcome{}, fmt.Errorf("service: unknown status %q", w.Status)
-	}
-	ph, ok := phaseNames[w.Phase]
-	if !ok && w.Phase != "" {
-		return core.RemoteOutcome{}, fmt.Errorf("service: unknown phase %q", w.Phase)
-	}
-	o := core.RemoteOutcome{Status: st, Phase: ph, Decisions: w.Decisions, Backtracks: w.Backtracks}
-	if st == core.Tested {
-		p, err := pattern.ParsePair(w.Test)
-		if err != nil {
-			return core.RemoteOutcome{}, fmt.Errorf("service: bad test pattern: %w", err)
-		}
-		o.Test = p
-		if w.Raw != "" {
-			raw, err := pattern.ParsePair(w.Raw)
-			if err != nil {
-				return core.RemoteOutcome{}, fmt.Errorf("service: bad raw pattern: %w", err)
+// columnsOf renders n outcomes, the k-th of which row returns, as columns.
+// A generator records the raw form of every Tested fault's test or of none,
+// so Raws holds one per Tested fault or is empty.
+func columnsOf(n int, row func(k int) core.RemoteOutcome) OutcomeColumns {
+	status, phase := make([]byte, n), make([]byte, n)
+	oc := OutcomeColumns{Decisions: make([]int, n), Backtracks: make([]int, n)}
+	for k := range n {
+		o := row(k)
+		status[k], phase[k] = statusCodes[o.Status], phaseCodes[o.Phase]
+		oc.Decisions[k], oc.Backtracks[k] = o.Decisions, o.Backtracks
+		if o.Status == core.Tested {
+			oc.Tests = append(oc.Tests, o.Test.String())
+			if o.Raw.Len() > 0 {
+				oc.Raws = append(oc.Raws, o.Raw.String())
 			}
-			o.Raw = raw
 		}
 	}
-	return o, nil
+	oc.Status, oc.Phase = string(status), string(phase)
+	return oc
 }
 
-// DecodeOutcomes maps DecodeOutcome over a list.
-func DecodeOutcomes(ws []WireOutcome) ([]core.RemoteOutcome, error) {
-	out := make([]core.RemoteOutcome, len(ws))
-	for i, w := range ws {
-		o, err := DecodeOutcome(w)
-		if err != nil {
-			return nil, fmt.Errorf("outcome %d: %w", i, err)
+// decode checks the columns as the outcomes of n faults and calls row with
+// each outcome, in order.  Every column must hold n entries, every code must
+// be known, Tests must hold exactly one pattern per Tested fault and Raws
+// none or one per Tested fault, and every pattern must parse.  A failure
+// stops the walk: the caller discards what row saw.
+func (oc *OutcomeColumns) decode(n int, row func(k int, o core.RemoteOutcome)) error {
+	if len(oc.Status) != n || len(oc.Phase) != n || len(oc.Decisions) != n || len(oc.Backtracks) != n {
+		return fmt.Errorf("service: columns of %d status, %d phase, %d decisions and %d backtracks entries for %d faults",
+			len(oc.Status), len(oc.Phase), len(oc.Decisions), len(oc.Backtracks), n)
+	}
+	if len(oc.Raws) != 0 && len(oc.Raws) != len(oc.Tests) {
+		return fmt.Errorf("service: %d raw patterns for %d tests", len(oc.Raws), len(oc.Tests))
+	}
+	tested := 0
+	for k := 0; k < n; k++ {
+		st := strings.IndexByte(statusCodes, oc.Status[k])
+		if st < 0 {
+			return fmt.Errorf("service: outcome %d: unknown status code %q", k, oc.Status[k])
 		}
-		out[i] = o
+		ph := strings.IndexByte(phaseCodes, oc.Phase[k])
+		if ph < 0 {
+			return fmt.Errorf("service: outcome %d: unknown phase code %q", k, oc.Phase[k])
+		}
+		o := core.RemoteOutcome{Status: core.Status(st), Phase: core.Phase(ph), Decisions: oc.Decisions[k], Backtracks: oc.Backtracks[k]}
+		if o.Status == core.Tested {
+			if tested == len(oc.Tests) {
+				return fmt.Errorf("service: more tested outcomes than the %d tests", len(oc.Tests))
+			}
+			var err error
+			if o.Test, err = pattern.ParsePair(oc.Tests[tested]); err != nil {
+				return fmt.Errorf("service: outcome %d: bad test pattern: %w", k, err)
+			}
+			if len(oc.Raws) > 0 {
+				if o.Raw, err = pattern.ParsePair(oc.Raws[tested]); err != nil {
+					return fmt.Errorf("service: outcome %d: bad raw pattern: %w", k, err)
+				}
+			}
+			tested++
+		}
+		row(k, o)
+	}
+	if tested != len(oc.Tests) {
+		return fmt.Errorf("service: %d tests for %d tested outcomes", len(oc.Tests), tested)
+	}
+	return nil
+}
+
+// outcomes decodes the columns as the outcomes of a unit of n faults (see
+// decode).
+func (oc *OutcomeColumns) outcomes(n int) ([]core.RemoteOutcome, error) {
+	out := make([]core.RemoteOutcome, n)
+	if err := oc.decode(n, func(k int, o core.RemoteOutcome) { out[k] = o }); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -277,12 +299,13 @@ func passSpec(o core.Options) WireSpec {
 }
 
 // WireUnit is one leased work unit: its stable ID within the job's unit cut
-// and the fault indices (into the job's fault list) it groups.  Workers
-// process the unit whole — regrouping would change FPTPG batch composition
-// and with it the outcomes.
+// and the faults it groups, in wire form, as the job's submitted list holds
+// them.  A lease is the only way a fault reaches a worker, so each crosses
+// the wire once per lease of its unit.  Workers process the unit whole —
+// regrouping would change FPTPG batch composition and with it the outcomes.
 type WireUnit struct {
-	ID     int   `json:"id"`
-	Faults []int `json:"faults"`
+	ID     int         `json:"id"`
+	Faults []WireFault `json:"faults"`
 }
 
 // unitsPerLease is the batch a worker asks for in each lease request, and
@@ -290,96 +313,109 @@ type WireUnit struct {
 // units per round trip spreads the wire latency over more generation work.
 const unitsPerLease = 4
 
-// WireResult is one fault's result as reported to clients (events and final
-// results).  Index is the fault's position in the job's fault list: the
-// client holds that list (it submitted it), so the fault itself is not sent
-// back.  PatternIndex refers to the job's merged, compacted test set; in
-// settle events it is -1 (indices exist only after the merge).
-type WireResult struct {
-	Index        int    `json:"index"`
-	Status       string `json:"status"`
-	Phase        string `json:"phase,omitempty"`
-	PatternIndex int    `json:"pattern_index"`
-	Decisions    int    `json:"decisions,omitempty"`
-	Backtracks   int    `json:"backtracks,omitempty"`
-	Test         string `json:"test,omitempty"`
-	Err          string `json:"err,omitempty"`
+// ResultColumns are faults' results as reported to clients, in final
+// results and in settle-event pages: the outcome columns (Raws stays empty)
+// plus each row's pattern index, fault index and error.  Index holds each
+// row's fault as its position in the job's fault list: the client holds
+// that list (it submitted it), so the fault itself is not sent back.  The
+// final results leave Index empty, which means fault order: row k is fault
+// k.  PatternIndex refers to the job's merged, compacted test set; in settle
+// events it is -1 (indices exist only after the merge).  Errs maps a row to
+// its fault's error, for the few that carry one.
+type ResultColumns struct {
+	OutcomeColumns
+	PatternIndex []int          `json:"pattern_index"`
+	Index        []int          `json:"index,omitempty"`
+	Errs         map[int]string `json:"errs,omitempty"`
 }
 
-// EncodeResult renders the result of the job's index-th fault for the wire.
-// patternIndex overrides the result's own index (settle events pass -1:
-// merge indices do not exist yet when a fault settles).
-func EncodeResult(index int, r core.FaultResult, patternIndex int) WireResult {
-	w := WireResult{
+// resultColumns renders results for the wire: index holds each result's
+// position in the job's fault list, or is nil for results in fault order.
+func resultColumns(index []int, results []core.FaultResult) ResultColumns {
+	rc := ResultColumns{
+		OutcomeColumns: columnsOf(len(results), func(k int) core.RemoteOutcome {
+			r := &results[k]
+			return core.RemoteOutcome{Status: r.Status, Phase: r.Phase, Decisions: r.Decisions, Backtracks: r.Backtracks, Test: r.Test}
+		}),
+		PatternIndex: make([]int, len(results)),
 		Index:        index,
-		Status:       r.Status.String(),
-		Phase:        r.Phase.String(),
-		PatternIndex: patternIndex,
-		Decisions:    r.Decisions,
-		Backtracks:   r.Backtracks,
 	}
-	if r.Status == core.Tested {
-		w.Test = r.Test.String()
+	for k, r := range results {
+		rc.PatternIndex[k] = r.PatternIndex
+		if r.Err != nil {
+			if rc.Errs == nil {
+				rc.Errs = make(map[int]string)
+			}
+			rc.Errs[k] = r.Err.Error()
+		}
 	}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-	}
-	return w
+	return rc
 }
 
-// DecodeResult parses a wire result back into a core fault result (the
-// inverse of EncodeResult, used by the atpg facade's remote engine).  faults
-// is the job's fault list, as submitted; the result's fault is the one at
-// its index, and an index outside the list is an error.
-func DecodeResult(faults []paths.Fault, w WireResult) (core.FaultResult, error) {
-	if w.Index < 0 || w.Index >= len(faults) {
-		return core.FaultResult{}, fmt.Errorf("service: result index %d out of range for %d faults", w.Index, len(faults))
+// DecodeFinal parses a finished job's results into core fault results (the
+// inverse of the coordinator's rendering, used by the atpg facade's remote
+// engine).  faults is the job's fault list, as submitted.  The rows must be
+// in fault order, Index empty and exactly one row per fault: row k is fault
+// k.  A column of another length and everything the outcome columns refuse
+// (see decode) are errors.
+func (rc *ResultColumns) DecodeFinal(faults []paths.Fault) ([]core.FaultResult, error) {
+	switch {
+	case len(rc.Index) != 0:
+		return nil, fmt.Errorf("service: final results carry %d fault indices, want none (fault order)", len(rc.Index))
+	case len(rc.Status) != len(faults):
+		return nil, fmt.Errorf("service: %d results for %d faults", len(rc.Status), len(faults))
 	}
-	st, ok := statusNames[w.Status]
-	if !ok {
-		return core.FaultResult{}, fmt.Errorf("service: unknown status %q", w.Status)
-	}
-	ph, ok := phaseNames[w.Phase]
-	if !ok && w.Phase != "" {
-		return core.FaultResult{}, fmt.Errorf("service: unknown phase %q", w.Phase)
-	}
-	r := core.FaultResult{
-		Fault:        faults[w.Index],
-		Status:       st,
-		Phase:        ph,
-		PatternIndex: w.PatternIndex,
-		Decisions:    w.Decisions,
-		Backtracks:   w.Backtracks,
-	}
-	if w.Test != "" {
-		p, err := pattern.ParsePair(w.Test)
-		if err != nil {
-			return core.FaultResult{}, fmt.Errorf("service: bad test pattern: %w", err)
-		}
-		r.Test = p
-	}
-	if w.Err != "" {
-		r.Err = errors.New(w.Err)
-	}
-	return r, nil
+	return rc.rows(faults)
 }
 
-// DecodeResults decodes a finished job's results against the job's fault
-// list: one result per fault, each at its own index.
-func DecodeResults(faults []paths.Fault, ws []WireResult) ([]core.FaultResult, error) {
-	if len(ws) != len(faults) {
-		return nil, fmt.Errorf("service: %d results for %d faults", len(ws), len(faults))
+// DecodePage parses a page of settle events into core fault results.  faults
+// is the job's fault list, as submitted: row k's fault is the one at
+// Index[k], so Index must hold one entry per row, each within the list.  A
+// column of another length and everything the outcome columns refuse (see
+// decode) are errors too.
+func (rc *ResultColumns) DecodePage(faults []paths.Fault) ([]core.FaultResult, error) {
+	if len(rc.Index) != len(rc.Status) {
+		return nil, fmt.Errorf("service: %d fault indices for %d results", len(rc.Index), len(rc.Status))
 	}
-	out := make([]core.FaultResult, len(ws))
-	for i, w := range ws {
-		if w.Index != i {
-			return nil, fmt.Errorf("service: result %d carries index %d", i, w.Index)
+	for k, fi := range rc.Index {
+		if fi < 0 || fi >= len(faults) {
+			return nil, fmt.Errorf("service: result %d: fault index %d out of range for %d faults", k, fi, len(faults))
 		}
-		r, err := DecodeResult(faults, w)
-		if err != nil {
-			return nil, fmt.Errorf("result %d: %w", i, err)
+	}
+	return rc.rows(faults)
+}
+
+// rows decodes the columns' rows once their count and Index are checked:
+// row k's fault is faults[Index[k]], or faults[k] when Index is empty.
+func (rc *ResultColumns) rows(faults []paths.Fault) ([]core.FaultResult, error) {
+	n := len(rc.Status)
+	if len(rc.PatternIndex) != n {
+		return nil, fmt.Errorf("service: %d pattern indices for %d results", len(rc.PatternIndex), n)
+	}
+	out := make([]core.FaultResult, n)
+	err := rc.decode(n, func(k int, o core.RemoteOutcome) {
+		fi := k
+		if len(rc.Index) != 0 {
+			fi = rc.Index[k]
 		}
-		out[i] = r
+		out[k] = core.FaultResult{
+			Fault:        faults[fi],
+			Status:       o.Status,
+			Phase:        o.Phase,
+			Test:         o.Test,
+			PatternIndex: rc.PatternIndex[k],
+			Decisions:    o.Decisions,
+			Backtracks:   o.Backtracks,
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, msg := range rc.Errs {
+		if k < 0 || k >= n {
+			return nil, fmt.Errorf("service: error of result %d out of range for %d results", k, n)
+		}
+		out[k].Err = errors.New(msg)
 	}
 	return out, nil
 }
@@ -445,19 +481,19 @@ type (
 		Patterns []string   `json:"patterns,omitempty"`
 	}
 
-	// JobSpec is what a worker needs to set up a job-local generator.
+	// JobSpec is what a worker needs to set up a job-local generator.  The
+	// faults are not in it: each reaches the worker on the lease of its unit.
 	JobSpec struct {
-		JobID       string      `json:"job_id"`
-		CircuitHash string      `json:"circuit_hash"`
-		Options     JobOptions  `json:"options"`
-		Faults      []WireFault `json:"faults"`
+		JobID       string     `json:"job_id"`
+		CircuitHash string     `json:"circuit_hash"`
+		Options     JobOptions `json:"options"`
 	}
 
 	// UnitResult reports one processed unit: the leased unit's ID and one
 	// outcome per fault, in the unit's fault order.
 	UnitResult struct {
-		ID       int           `json:"id"`
-		Outcomes []WireOutcome `json:"outcomes"`
+		ID       int            `json:"id"`
+		Outcomes OutcomeColumns `json:"outcomes"`
 	}
 
 	// PostResults reports a batch of processed units and the search effort
@@ -476,22 +512,23 @@ type (
 		Canceled bool `json:"canceled,omitempty"`
 	}
 
-	// EventsResponse is a page of settle events starting at cursor From.
+	// EventsResponse is a page of settle events starting at cursor From:
+	// one row per fault settled, in settle order, each with its index.
 	EventsResponse struct {
-		Events []WireResult `json:"events"`
-		Next   int          `json:"next"`
-		Done   bool         `json:"done"`
+		Events ResultColumns `json:"events"`
+		Next   int           `json:"next"`
+		Done   bool          `json:"done"`
 	}
 
-	// ResultsResponse is a finished job's full outcome: input-ordered
-	// results, the merged (and compacted) test set in pattern.Set text form,
-	// and the aggregated statistics.
+	// ResultsResponse is a finished job's full outcome: the results in
+	// fault order (their Index left empty), the merged (and compacted) test
+	// set in pattern.Set text form, and the aggregated statistics.
 	ResultsResponse struct {
-		JobID   string       `json:"job_id"`
-		State   string       `json:"state"`
-		Results []WireResult `json:"results"`
-		Tests   string       `json:"tests"`
-		Stats   core.Stats   `json:"stats"`
+		JobID   string        `json:"job_id"`
+		State   string        `json:"state"`
+		Results ResultColumns `json:"results"`
+		Tests   string        `json:"tests"`
+		Stats   core.Stats    `json:"stats"`
 	}
 
 	// ErrorResponse is the body of every non-2xx response.

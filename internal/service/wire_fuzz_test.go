@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +22,8 @@ import (
 // request carries a short context, so a body asking for a parked lease
 // returns when it ends.  The raw body is also decoded as a wire fault
 // string, which must be refused unless it is the exact encoding of a fault
-// of the circuit: every malformed string returns an error.
+// of the circuit: every malformed string returns an error.  Outcome columns
+// that decode render to columns that decode, and render again the same.
 func FuzzWire(f *testing.F) {
 	c, text := benchText(f, "c17")
 	faults := paths.SampleFaults(c, 8, 1995)
@@ -54,18 +56,33 @@ func FuzzWire(f *testing.F) {
 		f.Fatalf("submit: HTTP %d: %s", rec.Code, rec.Body)
 	}
 
-	// Seeds: one valid body of every shape the target decodes.
+	// Seeds: a valid and a malformed body of every shape the target
+	// decodes.
 	outs, _ := core.New(c, coreOpts).ProcessRemoteUnit(context.Background(), faults[:1], nil)
-	wire := []WireOutcome{EncodeOutcome(outs[0])}
+	cols := outcomeColumns(outs)
 	f.Add(mustJSON(LeaseRequest{Worker: "w", MaxUnits: 2}))
 	f.Add(mustJSON(LeaseRequest{Worker: "w", WaitMS: 10}))
-	f.Add(mustJSON(PostResults{Worker: "w", Units: []UnitResult{{ID: 0, Outcomes: wire}}}))
-	f.Add(mustJSON(wire))
+	f.Add(mustJSON(PostResults{Worker: "w", Units: []UnitResult{{ID: 0, Outcomes: cols}}}))
+	f.Add([]byte(`{"worker":"w","units":[{"id":-1,"outcomes":{}}]}`))
+	f.Add([]byte(`{"worker":"w","units":[{"id":0,"outcomes":{"status":"tt","phase":"f","decisions":[0],"backtracks":[0],"tests":["0 -> 1"]}}]}`))
+	f.Add(mustJSON(cols))
+	f.Add([]byte(`{"status":"q","phase":"f","decisions":[1],"backtracks":[0],"raws":["0 -> 1"]}`))
 	f.Add(mustJSON(wireFaults))
-	result := EncodeResult(0, core.FaultResult{Fault: faults[0], Status: core.Tested, Test: outs[0].Test}, 0)
-	f.Add(mustJSON(result))
-	f.Add(mustJSON([]WireResult{result}))
-	f.Add([]byte(`{"worker":"w","units":[{"id":-1,"outcomes":[]}]}`))
+	f.Add(mustJSON(LeaseResponse{JobID: "j1", Units: []WireUnit{{ID: 0, Faults: wireFaults[:2]}}}))
+	f.Add([]byte(`{"job_id":"j1","units":[{"id":0,"faults":["rising"]}]}`))
+	f.Add(mustJSON(JobSpec{JobID: "j1", CircuitHash: HashBench(text), Options: opts}))
+	f.Add([]byte(`{"job_id":"j1","options":{"word_width":-1},"faults":[0]}`))
+	all := make([]core.FaultResult, len(faults))
+	for i := range all {
+		all[i] = core.FaultResult{Fault: faults[i], Status: core.Aborted, PatternIndex: -1, Err: context.Canceled}
+	}
+	all[0] = core.FaultResult{Fault: faults[0], Status: outs[0].Status, Phase: outs[0].Phase, Test: outs[0].Test}
+	results := resultColumns(nil, all)
+	f.Add(mustJSON(ResultsResponse{JobID: "j1", State: stateDone, Results: results}))
+	f.Add([]byte(`{"job_id":"j1","results":{"status":"a","phase":"n","decisions":[0],"backtracks":[0],"pattern_index":[-1]}}`))
+	f.Add(mustJSON(EventsResponse{Events: resultColumns([]int{3, 0}, []core.FaultResult{all[3], all[0]}), Next: 2}))
+	f.Add([]byte(`{"events":{"status":"aa","phase":"nn","decisions":[0,0],"backtracks":[0,0],"pattern_index":[-1,-1],"index":[0,8]},"next":2}`))
+	f.Add(mustJSON(results))
 	for _, wf := range wireFaults[:2] {
 		f.Add([]byte(wf))
 	}
@@ -82,17 +99,41 @@ func FuzzWire(f *testing.F) {
 		if json.Unmarshal(body, &wfs) == nil {
 			_, _ = DecodeFaults(c, wfs)
 		}
-		var wos []WireOutcome
-		if json.Unmarshal(body, &wos) == nil {
-			_, _ = DecodeOutcomes(wos)
+		var oc OutcomeColumns
+		if json.Unmarshal(body, &oc) == nil {
+			if outs, err := oc.outcomes(len(oc.Status)); err == nil {
+				canon := outcomeColumns(outs)
+				again, err := canon.outcomes(len(outs))
+				if err != nil {
+					t.Fatalf("columns %+v decode, but their rendering %+v does not: %v", oc, canon, err)
+				}
+				if back := outcomeColumns(again); !reflect.DeepEqual(back, canon) {
+					t.Fatalf("columns render as %+v, then as %+v", canon, back)
+				}
+			}
 		}
-		var wr WireResult
-		if json.Unmarshal(body, &wr) == nil {
-			_, _ = DecodeResult(faults, wr)
+		var rc ResultColumns
+		if json.Unmarshal(body, &rc) == nil {
+			_, _ = rc.DecodeFinal(faults)
+			_, _ = rc.DecodePage(faults)
 		}
-		var wrs []WireResult
-		if json.Unmarshal(body, &wrs) == nil {
-			_, _ = DecodeResults(faults, wrs)
+		var spec JobSpec
+		if json.Unmarshal(body, &spec) == nil {
+			_, _ = spec.Options.ToCore()
+		}
+		var lease LeaseResponse
+		if json.Unmarshal(body, &lease) == nil {
+			for _, u := range lease.Units {
+				_, _ = DecodeFaults(c, u.Faults)
+			}
+		}
+		var results ResultsResponse
+		if json.Unmarshal(body, &results) == nil {
+			_, _ = results.Results.DecodeFinal(faults)
+		}
+		var events EventsResponse
+		if json.Unmarshal(body, &events) == nil {
+			_, _ = events.Events.DecodePage(faults)
 		}
 		for _, path := range []string{API + "/lease", API + "/jobs/" + sub.JobID + "/results"} {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/paths"
 	"repro/internal/pattern"
 	"repro/internal/retry"
 )
@@ -84,7 +83,6 @@ type workerJob struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	gen    *core.Generator
-	faults []paths.Fault
 }
 
 // NewWorker builds a worker for the coordinator named in the config.
@@ -187,24 +185,17 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 		}
 	}
 
-	post := PostResults{Worker: wk.cfg.ID}
+	post := PostResults{Worker: wk.cfg.ID, Units: make([]UnitResult, 0, len(lease.Units))}
 	for _, u := range lease.Units {
-		ufaults := make([]paths.Fault, len(u.Faults))
-		for i, fi := range u.Faults {
-			if fi < 0 || fi >= len(wj.faults) {
-				return // malformed lease; let it expire
-			}
-			ufaults[i] = wj.faults[fi]
+		faults, err := DecodeFaults(wj.gen.Circuit(), u.Faults)
+		if err != nil {
+			return // malformed lease; let it expire
 		}
-		outs, effort := wj.gen.ProcessRemoteUnit(wj.ctx, ufaults, foreign)
+		outs, effort := wj.gen.ProcessRemoteUnit(wj.ctx, faults, foreign)
 		post.Effort.Add(effort)
 		wk.units.Add(1)
 		foreign = nil
-		wire := make([]WireOutcome, len(outs))
-		for i, o := range outs {
-			wire[i] = EncodeOutcome(o)
-		}
-		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: wire})
+		post.Units = append(post.Units, UnitResult{ID: u.ID, Outcomes: outcomeColumns(outs)})
 	}
 	if wj.ctx.Err() != nil || ctx.Err() != nil {
 		// Canceled mid-batch: the outcomes may be truncated.  Drop the batch
@@ -222,9 +213,8 @@ func (wk *Worker) process(ctx context.Context, lease LeaseResponse) {
 }
 
 // jobState returns (building on first use) the worker's state for a job:
-// a generator over the coordinator's circuit plus the decoded fault list,
-// and a watcher that cancels the job context when the coordinator reports
-// the job finished or canceled.
+// a generator over the coordinator's circuit, and a watcher that cancels the
+// job context when the coordinator reports the job finished or canceled.
 func (wk *Worker) jobState(ctx context.Context, lease LeaseResponse) (*workerJob, error) {
 	wk.mu.Lock()
 	wj, ok := wk.jobs[lease.JobID]
@@ -252,17 +242,12 @@ func (wk *Worker) jobState(ctx context.Context, lease LeaseResponse) (*workerJob
 	if err != nil {
 		return nil, err
 	}
-	faults, err := DecodeFaults(c, spec.Faults)
-	if err != nil {
-		return nil, err
-	}
 	jctx, cancel := context.WithCancel(ctx)
 	wj = &workerJob{
 		id:     lease.JobID,
 		ctx:    jctx,
 		cancel: cancel,
 		gen:    core.New(c, opts),
-		faults: faults,
 	}
 	wk.mu.Lock()
 	if prior, ok := wk.jobs[lease.JobID]; ok {
