@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/pattern"
 	"repro/internal/service"
 )
@@ -58,25 +57,6 @@ func WithRemote(addr string) Option {
 	}
 }
 
-// remoteWireOptions renders the engine's resolved core options in wire form.
-// The facade exposes exactly the wire-expressible option surface, so the
-// mapping is lossless: the coordinator's and workers' core.New normalize
-// the decoded options to the same values used locally.
-func remoteWireOptions(opts core.Options) service.JobOptions {
-	sim := opts.FaultSimInterval
-	return service.JobOptions{
-		Mode:        opts.Mode.String(),
-		WordWidth:   opts.WordWidth,
-		Backtracks:  opts.MaxBacktracks,
-		NoFPTPG:     !opts.UseFPTPG,
-		NoAPTPG:     !opts.UseAPTPG,
-		SimInterval: &sim,
-		Compact:     opts.Compaction.String(),
-		XFill:       opts.CompactionXFill.Name(),
-		XFillSeed:   opts.CompactionXFill.Seed(),
-	}
-}
-
 // submitRemote ships the engine's circuit, options and faults as a job.
 func (e *Engine) submitRemote(ctx context.Context, cl *service.Client, faults []Fault) (service.SubmitResponse, error) {
 	var buf bytes.Buffer
@@ -84,7 +64,7 @@ func (e *Engine) submitRemote(ctx context.Context, cl *service.Client, faults []
 		return service.SubmitResponse{}, err
 	}
 	return cl.SubmitBench(ctx, e.circuit.Name(), buf.String(),
-		remoteWireOptions(e.gen.Options()), service.EncodeFaults(e.circuit.c, faults))
+		service.WireOptions(e.gen.Options()), service.EncodeFaults(e.circuit.c, faults))
 }
 
 // importRemote folds a finished job's outcome into the engine: results are

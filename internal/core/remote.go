@@ -28,8 +28,9 @@ import (
 // first-write-wins per fault, so at-least-once dispatch cannot change any
 // classification.  With the interleaved simulation on, outcomes additionally
 // depend on which patterns arrived before the claim, so — exactly as across
-// local workers — only the coverage class (Tested vs DetectedBySim) is
-// stable, not the individual statuses.
+// local workers — only the Redundant set is stable: a covered fault may
+// read Tested or DetectedBySim, and a fault one run aborts may be dropped
+// by another fault's test in another.
 
 // RemoteOutcome is the outcome of one fault of a remotely processed work
 // unit, as reported back by a worker.  It carries everything the coordinator

@@ -45,17 +45,16 @@ var (
 // everywhere and disables the ledger (jobs are not resumable).
 type Config struct {
 	// LeaseTTL bounds how long a worker may sit on a leased unit before it
-	// is requeued to someone else.  Default 30s.
+	// is requeued to someone else; expired leases are swept every LeaseTTL/4,
+	// at least 50 ms.  Default 30s.
 	LeaseTTL time.Duration
-	// ExpireInterval is the requeue sweep period.  Default LeaseTTL/4.
-	ExpireInterval time.Duration
 	// MaxActive bounds how many jobs generate concurrently; the rest queue.
 	// Default 4.
 	MaxActive int
 	// CacheSize bounds the compiled-circuit cache.  Default 64.
 	CacheSize int
 	// LedgerDir, when set, persists a JSONL unit ledger per job and resumes
-	// incomplete jobs on startup, compacting every ledger first.
+	// unfinished jobs on startup.
 	LedgerDir string
 	// Chaos, when set, injects the configured coordinator-side faults:
 	// torn ledger appends and the lease-clock expiry storm.
@@ -65,12 +64,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.ExpireInterval <= 0 {
-		cfg.ExpireInterval = cfg.LeaseTTL / 4
-		if cfg.ExpireInterval < 50*time.Millisecond {
-			cfg.ExpireInterval = 50 * time.Millisecond
-		}
 	}
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = 4
@@ -114,9 +107,9 @@ type job struct {
 	hash     string
 	cacheHit bool
 
-	wireOpts   JobOptions
+	wireOpts   JobOptions // coreOpts rendered back (WireOptions)
 	coreOpts   core.Options
-	wireFaults []WireFault
+	wireFaults []WireFault // the faults leases carry, nil once the job ends
 	faults     []paths.Fault
 	c          *circuit.Circuit
 
@@ -128,10 +121,10 @@ type job struct {
 
 	mu        sync.Mutex
 	state     string
-	stateSig  broadcast // fires on every state change
-	rr        *core.RemoteRun
-	pass      *passState  // the pass while it is dispatched, nil before and after
-	leases    sched.Stats // the pass's lease counters once it is over
+	stateSig  broadcast       // fires on every state change
+	rr        *core.RemoteRun // the run while it runs, nil once the job ends
+	pass      *passState      // the pass while it is dispatched, nil before and after
+	leases    sched.Stats     // the pass's lease counters once it is over
 	exch      exchange
 	replayed  int // units restored from the ledger
 	results   []core.FaultResult
@@ -445,9 +438,8 @@ func (co *Coordinator) runJob(j *job) {
 	j.rr = rr
 	j.mu.Unlock()
 
-	spec := passSpec(master.Options())
 	results := rr.Run(j.ctx, func(units []sched.Unit) sched.Stats {
-		return co.runPass(j, units, spec)
+		return co.runPass(j, units)
 	})
 
 	var buf bytes.Buffer
@@ -458,29 +450,29 @@ func (co *Coordinator) runJob(j *job) {
 // finalize lands the job in its terminal state: canceled when its context
 // ended, failed when the run reported an error (the master generator's
 // finishing passes could not simulate the merged set — a bug, which must not
-// pass for a done job), done otherwise.
+// pass for a done job), done otherwise.  The journal becomes the job's stub
+// before the state is published, and the run and the faults leases carry
+// are let go: a finished job keeps only what its status, results and event
+// pages serve.
 func (j *job) finalize(results []core.FaultResult, tests string, stats core.Stats, runErr error) {
 	state := stateDone
-	persist := true
 	var reason string
 	switch {
 	case j.ctx.Err() != nil:
 		state = stateCanceled
-		if errors.Is(context.Cause(j.ctx), errShutdown) {
-			// Shutdown is not a verdict on the job: leave the ledger without
-			// a terminal state so a restart resumes it.
-			persist = false
-		}
 	case runErr != nil:
 		state, reason = stateFailed, runErr.Error()
 	}
+	// Shutdown is not a verdict on the job: its journal stays as it is, so
+	// a restart resumes it.
+	if !errors.Is(context.Cause(j.ctx), errShutdown) {
+		j.ledger.Finish(j.id, j.name, state, reason)
+	}
 	j.mu.Lock()
 	j.results, j.testsText, j.stats, j.state, j.err = results, tests, stats, state, reason
+	j.rr, j.wireFaults, j.replay = nil, nil, nil
 	j.mu.Unlock()
 	j.stateSig.fire()
-	if persist {
-		j.ledger.RecordState(state, reason)
-	}
 	j.closeEvents()
 }
 
@@ -498,12 +490,12 @@ func terminal(state string) bool {
 // runPass dispatches the job's units through the lease queue, blocks until
 // every unit has completed (or the job is canceled) and returns the queue's
 // counters.  It is the dispatch callback of core.RemoteRun.Run, so returning
-// is the pass barrier.  spec is recorded in the ledger with the unit cut.
-func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) sched.Stats {
+// is the pass barrier.
+func (co *Coordinator) runPass(j *job, units []sched.Unit) sched.Stats {
 	q := sched.NewLeaseQueue(units)
 	j.mu.Lock()
 	j.pass = &passState{q: q, units: units}
-	j.replayLocked(spec)
+	j.replayLocked()
 	j.mu.Unlock()
 	co.work.fire()
 
@@ -514,7 +506,7 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) sched.
 	tick.Add(1)
 	go func() {
 		defer tick.Done()
-		t := time.NewTicker(co.cfg.ExpireInterval)
+		t := time.NewTicker(max(co.cfg.LeaseTTL/4, 50*time.Millisecond))
 		defer t.Stop()
 		for {
 			select {
@@ -542,32 +534,24 @@ func (co *Coordinator) runPass(j *job, units []sched.Unit, spec WireSpec) sched.
 	return j.leases
 }
 
-// replayLocked restores the job's recorded unit completions from the ledger
-// when the recorded cut is the one the job computes now: each recorded unit
-// that passes the checks a live post gets goes through the same apply path,
-// without dispatching any work, so no patterns are re-generated for units
-// merged before the restart.  A unit that fails them is dispatched again.
-// Otherwise (no recorded cut, or options or code changed under the ledger)
-// the cut is recorded afresh, and the next load reads only the units
-// recorded after it.  Caller holds j.mu.
-func (j *job) replayLocked(spec WireSpec) {
-	ps := j.pass
-	cut := make([][]int, len(ps.units))
-	for i, u := range ps.units {
-		cut[i] = u.Faults
-	}
-	lj := j.replay
-	j.replay = nil
-	if lj == nil || lj.Pass == nil || !passMatches(*lj.Pass, spec, cut) {
-		j.ledger.RecordPass(spec, cut)
+// replayLocked restores a resumed job's recorded unit completions against
+// the cut the job computes now: each recorded unit that passes the checks a
+// live post gets goes through the same apply path, without dispatching any
+// work, so no patterns are re-generated for units merged before the
+// restart.  A unit that fails them is dispatched again, and a unit recorded
+// twice applies once.  Caller holds j.mu.
+func (j *job) replayLocked() {
+	if j.replay == nil {
 		return
 	}
-	for _, lu := range lj.Units {
+	ps := j.pass
+	for _, lu := range j.replay.Units {
 		outs, err := j.checkUnit(ps, lu.Unit, &lu.Outcomes)
 		if err == nil && j.applyUnit(ps, lu.Unit, lu.Worker, outs, lu.Outcomes.Tests) {
 			j.replayed++
 		}
 	}
+	j.replay = nil
 }
 
 // checkUnit decodes a reported unit's outcome columns and checks them
@@ -608,23 +592,6 @@ func (j *job) applyUnit(ps *passState, id int, worker string, outs []core.Remote
 	return true
 }
 
-func passMatches(lp LedgerPass, spec WireSpec, cut [][]int) bool {
-	if lp.Spec != spec || len(lp.Units) != len(cut) {
-		return false
-	}
-	for i, u := range lp.Units {
-		if len(u) != len(cut[i]) {
-			return false
-		}
-		for k, f := range u {
-			if f != cut[i][k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // ---- event stream ----
 
 // appendEvent records the settle of the job's i-th fault; it is the master
@@ -652,29 +619,32 @@ func (j *job) settled() int {
 
 // ---- resume ----
 
+// resume reads every journal in the ledger directory, in file name order,
+// and resumes the unfinished jobs.  It writes only to a journal whose job
+// cannot resume.
 func (co *Coordinator) resume() error {
-	// Every journal's file name reserves its job ID, whether or not a job
-	// loads from the file: one holding only a job record torn by a crash
-	// must not be reused, or the new job would append to the debris.  Then
-	// compact every journal before replaying: terminal jobs shrink to stubs,
-	// incomplete ones lose duplicate completions and torn tails.
-	// Best-effort — a journal that cannot be compacted is still replayable.
-	if paths, err := filepath.Glob(filepath.Join(co.cfg.LedgerDir, "*.jsonl")); err == nil {
-		for _, p := range paths {
-			co.bumpNextID(strings.TrimSuffix(filepath.Base(p), ".jsonl"))
-			_, _, _ = CompactLedgerFile(p)
-		}
-	}
-	ledgers, err := LoadLedgers(co.cfg.LedgerDir)
+	files, err := filepath.Glob(filepath.Join(co.cfg.LedgerDir, "*.jsonl"))
 	if err != nil {
 		return err
 	}
-	for _, lj := range ledgers {
+	slices.Sort(files)
+	for _, path := range files {
+		// A journal's file name reserves its job ID whether or not a job
+		// loads from it: one holding only a job record torn by a crash must
+		// not be reused, or the new job would append to the debris.
+		co.bumpNextID(strings.TrimSuffix(filepath.Base(path), ".jsonl"))
+		lj, err := loadLedgerFile(path)
+		if err != nil {
+			return fmt.Errorf("service: ledger %s: %w", path, err)
+		}
+		if lj == nil {
+			continue
+		}
 		co.bumpNextID(lj.ID)
 		if lj.State != "" {
 			continue // terminal: nothing to resume
 		}
-		err := lj.Err
+		err = lj.Err
 		if err == nil {
 			err = co.resumeJob(lj)
 		}
@@ -727,7 +697,7 @@ func (co *Coordinator) resumeJob(lj *LedgerJob) error {
 		id:         lj.ID,
 		name:       lj.Name,
 		hash:       hash,
-		wireOpts:   lj.Options,
+		wireOpts:   WireOptions(coreOpts),
 		coreOpts:   coreOpts,
 		wireFaults: lj.Faults,
 		faults:     faults,
@@ -801,6 +771,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	wireOpts := WireOptions(coreOpts)
 	id := co.newJobID()
 	var led *Ledger
 	if co.cfg.LedgerDir != "" {
@@ -811,14 +782,14 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		led.SetChaos(co.cfg.Chaos)
 		bench, _ := co.cache.Bench(hash)
-		led.RecordJob(id, req.Name, hash, bench, req.Options, req.Faults)
+		led.RecordJob(id, req.Name, hash, bench, wireOpts, req.Faults)
 	}
 	co.addJob(&job{
 		id:         id,
 		name:       req.Name,
 		hash:       hash,
 		cacheHit:   hit,
-		wireOpts:   req.Options,
+		wireOpts:   wireOpts,
 		coreOpts:   coreOpts,
 		wireFaults: req.Faults,
 		faults:     faults,

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -18,18 +17,15 @@ import (
 
 // The ledger makes jobs resumable across coordinator restarts: one JSONL
 // file per job under the ledger directory records the job itself (circuit
-// text, options, faults — everything needed to re-run it), the unit cut of
-// its pass, each completed unit with its outcomes, and the terminal state.
-// On startup the coordinator replays incomplete ledgers: the job is rebuilt,
-// recorded unit completions are applied without re-dispatching them (no
-// patterns are re-generated for already-merged units), and only the
-// remainder is leased out.  Replay is sound because the unit cut is a
-// deterministic function of the job's options and faults, and a recorded
-// unit goes through the checks and the apply path a live report does.
-//
-// A pass record starts the unit list afresh: a coordinator that finds a
-// recorded cut other than the one it computes records its own, and the
-// units recorded under the old cut never replay again.
+// text, resolved options, faults — everything needed to re-run it), the
+// first completion of each unit with its outcomes, and, once the job ends,
+// its terminal state.  On startup the coordinator replays unfinished
+// ledgers: the job is rebuilt, its recorded unit completions are applied
+// without re-dispatching them (no patterns are re-generated for
+// already-merged units), and only the remainder is leased out.  Replay is
+// sound because the unit cut is a pure function of the job's options and
+// faults (sched.Group), which the job record holds, and a recorded unit
+// goes through the checks and the apply path a live report does.
 //
 // The job record carries the ledger's format version (ledgerVersion).  A
 // job whose record carries none, or another, is not resumed: resume records
@@ -46,19 +42,19 @@ import (
 // ledgered — they are informational, and the search effort of pre-crash
 // units is simply absent from a resumed job's statistics.
 //
-// A live journal holds only the job record, its cut and the units' first
-// completions (a duplicate completion applies nothing, so it is never
-// journaled), besides debris of torn appends.  Resume compacts every
-// journal (CompactLedgerFile) to its replayable content: terminal jobs
-// shrink to a two-line stub, live jobs keep the pass record and one record
-// per distinct completed unit under it (first completion wins, mirroring
-// replay), and torn debris goes.
+// A finished job needs none of its records again, so its journal is
+// replaced whole by a two-line stub (Finish): the job record's identity and
+// version, then the terminal state.  Resume reads nothing else of it, and
+// never rewrites a journal.
 
 // ledgerVersion is the format version of the ledgers this build writes,
 // and the only one it resumes.  A change to what a record holds, or to how
-// replay reads it, takes the next version.  Version 2 records a unit's
-// outcomes as OutcomeColumns; version 1 recorded one object per outcome.
-const ledgerVersion = 2
+// replay reads it, takes the next version, and so does a change to the unit
+// cut (sched.Group), which the ledger does not record: replay applies a
+// recorded unit ID to the cut the job computes now.  Version 3 records no
+// unit cut and the job's resolved options; version 2 recorded the cut in a
+// pass record, and version 1 one object per outcome.
+const ledgerVersion = 3
 
 // LedgerVersionError is why a job whose ledger has another format version
 // than ledgerVersion is not resumed: an older build wrote it (no version,
@@ -77,7 +73,7 @@ func (e *LedgerVersionError) Error() string {
 
 // ledgerRecord is one JSONL line; T selects which fields are meaningful.
 type ledgerRecord struct {
-	T string `json:"t"` // "job", "pass", "unit" or "state"
+	T string `json:"t"` // "job", "unit" or "state"
 
 	// T == "job"
 	Version int         `json:"version,omitempty"`
@@ -88,12 +84,8 @@ type ledgerRecord struct {
 	Options *JobOptions `json:"options,omitempty"`
 	Faults  []WireFault `json:"faults,omitempty"`
 
-	// T == "pass"
-	Spec  *WireSpec `json:"spec,omitempty"`
-	Units [][]int   `json:"units,omitempty"`
-
-	// T == "unit"
-	Unit     int             `json:"unit"`
+	// T == "unit"; unit 0 is recorded without the field
+	Unit     int             `json:"unit,omitempty"`
 	Worker   string          `json:"worker,omitempty"`
 	Outcomes *OutcomeColumns `json:"outcomes,omitempty"`
 
@@ -106,8 +98,9 @@ type ledgerRecord struct {
 // concurrent use and a nil *Ledger is a valid no-op (persistence disabled).
 type Ledger struct {
 	mu    sync.Mutex
-	f     *os.File
-	torn  bool // last line on disk lacks its newline; resync before appending
+	path  string
+	f     *os.File // nil once closed or finished
+	torn  bool     // last line on disk lacks its newline; resync before appending
 	chaos *chaos.Injector
 }
 
@@ -123,7 +116,7 @@ func OpenLedger(dir, jobID string) (*Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Ledger{f: f}
+	l := &Ledger{path: path, f: f}
 	if fi, err := f.Stat(); err == nil {
 		l.torn = hasTornTail(path, fi.Size())
 	}
@@ -193,83 +186,46 @@ func (l *Ledger) RecordJob(id, name, hash, bench string, opts JobOptions, faults
 	l.append(ledgerRecord{T: "job", Version: ledgerVersion, ID: id, Name: name, Hash: hash, Bench: bench, Options: &opts, Faults: faults})
 }
 
-// RecordPass records the unit cut of the job's pass.
-func (l *Ledger) RecordPass(spec WireSpec, units [][]int) {
-	l.append(ledgerRecord{T: "pass", Spec: &spec, Units: units})
-}
-
 // RecordUnit records one completed unit with its outcomes.
 func (l *Ledger) RecordUnit(unit int, worker string, outcomes *OutcomeColumns) {
 	l.append(ledgerRecord{T: "unit", Unit: unit, Worker: worker, Outcomes: outcomes})
 }
 
-// RecordState records a terminal state ("done", "canceled" or "failed")
-// and, for a failed job, the reason.
+// RecordState appends a terminal state and its reason to the journal:
+// resume records a job it cannot resume failed this way.
 func (l *Ledger) RecordState(state, reason string) {
 	l.append(ledgerRecord{T: "state", State: state, Error: reason})
 }
 
-// CompactLedgerFile rewrites one job's ledger file to its replayable
-// content (see renderCompact) when that is smaller; the coordinator runs it
-// over every ledger on resume.  It returns the sizes before and after; a
-// file that would not shrink is left untouched.
-func CompactLedgerFile(path string) (before, after int64, err error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0, 0, err
+// Finish replaces the journal of a job that ended with its two-line stub:
+// the job record's identity and format version, then the terminal state
+// ("done", "canceled" or "failed") and its reason.  The stub goes to a name
+// resume does not read, outside the torn-append failpoint, and is renamed
+// over the journal, so a crash leaves the whole journal or the whole stub.
+// The ledger is closed afterwards.  Like a failed append, a stub that cannot
+// be written is not reported: it leaves the journal, and the job resumable.
+func (l *Ledger) Finish(id, name, state, reason string) {
+	if l == nil {
+		return
 	}
-	before = fi.Size()
-	lj, err := loadLedgerFile(path)
-	if err != nil || lj == nil || lj.Err != nil {
-		// No job record, or a line that does not decode: nothing safe to
-		// rewrite.
-		return before, before, err
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.f == nil {
+		return
 	}
-	snap := renderCompact(lj)
-	if int64(len(snap)) >= before {
-		return before, before, nil
-	}
-	tmp := path + ".compact"
-	if err := os.WriteFile(tmp, snap, 0o644); err != nil {
-		return before, before, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return before, before, err
-	}
-	return before, int64(len(snap)), nil
-}
-
-// renderCompact serializes the snapshot form of a loaded ledger: terminal
-// jobs keep only an identity stub and their state (enough for ID allocation
-// and the resume skip); live jobs keep the full job record, the pass cut and
-// the first completion of each unit recorded under it.
-func renderCompact(lj *LedgerJob) []byte {
+	_ = l.f.Close()
+	l.f = nil
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	if lj.State != "" {
-		_ = enc.Encode(ledgerRecord{T: "job", Version: ledgerVersion, ID: lj.ID, Name: lj.Name})
-		_ = enc.Encode(ledgerRecord{T: "state", State: lj.State, Error: lj.Reason})
-		return buf.Bytes()
+	_ = enc.Encode(ledgerRecord{T: "job", Version: ledgerVersion, ID: id, Name: name})
+	_ = enc.Encode(ledgerRecord{T: "state", State: state, Error: reason})
+	tmp := l.path + ".tmp"
+	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+		return
 	}
-	opts := lj.Options
-	_ = enc.Encode(ledgerRecord{
-		T: "job", Version: ledgerVersion, ID: lj.ID, Name: lj.Name, Hash: lj.Hash, Bench: lj.Bench,
-		Options: &opts, Faults: lj.Faults,
-	})
-	if lp := lj.Pass; lp != nil {
-		spec := lp.Spec
-		_ = enc.Encode(ledgerRecord{T: "pass", Spec: &spec, Units: lp.Units})
-		done := make(map[int]bool)
-		for _, lu := range lj.Units {
-			if done[lu.Unit] {
-				continue // duplicate completion: replay's first-wins drops it too
-			}
-			done[lu.Unit] = true
-			_ = enc.Encode(ledgerRecord{T: "unit", Unit: lu.Unit, Worker: lu.Worker, Outcomes: &lu.Outcomes})
-		}
+	if err := os.Rename(tmp, l.path); err != nil {
+		_ = os.Remove(tmp)
 	}
-	return buf.Bytes()
 }
 
 // Close closes the underlying file.
@@ -303,16 +259,8 @@ type LedgerJob struct {
 	// error.  When the job record itself does not decode, ID comes from the
 	// file name.
 	Err error
-	// Pass is the last recorded unit cut, nil when none was recorded, and
-	// Units the unit completions recorded after it, in journal order.
-	Pass  *LedgerPass
+	// Units are the recorded unit completions, in journal order.
 	Units []LedgerUnit
-}
-
-// LedgerPass is a recorded unit cut.
-type LedgerPass struct {
-	Spec  WireSpec
-	Units [][]int
 }
 
 // LedgerUnit is a recorded unit completion.
@@ -320,28 +268,6 @@ type LedgerUnit struct {
 	Unit     int
 	Worker   string
 	Outcomes OutcomeColumns
-}
-
-// LoadLedgers reads every job ledger under dir, sorted by file name for a
-// deterministic resume order.  Torn lines (see loadLedgerFile) are skipped;
-// files without a job record are ignored unless a line failed to decode.
-func LoadLedgers(dir string) ([]*LedgerJob, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches)
-	var out []*LedgerJob
-	for _, path := range matches {
-		lj, err := loadLedgerFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("service: ledger %s: %w", path, err)
-		}
-		if lj != nil {
-			out = append(out, lj)
-		}
-	}
-	return out, nil
 }
 
 // loadLedgerFile reads one job's ledger.  Two kinds of line are torn writes
@@ -373,9 +299,7 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 			continue
 		}
 		// Unknown fields are ignored, unlike on submit: the job record's
-		// version says whether this build reads the ledger, and replay
-		// reuses only the units of a pass whose recorded cut matches the
-		// one the job computes now.
+		// version says whether this build reads the ledger.
 		var rec ledgerRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			if !tail && !truncated(line) && bad == nil {
@@ -397,11 +321,6 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 			}
 			if rec.Options != nil {
 				lj.Options = *rec.Options
-			}
-		case "pass":
-			if lj != nil && rec.Spec != nil {
-				lj.Pass = &LedgerPass{Spec: *rec.Spec, Units: rec.Units}
-				lj.Units = nil
 			}
 		case "unit":
 			if lj != nil {

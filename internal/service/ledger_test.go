@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -66,11 +68,31 @@ func driveWorker(t *testing.T, cl *Client, worker, jobID string, c *circuit.Circ
 	return processed
 }
 
+// readJournal decodes every line of a job's journal.
+func readJournal(t *testing.T, path string) []ledgerRecord {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []ledgerRecord
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		var rec ledgerRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestServiceLedgerResume crashes the coordinator after N units and
 // restarts it on the same ledger directory: the job must resume under the
 // same ID, replay exactly the N recorded units without re-dispatching them,
 // and finish with statuses and test set identical to an uninterrupted
-// single-process run.
+// single-process run.  The interrupted journal holds the job record, of
+// this format version and with the resolved options, and one record per
+// completed unit; the finished one is the job's two-line stub.
 func TestServiceLedgerResume(t *testing.T) {
 	dir := t.TempDir()
 	c, text := benchText(t, "c432")
@@ -96,6 +118,27 @@ func TestServiceLedgerResume(t *testing.T) {
 	driveWorker(t, clA, "wA", sub.JobID, c, preCrash)
 	srvA.Close()
 	coA.Close()
+
+	path := filepath.Join(dir, sub.JobID+".jsonl")
+	coreOpts, err := opts.ToCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := readJournal(t, path)
+	if job := recs[0]; job.T != "job" || job.Version != ledgerVersion || job.ID != sub.JobID ||
+		!reflect.DeepEqual(*job.Options, WireOptions(coreOpts)) || len(job.Faults) != len(faults) {
+		t.Fatalf("journal starts %+v, want the job record of version %d with options %+v", job, ledgerVersion, WireOptions(coreOpts))
+	}
+	units := map[int]bool{}
+	for _, rec := range recs[1:] {
+		if rec.T != "unit" || units[rec.Unit] {
+			t.Fatalf("journal record %+v, want one record per completed unit", rec)
+		}
+		units[rec.Unit] = true
+	}
+	if len(units) != preCrash {
+		t.Fatalf("journal records %d units, want %d", len(units), preCrash)
+	}
 
 	// Phase 2: a fresh coordinator on the same ledger resumes the job.
 	coB, err := NewCoordinator(Config{LedgerDir: dir})
@@ -138,6 +181,10 @@ func TestServiceLedgerResume(t *testing.T) {
 	}
 	if resp.Tests != localTests {
 		t.Fatal("merged test set differs from the uninterrupted run")
+	}
+	want := []ledgerRecord{{T: "job", Version: ledgerVersion, ID: sub.JobID, Name: "c432"}, {T: "state", State: stateDone}}
+	if got := readJournal(t, path); !reflect.DeepEqual(got, want) {
+		t.Fatalf("finished job's journal %+v, want the stub %+v", got, want)
 	}
 }
 
@@ -224,40 +271,6 @@ func assertMatchesLocal(t *testing.T, c *circuit.Circuit, faults []paths.Fault, 
 	}
 }
 
-// TestServiceLedgerDiscardedCutStaysDiscarded resumes a ledger twice whose
-// recorded cut was made under another spec (budget 1) than the job computes
-// (budget 8).  The first coordinator discards the recorded cut, records its
-// own and completes 5 units; the second must replay exactly those 5, never
-// the 12 units recorded under the discarded cut, whose budget-1 outcomes
-// abort faults a full budget tests.
-func TestServiceLedgerDiscardedCutStaysDiscarded(t *testing.T) {
-	dir := t.TempDir()
-	c, text := benchText(t, "c432")
-	faults := paths.SampleFaults(c, 48, 1995)
-	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
-	writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 1}, 12)
-	local, localTests, _ := localRun(t, c, opts, faults)
-
-	coA, err := NewCoordinator(Config{LedgerDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := httptest.NewServer(coA)
-	const completed = 5
-	driveWorker(t, NewClient(srvA.URL), "wA", "j1", c, completed)
-	srvA.Close()
-	coA.Close()
-
-	st, resp, processed := resumeToEnd(t, dir, c)
-	if st.Replayed != completed {
-		t.Errorf("replayed %d units, want the %d completed under the recorded cut", st.Replayed, completed)
-	}
-	if got, want := len(processed), len(faults)-completed; got != want {
-		t.Errorf("dispatched %d units after the second resume, want %d", got, want)
-	}
-	assertMatchesLocal(t, c, faults, resp, local, localTests)
-}
-
 // TestServiceLedgerReplayChecksWidths resumes a ledger one of whose unit
 // records carries a tested outcome with one value too many.  Replay checks
 // a recorded unit as a live post is checked, so that unit is dispatched
@@ -268,7 +281,7 @@ func TestServiceLedgerReplayChecksWidths(t *testing.T) {
 	faults := paths.SampleFaults(c, 48, 1995)
 	const recorded = 12
 	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
-	writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, recorded)
+	writeLedger(t, dir, "j1", c, text, faults, opts, recorded)
 	local, localTests, _ := localRun(t, c, opts, faults)
 
 	path := filepath.Join(dir, "j1.jsonl")
@@ -312,28 +325,26 @@ func TestServiceLedgerReplayChecksWidths(t *testing.T) {
 	assertMatchesLocal(t, c, faults, resp, local, localTests)
 }
 
-// writeLedger writes an unfinished job's ledger through the Ledger API:
-// the job record, a pass record with the given spec cutting the faults into
-// one unit each, and the first n units' outcomes, computed under that spec.
-func writeLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, faults []paths.Fault, jo JobOptions, ws WireSpec, n int) {
+// writeLedger writes an unfinished job's ledger through the Ledger API, as
+// a coordinator journals it: the job record with the resolved options, then
+// the outcomes of the job's first n units.  The options must set word width
+// 1, which cuts the job into one unit per fault.
+func writeLedger(t *testing.T, dir, id string, c *circuit.Circuit, text string, faults []paths.Fault, jo JobOptions, n int) {
 	t.Helper()
 	opts, err := jo.ToCore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.WordWidth, opts.MaxBacktracks = ws.Width, ws.Budget
+	if opts.WordWidth != 1 {
+		t.Fatalf("writeLedger cuts one unit per fault, so it needs word width 1, not %d", opts.WordWidth)
+	}
 	gen := core.New(c, opts)
 	led, err := OpenLedger(dir, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer led.Close()
-	led.RecordJob(id, c.Name, HashBench(text), text, jo, EncodeFaults(c, faults))
-	units := make([][]int, len(faults))
-	for f := range units {
-		units[f] = []int{f}
-	}
-	led.RecordPass(ws, units)
+	led.RecordJob(id, c.Name, HashBench(text), text, WireOptions(opts), EncodeFaults(c, faults))
 	for u := 0; u < n; u++ {
 		outs, _ := gen.ProcessRemoteUnit(context.Background(), faults[u:u+1], nil)
 		oc := outcomeColumns(outs)
@@ -413,10 +424,12 @@ func TestServiceLedgerUndecodableJobRecord(t *testing.T) {
 // TestServiceLedgerVersionRefused restarts a coordinator on ledgers whose
 // job record carries no format version, as every build before versioning
 // wrote it, format version 1, whose unit records hold one object per
-// outcome (testdata/version1.jsonl, written by a build of that version), or
-// a version this build does not know.  The job must not resume: its ledger
-// must record it failed with the *LedgerVersionError, once across restarts,
-// and the next submit must get a new ID.
+// outcome (testdata/version1.jsonl, written by a build of that version),
+// format version 2, which records the unit cut in a pass record
+// (testdata/version2.jsonl, likewise), or a version this build does not
+// know.  The job must not resume: its ledger must record it failed with the
+// *LedgerVersionError, once across restarts, and the next submit must get a
+// new ID.
 func TestServiceLedgerVersionRefused(t *testing.T) {
 	c, text := benchText(t, "c17")
 	faults := paths.SampleFaults(c, 4, 1995)
@@ -425,7 +438,12 @@ func TestServiceLedgerVersionRefused(t *testing.T) {
 		name    string
 		version int
 		fixture string // a ledger an older build wrote, resumed as it is
-	}{{"missing", 0, ""}, {"version 1", 1, "version1.jsonl"}, {"newer", ledgerVersion + 1, ""}} {
+	}{
+		{"missing", 0, ""},
+		{"version 1", 1, "version1.jsonl"},
+		{"version 2", 2, "version2.jsonl"},
+		{"newer", ledgerVersion + 1, ""},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "j1.jsonl")
@@ -437,7 +455,7 @@ func TestServiceLedgerVersionRefused(t *testing.T) {
 				}
 				raw = fixture
 			} else {
-				writeLedger(t, dir, "j1", c, text, faults, opts, WireSpec{Width: 1, Budget: 8}, 2)
+				writeLedger(t, dir, "j1", c, text, faults, opts, 2)
 				written, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -616,5 +634,106 @@ func TestServiceLedgerTornJobRecordReservesID(t *testing.T) {
 				t.Errorf("j7.jsonl changed:\n%q\nwant\n%q", raw, tc.content)
 			}
 		})
+	}
+}
+
+// TestServiceLedgerStartLeavesJournals starts a coordinator on a ledger
+// directory holding a version-2 journal, which cannot resume, an unfinished
+// journal with a unit recorded twice and a torn tail, a finished job's stub
+// and a torn job record.  Starting, resuming the unfinished job up to its
+// dispatch, and shutting down write to one file only: the version-2 journal
+// gains its failed line.  Every other file stays byte for byte as it was.
+func TestServiceLedgerStartLeavesJournals(t *testing.T) {
+	dir := t.TempDir()
+	fixture, err := os.ReadFile(filepath.Join("testdata", "version2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{"j1.jsonl": string(fixture), "j4.jsonl": `{"t":"job","id":"j4","name":"c17","hash":"`}
+	c, text := benchText(t, "c17")
+	writeLedger(t, dir, "j2", c, text, paths.SampleFaults(c, 4, 1995), JobOptions{WordWidth: 1, SimInterval: intp(0)}, 2)
+	raw, err := os.ReadFile(filepath.Join(dir, "j2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := strings.SplitAfter(string(raw), "\n")[1]
+	files["j2.jsonl"] = string(raw) + unit + unit[:len(unit)/2]
+	l, err := OpenLedger(dir, "j3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.RecordJob("j3", "c17", HashBench(text), text, JobOptions{}, nil)
+	l.Finish("j3", "c17", stateCanceled, "")
+	l.Close()
+	if raw, err = os.ReadFile(filepath.Join(dir, "j3.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	files["j3.jsonl"] = string(raw)
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() map[string]string {
+		t.Helper()
+		out := make(map[string]string)
+		for name := range ledgerSizes(t, dir) {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = string(b)
+		}
+		return out
+	}
+	before := read()
+
+	co, err := NewCoordinator(Config{LedgerDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := co.job("j2")
+	if j == nil {
+		co.Close()
+		t.Fatal("the unfinished job was not resumed")
+	}
+	ctx := budget(t)
+	for {
+		j.mu.Lock()
+		replayed := j.pass != nil && j.replayed == 2
+		j.mu.Unlock()
+		if replayed {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			co.Close()
+			t.Fatal("the resumed job never replayed its two units")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	started := read()
+	co.Close()
+	closed := read()
+
+	want := maps.Clone(before)
+	var ve *LedgerVersionError
+	lj, err := loadLedgerFile(filepath.Join(dir, "j1.jsonl"))
+	if err != nil || !errors.As(lj.Err, &ve) {
+		t.Fatalf("the version-2 journal loads with %v, %v; want its failed line after the *LedgerVersionError", lj, err)
+	}
+	want["j1.jsonl"] += fmt.Sprintf(`{"t":"state","state":"failed","error":%q}`+"\n", ve.Error())
+	for _, tc := range []struct {
+		when string
+		got  map[string]string
+	}{{"after the start", started}, {"after the shutdown", closed}} {
+		if !maps.Equal(tc.got, want) {
+			for name := range tc.got {
+				if tc.got[name] != want[name] {
+					t.Errorf("%s: %s holds\n%q\nwant\n%q", tc.when, name, tc.got[name], want[name])
+				}
+			}
+			t.Fatalf("%s: the directory holds %v, want %v", tc.when, slices.Sorted(maps.Keys(tc.got)), slices.Sorted(maps.Keys(want)))
+		}
 	}
 }

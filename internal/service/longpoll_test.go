@@ -197,7 +197,7 @@ func TestLeaseScansLiveJobsOnly(t *testing.T) {
 // parked lease, which is granted exactly the requeued unit.
 func TestParkedLeaseWakesOnRequeue(t *testing.T) {
 	ctx := budget(t)
-	co, url := loopback(t, Config{LeaseTTL: 200 * time.Millisecond, ExpireInterval: 20 * time.Millisecond}, nil)
+	co, url := loopback(t, Config{LeaseTTL: 200 * time.Millisecond}, nil)
 	cl := NewClient(url)
 	sub := submitC17(ctx, t, cl, 1)
 	ghost, ok, err := cl.Lease(ctx, "ghost", 10, longPollWait)

@@ -3,12 +3,15 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,148 +122,113 @@ func TestServiceChaosEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceLedgerCompactionResume interrupts a job, compacts its journal
-// (with a duplicated completion line planted to prove first-wins dedup), and
-// resumes on the compacted file: exactly the recorded units replay — none
-// re-dispatched, none dropped, none doubled — and the finished job matches
-// the uninterrupted run bit for bit.
-func TestServiceLedgerCompactionResume(t *testing.T) {
-	dir := t.TempDir()
+// TestServiceLedgerReplayFirstCompletions interrupts a job after 12 units
+// and resumes it from a journal that also holds what no clean run journals:
+// a unit's completion recorded twice, as a worker retrying a severed post
+// might leave it, or the debris of torn appends, one sealed by a later
+// append and one left as the unterminated tail.  Exactly the 12 recorded
+// units replay, none re-dispatched and none doubled, and the finished job
+// matches the uninterrupted run bit for bit.
+func TestServiceLedgerReplayFirstCompletions(t *testing.T) {
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
 	opts := JobOptions{WordWidth: 1, SimInterval: intp(0), Compact: "reverse"}
-	localResults, localTests, _ := localRun(t, c, opts, faults)
-	ctx := context.Background()
-
-	coA, err := NewCoordinator(Config{LedgerDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvA := httptest.NewServer(coA)
-	clA := NewClient(srvA.URL)
-	sub, err := clA.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
-	if err != nil {
-		t.Fatal(err)
-	}
+	local, localTests, _ := localRun(t, c, opts, faults)
 	const preCrash = 12
-	driveWorker(t, clA, "wA", sub.JobID, c, preCrash)
-	srvA.Close()
-	coA.Close()
+	for _, tc := range []struct {
+		name       string
+		plant      func(unitLine string) string // what to append to the journal
+		duplicates int
+	}{
+		{"duplicate", func(l string) string { return l + "\n" }, 1},
+		{"debris", func(l string) string { return l[:len(l)/2] + "\n" + l[:len(l)/3] }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			coA, err := NewCoordinator(Config{LedgerDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srvA := httptest.NewServer(coA)
+			clA := NewClient(srvA.URL)
+			sub, err := clA.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveWorker(t, clA, "wA", sub.JobID, c, preCrash)
+			srvA.Close()
+			coA.Close()
 
-	// Duplicate a completed unit's line, as a worker retrying a severed POST
-	// would: compaction must keep only the first completion.
-	path := filepath.Join(dir, sub.JobID+".jsonl")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dupLine string
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, `{"t":"unit"`) {
-			dupLine = line
-			break
-		}
-	}
-	if dupLine == "" {
-		t.Fatal("no unit record in the ledger after 12 completions")
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(dupLine + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			path := filepath.Join(dir, sub.JobID+".jsonl")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var unitLine string
+			for _, line := range strings.Split(string(raw), "\n") {
+				if strings.HasPrefix(line, `{"t":"unit"`) {
+					unitLine = line
+					break
+				}
+			}
+			if unitLine == "" {
+				t.Fatal("no unit record in the ledger after 12 completions")
+			}
+			if err := os.WriteFile(path, append(raw, tc.plant(unitLine)...), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	before, after, err := CompactLedgerFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after >= before {
-		t.Fatalf("compaction did not shrink the journal: %d -> %d bytes", before, after)
-	}
-	lj, err := loadLedgerFile(path)
-	if err != nil || lj == nil {
-		t.Fatalf("compacted ledger unreadable: %v", err)
-	}
-	seen := make(map[int]bool)
-	for _, u := range lj.Units {
-		if seen[u.Unit] {
-			t.Fatalf("unit %d recorded twice after compaction", u.Unit)
-		}
-		seen[u.Unit] = true
-	}
-
-	coB, err := NewCoordinator(Config{LedgerDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coB.Close()
-	srvB := httptest.NewServer(coB)
-	defer srvB.Close()
-	clB := NewClient(srvB.URL)
-	processed := driveWorker(t, clB, "wB", sub.JobID, c, 1<<30)
-	st, err := clB.Wait(ctx, sub.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != stateDone {
-		t.Fatalf("resumed job finished in state %q", st.State)
-	}
-	if st.Replayed != preCrash {
-		t.Fatalf("replayed %d units from the compacted ledger, want %d", st.Replayed, preCrash)
-	}
-	if got, want := len(processed), len(faults)-preCrash; got != want {
-		t.Fatalf("worker processed %d units after resume, want %d", got, want)
-	}
-	resp, err := clB.Results(ctx, sub.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range decoded(t, faults, resp) {
-		if want := localResults[i].Status; r.Status != want {
-			t.Fatalf("fault %d (%s): status %s, local %s", i, faults[i].Describe(c), r.Status, want)
-		}
-	}
-	if resp.Tests != localTests {
-		t.Fatal("merged test set differs from the uninterrupted run")
+			st, resp, processed := resumeToEnd(t, dir, c)
+			if st.Replayed != preCrash || st.Duplicates != tc.duplicates {
+				t.Fatalf("replayed %d units with %d duplicates, want %d and %d", st.Replayed, st.Duplicates, preCrash, tc.duplicates)
+			}
+			if got, want := len(processed), len(faults)-preCrash; got != want {
+				t.Fatalf("worker processed %d units after resume, want %d", got, want)
+			}
+			for i, r := range decoded(t, faults, resp) {
+				l := local[i]
+				if r.Status != l.Status || r.Phase != l.Phase || r.PatternIndex != l.PatternIndex {
+					t.Fatalf("fault %d (%s): %s in %s at pattern %d, local %s in %s at %d",
+						i, faults[i].Describe(c), r.Status, r.Phase, r.PatternIndex, l.Status, l.Phase, l.PatternIndex)
+				}
+			}
+			if resp.Tests != localTests {
+				t.Fatal("merged test set differs from the uninterrupted run")
+			}
+		})
 	}
 }
 
-// TestLedgerCompactTerminalStub: a finished job's journal compacts to the
-// two-line identity stub — enough for ID allocation and the resume skip,
-// nothing more.
+// TestLedgerCompactTerminalStub: a finished job's journal is compacted to
+// its two-line stub, the job record's identity and format version and then
+// the terminal state with its reason, which is all resume reads of it.  The
+// stub is written whole even when every append would tear, and no file but
+// the journal is left behind.
 func TestLedgerCompactTerminalStub(t *testing.T) {
 	dir := t.TempDir()
-	l, err := OpenLedger(dir, "job-000001")
+	l, err := OpenLedger(dir, "j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.RecordJob("job-000001", "c17", "deadbeef", "INPUT(a)\n", JobOptions{}, []WireFault{"rising a"})
-	l.RecordPass(WireSpec{}, [][]int{{0}})
+	l.RecordJob("j1", "c17", "deadbeef", "INPUT(a)\n", JobOptions{}, []WireFault{"rising a"})
 	l.RecordUnit(0, "wA", nil)
-	l.RecordState(stateDone, "")
+	l.SetChaos(chaos.New(chaos.Config{Seed: 1, Tear: 1}))
+	l.Finish("j1", "c17", stateFailed, "the merged set does not simulate")
+	l.RecordUnit(1, "wA", nil) // after the end: dropped
 	l.Close()
 
-	path := filepath.Join(dir, "job-000001.jsonl")
-	if _, _, err := CompactLedgerFile(path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(filepath.Join(dir, "j1.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("terminal stub has %d lines, want 2:\n%s", len(lines), raw)
+	want := fmt.Sprintf(`{"t":"job","version":%d,"id":"j1","name":"c17"}`+"\n"+
+		`{"t":"state","state":"failed","error":"the merged set does not simulate"}`+"\n", ledgerVersion)
+	if string(raw) != want {
+		t.Fatalf("journal after Finish:\n%s\nwant the stub\n%s", raw, want)
 	}
-	lj, err := loadLedgerFile(path)
-	if err != nil || lj == nil {
-		t.Fatalf("stub unreadable: %v", err)
-	}
-	if lj.ID != "job-000001" || lj.State != stateDone {
-		t.Fatalf("stub lost identity or state: %+v", lj)
+	if names := ledgerSizes(t, dir); len(names) != 1 {
+		t.Fatalf("ledger directory holds %v, want the journal alone", names)
 	}
 }
 
@@ -291,7 +259,7 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.RecordPass(WireSpec{}, [][]int{{0}})
+	l.RecordUnit(0, "wA", nil)
 	l.Close()
 
 	lj, err := loadLedgerFile(path)
@@ -301,7 +269,7 @@ func TestLedgerTornTailResync(t *testing.T) {
 	if lj.Err != nil {
 		t.Fatalf("sealed torn line reported as a record that does not decode: %v", lj.Err)
 	}
-	if lj.Pass == nil {
+	if len(lj.Units) != 1 {
 		t.Fatal("record appended after a torn tail was lost (concatenated onto the debris)")
 	}
 }
@@ -316,7 +284,6 @@ func TestLedgerChaosTornWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.RecordJob("chaotic", "c17", "", "", JobOptions{}, nil)
-	l.RecordPass(WireSpec{}, [][]int{{0}})
 
 	inj := chaos.New(chaos.Config{Seed: 3, Tear: 0.5})
 	l.SetChaos(inj)
@@ -432,153 +399,76 @@ func TestWorkerBackoffCounters(t *testing.T) {
 	}
 }
 
-// replayCut is the accounting replay derives from a loaded ledger, applying
-// replayLocked's own filters: only units recorded after the pass record, in
-// range of its cut, first completion wins.  This is exactly what resume
-// applies, so compaction must preserve it bit for bit.
-func replayCut(lj *LedgerJob) []LedgerUnit {
-	if lj.Pass == nil {
-		return nil // no pass record: replay never applies these
-	}
-	var cut []LedgerUnit
-	seen := make(map[int]bool)
-	for _, u := range lj.Units {
-		if u.Unit < 0 || u.Unit >= len(lj.Pass.Units) || seen[u.Unit] {
-			continue
-		}
-		seen[u.Unit] = true
-		// Replay reads an empty tests or raws column as it reads an absent
-		// one, and compaction writes neither.
-		if len(u.Outcomes.Tests) == 0 {
-			u.Outcomes.Tests = nil
-		}
-		if len(u.Outcomes.Raws) == 0 {
-			u.Outcomes.Raws = nil
-		}
-		cut = append(cut, u)
-	}
-	return cut
-}
-
-// recutLedger is a ledger whose recorded cut a coordinator discarded and
-// recorded afresh, after which only the units recorded under the new cut
-// replay.
-const recutLedger = `{"t":"job","version":2,"id":"j6","name":"c17","bench":"INPUT(a)\n"}
-{"t":"pass","spec":{"width":1,"budget":1},"units":[[0],[1]]}
-{"t":"unit","unit":0,"worker":"wA","outcomes":{"status":"a","phase":"a","decisions":[3],"backtracks":[1]}}
-{"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"a","phase":"a","decisions":[3],"backtracks":[1]}}
-{"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
-{"t":"unit","unit":1,"worker":"wB","outcomes":{"status":"r","phase":"f","decisions":[0],"backtracks":[0]}}
-`
-
-// TestLedgerReplayRule loads the recut ledger, as written and compacted:
-// only the unit recorded after the re-recorded cut replays.
-func TestLedgerReplayRule(t *testing.T) {
-	for _, tc := range []struct {
-		name, ledger string
-		budget       int
-		want         []LedgerUnit
-	}{
-		{"recut", recutLedger, 8, []LedgerUnit{{Unit: 1, Worker: "wB", Outcomes: OutcomeColumns{Status: "r", Phase: "f", Decisions: []int{0}, Backtracks: []int{0}}}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "j.jsonl")
-			if err := os.WriteFile(path, []byte(tc.ledger), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			for _, form := range []string{"written", "compacted"} {
-				if form == "compacted" {
-					if _, _, err := CompactLedgerFile(path); err != nil {
-						t.Fatal(err)
-					}
-				}
-				lj, err := loadLedgerFile(path)
-				if err != nil || lj == nil || lj.Err != nil {
-					t.Fatalf("%s: ledger unreadable: %v %+v", form, err, lj)
-				}
-				if lj.Pass == nil || lj.Pass.Spec.Budget != tc.budget || len(lj.Pass.Units) != 2 {
-					t.Fatalf("%s: pass %+v, want the cut of two units at budget %d", form, lj.Pass, tc.budget)
-				}
-				if got := replayCut(lj); !reflect.DeepEqual(got, tc.want) {
-					t.Fatalf("%s: replays %+v, want %+v", form, got, tc.want)
-				}
-			}
-		})
-	}
-}
-
-// FuzzLedgerCompact throws arbitrary bytes at the JSONL loader and then at
-// the compactor, holding the resume safety property: parsing never panics,
-// and for any loadable journal the replay cut — which units exist, who
-// completed them first, with which outcomes — survives compaction unchanged
-// (so resume can never double-dispatch a recorded unit or drop a completed
-// one), terminal states survive, and compaction is idempotent.
-func FuzzLedgerCompact(f *testing.F) {
-	f.Add([]byte(`{"t":"job","version":2,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
-{"t":"pass","spec":{},"units":[[0],[1]]}
+// FuzzLedgerLoad throws arbitrary bytes at the journal loader, then
+// appends two completions of one unit through the Ledger, as a resumed job
+// appends to its journal, and loads it again.  Loading never panics.  A
+// journal that loads (a job record of this format version, every complete
+// line a record or sealed debris) and ends as an append leaves it (on a
+// newline, a record or a torn prefix of one) loads again with the units it
+// held, in journal order, and then the two appended: replay, which applies
+// each unit's first completion, sees the first recorded completion of
+// every unit, and the appended unit's second completion is a duplicate.
+func FuzzLedgerLoad(f *testing.F) {
+	f.Add([]byte(`{"t":"job","version":3,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
 {"t":"unit","unit":0,"worker":"wA","outcomes":{"status":"t","phase":"f","decisions":[0],"backtracks":[0],"tests":["0 -> 1"],"raws":["x -> 1"]}}
 {"t":"unit","unit":0,"worker":"wB"}
 {"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"r","phase":"a","decisions":[2],"backtracks":[1],"tests":[]}}
 `))
-	f.Add([]byte(`{"t":"job","version":2,"id":"j2","name":"c17"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j2","name":"c17"}
 {"t":"state","state":"done"}
 `))
-	f.Add([]byte(`{"t":"job","version":2,"id":"j3"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j3"}
 {"t":"unit","un`)) // torn tail
-	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":2,\"id\":\"j4\"}\n"))
+	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":3,\"id\":\"j4\"}\n"))
 	f.Add([]byte(`{"t":"job","id":"j5"}
-{"t":"pass","spec":{},"units":[[0]]}
+{"t":"unit","unit":0,"worker":"wA"}
 `)) // no format version
 	f.Add([]byte(`{"t":"job","version":1,"id":"j6"}
-{"t":"pass","spec":{},"units":[[0]]}
 {"t":"unit","unit":0,"worker":"wA","outcomes":[{"status":"tested","test":"0 -> 1"}]}
 `)) // format version 1: one object per outcome
-	f.Add([]byte(recutLedger))
+	f.Add([]byte(`{"t":"job","version":2,"id":"j7"}
+{"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
+{"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"r","phase":"f","decisions":[0],"backtracks":[0]}}
+`)) // format version 2: the unit cut in a pass record
+	f.Add([]byte(`{"t":"job","version":3,"id":"j8"}
+{"t":"unit","unit":2,"wor
+{"t":"unit","unit":2,"worker":"wA"}
+{"t":"unit","unit":0,"worker":"wB"}`)) // sealed debris, and a last record without its newline
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "fuzz.jsonl")
+		path := filepath.Join(dir, "j.jsonl")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		lj, err := loadLedgerFile(path)
-		if err != nil || lj == nil {
-			return // unloadable input: nothing to preserve
+		if err != nil || lj == nil || lj.Err != nil {
+			return // not a journal this build resumes
 		}
-		wantCut, wantState := replayCut(lj), lj.State
+		var rec ledgerRecord
+		if tail := bytes.TrimSpace(data[bytes.LastIndexByte(data, '\n')+1:]); len(tail) > 0 && !truncated(tail) && json.Unmarshal(tail, &rec) != nil {
+			return // an unterminated tail no append leaves: sealed, it would not decode
+		}
 
-		if _, _, err := CompactLedgerFile(path); err != nil {
-			t.Fatalf("compaction failed on a loadable journal: %v", err)
+		l, err := OpenLedger(dir, "j")
+		if err != nil {
+			t.Fatal(err)
 		}
+		first := OutcomeColumns{Status: "t", Phase: "f", Decisions: []int{1}, Backtracks: []int{0}, Tests: []string{"0 -> 1"}}
+		again := OutcomeColumns{Status: "a", Phase: "a", Decisions: []int{9}, Backtracks: []int{8}}
+		l.RecordUnit(7, "first", &first)
+		l.RecordUnit(7, "again", &again)
+		l.Close()
+
 		lj2, err := loadLedgerFile(path)
-		if err != nil || lj2 == nil {
-			t.Fatalf("journal unloadable after compaction: %v", err)
+		if err != nil || lj2 == nil || lj2.Err != nil {
+			t.Fatalf("journal no longer loads after two appends: %v %+v", err, lj2)
 		}
-		if lj2.State != wantState {
-			t.Fatalf("terminal state %q became %q under compaction", wantState, lj2.State)
+		if lj2.ID != lj.ID || lj2.State != lj.State || lj2.Bench != lj.Bench {
+			t.Fatalf("appends changed the job: %+v, was %+v", lj2, lj)
 		}
-		if wantState == "" {
-			if lj2.ID != lj.ID || lj2.Bench != lj.Bench {
-				t.Fatal("live job lost identity or circuit under compaction")
-			}
-			if got := replayCut(lj2); !reflect.DeepEqual(got, wantCut) {
-				t.Fatalf("replay cut changed under compaction:\nbefore: %#v\nafter:  %#v", wantCut, got)
-			}
-		}
-
-		// Idempotence: a second compaction must be a byte-level no-op.
-		once, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := CompactLedgerFile(path); err != nil {
-			t.Fatal(err)
-		}
-		twice, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(once, twice) {
-			t.Fatal("compaction is not idempotent")
+		want := append(slices.Clone(lj.Units), LedgerUnit{7, "first", first}, LedgerUnit{7, "again", again})
+		if !reflect.DeepEqual(lj2.Units, want) {
+			t.Fatalf("units after two appends:\n%+v\nwant\n%+v", lj2.Units, want)
 		}
 	})
 }

@@ -265,8 +265,7 @@ func TestServiceRequeue(t *testing.T) {
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 
 	co, err := NewCoordinator(Config{
-		LeaseTTL:       300 * time.Millisecond,
-		ExpireInterval: 50 * time.Millisecond,
+		LeaseTTL: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +347,7 @@ func TestServiceRejectsWrongWidthPattern(t *testing.T) {
 	localResults, localTests, _ := localRun(t, c, opts, faults)
 
 	co, err := NewCoordinator(Config{
-		LeaseTTL:       300 * time.Millisecond,
-		ExpireInterval: 50 * time.Millisecond,
+		LeaseTTL: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,6 +499,68 @@ func TestServiceRefusesMalformedColumns(t *testing.T) {
 	}
 }
 
+// TestServiceFinishedJobFreesRun: a finished job lets go of its run (the
+// master generator's implication state, simulator, records and test set)
+// and of the faults its leases carried, and still serves its results and
+// every page of its settle events.
+func TestServiceFinishedJobFreesRun(t *testing.T) {
+	ctx := budget(t)
+	co, url := loopback(t, Config{}, nil)
+	stop := startWorkers(t, url, 2)
+	defer stop()
+	cl := NewClient(url)
+	c, text := benchText(t, "c432")
+	faults := paths.SampleFaults(c, 48, 1995)
+	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
+	local, localTests, _ := localRun(t, c, opts, faults)
+	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Wait(ctx, sub.JobID); err != nil || st.State != stateDone {
+		t.Fatalf("job ended %+v, %v; want done", st, err)
+	}
+	j := co.job(sub.JobID)
+	j.mu.Lock()
+	rr, wireFaults := j.rr, j.wireFaults
+	j.mu.Unlock()
+	if rr != nil || wireFaults != nil {
+		t.Fatalf("the finished job holds its run (%v) or its %d wire faults", rr != nil, len(wireFaults))
+	}
+
+	resp, err := cl.Results(ctx, sub.JobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range decoded(t, faults, resp) {
+		if r.Status != local[i].Status || r.PatternIndex != local[i].PatternIndex {
+			t.Fatalf("fault %d: %s at pattern %d, local %s at %d", i, r.Status, r.PatternIndex, local[i].Status, local[i].PatternIndex)
+		}
+	}
+	if resp.Tests != localTests {
+		t.Fatal("merged test set differs from the local run")
+	}
+	seen := make([]bool, len(faults))
+	for page, err := range cl.Follow(ctx, sub.JobID) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := page.DecodePage(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, r := range rows {
+			if fi := page.Index[k]; seen[fi] || r.Status != local[fi].Status {
+				t.Fatalf("event of fault %d: %s (seen before: %v), local %s", fi, r.Status, seen[fi], local[fi].Status)
+			}
+			seen[page.Index[k]] = true
+		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("the event feed never settled fault %d", i)
+	}
+}
+
 // spaces yields n ASCII spaces: JSON whitespace that pads a request body
 // without changing what it decodes to.
 type spaces struct{ n int }
@@ -572,9 +632,8 @@ func TestServiceRefusesOversizeBodies(t *testing.T) {
 
 	dir := t.TempDir()
 	co, err := NewCoordinator(Config{
-		LedgerDir:      dir,
-		LeaseTTL:       300 * time.Millisecond,
-		ExpireInterval: 50 * time.Millisecond,
+		LedgerDir: dir,
+		LeaseTTL:  300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

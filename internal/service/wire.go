@@ -175,6 +175,27 @@ func (o JobOptions) ToCore() (core.Options, error) {
 	return opts, nil
 }
 
+// WireOptions renders resolved core options in wire form, every field
+// explicit: ToCore's inverse.  The wire carries exactly the option surface
+// of the atpg facade, so nothing is lost: ToCore of the rendering returns the
+// options, up to what core.New derives from them (EmitUnfilled).  A job
+// records and serves its options in this form, so no default of another
+// build can re-resolve them.
+func WireOptions(opts core.Options) JobOptions {
+	sim := opts.FaultSimInterval
+	return JobOptions{
+		Mode:        opts.Mode.String(),
+		WordWidth:   opts.WordWidth,
+		Backtracks:  opts.MaxBacktracks,
+		NoFPTPG:     !opts.UseFPTPG,
+		NoAPTPG:     !opts.UseAPTPG,
+		SimInterval: &sim,
+		Compact:     opts.Compaction.String(),
+		XFill:       opts.CompactionXFill.Name(),
+		XFillSeed:   opts.CompactionXFill.Seed(),
+	}
+}
+
 // The status and phase codes of the outcome and result columns: one byte
 // per fault, the first letter of core.Status.String and core.Phase.String.
 // A status's or phase's value is its position in the string; the generator
@@ -281,21 +302,6 @@ func (oc *OutcomeColumns) outcomes(n int) ([]core.RemoteOutcome, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// WireSpec is the pass parameters a job ledger records with the job's unit
-// cut: the word-parallel group width and the APTPG backtrack budget.  Resume
-// compares it with the live pass to spot ledgers recorded under other
-// parameters.
-type WireSpec struct {
-	Width  int `json:"width"`
-	Budget int `json:"budget"`
-}
-
-// passSpec returns the pass parameters of a generator with the given
-// (normalized) options.
-func passSpec(o core.Options) WireSpec {
-	return WireSpec{Width: o.WordWidth, Budget: o.MaxBacktracks}
 }
 
 // WireUnit is one leased work unit: its stable ID within the job's unit cut

@@ -33,7 +33,7 @@ func FuzzWire(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	co, err := NewCoordinator(Config{LeaseTTL: 50 * time.Millisecond, ExpireInterval: 50 * time.Millisecond})
+	co, err := NewCoordinator(Config{LeaseTTL: 50 * time.Millisecond})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
@@ -14,7 +15,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/compact"
+	"repro/internal/core"
 	"repro/internal/paths"
+	"repro/internal/sensitize"
 )
 
 // TestWireFaultRoundTrip: EncodeFault then DecodeFault is the identity on
@@ -65,6 +69,68 @@ func TestWireFaultRoundTrip(t *testing.T) {
 		if f, err := DecodeFault(c, WireFault(bad)); err == nil {
 			t.Errorf("DecodeFault(%q) = %s, want an error", bad, f.Describe(c))
 		}
+	}
+}
+
+// TestWireOptionsRoundTrip pins the option codec a job record and a job
+// spec carry.  For normalized options o (from core.New) across both modes,
+// widths 1, 64 and 128, simulation intervals 0, 1 and the width, budgets 1
+// and 64, each phase off, each compaction level and the zero, one and
+// seeded random fill, WireOptions(o) sent through JSON resolves under ToCore
+// to options that render the same and that core.New runs as o: the wire
+// carries every option but what core.New derives (EmitUnfilled).  An empty
+// JobOptions resolves to the defaults and renders back with every field
+// explicit.
+func TestWireOptionsRoundTrip(t *testing.T) {
+	c, _ := benchText(t, "c17")
+	opts := []core.Options{core.DefaultOptions(sensitize.Robust), core.DefaultOptions(sensitize.Nonrobust)}
+	vary := func(n int, set func(o *core.Options, k int)) {
+		var out []core.Options
+		for _, o := range opts {
+			for k := range n {
+				set(&o, k)
+				out = append(out, o)
+			}
+		}
+		opts = out
+	}
+	vary(3, func(o *core.Options, k int) { o.WordWidth = []int{1, 64, 128}[k] })
+	vary(3, func(o *core.Options, k int) { o.FaultSimInterval = []int{0, 1, o.WordWidth}[k] })
+	vary(2, func(o *core.Options, k int) { o.MaxBacktracks = []int{1, 64}[k] })
+	vary(3, func(o *core.Options, k int) { o.UseFPTPG, o.UseAPTPG = k != 1, k != 2 })
+	vary(3, func(o *core.Options, k int) {
+		o.Compaction = []compact.Level{compact.None, compact.Reverse, compact.Full}[k]
+	})
+	vary(3, func(o *core.Options, k int) {
+		o.CompactionXFill = []compact.Filler{compact.ZeroFill(), compact.OneFill(), compact.RandomFill(1995)}[k]
+	})
+	for _, o := range opts {
+		want := core.New(c, o).Options()
+		wire := WireOptions(want)
+		b, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent JobOptions
+		if err := json.Unmarshal(b, &sent); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sent.ToCore()
+		if err != nil {
+			t.Fatalf("%s does not resolve: %v", b, err)
+		}
+		if !reflect.DeepEqual(WireOptions(got), wire) || core.New(c, got).Options() != want {
+			t.Fatalf("%s resolves to %+v, want %+v", b, got, want)
+		}
+	}
+
+	def, err := JobOptions{}.ToCore()
+	if err != nil || def != core.DefaultOptions(sensitize.Robust) {
+		t.Fatalf("empty options resolve to %+v (%v), want the defaults %+v", def, err, core.DefaultOptions(sensitize.Robust))
+	}
+	explicit := JobOptions{Mode: "robust", WordWidth: 64, Backtracks: 8, SimInterval: intp(64), Compact: "none", XFill: "zero"}
+	if got := WireOptions(def); !reflect.DeepEqual(got, explicit) {
+		t.Fatalf("the defaults render as %+v, want %+v", got, explicit)
 	}
 }
 
