@@ -1,7 +1,7 @@
 // Package atpg is the public API of the HenftlingW95 reproduction: a
 // bit-parallel automatic test pattern generator (ATPG) for path delay
-// faults, as described in "A Single-Path-Oriented Fault-Efficient ATPG for
-// Standard Scan Designs" (Henftling & Wittmann, EDAC 1995 / DATE).
+// faults, as described in M. Henftling and H. Wittmann, "Bit parallel test
+// pattern generation for path delay faults", ED&TC 1995.
 //
 // Everything an external program needs lives in this package: circuit
 // loading ([LoadBench], [Builtin], [Synthesize]), fault selection

@@ -13,7 +13,8 @@ type ExperimentConfig = harness.Config
 // ATPGRow is one row of Table 3 (robust) or Table 4 (nonrobust).
 type ATPGRow = harness.ATPGRow
 
-// SpeedupRow is one row of Table 5 (robust) or Table 6 (nonrobust).
+// SpeedupRow is one row of Table 5 (robust) or Table 6 (nonrobust), or one
+// circuit x implication engine row of the grouping ablation.
 type SpeedupRow = harness.SpeedupRow
 
 // CompareRow is one row of Table 7 (nonrobust) or Table 8 (robust).
@@ -21,11 +22,6 @@ type CompareRow = harness.CompareRow
 
 // AblationRow is one configuration of an ablation sweep.
 type AblationRow = harness.AblationRow
-
-// GroupingRow is one circuit x engine cell of the grouping ablation: the
-// Tables 5/6 width-economics comparison re-run with fault-serial, fixed-wide
-// and adaptive grouping under the incremental and full-sweep engines.
-type GroupingRow = harness.GroupingRow
 
 // CoverageEstimate is the NEST-style coverage-estimation experiment result.
 type CoverageEstimate = harness.CoverageEstimate
@@ -106,16 +102,18 @@ func RunCompactionAblation(cfg ExperimentConfig) []AblationRow {
 	return harness.RunCompactionAblation(cfg)
 }
 
-// RunGroupingAblation re-runs the Tables 5/6 comparison with fault-serial
-// (L=1) and fixed-wide grouping, under both the incremental event-driven
-// implication engine and the retained full-sweep oracle — the honest
-// re-measurement of the paper's width economics on the new cost model.
-func RunGroupingAblation(cfg ExperimentConfig) []GroupingRow {
+// RunGroupingAblation re-runs the Tables 5/6 comparison, fault-serial
+// (L=1) against fixed-wide grouping, under both the incremental
+// event-driven implication engine and the retained full-sweep oracle: the
+// paper's width economics re-measured on the new cost model, one row per
+// circuit and engine.
+func RunGroupingAblation(cfg ExperimentConfig) []SpeedupRow {
 	return harness.RunGroupingAblation(cfg)
 }
 
-// FormatGroupingTable renders grouping ablation rows.
-func FormatGroupingTable(title string, rows []GroupingRow) string {
+// FormatGroupingTable renders grouping ablation rows, one line per circuit
+// and engine.
+func FormatGroupingTable(title string, rows []SpeedupRow) string {
 	return harness.FormatGroupingTable(title, rows)
 }
 

@@ -51,7 +51,6 @@ func main() {
 		ledger    = flag.String("ledger", "", "directory for per-job ledger files (empty = no persistence, jobs are not resumable)")
 		leaseTTL  = flag.Duration("lease", 30*time.Second, "work unit lease time-to-live; expired leases are requeued")
 		maxActive = flag.Int("max-active", 4, "jobs generating concurrently; further jobs queue")
-		cacheSize = flag.Int("cache", 0, "compiled-circuit cache capacity (0 = default)")
 
 		// Worker flags.
 		coordinator = flag.String("coordinator", "http://127.0.0.1:9090", "coordinator base URL (worker role)")
@@ -82,7 +81,6 @@ func main() {
 		err = runCoordinator(ctx, service.Config{
 			LeaseTTL:  *leaseTTL,
 			MaxActive: *maxActive,
-			CacheSize: *cacheSize,
 			LedgerDir: *ledger,
 			Chaos:     inj,
 		}, *listen)

@@ -45,8 +45,6 @@ type Config struct {
 	Scale float64
 	// Seed makes fault sampling deterministic.
 	Seed int64
-	// MaxBacktracks is passed to the generator (0 = default).
-	MaxBacktracks int
 	// Workers shards every generator run across this many goroutines
 	// (core-level parallelism on top of the word-level bit parallelism).
 	// 0 or 1 runs one worker, which drops detected faults after every L
@@ -127,9 +125,6 @@ func (cfg Config) generatorOptions() core.Options {
 	o := core.DefaultOptions(cfg.Mode)
 	o.WordWidth = cfg.WordWidth
 	o.FaultSimInterval = cfg.WordWidth
-	if cfg.MaxBacktracks > 0 {
-		o.MaxBacktracks = cfg.MaxBacktracks
-	}
 	o.Compaction = cfg.Compact
 	o.CompactionXFill = cfg.XFill
 	return o
@@ -247,9 +242,11 @@ func FormatATPGTable(title string, rows []ATPGRow) string {
 // Tables 5 and 6: bit-parallel versus single-bit generation.
 // ---------------------------------------------------------------------------
 
-// SpeedupRow is one row of Table 5 (robust) or Table 6 (nonrobust).
+// SpeedupRow is one row of Table 5 (robust) or Table 6 (nonrobust), or one
+// circuit x engine row of the grouping ablation.
 type SpeedupRow struct {
 	Circuit         string
+	Engine          string        // the implication engine: "incremental" or "full-sweep"
 	SensTime        time.Duration // t_sens: path sensitization (identical for both generators)
 	SingleTime      time.Duration // t_single
 	ParallelTime    time.Duration // t_parallel
@@ -258,6 +255,19 @@ type SpeedupRow struct {
 	AbortedParallel int
 	Err             error
 }
+
+// implicEngine is an implication engine the generator runs on: the
+// event-driven incremental one of every production run, or the full-sweep
+// reference kept as the paper's cost model (core.Options.FullSweepImplic).
+type implicEngine struct {
+	label     string
+	fullSweep bool
+}
+
+var (
+	incremental = implicEngine{"incremental", false}
+	fullSweep   = implicEngine{"full-sweep", true}
+)
 
 // table56Circuits lists the circuits of Tables 5 and 6 in the paper's order.
 var table56Circuits = []string{
@@ -268,17 +278,7 @@ var table56Circuits = []string{
 // the bit-parallel generator against the generator restricted to one bit
 // level, on the ISCAS89-class circuits.
 func RunSpeedup(cfg Config) []SpeedupRow {
-	cfg = cfg.normalize()
-	var rows []SpeedupRow
-	for _, name := range table56Circuits {
-		p, ok := bench.ProfileByName(name)
-		if !ok {
-			rows = append(rows, SpeedupRow{Circuit: name, Err: fmt.Errorf("unknown profile %q", name)})
-			continue
-		}
-		rows = append(rows, cfg.runSpeedupRow(p))
-	}
-	return rows
+	return cfg.normalize().speedupRows(incremental)
 }
 
 // RunTable5 is RunSpeedup in robust mode.
@@ -293,24 +293,54 @@ func RunTable6(cfg Config) []SpeedupRow {
 	return RunSpeedup(cfg)
 }
 
-func (cfg Config) runSpeedupRow(p bench.Profile) SpeedupRow {
-	row := SpeedupRow{Circuit: p.Name}
+// RunGroupingAblation re-runs the Tables 5/6 comparison, fault-serial (L=1)
+// against fixed full-width word-parallel groups, under both implication
+// engines: one row per circuit and engine.  The paper's Tables 5 and 6 show
+// wide grouping beating L=1 by about five times on the full-sweep cost
+// model.  The incremental engine makes single-fault implications much
+// cheaper, so the ablation shows how much of that win survives under each
+// engine.
+func RunGroupingAblation(cfg Config) []SpeedupRow {
+	return cfg.normalize().speedupRows(incremental, fullSweep)
+}
+
+// speedupRows runs the Tables 5/6 comparison on each of their circuits,
+// under each engine in turn.
+func (cfg Config) speedupRows(engines ...implicEngine) []SpeedupRow {
+	var rows []SpeedupRow
+	for _, name := range table56Circuits {
+		p, ok := bench.ProfileByName(name)
+		if !ok {
+			rows = append(rows, SpeedupRow{Circuit: name, Err: fmt.Errorf("unknown profile %q", name)})
+			continue
+		}
+		for _, e := range engines {
+			rows = append(rows, cfg.runSpeedupRow(p, e))
+		}
+	}
+	return rows
+}
+
+func (cfg Config) runSpeedupRow(p bench.Profile, e implicEngine) SpeedupRow {
+	row := SpeedupRow{Circuit: p.Name, Engine: e.label}
 	c, err := cfg.circuitFor(p)
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	faults := cfg.sampleFaults(c)
+	parallel, single := cfg.generatorOptions(), cfg.singleBitOptions()
+	parallel.FullSweepImplic, single.FullSweepImplic = e.fullSweep, e.fullSweep
 
 	// Bit-parallel run.
 	start := time.Now()
-	gp := cfg.runGenerator(c, cfg.generatorOptions(), faults)
+	gp := cfg.runGenerator(c, parallel, faults)
 	parallelTotal := time.Since(start)
 	row.AbortedParallel = gp.Stats().Aborted
 
 	// Single-bit run.
 	start = time.Now()
-	gs := cfg.runGenerator(c, cfg.singleBitOptions(), faults)
+	gs := cfg.runGenerator(c, single, faults)
 	singleTotal := time.Since(start)
 	row.AbortedSingle = gs.Stats().Aborted
 
@@ -343,6 +373,26 @@ func FormatSpeedupTable(title string, rows []SpeedupRow) string {
 		fmt.Fprintf(&sb, "%-10s %12s %12s %12s %9.1fx %14d %14d\n",
 			r.Circuit, r.SensTime.Round(time.Microsecond), r.SingleTime.Round(time.Microsecond),
 			r.ParallelTime.Round(time.Microsecond), r.Speedup, r.AbortedSingle, r.AbortedParallel)
+	}
+	return sb.String()
+}
+
+// FormatGroupingTable renders grouping ablation rows, one line per circuit
+// and engine: t_wide is the bit-parallel generator's t_parallel.
+func FormatGroupingTable(title string, rows []SpeedupRow) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s\n", title)
+	fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s\n",
+		"Circuit", "engine", "t_single", "t_wide", "aborted s/w")
+	for _, r := range rows {
+		if r.Err != nil {
+			fmt.Fprintf(&sb, "%-10s %-12s error: %v\n", r.Circuit, r.Engine, r.Err)
+			continue
+		}
+		fmt.Fprintf(&sb, "%-10s %-12s %12s %12s %12s\n",
+			r.Circuit, r.Engine,
+			r.SingleTime.Round(time.Microsecond), r.ParallelTime.Round(time.Microsecond),
+			fmt.Sprintf("%d/%d", r.AbortedSingle, r.AbortedParallel))
 	}
 	return sb.String()
 }

@@ -64,10 +64,13 @@ func TestRunATPGRowConsistency(t *testing.T) {
 	}
 }
 
+// TestRunSpeedupRow times one Tables 5/6 row under each implication
+// engine, as the grouping ablation does.  The full-sweep engine decides
+// what the incremental one decides, so the aborted counts agree.
 func TestRunSpeedupRow(t *testing.T) {
 	cfg := testConfig(sensitize.Nonrobust)
 	p := ablationProfile()
-	row := cfg.normalize().runSpeedupRow(p)
+	row := cfg.normalize().runSpeedupRow(p, incremental)
 	if row.Err != nil {
 		t.Fatalf("speedup row: %v", row.Err)
 	}
@@ -77,6 +80,18 @@ func TestRunSpeedupRow(t *testing.T) {
 	text := FormatSpeedupTable("Table 6 (test)", []SpeedupRow{row})
 	if !strings.Contains(text, row.Circuit) || !strings.Contains(text, "t_parallel") {
 		t.Errorf("formatted table missing content:\n%s", text)
+	}
+	sweep := cfg.normalize().runSpeedupRow(p, fullSweep)
+	if sweep.Err != nil || sweep.Engine != "full-sweep" || row.Engine != "incremental" {
+		t.Fatalf("engine rows %q and %q (%v)", row.Engine, sweep.Engine, sweep.Err)
+	}
+	if sweep.AbortedSingle != row.AbortedSingle || sweep.AbortedParallel != row.AbortedParallel {
+		t.Errorf("aborted s/w: full-sweep %d/%d, incremental %d/%d",
+			sweep.AbortedSingle, sweep.AbortedParallel, row.AbortedSingle, row.AbortedParallel)
+	}
+	text = FormatGroupingTable("Grouping (test)", []SpeedupRow{row, sweep})
+	if !strings.Contains(text, "incremental") || !strings.Contains(text, "full-sweep") || !strings.Contains(text, "aborted s/w") {
+		t.Errorf("formatted grouping table missing content:\n%s", text)
 	}
 	avg, max := SpeedupSummary([]SpeedupRow{row, {Err: nil, Speedup: 2 * row.Speedup}})
 	if max < avg || avg <= 0 {

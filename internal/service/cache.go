@@ -28,7 +28,6 @@ func HashBench(text string) string {
 // holds the hit count of hash-first submissions.
 type Cache struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*cacheEntry
 	order   []string // insertion order, for FIFO eviction
 	hits    int
@@ -40,12 +39,13 @@ type cacheEntry struct {
 	bench string
 }
 
-// NewCache builds a cache bounded to max circuits (0 selects 64).
-func NewCache(max int) *Cache {
-	if max <= 0 {
-		max = 64
-	}
-	return &Cache{max: max, entries: make(map[string]*cacheEntry)}
+// cacheCap bounds the circuits a cache holds, the coordinator's and every
+// worker's alike.
+const cacheCap = 64
+
+// NewCache builds a cache bounded to cacheCap circuits.
+func NewCache() *Cache {
+	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
 // Get returns the compiled circuit for the hash, if cached.
@@ -100,7 +100,7 @@ func (ca *Cache) Compile(name, bench string) (*circuit.Circuit, string, error) {
 	if e, ok := ca.entries[hash]; ok {
 		return e.c, hash, nil // a concurrent compile won the race; share its copy
 	}
-	for len(ca.order) >= ca.max {
+	for len(ca.order) >= cacheCap {
 		oldest := ca.order[0]
 		ca.order = ca.order[1:]
 		delete(ca.entries, oldest)

@@ -4,6 +4,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 )
@@ -42,5 +43,28 @@ func TestHashFirstSubmitsHitTheCache(t *testing.T) {
 	}
 	if hits, misses := co.Cache().Stats(); hits != 3 || misses != 2 {
 		t.Errorf("cache counted %d hits and %d misses, want 3 and 2", hits, misses)
+	}
+}
+
+// TestCacheEvictsOldest: the cache holds cacheCap circuits, and compiling
+// one more distinct circuit evicts the first compiled, and only that one.
+func TestCacheEvictsOldest(t *testing.T) {
+	ca := NewCache()
+	hashes := make([]string, cacheCap+1)
+	for i := range hashes {
+		bench := fmt.Sprintf("# circuit %d\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n", i)
+		_, h, err := ca.Compile("", bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[i] = h
+	}
+	if _, ok := ca.Bench(hashes[0]); ok {
+		t.Errorf("circuit 1 of %d is still cached, past the bound of %d", len(hashes), cacheCap)
+	}
+	for i, h := range hashes[1:] {
+		if _, ok := ca.Get(h); !ok {
+			t.Errorf("circuit %d of %d was evicted", i+2, len(hashes))
+		}
 	}
 }

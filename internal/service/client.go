@@ -16,8 +16,9 @@ import (
 	"repro/internal/retry"
 )
 
-// ErrUnknownCircuit reports a hash-only submission whose circuit the
-// coordinator does not hold; the caller retries with the bench text.
+// ErrUnknownCircuit reports a circuit hash the coordinator does not hold:
+// a hash-only submission, whose caller retries with the bench text, or a
+// CircuitBench fetch.
 var ErrUnknownCircuit = errors.New("service: circuit not cached on coordinator")
 
 // maxReplyBody bounds every reply the client reads.  The largest reply is a
@@ -150,7 +151,24 @@ func (cl *Client) call(ctx context.Context, p retry.Policy, timeout time.Duratio
 		}
 		body = b
 	}
-	var code int
+	code, raw, err := cl.fetch(ctx, p, timeout, method, path, body)
+	if err != nil || out == nil || code == http.StatusNoContent {
+		return code, err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return code, fmt.Errorf("service: decoding %s %s response: %w", method, path, err)
+	}
+	return code, nil
+}
+
+// fetch runs doOnce under the retry policy, bounding each attempt by
+// timeout (0 = the caller's context alone), and returns the status and the
+// body of the last attempt's reply.
+func (cl *Client) fetch(ctx context.Context, p retry.Policy, timeout time.Duration, method, path string, body []byte) (int, []byte, error) {
+	var (
+		code int
+		raw  []byte
+	)
 	err := retry.Do(ctx, p, func(ctx context.Context) error {
 		if timeout > 0 {
 			var cancel context.CancelFunc
@@ -158,35 +176,36 @@ func (cl *Client) call(ctx context.Context, p retry.Policy, timeout time.Duratio
 			defer cancel()
 		}
 		var err error
-		code, err = cl.doOnce(ctx, method, path, body, out)
+		code, raw, err = cl.doOnce(ctx, method, path, body)
 		return err
 	})
-	return code, err
+	return code, raw, err
 }
 
-// doOnce is one attempt: the full response body is read before decoding, so
-// a severed body surfaces as a transient read error rather than a partially
-// filled out value, and a body over maxReplyBody as ErrReplyTooLarge.
-func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, out any) (int, error) {
+// doOnce is one attempt: the full response body is read before anything
+// decodes it, so a severed body surfaces as a transient read error rather
+// than a partially filled value, and a body over maxReplyBody as
+// ErrReplyTooLarge.
+func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, cl.base+API+path, rd)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := cl.hc.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := readReply(resp, maxReplyBody)
 	if err != nil {
-		return resp.StatusCode, fmt.Errorf("service: reading %s %s response: %w", method, path, err)
+		return resp.StatusCode, nil, fmt.Errorf("service: reading %s %s response: %w", method, path, err)
 	}
 	if resp.StatusCode >= 400 {
 		apiErr := &APIError{
@@ -201,17 +220,12 @@ func (cl *Client) doOnce(ctx context.Context, method, path string, body []byte, 
 		}
 		if apiErr.Code == "unknown-circuit" {
 			// Keep the APIError in the chain so retry classification still
-			// sees the 409 while callers match ErrUnknownCircuit.
-			return resp.StatusCode, fmt.Errorf("%w: %w", ErrUnknownCircuit, apiErr)
+			// sees the status while callers match ErrUnknownCircuit.
+			return resp.StatusCode, nil, fmt.Errorf("%w: %w", ErrUnknownCircuit, apiErr)
 		}
-		return resp.StatusCode, apiErr
+		return resp.StatusCode, nil, apiErr
 	}
-	if out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("service: decoding %s %s response: %w", method, path, err)
-		}
-	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, raw, nil
 }
 
 // readReply reads a reply body of at most limit bytes.  A reply of declared
@@ -339,9 +353,10 @@ func (cl *Client) reconnect() *retry.Backoff {
 	return p.Backoff()
 }
 
-// Results fetches a finished job's full outcome.  Because the coordinator
-// and its ledger keep finished results, a re-fetch after a connection blip
-// returns the identical payload.
+// Results fetches a finished job's full outcome.  The coordinator keeps a
+// finished job's results in memory until it restarts, so a re-fetch after a
+// connection blip returns the identical payload; its ledger keeps only the
+// job's terminal state, and a restarted coordinator answers 404.
 func (cl *Client) Results(ctx context.Context, jobID string) (ResultsResponse, error) {
 	var resp ResultsResponse
 	_, err := cl.call(ctx, cl.wide, fetchTimeout, http.MethodGet, "/jobs/"+jobID+"/results", nil, &resp)
@@ -388,32 +403,11 @@ func (cl *Client) Spec(ctx context.Context, jobID string) (JobSpec, error) {
 	return spec, err
 }
 
-// CircuitBench fetches the .bench text of a cached circuit.
+// CircuitBench fetches the .bench text of a cached circuit.  A circuit the
+// coordinator does not hold fails with ErrUnknownCircuit.
 func (cl *Client) CircuitBench(ctx context.Context, hash string) (string, error) {
-	var text string
-	err := retry.Do(ctx, cl.wide, func(ctx context.Context) error {
-		ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.base+API+"/circuits/"+hash, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := cl.hc.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		b, err := readReply(resp, maxReplyBody)
-		if err != nil {
-			return fmt.Errorf("service: reading circuit %s: %w", hash, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return &APIError{Status: resp.StatusCode, Code: "unknown-circuit", Message: "circuit not cached"}
-		}
-		text = string(b)
-		return nil
-	})
-	return text, err
+	_, raw, err := cl.fetch(ctx, cl.wide, fetchTimeout, http.MethodGet, "/circuits/"+hash, nil)
+	return string(raw), err
 }
 
 // Lease asks the coordinator for up to maxUnits work units, letting it hold

@@ -198,3 +198,68 @@ func TestClientReadsChunkedLikeSized(t *testing.T) {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientCircuitBenchHonoursRetryAfter: a circuit fetch answered 503
+// shutting-down with a Retry-After hint, as a coordinator answers while it
+// shuts down, waits at least the hint before it asks again, and then reads
+// the bench text.
+func TestClientCircuitBenchHonoursRetryAfter(t *testing.T) {
+	const bench = "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"
+	var (
+		mu    sync.Mutex
+		asked []time.Time
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		asked = append(asked, time.Now())
+		first := len(asked) == 1
+		mu.Unlock()
+		if first {
+			w.Header().Set("Retry-After", "1")
+			writeErr(w, http.StatusServiceUnavailable, "shutting-down", "coordinator shutting down")
+			return
+		}
+		_, _ = io.WriteString(w, bench)
+	}))
+	defer srv.Close()
+	text, err := NewClient(srv.URL).CircuitBench(context.Background(), "h")
+	if err != nil || text != bench {
+		t.Fatalf("CircuitBench = %q, %v; want the bench text", text, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(asked) != 2 {
+		t.Fatalf("asked %d times, want 2", len(asked))
+	}
+	if wait := asked[1].Sub(asked[0]); wait < time.Second {
+		t.Errorf("the second attempt came %v after the first, before the 1 s Retry-After hint", wait)
+	}
+}
+
+// TestClientCircuitBenchUnknownIsTerminal: a coordinator that does not hold
+// the circuit answers 404 unknown-circuit, which the client reports as
+// ErrUnknownCircuit without asking again.
+func TestClientCircuitBenchUnknownIsTerminal(t *testing.T) {
+	co, err := NewCoordinator(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	var hits atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		co.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	_, err = NewClient(srv.URL, quickRetries).CircuitBench(context.Background(), HashBench("INPUT(a)\n"))
+	if !errors.Is(err, ErrUnknownCircuit) {
+		t.Fatalf("error %v, want ErrUnknownCircuit", err)
+	}
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || retry.Classify(err) != retry.Terminal {
+		t.Errorf("error %v, want a terminal 404", err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Errorf("asked %d times, want 1: a 404 is not retried", n)
+	}
+}

@@ -51,8 +51,6 @@ type Config struct {
 	// MaxActive bounds how many jobs generate concurrently; the rest queue.
 	// Default 4.
 	MaxActive int
-	// CacheSize bounds the compiled-circuit cache.  Default 64.
-	CacheSize int
 	// LedgerDir, when set, persists a JSONL unit ledger per job and resumes
 	// unfinished jobs on startup.
 	LedgerDir string
@@ -197,7 +195,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	ctx, stop := context.WithCancelCause(context.Background())
 	co := &Coordinator{
 		cfg:    cfg,
-		cache:  NewCache(cfg.CacheSize),
+		cache:  NewCache(),
 		mux:    http.NewServeMux(),
 		clock:  cfg.Chaos.Clock(), // time.Now for a nil injector
 		ctx:    ctx,
@@ -451,9 +449,9 @@ func (co *Coordinator) runJob(j *job) {
 // ended, failed when the run reported an error (the master generator's
 // finishing passes could not simulate the merged set — a bug, which must not
 // pass for a done job), done otherwise.  The journal becomes the job's stub
-// before the state is published, and the run and the faults leases carry
-// are let go: a finished job keeps only what its status, results and event
-// pages serve.
+// before the state is published, and the run, the faults leases carry and
+// the pattern exchange are let go: a finished job keeps only what its
+// status, results and event pages serve.
 func (j *job) finalize(results []core.FaultResult, tests string, stats core.Stats, runErr error) {
 	state := stateDone
 	var reason string
@@ -470,7 +468,7 @@ func (j *job) finalize(results []core.FaultResult, tests string, stats core.Stat
 	}
 	j.mu.Lock()
 	j.results, j.testsText, j.stats, j.state, j.err = results, tests, stats, state, reason
-	j.rr, j.wireFaults, j.replay = nil, nil, nil
+	j.rr, j.wireFaults, j.replay, j.exch = nil, nil, nil, exchange{}
 	j.mu.Unlock()
 	j.stateSig.fire()
 	j.closeEvents()
@@ -629,20 +627,17 @@ func (co *Coordinator) resume() error {
 	}
 	slices.Sort(files)
 	for _, path := range files {
-		// A journal's file name reserves its job ID whether or not a job
-		// loads from it: one holding only a job record torn by a crash must
-		// not be reused, or the new job would append to the debris.
+		// A journal's file name is its job ID, and reserves it whether or
+		// not a job loads from it: one holding only a job record torn by a
+		// crash must not be reused, or the new job would append to the
+		// debris.
 		co.bumpNextID(strings.TrimSuffix(filepath.Base(path), ".jsonl"))
 		lj, err := loadLedgerFile(path)
 		if err != nil {
 			return fmt.Errorf("service: ledger %s: %w", path, err)
 		}
-		if lj == nil {
-			continue
-		}
-		co.bumpNextID(lj.ID)
-		if lj.State != "" {
-			continue // terminal: nothing to resume
+		if lj == nil || lj.State != "" {
+			continue // no job, or a finished one: nothing to resume
 		}
 		err = lj.Err
 		if err == nil {

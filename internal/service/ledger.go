@@ -243,6 +243,8 @@ func (l *Ledger) Close() {
 
 // LedgerJob is the replayable content of one job's ledger.
 type LedgerJob struct {
+	// ID is the journal's file name without its extension: the job's ID
+	// and the name of the file resume writes to.
 	ID      string
 	Name    string
 	Hash    string
@@ -253,11 +255,11 @@ type LedgerJob struct {
 	// coordinator should resume; Reason is the error recorded with it.
 	State  string
 	Reason string
-	// Err is the first complete line that does not decode, or a
-	// *LedgerVersionError for a job record of another format version.  The
-	// ledger is not replayable: resume records the job failed with this
-	// error.  When the job record itself does not decode, ID comes from the
-	// file name.
+	// Err is the first complete line that does not decode, a
+	// *LedgerVersionError for a job record of another format version, or
+	// the error of a job record that names another job than its file name.
+	// The ledger is not replayable: resume records the job failed with this
+	// error, in this file.
 	Err error
 	// Units are the recorded unit completions, in journal order.
 	Units []LedgerUnit
@@ -275,14 +277,16 @@ type LedgerUnit struct {
 // mid-append), and a complete line that is a strict prefix of a record (a
 // torn append that the next append sealed with a newline).  Any other line
 // that does not decode sets LedgerJob.Err, and so does a job record of
-// another format version; the job is then returned even without a job
-// record, so resume can report it and reserve its ID.
+// another format version or one that names another job than the file name;
+// the job is then returned even without a job record, so resume can report
+// it.
 func loadLedgerFile(path string) (*LedgerJob, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	id := strings.TrimSuffix(filepath.Base(path), ".jsonl")
 	var (
 		lj            *LedgerJob
 		state, reason string
@@ -309,11 +313,15 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 		}
 		switch rec.T {
 		case "job":
-			if rec.Version != ledgerVersion && bad == nil {
+			switch {
+			case bad != nil: // the first error stands
+			case rec.Version != ledgerVersion:
 				bad = &LedgerVersionError{Version: rec.Version}
+			case rec.ID != "" && rec.ID != id:
+				bad = fmt.Errorf("ledger job record names job %q, but its journal is %s", rec.ID, filepath.Base(path))
 			}
 			lj = &LedgerJob{
-				ID:     rec.ID,
+				ID:     id,
 				Name:   rec.Name,
 				Hash:   rec.Hash,
 				Bench:  rec.Bench,
@@ -336,7 +344,7 @@ func loadLedgerFile(path string) (*LedgerJob, error) {
 	}
 	if bad != nil {
 		if lj == nil {
-			lj = &LedgerJob{ID: strings.TrimSuffix(filepath.Base(path), ".jsonl")}
+			lj = &LedgerJob{ID: id}
 		}
 		lj.Err = bad
 	}

@@ -674,19 +674,7 @@ func TestServiceLedgerStartLeavesJournals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	read := func() map[string]string {
-		t.Helper()
-		out := make(map[string]string)
-		for name := range ledgerSizes(t, dir) {
-			b, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[name] = string(b)
-		}
-		return out
-	}
-	before := read()
+	before := journals(t, dir)
 
 	co, err := NewCoordinator(Config{LedgerDir: dir})
 	if err != nil {
@@ -712,9 +700,9 @@ func TestServiceLedgerStartLeavesJournals(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	started := read()
+	started := journals(t, dir)
 	co.Close()
-	closed := read()
+	closed := journals(t, dir)
 
 	want := maps.Clone(before)
 	var ve *LedgerVersionError
@@ -735,5 +723,92 @@ func TestServiceLedgerStartLeavesJournals(t *testing.T) {
 			}
 			t.Fatalf("%s: the directory holds %v, want %v", tc.when, slices.Sorted(maps.Keys(tc.got)), slices.Sorted(maps.Keys(want)))
 		}
+	}
+}
+
+// journals reads every file of a ledger directory, by name.
+func journals(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for name := range ledgerSizes(t, dir) {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = string(b)
+	}
+	return out
+}
+
+// TestServiceLedgerJobIDIsFileName starts a coordinator on journals copied
+// under other names than the job IDs their records carry: a version-2
+// journal of job j1 as j3.jsonl, and a current-version journal of job j1 as
+// j5.jsonl.  A journal's job ID is its file name, so neither resumes, each
+// gains one failed line in its own file, and no other file appears.  A
+// second start writes nothing, and the next submit gets j6.
+func TestServiceLedgerJobIDIsFileName(t *testing.T) {
+	dir := t.TempDir()
+	version2, err := os.ReadFile(filepath.Join("testdata", "version2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, text := benchText(t, "c17")
+	opts := JobOptions{WordWidth: 1, SimInterval: intp(0)}
+	elsewhere := t.TempDir()
+	writeLedger(t, elsewhere, "j1", c, text, paths.SampleFaults(c, 4, 1995), opts, 2)
+	current, err := os.ReadFile(filepath.Join(elsewhere, "j1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]string{"j3.jsonl": string(version2), "j5.jsonl": string(current)}
+	for name, content := range before {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	var first map[string]string
+	for start := 0; start < 2; start++ {
+		co, err := NewCoordinator(Config{LedgerDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"j1", "j3", "j5"} {
+			if co.job(id) != nil {
+				t.Errorf("start %d: job %s was resumed", start, id)
+			}
+		}
+		got := journals(t, dir)
+		if start == 0 {
+			if !maps.EqualFunc(got, before, func(g, b string) bool { return strings.HasPrefix(g, b) }) {
+				t.Fatalf("the directory holds %v, want only %v, each appended to", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(before)))
+			}
+			for name, content := range got {
+				var rec ledgerRecord
+				added := strings.TrimPrefix(content, before[name])
+				if err := json.Unmarshal([]byte(added), &rec); err != nil || strings.Count(added, "\n") != 1 ||
+					rec.T != "state" || rec.State != stateFailed {
+					t.Fatalf("%s gained %q, want one failed line", name, added)
+				}
+			}
+			if rec := readJournal(t, filepath.Join(dir, "j5.jsonl")); !strings.Contains(rec[len(rec)-1].Error, `names job "j1"`) {
+				t.Errorf("j5.jsonl failed with %q, want the error naming the record's job", rec[len(rec)-1].Error)
+			}
+			first = got
+		} else {
+			if !maps.Equal(got, first) {
+				t.Error("a second start wrote to the journals")
+			}
+			srv := httptest.NewServer(co)
+			sub, err := NewClient(srv.URL).SubmitBench(ctx, "c17", text, opts, nil)
+			srv.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.JobID != "j6" {
+				t.Errorf("next submit got ID %s, want j6", sub.JobID)
+			}
+		}
+		co.Close()
 	}
 }

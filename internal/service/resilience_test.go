@@ -402,35 +402,36 @@ func TestWorkerBackoffCounters(t *testing.T) {
 // FuzzLedgerLoad throws arbitrary bytes at the journal loader, then
 // appends two completions of one unit through the Ledger, as a resumed job
 // appends to its journal, and loads it again.  Loading never panics.  A
-// journal that loads (a job record of this format version, every complete
-// line a record or sealed debris) and ends as an append leaves it (on a
+// journal that loads (at j.jsonl, a job record of this format version that
+// names job j or none, every complete line a record or sealed debris) and
+// ends as an append leaves it (on a
 // newline, a record or a torn prefix of one) loads again with the units it
 // held, in journal order, and then the two appended: replay, which applies
 // each unit's first completion, sees the first recorded completion of
 // every unit, and the appended unit's second completion is a duplicate.
 func FuzzLedgerLoad(f *testing.F) {
-	f.Add([]byte(`{"t":"job","version":3,"id":"j1","name":"c17","bench":"INPUT(a)\n"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j","name":"c17","bench":"INPUT(a)\n"}
 {"t":"unit","unit":0,"worker":"wA","outcomes":{"status":"t","phase":"f","decisions":[0],"backtracks":[0],"tests":["0 -> 1"],"raws":["x -> 1"]}}
 {"t":"unit","unit":0,"worker":"wB"}
 {"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"r","phase":"a","decisions":[2],"backtracks":[1],"tests":[]}}
 `))
-	f.Add([]byte(`{"t":"job","version":3,"id":"j2","name":"c17"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j","name":"c17"}
 {"t":"state","state":"done"}
 `))
-	f.Add([]byte(`{"t":"job","version":3,"id":"j3"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j"}
 {"t":"unit","un`)) // torn tail
-	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":3,\"id\":\"j4\"}\n"))
-	f.Add([]byte(`{"t":"job","id":"j5"}
+	f.Add([]byte("\n\ngarbage not json\n{\"t\":\"job\",\"version\":3,\"id\":\"j\"}\n"))
+	f.Add([]byte(`{"t":"job","id":"j"}
 {"t":"unit","unit":0,"worker":"wA"}
 `)) // no format version
-	f.Add([]byte(`{"t":"job","version":1,"id":"j6"}
+	f.Add([]byte(`{"t":"job","version":1,"id":"j"}
 {"t":"unit","unit":0,"worker":"wA","outcomes":[{"status":"tested","test":"0 -> 1"}]}
 `)) // format version 1: one object per outcome
-	f.Add([]byte(`{"t":"job","version":2,"id":"j7"}
+	f.Add([]byte(`{"t":"job","version":2,"id":"j"}
 {"t":"pass","spec":{"width":1,"budget":8},"units":[[0],[1]]}
 {"t":"unit","unit":1,"worker":"wA","outcomes":{"status":"r","phase":"f","decisions":[0],"backtracks":[0]}}
 `)) // format version 2: the unit cut in a pass record
-	f.Add([]byte(`{"t":"job","version":3,"id":"j8"}
+	f.Add([]byte(`{"t":"job","version":3,"id":"j"}
 {"t":"unit","unit":2,"wor
 {"t":"unit","unit":2,"worker":"wA"}
 {"t":"unit","unit":0,"worker":"wB"}`)) // sealed debris, and a last record without its newline

@@ -500,9 +500,11 @@ func TestServiceRefusesMalformedColumns(t *testing.T) {
 }
 
 // TestServiceFinishedJobFreesRun: a finished job lets go of its run (the
-// master generator's implication state, simulator, records and test set)
-// and of the faults its leases carried, and still serves its results and
-// every page of its settle events.
+// master generator's implication state, simulator, records and test set),
+// of the faults its leases carried and of its pattern exchange, and still
+// serves its results and every page of its settle events.  One job runs
+// with the simulation off and must match a local run; one runs with it on,
+// so tested outcomes reach its exchange.
 func TestServiceFinishedJobFreesRun(t *testing.T) {
 	ctx := budget(t)
 	co, url := loopback(t, Config{}, nil)
@@ -511,53 +513,75 @@ func TestServiceFinishedJobFreesRun(t *testing.T) {
 	cl := NewClient(url)
 	c, text := benchText(t, "c432")
 	faults := paths.SampleFaults(c, 48, 1995)
-	opts := JobOptions{SimInterval: intp(0), Compact: "reverse"}
-	local, localTests, _ := localRun(t, c, opts, faults)
-	sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := cl.Wait(ctx, sub.JobID); err != nil || st.State != stateDone {
-		t.Fatalf("job ended %+v, %v; want done", st, err)
-	}
-	j := co.job(sub.JobID)
-	j.mu.Lock()
-	rr, wireFaults := j.rr, j.wireFaults
-	j.mu.Unlock()
-	if rr != nil || wireFaults != nil {
-		t.Fatalf("the finished job holds its run (%v) or its %d wire faults", rr != nil, len(wireFaults))
-	}
+	for _, opts := range []JobOptions{
+		{SimInterval: intp(0), Compact: "reverse"},
+		{SimInterval: intp(8), Compact: "reverse"},
+	} {
+		simOn := *opts.SimInterval > 0
+		sub, err := cl.SubmitBench(ctx, "c432", text, opts, EncodeFaults(c, faults))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := cl.Wait(ctx, sub.JobID); err != nil || st.State != stateDone {
+			t.Fatalf("job ended %+v, %v; want done", st, err)
+		}
+		j := co.job(sub.JobID)
+		j.mu.Lock()
+		rr, wireFaults, exch := j.rr, j.wireFaults, j.exch
+		j.mu.Unlock()
+		if rr != nil || wireFaults != nil {
+			t.Fatalf("sim %v: the finished job holds its run (%v) or its %d wire faults", simOn, rr != nil, len(wireFaults))
+		}
+		if exch.buf != nil || exch.cursors != nil {
+			t.Fatalf("sim %v: the finished job holds %d exchanged tests and %d cursors", simOn, len(exch.buf), len(exch.cursors))
+		}
 
-	resp, err := cl.Results(ctx, sub.JobID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range decoded(t, faults, resp) {
-		if r.Status != local[i].Status || r.PatternIndex != local[i].PatternIndex {
-			t.Fatalf("fault %d: %s at pattern %d, local %s at %d", i, r.Status, r.PatternIndex, local[i].Status, local[i].PatternIndex)
-		}
-	}
-	if resp.Tests != localTests {
-		t.Fatal("merged test set differs from the local run")
-	}
-	seen := make([]bool, len(faults))
-	for page, err := range cl.Follow(ctx, sub.JobID) {
+		resp, err := cl.Results(ctx, sub.JobID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := page.DecodePage(faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, r := range rows {
-			if fi := page.Index[k]; seen[fi] || r.Status != local[fi].Status {
-				t.Fatalf("event of fault %d: %s (seen before: %v), local %s", fi, r.Status, seen[fi], local[fi].Status)
+		results := decoded(t, faults, resp)
+		if simOn {
+			// Which faults the simulation drops depends on when each
+			// worker's tests arrive, so only a tested fault is asked for:
+			// its test went through the exchange.
+			if !slices.ContainsFunc(results, func(r core.FaultResult) bool { return r.Status == core.Tested }) {
+				t.Fatal("sim on: no fault was tested, so nothing reached the exchange")
 			}
-			seen[page.Index[k]] = true
+		} else {
+			local, localTests, _ := localRun(t, c, opts, faults)
+			for i, r := range results {
+				if r.Status != local[i].Status || r.PatternIndex != local[i].PatternIndex {
+					t.Fatalf("fault %d: %s at pattern %d, local %s at %d", i, r.Status, r.PatternIndex, local[i].Status, local[i].PatternIndex)
+				}
+			}
+			if resp.Tests != localTests {
+				t.Fatal("merged test set differs from the local run")
+			}
 		}
-	}
-	if i := slices.Index(seen, false); i >= 0 {
-		t.Fatalf("the event feed never settled fault %d", i)
+		seen := make([]bool, len(faults))
+		for page, err := range cl.Follow(ctx, sub.JobID) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := page.DecodePage(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range rows {
+				fi := page.Index[k]
+				if seen[fi] {
+					t.Fatalf("sim %v: fault %d settled twice", simOn, fi)
+				}
+				if !simOn && rows[k].Status != results[fi].Status {
+					t.Fatalf("event of fault %d: %s, final %s", fi, rows[k].Status, results[fi].Status)
+				}
+				seen[fi] = true
+			}
+		}
+		if i := slices.Index(seen, false); i >= 0 {
+			t.Fatalf("sim %v: the event feed never settled fault %d", simOn, i)
+		}
 	}
 }
 

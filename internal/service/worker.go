@@ -95,7 +95,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:   cfg,
 		cl:    NewClient(cfg.Coordinator, opts...),
-		cache: NewCache(0),
+		cache: NewCache(),
 		jobs:  make(map[string]*workerJob),
 	}
 }

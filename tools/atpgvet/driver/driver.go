@@ -85,7 +85,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := exportImporter(fset, func(path string) (io.ReadCloser, error) {
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		p, ok := byPath[path]
 		if !ok || p.Export == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -111,11 +111,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// exportImporter returns a gc-export-data importer backed by lookup.
-func exportImporter(fset *token.FileSet, lookup func(string) (io.ReadCloser, error)) types.ImporterFrom {
-	return importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
 }
 
 // absFiles resolves the file names of a package directory.

@@ -4,10 +4,10 @@
 // merge, zero-alloc hot paths, cancelable consume loops).  See
 // docs/ARCHITECTURE.md, "Enforced invariants".
 //
-// It runs in two modes:
+// It runs standalone, like staticcheck, over the production sources of the
+// packages named (./... by default), and exits 1 when it reports anything:
 //
-//	atpgvet ./...                         # standalone, like staticcheck
-//	go vet -vettool=$(which atpgvet) ./... # as a go vet tool
+//	go run ./tools/atpgvet ./...
 //
 // Suppress a finding with a trailing comment carrying a mandatory reason:
 //
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +35,6 @@ import (
 	"repro/tools/atpgvet/driver"
 )
 
-// version participates in go vet's content-addressed action cache: bump it
-// whenever analyzer behavior changes, or stale results may be replayed.
-const version = "v1.0.0"
-
 // Analyzers is the multichecker's analyzer set.
 var Analyzers = []*analysis.Analyzer{
 	trailpair.Analyzer,
@@ -50,32 +45,9 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	vFlag := flag.String("V", "", "print version and exit (the go vet tool protocol passes -V=full)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flags as JSON (go vet tool protocol)")
-	jsonFlag := flag.Bool("json", false, "accepted for go vet compatibility (ignored)")
 	flag.Usage = usage
 	flag.Parse()
-	_ = jsonFlag
-
-	switch {
-	case *vFlag != "":
-		// The go command hashes this line into its build cache key, so it
-		// must change whenever the tool changes: include a content hash of
-		// the executable, like x/tools' unitchecker does.
-		fmt.Printf("atpgvet version %s sum %s\n", version, selfHash())
-		return
-	case *flagsFlag:
-		fmt.Println("[]")
-		return
-	}
-
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// go vet -vettool mode: one JSON config file per package.
-		os.Exit(driver.RunUnitchecker(args[0], Analyzers))
-	}
-
-	// Standalone mode.
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -93,21 +65,6 @@ func main() {
 	}
 }
 
-// selfHash returns a short content hash of the running executable, so that
-// rebuilding the tool invalidates go vet's cached results.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%x", sum[:12])
-}
-
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: atpgvet [packages]\n\nAnalyzers:\n")
 	for _, a := range Analyzers {
@@ -115,5 +72,4 @@ func usage() {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, doc)
 	}
 	fmt.Fprintf(os.Stderr, "\nSuppressions: %s <analyzer> -- <reason>\n", driver.IgnorePrefix)
-	flag.PrintDefaults()
 }
