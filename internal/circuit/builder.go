@@ -224,6 +224,13 @@ func (b *Builder) Build() (*Circuit, error) {
 	for pos, id := range order {
 		c.orderPos[id] = int32(pos)
 	}
+	c.inputPos = make([]int32, n)
+	for id := range c.inputPos {
+		c.inputPos[id] = -1
+	}
+	for pos, id := range c.inputs {
+		c.inputPos[id] = int32(pos)
+	}
 
 	if err := c.Validate(); err != nil {
 		return nil, err

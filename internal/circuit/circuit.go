@@ -64,6 +64,9 @@ type Circuit struct {
 	// orderPos[id] is the index of net id in order, precomputed by Build for
 	// the event-driven implication engine.
 	orderPos []int32
+	// inputPos[id] is the index of net id in inputs, -1 for a net that is
+	// not an input.
+	inputPos []int32
 
 	maxLevel int
 	numDFF   int
@@ -131,6 +134,11 @@ func (c *Circuit) TopoOrder() []NetID { return c.order }
 // key used by the event-driven implication engine to keep levelized event
 // processing consistent with the full forward/backward sweeps.
 func (c *Circuit) OrderPos(id NetID) int { return int(c.orderPos[id]) }
+
+// InputPos returns the position of net id in Inputs, or -1 when id is not a
+// primary input.  Per-input storage (the implication engine's assignment
+// plane, the fault simulator's pattern columns) is indexed by it.
+func (c *Circuit) InputPos(id NetID) int { return int(c.inputPos[id]) }
 
 // NumLevels returns the number of topological levels (MaxLevel + 1), the
 // bucket count of per-level event queues.

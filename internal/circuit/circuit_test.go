@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,13 @@ func TestBuilderC17(t *testing.T) {
 	}
 	if id := c.NetByName("nope"); id != InvalidNet {
 		t.Error("unknown name should return InvalidNet")
+	}
+	// InputPos is the position in Inputs, -1 off the inputs.
+	for _, g := range c.Gates() {
+		want := slices.Index(c.Inputs(), g.ID)
+		if got := c.InputPos(g.ID); got != want {
+			t.Errorf("InputPos(%s) = %d, want %d", g.Name, got, want)
+		}
 	}
 	// Topological order property: every fanin appears before its fanout.
 	pos := make(map[NetID]int)

@@ -23,6 +23,17 @@
 // faults that would need backtracking to APTPG.  Restricting the word width
 // to one bit yields the single-bit baseline used for the comparison in
 // Tables 5 and 6 of the paper.
+//
+// The hand-over carries the fault's first closure with it.  A window of up
+// to one machine word of faults is opened with a single implication of all
+// their requirements and launches, whose closure the implication state
+// saves (implic.State.SaveClosure) before FPTPG's first decision.  APTPG
+// then starts each fault the window hands over from that closure's bit
+// level (implic.State.LoadClosure) rather than implying the fault again; the
+// load counts as the implication it replaces, so every effort counter reads
+// as before.  With FPTPG off the window is opened all the same and hands
+// every fault over: a fault whose first closure conflicts is Redundant in
+// APTPG, one that cannot be sensitized Aborted in APTPG, as before.
 package core
 
 import (

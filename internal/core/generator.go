@@ -197,13 +197,15 @@ func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, rec
 	}
 }
 
-// processUnit runs one work unit: one fault-parallel FPTPG group per
-// machine-word window of the unit's still-pending faults, and the
+// processUnit runs one work unit: one window per machine word of the unit's
+// still-pending faults, each run as a fault-parallel FPTPG group, and the
 // alternative-parallel search for the faults FPTPG hands over.  Faults that
 // exhaust MaxBacktracks are Aborted.  Nothing carries over from one unit to
 // the next, so a unit's outcome depends on its own faults alone; bit levels
 // are independent, so splitting a unit wider than the state into several
-// groups changes no fault's outcome.
+// windows changes no fault's outcome.  With FPTPG off a window is opened all
+// the same, to start the APTPG searches from its closure, and hands every
+// fault over.
 func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 	if ctx.Err() != nil {
 		return
@@ -216,22 +218,27 @@ func (g *Generator) processUnit(ctx context.Context, unit []*rec) {
 	}
 	for start := 0; start < len(group); start += logic.WordWidth {
 		batch := group[start:min(start+logic.WordWidth, len(group))]
-		var hard []*rec
+		conf := g.openWindow(batch)
+		var hard []int
 		if g.opts.UseFPTPG {
 			g.stats.FPTPGGroups++
-			hard = g.runGroup(ctx, batch)
+			hard = g.runGroup(ctx, batch, conf)
 		} else {
-			hard = batch
+			hard = make([]int, len(batch))
+			for i := range hard {
+				hard[i] = i
+			}
 		}
-		for _, r := range hard {
+		for _, lvl := range hard {
 			if ctx.Err() != nil {
 				return
 			}
+			r := batch[lvl]
 			if r.res.Status != Pending {
 				continue
 			}
 			if g.opts.UseAPTPG {
-				g.runAPTPG(ctx, r)
+				g.runAPTPG(ctx, r, lvl, conf.Bit(lvl))
 			} else {
 				g.markAborted(r, PhaseFPTPG)
 			}
@@ -315,19 +322,17 @@ func (g *Generator) sensitizeRec(r *rec) bool {
 // FPTPG: fault-parallel test pattern generation.
 // ---------------------------------------------------------------------------
 
-// runGroup processes up to WordWidth faults simultaneously, one per bit
-// level, and returns the faults that need backtracking (handed to APTPG).
-// On context cancellation the group is abandoned mid-iteration; its unsettled
-// faults stay Pending and are swept up by finish.
-func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
-	var needPhase2 []*rec
-	active := logic.LevelsMask(len(batch))
-	g.st.Reset(active)
-
-	var alive logic.Mask
+// openWindow places up to WordWidth faults on the bit levels of the state,
+// one per level: it sensitizes each fault, puts its requirements and launch
+// on its level, implies the window once and saves that closure, from which
+// runAPTPG starts every fault the window hands over.  It returns the levels
+// whose first closure conflicts; a fault whose sensitization fails keeps its
+// level empty (r.sensOK stays false).
+func (g *Generator) openWindow(batch []*rec) logic.Mask {
+	g.st.Reset(logic.LevelsMask(len(batch)))
+	var placed logic.Mask
 	for i, r := range batch {
 		if !g.sensitizeRec(r) {
-			g.markAborted(r, PhaseFPTPG)
 			continue
 		}
 		bit := logic.BitMask(i)
@@ -335,11 +340,30 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			g.st.AddRequirement(a.Net, a.Value, bit)
 		}
 		g.st.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), bit)
-		alive |= bit
+		placed |= bit
 	}
+	conf := g.st.Imply() & placed
+	g.st.SaveClosure()
+	return conf
+}
 
-	var decided logic.Mask
-	conf := g.implyCounted()
+// runGroup runs FPTPG on an opened window (see openWindow) whose first
+// closure conflicts on the levels conf, and returns the levels of the faults
+// that need backtracking (handed to APTPG), in hand-over order.  On context
+// cancellation the group is abandoned mid-iteration; its unsettled faults
+// stay Pending and are swept up by finish.
+func (g *Generator) runGroup(ctx context.Context, batch []*rec, conf logic.Mask) []int {
+	var needPhase2 []int
+	g.stats.Implications++ // the window's first closure
+
+	var alive logic.Mask
+	for i, r := range batch {
+		if !r.sensOK {
+			g.markAborted(r, PhaseFPTPG)
+			continue
+		}
+		alive |= logic.BitMask(i)
+	}
 	if newConf := conf & alive; newConf != 0 {
 		for i, r := range batch {
 			if newConf.Bit(i) {
@@ -349,6 +373,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 		alive &^= newConf
 	}
 
+	var decided logic.Mask
 	for iter := 0; alive != 0 && iter < maxFPTPGIterations; iter++ {
 		if ctx.Err() != nil {
 			return nil
@@ -361,7 +386,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 				}
 				if !g.emitTest(r, i, PhaseFPTPG) {
 					// Verification failed: give the fault to APTPG.
-					needPhase2 = append(needPhase2, r)
+					needPhase2 = append(needPhase2, i)
 				}
 				alive &^= logic.BitMask(i)
 			}
@@ -384,7 +409,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			bit := logic.BitMask(i)
 			obj, ok := g.findObjective(g.objKeys[i], i)
 			if !ok {
-				needPhase2 = append(needPhase2, r)
+				needPhase2 = append(needPhase2, i)
 				alive &^= bit
 				continue
 			}
@@ -398,8 +423,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 			break
 		}
 
-		conf = g.implyCounted()
-		if newConf := conf & alive; newConf != 0 {
+		if newConf := g.implyCounted() & alive; newConf != 0 {
 			for i, r := range batch {
 				if !newConf.Bit(i) {
 					continue
@@ -408,7 +432,7 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 					// The conflict may stem from a wrong decision: this is
 					// exactly the situation in which the paper passes over to
 					// APTPG instead of backtracking inside FPTPG.
-					needPhase2 = append(needPhase2, r)
+					needPhase2 = append(needPhase2, i)
 				} else {
 					g.markRedundant(r, PhaseFPTPG)
 				}
@@ -418,9 +442,9 @@ func (g *Generator) runGroup(ctx context.Context, batch []*rec) []*rec {
 	}
 
 	// Whatever is still alive after the iteration limit goes to APTPG.
-	for i, r := range batch {
+	for i := range batch {
 		if alive.Bit(i) {
-			needPhase2 = append(needPhase2, r)
+			needPhase2 = append(needPhase2, i)
 		}
 	}
 	return needPhase2
@@ -536,16 +560,29 @@ type decision struct {
 	flipped    bool
 }
 
-// runAPTPG handles one hard fault: the fault is flattened onto the run's
-// WordWidth bit levels, up to log2(width) backtrace-selected inputs are
-// enumerated in parallel (one value combination per bit level) and any
-// further decisions are made conventionally with chronological backtracking
-// on all levels at once.  MaxBacktracks bounds the search, after which the
-// fault is Aborted.
-func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
+// runAPTPG handles one hard fault, the one on bit level `level` of the
+// window just opened (see openWindow), whose first closure conflicted if
+// conflicted is set: the fault is flattened onto the run's WordWidth bit
+// levels, up to log2(width) backtrace-selected inputs are enumerated in
+// parallel (one value combination per bit level) and any further decisions
+// are made conventionally with chronological backtracking on all levels at
+// once.  MaxBacktracks bounds the search, after which the fault is Aborted.
+// The search starts from the window's closure of the fault's level instead
+// of re-implying the fault: bit levels are independent, so that closure is
+// the fault's own (see implic.State.LoadClosure).
+func (g *Generator) runAPTPG(ctx context.Context, r *rec, level int, conflicted bool) {
 	g.stats.APTPGFaults++
-	if !g.sensitizeRec(r) {
+	if !r.sensOK {
+		// The window could not sensitize it.
 		g.markAborted(r, PhaseAPTPG)
+		return
+	}
+	// The window's closure of the fault's level is the search's first
+	// implication.
+	g.stats.Implications++
+	if conflicted {
+		// Conflict on every level with no optional assignment: redundant.
+		g.markRedundant(r, PhaseAPTPG)
 		return
 	}
 	width := g.opts.WordWidth
@@ -562,15 +599,9 @@ func (g *Generator) runAPTPG(ctx context.Context, r *rec) {
 	for _, a := range r.cond.Assignments {
 		g.st.AddRequirement(a.Net, a.Value, active)
 	}
-	pathIn := r.fault.Path.Input()
-	launch := g.launchValue(r.fault.Transition)
-	g.st.AssignPI(pathIn, launch, active)
+	g.st.AssignPI(r.fault.Path.Input(), g.launchValue(r.fault.Transition), active)
+	g.st.LoadClosure(level)
 
-	if conf := g.implyCounted(); conf == active {
-		// Conflict on every level with no optional assignment: redundant.
-		g.markRedundant(r, PhaseAPTPG)
-		return
-	}
 	// One order serves the search (see orderObjectives), and level 0's
 	// serves every level: they all carry the same requirements.
 	g.st.ForwardSim()

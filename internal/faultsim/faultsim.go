@@ -31,8 +31,6 @@ type Simulator struct {
 	// vectors are read when an input net is first evaluated, so they must not
 	// change until the next Load.
 	pairs []pattern.Pair
-	// inputPos maps a primary input net to its position in the pairs.
-	inputPos []int32
 
 	// vals[net] holds the net's value for the loaded batch when bit net of
 	// done is set; Load clears done, which invalidates every value at once.
@@ -53,21 +51,6 @@ func New(c *circuit.Circuit) *Simulator { return &Simulator{c: c} }
 // BatchSize is the maximum number of test pairs per batch.
 const BatchSize = logic.WordWidth
 
-// inputPosKey keys the input position map in the circuit's memo.
-type inputPosKey struct{}
-
-// inputPositions returns the map from primary input net to input position,
-// computed once per circuit.
-func inputPositions(c *circuit.Circuit) []int32 {
-	return c.Memo(inputPosKey{}, func() any {
-		pos := make([]int32, c.NumNets())
-		for i, in := range c.Inputs() {
-			pos[in] = int32(i)
-		}
-		return pos
-	}).([]int32)
-}
-
 // Load makes a batch of up to BatchSize test pairs current and returns the
 // number of pairs loaded.  Pairs beyond BatchSize are ignored (call Load
 // again with the remainder).  Each pair must have one value per primary
@@ -76,7 +59,6 @@ func inputPositions(c *circuit.Circuit) []int32 {
 // be modified until the next Load.
 func (s *Simulator) Load(pairs []pattern.Pair) (int, error) {
 	if s.vals == nil {
-		s.inputPos = inputPositions(s.c)
 		s.vals = make([]logic.Word7, s.c.NumNets())
 		s.done = make([]uint64, (s.c.NumNets()+63)/64)
 	}
@@ -111,7 +93,7 @@ func (s *Simulator) value(net circuit.NetID) logic.Word7 {
 		// Gather the Table 1 codes of the input's V1 and V2 values into
 		// planes, one bit per pair, and derive the seven-valued planes from
 		// them word-wide (pattern.Pair.Value7 per bit level).
-		pos := int(s.inputPos[net])
+		pos := s.c.InputPos(net)
 		var z1, o1, z2, o2 uint64
 		for j := range s.pairs {
 			a, b := uint64(s.pairs[j].V1[pos]), uint64(s.pairs[j].V2[pos])

@@ -95,6 +95,113 @@ func oneFaultState(tb testing.TB) (*State, []circuit.NetID) {
 	return st, inputs
 }
 
+// aptpgStart is a fault placed on a window level: its sensitization
+// conditions, its launch and the level.
+type aptpgStart struct {
+	cond   sensitize.Conditions
+	launch circuit.NetID
+	value  logic.Value7
+	level  int
+}
+
+// sampleWindow returns a window as the generator fills one: the first
+// `width` sampled faults of c whose conditions exist in mode, one per bit
+// level, each with the launch value the generator assigns in that mode.
+func sampleWindow(tb testing.TB, c *circuit.Circuit, mode sensitize.Mode, width int, seed int64) []aptpgStart {
+	tb.Helper()
+	var faults []aptpgStart
+	for _, f := range paths.SampleFaults(c, 2*width, seed) {
+		if len(faults) == width {
+			break
+		}
+		cond, err := sensitize.Sensitize(c, f, mode)
+		if err != nil {
+			continue
+		}
+		v := f.Transition.Value7()
+		if mode == sensitize.Nonrobust {
+			v = logic.Value7From3(f.Transition.FinalValue3())
+		}
+		faults = append(faults, aptpgStart{cond: cond, launch: f.Path.Input(), value: v, level: len(faults)})
+	}
+	return faults
+}
+
+// openWindow resets st to `width` levels, places every fault of the window
+// on its own level, implies the window once and saves the closure, as the
+// generator opens a window.  It returns the window's conflict mask.
+func openWindow(st *State, faults []aptpgStart, width int) logic.Mask {
+	st.Reset(logic.LevelsMask(width))
+	for _, fs := range faults {
+		fs.place(st, logic.BitMask(fs.level))
+	}
+	conf := st.Imply()
+	st.SaveClosure()
+	return conf
+}
+
+// liveFaults returns the faults of a window whose level does not conflict.
+func liveFaults(faults []aptpgStart, conf logic.Mask) []aptpgStart {
+	var live []aptpgStart
+	for _, fs := range faults {
+		if !conf.Bit(fs.level) {
+			live = append(live, fs)
+		}
+	}
+	return live
+}
+
+// place puts the fault's requirements and launch on the levels of mask.
+func (fs aptpgStart) place(st *State, mask logic.Mask) {
+	for _, a := range fs.cond.Assignments {
+		st.AddRequirement(a.Net, a.Value, mask)
+	}
+	st.AssignPI(fs.launch, fs.value, mask)
+}
+
+// startOneFault resets st to the fault alone on every level of active, as
+// APTPG does before its first closure.
+func (fs aptpgStart) startOneFault(st *State, active logic.Mask) {
+	st.Reset(active)
+	fs.place(st, active)
+}
+
+// BenchmarkAPTPGStart measures the first closure of an APTPG search on
+// BenchmarkImplyOneFault's c7552 stand-in: `imply` resets the state, puts the
+// fault's requirements and launch on all 64 levels and implies them; `load`
+// does the same but takes the closure from the snapshot of a 64-fault
+// window holding the fault (implic.State.LoadClosure), as the generator
+// does.
+func BenchmarkAPTPGStart(b *testing.B) {
+	c, err := bench.Get("c7552")
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := NewState(c)
+	window := sampleWindow(b, c, sensitize.Robust, logic.WordWidth, 1)
+	faults := liveFaults(window, openWindow(st, window, logic.WordWidth))
+	if len(faults) == 0 {
+		b.Fatal("every window level conflicts")
+	}
+	all := logic.LevelsMask(logic.WordWidth)
+	b.Run("imply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fs := faults[i%len(faults)]
+			fs.startOneFault(st, all)
+			st.Imply()
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fs := faults[i%len(faults)]
+			fs.startOneFault(st, all)
+			st.LoadClosure(fs.level)
+		}
+	})
+}
+
 // deadState builds the state of BenchmarkImplyDead: benchImplyState with a
 // contradictory requirement (stable 0 and stable 1) on the net with the
 // largest fanout, which conflicts every odd level before the first decision.

@@ -80,15 +80,19 @@ func (s *State) growCone() {
 		return
 	}
 	start := len(s.coneNets)
+	// The pass keeps the list and the marks in locals, so marking a net does
+	// not store the list's header back into the state.
+	cone, inCone, gates := s.coneNets, s.inCone, s.c.Gates()
 	for _, r := range s.coneRoots[s.coneDone:] {
-		s.markCone(r)
+		cone = markCone(cone, inCone, r)
 	}
 	s.coneDone = len(s.coneRoots)
-	for i := start; i < len(s.coneNets); i++ {
-		for _, f := range s.c.Gate(s.coneNets[i]).Fanin {
-			s.markCone(f)
+	for i := start; i < len(cone); i++ {
+		for _, f := range gates[cone[i]].Fanin {
+			cone = markCone(cone, inCone, f)
 		}
 	}
+	s.coneNets = cone
 	if !s.constsSeeded && !s.simConstsSeeded {
 		return // neither Imply nor ForwardSim has run in this epoch
 	}
@@ -99,12 +103,13 @@ func (s *State) growCone() {
 	}
 }
 
-// markCone adds net to the requirement cone.
-func (s *State) markCone(net circuit.NetID) {
-	if !s.inCone[net] {
-		s.inCone[net] = true
-		s.coneNets = append(s.coneNets, net)
+// markCone adds net to the cone list and its marks unless they hold it.
+func markCone(cone []circuit.NetID, inCone []bool, net circuit.NetID) []circuit.NetID {
+	if !inCone[net] {
+		inCone[net] = true
+		cone = append(cone, net)
 	}
+	return cone
 }
 
 // clearQueue empties every bucket and resets the queued flags.
@@ -135,8 +140,8 @@ func (s *State) seedImply() {
 	}
 	for _, n := range s.pendImply {
 		s.mergeVal(n, s.req[n].SelectLevels(s.active))
-		if s.c.IsInput(n) {
-			s.mergeVal(n, s.pi[n].SelectLevels(s.active))
+		if p := s.c.InputPos(n); p >= 0 {
+			s.mergeVal(n, s.pi[p].SelectLevels(s.active))
 		}
 	}
 	s.pendImply = s.pendImply[:0]
@@ -192,7 +197,7 @@ func (s *State) runForwardSim() {
 		}
 	}
 	for _, in := range s.pendSim {
-		s.setSim(in, s.pi[in].SelectLevels(s.active))
+		s.setSim(in, s.pi[s.c.InputPos(in)].SelectLevels(s.active))
 	}
 	s.pendSim = s.pendSim[:0]
 	if s.simN == 0 {

@@ -31,11 +31,29 @@
 //
 // # Plane storage layout
 //
-// Each plane kind is one []logic.Word7 indexed by net: a net's value on all
-// 64 bit levels is the four bit planes (Zero/One/Stable/Instable) of one
-// Word7, as in Table 2 of the paper, so a gate evaluation or a backward
-// implication costs a few word operations per fanin.  The four plane kinds
-// and their trail stamps cost 160 bytes per net.
+// Each plane kind is one []logic.Word7: a net's value on all 64 bit levels
+// is the four bit planes (Zero/One/Stable/Instable) of one Word7, as in
+// Table 2 of the paper, so a gate evaluation or a backward implication costs
+// a few word operations per fanin.  Req, Val, Sim and the window snapshot
+// (below) hold one Word7 per net, PI one per primary input, and the trail
+// keeps one frame stamp per net: 136 bytes per net plus 32 per input.  With
+// the event queues and the cone marks a state takes about 154 bytes per net
+// on c7552 and 149 on the s38584 stand-in (TestNewStateBytes).
+//
+// # The window snapshot
+//
+// The generator opens every window of up to 64 faults, one per bit level,
+// with one Imply over their requirements and launches; SaveClosure then
+// copies that closure's Val words on the requirement cone into the snapshot
+// plane.  A fault the window hands to the one-fault search (APTPG) starts
+// from it: after Reset, its requirements and its launch on every level,
+// LoadClosure grows the fault's cone and writes the snapshot's bit level of
+// that fault onto every active level, instead of implying the fault again.
+// Bit levels are independent, and a conflict-free level's closure on its
+// fault's cone is unique, so the loaded state is exactly the implied one
+// (snapshot_test.go checks every plane); the full-sweep reference keeps
+// recomputing, which makes every loaded start in the generator's
+// equivalence tests face an independent closure.
 //
 // # Event-driven incremental operation
 //
@@ -86,9 +104,15 @@ import (
 type State struct {
 	c *circuit.Circuit
 
-	// The plane kinds, one Word7 per net: requirements, input assignments,
-	// implication closure and forward simulation.
+	// The plane kinds: requirements, implication closure and forward
+	// simulation hold one Word7 per net, input assignments one per primary
+	// input, indexed by circuit.InputPos.
 	req, pi, val, sim []logic.Word7
+
+	// snap holds the Val words of the requirement cone at the last
+	// SaveClosure, the closure LoadClosure starts a one-fault search from.
+	// Reset leaves it alone.
+	snap []logic.Word7
 
 	active      logic.Mask // bit levels in use
 	valConflict uint64     // accumulated conflict bits of the Val plane
@@ -107,9 +131,10 @@ type State struct {
 	pendImply []circuit.NetID
 	pendSim   []circuit.NetID
 
-	// touched lists every net written since the last Reset, and dirty[n]
-	// holds one bit per plane (1<<pReq, ...) written on net n since then, so
-	// Reset clears only the planes a net actually wrote.
+	// touched lists every net written since the last Reset, and the low
+	// nibble of dirty[n] holds one bit per plane (1<<pReq, ...) written on
+	// net n since then, so Reset clears only the planes a net actually wrote.
+	// The high nibble is the trail's (see note).
 	touched []circuit.NetID
 	dirty   []uint8
 
@@ -146,11 +171,12 @@ type State struct {
 	simConstsSeeded bool
 
 	// Assignment trail (see trail.go); pendSaved holds the pending lists
-	// of the open frames.
+	// of the open frames, and stamp[n] the frame whose trailed planes the
+	// high nibble of dirty[n] lists.
 	frames    []frame
 	trail     []trailEntry
 	pendSaved []circuit.NetID
-	stamps    [numPlanes][]int64
+	stamp     []int64
 	frameSeq  int64
 }
 
@@ -161,10 +187,12 @@ func NewState(c *circuit.Circuit) *State {
 	s := &State{
 		c:        c,
 		req:      make([]logic.Word7, n),
-		pi:       make([]logic.Word7, n),
+		pi:       make([]logic.Word7, len(c.Inputs())),
 		val:      make([]logic.Word7, n),
 		sim:      make([]logic.Word7, n),
+		snap:     make([]logic.Word7, n),
 		dirty:    make([]uint8, n),
+		stamp:    make([]int64, n),
 		fwdB:     make([][]circuit.NetID, c.NumLevels()),
 		bwdB:     make([][]circuit.NetID, c.NumLevels()),
 		simB:     make([][]circuit.NetID, c.NumLevels()),
@@ -184,9 +212,6 @@ func NewState(c *circuit.Circuit) *State {
 		}
 	}
 	s.faninBuf7 = make([]logic.Word7, maxFanin)
-	for i := range s.stamps {
-		s.stamps[i] = make([]int64, n)
-	}
 	return s
 }
 
@@ -204,8 +229,8 @@ func (s *State) Circuit() *circuit.Circuit { return s.c }
 //atpgvet:noalloc
 func (s *State) Reset(active logic.Mask) {
 	for _, n := range s.touched {
-		for d := s.dirty[n]; d != 0; d &= d - 1 {
-			s.plane(uint8(bits.TrailingZeros8(d)))[n] = logic.Word7{}
+		for d := s.dirty[n] & writtenBits; d != 0; d &= d - 1 {
+			*s.word(uint8(bits.TrailingZeros8(d)), n) = logic.Word7{}
 		}
 		s.dirty[n] = 0
 	}
@@ -282,21 +307,28 @@ func (s *State) AssignPI(net circuit.NetID, v logic.Value7, mask logic.Mask) {
 // input (used by APTPG to enumerate the 2^k combinations of k inputs) and
 // schedules the net for the next Imply and ForwardSim.
 func (s *State) AssignPIWord(net circuit.NetID, w logic.Word7) {
-	if !s.c.IsInput(net) {
+	p := s.c.InputPos(net)
+	if p < 0 {
 		return
 	}
 	r := w.SelectLevels(s.active)
-	if !adds(s.pi[net], r) {
+	if !adds(s.pi[p], r) {
 		return
 	}
 	s.note(pPI, net)
-	s.pi[net] = or(s.pi[net], r)
+	s.pi[p] = or(s.pi[p], r)
 	s.pendImply = append(s.pendImply, net)
 	s.pendSim = append(s.pendSim, net)
 }
 
-// PIValue returns the current assignment word of a primary input.
-func (s *State) PIValue(net circuit.NetID) logic.Word7 { return s.pi[net] }
+// PIValue returns the current assignment word of a primary input (X at every
+// level for any other net).
+func (s *State) PIValue(net circuit.NetID) logic.Word7 {
+	if p := s.c.InputPos(net); p >= 0 {
+		return s.pi[p]
+	}
+	return logic.Word7{}
+}
 
 // Imply updates the implication closure Val from Req and PI and returns the
 // mask of bit levels on which a conflict was detected.  A conflict on a
@@ -453,4 +485,4 @@ func (s *State) ValGet(net circuit.NetID, level int) logic.Value7 { return s.val
 func (s *State) ReqGet(net circuit.NetID, level int) logic.Value7 { return s.req[net].Get(level) }
 
 // PIGet returns the assignment of a primary input at one bit level.
-func (s *State) PIGet(net circuit.NetID, level int) logic.Value7 { return s.pi[net].Get(level) }
+func (s *State) PIGet(net circuit.NetID, level int) logic.Value7 { return s.PIValue(net).Get(level) }

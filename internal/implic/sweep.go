@@ -39,8 +39,8 @@ func (s *State) implyFull() logic.Mask {
 			s.val[id] = r
 		}
 	}
-	for _, in := range s.c.Inputs() {
-		s.mergeVal(in, s.pi[in].SelectLevels(s.active))
+	for i, in := range s.c.Inputs() {
+		s.mergeVal(in, s.pi[i].SelectLevels(s.active))
 	}
 
 	for changed := true; changed; {
@@ -83,8 +83,8 @@ func (s *State) forwardSimFull() {
 	for i := range s.sim {
 		s.setSim(circuit.NetID(i), logic.Word7{})
 	}
-	for _, in := range s.c.Inputs() {
-		s.setSim(in, s.pi[in].SelectLevels(s.active))
+	for i, in := range s.c.Inputs() {
+		s.setSim(in, s.pi[i].SelectLevels(s.active))
 	}
 	for _, id := range s.c.TopoOrder() {
 		g := s.c.Gate(id)

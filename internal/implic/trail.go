@@ -20,6 +20,10 @@ const (
 	numPlanes
 )
 
+// writtenBits selects the low nibble of dirty[n], the planes written on net
+// n since Reset; the high nibble holds the planes trailed in frame stamp[n].
+const writtenBits uint8 = 1<<numPlanes - 1
+
 // frame marks a trail position plus the state restored by Undo.  The
 // pending lists at Assign are saved in pendSaved from pendAt on: the
 // pendImplyLen imply nets, then the simulation inputs.
@@ -45,38 +49,44 @@ type trailEntry struct {
 	old   logic.Word7
 }
 
-// plane returns the storage of a trailed plane.
-func (s *State) plane(id uint8) []logic.Word7 {
-	switch id {
+// word returns the storage of net's word in a trailed plane.
+func (s *State) word(plane uint8, net circuit.NetID) *logic.Word7 {
+	switch plane {
 	case pReq:
-		return s.req
+		return &s.req[net]
 	case pPI:
-		return s.pi
+		return &s.pi[s.c.InputPos(net)]
 	case pVal:
-		return s.val
+		return &s.val[net]
 	}
-	return s.sim
+	return &s.sim[net]
 }
 
 // note is the write barrier called immediately before every plane write: it
 // marks the plane of the net dirty so Reset clears it and, when a trail frame
 // is open, records the current word (only the first write per plane, net
-// and frame is recorded — that is the value Undo restores).
+// and frame is recorded — that is the value Undo restores).  One stamp per
+// net names the frame whose trailed planes dirty's high nibble lists, and a
+// write in another frame starts the list afresh.  After an inner Undo the
+// outer frame may so trail a plane of a net twice; Undo replays the trail
+// backwards, so the first entry still restores last.
 func (s *State) note(plane uint8, net circuit.NetID) {
-	if s.dirty[net] == 0 {
+	d := s.dirty[net]
+	if d == 0 {
 		s.touched = append(s.touched, net)
 	}
-	s.dirty[net] |= 1 << plane
-	n := len(s.frames)
-	if n == 0 {
-		return
+	d |= 1 << plane
+	if n := len(s.frames); n > 0 {
+		if seq := s.frames[n-1].seq; s.stamp[net] != seq {
+			s.stamp[net] = seq
+			d &= writtenBits
+		}
+		if t := uint8(1) << (numPlanes + plane); d&t == 0 {
+			d |= t
+			s.trail = append(s.trail, trailEntry{net: net, plane: plane, old: *s.word(plane, net)})
+		}
 	}
-	seq := s.frames[n-1].seq
-	if s.stamps[plane][net] == seq {
-		return
-	}
-	s.stamps[plane][net] = seq
-	s.trail = append(s.trail, trailEntry{net: net, plane: plane, old: s.plane(plane)[net]})
+	s.dirty[net] = d
 }
 
 // Assign opens a new trail frame.  Every plane change made afterwards —
@@ -122,7 +132,7 @@ func (s *State) Undo() {
 	f := s.frames[n-1]
 	for i := len(s.trail) - 1; i >= f.trailLen; i-- {
 		e := &s.trail[i]
-		s.plane(e.plane)[e.net] = e.old
+		*s.word(e.plane, e.net) = e.old
 	}
 	s.trail = s.trail[:f.trailLen]
 	saved := s.pendSaved[f.pendAt:]
