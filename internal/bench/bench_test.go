@@ -243,3 +243,22 @@ func TestProfileLookup(t *testing.T) {
 		t.Errorf("ISCAS89Profiles = %d entries, want 16", len(ISCAS89Profiles()))
 	}
 }
+
+// BenchmarkSynthesize times netlist synthesis, one build per circuit, on
+// the c7552 and s38584 stand-ins; run it with -benchmem for its
+// allocations.
+func BenchmarkSynthesize(b *testing.B) {
+	for _, name := range []string{"c7552", "s38584"} {
+		p, ok := ProfileByName(name)
+		if !ok {
+			b.Fatalf("profile %s missing", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Synthesize(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -81,6 +82,7 @@ func (p Profile) Scaled(f float64) Profile {
 // to the target depth) and its remaining fanins either from primary inputs
 // or from earlier levels, creating the reconvergent fan-out that makes path
 // delay ATPG hard.  Dangling gates are collected into the primary outputs.
+// The circuit is built once, with the builder presized to the profile.
 func Synthesize(p Profile) (*circuit.Circuit, error) {
 	if p.Inputs < 2 {
 		return nil, fmt.Errorf("bench: profile %q needs at least two inputs", p.Name)
@@ -100,13 +102,20 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
+	nets := p.Inputs + p.Gates
 	b := circuit.NewBuilder(p.Name)
+	b.Grow(nets)
+	var nameBuf []byte
+	netName := func(prefix string, n int) string {
+		nameBuf = strconv.AppendInt(append(nameBuf[:0], prefix...), int64(n), 10)
+		return string(nameBuf)
+	}
 	inputs := make([]circuit.NetID, p.Inputs)
 	for i := range inputs {
 		if p.Sequential && i >= p.Inputs/2 {
-			inputs[i] = b.PseudoInput(fmt.Sprintf("pi%d", i))
+			inputs[i] = b.PseudoInput(netName("pi", i))
 		} else {
-			inputs[i] = b.Input(fmt.Sprintf("pi%d", i))
+			inputs[i] = b.Input(netName("pi", i))
 		}
 	}
 
@@ -131,9 +140,16 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 	kinds := []logic.Kind{logic.Nand, logic.Nor, logic.And, logic.Or, logic.Nand, logic.Nand, logic.Xor}
 	levels := make([][]circuit.NetID, depth+1)
 	levels[0] = inputs
-	var all []circuit.NetID
+	for l := 1; l <= depth; l++ {
+		levels[l] = make([]circuit.NetID, 0, perLevel[l-1])
+	}
+	all := make([]circuit.NetID, 0, nets)
 	all = append(all, inputs...)
 	unusedInputs := append([]circuit.NetID(nil), inputs...)
+	// read marks the nets some gate reads; the others are dangling.
+	read := make([]bool, nets)
+	// fanin is reused from gate to gate: the builder copies it.
+	var fanin []circuit.NetID
 	gateNum := 0
 
 	pickEarlier := func(maxLevel int) circuit.NetID {
@@ -153,7 +169,7 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 		count := perLevel[l-1]
 		for g := 0; g < count; g++ {
 			gateNum++
-			name := fmt.Sprintf("g%d", gateNum)
+			name := netName("g", gateNum)
 			// Single-input gates.
 			if rng.Float64() < p.InverterFraction {
 				src := pickEarlier(l)
@@ -162,6 +178,7 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 					kind = logic.Buf
 				}
 				id := b.Gate(name, kind, src)
+				read[src] = true
 				levels[l] = append(levels[l], id)
 				all = append(all, id)
 				continue
@@ -170,7 +187,7 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 			if rng.Float64() < p.WideFaninFraction {
 				nFanin = 3 + rng.Intn(2)
 			}
-			fanin := make([]circuit.NetID, 0, nFanin)
+			fanin = fanin[:0]
 			// First fanin: previous level when possible, to reach the target
 			// depth.
 			if len(levels[l-1]) > 0 {
@@ -232,6 +249,9 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 				kind = logic.Xnor
 			}
 			id := b.Gate(name, kind, fanin...)
+			for _, f := range fanin {
+				read[f] = true
+			}
 			levels[l] = append(levels[l], id)
 			all = append(all, id)
 		}
@@ -241,22 +261,15 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 	}
 
 	// Primary outputs: start with the deepest gates until the requested
-	// output count is reached; after the first build, any remaining gates
-	// without fanout are promoted to outputs as well so no logic dangles.
+	// output count is reached (each gate sits on one level, so no gate is
+	// drawn twice).
 	outs := make([]circuit.NetID, 0, p.Outputs)
-	seen := make(map[circuit.NetID]bool)
-	addOut := func(id circuit.NetID) {
-		if !seen[id] {
-			seen[id] = true
-			outs = append(outs, id)
-		}
-	}
 	for l := depth; l >= 1 && len(outs) < p.Outputs; l-- {
 		for _, id := range levels[l] {
 			if len(outs) >= p.Outputs {
 				break
 			}
-			addOut(id)
+			outs = append(outs, id)
 		}
 	}
 	for _, id := range outs {
@@ -266,27 +279,13 @@ func Synthesize(p Profile) (*circuit.Circuit, error) {
 			b.Output(id)
 		}
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-
-	// Any gate without fanout that is not an output would be dead logic and
-	// would distort path counts; rebuild with those gates added as outputs.
-	var dangling []circuit.NetID
-	for _, g := range c.Gates() {
-		if g.Kind == logic.Input {
-			continue
+	// Any gate no gate reads that is not an output would be dead logic and
+	// would distort path counts: it becomes an output too, in ID order
+	// after the drawn ones (Output leaves a drawn output where it is).
+	for id := p.Inputs; id < nets; id++ {
+		if !read[id] {
+			b.Output(circuit.NetID(id))
 		}
-		if len(g.Fanout) == 0 && !g.IsOutput {
-			dangling = append(dangling, g.ID)
-		}
-	}
-	if len(dangling) == 0 {
-		return c, nil
-	}
-	for _, id := range dangling {
-		b.Output(id)
 	}
 	return b.Build()
 }

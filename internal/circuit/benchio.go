@@ -141,6 +141,7 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	}
 
 	b := NewBuilder(name)
+	b.Grow(len(inputs) + len(raws))
 	// Primary inputs first, then DFF outputs as pseudo primary inputs.
 	for _, in := range inputs {
 		b.Input(in)
@@ -164,18 +165,20 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			pendingGates = append(pendingGates, rg)
 		}
 	}
+	var fanin []NetID // reused from gate to gate: the builder copies it
 	for len(pendingGates) > 0 {
 		progressed := false
 		remaining := pendingGates[:0]
 		for _, rg := range pendingGates {
-			ready := true
+			fanin = fanin[:0]
 			for _, f := range rg.fanin {
-				if _, ok := b.byName[f]; !ok {
-					ready = false
+				id, ok := b.byName[f]
+				if !ok {
 					break
 				}
+				fanin = append(fanin, id)
 			}
-			if !ready {
+			if len(fanin) < len(rg.fanin) {
 				remaining = append(remaining, rg)
 				continue
 			}
@@ -183,10 +186,6 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			kind, err := parseBenchKind(rg.kind, len(rg.fanin))
 			if err != nil {
 				return nil, &ParseError{File: name, Line: rg.lineNo, Err: err}
-			}
-			fanin := make([]NetID, len(rg.fanin))
-			for i, f := range rg.fanin {
-				fanin[i] = b.byName[f]
 			}
 			b.Gate(rg.out, kind, fanin...)
 			if b.Err() != nil {

@@ -6,6 +6,15 @@
 // combinational part is considered.  D flip-flops found in a .bench file are
 // replaced by a pseudo primary input (the flip-flop output) and a pseudo
 // primary output (the flip-flop input).
+//
+// A Circuit is built once, by a Builder or by ParseBench, and is immutable
+// afterwards.  Its gates sit in one table indexed by NetID; every gate's
+// Fanin and Fanout list is a capped slice of one of two contiguous arrays,
+// which hold all fanin lists and all fanout lists in ID order.  Building is
+// linear in the number of nets plus fanin entries: Kahn's queue levelizes
+// the netlist and detects cycles, and one counting pass over the levels
+// yields TopoOrder.  Builder.Grow presizes a builder for a circuit whose
+// size the caller knows.
 package circuit
 
 import (
@@ -33,8 +42,9 @@ type Gate struct {
 	Kind  logic.Kind
 	Fanin []NetID
 
-	// Fanout lists the gates whose fanin contains this net.  It is computed
-	// by Build and never modified afterwards.
+	// Fanout lists the gates whose fanin contains this net, in increasing
+	// ID order (a gate reading the net on two pins appears twice).  It is
+	// computed by Build and never modified afterwards.
 	Fanout []NetID
 
 	// Level is the topological level: inputs have level 0, every other gate

@@ -148,6 +148,58 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderSpentAfterBuild: Build hands the builder's storage to the
+// circuit, so a builder call after Build must leave that circuit as it was
+// and record an error, which a second Build returns.
+func TestBuilderSpentAfterBuild(t *testing.T) {
+	b := NewBuilder("spent")
+	a := b.Input("a")
+	n := b.Gate("n", logic.Not, a)
+	h := b.Gate("h", logic.Buf, n)
+	z := b.Gate("z", logic.And, a, n)
+	b.Output(z)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("first Build: %v", err)
+	}
+	before := BenchString(c)
+
+	b.Output(h)
+	if c.IsOutput(h) || len(c.Outputs()) != 1 {
+		t.Errorf("Output after Build changed the built circuit: IsOutput(h) = %v, Outputs = %v", c.IsOutput(h), c.Outputs())
+	}
+	if b.Err() == nil || !strings.Contains(b.Err().Error(), "after Build") {
+		t.Errorf("Output after Build recorded %v, want an error naming Build", b.Err())
+	}
+	if id := b.Gate("y", logic.Or, a, h); id != InvalidNet {
+		t.Errorf("Gate after Build = %d, want InvalidNet", id)
+	}
+	if id := b.Input("i"); id != InvalidNet {
+		t.Errorf("Input after Build = %d, want InvalidNet", id)
+	}
+	b.Grow(8)
+	if _, err := b.Build(); err == nil {
+		t.Error("second Build succeeded, want the recorded error")
+	}
+	if got := BenchString(c); got != before {
+		t.Errorf("builder calls after Build changed the circuit:\n%s\nwant:\n%s", got, before)
+	}
+	if c.NetByName("y") != InvalidNet || c.NetByName("i") != InvalidNet || c.NumNets() != 4 {
+		t.Errorf("builder calls after Build added nets: %d nets", c.NumNets())
+	}
+
+	// A Build that fails spends the builder too.
+	b = NewBuilder("noout")
+	b.Input("a")
+	if _, err := b.Build(); err == nil {
+		t.Fatal("circuit without outputs built")
+	}
+	b.Output(0)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "after Build") {
+		t.Errorf("Build after a failed Build = %v, want an error naming Build", err)
+	}
+}
+
 func TestConesAndStats(t *testing.T) {
 	c := buildC17(t)
 	g22 := c.NetByName("22")

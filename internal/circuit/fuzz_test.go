@@ -2,6 +2,7 @@ package circuit_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -67,6 +68,7 @@ func TestParseRefusesWhitespaceNames(t *testing.T) {
 // malformed shapes.  Invariants: the parser never panics, every error is a
 // *ParseError carrying the source name, no parsed net name contains
 // whitespace, OrderPos inverts TopoOrder, levels never fall along TopoOrder,
+// every Fanout list names the gates reading the net in increasing ID order,
 // and parsing is a fixpoint under WriteBench serialization.
 func FuzzParse(f *testing.F) {
 	seeds := []*circuit.Circuit{
@@ -125,6 +127,19 @@ func FuzzParse(f *testing.F) {
 			if i > 0 && c.Gate(id).Level < c.Gate(order[i-1]).Level {
 				t.Fatalf("level falls along TopoOrder at %d: %q (level %d) follows %q (level %d)",
 					i, c.NetName(id), c.Gate(id).Level, c.NetName(order[i-1]), c.Gate(order[i-1]).Level)
+			}
+		}
+		// Fanout is the inverse of Fanin: a net's list names every gate
+		// that reads it, once per fanin pin, in increasing ID order.
+		readers := make([][]circuit.NetID, c.NumNets())
+		for _, g := range c.Gates() {
+			for _, f := range g.Fanin {
+				readers[f] = append(readers[f], g.ID)
+			}
+		}
+		for _, g := range c.Gates() {
+			if !slices.Equal(g.Fanout, readers[g.ID]) {
+				t.Fatalf("Fanout(%q) = %v, want its readers %v", g.Name, g.Fanout, readers[g.ID])
 			}
 		}
 		// A circuit the parser accepts must serialize to a form it accepts

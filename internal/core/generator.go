@@ -761,16 +761,16 @@ func (g *Generator) enumWord(idx, width int) logic.Word7 {
 // ---------------------------------------------------------------------------
 
 // extractPattern builds the two-vector test from the primary input
-// assignments of the given bit level.  It returns both the filled test and
-// its X-preserving (pre-fill) form: inputs the justification never
-// constrained stay X in the raw pair, which is what static compaction
-// merges on.  Applying FillX(fillValue) to the raw pair reproduces the
-// filled pair exactly.
+// assignments of the given bit level.  It returns the filled test and, when
+// the run keeps it (Options.EmitUnfilled), its X-preserving (pre-fill) form:
+// inputs the justification never constrained stay X in the raw pair, which
+// is what static compaction merges on.  Applying FillX(fillValue) to the raw
+// pair reproduces the filled pair exactly.  Without EmitUnfilled the raw
+// pair is zero and the test is filled in place.
 func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair) {
-	inputs := g.c.Inputs()
-	raw = pattern.NewPair(len(inputs))
-	for i, in := range inputs {
-		v7 := g.st.PIGet(in, level)
+	raw = pattern.NewPair(len(g.c.Inputs()))
+	for i := range raw.V2 {
+		v7 := g.st.PIAt(i).Get(level)
 		final := v7.Final()
 		if !final.IsAssigned() {
 			continue
@@ -789,14 +789,16 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 	if g.opts.Mode == sensitize.Nonrobust {
 		// Nonrobust generation only fixes final values; the transition is
 		// launched by flipping the path input in the first vector.
-		for i, in := range inputs {
-			if in == r.fault.Path.Input() {
-				raw.V2[i] = r.fault.Transition.FinalValue3()
-				raw.V1[i] = raw.V2[i].Not()
-			}
+		if i := g.c.InputPos(r.fault.Path.Input()); i >= 0 {
+			raw.V2[i] = r.fault.Transition.FinalValue3()
+			raw.V1[i] = raw.V2[i].Not()
 		}
 	}
-	return raw.FillX(fillValue), raw
+	if g.opts.EmitUnfilled {
+		return raw.FillX(fillValue), raw
+	}
+	raw.FillXInPlace(fillValue)
+	return raw, pattern.Pair{}
 }
 
 // emitTest extracts, verifies and records a test for the fault from the

@@ -153,7 +153,7 @@ func runEpoch(t *testing.T, g *Generator, rng *rand.Rand, levels logic.Mask, key
 			if !ok || rng.Intn(4) == 0 {
 				in.Input = inputs[rng.Intn(len(inputs))]
 			}
-			if g.st.PIGet(in.Input, lvl) == logic.X7 {
+			if g.st.PIValue(in.Input).Get(lvl) == logic.X7 {
 				v := logic.Zero3
 				if rng.Intn(2) == 0 {
 					v = logic.One3

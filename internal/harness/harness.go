@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"time"
 
@@ -321,6 +322,16 @@ func (cfg Config) speedupRows(engines ...implicEngine) []SpeedupRow {
 	return rows
 }
 
+// speedupReps is how many times runSpeedupRow times each width.  A cell
+// takes 4–60 ms on the stand-ins, so one timing is noise; the row reports
+// the median of its reps.
+const speedupReps = 5
+
+// runSpeedupRow times the bit-parallel and the single-bit generator on one
+// circuit, speedupReps times each in alternating order (even reps run the
+// bit-parallel width first, odd reps the single-bit one), and reports each
+// width's median.  Every rep must abort as many faults as that width's
+// first rep; a rep that does not makes the row an error.
 func (cfg Config) runSpeedupRow(p bench.Profile, e implicEngine) SpeedupRow {
 	row := SpeedupRow{Circuit: p.Name, Engine: e.label}
 	c, err := cfg.circuitFor(p)
@@ -329,34 +340,51 @@ func (cfg Config) runSpeedupRow(p bench.Profile, e implicEngine) SpeedupRow {
 		return row
 	}
 	faults := cfg.sampleFaults(c)
-	parallel, single := cfg.generatorOptions(), cfg.singleBitOptions()
-	parallel.FullSweepImplic, single.FullSweepImplic = e.fullSweep, e.fullSweep
-
-	// Bit-parallel run.
-	start := time.Now()
-	gp := cfg.runGenerator(c, parallel, faults)
-	parallelTotal := time.Since(start)
-	row.AbortedParallel = gp.Stats().Aborted
-
-	// Single-bit run.
-	start = time.Now()
-	gs := cfg.runGenerator(c, single, faults)
-	singleTotal := time.Since(start)
-	row.AbortedSingle = gs.Stats().Aborted
-
-	// The paper reports the sensitization time separately (it is identical
-	// for both generators) and compares the remaining generation time.
-	row.SensTime = gp.Stats().SensitizeTime
-	row.ParallelTime = parallelTotal - gp.Stats().SensitizeTime
-	row.SingleTime = singleTotal - gs.Stats().SensitizeTime
-	if row.ParallelTime <= 0 {
-		row.ParallelTime = time.Microsecond
+	type width struct {
+		label   string
+		opts    core.Options
+		gen     []time.Duration // t_total - t_sens of each rep
+		sens    []time.Duration
+		aborted int
 	}
-	if row.SingleTime <= 0 {
-		row.SingleTime = time.Microsecond
+	parallel := &width{label: "bit-parallel", opts: cfg.generatorOptions()}
+	single := &width{label: "single-bit", opts: cfg.singleBitOptions()}
+	parallel.opts.FullSweepImplic, single.opts.FullSweepImplic = e.fullSweep, e.fullSweep
+	for rep := 0; rep < speedupReps; rep++ {
+		order := [2]*width{parallel, single}
+		if rep%2 == 1 {
+			order = [2]*width{single, parallel}
+		}
+		for _, w := range order {
+			start := time.Now()
+			g := cfg.runGenerator(c, w.opts, faults)
+			total := time.Since(start)
+			st := g.Stats()
+			if rep == 0 {
+				w.aborted = st.Aborted
+			} else if st.Aborted != w.aborted {
+				row.Err = fmt.Errorf("%s run %d aborted %d faults, run 1 aborted %d", w.label, rep+1, st.Aborted, w.aborted)
+				return row
+			}
+			// The paper reports the sensitization time separately (it is
+			// identical for both generators) and compares the remaining
+			// generation time.
+			w.gen = append(w.gen, total-st.SensitizeTime)
+			w.sens = append(w.sens, st.SensitizeTime)
+		}
 	}
+	row.AbortedParallel, row.AbortedSingle = parallel.aborted, single.aborted
+	row.SensTime = medianDuration(parallel.sens)
+	row.ParallelTime = max(medianDuration(parallel.gen), time.Microsecond)
+	row.SingleTime = max(medianDuration(single.gen), time.Microsecond)
 	row.Speedup = float64(row.SingleTime) / float64(row.ParallelTime)
 	return row
+}
+
+// medianDuration returns the median of ds, which it sorts.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // FormatSpeedupTable renders rows in the layout of Tables 5/6.

@@ -321,6 +321,11 @@ func (s *State) AssignPIWord(net circuit.NetID, w logic.Word7) {
 	s.pendSim = append(s.pendSim, net)
 }
 
+// PIAt returns the current assignment word of the primary input at position
+// pos of the circuit's Inputs (circuit.InputPos), the index of the per-input
+// plane.
+func (s *State) PIAt(pos int) logic.Word7 { return s.pi[pos] }
+
 // PIValue returns the current assignment word of a primary input (X at every
 // level for any other net).
 func (s *State) PIValue(net circuit.NetID) logic.Word7 {
@@ -483,6 +488,3 @@ func (s *State) ValGet(net circuit.NetID, level int) logic.Value7 { return s.val
 
 // ReqGet returns the requirement of a net at one bit level.
 func (s *State) ReqGet(net circuit.NetID, level int) logic.Value7 { return s.req[net].Get(level) }
-
-// PIGet returns the assignment of a primary input at one bit level.
-func (s *State) PIGet(net circuit.NetID, level int) logic.Value7 { return s.PIValue(net).Get(level) }

@@ -27,12 +27,8 @@ type Pair struct {
 // NewPair returns a pair with both vectors fully unassigned for a circuit
 // with n primary inputs.
 func NewPair(n int) Pair {
-	p := Pair{V1: make([]logic.Value3, n), V2: make([]logic.Value3, n)}
-	for i := 0; i < n; i++ {
-		p.V1[i] = logic.X3
-		p.V2[i] = logic.X3
-	}
-	return p
+	// X3 is the zero Value3, so fresh vectors are unassigned.
+	return Pair{V1: make([]logic.Value3, n), V2: make([]logic.Value3, n)}
 }
 
 // Len returns the number of inputs covered by the pair.
@@ -46,20 +42,25 @@ func (p Pair) Clone() Pair {
 	}
 }
 
-// FillX replaces every unassigned value by fill in both vectors (keeping
-// V1 = V2 at positions where both were X, so no spurious transitions are
-// introduced).
+// FillX returns a copy of p with every unassigned value replaced by fill in
+// both vectors (keeping V1 = V2 at positions where both were X, so no
+// spurious transitions are introduced).
 func (p Pair) FillX(fill logic.Value3) Pair {
 	out := p.Clone()
-	for i := range out.V1 {
-		if out.V2[i] == logic.X3 {
-			out.V2[i] = fill
+	out.FillXInPlace(fill)
+	return out
+}
+
+// FillXInPlace is FillX on p's own vectors.
+func (p Pair) FillXInPlace(fill logic.Value3) {
+	for i := range p.V1 {
+		if p.V2[i] == logic.X3 {
+			p.V2[i] = fill
 		}
-		if out.V1[i] == logic.X3 {
-			out.V1[i] = out.V2[i]
+		if p.V1[i] == logic.X3 {
+			p.V1[i] = p.V2[i]
 		}
 	}
-	return out
 }
 
 // Value7 returns the seven-valued value seen by input position i across the
