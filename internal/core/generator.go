@@ -761,12 +761,11 @@ func (g *Generator) enumWord(idx, width int) logic.Word7 {
 // ---------------------------------------------------------------------------
 
 // extractPattern builds the two-vector test from the primary input
-// assignments of the given bit level.  It returns the filled test and, when
-// the run keeps it (Options.EmitUnfilled), its X-preserving (pre-fill) form:
-// inputs the justification never constrained stay X in the raw pair, which
-// is what static compaction merges on.  Applying FillX(fillValue) to the raw
-// pair reproduces the filled pair exactly.  Without EmitUnfilled the raw
-// pair is zero and the test is filled in place.
+// assignments of the given bit level.  It returns both the filled test and
+// its X-preserving (pre-fill) form: inputs the justification never
+// constrained stay X in the raw pair, which is what static compaction
+// merges on.  Applying FillX(fillValue) to the raw pair reproduces the
+// filled pair exactly.
 func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair) {
 	raw = pattern.NewPair(len(g.c.Inputs()))
 	for i := range raw.V2 {
@@ -794,11 +793,7 @@ func (g *Generator) extractPattern(r *rec, level int) (filled, raw pattern.Pair)
 			raw.V1[i] = raw.V2[i].Not()
 		}
 	}
-	if g.opts.EmitUnfilled {
-		return raw.FillX(fillValue), raw
-	}
-	raw.FillXInPlace(fillValue)
-	return raw, pattern.Pair{}
+	return raw.FillX(fillValue), raw
 }
 
 // emitTest extracts, verifies and records a test for the fault from the

@@ -42,25 +42,20 @@ func (p Pair) Clone() Pair {
 	}
 }
 
-// FillX returns a copy of p with every unassigned value replaced by fill in
-// both vectors (keeping V1 = V2 at positions where both were X, so no
-// spurious transitions are introduced).
+// FillX replaces every unassigned value by fill in both vectors (keeping
+// V1 = V2 at positions where both were X, so no spurious transitions are
+// introduced).
 func (p Pair) FillX(fill logic.Value3) Pair {
 	out := p.Clone()
-	out.FillXInPlace(fill)
-	return out
-}
-
-// FillXInPlace is FillX on p's own vectors.
-func (p Pair) FillXInPlace(fill logic.Value3) {
-	for i := range p.V1 {
-		if p.V2[i] == logic.X3 {
-			p.V2[i] = fill
+	for i := range out.V1 {
+		if out.V2[i] == logic.X3 {
+			out.V2[i] = fill
 		}
-		if p.V1[i] == logic.X3 {
-			p.V1[i] = p.V2[i]
+		if out.V1[i] == logic.X3 {
+			out.V1[i] = out.V2[i]
 		}
 	}
+	return out
 }
 
 // Value7 returns the seven-valued value seen by input position i across the
