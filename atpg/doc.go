@@ -58,23 +58,22 @@
 //   - [WithProgress] registers a callback invoked as each fault settles;
 //     it observes the same stream [Engine.Stream] yields.
 //
-// # Beyond the paper: scheduling and work-stealing
+// # Beyond the paper: scheduling
 //
 // The paper's parallelism lives inside one machine word; [WithWorkers]
 // multiplies it by core-level parallelism.  All fault dispatch goes
 // through one scheduling layer: the fault list is cut into work units
-// (word-parallel fault groups) that n worker goroutines claim from
-// per-worker queues, each worker running an independent generator over
-// the shared immutable circuit.  Every worker starts on one contiguous
-// run of units, the classic shard split, and an idle worker steals queued
-// units from the most loaded peer, so clustered hard faults do not
-// serialize on one worker.  The workers cooperate: patterns emitted by
+// (word-parallel fault groups) that n worker goroutines claim from one
+// FIFO in cut order, through an atomic cursor with no lock, each worker
+// running an independent generator over the shared immutable circuit.
+// A run starts no more workers than it has units, so none idles while a
+// unit is left.  The workers cooperate: patterns emitted by
 // one join the run's pattern pool and are fault-simulated against the
 // faults the others claim, so the interleaved-simulation dropping of the
 // paper keeps working across workers.  Results merge into the same
 // deterministic, input-ordered slice [Engine.Run] always returns — the merged test set is reassembled
 // in canonical fault order, so with the interleaved simulation disabled
-// it is identical for every worker count, one included, and every steal
+// it is identical for every worker count, one included, and every claim
 // interleaving (with it enabled, which covered fault contributes a
 // pattern still depends on cross-worker drop timing) — and the test set
 // and statistics accumulate in the engine across runs.  See docs/ARCHITECTURE.md

@@ -126,27 +126,27 @@ func WithInterleavedSim(interval int) Option {
 	}
 }
 
-// WithWorkers sets the number of worker goroutines the engine shards the
+// WithWorkers sets the number of worker goroutines the engine spreads the
 // fault list across, stacking core-level parallelism on top of the paper's
 // word-level bit parallelism: each worker owns an independent generator over
-// the shared immutable circuit, starts on one contiguous shard of the fault
-// slice and, once its own shard is drained, steals queued fault groups from
-// the most loaded peer.  When the interleaved simulation is on, workers
-// share the run's pattern pool, so one shard's tests still drop detected
-// faults on the others.  n = 0 selects runtime.GOMAXPROCS(0), one worker
+// the shared immutable circuit and claims fault groups from one queue in
+// the fault list's order.  A run starts no more workers than it has fault
+// groups.  When the interleaved simulation is on, workers share the run's
+// pattern pool, so one worker's tests still drop detected faults the others
+// claim later.  n = 0 selects runtime.GOMAXPROCS(0), one worker
 // per available core; negative counts fail construction.  The default is 1: one worker
 // owns every fault and drops the detected ones after every L patterns, as
 // the paper's generator does.  Every worker count ends its runs with the
 // same canonical merge of the test set.
 //
-// With the interleaved simulation on, sharding never changes which faults
-// are proved redundant, but it changes when patterns drop faults, since
-// that depends on the cross-shard pattern arrival order: a covered fault
+// With the interleaved simulation on, the worker count never changes which
+// faults are proved redundant, but it changes when patterns drop faults,
+// since that depends on the cross-worker pattern arrival order: a covered fault
 // may report Tested (its own pattern) or DetectedBySim (dropped by another
 // fault's pattern), and a fault one worker count aborts may be dropped by
 // another fault's test at another, so coverage and efficiency move with n
 // (of all 13,050 robust c880 faults, at L = 64 and a budget of 64
-// backtracks, 739 abort at one worker and 719 at two).  With the interleaved simulation off (WithInterleavedSim(0))
+// backtracks, 739 abort at one worker and 729 to 746 at two).  With the interleaved simulation off (WithInterleavedSim(0))
 // neither the statuses nor the written test set depend on n.  Statistics aggregate over the
 // workers, so Stats time fields become CPU time rather than wall-clock
 // time.

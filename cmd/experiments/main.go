@@ -4,7 +4,8 @@
 // (Tables 5 and 6), the comparison against a conventional structural
 // generator (Tables 7 and 8), the headline speed-up summary, and the
 // ablation studies of internal/harness (-ablations and -grouping, see the
-// README's "Command-line tools").
+// README's "Command-line tools").  It prints every selected table, then
+// exits 1 if any row or the coverage estimate carries an error.
 //
 // Usage:
 //
@@ -80,26 +81,47 @@ func main() {
 		os.Exit(1)
 	}
 
+	// failed counts the printed rows, and the coverage estimate, that carry
+	// an error.
+	failed := 0
+	atpgRows := func(rows []atpg.ATPGRow) []atpg.ATPGRow {
+		failed += errRows(rows, func(r atpg.ATPGRow) error { return r.Err })
+		return rows
+	}
+	speedupRows := func(rows []atpg.SpeedupRow) []atpg.SpeedupRow {
+		failed += errRows(rows, func(r atpg.SpeedupRow) error { return r.Err })
+		return rows
+	}
+	compareRows := func(rows []atpg.CompareRow) []atpg.CompareRow {
+		failed += errRows(rows, func(r atpg.CompareRow) error { return r.Err })
+		return rows
+	}
+	ablation := func(title string, rows []atpg.AblationRow) {
+		failed += errRows(rows, func(r atpg.AblationRow) error { return r.Err })
+		fmt.Print(atpg.FormatAblationTable(title, rows))
+		fmt.Println()
+	}
+
 	runTable := func(n int) {
 		switch n {
 		case 3:
 			fmt.Print(atpg.FormatATPGTable("Table 3: robust ATPG for the ISCAS85-class circuits",
-				atpg.RunTable3(baseCfg(atpg.Robust))))
+				atpgRows(atpg.RunTable3(baseCfg(atpg.Robust)))))
 		case 4:
 			fmt.Print(atpg.FormatATPGTable("Table 4: nonrobust ATPG for the ISCAS85-class circuits",
-				atpg.RunTable4(baseCfg(atpg.Nonrobust))))
+				atpgRows(atpg.RunTable4(baseCfg(atpg.Nonrobust)))))
 		case 5:
 			fmt.Print(atpg.FormatSpeedupTable("Table 5: bit-parallel vs single-bit generation (robust)",
-				atpg.RunTable5(baseCfg(atpg.Robust))))
+				speedupRows(atpg.RunTable5(baseCfg(atpg.Robust)))))
 		case 6:
 			fmt.Print(atpg.FormatSpeedupTable("Table 6: bit-parallel vs single-bit generation (nonrobust)",
-				atpg.RunTable6(baseCfg(atpg.Nonrobust))))
+				speedupRows(atpg.RunTable6(baseCfg(atpg.Nonrobust)))))
 		case 7:
 			fmt.Print(atpg.FormatCompareTable("Table 7: TIP vs structural baseline, nonrobust (L=32)",
-				atpg.RunTable7(baseCfg(atpg.Nonrobust))))
+				compareRows(atpg.RunTable7(baseCfg(atpg.Nonrobust)))))
 		case 8:
 			fmt.Print(atpg.FormatCompareTable("Table 8: TIP vs structural baseline, robust (L=32)",
-				atpg.RunTable8(baseCfg(atpg.Robust))))
+				compareRows(atpg.RunTable8(baseCfg(atpg.Robust)))))
 		default:
 			fmt.Fprintf(os.Stderr, "experiments: unknown table %d (want 3-8)\n", n)
 			os.Exit(1)
@@ -119,10 +141,8 @@ func main() {
 			}
 		}
 		if *summary {
-			rows5 := atpg.RunTable5(baseCfg(atpg.Robust))
-			avg5, max5 := atpg.SpeedupSummary(rows5)
-			rows6 := atpg.RunTable6(baseCfg(atpg.Nonrobust))
-			avg6, max6 := atpg.SpeedupSummary(rows6)
+			avg5, max5 := atpg.SpeedupSummary(speedupRows(atpg.RunTable5(baseCfg(atpg.Robust))))
+			avg6, max6 := atpg.SpeedupSummary(speedupRows(atpg.RunTable6(baseCfg(atpg.Nonrobust))))
 			fmt.Println("Speed-up summary (paper: average about five, maximum up to nine):")
 			fmt.Printf("  robust    (Table 5): average %.1fx, maximum %.1fx\n", avg5, max5)
 			fmt.Printf("  nonrobust (Table 6): average %.1fx, maximum %.1fx\n", avg6, max6)
@@ -131,23 +151,19 @@ func main() {
 		if *grouping {
 			fmt.Print(atpg.FormatGroupingTable(
 				"Grouping ablation: fault-serial vs fixed-wide, per implication engine (Tables 5/6 re-measured)",
-				atpg.RunGroupingAblation(baseCfg(atpg.Robust))))
+				speedupRows(atpg.RunGroupingAblation(baseCfg(atpg.Robust)))))
 			fmt.Println()
 		}
 		if *ablations {
 			cfg := baseCfg(atpg.Nonrobust)
-			fmt.Print(atpg.FormatAblationTable("Ablation: word width L", atpg.RunWordWidthAblation(cfg, nil)))
-			fmt.Println()
-			fmt.Print(atpg.FormatAblationTable("Ablation: FPTPG / APTPG / combined", atpg.RunModeAblation(cfg)))
-			fmt.Println()
-			fmt.Print(atpg.FormatAblationTable("Ablation: interleaved fault simulation", atpg.RunFaultSimAblation(cfg)))
-			fmt.Println()
-			fmt.Print(atpg.FormatAblationTable("Ablation: sharded-engine workers", atpg.RunWorkerAblation(cfg, nil)))
-			fmt.Println()
-			fmt.Print(atpg.FormatAblationTable("Ablation: static test-set compaction", atpg.RunCompactionAblation(cfg)))
-			fmt.Println()
+			ablation("Ablation: word width L", atpg.RunWordWidthAblation(cfg, nil))
+			ablation("Ablation: FPTPG / APTPG / combined", atpg.RunModeAblation(cfg))
+			ablation("Ablation: interleaved fault simulation", atpg.RunFaultSimAblation(cfg))
+			ablation("Ablation: sharded-engine workers", atpg.RunWorkerAblation(cfg, nil))
+			ablation("Ablation: static test-set compaction", atpg.RunCompactionAblation(cfg))
 			est := atpg.RunCoverageEstimate(cfg, "s713", 500)
 			if est.Err != nil {
+				failed++
 				fmt.Fprintf(os.Stderr, "coverage estimate: %v\n", est.Err)
 			} else {
 				fmt.Printf("Coverage estimate (NEST-style, %s): %d patterns, %.1f%% of %d sampled faults covered\n",
@@ -165,4 +181,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: errors in %d row(s)\n", failed)
+		os.Exit(1)
+	}
+}
+
+// errRows counts the rows whose error, read by err, is non-nil.
+func errRows[R any](rows []R, err func(R) error) int {
+	n := 0
+	for _, r := range rows {
+		if err(r) != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -154,8 +154,11 @@ func main() {
 			fail(err)
 		}
 		defer f.Close()
-		// Status only, not phase: which phase settles a fault can shift with
-		// worker interleaving, the classification cannot.
+		// Status only, not phase.  At -sim 0 neither depends on the worker
+		// count.  With the interleaved simulation on, drop timing follows the
+		// worker interleaving, so at two or more workers a covered fault can
+		// read Tested or DetectedBySim and an abort can be dropped instead:
+		// only the Redundant set holds.
 		for _, r := range results {
 			fmt.Fprintf(f, "%s\t%s\n", c.Describe(r.Fault), r.Status)
 		}

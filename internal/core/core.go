@@ -300,8 +300,8 @@ type Stats struct {
 
 	Effort
 
-	// Sched summarizes the dispatch layer of the run(s): work units,
-	// steals and the idle-unit skew counter (see sched.Stats).
+	// Sched summarizes the dispatch layer of the run(s): the work units,
+	// and for a remote run its lease counters (see sched.Stats).
 	Sched sched.Stats
 
 	// Compaction summarizes the static compaction passes of the run(s):

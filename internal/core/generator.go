@@ -161,12 +161,12 @@ func (g *Generator) fail(err error) {
 	}
 }
 
-// consume drains the scheduler as worker w: it claims units, drops claimed
-// faults that existing patterns already detect, processes the rest as
-// word-parallel groups, and runs the interleaved fault simulation.  Each
-// fault index of a unit refers into recs.
+// consume drains the scheduler as one of the run's workers: it claims
+// units, drops claimed faults that existing patterns already detect,
+// processes the rest as word-parallel groups, and runs the interleaved
+// fault simulation.  Each fault index of a unit refers into recs.
 //
-// The simulation scope follows ownership.  The only worker of a run owns
+// The simulation scope follows ownership.  A worker that runs alone owns
 // every record, so each pattern batch is simulated once against all
 // still-pending faults at the interval points (the paper's dropping, linear
 // in the pattern count) and no claim-time sweep is needed.  With several
@@ -175,10 +175,9 @@ func (g *Generator) fail(err error) {
 // before it was claimed.
 //
 //atpgvet:ctxloop
-func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, w int, recs []*rec) {
-	exclusive := sc.Workers() == 1
+func (g *Generator) consume(ctx context.Context, sc *sched.Scheduler, exclusive bool, recs []*rec) {
 	for ctx.Err() == nil {
-		u, ok := sc.Next(w)
+		u, ok := sc.Next()
 		if !ok {
 			return
 		}

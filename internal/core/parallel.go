@@ -17,13 +17,11 @@ import (
 // fault, in the same order, spreading the work across workers goroutines:
 // core-level parallelism on top of the paper's word-level bit parallelism.
 // Each worker is a generator with master's options over the shared
-// immutable circuit, consuming work units (word-parallel fault groups) from
-// a shared scheduler (internal/sched).  Worker 0 runs on the master's
-// implication states and simulator, which the master leaves idle during the
-// run; the others allocate their own.  Every worker starts on one contiguous
-// run of units, the classic shard split, and an idle worker steals queued
-// units from the most loaded peer, so clustered hard faults do not
-// serialize on one worker.  A run of one worker is the paper's sequential
+// immutable circuit, claiming work units (word-parallel fault groups) from
+// one FIFO in cut order (sched.Scheduler).  There are never more workers
+// than units.  Worker 0 runs on the master's implication states and
+// simulator, which the master leaves idle during the run; the others
+// allocate their own.  A run of one worker is the paper's sequential
 // generator: it owns every record and drops detected faults after every
 // FaultSimInterval patterns.  With several workers and the interleaved
 // simulation enabled, the workers share the run's pattern pool, so a
@@ -32,7 +30,7 @@ import (
 //
 // Every run ends the same way, whatever its worker count (see mergeRun):
 // the test set is appended in canonical fault order, so it does not depend
-// on the worker count or the steal interleaving, simulation drops are
+// on the worker count or the claim interleaving, simulation drops are
 // reconciled against it, and with Options.Compaction it is statically
 // compacted, with the PatternIndex of every covered fault remapped onto the
 // compacted set.  master's OnSettle callback is invoked as faults settle,
@@ -51,7 +49,8 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers = max(min(workers, len(faults)), 1)
+	units := master.opts.cut(len(faults))
+	workers = max(min(workers, len(units)), 1)
 
 	var settleMu sync.Mutex
 	settle := master.OnSettle
@@ -85,21 +84,19 @@ func RunSharded(ctx context.Context, master *Generator, faults []paths.Fault, wo
 
 	results, recs := newRecs(faults)
 
-	sc := sched.New(workers)
-	sc.Load(master.opts.cut(len(recs)))
+	sc := sched.New(units)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, g := range gens {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			g := gens[w]
 			start := time.Now()
-			g.consume(ctx, sc, w, recs)
+			g.consume(ctx, sc, workers == 1, recs)
 			g.stats.GenerateTime = time.Since(start) - g.stats.SensitizeTime
-		}(w)
+		}()
 	}
 	wg.Wait()
-	master.stats.Sched.Add(sc.Stats())
+	master.stats.Sched.Units += len(units)
 	for _, g := range gens {
 		master.absorbState(g)
 	}

@@ -440,65 +440,6 @@ func TestSchedulerCompactedCoverage(t *testing.T) {
 	}
 }
 
-// TestWorkStealingBalancesSkew is the shard-skew regression test: a fault
-// ordering whose hard faults are clustered at the front hands the whole
-// cluster to the first worker's contiguous run, and work stealing must
-// rebalance it — asserted through the scheduler's steal/idle counters rather
-// than wall clock: the other workers steal, and no worker goes idle while
-// queued units remain.
-func TestWorkStealingBalancesSkew(t *testing.T) {
-	c := bench.MustSynthesize(bench.Profile{
-		Name: "skew", Inputs: 14, Outputs: 6, Gates: 170, Depth: 13, Seed: 71,
-		InputFaninBias: 0.35, WideFaninFraction: 0.25, InverterFraction: 0.45,
-	})
-	opts := DefaultOptions(sensitize.Robust)
-	opts.UseFPTPG = false // every fault pays the full backtracking search
-	opts.WordWidth = 4    // small units, so the scheduler has something to balance
-	opts.FaultSimInterval = 0
-	opts.MaxBacktracks = 64
-
-	// Probe a sample for the most and least expensive faults.
-	sample := paths.SampleFaults(c, 96, 7)
-	probe := New(c, opts)
-	res := RunSharded(context.Background(), probe, sample, 1)
-	hard, easy, hardCost, easyCost := 0, 0, -1, int(^uint(0)>>1)
-	for i, r := range res {
-		cost := r.Decisions + 16*r.Backtracks
-		if cost > hardCost {
-			hardCost, hard = cost, i
-		}
-		if cost < easyCost {
-			easyCost, easy = cost, i
-		}
-	}
-	if hardCost <= easyCost {
-		t.Skipf("no cost skew in the sample (hard=%d easy=%d)", hardCost, easyCost)
-	}
-	t.Logf("hard fault cost %d (%v), easy fault cost %d", hardCost, res[hard].Status, easyCost)
-
-	// Cluster 48 instances of the hard fault at the front, then 144 easy
-	// ones: the contiguous split gives the whole cluster to the first
-	// worker.
-	var faults []paths.Fault
-	for i := 0; i < 48; i++ {
-		faults = append(faults, sample[hard])
-	}
-	for i := 0; i < 144; i++ {
-		faults = append(faults, sample[easy])
-	}
-
-	g := New(c, opts)
-	RunSharded(context.Background(), g, faults, 4)
-	st := g.Stats().Sched
-	t.Logf("%v", st)
-	if st.Steals == 0 {
-		t.Error("no steals on a skewed ordering")
-	}
-	if st.IdleUnits != 0 {
-		t.Errorf("%d queued units left behind idle workers, want 0", st.IdleUnits)
-	}
-}
-
 // TestCancellationDrainsQueue cancels a 4-worker run mid-flight:
 // RunSharded must return promptly with every fault settled (canceled ones
 // Aborted with the cause), and the scheduler queues must not wedge any
@@ -562,15 +503,17 @@ func allocated(f func()) uint64 {
 // TestShardedRunLendsMasterState checks that a 2-worker run forks one
 // worker's implication states, not two: worker 0 runs on the master's,
 // which the master leaves idle during the run.  On the s38584 stand-in a
-// generator's states take about 3.7 MB, so the run's allocations, a few
+// generator's states take about 3.1 MB, so the run's allocations, a few
 // faults' worth of search and simulation besides, must stay under one and
-// a half generators' worth.
+// a half generators' worth.  A width of 2 cuts the 4 faults into two units,
+// one per worker.
 func TestShardedRunLendsMasterState(t *testing.T) {
 	c, err := bench.Get("s38584")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(sensitize.Nonrobust)
+	opts.WordWidth = 2
 	faults := paths.SampleFaults(c, 4, 1995)
 	// A first run fills the circuit's memos (testability, input positions).
 	RunSharded(context.Background(), New(c, opts), faults, 2)
@@ -587,6 +530,32 @@ func TestShardedRunLendsMasterState(t *testing.T) {
 		if r.Status == Pending {
 			t.Fatalf("fault %s left pending", r.Fault.Key())
 		}
+	}
+}
+
+// TestShardedRunBuildsNoIdleWorkers checks that a run starts no more
+// workers than it has units: 8 workers asked for on 64 faults, one unit at
+// the default width, must run on the master's states alone and build no
+// generator that would never claim a unit.
+func TestShardedRunBuildsNoIdleWorkers(t *testing.T) {
+	c, err := bench.Get("s38584")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(sensitize.Nonrobust)
+	faults := paths.SampleFaults(c, opts.WordWidth, 1995)
+	// A first run fills the circuit's memos (testability, input positions).
+	RunSharded(context.Background(), New(c, opts), faults, 1)
+
+	var g *Generator
+	one := allocated(func() { g = New(c, opts) })
+	run := allocated(func() { RunSharded(context.Background(), g, faults, 8) })
+	t.Logf("one generator: %d bytes; an 8-worker one-unit run: %d bytes", one, run)
+	if run >= one+one/2 {
+		t.Errorf("an 8-worker run over one unit allocated %d bytes; one generator's states take %d, so it built idle workers", run, one)
+	}
+	if units := g.Stats().Sched.Units; units != 1 {
+		t.Errorf("the run cut %d units, want 1", units)
 	}
 }
 

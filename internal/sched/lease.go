@@ -143,8 +143,8 @@ func (q *LeaseQueue) expireLocked(now time.Time) int {
 	return n
 }
 
-// Stats returns the counters accumulated so far: Units is the pass's unit
-// count, and Steals and IdleUnits, which only a Scheduler counts, stay zero.
+// Stats returns the counters accumulated so far; Units is the pass's unit
+// count.
 func (q *LeaseQueue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()

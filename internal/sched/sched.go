@@ -1,23 +1,22 @@
 // Package sched owns fault dispatch for the generation engine: it cuts a
 // run's target fault list into work units (word-parallel fault groups) and
-// hands them out to N workers.
+// hands them out, to local workers through a Scheduler and to remote ones
+// through a LeaseQueue.
 //
-// Every worker starts from one contiguous run of units — preserving the
-// locality that makes the interleaved simulation's dropping effective —
-// and a worker whose own queue runs dry takes queued units from the tail of
-// the most loaded peer, so clustered hard faults are rebalanced instead of
-// serialized on one worker.
+// Both hand units out from one FIFO in cut order.  A Scheduler is an atomic
+// cursor over the cut: each claim takes the next unclaimed unit without a
+// lock, so no worker idles while a unit is left.
 //
 // The scheduler only decides *which worker processes which unit*; result
 // ordering is untouched.  Consumers write each fault's result into a slot
 // keyed by the fault's original index and reassemble test sets in input
-// order, so the merge is deterministic and input-ordered whatever the steal
+// order, so the merge is deterministic and input-ordered whatever the claim
 // interleaving (see internal/core and docs/ARCHITECTURE.md "Scheduling").
 package sched
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 )
 
 // Unit is one work unit: a group of fault indices (into the run's target
@@ -34,13 +33,11 @@ type Unit struct {
 type Stats struct {
 	// Units counts the work units dispatched.
 	Units int
-	// Steals counts units a worker took from another worker's queue.
-	Steals int
-	// IdleUnits measures skew: every time a worker goes permanently idle,
-	// the units still queued (not yet started) on the other workers are
-	// added up.  It is structurally zero — a worker only goes idle when
-	// nothing is left to steal — so a nonzero value would mean stealing
-	// stranded work.
+	// Steals and IdleUnits are always zero: dispatch is one FIFO, so no
+	// worker takes a unit from another and none idles while a unit is
+	// queued.  They stay declared for the benchmark's sched.steals and
+	// sched.idle_units rows.
+	Steals    int
 	IdleUnits int
 
 	// Leases counts units a LeaseQueue handed out, re-leases after expiry
@@ -57,8 +54,6 @@ type Stats struct {
 // Add accumulates the counters of another pass into s.
 func (s *Stats) Add(o Stats) {
 	s.Units += o.Units
-	s.Steals += o.Steals
-	s.IdleUnits += o.IdleUnits
 	s.Leases += o.Leases
 	s.Requeues += o.Requeues
 	s.Duplicates += o.Duplicates
@@ -67,112 +62,35 @@ func (s *Stats) Add(o Stats) {
 // String renders a one-line summary; the lease counters appear once a unit
 // was leased.
 func (s Stats) String() string {
-	out := fmt.Sprintf("units=%d steals=%d idle-units=%d", s.Units, s.Steals, s.IdleUnits)
+	out := fmt.Sprintf("units=%d", s.Units)
 	if s.Leases > 0 {
 		out += fmt.Sprintf(" leases=%d requeues=%d duplicates=%d", s.Leases, s.Requeues, s.Duplicates)
 	}
 	return out
 }
 
-// Scheduler hands out the loaded units to workers.  Next is safe for
-// concurrent use by the workers; Load is not (load before the workers
-// start).
+// Scheduler hands out the units of one run in cut order through one atomic
+// cursor.  Next is safe for concurrent use.
 type Scheduler struct {
-	mu     sync.Mutex
-	queues [][]Unit // queues[w][heads[w]:] is worker w's pending FIFO
-	heads  []int
-	stats  Stats
+	units []Unit
+	next  atomic.Int64 // position of the next unclaimed unit
 }
 
-// New creates a scheduler for the given number of workers.
-func New(workers int) *Scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Scheduler{
-		queues: make([][]Unit, workers),
-		heads:  make([]int, workers),
-	}
+// New creates a scheduler over the units of one run, in cut order.
+func New(units []Unit) *Scheduler {
+	return &Scheduler{units: units}
 }
 
-// Workers returns the number of worker queues.
-func (s *Scheduler) Workers() int { return len(s.queues) }
-
-// Load distributes the units across the worker queues: contiguous runs of
-// units, balanced by fault count (the near-even contiguous fault sharding).
-// It resets any previous load; call it once per run, with the workers
-// quiesced.
-func (s *Scheduler) Load(units []Unit) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Units += len(units)
-
-	remWeight := 0
-	for _, u := range units {
-		remWeight += len(u.Faults)
-	}
-	i := 0
-	for w := range s.queues {
-		s.heads[w] = 0
-		remWorkers := len(s.queues) - w
-		take, weight := 0, 0
-		for i+take < len(units) && weight*remWorkers < remWeight {
-			weight += len(units[i+take].Faults)
-			take++
-		}
-		s.queues[w] = units[i : i+take]
-		i += take
-		remWeight -= weight
-	}
-	// Weight-zero tails (empty units) cannot be reached by the balancing
-	// loop; give them to the last worker so nothing is dropped.
-	if i < len(units) {
-		last := len(s.queues) - 1
-		s.queues[last] = append(append([]Unit{}, s.queues[last]...), units[i:]...)
-	}
-}
-
-// Next returns the next unit for the worker: the head of its own queue, or
-// the tail of the most loaded peer's queue.  It returns ok=false when no
-// unit is available anywhere, which is final for the current load: the
-// worker should exit.
+// Next claims the next unit in cut order.  It returns ok=false once every
+// unit is claimed, which is final: the worker should exit.
 //
 //atpgvet:noalloc
-func (s *Scheduler) Next(worker int) (Unit, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.queues[worker]; s.heads[worker] < len(q) {
-		u := q[s.heads[worker]]
-		s.heads[worker]++
-		return u, true
+func (s *Scheduler) Next() (Unit, bool) {
+	i := s.next.Add(1) - 1
+	if i >= int64(len(s.units)) {
+		return Unit{}, false
 	}
-	victim, best := -1, 0
-	for v := range s.queues {
-		if rem := len(s.queues[v]) - s.heads[v]; rem > best {
-			best, victim = rem, v
-		}
-	}
-	if victim >= 0 {
-		q := s.queues[victim]
-		u := q[len(q)-1]
-		s.queues[victim] = q[:len(q)-1]
-		s.stats.Steals++
-		return u, true
-	}
-	// The worker goes permanently idle; record how many queued units it
-	// leaves behind on the other workers, the witness that stealing strands
-	// nothing.
-	for v := range s.queues {
-		s.stats.IdleUnits += len(s.queues[v]) - s.heads[v]
-	}
-	return Unit{}, false
-}
-
-// Stats returns the counters accumulated so far.
-func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return s.units[i], true
 }
 
 // Group cuts the fault indices into units of at most width faults each,

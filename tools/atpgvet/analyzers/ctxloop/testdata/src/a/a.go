@@ -11,7 +11,7 @@ import (
 
 func consumeBad(sc *sched.Scheduler) {
 	for { // want `without checking ctx.Err`
-		u, ok := sc.Next(0)
+		u, ok := sc.Next()
 		if !ok {
 			return
 		}
@@ -21,7 +21,7 @@ func consumeBad(sc *sched.Scheduler) {
 
 func consumeGood(ctx context.Context, sc *sched.Scheduler) {
 	for ctx.Err() == nil {
-		u, ok := sc.Next(0)
+		u, ok := sc.Next()
 		if !ok {
 			return
 		}
@@ -36,7 +36,7 @@ func consumeSelect(ctx context.Context, sc *sched.Scheduler) {
 			return
 		default:
 		}
-		u, ok := sc.Next(1)
+		u, ok := sc.Next()
 		if !ok {
 			return
 		}
@@ -49,7 +49,7 @@ func consumeSelect(ctx context.Context, sc *sched.Scheduler) {
 func nestedOuterClean(ctx context.Context, sc *sched.Scheduler) {
 	for i := 0; i < 4; i++ {
 		for ctx.Err() == nil {
-			u, ok := sc.Next(i)
+			u, ok := sc.Next()
 			if !ok {
 				break
 			}
@@ -72,7 +72,7 @@ func annotatedLoop(items []int) int {
 func suppressedDrain(sc *sched.Scheduler) {
 	//atpgvet:ignore ctxloop -- fixture: bounded drain, terminates without cancellation
 	for {
-		if _, ok := sc.Next(0); !ok {
+		if _, ok := sc.Next(); !ok {
 			return
 		}
 	}
@@ -81,7 +81,7 @@ func suppressedDrain(sc *sched.Scheduler) {
 func reasonlessDrain(sc *sched.Scheduler) {
 	//atpgvet:ignore ctxloop // want `needs a reason`
 	for { // want `without checking ctx.Err`
-		if _, ok := sc.Next(0); !ok {
+		if _, ok := sc.Next(); !ok {
 			return
 		}
 	}

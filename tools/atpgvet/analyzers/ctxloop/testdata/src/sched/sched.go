@@ -5,15 +5,14 @@ package sched
 
 // Unit is one claimable work unit.
 type Unit struct {
-	Group int
-	Shard int
+	Faults []int
 }
 
-// Scheduler hands out units.
+// Scheduler hands out units in cut order.
 type Scheduler struct{ units []Unit }
 
-// Next claims the next unit for a worker.
-func (s *Scheduler) Next(worker int) (Unit, bool) {
+// Next claims the next unit.
+func (s *Scheduler) Next() (Unit, bool) {
 	if len(s.units) == 0 {
 		return Unit{}, false
 	}
